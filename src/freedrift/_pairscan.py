@@ -1,9 +1,29 @@
-"""Chunked pairwise scans over particle arrays.
+"""The pair engine: one pass over the pairs of a particle configuration.
 
-Shared by the flow, hard-core, and cylinder verifiers. Pair enumeration is
-exhaustive up to a pair-count limit and switches to uniform seeded sampling
-beyond it; scans reduce deterministically (first-encountered pair wins ties
-in enumeration order, which is lexicographic in exhaustive mode).
+Shared by the flow, hard-core, and cylinder verifiers. `scan` evaluates
+every requested kernel on the same pairs in a single pass: closest approach
+always (every verdict rests on it), the inequality chain when a field W is
+given, and worldline distance on request. Each command makes one pass:
+`verify` scans closest approach plus chain once and hands the result to
+both verifiers, `cylinders` scans closest approach plus worldline distance
+once.
+
+Up to a pair-count limit the pass is exhaustive. It walks upper-triangle
+tiles of about TILE_PAIRS pairs: a block of rows [a, b) against the columns
+a+1 .. n-1, as broadcast differences of contiguous slices, with the in-tile
+lower triangle masked out. Memory stays bounded by the tile, whatever n.
+Beyond the limit the pass draws pairs uniformly with a seeded generator in
+fixed-size chunks and feeds them to the same kernels.
+
+Ties go to the lexicographically smallest pair. Tiles are row-major and
+visited in increasing a, so the first minimum of a tile is its smallest
+pair and a later tile replaces the running minimum only when strictly
+smaller. Drawn chunks have no order, so their ties are broken by pair.
+Chain failures are kept in enumeration order (lexicographic when
+exhaustive), the first max_failures of them.
+
+Every kernel value must be finite: a NaN or infinity (coordinates too large
+for float64) raises ValueError naming the pair, never a silent verdict.
 """
 from __future__ import annotations
 
@@ -12,23 +32,82 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import PARALLEL_EPS
+
 DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_BUDGET = 10**6
+# Pairs drawn per sampled chunk; part of the seeded stream, so fixed.
 _CHUNK = 1 << 18
+# Pairs per exhaustive tile: big enough to amortize numpy call overhead,
+# small enough that a tile's temporaries stay in cache.
+TILE_PAIRS = 1 << 13
+# Stands in for masked (non-)pairs: above every finite kernel value.
+_MASKED = np.finfo(float).max
 
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _iter_exhaustive(n: int):
-    for i in range(n - 1):
-        jj = np.arange(i + 1, n)
-        yield np.full(jj.shape, i, dtype=np.int64), jj
+class _Tile:
+    """Rows [a, b) against columns a+1 .. n-1; entry (r, c) is the pair
+    (a + r, a + 1 + c), valid when c >= r."""
+
+    def __init__(self, a: int, b: int, n: int, lower):
+        self.a = a
+        self.cols = n - 1 - a
+        self.i = (slice(a, b), None)
+        self.j = (None, slice(a + 1, n))
+        masked = (b - a) * (b - a - 1) // 2
+        self.count = (b - a) * self.cols - masked
+        self.lower = lower[0][:masked], lower[1][:masked]
+
+    def mask(self, x):
+        x[self.lower] = _MASKED
+
+    def pair(self, k: int) -> tuple[int, int]:
+        r, c = divmod(int(k), self.cols)
+        return self.a + r, self.a + 1 + c
+
+    def first(self, x, k: int) -> int:
+        """Flat index of the smallest pair valued x[k], k the first such."""
+        return k  # row-major order is lexicographic
 
 
-def _iter_sampled(n: int, budget: int, seed: int):
+def _tiles(n: int):
+    # rows <= min(cols, TILE_PAIRS // cols) <= isqrt(TILE_PAIRS); the lower
+    # triangle of a smaller square is a prefix of this one, row-major.
+    lower = np.tril_indices(math.isqrt(TILE_PAIRS) + 1, -1)
+    a = 0
+    while a < n - 1:
+        rows = max(1, min(n - 1 - a, TILE_PAIRS // (n - 1 - a)))
+        yield _Tile(a, a + rows, n, lower)
+        a += rows
+
+
+class _Draw:
+    """One chunk of sampled pairs ii[k] < jj[k], in draw order."""
+
+    def __init__(self, ii, jj, n: int):
+        self.i = ii
+        self.j = jj
+        self.n = n
+        self.count = len(ii)
+
+    def mask(self, x):
+        pass
+
+    def pair(self, k: int) -> tuple[int, int]:
+        return int(self.i[k]), int(self.j[k])
+
+    def first(self, x, k: int) -> int:
+        """Index of the smallest pair valued x[k]."""
+        tied = np.flatnonzero(x == x[k])
+        return int(tied[np.argmin(self.i[tied] * self.n + self.j[tied])])
+
+
+def _draws(n: int, budget: int, seed: int):
     rng = np.random.default_rng(seed)
     remaining = budget
     while remaining > 0:
@@ -36,120 +115,191 @@ def _iter_sampled(n: int, budget: int, seed: int):
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n - 1, size=m)
         jj = np.where(jj >= ii, jj + 1, jj)  # uniform over the n-1 others
-        yield np.minimum(ii, jj), np.maximum(ii, jj)
+        yield _Draw(np.minimum(ii, jj), np.maximum(ii, jj), n)
         remaining -= m
 
 
-def iter_pairs(n: int, exhaustive: bool, budget: int, seed: int):
-    if exhaustive:
-        yield from _iter_exhaustive(n)
-    else:
-        yield from _iter_sampled(n, budget, seed)
-
-
-@dataclass(frozen=True)
-class ApproachScan:
-    min_distance: float
-    witness: tuple[int, int] | None
-    pairs_total: int
-    pairs_checked: int
-    mode: str
-    seed: int | None
-
-
-def _lex_best(dist, ii, jj):
-    """Smallest distance in the chunk; ties to the smallest (i, j)."""
-    d = float(np.min(dist))
-    where = np.flatnonzero(dist == d)
-    pairs = sorted(zip(ii[where].tolist(), jj[where].tolist()))
-    return d, pairs[0]
-
-
-def closest_approach_distances(P, V, ii, jj):
-    """Vectorized closest-approach distance for index pairs (ii, jj)."""
-    dx = P[jj] - P[ii]
-    dv = V[jj] - V[ii]
-    num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
-    dv_norm = np.hypot(dv[:, 0], dv[:, 1])
+def _closest(dx0, dx1, num, dv_norm):
+    """Closest-approach distance |dx x dv| / |dv|; |dx| for static pairs."""
+    out = num / dv_norm
     static = dv_norm == 0.0
-    out = np.where(static, np.hypot(dx[:, 0], dx[:, 1]),
-                   num / np.where(static, 1.0, dv_norm))
+    if static.any():
+        out = np.where(static, np.hypot(dx0, dx1), out)
     return out
 
 
-def scan_closest_approach(P, V, *, exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-                          sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-                          seed: int = DEFAULT_SEED) -> ApproachScan:
-    n = len(P)
-    total = pair_count(n)
-    if total == 0:
-        return ApproachScan(math.inf, None, 0, 0, "exhaustive", None)
-    exhaustive = total <= exhaustive_limit
-    best = math.inf
-    best_pair: tuple[int, int] | None = None
-    checked = 0
-    for ii, jj in iter_pairs(n, exhaustive, sample_budget, seed):
-        dist = closest_approach_distances(P, V, ii, jj)
-        checked += len(dist)
-        d, pair = _lex_best(dist, ii, jj)
-        if d < best or (d == best and (best_pair is None or pair < best_pair)):
-            best = d
-            best_pair = pair
-    return ApproachScan(best, best_pair, total, checked,
-                        "exhaustive" if exhaustive else "sampled",
-                        None if exhaustive else seed)
+def _worldline(dx0, dx1, dv0, dv1, num, vi, vj, len_i, len_j):
+    """Distance between worldlines (x_i + t v_i, t) and (x_j + t v_j, t).
+
+    The direction cross product (v_i, 1) x (v_j, 1) is (-dv1, dv0, n3), so
+    the skew distance is |dx x dv| / |cross|; parallel lines take the
+    distance from x_j to the line of i.
+    """
+    n3 = vi[0] * vj[1] - vi[1] * vj[0]
+    cross_norm = np.sqrt(dv1 * dv1 + dv0 * dv0 + n3 * n3)
+    out = num / cross_norm
+    parallel = cross_norm < PARALLEL_EPS * len_i * len_j
+    if parallel.any():
+        c3 = dx0 * vi[1] - dx1 * vi[0]
+        out = np.where(parallel, np.sqrt(dx1 * dx1 + dx0 * dx0 + c3 * c3) / len_i, out)
+    return out
+
+
+def _chain(dx0, dx1, dw0, dw1):
+    """Margins of <dx, dW> >= |dW1| + |dW2| and of |dW1| + |dW2| >= |dW|."""
+    dot = dx0 * dw0 + dx1 * dw1
+    l1 = np.abs(dw0) + np.abs(dw1)
+    l2 = np.hypot(dw0, dw1)
+    return dot - l1, l1 - l2
+
+
+class _Min:
+    """Running minimum of one kernel with its lexicographic witness."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.value = math.inf
+        self.pair: tuple[int, int] | None = None
+
+    def offer(self, chunk, x) -> None:
+        chunk.mask(x)
+        k = int(np.argmin(x))
+        _require_finite(self.label, chunk, x, x.flat[k])
+        k = chunk.first(x, k)
+        value = float(x.flat[k])
+        pair = chunk.pair(k)
+        if value < self.value or (value == self.value and pair < self.pair):
+            self.value = value
+            self.pair = pair
+
+
+class _Chain:
+    """Running chain margins and the first max_failures failing pairs."""
+
+    def __init__(self, tolerance: float, max_failures: int):
+        self.tolerance = tolerance
+        self.max_failures = max_failures
+        self.dot_margin = self.norm_margin = math.inf
+        self.failures: list[tuple[int, int]] = []
+        self.failure_count = 0
+
+    def offer(self, chunk, m1, m2) -> None:
+        chunk.mask(m1)
+        chunk.mask(m2)
+        low1, low2 = float(m1.min()), float(m2.min())
+        _require_finite("chain dot margin", chunk, m1, low1)
+        _require_finite("chain norm margin", chunk, m2, low2)
+        self.dot_margin = min(self.dot_margin, low1)
+        self.norm_margin = min(self.norm_margin, low2)
+        if min(low1, low2) >= -self.tolerance:
+            return
+        bad = np.flatnonzero((m1 < -self.tolerance) | (m2 < -self.tolerance))
+        self.failure_count += len(bad)
+        room = max(0, self.max_failures - len(self.failures))
+        self.failures.extend(chunk.pair(k) for k in bad[:room])
+
+
+def _require_finite(label: str, chunk, x, low) -> None:
+    """Raise if x holds a NaN or infinity; low is its minimum."""
+    if math.isfinite(low) and math.isfinite(x.max()):
+        return
+    k = int(np.flatnonzero(~np.isfinite(x))[0])
+    i, j = chunk.pair(k)
+    raise ValueError(f"{label} of pair ({i}, {j}) is {float(x.flat[k])}; "
+                     "the coordinates are too large for float64")
+
+
+def _columns(A):
+    return (np.ascontiguousarray(A[:, 0], dtype=float),
+            np.ascontiguousarray(A[:, 1], dtype=float))
 
 
 @dataclass(frozen=True)
-class ChainScan:
-    dot_margin: float
-    norm_margin: float
-    failures: tuple[tuple[int, int], ...]
-    failure_count: int
+class PairScan:
+    """Result of one pass. Chain and worldline fields are None when the
+    kernel was not requested; with no pairs, minima are inf."""
+
     pairs_total: int
     pairs_checked: int
     mode: str
     seed: int | None
+    min_distance: float
+    witness: tuple[int, int] | None
+    line_distance: float | None = None
+    line_witness: tuple[int, int] | None = None
+    dot_margin: float | None = None
+    norm_margin: float | None = None
+    failures: tuple[tuple[int, int], ...] = ()
+    failure_count: int = 0
 
 
-def scan_chain(P, W, *, tolerance: float = 1e-12,
-               exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-               sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-               seed: int = DEFAULT_SEED, max_failures: int = 16) -> ChainScan:
-    """Per-pair margins of <x-y, dW> >= |dW1|+|dW2| >= |dW|.
+def scan(P, V, W=None, *, worldline: bool = False,
+         chain_tolerance: float = 1e-12,
+         exhaustive_limit: int = EXHAUSTIVE_LIMIT,
+         sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+         seed: int = DEFAULT_SEED, max_failures: int = 16) -> PairScan:
+    """One pass over the pairs of positions P and velocities V, (n, 2) each.
 
-    The first inequality is the summed per-coordinate bound (lattice points
-    are at integer offsets, so each coordinate contributes at least its
-    profile increment); the second is the 1-norm/2-norm comparison.
+    Always computes the minimum closest-approach distance. With a field W
+    (n, 2), also the chain margins <x-y, dW> - (|dW1|+|dW2|) and
+    (|dW1|+|dW2|) - |dW|, counting pairs below -chain_tolerance as failures
+    (lattice points are at integer offsets, so each coordinate contributes
+    at least its profile increment). With worldline, also the minimum
+    distance between worldlines (x, 0) + t (v, 1).
+
+    Raises ValueError naming the pair if any kernel value is NaN or infinite.
     """
     n = len(P)
     total = pair_count(n)
-    if total == 0:
-        return ChainScan(math.inf, math.inf, (), 0, 0, 0, "exhaustive", None)
     exhaustive = total <= exhaustive_limit
-    dot_margin = math.inf
-    norm_margin = math.inf
-    failures: list[tuple[int, int]] = []
-    failure_count = 0
+    if total == 0:
+        chunks = ()
+    elif exhaustive:
+        chunks = _tiles(n)
+    else:
+        chunks = _draws(n, sample_budget, seed)
+    px, py = _columns(P)
+    vx, vy = _columns(V)
+    closest = _Min("closest approach")
+    line = _Min("worldline distance") if worldline else None
+    chain = _Chain(chain_tolerance, max_failures) if W is not None else None
+    if chain is not None:
+        wx, wy = _columns(W)
     checked = 0
-    for ii, jj in iter_pairs(n, exhaustive, sample_budget, seed):
-        dx = P[jj] - P[ii]
-        dw = W[jj] - W[ii]
-        dot = dx[:, 0] * dw[:, 0] + dx[:, 1] * dw[:, 1]
-        l1 = np.abs(dw[:, 0]) + np.abs(dw[:, 1])
-        l2 = np.hypot(dw[:, 0], dw[:, 1])
-        m1 = dot - l1
-        m2 = l1 - l2
-        checked += len(dot)
-        dot_margin = min(dot_margin, float(np.min(m1)))
-        norm_margin = min(norm_margin, float(np.min(m2)))
-        bad = np.flatnonzero((m1 < -tolerance) | (m2 < -tolerance))
-        failure_count += len(bad)
-        for k in bad[: max(0, max_failures - len(failures))]:
-            failures.append((int(ii[k]), int(jj[k])))
-    return ChainScan(dot_margin, norm_margin, tuple(failures), failure_count,
-                     total, checked, "exhaustive" if exhaustive else "sampled",
-                     None if exhaustive else seed)
+    # Overflow shows up as a non-finite kernel value, which raises.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if line is not None:
+            length = np.sqrt(1.0 + vx ** 2 + vy ** 2)
+        for chunk in chunks:
+            i, j = chunk.i, chunk.j
+            checked += chunk.count
+            dx0 = px[j] - px[i]
+            dx1 = py[j] - py[i]
+            dv0 = vx[j] - vx[i]
+            dv1 = vy[j] - vy[i]
+            chunk.mask(dv0)  # keeps non-pairs off the static, parallel branches
+            num = np.abs(dx1 * dv0 - dx0 * dv1)
+            closest.offer(chunk, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
+            if line is not None:
+                line.offer(chunk, _worldline(
+                    dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),
+                    length[i], length[j]))
+            if chain is not None:
+                chain.offer(chunk, *_chain(dx0, dx1, wx[j] - wx[i], wy[j] - wy[i]))
+    return PairScan(
+        pairs_total=total,
+        pairs_checked=checked,
+        mode="exhaustive" if exhaustive else "sampled",
+        seed=None if exhaustive else seed,
+        min_distance=closest.value,
+        witness=closest.pair,
+        line_distance=line.value if line is not None else None,
+        line_witness=line.pair if line is not None else None,
+        dot_margin=chain.dot_margin if chain is not None else None,
+        norm_margin=chain.norm_margin if chain is not None else None,
+        failures=tuple(chain.failures) if chain is not None else (),
+        failure_count=chain.failure_count if chain is not None else 0,
+    )
 
 
 def duplicate_rows(A, max_pairs: int = 16):
@@ -169,60 +319,3 @@ def duplicate_rows(A, max_pairs: int = 16):
         a, b = int(order[k]), int(order[k + 1])
         pairs.append((min(a, b), max(a, b)))
     return int(len(eq)), tuple(sorted(pairs))
-
-
-@dataclass(frozen=True)
-class LineScan:
-    min_distance: float
-    witness: tuple[int, int] | None
-    pairs_total: int
-    pairs_checked: int
-    mode: str
-    seed: int | None
-
-
-def worldline_distances(P, V, ii, jj, parallel_eps: float = 1e-12):
-    """Line-line distances between worldlines (base (x,0), direction (v,1))."""
-    dx = P[ii] - P[jj]
-    a = V[ii]
-    b = V[jj]
-    # d_i x d_j for directions (a,1), (b,1)
-    n1 = a[:, 1] - b[:, 1]
-    n2 = b[:, 0] - a[:, 0]
-    n3 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    cross_norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    len_a = np.sqrt(1.0 + a[:, 0] ** 2 + a[:, 1] ** 2)
-    len_b = np.sqrt(1.0 + b[:, 0] ** 2 + b[:, 1] ** 2)
-    parallel = cross_norm < parallel_eps * len_a * len_b
-    # Skew branch: |<p_j - p_i, n>| / |n|; offset has zero third component.
-    num_skew = np.abs((-dx[:, 0]) * n1 + (-dx[:, 1]) * n2)
-    skew = num_skew / np.where(parallel, 1.0, cross_norm)
-    # Parallel branch: point-to-line distance from p_j to line i.
-    c1 = -dx[:, 1]
-    c2 = dx[:, 0]
-    c3 = -dx[:, 0] * a[:, 1] + dx[:, 1] * a[:, 0]
-    point_line = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3) / len_a
-    return np.where(parallel, point_line, skew)
-
-
-def scan_worldline_distance(P, V, *, exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-                            sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-                            seed: int = DEFAULT_SEED) -> LineScan:
-    n = len(P)
-    total = pair_count(n)
-    if total == 0:
-        return LineScan(math.inf, None, 0, 0, "exhaustive", None)
-    exhaustive = total <= exhaustive_limit
-    best = math.inf
-    best_pair: tuple[int, int] | None = None
-    checked = 0
-    for ii, jj in iter_pairs(n, exhaustive, sample_budget, seed):
-        dist = worldline_distances(P, V, ii, jj)
-        checked += len(dist)
-        d, pair = _lex_best(dist, ii, jj)
-        if d < best or (d == best and (best_pair is None or pair < best_pair)):
-            best = d
-            best_pair = pair
-    return LineScan(best, best_pair, total, checked,
-                    "exhaustive" if exhaustive else "sampled",
-                    None if exhaustive else seed)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import cylinders as cyl
 from . import falsifier as fal
+from ._pairscan import DEFAULT_SEED
 from .evolution import MovingConfiguration, snapshot_series, verify_hardcore
 from .formats import (
     ParseError,
@@ -39,7 +40,6 @@ from .lattice import (
 )
 
 COMMANDS = ("assign", "verify", "evolve", "cylinders", "falsify")
-DEFAULT_SEED = 0x5EED
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -227,8 +227,11 @@ def _cmd_assign(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     configuration, flow = _load_configuration(config)
-    hardcore = verify_hardcore(configuration, config.threshold,
-                               seed=config.seed)
+    # With a flow, one pass over the pairs serves both reports.
+    flow_report = verify_flow(flow, seed=config.seed) if flow is not None else None
+    hardcore = verify_hardcore(
+        configuration, config.threshold, seed=config.seed,
+        scan=flow_report.scan if flow_report is not None else None)
     if hardcore.witness_pair is None:
         witness_time = "none"
     elif hardcore.witness_time is None:
@@ -250,8 +253,7 @@ def _cmd_verify(config: RunConfig) -> int:
         "passed": hardcore.passed,
     }))
     passed = hardcore.passed
-    if flow is not None:
-        flow_report = verify_flow(flow, seed=config.seed)
+    if flow_report is not None:
         _emit(config, "flow_report.txt", report_document({
             "command": "verify",
             "particle_count": flow_report.particle_count,

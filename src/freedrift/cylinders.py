@@ -152,16 +152,19 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     """Check pairwise worldline distances against max(2 radius, floor).
 
     The configuration must already satisfy the all-time unit-distance
-    condition; the speed ceiling M is measured here, never trusted from
-    metadata. The annulus check runs in both its arctan-angle and plain
-    speed forms, which must agree.
+    condition, checked in the same pass over the pairs; the speed ceiling
+    M is measured here, never trusted from metadata. The annulus check runs
+    in both its arctan-angle and plain speed forms, which must agree.
     """
-    hardcore = verify_hardcore(config, 1.0, sample_budget=sample_budget,
-                               seed=seed, exhaustive_limit=exhaustive_limit)
+    P = config.positions_array()
+    V = config.velocities_array()
+    scan = _pairscan.scan(
+        P, V, worldline=True, exhaustive_limit=exhaustive_limit,
+        sample_budget=sample_budget, seed=seed)
+    hardcore = verify_hardcore(config, 1.0, scan=scan)
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
-    V = config.velocities_array()
     speeds = np.hypot(V[:, 0], V[:, 1])
     m = float(speeds.min())
     cap = float(speeds.max())
@@ -171,13 +174,9 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     if radius > floor / 2.0 * RADIUS_SLACK:
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
-    P = config.positions_array()
-    scan = _pairscan.scan_worldline_distance(
-        P, V, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
     required = max(2.0 * radius, floor)
-    margin = scan.min_distance - required
-    distances_ok = scan.min_distance >= required - DISTANCE_TOL
+    margin = scan.line_distance - required
+    distances_ok = scan.line_distance >= required - DISTANCE_TOL
 
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
     nonparallel_ok = dup_count == 0
@@ -200,8 +199,8 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
         speed_max=cap,
         separation_floor=floor,
         required_distance=required,
-        min_line_distance=scan.min_distance,
-        witness_pair=scan.witness,
+        min_line_distance=scan.line_distance,
+        witness_pair=scan.line_witness,
         distance_margin=margin,
         distances_ok=bool(distances_ok),
         nonparallel_ok=bool(nonparallel_ok),

@@ -100,30 +100,34 @@ def slice_at(config: MovingConfiguration, t: float) -> list[Vec2]:
 def initial_min_distance(config: MovingConfiguration) -> float:
     """Minimum pairwise distance of the t=0 slice (inf for < 2 particles)."""
     P = config.positions_array()
-    scan = _pairscan.scan_closest_approach(P, np.zeros_like(P))
-    return scan.min_distance
+    return _pairscan.scan(P, np.zeros_like(P)).min_distance
 
 
 def verify_hardcore(config: MovingConfiguration,
                     threshold: float = DEFAULT_THRESHOLD, *,
                     sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET,
                     seed: int = _pairscan.DEFAULT_SEED,
-                    exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT) -> HardCoreReport:
+                    exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT,
+                    scan: _pairscan.PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
     Exact per pair (closed-form closest approach); exhaustive over pairs up
     to exhaustive_limit, uniformly sampled beyond it. The witness is the
     lexicographically smallest minimizing pair in enumeration order.
+
+    scan, when given, is a pass already made over this configuration's
+    pairs (as verify_flow and verify_scene make one); it is used instead of
+    scanning again.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    P = config.positions_array()
-    V = config.velocities_array()
-    scan = _pairscan.scan_closest_approach(
-        P, V, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
+    if scan is None:
+        scan = _pairscan.scan(
+            config.positions_array(), config.velocities_array(),
+            exhaustive_limit=exhaustive_limit,
+            sample_budget=sample_budget, seed=seed)
     witness_time: float | None = None
     if scan.witness is not None:
         i, j = scan.witness

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from ._pairscan import DEFAULT_SEED
 from .geometry import Vec2, dot, norm, sub
 
 CHAIN_TOL = 1e-12
@@ -359,7 +360,7 @@ def _probe_pairs():
 
 
 def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
-            seed: int = 0x5EED) -> ViolationReport | Exhausted:
+            seed: int = DEFAULT_SEED) -> ViolationReport | Exhausted:
     """Search for a pair with |x-y| > 1 where the strict inequality
     |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| fails.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -243,6 +243,8 @@ class FlowReport:
     speed_declared_max: float
     speeds_ok: bool
     passed: bool
+    # The pass behind this report; verify_hardcore can reuse it.
+    scan: _pairscan.PairScan = field(repr=False, compare=False)
 
 
 def recovered_field(flow: FlowAssignment) -> np.ndarray:
@@ -273,11 +275,8 @@ def verify_flow(flow: FlowAssignment,
                  dtype=float).reshape(n, 2)
     W = recovered_field(flow)
 
-    approach = _pairscan.scan_closest_approach(
-        P, V, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
-    chain = _pairscan.scan_chain(
-        P, W, tolerance=CHAIN_TOL, exhaustive_limit=exhaustive_limit,
+    scan = _pairscan.scan(
+        P, V, W, chain_tolerance=CHAIN_TOL, exhaustive_limit=exhaustive_limit,
         sample_budget=sample_budget, seed=seed)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
 
@@ -287,23 +286,23 @@ def verify_flow(flow: FlowAssignment,
     speeds_ok = (measured_min >= flow.speed_min - DISTANCE_TOL
                  and measured_max <= flow.speed_max + DISTANCE_TOL)
 
-    distance_ok = approach.min_distance >= UNIT_GUARANTEE - DISTANCE_TOL
-    chain_ok = (chain.dot_margin >= -CHAIN_TOL
-                and chain.norm_margin >= -CHAIN_TOL)
+    distance_ok = scan.min_distance >= UNIT_GUARANTEE - DISTANCE_TOL
+    chain_ok = (scan.dot_margin >= -CHAIN_TOL
+                and scan.norm_margin >= -CHAIN_TOL)
     injective = dup_count == 0
 
     return FlowReport(
         particle_count=n,
-        pairs_total=approach.pairs_total,
-        pairs_checked=approach.pairs_checked,
-        mode=approach.mode,
-        seed=approach.seed,
-        min_distance=approach.min_distance,
-        witness_pair=approach.witness,
-        chain_dot_margin=chain.dot_margin,
-        chain_norm_margin=chain.norm_margin,
-        chain_failures=chain.failures,
-        chain_failure_count=chain.failure_count,
+        pairs_total=scan.pairs_total,
+        pairs_checked=scan.pairs_checked,
+        mode=scan.mode,
+        seed=scan.seed,
+        min_distance=scan.min_distance,
+        witness_pair=scan.witness,
+        chain_dot_margin=scan.dot_margin,
+        chain_norm_margin=scan.norm_margin,
+        chain_failures=scan.failures,
+        chain_failure_count=scan.failure_count,
         injective=injective,
         duplicate_velocity_pairs=dup_pairs,
         speed_measured_min=measured_min,
@@ -312,4 +311,5 @@ def verify_flow(flow: FlowAssignment,
         speed_declared_max=flow.speed_max,
         speeds_ok=bool(speeds_ok),
         passed=bool(distance_ok and chain_ok and injective and speeds_ok),
+        scan=scan,
     )

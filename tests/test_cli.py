@@ -5,10 +5,14 @@ import sys
 
 import pytest
 
+from freedrift import _pairscan, cli
 from freedrift.cylinders import parse_scene
 from freedrift.formats import parse_particles, parse_report
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
+# Pairs whose closest approach overflows float64: NaN, then inf.
+HEAD_ON_HUGE = "particles v1\n0,0,0,0\n1e200,1e200,-1e200,-1e200\n"
+PERPENDICULAR_HUGE = "particles v1\n0,0,1e300,0\n1e300,1e300,0,1e300\n"
 
 
 def run_cli(*args, cwd=None):
@@ -119,6 +123,36 @@ def test_cylinders_head_on_pair_fails_hardcore(tmp_path):
                      "--out", tmp_path / "out")
     assert result.returncode == 1
     assert "minimum distance" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "cylinders"])
+@pytest.mark.parametrize("text", [HEAD_ON_HUGE, PERPENDICULAR_HUGE])
+def test_non_finite_distance_is_input_error(tmp_path, command, text):
+    particles = tmp_path / "huge.txt"
+    particles.write_text(text)
+    result = run_cli("--command", command, "--particles", particles,
+                     "--out", tmp_path / "out")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: closest approach of pair (0, 1)")
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "verify", "--window", "2"],
+    ["--command", "cylinders", "--window", "2"],
+])
+def test_each_command_makes_one_pass(tmp_path, monkeypatch, args):
+    passes = []
+
+    def counted(*a, **kw):
+        passes.append(kw)
+        return scan(*a, **kw)
+
+    scan = _pairscan.scan
+    monkeypatch.setattr(_pairscan, "scan", counted)
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert len(passes) == 1
 
 
 def test_seeded_runs_byte_identical(tmp_path):
