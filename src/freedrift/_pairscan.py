@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS
+from .geometry import CHAIN_TOL, PARALLEL_EPS
 
 DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
@@ -234,7 +234,7 @@ class PairScan:
 
 
 def scan(P, V, W=None, *, worldline: bool = False,
-         chain_tolerance: float = 1e-12,
+         chain_tolerance: float = CHAIN_TOL,
          exhaustive_limit: int = EXHAUSTIVE_LIMIT,
          sample_budget: int = DEFAULT_SAMPLE_BUDGET,
          seed: int = DEFAULT_SEED, max_failures: int = 16) -> PairScan:

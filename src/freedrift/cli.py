@@ -16,7 +16,12 @@ from dataclasses import dataclass, fields
 from . import cylinders as cyl
 from . import falsifier as fal
 from ._pairscan import DEFAULT_SEED
-from .evolution import MovingConfiguration, snapshot_series, verify_hardcore
+from .evolution import (
+    MovingConfiguration,
+    snapshot_series,
+    speeds,
+    verify_hardcore,
+)
 from .formats import (
     ParseError,
     fmt_float,
@@ -151,26 +156,25 @@ def _parse_field(text: str):
     if text.startswith("grid:"):
         path = text[len("grid:"):]
         with open(path) as handle:
-            return _grid_from_samples(parse_particles(handle.read()))
+            return _grid_from_samples(*parse_particles(handle.read()))
     return fal.builtin_field(text)
 
 
-def _grid_from_samples(rows) -> fal.CandidateField:
+def _grid_from_samples(P, V) -> fal.CandidateField:
     """Grid field from particle rows read as (position, vector value)."""
-    if not rows:
+    if not len(P):
         raise ValueError("grid file has no rows")
-    xs = sorted({p.position.x1 for p in rows})
-    ys = sorted({p.position.x2 for p in rows})
-    if len(xs) * len(ys) != len(rows):
+    xs = sorted(set(P[:, 0].tolist()))
+    ys = sorted(set(P[:, 1].tolist()))
+    if len(xs) * len(ys) != len(P):
         raise ValueError("grid samples must cover a full rectangular grid")
     steps = [b - a for a, b in zip(xs, xs[1:])] + \
             [b - a for a, b in zip(ys, ys[1:])]
     spacing = steps[0] if steps else 1.0
     if any(abs(s - spacing) > 1e-9 * max(abs(spacing), 1.0) for s in steps):
         raise ValueError("grid spacing must be uniform on both axes")
-    by_pos = {(p.position.x1, p.position.x2): (p.velocity.x1, p.velocity.x2)
-              for p in rows}
-    if len(by_pos) != len(rows):
+    by_pos = dict(zip(map(tuple, P.tolist()), map(tuple, V.tolist())))
+    if len(by_pos) != len(P):
         raise ValueError("grid samples repeat a position")
     try:
         values = [[by_pos[(x, y)] for x in xs] for y in ys]
@@ -183,8 +187,7 @@ def _load_configuration(config: RunConfig):
     """(configuration, flow-or-None) from a particles file or a built flow."""
     if config.particles:
         with open(config.particles) as handle:
-            particles = parse_particles(handle.read())
-        return MovingConfiguration(tuple(particles)), None
+            return MovingConfiguration(*parse_particles(handle.read())), None
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
     return flow.as_configuration(), flow
@@ -208,19 +211,19 @@ def _vec_value(v):
 def _cmd_assign(config: RunConfig) -> int:
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
-    _emit(config, "particles.txt", particles_document(flow.particles))
+    _emit(config, "particles.txt", particles_document(flow.P, flow.V))
     _emit(config, "assign_report.txt", report_document({
         "command": "assign",
         "window": config.window,
         "profile": config.profile,
         "shift_margin": config.shift_margin,
-        "particle_count": len(flow.particles),
+        "particle_count": len(flow.P),
         "shift": _vec_value(flow.shift),
         "speed_min": flow.speed_min,
         "speed_max": flow.speed_max,
         "disk_radius": flow.disk_radius,
     }))
-    print(f"assigned {len(flow.particles)} particles "
+    print(f"assigned {len(flow.P)} particles "
           f"-> {os.path.join(config.out, 'particles.txt')}")
     return PASS_EXIT
 
@@ -285,22 +288,25 @@ def _cmd_evolve(config: RunConfig) -> int:
     configuration, flow = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
-    _emit(config, "frames.csv", frames_csv(series))
     if config.radius == "auto":
         draw_radius = flow.disk_radius if flow is not None else DISK_RADIUS
     else:
         draw_radius = _to_finite(config.radius)
-    xs = [p.position.x1 for p in configuration.particles] or [0.0]
-    ys = [p.position.x2 for p in configuration.particles] or [0.0]
-    speeds = [math.hypot(p.velocity.x1, p.velocity.x2)
-              for p in configuration.particles]
+    P = configuration.P
     horizon = max(abs(config.t0), abs(config.t1))
-    pad = max(speeds, default=0.0) * horizon + draw_radius + 1.0
-    lo = min(min(xs), min(ys)) - pad
-    hi = max(max(xs), max(ys)) + pad
-    for index, (_, points) in enumerate(series):
-        _emit(config, f"frame{index:04d}.svg",
-              svg_snapshot(points, draw_radius, lo, hi))
+    pad = max(speeds(configuration.V), default=0.0) * horizon + draw_radius + 1.0
+    lo = (float(P.min()) if P.size else 0.0) - pad
+    hi = (float(P.max()) if P.size else 0.0) + pad
+
+    def rendered():
+        # Each frame goes out as soon as it is computed: its SVG file, then
+        # its rows of frames.csv.
+        for index, (t, points) in enumerate(series):
+            _emit(config, f"frame{index:04d}.svg",
+                  svg_snapshot(points, draw_radius, lo, hi))
+            yield t, points
+
+    _emit(config, "frames.csv", frames_csv(rendered()))
     print(f"evolve: {config.frames} frames on [{fmt_float(config.t0)}, "
           f"{fmt_float(config.t1)}] -> {config.out}")
     return PASS_EXIT
@@ -308,10 +314,8 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 def _cmd_cylinders(config: RunConfig) -> int:
     configuration, _ = _load_configuration(config)
-    speeds = [math.hypot(p.velocity.x1, p.velocity.x2)
-              for p in configuration.particles]
-    cap = max(speeds, default=0.0)
     if config.radius == "auto":
+        cap = max(speeds(configuration.V), default=0.0)
         radius = cyl.lemma1_bound(cap) / 2.0
     else:
         radius = _to_finite(config.radius)
@@ -335,7 +339,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
         "distance_margin": report.distance_margin,
         "distances_ok": report.distances_ok,
         "nonparallel_ok": report.nonparallel_ok,
-        "duplicate_direction_pairs": len(report.duplicate_direction_pairs),
+        "duplicate_direction_pairs": report.duplicate_direction_count,
         "annulus_ok": report.annulus_ok,
         "annulus_forms_agree": report.annulus_forms_agree,
         "pairs_total": report.pairs_total,

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration, Particle, verify_hardcore
+from .evolution import MovingConfiguration, Particle, speeds, verify_hardcore
 from .formats import ParseError, fmt_float
-from .geometry import Vec3
+from .geometry import DISTANCE_TOL, Vec3
 
 SCENE_HEADER = "cylinder-scene v1"
-DISTANCE_TOL = 1e-9
 # Slack on the radius cap so a radius computed as exactly bound/2 passes.
 RADIUS_SLACK = 1.0 + 1e-12
 
@@ -63,55 +62,80 @@ def worldline_of(p: Particle) -> WorldLine:
     )
 
 
-@dataclass(frozen=True)
-class CylinderScene:
-    """Equal-radius cylinders around worldlines, speeds within [m, M]."""
+def _equal_radius(radii) -> float | None:
+    distinct = set(radii)
+    if len(distinct) > 1:
+        raise ValueError("all cylinder radii must be equal")
+    return distinct.pop() if distinct else None
 
-    cylinders: tuple[tuple[WorldLine, float], ...]
+
+@dataclass(frozen=True, eq=False)
+class CylinderScene:
+    """Equal-radius cylinders around the axes b + t (v1, v2, 1).
+
+    bases (n, 3) holds the axis points b and velocities (n, 2) the axis
+    slopes v; every speed |v| lies within speed_bounds [m, M]. radius is
+    None exactly when the scene is empty.
+    """
+
+    bases: np.ndarray
+    velocities: np.ndarray
+    radius: float | None
     speed_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cylinders", tuple(self.cylinders))
         m, cap = self.speed_bounds
         if not (math.isfinite(m) and math.isfinite(cap) and 0 <= m <= cap):
             raise ValueError(f"bad speed bounds {self.speed_bounds}")
-        if not self.cylinders:
+        n = len(self.bases)
+        if self.bases.shape != (n, 3) or self.velocities.shape != (n, 2):
+            raise ValueError(f"bases {self.bases.shape} and velocities "
+                             f"{self.velocities.shape} must be (n, 3) and (n, 2)")
+        if n == 0:
             return
-        radii = {r for _, r in self.cylinders}
-        if len(radii) != 1:
-            raise ValueError("all cylinder radii must be equal")
-        radius = next(iter(radii))
-        if not (math.isfinite(radius) and radius > 0):
+        radius = self.radius
+        if not (radius is not None and math.isfinite(radius) and radius > 0):
             raise ValueError("radius must be finite and positive")
         if radius > lemma1_bound(cap) / 2.0 * RADIUS_SLACK:
             raise RadiusTooLargeError(
                 f"radius {radius} exceeds {lemma1_bound(cap) / 2.0}")
-        for line, _ in self.cylinders:
-            if not (m - 1e-12 <= line.speed <= cap + 1e-12):
-                raise ValueError(
-                    f"direction speed {line.speed} outside [{m}, {cap}]")
+        measured = np.array(speeds(self.velocities))
+        outside = np.flatnonzero((measured < m - 1e-12) | (measured > cap + 1e-12))
+        if outside.size:
+            raise ValueError(f"direction speed {float(measured[outside[0]])} "
+                             f"outside [{m}, {cap}]")
+
+    @classmethod
+    def from_cylinders(cls, cylinders, speed_bounds) -> "CylinderScene":
+        """Scene from (WorldLine, radius) pairs, the per-cylinder API form."""
+        cylinders = tuple(cylinders)
+        bases = [(line.base.x1, line.base.x2, line.base.x3) for line, _ in cylinders]
+        slopes = [(line.direction.x1, line.direction.x2) for line, _ in cylinders]
+        return cls(np.array(bases, dtype=float).reshape(-1, 3),
+                   np.array(slopes, dtype=float).reshape(-1, 2),
+                   _equal_radius(r for _, r in cylinders), speed_bounds)
 
     @property
-    def radius(self) -> float:
-        if not self.cylinders:
-            raise ValueError("empty scene has no radius")
-        return self.cylinders[0][1]
+    def cylinders(self) -> tuple[tuple[WorldLine, float], ...]:
+        """(WorldLine, radius) pairs, built on each access."""
+        return tuple(
+            (WorldLine(Vec3(*b), Vec3(v1, v2, 1.0)), self.radius)
+            for b, (v1, v2) in zip(self.bases.tolist(), self.velocities.tolist()))
 
 
 def build_scene(config: MovingConfiguration,
                 radius: float | None = None) -> CylinderScene:
     """Scene with measured speed bounds; radius defaults to half the floor."""
-    speeds = [math.hypot(p.velocity.x1, p.velocity.x2)
-              for p in config.particles]
-    if not speeds:
-        return CylinderScene((), (0.0, 0.0))
-    m, cap = min(speeds), max(speeds)
+    n = len(config)
+    if n == 0:
+        return CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
+    measured = speeds(config.V)
+    m, cap = min(measured), max(measured)
     if radius is None:
         radius = lemma1_bound(cap) / 2.0
-    return CylinderScene(
-        tuple((worldline_of(p), radius) for p in config.particles),
-        (m, cap),
-    )
+    bases = np.zeros((n, 3))
+    bases[:, :2] = config.P
+    return CylinderScene(bases, config.V, radius, (m, cap))
 
 
 @dataclass(frozen=True)
@@ -140,6 +164,8 @@ class SceneReport:
     distances_ok: bool
     nonparallel_ok: bool
     duplicate_direction_pairs: tuple[tuple[int, int], ...]
+    # All duplicate directions; the pairs above list the first 16.
+    duplicate_direction_count: int
     annulus_ok: bool
     annulus_forms_agree: bool
     passed: bool
@@ -156,8 +182,7 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     M is measured here, never trusted from metadata. The annulus check runs
     in both its arctan-angle and plain speed forms, which must agree.
     """
-    P = config.positions_array()
-    V = config.velocities_array()
+    P, V = config.P, config.V
     scan = _pairscan.scan(
         P, V, worldline=True, exhaustive_limit=exhaustive_limit,
         sample_budget=sample_budget, seed=seed)
@@ -165,9 +190,9 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
-    speeds = np.hypot(V[:, 0], V[:, 1])
-    m = float(speeds.min())
-    cap = float(speeds.max())
+    measured = np.hypot(V[:, 0], V[:, 1])
+    m = float(measured.min())
+    cap = float(measured.max())
     floor = lemma1_bound(cap)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be finite and positive")
@@ -182,10 +207,10 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     nonparallel_ok = dup_count == 0
 
     # Same claim in two monotone-equivalent forms; both must say yes.
-    angles = np.arctan(speeds)
+    angles = np.arctan(measured)
     annulus_by_angle = bool(
         np.all(angles >= math.atan(m)) and np.all(angles <= math.atan(cap)))
-    annulus_by_speed = bool(np.all(speeds >= m) and np.all(speeds <= cap))
+    annulus_by_speed = bool(np.all(measured >= m) and np.all(measured <= cap))
     annulus_forms_agree = annulus_by_angle == annulus_by_speed
 
     return SceneReport(
@@ -205,6 +230,7 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
         distances_ok=bool(distances_ok),
         nonparallel_ok=bool(nonparallel_ok),
         duplicate_direction_pairs=dup_pairs,
+        duplicate_direction_count=dup_count,
         annulus_ok=annulus_by_speed,
         annulus_forms_agree=annulus_forms_agree,
         passed=bool(distances_ok and annulus_by_speed and annulus_forms_agree),
@@ -214,19 +240,16 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
 def export_scene(scene: CylinderScene) -> str:
     """Text form: header, then px,py,pz,dx,dy,dz,r rows (unit directions),
     sorted by axis point."""
-    rows = []
-    for line, radius in scene.cylinders:
-        b, d = line.base, line.direction
-        length = math.hypot(d.x1, d.x2, d.x3)
-        rows.append((
-            (b.x1, b.x2, b.x3),
-            ",".join(fmt_float(v) for v in (
-                b.x1, b.x2, b.x3,
-                d.x1 / length, d.x2 / length, d.x3 / length,
-                radius)),
-        ))
-    rows.sort(key=lambda item: item[0])
-    return "\n".join([SCENE_HEADER] + [text for _, text in rows]) + "\n"
+    B, V = scene.bases, scene.velocities
+    if len(B) == 0:
+        return SCENE_HEADER + "\n"
+    lengths = np.array(list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist(),
+                                [1.0] * len(V))))
+    D = np.column_stack((V, np.ones(len(V)))) / lengths[:, None]
+    # Stable, like sorting rows on their (px, py, pz) tuples.
+    order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
+    row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
+    return SCENE_HEADER + "\n" + "".join(map(row, *np.hstack((B, D))[order].T.tolist()))
 
 
 def parse_scene(text: str) -> CylinderScene:
@@ -234,7 +257,7 @@ def parse_scene(text: str) -> CylinderScene:
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCENE_HEADER:
         raise ParseError(1, f"expected header {SCENE_HEADER!r}")
-    cylinders = []
+    bases, slopes, radii = [], [], []
     for ln, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped:
@@ -248,9 +271,14 @@ def parse_scene(text: str) -> CylinderScene:
             raise ParseError(ln, f"bad number in {stripped!r}") from None
         if not dz > 0:
             raise ParseError(ln, "direction must point forward in time")
-        line = WorldLine(Vec3(px, py, pz), Vec3(dx / dz, dy / dz, 1.0))
-        cylinders.append((line, radius))
-    if not cylinders:
-        return CylinderScene((), (0.0, 0.0))
-    speeds = [line.speed for line, _ in cylinders]
-    return CylinderScene(tuple(cylinders), (min(speeds), max(speeds)))
+        row = (px, py, pz, dx / dz, dy / dz)
+        if not all(map(math.isfinite, row)):
+            raise ParseError(ln, f"non-finite axis in {stripped!r}")
+        bases.append(row[:3])
+        slopes.append(row[3:])
+        radii.append(radius)
+    V = np.array(slopes, dtype=float).reshape(-1, 2)
+    measured = speeds(V)
+    bounds = (min(measured), max(measured)) if measured else (0.0, 0.0)
+    return CylinderScene(np.array(bases, dtype=float).reshape(-1, 3), V,
+                         _equal_radius(radii), bounds)

@@ -2,8 +2,9 @@
 and snapshot series for the emitters.
 
 A configuration is a finite set of particles, each a position plus a
-constant velocity. Results are exact for the pairs present; a finite window
-says nothing about particles outside it.
+constant velocity, held as two (n, 2) float64 arrays P and V. Results are
+exact for the pairs present; a finite window says nothing about particles
+outside it.
 """
 from __future__ import annotations
 
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pairscan
-from .geometry import IdenticalParticleError, Vec2, closest_approach
+from .geometry import DISTANCE_TOL, IdenticalParticleError, Vec2, closest_approach
 
 DEFAULT_THRESHOLD = 1.0
-# Absolute tolerance for ">=" verdicts on distances.
-DISTANCE_TOL = 1e-9
 
 
 class BadRangeError(ValueError):
@@ -26,45 +25,81 @@ class BadRangeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Particle:
-    """A point with its constant velocity."""
+    """A point with its constant velocity (the per-particle API type)."""
 
     position: Vec2
     velocity: Vec2
 
 
-@dataclass
+def speeds(V) -> list[float]:
+    """|v| for each row of V by math.hypot, which numpy's hypot need not
+    match to the last bit."""
+    return list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist()))
+
+
+@dataclass(eq=False)
 class MovingConfiguration:
     """Finite particle set with a claimed lower bound on initial spacing.
 
-    Duplicate particles (same position and velocity) are rejected outright;
-    the initial-spacing claim itself is checked by initial_min_distance and
-    the verifiers, not eagerly on construction.
+    P and V are the positions and velocities, contiguous (n, 2) float64
+    arrays; treat them as read-only. Non-finite values and duplicate
+    particles (same position and velocity) are rejected outright; the
+    initial-spacing claim itself is checked by initial_min_distance and the
+    verifiers, not eagerly on construction.
     """
 
-    particles: tuple[Particle, ...]
+    P: np.ndarray
+    V: np.ndarray
     discreteness_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        self.particles = tuple(self.particles)
+        self.P = np.ascontiguousarray(self.P, dtype=float)
+        self.V = np.ascontiguousarray(self.V, dtype=float)
+        if self.P.ndim != 2 or self.P.shape[1:] != (2,) or self.V.shape != self.P.shape:
+            raise ValueError(f"positions {self.P.shape} and velocities "
+                             f"{self.V.shape} must both be (n, 2)")
         if not (math.isfinite(self.discreteness_radius) and self.discreteness_radius > 0):
             raise ValueError("discreteness_radius must be finite and positive")
-        seen = set()
-        for p in self.particles:
-            key = (p.position.x1, p.position.x2, p.velocity.x1, p.velocity.x2)
-            if key in seen:
-                raise IdenticalParticleError(f"duplicate particle at {key}")
-            seen.add(key)
+        A = np.hstack((self.P, self.V))
+        bad = ~np.isfinite(A).all(axis=1)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"non-finite particle {k}: {tuple(A[k].tolist())}")
+        # Sorting is stable, so within each run of equal rows the indices
+        # increase; the smallest index that is not first in its run is the
+        # first particle that repeats an earlier one.
+        order = np.lexsort(A.T[::-1])
+        S = A[order]
+        repeats = order[1:][(S[1:] == S[:-1]).all(axis=1)]
+        if repeats.size:
+            key = tuple(A[int(repeats.min())].tolist())
+            raise IdenticalParticleError(f"duplicate particle at {key}")
+
+    @classmethod
+    def from_particles(cls, particles,
+                       discreteness_radius: float = 1.0) -> "MovingConfiguration":
+        A = np.array([(p.position.x1, p.position.x2, p.velocity.x1, p.velocity.x2)
+                      for p in particles], dtype=float).reshape(-1, 4)
+        return cls(A[:, :2], A[:, 2:], discreteness_radius)
 
     def __len__(self) -> int:
-        return len(self.particles)
+        return len(self.P)
+
+    def particle(self, k: int) -> Particle:
+        return Particle(Vec2(*self.P[k].tolist()), Vec2(*self.V[k].tolist()))
+
+    @property
+    def particles(self) -> tuple[Particle, ...]:
+        """The particles as API objects, built on each access."""
+        return tuple(self.particle(k) for k in range(len(self)))
 
     def positions_array(self) -> np.ndarray:
-        return np.array([(p.position.x1, p.position.x2) for p in self.particles],
-                        dtype=float).reshape(len(self.particles), 2)
+        """The positions P."""
+        return self.P
 
     def velocities_array(self) -> np.ndarray:
-        return np.array([(p.velocity.x1, p.velocity.x2) for p in self.particles],
-                        dtype=float).reshape(len(self.particles), 2)
+        """The velocities V."""
+        return self.V
 
 
 @dataclass(frozen=True)
@@ -87,20 +122,16 @@ class HardCoreReport:
     seed: int | None
 
 
-def slice_at(config: MovingConfiguration, t: float) -> list[Vec2]:
-    """Positions x + t v(x) at one time, in input order."""
+def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
+    """Positions x + t v(x) at one time, in input order, as an (n, 2) array."""
     if not math.isfinite(t):
         raise ValueError("slice time must be finite")
-    return [
-        Vec2(p.position.x1 + t * p.velocity.x1, p.position.x2 + t * p.velocity.x2)
-        for p in config.particles
-    ]
+    return config.P + t * config.V
 
 
 def initial_min_distance(config: MovingConfiguration) -> float:
     """Minimum pairwise distance of the t=0 slice (inf for < 2 particles)."""
-    P = config.positions_array()
-    return _pairscan.scan(P, np.zeros_like(P)).min_distance
+    return _pairscan.scan(config.P, np.zeros_like(config.P)).min_distance
 
 
 def verify_hardcore(config: MovingConfiguration,
@@ -125,16 +156,12 @@ def verify_hardcore(config: MovingConfiguration,
         raise ValueError("threshold must be finite")
     if scan is None:
         scan = _pairscan.scan(
-            config.positions_array(), config.velocities_array(),
-            exhaustive_limit=exhaustive_limit,
+            config.P, config.V, exhaustive_limit=exhaustive_limit,
             sample_budget=sample_budget, seed=seed)
     witness_time: float | None = None
     if scan.witness is not None:
-        i, j = scan.witness
-        pa = closest_approach(config.particles[i].position,
-                              config.particles[i].velocity,
-                              config.particles[j].position,
-                              config.particles[j].velocity)
+        a, b = (config.particle(k) for k in scan.witness)
+        pa = closest_approach(a.position, a.velocity, b.position, b.velocity)
         witness_time = pa.time_at_min
     margin = scan.min_distance - threshold
     return HardCoreReport(
@@ -152,10 +179,11 @@ def verify_hardcore(config: MovingConfiguration,
 
 
 def snapshot_series(config: MovingConfiguration, t0: float, t1: float,
-                    frames: int) -> list[tuple[float, list[Vec2]]]:
-    """Uniformly spaced slices on [t0, t1], endpoints included.
+                    frames: int):
+    """Uniformly spaced slices (t, positions) on [t0, t1], endpoints included.
 
-    frames=1 gives the single slice at t0.
+    The range is checked at once; the slices are computed lazily, one per
+    step of the returned iterator. frames=1 gives the single slice at t0.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise BadRangeError("time range must be finite")
@@ -164,10 +192,9 @@ def snapshot_series(config: MovingConfiguration, t0: float, t1: float,
     if frames < 1:
         raise BadRangeError(f"frames must be >= 1, got {frames}")
     if frames == 1:
-        return [(t0, slice_at(config, t0))]
-    out = []
-    for k in range(frames):
-        u = k / (frames - 1)
-        t = t0 * (1.0 - u) + t1 * u  # endpoints land exactly on t0, t1
-        out.append((t, slice_at(config, t)))
-    return out
+        times = [t0]
+    else:
+        # endpoints land exactly on t0, t1
+        times = [t0 * (1.0 - u) + t1 * u
+                 for u in (k / (frames - 1) for k in range(frames))]
+    return ((t, slice_at(config, t)) for t in times)

@@ -17,9 +17,7 @@ import random
 from dataclasses import dataclass
 
 from ._pairscan import DEFAULT_SEED
-from .geometry import Vec2, dot, norm, sub
-
-CHAIN_TOL = 1e-12
+from .geometry import CHAIN_TOL, Vec2, dot, norm, sub
 
 
 class ZeroAxisError(ValueError):
@@ -286,7 +284,9 @@ def violation_margin(field: CandidateField, c: float,
 
 _PROBE_RADII = (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0)
 _PROBE_ANGLES = 16
-_WORKER_SLOTS = 4
+# The random stage draws from this many fixed seeded streams, one after
+# another; stream k labels its hits "random-slot-k".
+_RANDOM_STREAMS = 4
 
 
 class _Search:
@@ -365,9 +365,10 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| fails.
 
     Three deterministic stages: structured far-field probes, seeded random
-    pairs (budget split across fixed worker slots, lowest slot wins), and
-    local refinement of the best pair seen. Exhausted is an honest result,
-    not an error; it carries the best margin and certifies nothing.
+    pairs (budget split evenly across fixed seeded streams, run one after
+    another, so the first hit in stream order wins), and local refinement
+    of the best pair seen. Exhausted is an honest result, not an error; it
+    carries the best margin and certifies nothing.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be finite and positive")
@@ -383,11 +384,11 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             return _exhausted(search)
 
     random_budget = (budget - search.evals) * 3 // 4
-    per_slot = random_budget // _WORKER_SLOTS
-    for slot in range(_WORKER_SLOTS):
-        rng = random.Random(seed * 1000003 + slot)
-        slot_end = search.evals + per_slot
-        while search.evals + 2 <= min(slot_end, budget):
+    per_stream = random_budget // _RANDOM_STREAMS
+    for stream in range(_RANDOM_STREAMS):
+        rng = random.Random(seed * 1000003 + stream)
+        stream_end = search.evals + per_stream
+        while search.evals + 2 <= min(stream_end, budget):
             r = math.exp(rng.uniform(0.0, math.log(1e4)))
             t = rng.uniform(0.0, 2.0 * math.pi)
             x = Vec2(r * math.cos(t), r * math.sin(t))
@@ -396,7 +397,7 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             y = Vec2(x.x1 + gap * math.cos(phi), x.x2 + gap * math.sin(phi))
             hit = search.try_pair(x, y)
             if hit is not None:
-                return _violation(search, hit, f"random-slot-{slot}")
+                return _violation(search, hit, f"random-slot-{stream}")
 
     if search.best_pair is not None:
         hit = _refine(search)

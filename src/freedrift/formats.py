@@ -10,8 +10,7 @@ import math
 import os
 import tempfile
 
-from .geometry import Vec2
-from .evolution import Particle
+import numpy as np
 
 PARTICLES_HEADER = "particles v1"
 REPORT_HEADER = "report v1"
@@ -50,33 +49,58 @@ def _parse_float(line_no: int, field: str) -> float:
         raise ParseError(line_no, f"expected a number, got {field!r}") from None
 
 
-def particles_document(particles) -> str:
-    lines = [PARTICLES_HEADER]
-    for p in particles:
-        lines.append(",".join(fmt_float(v) for v in
-                              (p.position.x1, p.position.x2,
-                               p.velocity.x1, p.velocity.x2)))
-    return "\n".join(lines) + "\n"
+def particles_document(P, V) -> str:
+    """Positions P and velocities V, (n, 2) each, one x1,x2,v1,v2 row each."""
+    row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+    return PARTICLES_HEADER + "\n" + "".join(map(row, *P.T.tolist(), *V.T.tolist()))
 
 
-def parse_particles(text: str) -> list[Particle]:
+def _check_finite(values, row_lines) -> None:
+    """Raise for the first row of values (flat, 4 per row) that holds a
+    NaN or infinity, naming its position or else its velocity."""
+    A = np.array(values, dtype=float).reshape(-1, 4)
+    finite = np.isfinite(A)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        x = (A[k, :2] if not finite[k, :2].all() else A[k, 2:]).tolist()
+        raise ParseError(row_lines[k],
+                         f"non-finite Vec2 component: ({x[0]}, {x[1]})")
+
+
+def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities, (n, 2) float64 arrays, of a particles file.
+
+    Blank lines are skipped. The first bad line raises ParseError with its
+    line number: a wrong field count, a field that is not a number, or a
+    NaN or infinity.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PARTICLES_HEADER:
         raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
-    particles = []
+    values: list[float] = []
+    row_lines: list[int] = []
     for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(ln, f"expected 4 fields x1,x2,v1,v2, got {len(fields)}")
-        x1, x2, v1, v2 = (_parse_float(ln, f.strip()) for f in fields)
+        fields = raw.split(",")
         try:
-            particles.append(Particle(Vec2(x1, x2), Vec2(v1, v2)))
+            if len(fields) != 4:
+                if not raw.strip():
+                    continue
+                raise ParseError(
+                    ln, f"expected 4 fields x1,x2,v1,v2, got {len(fields)}")
+            values.extend(map(float, fields))
         except ValueError as exc:
-            raise ParseError(ln, str(exc)) from None
-    return particles
+            # Earlier rows come first: finish checking them, then report.
+            del values[4 * len(row_lines):]
+            _check_finite(values, row_lines)
+            if isinstance(exc, ParseError):
+                raise
+            for f in fields:
+                _parse_float(ln, f.strip())
+        row_lines.append(ln)
+    _check_finite(values, row_lines)
+    A = np.array(values, dtype=float).reshape(-1, 4)
+    return np.ascontiguousarray(A[:, :2]), np.ascontiguousarray(A[:, 2:])
 
 
 def report_document(items) -> str:
@@ -140,13 +164,16 @@ def parse_table_csv(text: str) -> list[tuple[int, float]]:
     return rows
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+def write_text_atomic(path: str, text) -> None:
+    """Write-then-rename so readers never observe a partial file.
+
+    text is a string or an iterable of strings, written as they come.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -156,34 +183,31 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def frames_csv(series) -> str:
-    """Snapshot series as CSV rows frame,time,particle,x1,x2."""
-    lines = ["frame,time,particle,x1,x2"]
+def frames_csv(series):
+    """Snapshot series of (t, (n, 2) positions) as CSV rows
+    frame,time,particle,x1,x2: yields the header line, then each frame's
+    rows as soon as series yields the frame."""
+    yield "frame,time,particle,x1,x2\n"
     for frame, (t, points) in enumerate(series):
-        for idx, p in enumerate(points):
-            lines.append(f"{frame},{fmt_float(t)},{idx},"
-                         f"{fmt_float(p.x1)},{fmt_float(p.x2)}")
-    return "\n".join(lines) + "\n"
+        row = f"{frame},{fmt_float(t)},{{}},{{:.17g}},{{:.17g}}\n".format
+        yield "".join(map(row, range(len(points)), *points.T.tolist()))
 
 
 def svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
-    """One frame as SVG: disks in the fixed world square [lo, hi]^2.
+    """One frame as SVG: disks at the (n, 2) positions in the fixed world
+    square [lo, hi]^2.
 
     The world y axis points up, SVG's points down, so y is flipped.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad viewport [{lo}, {hi}]")
     side = hi - lo
-    lines = [
+    circle = ('<circle cx="{:.17g}" cy="{:.17g}" '
+              f'r="{fmt_float(radius)}" fill="#336699" '
+              'stroke="black" stroke-width="0.02"/>\n').format
+    circles = map(circle, (points[:, 0] - lo).tolist(), (hi - points[:, 1]).tolist())
+    return (
         '<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
-        f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">',
-        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>',
-    ]
-    for p in points:
-        cx = p.x1 - lo
-        cy = hi - p.x2
-        lines.append(f'<circle cx="{fmt_float(cx)}" cy="{fmt_float(cy)}" '
-                     f'r="{fmt_float(radius)}" fill="#336699" '
-                     'stroke="black" stroke-width="0.02"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">\n'
+        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n'
+        + "".join(circles) + "</svg>\n")

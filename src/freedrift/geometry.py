@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 # Scale-invariant degeneracy test for the parallel-line branch.
 PARALLEL_EPS = 1e-12
+# Absolute tolerance for ">=" verdicts on distances.
+DISTANCE_TOL = 1e-9
+# Slack on the inequality chain margins before a pair counts as failing.
+CHAIN_TOL = 1e-12
 
 
 class GeometryError(ValueError):

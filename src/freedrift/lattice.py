@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _pairscan
 from .evolution import MovingConfiguration, Particle
-from .geometry import Vec2
+from .geometry import CHAIN_TOL, DISTANCE_TOL, Vec2
 
 
 class ProfileKind(enum.Enum):
@@ -30,8 +30,13 @@ class ProfileKind(enum.Enum):
 # shrunk, is always a safe disk radius.
 DISK_RADIUS = (1.0 - 1e-9) / 2.0
 UNIT_GUARANTEE = 1.0
-CHAIN_TOL = 1e-12
-DISTANCE_TOL = 1e-9
+# Largest window build_flow accepts. A particle costs 32 bytes in P and V;
+# a command adds a few more (n, 2) float64 arrays (field, slices, sort keys,
+# unit directions) and about 100 bytes of text per emitted row. Peak RSS
+# grows by about 500 bytes per particle (evolve, the largest, measured at
+# N = 100 and 200), so 2**22 particles, a square window up to N = 1023,
+# stay near 2 GiB. Larger windows are refused before anything is allocated.
+MAX_PARTICLES = 1 << 22
 
 
 class EmptyWindowError(ValueError):
@@ -161,32 +166,39 @@ class Window:
         return (self.x_hi - self.x_lo + 1) * (self.y_hi - self.y_lo + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowAssignment:
-    """A window's particles with their common shift and declared bounds."""
+    """A window's particles, as (n, 2) position and velocity arrays P and V,
+    with their common shift and declared bounds."""
 
-    particles: tuple[Particle, ...]
+    P: np.ndarray
+    V: np.ndarray
     shift: Vec2
     speed_min: float
     speed_max: float
     disk_radius: float
 
+    @property
+    def particles(self) -> tuple[Particle, ...]:
+        """The particles as API objects, built on each access."""
+        return self.as_configuration().particles
+
     def as_configuration(self) -> MovingConfiguration:
-        return MovingConfiguration(self.particles, discreteness_radius=1.0)
+        return MovingConfiguration(self.P, self.V, discreteness_radius=1.0)
 
 
-def _check_monotone(phi: MonotoneProfile, lo: int, hi: int) -> None:
-    prev = profile_eval(phi, lo)
-    if abs(prev) > phi.bound + 1e-12:
-        raise NonMonotoneProfileError(f"|phi({lo})| exceeds declared bound")
-    for n in range(lo + 1, hi + 1):
-        cur = profile_eval(phi, n)
-        if cur <= prev:
+def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
+    """phi(lo), ..., phi(hi), checked strictly increasing and within bound."""
+    values = [profile_eval(phi, n) for n in range(lo, hi + 1)]
+    for k, cur in enumerate(values):
+        n = lo + k
+        if k and cur <= values[k - 1]:
+            prev = values[k - 1]
             raise NonMonotoneProfileError(
                 f"phi({n}) = {cur} does not increase past phi({n - 1}) = {prev}")
         if abs(cur) > phi.bound + 1e-12:
             raise NonMonotoneProfileError(f"|phi({n})| exceeds declared bound")
-        prev = cur
+    return np.array(values)
 
 
 def build_flow(phi: MonotoneProfile, window: Window,
@@ -197,22 +209,44 @@ def build_flow(phi: MonotoneProfile, window: Window,
     sup|w| + shift_margin, so every speed lands in
     [shift_margin, |a| + sup|w|]. shift_margin 0 is allowed: the relative
     velocities, and hence all closest approaches, do not depend on it.
+
+    The profile is evaluated once per integer of each axis; the points,
+    x-major like Window.points, gather their values by index. Raises
+    NonMonotoneProfileError when phi, or phi shifted by a in double
+    precision, is not strictly increasing on the window, and ValueError
+    for windows of more than MAX_PARTICLES points.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
-    _check_monotone(phi, window.x_lo, window.x_hi)
-    _check_monotone(phi, window.y_lo, window.y_hi)
-
-    points = list(window.points())
-    w = [(profile_eval(phi, i), profile_eval(phi, j)) for i, j in points]
-    sup_speed = max(math.hypot(w1, w2) for w1, w2 in w)
+    n = window.count()
+    if n > MAX_PARTICLES:
+        raise ValueError(f"window has {n} points, more than the limit of "
+                         f"{MAX_PARTICLES} (lattice.MAX_PARTICLES)")
+    phi_x = _profile_values(phi, window.x_lo, window.x_hi)
+    phi_y = _profile_values(phi, window.y_lo, window.y_hi)
+    ix = np.repeat(np.arange(len(phi_x)), len(phi_y))
+    iy = np.tile(np.arange(len(phi_y)), len(phi_x))
+    w1, w2 = phi_x[ix], phi_y[iy]
+    sup_speed = max(map(math.hypot, w1.tolist(), w2.tolist()))
     a = sup_speed + shift_margin
-    particles = tuple(
-        Particle(Vec2(float(i), float(j)), Vec2(w2 + a, -w1))
-        for (i, j), (w1, w2) in zip(points, w)
-    )
+    shifted = phi_y + a
+    merged = np.flatnonzero(shifted[1:] <= shifted[:-1])
+    if merged.size:
+        k = int(merged[0])
+        n = window.y_lo + k
+        raise NonMonotoneProfileError(
+            f"phi({n + 1}) + a = {float(shifted[k + 1])} does not increase past "
+            f"phi({n}) + a with shift a = {a}: the profile saturates in double "
+            "precision, so two velocities would coincide")
+    P = np.empty((n, 2))
+    P[:, 0] = window.x_lo + ix
+    P[:, 1] = window.y_lo + iy
+    V = np.empty((n, 2))
+    V[:, 0] = w2 + a
+    V[:, 1] = -w1
     return FlowAssignment(
-        particles=particles,
+        P=P,
+        V=V,
         shift=Vec2(a, 0.0),
         speed_min=float(shift_margin),
         speed_max=a + sup_speed,
@@ -249,9 +283,7 @@ class FlowReport:
 
 def recovered_field(flow: FlowAssignment) -> np.ndarray:
     """w = I(v - a) per particle: undo the shift, rotate back."""
-    V = np.array([(p.velocity.x1, p.velocity.x2) for p in flow.particles],
-                 dtype=float).reshape(len(flow.particles), 2)
-    vu = V - np.array([flow.shift.x1, flow.shift.x2])
+    vu = flow.V - np.array([flow.shift.x1, flow.shift.x2])
     return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
@@ -266,13 +298,10 @@ def verify_flow(flow: FlowAssignment,
     closest approaches >= 1, chain margins >= -1e-12, injective velocities,
     speeds within the declared range.
     """
-    n = len(flow.particles)
+    P, V = flow.P, flow.V
+    n = len(P)
     if n < 1:
         raise ValueError("flow must contain at least one particle")
-    P = np.array([(p.position.x1, p.position.x2) for p in flow.particles],
-                 dtype=float).reshape(n, 2)
-    V = np.array([(p.velocity.x1, p.velocity.x2) for p in flow.particles],
-                 dtype=float).reshape(n, 2)
     W = recovered_field(flow)
 
     scan = _pairscan.scan(

@@ -167,7 +167,7 @@ def test_criterion_5_nonparallel_directions():
         failures.append(f"flow scene duplicates "
                         f"{report.duplicate_direction_pairs}")
 
-    injected = MovingConfiguration((
+    injected = MovingConfiguration.from_particles((
         Particle(Vec2(0.0, 0.0), Vec2(0.5, 0.25)),
         Particle(Vec2(0.0, 3.0), Vec2(0.5, 0.25)),
         Particle(Vec2(10.0, 0.0), Vec2(0.5, -0.25)),

@@ -2,6 +2,8 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -78,8 +80,8 @@ def test_assign_output_feeds_verify(tmp_path):
     out = tmp_path / "out"
     result = run_cli("--command", "assign", "--window", "1", "--out", out)
     assert result.returncode == 0
-    particles = parse_particles(read(out / "particles.txt").decode())
-    assert len(particles) == 9
+    P, V = parse_particles(read(out / "particles.txt").decode())
+    assert P.shape == V.shape == (9, 2)
     second = run_cli("--command", "verify",
                      "--particles", out / "particles.txt",
                      "--threshold", "1", "--out", tmp_path / "check")
@@ -248,3 +250,58 @@ def test_oversized_radius_is_input_error(tmp_path):
     result = run_cli("--command", "cylinders", "--window", "1",
                      "--radius", "10", "--out", tmp_path / "out")
     assert result.returncode == 2
+
+
+def test_saturated_profile_is_input_error(tmp_path):
+    result = run_cli("--command", "assign", "--profile", "tanh",
+                     "--window", "20", "--out", tmp_path / "out")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: phi(19) + a = ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    result = run_cli("--command", "verify", "--profile", "tanh",
+                     "--window", "19", "--out", tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["assign", "verify", "cylinders", "evolve"])
+def test_huge_window_refused_before_allocating(tmp_path, capsys, command):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code = cli.main(["--command", command, "--window", "1000000",
+                         "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: window has 4000004000001 points")
+    assert len(err.splitlines()) == 1
+
+
+def test_duplicate_particle_is_input_error(tmp_path):
+    particles = tmp_path / "dup.txt"
+    particles.write_text("particles v1\n0,0,1,0\n3,0,0,1\n0,0,1,0\n")
+    result = run_cli("--command", "verify", "--particles", particles,
+                     "--out", tmp_path / "out")
+    assert result.returncode == 2
+    assert result.stderr == "error: duplicate particle at (0.0, 0.0, 1.0, 0.0)\n"
+
+
+def test_cylinder_report_counts_every_duplicate_direction(tmp_path):
+    # 20 static particles: 19 duplicate directions, more than the 16 pairs
+    # a report lists.
+    particles = tmp_path / "static.txt"
+    particles.write_text("particles v1\n" + "".join(
+        f"{2 * k},0,0,0\n" for k in range(20)))
+    out = tmp_path / "out"
+    result = run_cli("--command", "cylinders", "--particles", particles,
+                     "--out", out)
+    assert result.returncode == 0, result.stderr
+    report = parse_report(read(out / "cylinder_report.txt").decode())
+    assert report["nonparallel_ok"] == "false"
+    assert report["duplicate_direction_pairs"] == "19"

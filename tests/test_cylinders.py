@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from freedrift.cylinders import (
@@ -25,7 +26,7 @@ from oracles import line_grid_min_distance, scalar_grid_min
 
 
 def _static_pair(distance):
-    return MovingConfiguration((
+    return MovingConfiguration.from_particles((
         Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),
         Particle(Vec2(distance, 0.0), Vec2(0.0, 0.0)),
     ))
@@ -96,8 +97,17 @@ def test_verify_scene_static_pair():
     assert report.duplicate_direction_pairs == ((0, 1),)
 
 
+def test_verify_scene_counts_every_duplicate_direction():
+    config = MovingConfiguration(
+        np.column_stack((2.0 * np.arange(20), np.zeros(20))), np.zeros((20, 2)))
+    report = verify_scene(config, radius=0.5)
+    assert report.passed and not report.nonparallel_ok
+    assert report.duplicate_direction_count == 19
+    assert len(report.duplicate_direction_pairs) == 16
+
+
 def test_verify_scene_detects_injected_duplicate_velocity():
-    config = MovingConfiguration((
+    config = MovingConfiguration.from_particles((
         Particle(Vec2(0.0, 0.0), Vec2(0.5, 0.0)),
         Particle(Vec2(0.0, 3.0), Vec2(0.5, 0.0)),
         Particle(Vec2(0.0, 6.0), Vec2(0.25, 0.1)),
@@ -148,7 +158,7 @@ def test_verify_scene_line_distances_match_grid_oracle():
 
 
 def test_verify_scene_rejects_unverified_hardcore():
-    head_on = MovingConfiguration((
+    head_on = MovingConfiguration.from_particles((
         Particle(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
         Particle(Vec2(4.0, 0.0), Vec2(-1.0, 0.0)),
     ))
@@ -167,12 +177,13 @@ def test_scene_invariants():
     vertical = worldline_of(Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)))
     other = worldline_of(Particle(Vec2(2.0, 0.0), Vec2(0.0, 0.0)))
     with pytest.raises(ValueError):
-        CylinderScene(((vertical, 0.5), (other, 0.25)), (0.0, 0.0))
+        CylinderScene.from_cylinders(((vertical, 0.5), (other, 0.25)), (0.0, 0.0))
     with pytest.raises(RadiusTooLargeError):
-        CylinderScene(((vertical, 0.51),), (0.0, 0.0))
+        CylinderScene.from_cylinders(((vertical, 0.51),), (0.0, 0.0))
     with pytest.raises(ValueError):
-        CylinderScene(((vertical, 0.5),), (1.0, 2.0))  # speed 0 not in [1, 2]
-    scene = CylinderScene(((vertical, 0.5),), (0.0, 0.0))
+        # speed 0 is not in [1, 2]
+        CylinderScene.from_cylinders(((vertical, 0.5),), (1.0, 2.0))
+    scene = CylinderScene.from_cylinders(((vertical, 0.5),), (0.0, 0.0))
     assert scene.radius == 0.5
 
 
@@ -186,7 +197,7 @@ def test_build_scene_defaults():
 
 
 def test_export_empty_scene_is_header_only():
-    doc = export_scene(CylinderScene((), (0.0, 0.0)))
+    doc = export_scene(CylinderScene.from_cylinders((), (0.0, 0.0)))
     assert doc == SCENE_HEADER + "\n"
     parsed = parse_scene(doc)
     assert parsed.cylinders == ()
@@ -207,7 +218,7 @@ def test_export_rows_sorted_by_axis_point():
         Particle(Vec2(-1.0, 5.0), Vec2(0.0, 0.5)),
         Particle(Vec2(-1.0, 2.0), Vec2(0.5, 0.25)),
     )
-    scene = build_scene(MovingConfiguration(particles), radius=0.25)
+    scene = build_scene(MovingConfiguration.from_particles(particles), radius=0.25)
     rows = export_scene(scene).splitlines()[1:]
     keys = [tuple(float(f) for f in row.split(",")[:3]) for row in rows]
     assert keys == sorted(keys)

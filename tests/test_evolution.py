@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from freedrift.evolution import (
@@ -19,35 +20,40 @@ from oracles import time_grid_min_distance
 
 
 def _pair(x, vx, y, vy):
-    return MovingConfiguration((
+    return MovingConfiguration.from_particles((
         Particle(Vec2(*x), Vec2(*vx)),
         Particle(Vec2(*y), Vec2(*vy)),
     ))
+
+
+def _one(x, vx):
+    return MovingConfiguration.from_particles((Particle(Vec2(*x), Vec2(*vx)),))
 
 
 def _slice_min(points):
     best = math.inf
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            best = min(best, math.hypot(points[i].x1 - points[j].x1,
-                                        points[i].x2 - points[j].x2))
+            best = min(best, math.hypot(points[i, 0] - points[j, 0],
+                                        points[i, 1] - points[j, 1]))
     return best
 
 
 def test_slice_at_zero_is_identity():
     config = _pair((0.25, -3.0), (1.0, 2.0), (5.0, 5.0), (-1.0, 0.5))
     sliced = slice_at(config, 0.0)
-    assert sliced == [p.position for p in config.particles]
+    assert sliced.tolist() == [[p.position.x1, p.position.x2]
+                               for p in config.particles]
 
 
 def test_slice_at_linear_motion():
-    config = MovingConfiguration((Particle(Vec2(0.0, 0.0), Vec2(1.0, 2.0)),))
+    config = _one((0.0, 0.0), (1.0, 2.0))
     (pos,) = slice_at(config, 3.0)
-    assert pos == Vec2(3.0, 6.0)
+    assert pos.tolist() == [3.0, 6.0]
 
 
 def test_slice_at_rejects_nonfinite_time():
-    config = MovingConfiguration((Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),))
+    config = _one((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ValueError):
         slice_at(config, math.inf)
 
@@ -59,7 +65,7 @@ def test_two_particle_flow_separated_at_far_times():
     closed = closest_approach(a.position, a.velocity, b.position, b.velocity)
     for t in (10.0, -10.0):
         (p, q) = slice_at(config, t)
-        dist = math.hypot(p.x1 - q.x1, p.x2 - q.x2)
+        dist = math.hypot(p[0] - q[0], p[1] - q[1])
         assert dist >= closed.distance - 1e-12
         assert dist >= 1.0 - 1e-9
 
@@ -69,14 +75,54 @@ def test_duplicate_particles_rejected():
         _pair((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
 
+# The message names the first particle that repeats an earlier one, with
+# its values as written: signed zeros are equal, so a and z are duplicates.
+@pytest.mark.parametrize("order, named", [
+    ("ABCBA", "(2.0, 0.0, 0.0, 0.5)"),
+    ("ABACB", "(0.0, 0.0, 1.0, 0.0)"),
+    ("azC", "(-0.0, 1.0, 0.5, -0.0)"),
+])
+def test_duplicate_particle_names_the_first_repeat(order, named):
+    rows = {
+        "A": ((0.0, 0.0), (1.0, 0.0)),
+        "B": ((2.0, 0.0), (0.0, 0.5)),
+        "C": ((4.0, 0.0), (0.0, 0.0)),
+        "a": ((0.0, 1.0), (0.5, 0.0)),
+        "z": ((-0.0, 1.0), (0.5, -0.0)),
+    }
+    with pytest.raises(IdenticalParticleError) as info:
+        MovingConfiguration.from_particles(
+            tuple(Particle(Vec2(*rows[k][0]), Vec2(*rows[k][1])) for k in order))
+    assert str(info.value) == f"duplicate particle at {named}"
+
+
+def test_configuration_arrays_and_particles_agree():
+    P = np.array([(0.0, 1.0), (2.5, -3.0)])
+    V = np.array([(0.5, 0.0), (-1.0, 0.25)])
+    config = MovingConfiguration(P, V)
+    assert len(config) == 2
+    assert config.P.flags.c_contiguous and config.V.flags.c_contiguous
+    assert config.particles == (Particle(Vec2(0.0, 1.0), Vec2(0.5, 0.0)),
+                                Particle(Vec2(2.5, -3.0), Vec2(-1.0, 0.25)))
+    back = MovingConfiguration.from_particles(config.particles)
+    assert back.P.tolist() == P.tolist() and back.V.tolist() == V.tolist()
+
+
+def test_configuration_rejects_bad_arrays():
+    with pytest.raises(ValueError, match=r"non-finite particle 1"):
+        MovingConfiguration(np.array([(0.0, 0.0), (1.0, math.nan)]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="must both be"):
+        MovingConfiguration(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
 def test_discreteness_radius_must_be_positive():
     with pytest.raises(ValueError):
-        MovingConfiguration((Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),),
-                            discreteness_radius=0.0)
+        MovingConfiguration.from_particles(
+            (Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),), discreteness_radius=0.0)
 
 
 def test_initial_min_distance_single_particle_is_inf():
-    config = MovingConfiguration((Particle(Vec2(1.0, 1.0), Vec2(0.0, 0.0)),))
+    config = _one((1.0, 1.0), (0.0, 0.0))
     assert initial_min_distance(config) == math.inf
 
 
@@ -113,33 +159,33 @@ def test_verify_hardcore_5x5_arctan_flow_zero_margin():
 
 
 def test_verify_hardcore_requires_a_particle():
-    config = MovingConfiguration(())
+    config = MovingConfiguration.from_particles(())
     with pytest.raises(ValueError):
         verify_hardcore(config)
 
 
 def test_snapshot_series_single_frame():
     config = _pair((0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (0.0, 0.0))
-    series = snapshot_series(config, 2.0, 9.0, 1)
+    series = list(snapshot_series(config, 2.0, 9.0, 1))
     assert len(series) == 1
     assert series[0][0] == 2.0
-    assert series[0][1] == slice_at(config, 2.0)
+    assert series[0][1].tolist() == slice_at(config, 2.0).tolist()
 
 
 def test_snapshot_series_three_frames_on_0_2():
-    config = MovingConfiguration((Particle(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),))
+    config = _one((0.0, 0.0), (1.0, 0.0))
     times = [t for t, _ in snapshot_series(config, 0.0, 2.0, 3)]
     assert times == [0.0, 1.0, 2.0]
 
 
 def test_snapshot_series_static_config_identical_frames():
     config = _pair((0.0, 0.0), (0.0, 0.0), (1.5, -2.0), (0.0, 0.0))
-    frames = [pts for _, pts in snapshot_series(config, -5.0, 5.0, 7)]
+    frames = [pts.tolist() for _, pts in snapshot_series(config, -5.0, 5.0, 7)]
     assert all(pts == frames[0] for pts in frames[1:])
 
 
 def test_snapshot_series_bad_ranges():
-    config = MovingConfiguration((Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),))
+    config = _one((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(BadRangeError):
         snapshot_series(config, 1.0, 0.0, 2)
     with pytest.raises(BadRangeError):
@@ -159,7 +205,7 @@ def test_slices_never_undercut_alltime_minimum():
         seen.add(pos)
         vel = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         particles.append(Particle(Vec2(*pos), Vec2(*vel)))
-    config = MovingConfiguration(tuple(particles))
+    config = MovingConfiguration.from_particles(tuple(particles))
     report = verify_hardcore(config, threshold=0.0)
     for k in range(41):
         t = -5.0 + k * 0.25
@@ -183,8 +229,8 @@ def test_time_symmetry_exact():
                  Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)))
         for _ in range(12)
     )
-    forward = MovingConfiguration(particles)
-    backward = MovingConfiguration(tuple(
+    forward = MovingConfiguration.from_particles(particles)
+    backward = MovingConfiguration.from_particles(tuple(
         Particle(p.position, Vec2(-p.velocity.x1, -p.velocity.x2))
         for p in particles
     ))
@@ -199,7 +245,7 @@ def test_translation_invariance():
     base = flow.as_configuration()
     # Offsets exactly representable, so pair differences are bit-identical.
     shift = Vec2(10.5, -3.25)
-    moved = MovingConfiguration(tuple(
+    moved = MovingConfiguration.from_particles(tuple(
         Particle(Vec2(p.position.x1 + shift.x1, p.position.x2 + shift.x2),
                  p.velocity)
         for p in base.particles

@@ -1,9 +1,9 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
-from freedrift.evolution import Particle
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -17,7 +17,6 @@ from freedrift.formats import (
     svg_snapshot,
     write_text_atomic,
 )
-from freedrift.geometry import Vec2
 
 
 def test_fmt_float_round_trips_doubles():
@@ -28,19 +27,25 @@ def test_fmt_float_round_trips_doubles():
 
 
 def test_particles_round_trip():
-    particles = (
-        Particle(Vec2(0.0, 0.0), Vec2(1.25, -0.5)),
-        Particle(Vec2(-3.0, 4.0), Vec2(math.atan(2), math.pi)),
-    )
-    text = particles_document(particles)
+    P = np.array([(0.0, 0.0), (-3.0, 4.0)])
+    V = np.array([(1.25, -0.5), (math.atan(2), math.pi)])
+    text = particles_document(P, V)
     assert text.startswith("particles v1\n")
-    back = parse_particles(text)
-    assert tuple(back) == particles
+    back_P, back_V = parse_particles(text)
+    assert back_P.tolist() == P.tolist()
+    assert back_V.tolist() == V.tolist()
+    assert back_P.flags.c_contiguous and back_V.flags.c_contiguous
 
 
 def test_particles_blank_lines_skipped():
     text = "particles v1\n\n0,0,1,0\n\n"
-    assert len(parse_particles(text)) == 1
+    P, V = parse_particles(text)
+    assert P.shape == V.shape == (1, 2)
+
+
+def test_particles_header_only_is_empty():
+    P, V = parse_particles("particles v1\n")
+    assert P.shape == V.shape == (0, 2)
 
 
 def test_particles_bad_header():
@@ -60,6 +65,32 @@ def test_particles_bad_number_reports_line():
     with pytest.raises(ParseError) as info:
         parse_particles("particles v1\n0,0,1,0\n0,1,x,0\n")
     assert info.value.line_no == 3
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0,1,2", "line 4: expected 4 fields x1,x2,v1,v2, got 3"),
+    ("0,1,2,3,4", "line 4: expected 4 fields x1,x2,v1,v2, got 5"),
+    ("0, 1 ,x y,3", "line 4: expected a number, got 'x y'"),
+    ("0,1,,3", "line 4: expected a number, got ''"),
+    ("nan,1,2,3", "line 4: non-finite Vec2 component: (nan, 1.0)"),
+    ("0,1,2,-inf", "line 4: non-finite Vec2 component: (2.0, -inf)"),
+    ("inf,1,nan,3", "line 4: non-finite Vec2 component: (inf, 1.0)"),
+])
+def test_particles_bad_row_names_its_line_past_a_blank(bad, message):
+    text = f"particles v1\n0,0,1,0\n\n{bad}\n5,5,1,0\n"
+    with pytest.raises(ParseError) as info:
+        parse_particles(text)
+    assert info.value.line_no == 4
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("later", ["0,1", "0,1,x,0", "0,1,nan,0"])
+def test_particles_first_bad_line_wins(later):
+    # A non-finite row is reported before any later error, whatever its kind.
+    text = f"particles v1\n0,0,1,0\n0,inf,1,0\n{later}\n"
+    with pytest.raises(ParseError) as info:
+        parse_particles(text)
+    assert str(info.value) == "line 3: non-finite Vec2 component: (0.0, inf)"
 
 
 def test_report_round_trip_and_value_formats():
@@ -128,10 +159,18 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["report.txt"]
 
 
+def test_atomic_write_takes_chunks(tmp_path):
+    path = str(tmp_path / "frames.csv")
+    write_text_atomic(path, (f"{k}\n" for k in range(3)))
+    with open(path) as handle:
+        assert handle.read() == "0\n1\n2\n"
+    assert sorted(os.listdir(tmp_path)) == ["frames.csv"]
+
+
 def test_frames_csv_layout():
-    series = [(0.0, [Vec2(0.0, 0.0), Vec2(1.0, 2.0)]),
-              (0.5, [Vec2(0.25, 0.0), Vec2(1.0, 2.5)])]
-    lines = frames_csv(series).splitlines()
+    series = [(0.0, np.array([(0.0, 0.0), (1.0, 2.0)])),
+              (0.5, np.array([(0.25, 0.0), (1.0, 2.5)]))]
+    lines = "".join(frames_csv(series)).splitlines()
     assert lines[0] == "frame,time,particle,x1,x2"
     assert lines[1] == "0,0,0,0,0"
     assert lines[4] == "1,0.5,1,1,2.5"
@@ -139,7 +178,7 @@ def test_frames_csv_layout():
 
 
 def test_svg_snapshot_geometry():
-    text = svg_snapshot([Vec2(0.0, 0.0), Vec2(1.0, 3.0)], 0.5, -2.0, 4.0)
+    text = svg_snapshot(np.array([(0.0, 0.0), (1.0, 3.0)]), 0.5, -2.0, 4.0)
     assert text.count("<circle") == 2
     assert 'viewBox="0 0 6 6"' in text
     # y flips: world x2=3 inside [-2, 4] lands at cy = 4 - 3 = 1
@@ -149,4 +188,4 @@ def test_svg_snapshot_geometry():
 
 def test_svg_snapshot_rejects_bad_viewport():
     with pytest.raises(ValueError):
-        svg_snapshot([], 0.5, 2.0, 2.0)
+        svg_snapshot(np.zeros((0, 2)), 0.5, 2.0, 2.0)

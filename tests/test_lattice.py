@@ -7,6 +7,7 @@ from freedrift.evolution import verify_hardcore
 from freedrift.geometry import Vec2, closest_approach, separation_margin
 from freedrift.lattice import (
     DISK_RADIUS,
+    MAX_PARTICLES,
     EmptyWindowError,
     FlowAssignment,
     MonotoneProfile,
@@ -177,6 +178,38 @@ def test_disk_radius_below_half_minimum():
     assert flow.disk_radius < report.min_distance / 2.0
 
 
+def test_build_flow_matches_pointwise_definition():
+    window = Window(-3, 2, -1, 4)
+    for phi in all_profiles():
+        flow = build_flow(phi, window, shift_margin=0.5)
+        w = [assign_w(phi, point) for point in window.points()]
+        sup = max(math.hypot(v.x1, v.x2) for v in w)
+        a = sup + 0.5
+        assert flow.P.tolist() == [[float(i), float(j)] for i, j in window.points()]
+        assert flow.V.tolist() == [[v.x2 + a, -v.x1] for v in w]
+        assert flow.shift == Vec2(a, 0.0)
+        assert (flow.speed_min, flow.speed_max) == (0.5, a + sup)
+
+
+def test_build_flow_rejects_saturated_shifted_profile():
+    # tanh passes its own monotonicity check at N = 20, but adding the
+    # shift a rounds neighbouring values together.
+    with pytest.raises(NonMonotoneProfileError,
+                       match=r"phi\(19\) \+ a = .* past phi\(18\) \+ a"):
+        build_flow(tanh_profile(), Window.square(20), shift_margin=0.5)
+    report = verify_flow(build_flow(tanh_profile(), Window.square(19), 0.5))
+    assert report.injective and report.passed
+
+
+def test_build_flow_refuses_windows_beyond_the_cap():
+    with pytest.raises(ValueError, match="MAX_PARTICLES"):
+        build_flow(arctan_profile(), Window.square(10 ** 6), 0.5)
+    with pytest.raises(ValueError, match="MAX_PARTICLES"):
+        build_flow(arctan_profile(), Window(0, 0, 0, MAX_PARTICLES), 0.5)
+    flow = build_flow(arctan_profile(), Window(0, 0, 0, 9), 0.5)
+    assert flow.P.shape == (10, 2)
+
+
 def test_verify_flow_3x3_example():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     report = verify_flow(flow)
@@ -195,9 +228,9 @@ def test_verify_flow_3x3_example():
 
 def test_verify_flow_flags_duplicate_velocities():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    a, b = flow.particles
     corrupted = FlowAssignment(
-        particles=(a, type(b)(b.position, a.velocity)),
+        P=flow.P,
+        V=flow.V[[0, 0]],
         shift=flow.shift,
         speed_min=flow.speed_min,
         speed_max=flow.speed_max,

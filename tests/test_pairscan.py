@@ -138,6 +138,34 @@ def test_engine_matches_reference_bit_for_bit(config, tile):
 
 
 @settings(max_examples=60, deadline=None)
+@given(configurations(), st.sampled_from(TILES), st.sampled_from([1e8, -1e8]))
+def test_coordinates_around_1e8(config, tile, offset):
+    """Far from the origin the engine still matches the per-pair reference
+    bit for bit and the scalar formulas closely; integer points shift
+    exactly, so there every value and witness is unchanged."""
+    P, V, W = config
+    far = P + offset
+    n = len(P)
+    scan = scan_tiled(tile, far, V, W, worldline=True, chain_tolerance=TOL)
+    if n < 2:
+        return
+    ref = reference(far, V, W)
+    assert (scan.min_distance, scan.witness) == ref["closest"]
+    assert (scan.line_distance, scan.line_witness) == ref["line"]
+    assert (scan.dot_margin, scan.norm_margin) == ref["margins"]
+    assert scan.failures == ref["failures"]
+    assert scan.failure_count == ref["failure_count"]
+    closest = min(
+        closest_approach(Vec2(*far[i]), Vec2(*V[i]),
+                         Vec2(*far[j]), Vec2(*V[j])).distance
+        for i in range(n) for j in range(i + 1, n))
+    assert scan.min_distance == pytest.approx(closest, rel=1e-12, abs=1e-12)
+    if np.array_equal(P, np.round(P)):
+        near = scan_tiled(tile, P, V, W, worldline=True, chain_tolerance=TOL)
+        assert near == scan
+
+
+@settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES))
 def test_engine_matches_scalar_formulas_and_oracles(config, tile):
     P, V, _ = config
@@ -175,8 +203,7 @@ def test_engine_matches_scalar_formulas_and_oracles(config, tile):
 @pytest.mark.parametrize("tile", TILES)
 def test_lattice_ties_keep_first_pair(tile):
     flow = build_flow(arctan_profile(), Window.square(3), 0.5)
-    P = np.array([(p.position.x1, p.position.x2) for p in flow.particles])
-    V = np.array([(p.velocity.x1, p.velocity.x2) for p in flow.particles])
+    P, V = flow.P, flow.V
     for velocities in (V, np.zeros_like(V)):
         scan = scan_tiled(tile, P, velocities, recovered_field(flow))
         assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
@@ -213,8 +240,7 @@ def test_sampled_pass_keeps_its_draws():
     # Pinned from the per-kernel scans this engine replaced: same seeded
     # stream, same chunks (two here), same tie rule, same failure order.
     flow = build_flow(arctan_profile(), Window.square(3), 0.5)
-    P = np.array([(p.position.x1, p.position.x2) for p in flow.particles])
-    V = np.array([(p.velocity.x1, p.velocity.x2) for p in flow.particles])
+    P, V = flow.P, flow.V
     scan = _pairscan.scan(P, V, -recovered_field(flow), worldline=True,
                           exhaustive_limit=0, sample_budget=(1 << 18) + 1000,
                           seed=0x5EED)
