@@ -1,10 +1,13 @@
-"""Golden bytes: the sha256 of every file the CLI writes on a fixed input.
+"""Golden bytes: the sha256 of every file the CLI writes on fixed inputs.
 
 `assign --window 10` builds the 441-particle arctan flow; its rows are then
 shuffled with a seeded `random.Random` and fed to `verify`, `cylinders` and
-`evolve`. The pinned hashes were taken from the per-particle object code
-that the array representation replaced, so any change to an emitted byte,
-in value, order or formatting, fails here.
+`evolve`. `verify --window 10` adds the flow report, two static particles
+give the `witness_time = all-times` marker, and radial `falsify` runs once
+to a violation and once to an exhausted budget. The pinned hashes were
+taken from the code before the array representation and before the report
+dataclasses became the report schema, so any change to an emitted byte, in
+value, order or formatting, fails here.
 """
 import hashlib
 import random
@@ -33,14 +36,27 @@ GOLDEN = {
         "frame0003.svg": "962a43f27bfabdf163c18140e1586a7e930fee2db7aa697b533dd59c1408b5d4",
         "frame0004.svg": "da888e63efaad968c5a6b161bc6c7483e7558f23a2f104e5d5a2866e3131a04f",
     },
+    "verify-flow": {
+        "report.txt": "18c363036da6d3cad8889a65b0c9ae5a72f254afe5c60e3237c88cb803c224e3",
+        "flow_report.txt": "27ce26eee815069f86b44615c39be8e837066035941f04b4b4ae7a36d55bddae",
+    },
+    "verify-static": {
+        "report.txt": "aaba9774491ab920b25e036ef10c321a9db57663efd96e16df7c94e711fd094f",
+    },
+    "falsify-violation": {
+        "falsify_report.txt": "601cf9c96ab4b608789be974e1222c098c1d5b211a4d26175a81643ae4494e42",
+    },
+    "falsify-exhausted": {
+        "falsify_report.txt": "2eb6723a86ad629d8ccb1e9f6418f1ccd9eab479ee6f70bae88fc14204695f45",
+    },
 }
 
 
-def run_cli(*args):
+def run_cli(*args, exit_code=0):
     result = subprocess.run(
         [sys.executable, "-m", "freedrift.cli", *map(str, args)],
         capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == exit_code, result.stderr
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +70,15 @@ def outputs(tmp_path_factory):
     for command in ("verify", "cylinders", "evolve"):
         run_cli("--command", command, "--particles", shuffled,
                 "--seed", "777", "--out", root / command)
+    run_cli("--command", "verify", "--window", "10", "--out", root / "verify-flow")
+    static = root / "static.txt"
+    static.write_text("particles v1\n0,0,0,0\n0,3,0,0\n")
+    run_cli("--command", "verify", "--particles", static,
+            "--out", root / "verify-static")
+    run_cli("--command", "falsify", "--field", "radial", "--c", "0.05",
+            "--out", root / "falsify-violation")
+    run_cli("--command", "falsify", "--field", "radial", "--c", "1e-4",
+            "--budget", "20000", "--out", root / "falsify-exhausted", exit_code=1)
     return root
 
 
