@@ -31,6 +31,7 @@ from .formats import (
     parse_table_csv,
     particles_document,
     report_document,
+    report_items,
     svg_snapshot,
     write_text_atomic,
 )
@@ -200,14 +201,6 @@ def _emit(config: RunConfig, name: str, text: str) -> str:
     return path
 
 
-def _pair_value(pair):
-    return pair if pair is not None else "none"
-
-
-def _vec_value(v):
-    return (v.x1, v.x2)
-
-
 def _cmd_assign(config: RunConfig) -> int:
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
@@ -218,10 +211,7 @@ def _cmd_assign(config: RunConfig) -> int:
         "profile": config.profile,
         "shift_margin": config.shift_margin,
         "particle_count": len(flow.P),
-        "shift": _vec_value(flow.shift),
-        "speed_min": flow.speed_min,
-        "speed_max": flow.speed_max,
-        "disk_radius": flow.disk_radius,
+        **report_items(flow),
     }))
     print(f"assigned {len(flow.P)} particles "
           f"-> {os.path.join(config.out, 'particles.txt')}")
@@ -235,48 +225,14 @@ def _cmd_verify(config: RunConfig) -> int:
     hardcore = verify_hardcore(
         configuration, config.threshold, seed=config.seed,
         scan=flow_report.scan if flow_report is not None else None)
-    if hardcore.witness_pair is None:
-        witness_time = "none"
-    elif hardcore.witness_time is None:
-        witness_time = "all-times"
-    else:
-        witness_time = hardcore.witness_time
-    _emit(config, "report.txt", report_document({
-        "command": "verify",
-        "particle_count": len(configuration),
-        "threshold": hardcore.passed_threshold,
-        "min_alltime_distance": hardcore.min_alltime_distance,
-        "witness_pair": _pair_value(hardcore.witness_pair),
-        "witness_time": witness_time,
-        "margin": hardcore.margin,
-        "pairs_total": hardcore.pairs_total,
-        "pairs_checked": hardcore.pairs_checked,
-        "mode": hardcore.mode,
-        "seed": hardcore.seed if hardcore.seed is not None else "none",
-        "passed": hardcore.passed,
-    }))
+    items = report_items(hardcore)
+    if hardcore.witness_pair is not None and hardcore.witness_time is None:
+        items["witness_time"] = "all-times"
+    _emit(config, "report.txt", report_document({"command": "verify", **items}))
     passed = hardcore.passed
     if flow_report is not None:
-        _emit(config, "flow_report.txt", report_document({
-            "command": "verify",
-            "particle_count": flow_report.particle_count,
-            "min_distance": flow_report.min_distance,
-            "witness_pair": _pair_value(flow_report.witness_pair),
-            "chain_dot_margin": flow_report.chain_dot_margin,
-            "chain_norm_margin": flow_report.chain_norm_margin,
-            "chain_failure_count": flow_report.chain_failure_count,
-            "injective": flow_report.injective,
-            "speed_measured_min": flow_report.speed_measured_min,
-            "speed_measured_max": flow_report.speed_measured_max,
-            "speed_declared_min": flow_report.speed_declared_min,
-            "speed_declared_max": flow_report.speed_declared_max,
-            "speeds_ok": flow_report.speeds_ok,
-            "pairs_total": flow_report.pairs_total,
-            "pairs_checked": flow_report.pairs_checked,
-            "mode": flow_report.mode,
-            "seed": flow_report.seed if flow_report.seed is not None else "none",
-            "passed": flow_report.passed,
-        }))
+        _emit(config, "flow_report.txt", report_document(
+            {"command": "verify", **report_items(flow_report)}))
         passed = passed and flow_report.passed
     verdict = "pass" if passed else "fail"
     print(f"verify: min all-time distance {fmt_float(hardcore.min_alltime_distance)} "
@@ -326,28 +282,8 @@ def _cmd_cylinders(config: RunConfig) -> int:
         return FAIL_EXIT
     scene = cyl.build_scene(configuration, radius)
     _emit(config, "scene.txt", cyl.export_scene(scene))
-    _emit(config, "cylinder_report.txt", report_document({
-        "command": "cylinders",
-        "particle_count": report.particle_count,
-        "radius": report.radius,
-        "speed_min": report.speed_min,
-        "speed_max": report.speed_max,
-        "separation_floor": report.separation_floor,
-        "required_distance": report.required_distance,
-        "min_line_distance": report.min_line_distance,
-        "witness_pair": _pair_value(report.witness_pair),
-        "distance_margin": report.distance_margin,
-        "distances_ok": report.distances_ok,
-        "nonparallel_ok": report.nonparallel_ok,
-        "duplicate_direction_pairs": report.duplicate_direction_count,
-        "annulus_ok": report.annulus_ok,
-        "annulus_forms_agree": report.annulus_forms_agree,
-        "pairs_total": report.pairs_total,
-        "pairs_checked": report.pairs_checked,
-        "mode": report.mode,
-        "seed": report.seed if report.seed is not None else "none",
-        "passed": report.passed,
-    }))
+    _emit(config, "cylinder_report.txt", report_document(
+        {"command": "cylinders", **report_items(report)}))
     verdict = "pass" if report.passed else "fail"
     print(f"cylinders: min worldline distance "
           f"{fmt_float(report.min_line_distance)} vs required "
@@ -359,37 +295,15 @@ def _cmd_falsify(config: RunConfig) -> int:
     field = _parse_field(config.field)
     result = fal.falsify(field, config.c, config.budget, config.seed)
     found = isinstance(result, fal.ViolationReport)
-    if found:
-        items = {
-            "command": "falsify",
-            "field": config.field,
-            "c": result.c,
-            "budget": config.budget,
-            "seed": config.seed,
-            "outcome": "violation",
-            "x": _vec_value(result.x),
-            "y": _vec_value(result.y),
-            "separation": result.separation,
-            "margin": result.margin,
-            "inner_product": result.inner_product,
-            "increment_norm": result.increment_norm,
-            "evaluations_used": result.evaluations_used,
-            "stage": result.stage,
-            "both_signs_observed": result.both_signs_observed,
-        }
-    else:
-        items = {
-            "command": "falsify",
-            "field": config.field,
-            "c": config.c,
-            "budget": config.budget,
-            "seed": config.seed,
-            "outcome": "exhausted",
-            "best_margin": result.best_margin,
-            "evaluations_used": result.evaluations_used,
-            "note": result.note,
-        }
-    _emit(config, "falsify_report.txt", report_document(items))
+    _emit(config, "falsify_report.txt", report_document({
+        "command": "falsify",
+        "field": config.field,
+        "c": config.c,
+        "budget": config.budget,
+        "seed": config.seed,
+        "outcome": "violation" if found else "exhausted",
+        **report_items(result),
+    }))
     if found:
         print(f"falsify: violation at separation "
               f"{fmt_float(result.separation)} with margin "

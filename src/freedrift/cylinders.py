@@ -4,19 +4,19 @@ A particle (x, v) traces the line {(x + t v, t)}. When a configuration
 keeps all pairwise distances >= 1 at all times and speeds stay <= M, any
 two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
-builds such scenes, verifies the distance/nonparallelity/annulus claims,
-and round-trips scenes through a plain text format.
+builds such scenes, verifies the distance and nonparallelity claims, and
+round-trips scenes through a plain text format.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _pairscan
 from .evolution import MovingConfiguration, Particle, speeds, verify_hardcore
-from .formats import ParseError, fmt_float
+from .formats import UNREPORTED, ParseError, fmt_float
 from .geometry import DISTANCE_TOL, Vec3
 
 SCENE_HEADER = "cylinder-scene v1"
@@ -140,19 +140,15 @@ def build_scene(config: MovingConfiguration,
 
 @dataclass(frozen=True)
 class SceneReport:
-    """verify_scene outcome: distances vs floor, parallelity, annulus.
+    """verify_scene outcome: distances vs floor, and parallelity.
 
-    passed is the disjoint-interiors verdict (distances plus annulus
-    consistency). Parallel axes do not break disjointness, so
-    nonparallel_ok is reported on its own and does not gate passed;
-    a static pair of distant particles passes with parallel axes flagged.
+    passed is the disjoint-interiors verdict, distances_ok. Parallel axes
+    do not break disjointness, so nonparallel_ok is reported on its own and
+    does not gate passed; a static pair of distant particles passes with
+    parallel axes flagged.
     """
 
     particle_count: int
-    pairs_total: int
-    pairs_checked: int
-    mode: str
-    seed: int | None
     radius: float
     speed_min: float
     speed_max: float
@@ -163,11 +159,14 @@ class SceneReport:
     distance_margin: float
     distances_ok: bool
     nonparallel_ok: bool
-    duplicate_direction_pairs: tuple[tuple[int, int], ...]
+    duplicate_direction_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     # All duplicate directions; the pairs above list the first 16.
-    duplicate_direction_count: int
-    annulus_ok: bool
-    annulus_forms_agree: bool
+    duplicate_direction_count: int = field(
+        metadata={"key": "duplicate_direction_pairs"})
+    pairs_total: int
+    pairs_checked: int
+    mode: str
+    seed: int | None
     passed: bool
 
 
@@ -179,17 +178,12 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same pass over the pairs; the speed ceiling
-    M is measured here, never trusted from metadata. The annulus check runs
-    in both its arctan-angle and plain speed forms, which must agree.
+    M is measured here, never trusted from metadata, and the radius is
+    checked against it before the pass.
     """
+    if len(config) < 1:
+        raise ValueError("configuration must contain at least one particle")
     P, V = config.P, config.V
-    scan = _pairscan.scan(
-        P, V, worldline=True, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
-    hardcore = verify_hardcore(config, 1.0, scan=scan)
-    if not hardcore.passed:
-        raise HardCoreNotVerifiedError(
-            f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
     measured = np.hypot(V[:, 0], V[:, 1])
     m = float(measured.min())
     cap = float(measured.max())
@@ -199,26 +193,23 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     if radius > floor / 2.0 * RADIUS_SLACK:
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
+    scan = _pairscan.scan(
+        P, V, worldline=True, exhaustive_limit=exhaustive_limit,
+        sample_budget=sample_budget, seed=seed)
+    hardcore = verify_hardcore(config, 1.0, scan=scan)
+    if not hardcore.passed:
+        raise HardCoreNotVerifiedError(
+            f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
+
     required = max(2.0 * radius, floor)
     margin = scan.line_distance - required
-    distances_ok = scan.line_distance >= required - DISTANCE_TOL
+    distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
 
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
     nonparallel_ok = dup_count == 0
 
-    # Same claim in two monotone-equivalent forms; both must say yes.
-    angles = np.arctan(measured)
-    annulus_by_angle = bool(
-        np.all(angles >= math.atan(m)) and np.all(angles <= math.atan(cap)))
-    annulus_by_speed = bool(np.all(measured >= m) and np.all(measured <= cap))
-    annulus_forms_agree = annulus_by_angle == annulus_by_speed
-
     return SceneReport(
         particle_count=len(config),
-        pairs_total=scan.pairs_total,
-        pairs_checked=scan.pairs_checked,
-        mode=scan.mode,
-        seed=scan.seed,
         radius=radius,
         speed_min=m,
         speed_max=cap,
@@ -227,13 +218,15 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
         min_line_distance=scan.line_distance,
         witness_pair=scan.line_witness,
         distance_margin=margin,
-        distances_ok=bool(distances_ok),
+        distances_ok=distances_ok,
         nonparallel_ok=bool(nonparallel_ok),
         duplicate_direction_pairs=dup_pairs,
         duplicate_direction_count=dup_count,
-        annulus_ok=annulus_by_speed,
-        annulus_forms_agree=annulus_forms_agree,
-        passed=bool(distances_ok and annulus_by_speed and annulus_forms_agree),
+        pairs_total=scan.pairs_total,
+        pairs_checked=scan.pairs_checked,
+        mode=scan.mode,
+        seed=scan.seed,
+        passed=distances_ok,
     )
 
 

@@ -9,7 +9,7 @@ outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +39,16 @@ def speeds(V) -> list[float]:
 
 @dataclass(eq=False)
 class MovingConfiguration:
-    """Finite particle set with a claimed lower bound on initial spacing.
+    """Finite particle set.
 
     P and V are the positions and velocities, contiguous (n, 2) float64
     arrays; treat them as read-only. Non-finite values and duplicate
-    particles (same position and velocity) are rejected outright; the
-    initial-spacing claim itself is checked by initial_min_distance and the
-    verifiers, not eagerly on construction.
+    particles (same position and velocity) are rejected outright; spacing
+    is measured by initial_min_distance and the verifiers.
     """
 
     P: np.ndarray
     V: np.ndarray
-    discreteness_radius: float = 1.0
 
     def __post_init__(self) -> None:
         self.P = np.ascontiguousarray(self.P, dtype=float)
@@ -58,8 +56,6 @@ class MovingConfiguration:
         if self.P.ndim != 2 or self.P.shape[1:] != (2,) or self.V.shape != self.P.shape:
             raise ValueError(f"positions {self.P.shape} and velocities "
                              f"{self.V.shape} must both be (n, 2)")
-        if not (math.isfinite(self.discreteness_radius) and self.discreteness_radius > 0):
-            raise ValueError("discreteness_radius must be finite and positive")
         A = np.hstack((self.P, self.V))
         bad = ~np.isfinite(A).all(axis=1)
         if bad.any():
@@ -76,11 +72,10 @@ class MovingConfiguration:
             raise IdenticalParticleError(f"duplicate particle at {key}")
 
     @classmethod
-    def from_particles(cls, particles,
-                       discreteness_radius: float = 1.0) -> "MovingConfiguration":
+    def from_particles(cls, particles) -> "MovingConfiguration":
         A = np.array([(p.position.x1, p.position.x2, p.velocity.x1, p.velocity.x2)
                       for p in particles], dtype=float).reshape(-1, 4)
-        return cls(A[:, :2], A[:, 2:], discreteness_radius)
+        return cls(A[:, :2], A[:, 2:])
 
     def __len__(self) -> int:
         return len(self.P)
@@ -110,16 +105,17 @@ class HardCoreReport:
     distance (attained at all times) or when there is no pair at all.
     """
 
+    particle_count: int
+    passed_threshold: float = field(metadata={"key": "threshold"})
     min_alltime_distance: float
     witness_pair: tuple[int, int] | None
     witness_time: float | None
-    passed_threshold: float
     margin: float
-    passed: bool
     pairs_total: int
     pairs_checked: int
     mode: str
     seed: int | None
+    passed: bool
 
 
 def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
@@ -165,6 +161,7 @@ def verify_hardcore(config: MovingConfiguration,
         witness_time = pa.time_at_min
     margin = scan.min_distance - threshold
     return HardCoreReport(
+        particle_count=len(config),
         min_alltime_distance=scan.min_distance,
         witness_pair=scan.witness,
         witness_time=witness_time,

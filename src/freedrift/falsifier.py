@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._pairscan import DEFAULT_SEED
+from .formats import UNREPORTED
 from .geometry import CHAIN_TOL, Vec2, dot, norm, sub
 
 
@@ -248,11 +249,11 @@ class ViolationReport:
 
     x: Vec2
     y: Vec2
-    c: float
+    c: float = field(metadata=UNREPORTED)
+    separation: float
     margin: float
     inner_product: float
     increment_norm: float
-    separation: float
     evaluations_used: int
     stage: str
     both_signs_observed: bool
@@ -267,7 +268,7 @@ class Exhausted:
     """Search ran out of budget. Certifies nothing about the field."""
 
     best_margin: float
-    best_pair: tuple[Vec2, Vec2] | None
+    best_pair: tuple[Vec2, Vec2] | None = field(metadata=UNREPORTED)
     evaluations_used: int
     note: str = ("budget exhausted without finding a violation; "
                  "this does not certify the field satisfies the inequality")

@@ -6,6 +6,7 @@ environment-dependent content), so identical inputs give identical bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -14,6 +15,8 @@ import numpy as np
 
 PARTICLES_HEADER = "particles v1"
 REPORT_HEADER = "report v1"
+# Field metadata of a report dataclass field that is not a report key.
+UNREPORTED = {"reported": False}
 
 
 class ParseError(ValueError):
@@ -109,6 +112,23 @@ def report_document(items) -> str:
     for key, value in dict(items).items():
         lines.append(f"{key} = {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+def report_items(report) -> dict:
+    """A report dataclass as report keys, in field declaration order.
+
+    Fields marked metadata=UNREPORTED are left out, a field with
+    metadata={"key": k} is written under the key k, and dataclass values
+    such as Vec2 become their component tuples.
+    """
+    items = {}
+    for f in dataclasses.fields(report):
+        if f.metadata.get("reported", True):
+            value = getattr(report, f.name)
+            if dataclasses.is_dataclass(value):
+                value = dataclasses.astuple(value)
+            items[f.metadata.get("key", f.name)] = value
+    return items
 
 
 def parse_report(text: str) -> dict[str, str]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _pairscan
 from .evolution import MovingConfiguration, Particle
+from .formats import UNREPORTED
 from .geometry import CHAIN_TOL, DISTANCE_TOL, Vec2
 
 
@@ -171,8 +172,8 @@ class FlowAssignment:
     """A window's particles, as (n, 2) position and velocity arrays P and V,
     with their common shift and declared bounds."""
 
-    P: np.ndarray
-    V: np.ndarray
+    P: np.ndarray = field(metadata=UNREPORTED)
+    V: np.ndarray = field(metadata=UNREPORTED)
     shift: Vec2
     speed_min: float
     speed_max: float
@@ -184,7 +185,7 @@ class FlowAssignment:
         return self.as_configuration().particles
 
     def as_configuration(self) -> MovingConfiguration:
-        return MovingConfiguration(self.P, self.V, discreteness_radius=1.0)
+        return MovingConfiguration(self.P, self.V)
 
 
 def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
@@ -259,26 +260,26 @@ class FlowReport:
     """verify_flow outcome: distances, chain margins, injectivity, speeds."""
 
     particle_count: int
-    pairs_total: int
-    pairs_checked: int
-    mode: str
-    seed: int | None
     min_distance: float
     witness_pair: tuple[int, int] | None
     chain_dot_margin: float
     chain_norm_margin: float
-    chain_failures: tuple[tuple[int, int], ...]
+    chain_failures: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     chain_failure_count: int
     injective: bool
-    duplicate_velocity_pairs: tuple[tuple[int, int], ...]
+    duplicate_velocity_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     speed_measured_min: float
     speed_measured_max: float
     speed_declared_min: float
     speed_declared_max: float
     speeds_ok: bool
+    pairs_total: int
+    pairs_checked: int
+    mode: str
+    seed: int | None
     passed: bool
     # The pass behind this report; verify_hardcore can reuse it.
-    scan: _pairscan.PairScan = field(repr=False, compare=False)
+    scan: _pairscan.PairScan = field(repr=False, compare=False, metadata=UNREPORTED)
 
 
 def recovered_field(flow: FlowAssignment) -> np.ndarray:

