@@ -154,36 +154,34 @@ def test_non_finite_distance_is_input_error(tmp_path, command, text):
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.fixture
+def scan_passes(monkeypatch):
+    """The keyword arguments of each pair-engine pass, as they happen."""
+    passes = []
+    scan = _pairscan.scan
+
+    def counted(*a, **kw):
+        passes.append(kw)
+        return scan(*a, **kw)
+
+    monkeypatch.setattr(_pairscan, "scan", counted)
+    return passes
+
+
 @pytest.mark.parametrize("args", [
     ["--command", "verify", "--window", "2"],
     ["--command", "cylinders", "--window", "2"],
 ])
-def test_each_command_makes_one_pass(tmp_path, monkeypatch, args):
-    passes = []
-
-    def counted(*a, **kw):
-        passes.append(kw)
-        return scan(*a, **kw)
-
-    scan = _pairscan.scan
-    monkeypatch.setattr(_pairscan, "scan", counted)
+def test_each_command_makes_one_pass(tmp_path, scan_passes, args):
     assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
-    assert len(passes) == 1
+    assert len(scan_passes) == 1
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "10"])
-def test_bad_radius_refused_before_any_pass(tmp_path, monkeypatch, radius):
-    passes = []
-
-    def counted(*a, **kw):
-        passes.append(kw)
-        return scan(*a, **kw)
-
-    scan = _pairscan.scan
-    monkeypatch.setattr(_pairscan, "scan", counted)
+def test_bad_radius_refused_before_any_pass(tmp_path, scan_passes, radius):
     assert cli.main(["--command", "cylinders", "--window", "2",
                      "--radius", radius, "--out", str(tmp_path / "out")]) == 2
-    assert passes == []
+    assert scan_passes == []
 
 
 def test_seeded_runs_byte_identical(tmp_path):
