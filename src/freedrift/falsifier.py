@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ._pairscan import DEFAULT_SEED
@@ -74,9 +73,6 @@ def cone_contains(cone: Cone, z: Vec2) -> ConeMembership:
     return ConeMembership(margin=margin, member=margin >= 0.0)
 
 
-Kernel = Callable[[float, float], tuple[float, float]]
-
-
 class FieldKind(enum.Enum):
     CONSTANT = "constant"
     SATURATED_RADIAL = "radial"
@@ -89,8 +85,8 @@ class FieldKind(enum.Enum):
 class CandidateField:
     """Bounded continuous field; evaluate() never exceeds bound in norm.
 
-    `kernel(x1, x2) -> (w1, w2)` is the float form of the field, picked once
-    per kind; `evaluate` wraps it for `Vec2` points.
+    `_kernel(x1, x2) -> (w1, w2)` is the float form of the field, picked
+    once per kind; `evaluate` wraps it for `Vec2` points.
     """
 
     kind: FieldKind
@@ -100,7 +96,6 @@ class CandidateField:
     origin: tuple[float, float] | None = None
     spacing: float | None = None
     values: tuple[tuple[tuple[float, float], ...], ...] | None = None
-    kernel: Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bound) and self.bound > 0):
@@ -121,10 +116,10 @@ class CandidateField:
                 raise ValueError("grid needs at least one node")
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("grid rows must have equal length")
-        object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
+        object.__setattr__(self, "_kernel", _KERNELS[self.kind](self))
 
     def evaluate(self, p: Vec2) -> Vec2:
-        return Vec2(*self.kernel(p.x1, p.x2))
+        return Vec2(*self._kernel(p.x1, p.x2))
 
 
 # Each kernel maps a point's coordinates (x1, x2) to the field value
@@ -132,7 +127,7 @@ class CandidateField:
 # evaluation (the search, `evaluate`, the chain and circle probes) runs the
 # same arithmetic.
 
-def _constant_kernel(field: CandidateField) -> Kernel:
+def _constant_kernel(field: CandidateField):
     w = (field.value.x1, field.value.x2)
 
     def kernel(x1: float, x2: float) -> tuple[float, float]:
@@ -140,7 +135,7 @@ def _constant_kernel(field: CandidateField) -> Kernel:
     return kernel
 
 
-def _radial_kernel(field: CandidateField) -> Kernel:
+def _radial_kernel(field: CandidateField):
     bound, scale = field.bound, field.scale
 
     def kernel(x1: float, x2: float) -> tuple[float, float]:
@@ -150,7 +145,7 @@ def _radial_kernel(field: CandidateField) -> Kernel:
     return kernel
 
 
-def _rotational_kernel(field: CandidateField) -> Kernel:
+def _rotational_kernel(field: CandidateField):
     bound, scale = field.bound, field.scale
 
     def kernel(x1: float, x2: float) -> tuple[float, float]:
@@ -159,7 +154,7 @@ def _rotational_kernel(field: CandidateField) -> Kernel:
     return kernel
 
 
-def _linear_kernel(field: CandidateField) -> Kernel:
+def _linear_kernel(field: CandidateField):
     f, scale = field.bound / math.sqrt(2.0), field.scale
 
     def kernel(x1: float, x2: float) -> tuple[float, float]:
@@ -169,7 +164,7 @@ def _linear_kernel(field: CandidateField) -> Kernel:
     return kernel
 
 
-def _grid_kernel(field: CandidateField) -> Kernel:
+def _grid_kernel(field: CandidateField):
     rows = field.values
     ny, nx = len(rows), len(rows[0])
     (o1, o2), spacing = field.origin, field.spacing
@@ -350,7 +345,7 @@ class _Search:
     """
 
     def __init__(self, field: CandidateField, c: float, budget: int):
-        self.kernel = field.kernel
+        self.kernel = field._kernel
         self.c = c
         self.budget = budget
         self.evals = 0
@@ -364,7 +359,7 @@ class _Search:
 
     def try_pair(self, x1: float, x2: float, y1: float, y2: float):
         """Margin of one pair, or None when skipped/over budget."""
-        if self.evals + 2 > self.budget:
+        if self.out_of_budget():
             return None
         d1 = x1 - y1
         d2 = x2 - y2

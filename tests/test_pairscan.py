@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan
@@ -137,8 +137,14 @@ def test_engine_matches_reference_bit_for_bit(config, tile):
     assert scan.failure_count == ref["failure_count"]
 
 
+# Two static particles 6.26e-29 apart merge into one in the 1e8 shift.
+MERGED = (np.array([[0.0, 0.0], [0.0, 6.26e-29]]), np.zeros((2, 2)),
+          np.zeros((2, 2)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES), st.sampled_from([1e8, -1e8]))
+@example(MERGED, 1, 1e8)
 def test_coordinates_around_1e8(config, tile, offset):
     """Far from the origin the engine still matches the per-pair reference
     bit for bit and the scalar formulas closely; integer points shift
@@ -155,16 +161,20 @@ def test_coordinates_around_1e8(config, tile, offset):
     assert (scan.dot_margin, scan.norm_margin) == ref["margins"]
     assert scan.failures == ref["failures"]
     assert scan.failure_count == ref["failure_count"]
-    # Points closer than the spacing of doubles near 1e8 merge in the
-    # shift; a merged pair with equal velocities is one particle twice,
-    # which the scalar formula refuses.
-    if len(np.unique(np.hstack([far, V]), axis=0)) == n:
-        closest = min(
-            closest_approach(Vec2(*far[i]), Vec2(*V[i]),
-                             Vec2(*far[j]), Vec2(*V[j])).distance
-            for i in range(n) for j in range(i + 1, n))
-        assert scan.min_distance == pytest.approx(closest, rel=1e-12,
-                                                  abs=1e-12)
+
+    def scalar_distance(i, j):
+        # Points closer than the spacing of doubles near 1e8 merge in the
+        # shift; a merged pair with equal velocities is one particle twice,
+        # which the scalar formula refuses. It is static at dx = 0, so its
+        # distance is 0.
+        if np.array_equal(far[i], far[j]) and np.array_equal(V[i], V[j]):
+            return 0.0
+        return closest_approach(Vec2(*far[i]), Vec2(*V[i]),
+                                Vec2(*far[j]), Vec2(*V[j])).distance
+
+    closest = min(scalar_distance(i, j)
+                  for i in range(n) for j in range(i + 1, n))
+    assert scan.min_distance == pytest.approx(closest, rel=1e-12, abs=1e-12)
     if np.array_equal(P, np.round(P)):
         near = scan_tiled(tile, P, V, W, worldline=True, chain_tolerance=TOL)
         assert near == scan
