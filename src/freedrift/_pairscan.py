@@ -24,6 +24,12 @@ exhaustive), the first max_failures of them.
 
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
+
+`certify` is the engine's shortcut for lattice flows. It checks, in
+O(n log n), the structure under which every closest approach is at least 1
+with equality exactly at unit axis pairs, and then reports the exact
+minimum over all pairs without visiting them. The flow and hard-core
+verifiers call it first and run `scan` only when it returns None.
 """
 from __future__ import annotations
 
@@ -300,6 +306,126 @@ def scan(P, V, W=None, *, worldline: bool = False,
         failures=tuple(chain.failures) if chain is not None else (),
         failure_count=chain.failure_count if chain is not None else 0,
     )
+
+
+def certify(P, V, W=None) -> PairScan | None:
+    """Decide every pair at once from the structure of a lattice flow, or
+    return None when that structure is absent.
+
+    The structure, checked on positions P and velocities V (n, 2):
+    positions are distinct; any two distinct x1 values, and any two
+    distinct x2 values, are at least 1 apart; V0 is a strictly increasing
+    function of x2 alone and V1 a strictly decreasing function of x1 alone.
+    A pair with offset d and velocity difference dv then has
+    |d x dv| = |d1||dv1| + |d2||dv0| >= |dv0| + |dv1| >= |dv|, with equality
+    exactly at unit axis pairs: one coordinate shared, the other exactly 1
+    apart. When such a pair exists the minimum closest approach over all
+    pairs is exactly 1, and the witness is the smallest unit axis pair
+    (i < j). With a field W, W0 a non-decreasing function of x1 alone and
+    W1 of x2 alone give <d, dW> = |d1||dW0| + |d2||dW1| >= |dW0| + |dW1|
+    >= |dW|, so both chain margins have minimum exactly 0, at the same pair.
+
+    Every test compares the given doubles exactly: a coordinate gap that
+    rounds to 1.0 is decided with Fraction. Velocity differences must be
+    finite, so the witness has a finite closest-approach time. The result
+    has mode "exhaustive-structural" and counts every pair as checked.
+    """
+    n = len(P)
+    if n < 2:
+        return None
+    x1, x2 = _columns(P)
+    v0, v1 = _columns(V)
+    w0, w1 = _columns(W) if W is not None else (None, None)
+    # Axis 1 sorts rows by (x1, x2), axis 2 by (x2, x1); along axis k, V and
+    # W components must be functions of x_k alone.
+    one = _Axis(x1, x2, np.lexsort((x2, x1)))
+    if one.unit is None or one.duplicate():
+        return None
+    # A stable sort on x2 of rows in (x1, x2) order leaves them in (x2, x1)
+    # order, and costs far less than a second lexsort.
+    two = _Axis(x2, x1, one.order[np.argsort(x2[one.order], kind="stable")])
+    if (two.unit is None
+            or not one.function(v1, np.less)
+            or not two.function(v0, np.greater)
+            # Finite velocity differences give the witness a finite time.
+            or not all(math.isfinite(float(v.max()) - float(v.min())) for v in (v0, v1))
+            or (W is not None and not (one.function(w0, np.greater_equal)
+                                       and two.function(w1, np.greater_equal)))):
+        return None
+    pairs = [p for p in (one.unit_pair(two), two.unit_pair(one)) if p is not None]
+    if not pairs:
+        return None
+    total = pair_count(n)
+    return PairScan(
+        pairs_total=total,
+        pairs_checked=total,
+        mode="exhaustive-structural",
+        seed=None,
+        min_distance=1.0,
+        witness=min(pairs),
+        dot_margin=0.0 if W is not None else None,
+        norm_margin=0.0 if W is not None else None,
+    )
+
+
+class _Axis:
+    """Rows in (key, other) order, with the ranks of their key values."""
+
+    def __init__(self, key, other, order):
+        self.order = order
+        self.other = other
+        keys = key[self.order]
+        # new[k]: sorted rows k and k+1 have different keys.
+        self.new = keys[1:] != keys[:-1]
+        self.unit = _unit_gaps(keys[:-1][self.new], keys[1:][self.new])
+        ranks = np.empty(len(key), dtype=np.intp)
+        ranks[self.order[0]] = 0
+        ranks[self.order[1:]] = np.cumsum(self.new)
+        self.rank = ranks
+
+    def duplicate(self) -> bool:
+        """Whether two rows share both coordinates."""
+        others = self.other[self.order]
+        return bool((~self.new & (others[1:] == others[:-1])).any())
+
+    def function(self, values, across) -> bool:
+        """Whether values are a function of the key alone, related by across
+        from each key to the next."""
+        s = values[self.order]
+        return bool(np.where(self.new, across(s[1:], s[:-1]), s[1:] == s[:-1]).all())
+
+    def unit_pair(self, cross: "_Axis") -> tuple[int, int] | None:
+        """The smallest pair (i < j) of rows that share this key and whose
+        other coordinates are exactly 1 apart (cross sorts by them)."""
+        rows = self.order
+        r = cross.rank[rows]
+        step = np.flatnonzero(~self.new & (r[1:] == r[:-1] + 1))
+        step = step[cross.unit[r[step]]]
+        if not step.size:
+            return None
+        a, b = rows[step], rows[step + 1]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        k = int(np.argmin(lo * len(rows) + hi))
+        return int(lo[k]), int(hi[k])
+
+
+def _unit_gaps(lo, hi):
+    """For gaps hi - lo > 0 between sorted distinct values: whether each is
+    exactly 1, or None if any is below 1."""
+    gap = hi - lo
+    if not (gap >= 1.0).all():
+        return None
+    unit = gap == 1.0
+    tied = np.flatnonzero(unit)
+    if tied.size:
+        # The float difference rounds; decide these gaps exactly.
+        from fractions import Fraction
+        for k, a, b in zip(tied.tolist(), lo[tied].tolist(), hi[tied].tolist()):
+            exact = Fraction(b) - Fraction(a)
+            if exact < 1:
+                return None
+            unit[k] = exact == 1
+    return unit
 
 
 def duplicate_rows(A, max_pairs: int = 16):

@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import cylinders as cyl
 from . import falsifier as fal
 from ._pairscan import DEFAULT_SEED
@@ -270,9 +272,11 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 def _cmd_cylinders(config: RunConfig) -> int:
     configuration, _ = _load_configuration(config)
+    # Measured once for the radius and the scene; an array, so that it
+    # holds less memory than the list through the pair scan.
+    measured = np.array(speeds(configuration.V))
     if config.radius == "auto":
-        cap = max(speeds(configuration.V), default=0.0)
-        radius = cyl.lemma1_bound(cap) / 2.0
+        radius = cyl.lemma1_bound(float(measured.max(initial=0.0))) / 2.0
     else:
         radius = _to_finite(config.radius)
     try:
@@ -280,7 +284,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
     except cyl.HardCoreNotVerifiedError as exc:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    scene = cyl.build_scene(configuration, radius)
+    scene = cyl.build_scene(configuration, radius, measured)
     _emit(config, "scene.txt", cyl.export_scene(scene))
     _emit(config, "cylinder_report.txt", report_document(
         {"command": "cylinders", **report_items(report)}))

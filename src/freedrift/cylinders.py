@@ -10,7 +10,7 @@ round-trips scenes through a plain text format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -75,15 +75,17 @@ class CylinderScene:
 
     bases (n, 3) holds the axis points b and velocities (n, 2) the axis
     slopes v; every speed |v| lies within speed_bounds [m, M]. radius is
-    None exactly when the scene is empty.
+    None exactly when the scene is empty. measured, when given, holds
+    evolution.speeds(velocities), already computed by the caller.
     """
 
     bases: np.ndarray
     velocities: np.ndarray
     radius: float | None
     speed_bounds: tuple[float, float]
+    measured: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, measured) -> None:
         m, cap = self.speed_bounds
         if not (math.isfinite(m) and math.isfinite(cap) and 0 <= m <= cap):
             raise ValueError(f"bad speed bounds {self.speed_bounds}")
@@ -99,7 +101,8 @@ class CylinderScene:
         if radius > lemma1_bound(cap) / 2.0 * RADIUS_SLACK:
             raise RadiusTooLargeError(
                 f"radius {radius} exceeds {lemma1_bound(cap) / 2.0}")
-        measured = np.array(speeds(self.velocities))
+        if measured is None:
+            measured = np.array(speeds(self.velocities))
         outside = np.flatnonzero((measured < m - 1e-12) | (measured > cap + 1e-12))
         if outside.size:
             raise ValueError(f"direction speed {float(measured[outside[0]])} "
@@ -123,19 +126,24 @@ class CylinderScene:
             for b, (v1, v2) in zip(self.bases.tolist(), self.velocities.tolist()))
 
 
-def build_scene(config: MovingConfiguration,
-                radius: float | None = None) -> CylinderScene:
-    """Scene with measured speed bounds; radius defaults to half the floor."""
+def build_scene(config: MovingConfiguration, radius: float | None = None,
+                measured: np.ndarray | None = None) -> CylinderScene:
+    """Scene with measured speed bounds; radius defaults to half the floor.
+
+    measured, when given, is the array of evolution.speeds(config.V),
+    already computed by the caller.
+    """
     n = len(config)
     if n == 0:
         return CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
-    measured = speeds(config.V)
-    m, cap = min(measured), max(measured)
+    if measured is None:
+        measured = np.array(speeds(config.V))
+    m, cap = float(measured.min()), float(measured.max())
     if radius is None:
         radius = lemma1_bound(cap) / 2.0
     bases = np.zeros((n, 3))
     bases[:, :2] = config.P
-    return CylinderScene(bases, config.V, radius, (m, cap))
+    return CylinderScene(bases, config.V, radius, (m, cap), measured)
 
 
 @dataclass(frozen=True)
@@ -271,7 +279,8 @@ def parse_scene(text: str) -> CylinderScene:
         slopes.append(row[3:])
         radii.append(radius)
     V = np.array(slopes, dtype=float).reshape(-1, 2)
-    measured = speeds(V)
-    bounds = (min(measured), max(measured)) if measured else (0.0, 0.0)
+    measured = np.array(speeds(V))
+    bounds = ((float(measured.min()), float(measured.max())) if measured.size
+              else (0.0, 0.0))
     return CylinderScene(np.array(bases, dtype=float).reshape(-1, 3), V,
-                         _equal_radius(radii), bounds)
+                         _equal_radius(radii), bounds, measured)

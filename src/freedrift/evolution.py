@@ -138,9 +138,12 @@ def verify_hardcore(config: MovingConfiguration,
                     scan: _pairscan.PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
-    Exact per pair (closed-form closest approach); exhaustive over pairs up
-    to exhaustive_limit, uniformly sampled beyond it. The witness is the
-    lexicographically smallest minimizing pair in enumeration order.
+    A configuration with the structure of a lattice flow is decided by the
+    structural certificate (_pairscan.certify): every pair, exactly, mode
+    "exhaustive-structural". Otherwise the pair engine runs: exact per pair
+    (closed-form closest approach), exhaustive over pairs up to
+    exhaustive_limit, uniformly sampled beyond it. The witness is the
+    lexicographically smallest minimizing pair.
 
     scan, when given, is a pass already made over this configuration's
     pairs (as verify_flow and verify_scene make one); it is used instead of
@@ -150,6 +153,8 @@ def verify_hardcore(config: MovingConfiguration,
         raise ValueError("configuration must contain at least one particle")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    if scan is None:
+        scan = _pairscan.certify(config.P, config.V)
     if scan is None:
         scan = _pairscan.scan(
             config.P, config.V, exhaustive_limit=exhaustive_limit,

@@ -310,15 +310,23 @@ class ViolationReport:
             raise ValueError("violation pair must satisfy |x-y| > 1")
 
 
+BUDGET_SPENT = ("budget exhausted without finding a violation; "
+                "this does not certify the field satisfies the inequality")
+REFINE_CONVERGED = ("refinement converged with budget left, without finding a "
+                    "violation; this does not certify the field satisfies the "
+                    "inequality")
+
+
 @dataclass(frozen=True)
 class Exhausted:
-    """Search ran out of budget. Certifies nothing about the field."""
+    """Search ended without a violation: its budget ran out, or refinement
+    converged with budget left. note says which. Certifies nothing about
+    the field."""
 
     best_margin: float
     best_pair: tuple[Vec2, Vec2] | None = field(metadata=UNREPORTED)
     evaluations_used: int
-    note: str = ("budget exhausted without finding a violation; "
-                 "this does not certify the field satisfies the inequality")
+    note: str = BUDGET_SPENT
 
 
 def violation_margin(field: CandidateField, c: float,
@@ -429,7 +437,8 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     pairs (budget split evenly across fixed seeded streams, run one after
     another, so the first hit in stream order wins), and local refinement
     of the best pair seen. Exhausted is an honest result, not an error; it
-    carries the best margin and certifies nothing.
+    carries the best margin, says whether the budget ran out or refinement
+    converged first, and certifies nothing.
 
     Raises:
         ValueError: for c or budget out of range, or when a field increment
@@ -508,7 +517,8 @@ def _exhausted(search: _Search) -> Exhausted:
     return Exhausted(best_margin=search.best_margin,
                      best_pair=None if pair is None else
                      (Vec2(pair[0], pair[1]), Vec2(pair[2], pair[3])),
-                     evaluations_used=search.evals)
+                     evaluations_used=search.evals,
+                     note=BUDGET_SPENT if search.out_of_budget() else REFINE_CONVERGED)
 
 
 @dataclass(frozen=True)

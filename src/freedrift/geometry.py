@@ -8,6 +8,7 @@ three dimensions. All arithmetic is IEEE double precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # Scale-invariant degeneracy test for the parallel-line branch.
@@ -16,6 +17,9 @@ PARALLEL_EPS = 1e-12
 DISTANCE_TOL = 1e-9
 # Slack on the inequality chain margins before a pair counts as failing.
 CHAIN_TOL = 1e-12
+# The positive normal doubles.
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
 
 
 class GeometryError(ValueError):
@@ -122,7 +126,13 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
             raise IdenticalParticleError("coincident particles with equal velocities")
         return PairApproach(distance=norm(dx), time_at_min=None)
     distance = abs(dot(dx, rotate_quarter(dv))) / norm(dv)
-    time_at_min = -dot(dx, dv) / dot(dv, dv)
+    speed2 = dot(dv, dv)
+    if _NORMAL_MIN <= speed2 <= _NORMAL_MAX:
+        time_at_min = -dot(dx, dv) / speed2
+    else:
+        # |dv|^2 underflows or overflows: project onto the unit direction.
+        speed = norm(dv)
+        time_at_min = -dot(dx, Vec2(dv.x1 / speed, dv.x2 / speed)) / speed
     return PairApproach(distance=distance, time_at_min=time_at_min)
 
 

@@ -294,10 +294,15 @@ def verify_flow(flow: FlowAssignment,
                 exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT) -> FlowReport:
     """Check the unit-distance guarantee and the inequality chain behind it.
 
-    Exhaustive over pairs up to exhaustive_limit, uniformly sampled (seeded)
-    beyond it; the report records which. passed states the flow contract:
-    closest approaches >= 1, chain margins >= -1e-12, injective velocities,
-    speeds within the declared range.
+    First tries the structural certificate (_pairscan.certify), which
+    decides every pair exactly at any window size: mode
+    "exhaustive-structural", minimum exactly 1 at the smallest unit axis
+    pair, chain margins exactly 0. Flows from build_flow with two or more
+    particles have that structure. Without it, the pair engine runs:
+    exhaustive over pairs up to exhaustive_limit, uniformly sampled (seeded)
+    beyond it. The report records which mode ran. passed states the flow
+    contract: closest approaches >= 1, chain margins >= -1e-12, injective
+    velocities, speeds within the declared range.
     """
     P, V = flow.P, flow.V
     n = len(P)
@@ -305,9 +310,11 @@ def verify_flow(flow: FlowAssignment,
         raise ValueError("flow must contain at least one particle")
     W = recovered_field(flow)
 
-    scan = _pairscan.scan(
-        P, V, W, chain_tolerance=CHAIN_TOL, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
+    scan = _pairscan.certify(P, V, W)
+    if scan is None:
+        scan = _pairscan.scan(
+            P, V, W, chain_tolerance=CHAIN_TOL, exhaustive_limit=exhaustive_limit,
+            sample_budget=sample_budget, seed=seed)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
 
     speeds = np.hypot(V[:, 0], V[:, 1])

@@ -13,7 +13,13 @@ import random
 
 import numpy as np
 
-from freedrift.falsifier import Exhausted, FieldKind, ViolationReport
+from freedrift.falsifier import (
+    BUDGET_SPENT,
+    REFINE_CONVERGED,
+    Exhausted,
+    FieldKind,
+    ViolationReport,
+)
 from freedrift.geometry import Vec2, dot, norm, sub
 
 
@@ -203,7 +209,8 @@ def _reference_violation(search, hit, stage):
 def _reference_exhausted(search):
     return Exhausted(best_margin=search.best_margin,
                      best_pair=search.best_pair,
-                     evaluations_used=search.evals)
+                     evaluations_used=search.evals,
+                     note=BUDGET_SPENT if search.out_of_budget() else REFINE_CONVERGED)
 
 
 def _reference_probe_pairs():

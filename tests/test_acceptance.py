@@ -61,7 +61,8 @@ def test_criterion_1_unit_separation(arctan_flows):
     failures = []
     for n in WINDOW_NS:
         flow, report, elapsed = arctan_flows[n]
-        expected_mode = "exhaustive" if n <= 25 else "sampled"
+        # The structural certificate decides every pair at every window.
+        expected_mode = "exhaustive-structural"
         if report.mode != expected_mode:
             failures.append(f"N={n} mode {report.mode}")
         if not report.min_distance >= 1.0 - 1e-9:

@@ -7,11 +7,13 @@ import tracemalloc
 
 import pytest
 
-from freedrift import _pairscan, cli
+from freedrift import _pairscan, cli, cylinders
 from freedrift.cylinders import parse_scene
+from freedrift.evolution import speeds
 from freedrift.formats import parse_particles, parse_report
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
+STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
 # Pairs whose closest approach overflows float64: NaN, then inf.
 HEAD_ON_HUGE = "particles v1\n0,0,0,0\n1e200,1e200,-1e200,-1e200\n"
 PERPENDICULAR_HUGE = "particles v1\n0,0,1e300,0\n1e300,1e300,0,1e300\n"
@@ -157,6 +159,47 @@ def test_non_finite_distance_is_input_error(tmp_path, command, text):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_verify_certifies_every_pair_of_window_100(tmp_path):
+    # 40,401 particles, 816,100,200 pairs: far beyond the engine's
+    # exhaustive limit, all decided by the structural certificate.
+    out = tmp_path / "out"
+    result = run_cli("--command", "verify", "--window", "100", "--out", out)
+    assert result.returncode == 0, result.stderr
+    for name in ("report.txt", "flow_report.txt"):
+        report = parse_report(read(out / name).decode())
+        assert report["mode"] == "exhaustive-structural"
+        assert report["pairs_checked"] == report["pairs_total"] == "816100200"
+        assert report["seed"] == "none"
+        assert report["passed"] == "true"
+
+
+def test_verify_pair_whose_speed_squared_underflows(tmp_path):
+    particles = tmp_path / "pair.txt"
+    particles.write_text("particles v1\n0,0,0,0\n0,1,1e-170,0\n")
+    out = tmp_path / "out"
+    result = run_cli("--command", "verify", "--particles", particles, "--out", out)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    report = parse_report(read(out / "report.txt").decode())
+    assert report["mode"] == "exhaustive-structural"
+    assert (report["min_alltime_distance"], report["witness_pair"],
+            report["witness_time"]) == ("1", "0,1", "0")
+
+
+def test_cylinders_measures_speeds_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(V):
+        calls.append(len(V))
+        return speeds(V)
+
+    monkeypatch.setattr(cli, "speeds", counted)
+    monkeypatch.setattr(cylinders, "speeds", counted)
+    assert cli.main(["--command", "cylinders", "--window", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == [25]
+
+
 @pytest.fixture
 def scan_passes(monkeypatch):
     """The keyword arguments of each pair-engine pass, as they happen."""
@@ -172,12 +215,22 @@ def scan_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ["--command", "verify", "--window", "2"],
+    ["--command", "verify", "--particles", "pair.txt"],
     ["--command", "cylinders", "--window", "2"],
 ])
-def test_each_command_makes_one_pass(tmp_path, scan_passes, args):
-    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
+def test_each_command_makes_one_pass(tmp_path, monkeypatch, scan_passes, args):
+    # Two particles at rest lack the lattice structure, so verify scans.
+    (tmp_path / "pair.txt").write_text(STATIC_PAIR)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*args, "--out", "out"]) == 0
     assert len(scan_passes) == 1
+
+
+def test_verify_of_a_lattice_flow_makes_no_pass(tmp_path, scan_passes):
+    # The structural certificate decides every pair of the flow.
+    assert cli.main(["--command", "verify", "--window", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert scan_passes == []
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "10"])

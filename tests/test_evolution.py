@@ -148,7 +148,7 @@ def test_verify_hardcore_5x5_arctan_flow_zero_margin():
     assert report.passed
     assert report.min_alltime_distance == pytest.approx(1.0, abs=1e-9)
     assert abs(report.margin) <= 1e-9
-    assert report.mode == "exhaustive"
+    assert report.mode == "exhaustive-structural"
     assert report.pairs_checked == report.pairs_total == 25 * 24 // 2
 
 
@@ -206,14 +206,27 @@ def test_slices_never_undercut_alltime_minimum():
         assert report.min_alltime_distance <= _slice_min(slice_at(config, t)) + 1e-9
 
 
-def test_large_window_flow_passes_sampled():
-    # 101x101 lattice: 52M pairs, so the scan switches to seeded sampling.
+def test_large_window_flow_passes_structural():
+    # 101x101 lattice: 52M pairs, beyond the engine's exhaustive limit, all
+    # decided by the structural certificate.
     flow = build_flow(arctan_profile(), Window.square(50), shift_margin=0.5)
     report = verify_hardcore(flow.as_configuration(), threshold=1.0)
-    assert report.mode == "sampled"
-    assert report.seed is not None
+    assert report.mode == "exhaustive-structural"
+    assert report.pairs_checked == report.pairs_total == 10201 * 10200 // 2
+    assert report.seed is None
     assert report.passed
     assert report.min_alltime_distance >= 1.0 - 1e-9
+
+
+def test_flow_without_the_structure_is_sampled_past_the_limit():
+    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
+    V = flow.V.copy()
+    V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
+    report = verify_hardcore(MovingConfiguration(flow.P, V), threshold=1.0,
+                             exhaustive_limit=0, sample_budget=1000, seed=7)
+    assert (report.mode, report.seed) == ("sampled", 7)
+    assert (report.pairs_checked, report.pairs_total) == (1000, 49 * 48 // 2)
+    assert report.passed
 
 
 def test_time_symmetry_exact():

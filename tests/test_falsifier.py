@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from freedrift import geometry
 from freedrift._pairscan import DEFAULT_SEED
 from freedrift.falsifier import (
+    BUDGET_SPENT,
     BUILTIN_FIELDS,
+    REFINE_CONVERGED,
     CandidateField,
     Cone,
     DegenerateSegmentError,
@@ -272,6 +274,23 @@ def test_falsify_exhausted_is_a_value():
     assert isinstance(result, Exhausted)
     assert result.evaluations_used <= 12
     assert result.best_margin < 0
+    assert "certif" in result.note
+
+
+def test_exhausted_note_says_the_budget_ran_out():
+    result = falsify(saturated_radial_field(), c=0.05, budget=12, seed=1)
+    assert result.evaluations_used + 2 > 12
+    assert result.note == BUDGET_SPENT
+    assert "budget exhausted" in result.note
+
+
+def test_exhausted_note_says_refinement_converged():
+    # Refinement stops once its step falls below 1e-9, with budget left.
+    result = falsify(builtin_field("radial"), c=1e-4, budget=20000)
+    assert isinstance(result, Exhausted)
+    assert result.evaluations_used == 15884
+    assert result.note == REFINE_CONVERGED
+    assert "converged with budget left" in result.note
     assert "certif" in result.note
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 import oracles
@@ -82,6 +84,33 @@ def test_moving_point_passes_static_obstacle():
     pa = closest_approach(_v2(0, 0), _v2(1, 0), _v2(3, 1), _v2(0, 0))
     assert pa.distance == pytest.approx(1.0, abs=1e-12)
     assert pa.time_at_min == pytest.approx(3.0, abs=1e-12)
+
+
+def test_underflowing_relative_speed_keeps_a_finite_time():
+    # |dv|^2 = 1e-340 underflows to 0; the time comes from the unit direction.
+    pa = closest_approach(_v2(0, 0), _v2(1e-170, 0), _v2(0, 1), _v2(0, 0))
+    assert pa.distance == 1.0
+    assert pa.time_at_min == 0.0
+    pa = closest_approach(_v2(0, 0), _v2(1e-170, 0), _v2(-3, 1), _v2(0, 0))
+    assert pa.distance == 1.0
+    assert pa.time_at_min == pytest.approx(-3e170, rel=1e-15)
+
+
+def test_underflowing_relative_speed_with_numpy_floats():
+    x, y, zero = (np.float64(v) for v in (0.0, 1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        pa = closest_approach(Vec2(zero, zero), Vec2(np.float64(1e-170), zero),
+                              Vec2(x, y), Vec2(zero, zero))
+    assert pa.distance == 1.0
+    assert math.isfinite(pa.time_at_min) and pa.time_at_min == 0.0
+
+
+def test_overflowing_relative_speed_keeps_a_finite_time():
+    # |dv|^2 = 1e400 overflows to inf, which left the time NaN.
+    pa = closest_approach(_v2(0, 0), _v2(1e200, 0), _v2(-3e200, 1), _v2(0, 0))
+    assert pa.distance == 1.0
+    assert pa.time_at_min == -3.0
 
 
 def test_identical_particles_rejected():

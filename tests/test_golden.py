@@ -7,7 +7,11 @@ give the `witness_time = all-times` marker, and radial `falsify` runs once
 to a violation and once to an exhausted budget. The pinned hashes were
 taken from the code before the array representation and before the report
 dataclasses became the report schema, so any change to an emitted byte, in
-value, order or formatting, fails here.
+value, order or formatting, fails here. Since then only two kinds of line
+have changed on purpose: the verify reports' `mode` line, now
+`exhaustive-structural` for the certified lattice rows, and the exhausted
+falsify report's `note`, which now says refinement converged with budget
+left.
 """
 import hashlib
 import random
@@ -22,7 +26,7 @@ GOLDEN = {
         "particles.txt": "fe020c5ff806287dd6e44f88fbf42f4d5b4a8c15ef7ca13bc6fb7ac1a73d9016",
     },
     "verify": {
-        "report.txt": "0b4ce8cf79cfa45c200c3045e612b35c95e5427020707b77ce7f8b17bc2eebf1",
+        "report.txt": "946f9c18c7eae067133f940eaa11db3cb0756a91465a00749995bd002573639e",
     },
     "cylinders": {
         "cylinder_report.txt": "c60189203233f00f72765db295452f395d29b2f24e5db1e8f73806e774f1d7b3",
@@ -37,8 +41,8 @@ GOLDEN = {
         "frame0004.svg": "da888e63efaad968c5a6b161bc6c7483e7558f23a2f104e5d5a2866e3131a04f",
     },
     "verify-flow": {
-        "report.txt": "18c363036da6d3cad8889a65b0c9ae5a72f254afe5c60e3237c88cb803c224e3",
-        "flow_report.txt": "27ce26eee815069f86b44615c39be8e837066035941f04b4b4ae7a36d55bddae",
+        "report.txt": "a0743dd48c1285a2137f45010a1f7833fd4552d0450fe575a1408e80c7586e90",
+        "flow_report.txt": "0af3d871ad8abac1a53c19a5f306109608305d9f1052269e3558f6fdca5f2ae0",
     },
     "verify-static": {
         "report.txt": "aaba9774491ab920b25e036ef10c321a9db57663efd96e16df7c94e711fd094f",
@@ -47,7 +51,7 @@ GOLDEN = {
         "falsify_report.txt": "601cf9c96ab4b608789be974e1222c098c1d5b211a4d26175a81643ae4494e42",
     },
     "falsify-exhausted": {
-        "falsify_report.txt": "2eb6723a86ad629d8ccb1e9f6418f1ccd9eab479ee6f70bae88fc14204695f45",
+        "falsify_report.txt": "6c1358f0d404182c2c435507385bb637d6dc3ebbf8b882bf53e5607dd939666e",
     },
 }
 

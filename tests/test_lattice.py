@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
-from freedrift.evolution import verify_hardcore
+from freedrift import _pairscan
+from freedrift.evolution import MovingConfiguration, verify_hardcore
 from freedrift.geometry import Vec2, closest_approach, separation_margin
 from freedrift.lattice import (
     DISK_RADIUS,
@@ -282,4 +285,73 @@ def test_chain_margins_across_profiles_and_windows():
 def test_flow_feeds_hardcore_verifier():
     flow = build_flow(rational_profile(), Window.square(2), shift_margin=0.5)
     report = verify_hardcore(flow.as_configuration(), threshold=1.0)
+    assert report.passed
+
+
+def _with_velocities(flow, V):
+    return FlowAssignment(P=flow.P, V=V, shift=flow.shift,
+                          speed_min=flow.speed_min, speed_max=flow.speed_max,
+                          disk_radius=flow.disk_radius)
+
+
+def test_certified_reports_match_the_engine(monkeypatch):
+    """Apart from the mode, certifying gives the engine's report values."""
+    for phi in all_profiles():
+        flow = build_flow(phi, Window(-3, 2, -1, 4), shift_margin=0.5)
+        config = flow.as_configuration()
+        report, hardcore = verify_flow(flow), verify_hardcore(config)
+        assert report.mode == hardcore.mode == "exhaustive-structural"
+        assert report.scan == _pairscan.certify(flow.P, flow.V, recovered_field(flow))
+        with monkeypatch.context() as m:
+            m.setattr(_pairscan, "certify", lambda *args: None)
+            engine, engine_hardcore = verify_flow(flow), verify_hardcore(config)
+        assert engine.mode == engine_hardcore.mode == "exhaustive"
+        assert dataclasses.replace(report, mode="exhaustive") == engine
+        assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
+
+
+def _nudged(V):
+    V = V.copy()
+    V[7, 0] = np.nextafter(V[7, 0], -np.inf)
+    return V
+
+
+@pytest.mark.parametrize("refused", [_nudged, lambda V: V[:, ::-1].copy()],
+                         ids=["nudged", "swapped"])
+def test_refused_flow_runs_the_engine(refused):
+    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
+    V = refused(flow.V)
+    W = recovered_field(_with_velocities(flow, V))
+    assert _pairscan.certify(flow.P, V, W) is None
+    report = verify_flow(_with_velocities(flow, V))
+    assert report.mode == "exhaustive"
+    assert report.scan == _pairscan.scan(flow.P, V, W)
+    config = MovingConfiguration(flow.P, V)
+    assert verify_hardcore(config) == verify_hardcore(
+        config, scan=_pairscan.scan(flow.P, V))
+
+
+@pytest.mark.parametrize("P, V", [
+    # A shared position: the engine reports that pair at distance 0.
+    ([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]),
+    # A float gap of exactly 1.0 whose exact gap is below 1, beside the
+    # unit axis pair (1, 2).
+    ([[2.0 ** -60, 0.0], [1.0, 0.0], [1.0, 1.0]],
+     [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]),
+], ids=["shared-position", "inexact-gap"])
+def test_refused_configuration_runs_the_engine(P, V):
+    config = MovingConfiguration(np.array(P), np.array(V))
+    assert _pairscan.certify(config.P, config.V) is None
+    report = verify_hardcore(config)
+    assert report.mode == "exhaustive"
+    assert report == verify_hardcore(config, scan=_pairscan.scan(config.P, config.V))
+
+
+def test_flow_beyond_the_exhaustive_limit_is_certified():
+    flow = build_flow(arctan_profile(), Window.square(50), shift_margin=0.5)
+    report = verify_flow(flow)
+    assert report.mode == "exhaustive-structural" and report.seed is None
+    assert report.pairs_checked == report.pairs_total == 10201 * 10200 // 2
+    assert (report.min_distance, report.witness_pair) == (1.0, (0, 1))
+    assert (report.chain_dot_margin, report.chain_norm_margin) == (0.0, 0.0)
     assert report.passed

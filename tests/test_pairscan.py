@@ -5,6 +5,7 @@ fall across tile boundaries. `reference` evaluates every pair at once with
 the per-pair gather formulas the engine's kernels must reproduce bit for
 bit; `geometry` and `oracles` check the values independently.
 """
+import dataclasses
 import math
 from unittest import mock
 
@@ -21,7 +22,15 @@ from freedrift.geometry import (
     closest_approach,
     line_distance_3d,
 )
-from freedrift.lattice import Window, arctan_profile, build_flow, recovered_field
+from freedrift.lattice import (
+    Window,
+    arctan_profile,
+    build_flow,
+    rational_profile,
+    recovered_field,
+    table_profile,
+    tanh_profile,
+)
 from oracles import line_grid_min_distance, time_grid_min_distance
 
 TILES = (1, 2, 3, 5, 8, 1 << 13)
@@ -297,3 +306,210 @@ def test_non_finite_chain_margin_names_the_pair():
     W = np.array([[0.0, 0.0], [1e200, 0.0]])
     with pytest.raises(ValueError, match=r"chain dot margin of pair \(0, 1\)"):
         _pairscan.scan(P, np.eye(2), W)
+
+
+# The structural certificate: every pair decided from the lattice structure.
+
+PROFILES = {
+    "arctan": arctan_profile(),
+    "rational": rational_profile(),
+    "tanh": tanh_profile(),
+    "table": table_profile((n, math.atan(n / 3.0) + n / 100.0) for n in range(-12, 13)),
+}
+
+
+def smallest_unit_axis_pair(P):
+    """First pair (i < j), lexicographically, one coordinate shared and the
+    other exactly 1 apart; P holds integers, so float differences are exact."""
+    n = len(P)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sorted(np.abs(P[j] - P[i]).tolist()) == [0.0, 1.0]:
+                return i, j
+    return None
+
+
+def assert_certified(cert, P, V, W=None):
+    n = len(P)
+    assert cert.mode == "exhaustive-structural" and cert.seed is None
+    assert cert.pairs_total == cert.pairs_checked == n * (n - 1) // 2
+    assert cert.min_distance == 1.0
+    assert cert.witness == smallest_unit_axis_pair(P)
+    assert (cert.line_distance, cert.failures, cert.failure_count) == (None, (), 0)
+    margins = (0.0, 0.0) if W is not None else (None, None)
+    assert (cert.dot_margin, cert.norm_margin) == margins
+    i, j = cert.witness
+    oracle, _ = time_grid_min_distance(P[i], V[i], P[j], V[j])
+    assert oracle == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_certificate_agrees_with_engine_on_windows(name):
+    for n in range(13):
+        flow = build_flow(PROFILES[name], Window.square(n), 0.5)
+        W = recovered_field(flow)
+        cert = _pairscan.certify(flow.P, flow.V, W)
+        if n == 0:
+            assert cert is None  # one particle, no pair
+            continue
+        scan = _pairscan.scan(flow.P, flow.V, W)
+        assert_certified(cert, flow.P, flow.V, W)
+        assert (scan.min_distance, scan.witness) == (1.0, (0, 1)) == \
+            (cert.min_distance, cert.witness)
+        assert (scan.dot_margin, scan.norm_margin) == (0.0, 0.0)
+        assert scan.pairs_total == cert.pairs_total
+
+
+@pytest.mark.parametrize("n", [25, 32])
+def test_certificate_agrees_with_engine_on_large_arctan_windows(n):
+    flow = build_flow(arctan_profile(), Window.square(n), 0.5)
+    W = recovered_field(flow)
+    cert = _pairscan.certify(flow.P, flow.V, W)
+    scan = _pairscan.scan(flow.P, flow.V, W)
+    assert cert.mode == "exhaustive-structural" and scan.mode == "exhaustive"
+    assert cert.pairs_checked == scan.pairs_checked == scan.pairs_total
+    assert (cert.min_distance, cert.witness) == (scan.min_distance, scan.witness) \
+        == (1.0, (0, 1))
+    assert (cert.dot_margin, cert.norm_margin) == (scan.dot_margin, scan.norm_margin) \
+        == (0.0, 0.0)
+
+
+@st.composite
+def lattice_rows(draw):
+    """Rows of a small flow on a random rectangle, shuffled and thinned."""
+    x_lo, y_lo = draw(st.integers(-5, 3)), draw(st.integers(-5, 3))
+    window = Window(x_lo, x_lo + draw(st.integers(0, 4)),
+                    y_lo, y_lo + draw(st.integers(0, 4)))
+    flow = build_flow(PROFILES[draw(st.sampled_from(sorted(PROFILES)))], window, 0.5)
+    n = len(flow.P)
+    order = draw(st.permutations(range(n)))
+    keep = [k for k in order if draw(st.booleans())] if draw(st.booleans()) else order
+    rows = np.array(keep, dtype=int)
+    return flow.P[rows], flow.V[rows], recovered_field(flow)[rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_rows())
+def test_certificate_on_shuffled_and_sparse_rows(rows):
+    P, V, W = rows
+    cert = _pairscan.certify(P, V, W)
+    if smallest_unit_axis_pair(P) is None:
+        assert cert is None
+        return
+    assert_certified(cert, P, V, W)
+    assert _pairscan.certify(P, V) == dataclasses.replace(
+        cert, dot_margin=None, norm_margin=None)
+    scan = _pairscan.scan(P, V, W)
+    assert scan.min_distance == pytest.approx(1.0, abs=1e-12)
+    assert min(scan.dot_margin, scan.norm_margin) >= -TOL
+
+
+def test_checkerboard_has_no_unit_axis_pair():
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    black = (flow.P.sum(axis=1) % 2) == 0
+    assert _pairscan.certify(flow.P[black], flow.V[black]) is None
+
+
+def _flow_arrays():
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    return flow.P.copy(), flow.V.copy(), recovered_field(flow)
+
+
+def _nudged():
+    P, V, W = _flow_arrays()
+    V[20, 1] = np.nextafter(V[20, 1], np.inf)  # V1 no longer a function of x1
+    return P, V
+
+
+def _swapped():
+    P, V, _ = _flow_arrays()
+    return P, V[:, ::-1].copy()
+
+
+def _shared_position():
+    P, V, _ = _flow_arrays()
+    P[9] = P[8]
+    return P, V
+
+
+def _duplicate_row():
+    # One particle twice: the velocity structure still holds.
+    P, V, _ = _flow_arrays()
+    return np.vstack((P, P[:1])), np.vstack((V, V[:1]))
+
+
+# Rows 1 and 2 are a unit axis pair; rows 0 and 1 are closer than 1.
+CLOSE_V = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+
+
+def _inexact_gap():
+    # 1.0 - 2**-60 rounds to 1.0, but the exact gap is below 1.
+    return np.array([[2.0 ** -60, 0.0], [1.0, 0.0], [1.0, 1.0]]), CLOSE_V
+
+
+def _close_columns():
+    return np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0]]), CLOSE_V
+
+
+BLOCK = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+def _flat_v0():
+    # V0 constant, so not strictly increasing in x2; V1 = -x1 is fine.
+    return BLOCK, np.column_stack((np.zeros(4), -BLOCK[:, 0]))
+
+
+def _flat_v1():
+    # V1 constant, so not strictly decreasing in x1; V0 = x2 is fine.
+    return BLOCK, np.column_stack((BLOCK[:, 1], np.zeros(4)))
+
+
+def _velocity_overflow():
+    # dv0 = 2e308 overflows, so the witness would get no finite time.
+    return np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[-1e308, 0.0], [1e308, 0.0]])
+
+
+def _rows(text):
+    A = np.array([[float(v) for v in line.split(",")]
+                  for line in text.splitlines()[1:]])
+    return A[:, :2], A[:, 2:]
+
+
+@pytest.mark.parametrize("case", [
+    _nudged, _swapped, _shared_position, _duplicate_row, _inexact_gap,
+    _close_columns, _flat_v0, _flat_v1, _velocity_overflow,
+    lambda: _rows("particles v1\n0,0,0,0\n1e200,1e200,-1e200,-1e200\n"),
+    lambda: _rows("particles v1\n0,0,1e300,0\n1e300,1e300,0,1e300\n"),
+], ids=["nudged", "swapped", "shared-position", "duplicate-row", "inexact-gap",
+        "close-columns", "flat-v0", "flat-v1", "velocity-overflow",
+        "head-on-huge", "perpendicular-huge"])
+def test_certificate_refuses(case):
+    P, V = case()
+    assert _pairscan.certify(P, V) is None
+
+
+def test_certificate_refuses_a_field_without_the_structure():
+    P, V, W = _flow_arrays()
+    assert _pairscan.certify(P, V, W) is not None
+    assert _pairscan.certify(P, V, -W) is None
+    W[4, 1] = np.nextafter(W[4, 1], -np.inf)  # W1 no longer a function of x2
+    assert _pairscan.certify(P, V, W) is None
+
+
+def test_certificate_accepts_exact_unit_gaps_off_the_integers():
+    P = np.array([[0.5, 0.25], [1.5, 0.25]])
+    V = np.array([[0.0, 1.0], [0.0, -1.0]])
+    cert = _pairscan.certify(P, V)
+    assert (cert.min_distance, cert.witness) == (1.0, (0, 1))
+
+
+def test_certificate_names_the_exact_minimizer():
+    # Pair (0, 1) is 1 + 2**-60 apart in x1, which rounds to 1.0, so the
+    # float engine reports it first; its exact closest approach exceeds 1.
+    # The exact minimum 1 is attained only at the unit axis pair (1, 2).
+    P = np.array([[-2.0 ** -60, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    V = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    scan = _pairscan.scan(P, V)
+    assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
+    cert = _pairscan.certify(P, V)
+    assert (cert.min_distance, cert.witness) == (1.0, (1, 2))
