@@ -3,10 +3,10 @@
 Shared by the flow, hard-core, and cylinder verifiers. `scan` evaluates
 every requested kernel on the same pairs in a single pass: closest approach
 always (every verdict rests on it), the inequality chain when a field W is
-given, and worldline distance on request. Each command makes one pass:
-`verify` scans closest approach plus chain once and hands the result to
-both verifiers, `cylinders` scans closest approach plus worldline distance
-once.
+given, and worldline distance on request. A command that needs the engine
+makes one pass: `verify` scans closest approach plus chain once and hands
+the result to both verifiers, `cylinders` scans closest approach plus
+worldline distance once.
 
 Up to a pair-count limit the pass is exhaustive. It walks upper-triangle
 tiles of about TILE_PAIRS pairs: a block of rows [a, b) against the columns
@@ -28,7 +28,9 @@ for float64) raises ValueError naming the pair, never a silent verdict.
 `certify` is the engine's shortcut for lattice flows. It checks, in
 O(n log n), the structure under which every closest approach is at least 1
 with equality exactly at unit axis pairs, and then reports the exact
-minimum over all pairs without visiting them. The flow and hard-core
+minimum over all pairs without visiting them. On request it also gives the
+exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
+in absolute value, rounded down to a double. The flow, hard-core and scene
 verifiers call it first and run `scan` only when it returns None.
 """
 from __future__ import annotations
@@ -134,14 +136,16 @@ def _closest(dx0, dx1, num, dv_norm):
     return out
 
 
-def _worldline(dx0, dx1, dv0, dv1, num, vi, vj, len_i, len_j):
+def _worldline(dx0, dx1, dv0, dv1, num, vi, len_i, len_j):
     """Distance between worldlines (x_i + t v_i, t) and (x_j + t v_j, t).
 
     The direction cross product (v_i, 1) x (v_j, 1) is (-dv1, dv0, n3), so
     the skew distance is |dx x dv| / |cross|; parallel lines take the
-    distance from x_j to the line of i.
+    distance from x_j to the line of i. n3 = v_i x v_j is computed as
+    v_i x dv, equal in exact arithmetic: for nearly equal velocities the
+    products of v_i x v_j cancel and lose most of their digits.
     """
-    n3 = vi[0] * vj[1] - vi[1] * vj[0]
+    n3 = vi[0] * dv1 - vi[1] * dv0
     cross_norm = np.sqrt(dv1 * dv1 + dv0 * dv0 + n3 * n3)
     out = num / cross_norm
     parallel = cross_norm < PARALLEL_EPS * len_i * len_j
@@ -288,8 +292,7 @@ def scan(P, V, W=None, *, worldline: bool = False,
             closest.offer(chunk, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
             if line is not None:
                 line.offer(chunk, _worldline(
-                    dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),
-                    length[i], length[j]))
+                    dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), length[i], length[j]))
             if chain is not None:
                 chain.offer(chunk, *_chain(dx0, dx1, wx[j] - wx[i], wy[j] - wy[i]))
     return PairScan(
@@ -308,7 +311,7 @@ def scan(P, V, W=None, *, worldline: bool = False,
     )
 
 
-def certify(P, V, W=None) -> PairScan | None:
+def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
     """Decide every pair at once from the structure of a lattice flow, or
     return None when that structure is absent.
 
@@ -325,10 +328,21 @@ def certify(P, V, W=None) -> PairScan | None:
     W1 of x2 alone give <d, dW> = |d1||dW0| + |d2||dW1| >= |dW0| + |dW1|
     >= |dW|, so both chain margins have minimum exactly 0, at the same pair.
 
+    With worldline, also the minimum distance between worldlines
+    (x, 0) + t (v, 1). Their normal is (-dv1, dv0, v_i x dv) and
+    |v_i x dv| <= S (|dv0| + |dv1|) with S = max_i max(|V_i0|, |V_i1|), so
+    every worldline distance is at least 1/sqrt(1 + S^2). A unit axis pair
+    whose shared velocity component c has |c| = S attains it exactly, and
+    only such pairs do. The smallest of them (i < j) is the witness, and
+    line_distance is the largest double not above 1/sqrt(1 + S^2). When no
+    unit axis pair attains S the bound may not be the minimum, and the
+    result is None.
+
     Every test compares the given doubles exactly: a coordinate gap that
-    rounds to 1.0 is decided with Fraction. Velocity differences must be
-    finite, so the witness has a finite closest-approach time. The result
-    has mode "exhaustive-structural" and counts every pair as checked.
+    rounds to 1.0 is decided in integer arithmetic. Velocity differences
+    must be finite, so the witness has a finite closest-approach time. The
+    result has mode "exhaustive-structural" and counts every pair as
+    checked.
     """
     n = len(P)
     if n < 2:
@@ -352,9 +366,19 @@ def certify(P, V, W=None) -> PairScan | None:
             or (W is not None and not (one.function(w0, np.greater_equal)
                                        and two.function(w1, np.greater_equal)))):
         return None
-    pairs = [p for p in (one.unit_pair(two), two.unit_pair(one)) if p is not None]
-    if not pairs:
+    witness = _smallest(one.unit_pair(two), two.unit_pair(one))
+    if witness is None:
         return None
+    line_distance = line_witness = None
+    if worldline:
+        a0, a1 = np.abs(v0), np.abs(v1)
+        s = float(max(a0.max(), a1.max()))
+        # Pairs in one x1 column share V1, pairs in one x2 row share V0.
+        line_witness = _smallest(one.unit_pair(two, a1 == s),
+                                 two.unit_pair(one, a0 == s))
+        if line_witness is None:
+            return None
+        line_distance = _inverse_hypot_down(s)
     total = pair_count(n)
     return PairScan(
         pairs_total=total,
@@ -362,7 +386,9 @@ def certify(P, V, W=None) -> PairScan | None:
         mode="exhaustive-structural",
         seed=None,
         min_distance=1.0,
-        witness=min(pairs),
+        witness=witness,
+        line_distance=line_distance,
+        line_witness=line_witness,
         dot_margin=0.0 if W is not None else None,
         norm_margin=0.0 if W is not None else None,
     )
@@ -394,19 +420,47 @@ class _Axis:
         s = values[self.order]
         return bool(np.where(self.new, across(s[1:], s[:-1]), s[1:] == s[:-1]).all())
 
-    def unit_pair(self, cross: "_Axis") -> tuple[int, int] | None:
+    def unit_pair(self, cross: "_Axis", mask=None) -> tuple[int, int] | None:
         """The smallest pair (i < j) of rows that share this key and whose
-        other coordinates are exactly 1 apart (cross sorts by them)."""
+        other coordinates are exactly 1 apart (cross sorts by them). With
+        mask, one bool per row and a function of the key, only pairs of
+        selected rows."""
         rows = self.order
         r = cross.rank[rows]
         step = np.flatnonzero(~self.new & (r[1:] == r[:-1] + 1))
         step = step[cross.unit[r[step]]]
+        if mask is not None:
+            step = step[mask[rows[step]]]
         if not step.size:
             return None
         a, b = rows[step], rows[step + 1]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         k = int(np.argmin(lo * len(rows) + hi))
         return int(lo[k]), int(hi[k])
+
+
+def _smallest(*pairs):
+    return min((p for p in pairs if p is not None), default=None)
+
+
+def _inverse_hypot_down(s: float) -> float:
+    """The largest double not above 1/sqrt(1 + s^2), for finite s.
+
+    Decided exactly on integer ratios: a double is a ratio of integers.
+    """
+    sn, sd = s.as_integer_ratio()
+
+    def above(d: float) -> bool:
+        """Whether d^2 (1 + s^2) > 1."""
+        dn, dd = d.as_integer_ratio()
+        return dn * dn * (sd * sd + sn * sn) > (dd * sd) ** 2
+
+    d = 1.0 / math.hypot(1.0, s)
+    while above(d):
+        d = math.nextafter(d, 0.0)
+    while not above(up := math.nextafter(d, math.inf)):
+        d = up
+    return d
 
 
 def _unit_gaps(lo, hi):
@@ -417,14 +471,14 @@ def _unit_gaps(lo, hi):
         return None
     unit = gap == 1.0
     tied = np.flatnonzero(unit)
-    if tied.size:
-        # The float difference rounds; decide these gaps exactly.
-        from fractions import Fraction
-        for k, a, b in zip(tied.tolist(), lo[tied].tolist(), hi[tied].tolist()):
-            exact = Fraction(b) - Fraction(a)
-            if exact < 1:
-                return None
-            unit[k] = exact == 1
+    # The float difference rounds; decide these gaps exactly, on the
+    # integer ratios a = an/ad, b = bn/bd: b - a - 1 has the sign of over.
+    for k, a, b in zip(tied.tolist(), lo[tied].tolist(), hi[tied].tolist()):
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        over = bn * ad - an * bd - ad * bd
+        if over < 0:
+            return None
+        unit[k] = over == 0
     return unit
 
 

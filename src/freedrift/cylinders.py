@@ -6,6 +6,11 @@ two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
 builds such scenes, verifies the distance and nonparallelity claims, and
 round-trips scenes through a plain text format.
+
+For a lattice flow the verification needs no pass over the pairs: the
+structural certificate gives the exact worldline minimum 1/sqrt(1+S^2),
+S the largest velocity component in absolute value, at least the floor
+above because S <= M. Other configurations go through the pair engine.
 """
 from __future__ import annotations
 
@@ -188,6 +193,14 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     condition, checked in the same pass over the pairs; the speed ceiling
     M is measured here, never trusted from metadata, and the radius is
     checked against it before the pass.
+
+    A configuration with the structure of a lattice flow is decided by the
+    structural certificate (_pairscan.certify with worldline): the exact
+    minima over all pairs, mode "exhaustive-structural". Its worldline
+    minimum is rounded down, so it passes when it is at least the required
+    distance, with no tolerance; the structure makes velocities injective,
+    so no duplicate directions exist. When the certificate is absent or
+    falls short of the required distance, the pair engine decides.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -201,19 +214,26 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     if radius > floor / 2.0 * RADIUS_SLACK:
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
-    scan = _pairscan.scan(
-        P, V, worldline=True, exhaustive_limit=exhaustive_limit,
-        sample_budget=sample_budget, seed=seed)
+    required = max(2.0 * radius, floor)
+
+    scan = _pairscan.certify(P, V, worldline=True)
+    certified = scan is not None and scan.line_distance >= required
+    if not certified:
+        scan = _pairscan.scan(
+            P, V, worldline=True, exhaustive_limit=exhaustive_limit,
+            sample_budget=sample_budget, seed=seed)
     hardcore = verify_hardcore(config, 1.0, scan=scan)
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
 
-    required = max(2.0 * radius, floor)
     margin = scan.line_distance - required
-    distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
-
-    dup_count, dup_pairs = _pairscan.duplicate_rows(V)
+    if certified:
+        distances_ok = True
+        dup_count, dup_pairs = 0, ()
+    else:
+        distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
+        dup_count, dup_pairs = _pairscan.duplicate_rows(V)
     nonparallel_ok = dup_count == 0
 
     return SceneReport(

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Everything here minimizes on grids and refines; nothing reuses the closed
+The grid oracles minimize on grids and refine; nothing reuses the closed
 forms under test. Brackets are derived from norms (Cauchy-Schwarz bounds) or
-grown until the minimizer stops landing on the boundary. The falsifier
+grown until the minimizer stops landing on the boundary. The exact oracle
+evaluates the squared worldline distance in rationals on the given doubles,
+with no rounding at all, to decide last-bit questions. The falsifier
 reference is the `Vec2` formulation of the search, kept to pin the float
 search bit for bit.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,6 +86,25 @@ def line_grid_min_distance(p1, d1, p2, d2, half: float = 64.0,
         else:
             half = 4.0 * (2.0 * half / (points - 1))
     return best
+
+
+def exact_line_distance_sq(P, V, i, j) -> Fraction:
+    """Exact squared distance between the worldlines (P[k], 0) + t (V[k], 1)
+    of rows i and j, in rationals on the given doubles.
+
+    The offset (d, 0) projected on the normal a x b of the directions
+    a = (V[i], 1), b = (V[j], 1); for parallel lines (a = b), the offset's
+    distance from the line of i.
+    """
+    d0, d1 = (Fraction(float(P[j][k])) - Fraction(float(P[i][k])) for k in (0, 1))
+    a0, a1, b0, b1 = (Fraction(float(x)) for x in (V[i][0], V[i][1], V[j][0], V[j][1]))
+    normal = (a1 - b1, b0 - a0, a0 * b1 - a1 * b0)
+    normal_sq = sum(c * c for c in normal)
+    if normal_sq:
+        return (d0 * normal[0] + d1 * normal[1]) ** 2 / normal_sq
+    # (d, 0) x (a, 1) over |(a, 1)|.
+    cross = (d1, -d0, d0 * a1 - d1 * a0)
+    return sum(c * c for c in cross) / (a0 * a0 + a1 * a1 + 1)
 
 
 def scalar_grid_min(m: float, lo: float = 0.0, hi: float = 1.0,

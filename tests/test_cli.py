@@ -5,12 +5,14 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from freedrift import _pairscan, cli, cylinders
-from freedrift.cylinders import parse_scene
+from freedrift.cylinders import lemma1_bound, parse_scene
 from freedrift.evolution import speeds
-from freedrift.formats import parse_particles, parse_report
+from freedrift.formats import parse_particles, parse_report, particles_document
+from freedrift.lattice import Window, arctan_profile, build_flow
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
@@ -173,6 +175,18 @@ def test_verify_certifies_every_pair_of_window_100(tmp_path):
         assert report["passed"] == "true"
 
 
+def test_cylinders_certifies_every_pair_of_window_100(tmp_path):
+    out = tmp_path / "out"
+    result = run_cli("--command", "cylinders", "--window", "100", "--out", out)
+    assert result.returncode == 0, result.stderr
+    report = parse_report(read(out / "cylinder_report.txt").decode())
+    assert report["mode"] == "exhaustive-structural"
+    assert report["pairs_checked"] == report["pairs_total"] == "816100200"
+    assert report["seed"] == "none"
+    assert report["passed"] == "true"
+    assert float(report["min_line_distance"]) >= float(report["required_distance"])
+
+
 def test_verify_pair_whose_speed_squared_underflows(tmp_path):
     particles = tmp_path / "pair.txt"
     particles.write_text("particles v1\n0,0,0,0\n0,1,1e-170,0\n")
@@ -216,10 +230,10 @@ def scan_passes(monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["--command", "verify", "--particles", "pair.txt"],
-    ["--command", "cylinders", "--window", "2"],
+    ["--command", "cylinders", "--particles", "pair.txt"],
 ])
 def test_each_command_makes_one_pass(tmp_path, monkeypatch, scan_passes, args):
-    # Two particles at rest lack the lattice structure, so verify scans.
+    # Two particles at rest lack the lattice structure, so each command scans.
     (tmp_path / "pair.txt").write_text(STATIC_PAIR)
     monkeypatch.chdir(tmp_path)
     assert cli.main([*args, "--out", "out"]) == 0
@@ -231,6 +245,75 @@ def test_verify_of_a_lattice_flow_makes_no_pass(tmp_path, scan_passes):
     assert cli.main(["--command", "verify", "--window", "2",
                      "--out", str(tmp_path / "out")]) == 0
     assert scan_passes == []
+
+
+def test_cylinders_of_a_lattice_flow_makes_no_pass(tmp_path, scan_passes):
+    # The certificate also gives the exact worldline minimum.
+    assert cli.main(["--command", "cylinders", "--window", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert scan_passes == []
+    report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
+    assert report["mode"] == "exhaustive-structural"
+
+
+def _window3():
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    return flow.P.copy(), flow.V.copy()
+
+
+def _nudged():
+    P, V = _window3()
+    V[20, 1] = np.nextafter(V[20, 1], np.inf)  # V1 no longer a function of x1
+    return P, V, []
+
+
+def _swapped():
+    P, V = _window3()
+    return P, V[:, ::-1].copy(), []
+
+
+def _sparse():
+    # S is attained only along the row x2 = 3; keep every other point of it,
+    # so no unit axis pair attains the worldline bound.
+    P, V = _window3()
+    keep = ~((P[:, 1] == 3.0) & (P[:, 0] % 2 == 1))
+    return P[keep], V[keep], []
+
+
+def _radius_above_certificate():
+    # S = 2 at the unit pair and the speed ceiling rounds to 2 as well, so a
+    # radius at the slack's edge requires more than the rounded-down
+    # certificate value 1/sqrt(5); the engine passes it within its tolerance.
+    P = np.array([[0.0, 0.0], [1.0, 0.0]])
+    V = np.array([[2.0, 1e-12], [2.0, 0.0]])
+    radius = lemma1_bound(2.0) / 2.0 * (1.0 + 1e-13)
+    cert = _pairscan.certify(P, V, worldline=True)
+    assert cert.line_distance < 2.0 * radius
+    return P, V, ["--radius", repr(radius)]
+
+
+@pytest.mark.parametrize("case", [_nudged, _swapped, _sparse, _radius_above_certificate],
+                         ids=["nudged", "swapped", "sparse", "radius"])
+def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsys,
+                                                    scan_passes, case):
+    P, V, extra = case()
+    (tmp_path / "rows.txt").write_text(particles_document(P, V))
+    monkeypatch.chdir(tmp_path)
+    args = ["--command", "cylinders", "--particles", "rows.txt", *extra]
+    code = cli.main([*args, "--out", "out"])
+    printed = capsys.readouterr()
+    assert len(scan_passes) == 1
+    # The same run with no certificate at all: the engine's bytes.
+    monkeypatch.setattr(_pairscan, "certify", lambda *a, **kw: None)
+    assert cli.main([*args, "--out", "engine"]) == code
+    assert capsys.readouterr() == printed
+    written = sorted(p.name for p in (tmp_path / "engine").glob("*"))
+    assert sorted(p.name for p in (tmp_path / "out").glob("*")) == written
+    for name in written:
+        assert read(tmp_path / "out" / name) == read(tmp_path / "engine" / name)
+    if written:
+        report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
+        assert report["mode"] == "exhaustive"
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "10"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from freedrift.geometry import (
     rotate_quarter,
     separation_margin,
 )
+from freedrift.lattice import Window, build_flow, tanh_profile
 
 
 def _v2(a, b):
@@ -308,6 +310,19 @@ def test_line_distance_matches_grid_oracle_on_random_lines():
         closed = line_distance_3d(_v3(*p1), _v3(*d1), _v3(*p2), _v3(*d2))
         assert oracles.line_grid_min_distance(p1, d1, p2, d2) == pytest.approx(
             closed, abs=1e-6)
+
+
+def test_nearly_parallel_worldlines_keep_their_digits():
+    # Rows 260 and 299 of the tanh window-19 flow: neighbouring columns whose
+    # velocities differ by about 6.5e-11. d1 x d2 taken directly cancels
+    # products near 2.9 down to that size and gives 0.3245685681463485.
+    flow = build_flow(tanh_profile(), Window.square(19), 0.5)
+    P, V = flow.P, flow.V
+    i, j = 260, 299
+    d = line_distance_3d(_v3(*P[i], 0), _v3(*V[i], 1), _v3(*P[j], 0), _v3(*V[j], 1))
+    assert d == 0.32456874820913106
+    exact_sq = oracles.exact_line_distance_sq(P, V, i, j)
+    assert abs(Fraction(d) ** 2 / exact_sq - 1) <= Fraction(8, 2 ** 52)
 
 
 def test_nearly_parallel_lines_use_projection_branch():

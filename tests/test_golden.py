@@ -7,11 +7,16 @@ give the `witness_time = all-times` marker, and radial `falsify` runs once
 to a violation and once to an exhausted budget. The pinned hashes were
 taken from the code before the array representation and before the report
 dataclasses became the report schema, so any change to an emitted byte, in
-value, order or formatting, fails here. Since then only two kinds of line
-have changed on purpose: the verify reports' `mode` line, now
-`exhaustive-structural` for the certified lattice rows, and the exhausted
+value, order or formatting, fails here. Since then only three kinds of
+line have changed on purpose: the verify reports' `mode` line, now
+`exhaustive-structural` for the certified lattice rows; the exhausted
 falsify report's `note`, which now says refinement converged with budget
-left.
+left; and four lines of the cylinder report, which the certificate now
+decides: `mode` (`exhaustive-structural`), `min_line_distance` (the exact
+minimum rounded down, 0.23962428925284718, where the engine read
+0.23962428925284585), `witness_pair` (the smallest exact minimiser, 2,102,
+where the engine found 102,359) and `distance_margin`, which follows.
+`scene.txt` is unchanged.
 """
 import hashlib
 import random
@@ -29,7 +34,7 @@ GOLDEN = {
         "report.txt": "946f9c18c7eae067133f940eaa11db3cb0756a91465a00749995bd002573639e",
     },
     "cylinders": {
-        "cylinder_report.txt": "c60189203233f00f72765db295452f395d29b2f24e5db1e8f73806e774f1d7b3",
+        "cylinder_report.txt": "7a5465df6acdb8827828fff0387853cb24c895eab40557bc1dd231ce075a0f5f",
         "scene.txt": "1d04dd16689e779116b0aa7e6b6d1609db12a2b7d3a2a9fbf70b71edbb154c0d",
     },
     "evolve": {

@@ -7,6 +7,7 @@ bit; `geometry` and `oracles` check the values independently.
 """
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from freedrift.lattice import (
     table_profile,
     tanh_profile,
 )
-from oracles import line_grid_min_distance, time_grid_min_distance
+from oracles import exact_line_distance_sq, line_grid_min_distance, time_grid_min_distance
 
 TILES = (1, 2, 3, 5, 8, 1 << 13)
 TOL = 1e-12
@@ -56,7 +57,7 @@ def reference(P, V, W):
     a, b = V[ii], V[jj]
     n1 = a[:, 1] - b[:, 1]
     n2 = b[:, 0] - a[:, 0]
-    n3 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    n3 = a[:, 0] * (b[:, 1] - a[:, 1]) - a[:, 1] * n2
     cross_norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     len_a = np.sqrt(1.0 + a[:, 0] ** 2 + a[:, 1] ** 2)
     len_b = np.sqrt(1.0 + b[:, 0] ** 2 + b[:, 1] ** 2)
@@ -271,7 +272,8 @@ def test_sampled_pass_keeps_its_draws():
     assert (scan.pairs_total, scan.pairs_checked) == (1176, 263144)
     assert (scan.mode, scan.seed) == ("sampled", 0x5EED)
     assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
-    assert (scan.line_distance, scan.line_witness) == (0.2736033736705343, (6, 13))
+    # The exact worldline minimum rounded down, as the certificate gives it.
+    assert (scan.line_distance, scan.line_witness) == (0.2736033736705344, (20, 27))
     assert (scan.dot_margin, scan.norm_margin) == (-34.973281627151124, 0.0)
     assert scan.failure_count == 263144
     assert scan.failures == (
@@ -486,6 +488,7 @@ def _rows(text):
 def test_certificate_refuses(case):
     P, V = case()
     assert _pairscan.certify(P, V) is None
+    assert _pairscan.certify(P, V, worldline=True) is None
 
 
 def test_certificate_refuses_a_field_without_the_structure():
@@ -513,3 +516,97 @@ def test_certificate_names_the_exact_minimizer():
     assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
     cert = _pairscan.certify(P, V)
     assert (cert.min_distance, cert.witness) == (1.0, (1, 2))
+
+
+# The worldline certificate: the exact minimum 1/sqrt(1 + S^2).
+
+def exact_line_minimum(P, V):
+    """Exact minimum squared worldline distance and its smallest minimiser."""
+    Pl, Vl = P.tolist(), V.tolist()
+    best, pair = None, None
+    for i in range(len(Pl)):
+        for j in range(i + 1, len(Pl)):
+            value = exact_line_distance_sq(Pl, Vl, i, j)
+            if best is None or value < best:
+                best, pair = value, (i, j)
+    return best, pair
+
+
+def assert_rounded_down(x, exact_sq):
+    """x is the largest double not above the square root of exact_sq."""
+    assert x > 0.0
+    assert Fraction(x) ** 2 <= exact_sq < Fraction(math.nextafter(x, math.inf)) ** 2
+
+
+def assert_exact_line_minimum(cert, P, V):
+    exact_sq, pair = exact_line_minimum(P, V)
+    assert cert.line_witness == pair
+    assert_rounded_down(cert.line_distance, exact_sq)
+    s = Fraction(float(np.abs(V).max()))
+    assert exact_sq == 1 / (1 + s * s)
+    # The closest-approach half is the plain certificate's.
+    assert dataclasses.replace(cert, line_distance=None, line_witness=None) == \
+        _pairscan.certify(P, V)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_worldline_certificate_is_the_exact_minimum_on_windows(name):
+    for n in range(5):
+        flow = build_flow(PROFILES[name], Window.square(n), 0.5)
+        cert = _pairscan.certify(flow.P, flow.V, worldline=True)
+        if n == 0:
+            assert cert is None
+            continue
+        assert_exact_line_minimum(cert, flow.P, flow.V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_rows())
+def test_worldline_certificate_on_shuffled_and_sparse_rows(rows):
+    P, V, _ = rows
+    cert = _pairscan.certify(P, V, worldline=True)
+    if _pairscan.certify(P, V) is None:
+        assert cert is None
+        return
+    # Refused exactly when no pair attains the bound, e.g. when the rows
+    # attaining S lost their unit axis neighbours.
+    s = Fraction(float(np.abs(V).max()))
+    exact_sq, _ = exact_line_minimum(P, V)
+    assert exact_sq >= 1 / (1 + s * s)
+    if exact_sq > 1 / (1 + s * s):
+        assert cert is None
+    else:
+        assert_exact_line_minimum(cert, P, V)
+
+
+def test_worldline_certificate_needs_a_pair_attaining_s():
+    P, V, _ = _flow_arrays()
+    # S is attained only along the row x2 = 3; keep every other point of it.
+    assert set(P[np.abs(V).max(axis=1) == np.abs(V).max(), 1]) == {3.0}
+    keep = ~((P[:, 1] == 3.0) & (P[:, 0] % 2 == 1))
+    assert _pairscan.certify(P[keep], V[keep]) is not None
+    assert _pairscan.certify(P[keep], V[keep], worldline=True) is None
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-300, 0.5, 1.0, 2.0, 3.515463243748644,
+                               1e8, 1e200, 1.7e308])
+def test_inverse_hypot_is_rounded_down(s):
+    assert_rounded_down(_pairscan._inverse_hypot_down(s), 1 / (1 + Fraction(s) ** 2))
+
+
+def test_worldline_kernel_is_within_four_ulps_of_exact():
+    # Velocities of neighbouring tanh columns agree to about 1e-10, where
+    # computing v_i x v_j directly cancelled to errors of up to 6e-9.
+    flow = build_flow(tanh_profile(), Window.square(10), 0.5)
+    P, V = flow.P, flow.V
+    ii, jj = np.triu_indices(len(P), 1)
+    dx, dv = P[jj] - P[ii], V[jj] - V[ii]
+    num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
+    length = np.sqrt(1.0 + V[:, 0] ** 2 + V[:, 1] ** 2)
+    line = _pairscan._worldline(dx[:, 0], dx[:, 1], dv[:, 0], dv[:, 1], num,
+                                (V[ii, 0], V[ii, 1]), length[ii], length[jj])
+    Pl, Vl = P.tolist(), V.tolist()
+    low, high = (1 - Fraction(4, 2 ** 52)) ** 2, (1 + Fraction(4, 2 ** 52)) ** 2
+    far = [(i, j) for i, j, x in zip(ii.tolist(), jj.tolist(), line.tolist())
+           if not low <= Fraction(x) ** 2 / exact_line_distance_sq(Pl, Vl, i, j) <= high]
+    assert far == []
