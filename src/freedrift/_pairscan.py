@@ -136,16 +136,20 @@ def _closest(dx0, dx1, num, dv_norm):
     return out
 
 
-def _worldline(dx0, dx1, dv0, dv1, num, vi, len_i, len_j):
+def _worldline(dx0, dx1, dv0, dv1, num, vi, vj, len_i, len_j):
     """Distance between worldlines (x_i + t v_i, t) and (x_j + t v_j, t).
 
     The direction cross product (v_i, 1) x (v_j, 1) is (-dv1, dv0, n3), so
     the skew distance is |dx x dv| / |cross|; parallel lines take the
     distance from x_j to the line of i. n3 = v_i x v_j is computed as
-    v_i x dv, equal in exact arithmetic: for nearly equal velocities the
-    products of v_i x v_j cancel and lose most of their digits.
+    v x dv with v the shorter of v_i, v_j (v_i x dv = v_j x dv exactly):
+    for nearly equal velocities the products of v_i x v_j cancel and lose
+    most of their digits, and against the longer velocity the rounding of
+    dv can cancel them instead.
     """
-    n3 = vi[0] * dv1 - vi[1] * dv0
+    shorter = len_i <= len_j
+    n3 = (np.where(shorter, vi[0], vj[0]) * dv1
+          - np.where(shorter, vi[1], vj[1]) * dv0)
     cross_norm = np.sqrt(dv1 * dv1 + dv0 * dv0 + n3 * n3)
     out = num / cross_norm
     parallel = cross_norm < PARALLEL_EPS * len_i * len_j
@@ -292,7 +296,8 @@ def scan(P, V, W=None, *, worldline: bool = False,
             closest.offer(chunk, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
             if line is not None:
                 line.offer(chunk, _worldline(
-                    dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), length[i], length[j]))
+                    dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),
+                    length[i], length[j]))
             if chain is not None:
                 chain.offer(chunk, *_chain(dx0, dx1, wx[j] - wx[i], wy[j] - wy[i]))
     return PairScan(

@@ -197,10 +197,9 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     A configuration with the structure of a lattice flow is decided by the
     structural certificate (_pairscan.certify with worldline): the exact
     minima over all pairs, mode "exhaustive-structural". Its worldline
-    minimum is rounded down, so it passes when it is at least the required
-    distance, with no tolerance; the structure makes velocities injective,
-    so no duplicate directions exist. When the certificate is absent or
-    falls short of the required distance, the pair engine decides.
+    minimum is rounded down and is used only when it is at least the
+    required distance; when the certificate is absent or falls short, the
+    pair engine decides.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -228,12 +227,8 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
 
     margin = scan.line_distance - required
-    if certified:
-        distances_ok = True
-        dup_count, dup_pairs = 0, ()
-    else:
-        distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
-        dup_count, dup_pairs = _pairscan.duplicate_rows(V)
+    distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
+    dup_count, dup_pairs = _pairscan.duplicate_rows(V)
     nonparallel_ok = dup_count == 0
 
     return SceneReport(

@@ -174,8 +174,10 @@ def line_distance_3d(p1: Vec3, d1: Vec3, p2: Vec3, d2: Vec3) -> float:
     Nonparallel lines use the cross-product formula; the parallel branch
     (cross norm below PARALLEL_EPS times the product of direction norms)
     projects p2 - p1 off the shared direction. The normal d1 x d2 is
-    computed as d1 x (d2 - d1), equal in exact arithmetic, so that nearly
-    parallel directions do not cancel its large products to noise.
+    computed as d1 x (d2 - d1), or as (d1 - d2) x d2 when d2 is shorter,
+    both equal in exact arithmetic, so that nearly parallel directions do not
+    cancel its large products to noise, and a much shorter direction is not
+    rounded away in the difference.
 
     Raises:
         ZeroDirectionError: if either direction vector is zero.
@@ -184,7 +186,10 @@ def line_distance_3d(p1: Vec3, d1: Vec3, p2: Vec3, d2: Vec3) -> float:
     n2 = _norm3(d2)
     if n1 == 0.0 or n2 == 0.0:
         raise ZeroDirectionError("line direction must be nonzero")
-    cross = _cross3(d1, Vec3(d2.x1 - d1.x1, d2.x2 - d1.x2, d2.x3 - d1.x3))
+    if n1 <= n2:
+        cross = _cross3(d1, Vec3(d2.x1 - d1.x1, d2.x2 - d1.x2, d2.x3 - d1.x3))
+    else:
+        cross = _cross3(Vec3(d1.x1 - d2.x1, d1.x2 - d2.x2, d1.x3 - d2.x3), d2)
     offset = Vec3(p2.x1 - p1.x1, p2.x2 - p1.x2, p2.x3 - p1.x3)
     cross_norm = _norm3(cross)
     if cross_norm < PARALLEL_EPS * n1 * n2:

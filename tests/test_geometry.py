@@ -325,6 +325,16 @@ def test_nearly_parallel_worldlines_keep_their_digits():
     assert abs(Fraction(d) ** 2 / exact_sq - 1) <= Fraction(8, 2 ** 52)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_much_shorter_direction_is_not_rounded_away(swap):
+    # The lines meet at (0, 1, 0). d2 - d1 rounds to -d1, so d1 x (d2 - d1)
+    # would read 0 and take the parallel branch; the shorter d2 keeps it.
+    lines = [(_v3(0, 0, 0), _v3(1, 1, 0)), (_v3(0, 1, 0), _v3(1e-20, 0, 0))]
+    if swap:
+        lines.reverse()
+    assert line_distance_3d(*lines[0], *lines[1]) == 0.0
+
+
 def test_nearly_parallel_lines_use_projection_branch():
     # Directions differ by ~1e-15, far below the 1e-12 relative cutoff.
     d = line_distance_3d(

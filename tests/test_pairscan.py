@@ -57,10 +57,11 @@ def reference(P, V, W):
     a, b = V[ii], V[jj]
     n1 = a[:, 1] - b[:, 1]
     n2 = b[:, 0] - a[:, 0]
-    n3 = a[:, 0] * (b[:, 1] - a[:, 1]) - a[:, 1] * n2
-    cross_norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     len_a = np.sqrt(1.0 + a[:, 0] ** 2 + a[:, 1] ** 2)
     len_b = np.sqrt(1.0 + b[:, 0] ** 2 + b[:, 1] ** 2)
+    short = np.where((len_a <= len_b)[:, None], a, b)
+    n3 = short[:, 0] * (b[:, 1] - a[:, 1]) - short[:, 1] * n2
+    cross_norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     parallel = cross_norm < PARALLEL_EPS * len_a * len_b
     back = P[ii] - P[jj]
     skew = (np.abs((-back[:, 0]) * n1 + (-back[:, 1]) * n2)
@@ -604,9 +605,22 @@ def test_worldline_kernel_is_within_four_ulps_of_exact():
     num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
     length = np.sqrt(1.0 + V[:, 0] ** 2 + V[:, 1] ** 2)
     line = _pairscan._worldline(dx[:, 0], dx[:, 1], dv[:, 0], dv[:, 1], num,
-                                (V[ii, 0], V[ii, 1]), length[ii], length[jj])
+                                (V[ii, 0], V[ii, 1]), (V[jj, 0], V[jj, 1]),
+                                length[ii], length[jj])
     Pl, Vl = P.tolist(), V.tolist()
     low, high = (1 - Fraction(4, 2 ** 52)) ** 2, (1 + Fraction(4, 2 ** 52)) ** 2
     far = [(i, j) for i, j, x in zip(ii.tolist(), jj.tolist(), line.tolist())
            if not low <= Fraction(x) ** 2 / exact_line_distance_sq(Pl, Vl, i, j) <= high]
     assert far == []
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_worldline_kernel_takes_the_shorter_velocity(order):
+    # dv = (0, 1) - (1e20, 1e20) rounds to (-1e20, -1e20), parallel to the
+    # long velocity: (1e20, 1e20) x dv reads 0, (0, 1) x dv the exact 1e20.
+    P = np.array([[0.0, 0.0], [2.0, 0.0]])[list(order)]
+    V = np.array([[1e20, 1e20], [0.0, 1.0]])[list(order)]
+    exact_sq = exact_line_distance_sq(P, V, 0, 1)
+    assert float(exact_sq) == pytest.approx(4 / 3)  # 1.155, not 1.414
+    got = _pairscan.scan(P, V, worldline=True).line_distance
+    assert abs(Fraction(got) ** 2 / exact_sq - 1) <= Fraction(4, 2 ** 52)
