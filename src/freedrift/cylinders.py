@@ -27,6 +27,9 @@ from .geometry import DISTANCE_TOL, Vec3
 SCENE_HEADER = "cylinder-scene v1"
 # Slack on the radius cap so a radius computed as exactly bound/2 passes.
 RADIUS_SLACK = 1.0 + 1e-12
+# export_scene formats this many rows at a time, so the Python floats and
+# row strings alive at once stay bounded whatever the scene size.
+_EXPORT_BLOCK = 2048
 
 
 class HardCoreNotVerifiedError(ValueError):
@@ -227,7 +230,11 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
 
     margin = scan.line_distance - required
-    distances_ok = bool(scan.line_distance >= required - DISTANCE_TOL)
+    # DISTANCE_TOL forgives float error only against the proven floor. When
+    # 2 radius lies above the floor (RADIUS_SLACK lets it), the worldlines
+    # must be that far apart with no slack.
+    tol = 0.0 if 2.0 * radius > floor else DISTANCE_TOL
+    distances_ok = bool(scan.line_distance >= required - tol)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
     nonparallel_ok = dup_count == 0
 
@@ -265,7 +272,10 @@ def export_scene(scene: CylinderScene) -> str:
     # Stable, like sorting rows on their (px, py, pz) tuples.
     order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
     row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
-    return SCENE_HEADER + "\n" + "".join(map(row, *np.hstack((B, D))[order].T.tolist()))
+    rows = np.hstack((B, D))[order]
+    blocks = ("".join(map(row, *rows[k:k + _EXPORT_BLOCK].T.tolist()))
+              for k in range(0, len(rows), _EXPORT_BLOCK))
+    return "".join((SCENE_HEADER + "\n", *blocks))
 
 
 def parse_scene(text: str) -> CylinderScene:

@@ -283,7 +283,7 @@ def _sparse():
 def _radius_above_certificate():
     # S = 2 at the unit pair and the speed ceiling rounds to 2 as well, so a
     # radius at the slack's edge requires more than the rounded-down
-    # certificate value 1/sqrt(5); the engine passes it within its tolerance.
+    # certificate value 1/sqrt(5); the engine fails it, with no tolerance.
     P = np.array([[0.0, 0.0], [1.0, 0.0]])
     V = np.array([[2.0, 1e-12], [2.0, 0.0]])
     radius = lemma1_bound(2.0) / 2.0 * (1.0 + 1e-13)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from freedrift import cli, cylinders
 from freedrift.cylinders import (
     CylinderScene,
     HardCoreNotVerifiedError,
@@ -18,7 +19,7 @@ from freedrift.cylinders import (
     worldline_of,
 )
 from freedrift.evolution import MovingConfiguration, Particle
-from freedrift.formats import ParseError
+from freedrift.formats import ParseError, parse_report
 from freedrift.geometry import Vec2, Vec3, line_distance_3d
 from freedrift.lattice import Window, arctan_profile, build_flow
 
@@ -175,6 +176,22 @@ def test_verify_scene_passes_pair_ten_apart():
     assert report.passed
 
 
+def test_radius_above_the_floor_gets_no_tolerance(tmp_path, monkeypatch):
+    # RADIUS_SLACK admits a radius whose 2 radius lies 4.5e-14 above both
+    # the floor and the minimum worldline distance. DISTANCE_TOL must not
+    # forgive that shortfall: the scene fails.
+    (tmp_path / "rows.txt").write_text("particles v1\n0,0,2,1e-12\n1,0,2,0\n")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["--command", "cylinders", "--particles", "rows.txt",
+                     "--radius", "0.2236067977500013", "--out", "out"])
+    report = parse_report((tmp_path / "out" / "cylinder_report.txt").read_text())
+    assert code == 1
+    assert report["passed"] == "false"
+    assert report["distances_ok"] == "false"
+    assert float(report["distance_margin"]) == -4.4686476741162551e-14
+    assert float(report["required_distance"]) > float(report["separation_floor"])
+
+
 def test_verify_scene_rejects_oversized_radius():
     with pytest.raises(RadiusTooLargeError):
         verify_scene(_static_pair(1.0), radius=0.6)
@@ -231,6 +248,15 @@ def test_export_rows_sorted_by_axis_point():
     rows = export_scene(scene).splitlines()[1:]
     keys = [tuple(float(f) for f in row.split(",")[:3]) for row in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("block", [1, 4, 8, 9])
+def test_export_in_blocks_is_byte_identical(monkeypatch, block):
+    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
+    scene = build_scene(flow.as_configuration())
+    whole = export_scene(scene)  # nine rows: one block
+    monkeypatch.setattr(cylinders, "_EXPORT_BLOCK", block)
+    assert export_scene(scene) == whole
 
 
 def test_scene_round_trip_preserves_distances():

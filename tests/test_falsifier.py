@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedrift import geometry
+import oracles
+from freedrift import falsifier, geometry
 from freedrift._pairscan import DEFAULT_SEED
 from freedrift.falsifier import (
     BUDGET_SPENT,
@@ -407,15 +409,26 @@ def test_falsify_matches_reference_when_exhausted(c):
 
 
 def test_field_kernels_match_reference_evaluate():
+    # One array-kernel call per field on all points, compared element by
+    # element (and bit for bit) with the scalar reference.
     rng = random.Random(5)
     for name, field in FIELDS.items():
+        # Signed zeros and grid nodes, where ties meet min and max.
+        points = [Vec2(a, b) for a in (0.0, -0.0, 2.0, 1e4)
+                  for b in (0.0, -0.0, -2.0)]
         for _ in range(500):
             r = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
             t = rng.uniform(0.0, 2.0 * math.pi)
-            p = Vec2(r * math.cos(t), r * math.sin(t))
+            points.append(Vec2(r * math.cos(t), r * math.sin(t)))
+        w1, w2 = field._kernel(np.array([p.x1 for p in points]),
+                               np.array([p.x2 for p in points]))
+        assert w1.dtype == w2.dtype == np.float64
+        assert len(w1) == len(w2) == len(points)
+        for k, p in enumerate(points):
             expected = reference_evaluate(field, p)
             assert field.evaluate(p) == expected, (name, p)
-            assert field._kernel(p.x1, p.x2) == (expected.x1, expected.x2)
+            assert (w1[k].hex(), w2[k].hex()) == (expected.x1.hex(),
+                                                  expected.x2.hex()), (name, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,3 +470,172 @@ def test_non_finite_increment_raises():
     with pytest.raises(ValueError, match=r"w\(x\) - w\(y\) = \(-inf, 0.0\) "
                                          r"is not finite at x = \("):
         falsify(field, 0.1)
+
+
+# The batched search: chunk edges, hits and failures inside a chunk, NaN
+# margins and the chunk draw. Each run must equal the pair-by-pair
+# reference.
+
+PROBE_EVALUATIONS = 1344  # 672 probe pairs, all separated by more than 1
+
+
+def _per_stream(budget):
+    return (budget - PROBE_EVALUATIONS) * 3 // 4 // 4
+
+
+def _budget_for(per_stream):
+    """The smallest budget that gives each random stream per_stream
+    evaluations."""
+    budget = PROBE_EVALUATIONS + -(-16 * per_stream // 3)
+    assert _per_stream(budget) == per_stream
+    return budget
+
+
+@pytest.mark.parametrize("per_stream", [
+    2 * falsifier._CHUNK,             # each stream ends at a chunk edge
+    4 * falsifier._CHUNK,             # two chunks, then the edge
+    2 * falsifier._CHUNK + 2 * 777,   # ends inside the second chunk
+    2 * falsifier._CHUNK + 2 * 777 + 1,  # odd: the last evaluation unused
+    2 * falsifier._CHUNK - 2,         # one pair short of a full chunk
+])
+def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
+    field = FIELDS["radial"]  # no random pair breaks it at c = 1e-4
+    budget = _budget_for(per_stream)
+    for seed in (1, DEFAULT_SEED):
+        result = falsify(field, 1e-4, budget, seed)
+        assert isinstance(result, Exhausted)
+        assert result.evaluations_used > PROBE_EVALUATIONS + 4 * (per_stream - 1)
+        assert result == reference_falsify(field, 1e-4, budget, seed)
+
+
+def _first_random_hit():
+    """A stream-0 hit of grid-radial at c = 0.05, seed 2, and its index
+    among the stream's pairs."""
+    field = FIELDS["grid-radial"]
+    result = falsify(field, 0.05, 50000, 2)
+    assert result.stage == "random-slot-0"
+    return field, (result.evaluations_used - PROBE_EVALUATIONS) // 2 - 1
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_hit_at_each_place_in_a_chunk(monkeypatch, where):
+    field, h = _first_random_hit()
+    assert h > 2
+    chunk = {"first": h, "middle": 2 * h + 1, "last": h + 1}[where]
+    monkeypatch.setattr(falsifier, "_CHUNK", chunk)
+    position = h % chunk
+    assert position == {"first": 0, "middle": h, "last": chunk - 1}[where]
+    result = falsify(field, 0.05, 50000, 2)
+    assert result.stage == "random-slot-0"
+    assert result == reference_falsify(field, 0.05, 50000, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_tiny_chunks_change_nothing(monkeypatch, chunk):
+    monkeypatch.setattr(falsifier, "_CHUNK", chunk)
+    for name, c, budget, seed in (("radial-wide", 0.05, 5000, 7),
+                                  ("grid-radial", 0.05, 6000, 2),
+                                  ("radial", 1e-4, 3001, 1),
+                                  ("radial", 1e-4, 20000, DEFAULT_SEED)):
+        result = falsify(FIELDS[name], c, budget, seed)
+        assert result == reference_falsify(FIELDS[name], c, budget, seed), name
+
+
+def _grid_radial_with_far_spikes():
+    """grid-radial with +-1e308 on the x1 axis beyond radius 7500: only
+    the antipodal probe at radius 8192 spans them, and its increment
+    overflows."""
+    def node(x1, x2):
+        return (x1 / math.hypot(1e3, x1, x2), x2 / math.hypot(1e3, x1, x2))
+    o = -10000.0
+    rows = [[node(o + i * 2500.0, o + j * 2500.0) for i in range(9)]
+            for j in range(9)]
+    rows[4][0] = rows[4][1] = (-1e308, 0.0)
+    rows[4][7] = rows[4][8] = (1e308, 0.0)
+    return grid_field((o, o), 2500.0, rows)
+
+
+def test_non_finite_increment_inside_a_chunk(monkeypatch):
+    field = _grid_radial_with_far_spikes()
+    tried = []
+    original = oracles._ReferenceSearch.try_pair
+
+    def recording(self, x, y):
+        tried.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(oracles._ReferenceSearch, "try_pair", recording)
+    for c in (1e-3, 0.05):
+        tried.clear()
+        # The reference fails building the non-finite increment.
+        with pytest.raises(ValueError, match="non-finite Vec2"):
+            reference_falsify(field, c, 10 ** 5, 1)
+        x, y = tried[-1]
+        # Pair 577 of the 672 probes, after 576 pairs without a hit.
+        assert len(tried) == 577
+        wx, wy = reference_evaluate(field, x), reference_evaluate(field, y)
+        message = (f"field increment w(x) - w(y) = ({wx.x1 - wy.x1}, "
+                   f"{wx.x2 - wy.x2}) is not finite at x = ({x.x1}, {x.x2}), "
+                   f"y = ({y.x1}, {y.x2})")
+        with pytest.raises(ValueError) as raised:
+            falsify(field, c, 10 ** 5, 1)
+        assert str(raised.value) == message
+        assert "y = (-8192.0, -0.0)" in message
+
+
+def test_hit_before_a_non_finite_increment_in_the_chunk_wins():
+    # At c = 1.25 the second probe already breaks the field; the overflow
+    # at probe 577 of the same batch is never reached.
+    field = _grid_radial_with_far_spikes()
+    result = falsify(field, 1.25, 10 ** 5, 1)
+    assert result.stage == "probe"
+    assert result.evaluations_used == 4
+    assert result == reference_falsify(field, 1.25, 10 ** 5, 1)
+
+
+def test_refinement_batch_stops_only_at_a_strictly_larger_margin():
+    # w = (clamp(x1, 0, 1), 0): moving x2 or y2 changes neither dw nor
+    # <x-y, dw>, so these pairs all have the first one's margin. None of
+    # them stops an until_better batch; the strictly larger last one does.
+    field = grid_field((0.0, 0.0), 1.0, [[(0.0, 0.0), (1.0, 0.0)]])
+    search = falsifier._Search(field, 0.1, 100)
+    x1 = np.array([0.5, 0.5, 0.5, 0.5, 0.75])
+    x2 = np.array([0.0, 1.0, 2.0, -3.0, 0.0])
+    y1 = np.full(5, 3.0)
+    y2 = np.array([0.0, 1.0, 0.0, 5.0, 0.0])
+    assert search.try_pairs(x1[:1], x2[:1], y1[:1], y2[:1]) is None
+    before = search.best_margin
+    assert before == 0.1 * 0.5 - 2.5 * 0.5
+    assert search.try_pairs(x1, x2, y1, y2, until_better=True) is None
+    assert search.evals == 2 + 2 * 5
+    assert search.best_margin > before
+    assert search.best_pair == (0.75, 0.0, 3.0, 0.0)
+
+
+def test_nan_margins_never_become_the_best():
+    # Along x1 only: A at x1 = 2, B at 3.25 and near A at -2 and 4. With
+    # c = 1.5 the probes (2, 0)-(3.25, 0) and the two nearest near-ray ones
+    # overflow both c |dw| and |<x-y, dw>|: their margins are NaN, between
+    # finite negative margins.
+    a, b, w = 0.85e308, -0.85e308, 0.8e308
+    row = [w] + [a] * 16 + [b] * 7 + [w]
+    field = grid_field((-2.0, 0.0), 0.25, [[(v, 0.0) for v in row]])
+    assert math.isnan(violation_margin(field, 1.5, Vec2(2.0, 0.0),
+                                       Vec2(3.25, 0.0)))
+    for budget in (4, 8, 10):
+        result = falsify(field, 1.5, budget)
+        assert isinstance(result, Exhausted)
+        assert not math.isnan(result.best_margin)
+        assert result == reference_falsify(field, 1.5, budget, DEFAULT_SEED)
+    assert result.best_pair == (Vec2(2.0, 0.0), Vec2(4.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049])
+def test_chunk_draw_equals_successive_random_calls(seed, n):
+    drawn, called = random.Random(seed), random.Random(seed)
+    values = falsifier._random_floats(drawn, n)
+    assert values.dtype == np.float64
+    assert values.tolist() == [called.random() for _ in range(n)]
+    assert drawn.getstate() == called.getstate()
+    assert drawn.random() == called.random()
