@@ -21,15 +21,12 @@ import numpy as np
 
 from . import _pairscan
 from .evolution import MovingConfiguration, Particle, speeds, verify_hardcore
-from .formats import UNREPORTED, ParseError, fmt_float
+from .formats import UNREPORTED, ParseError, _rows_text, fmt_float
 from .geometry import DISTANCE_TOL, Vec3
 
 SCENE_HEADER = "cylinder-scene v1"
 # Slack on the radius cap so a radius computed as exactly bound/2 passes.
 RADIUS_SLACK = 1.0 + 1e-12
-# export_scene formats this many rows at a time, so the Python floats and
-# row strings alive at once stay bounded whatever the scene size.
-_EXPORT_BLOCK = 2048
 
 
 class HardCoreNotVerifiedError(ValueError):
@@ -271,11 +268,10 @@ def export_scene(scene: CylinderScene) -> str:
     D = np.column_stack((V, np.ones(len(V)))) / lengths[:, None]
     # Stable, like sorting rows on their (px, py, pz) tuples.
     order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
-    row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
-    rows = np.hstack((B, D))[order]
-    blocks = ("".join(map(row, *rows[k:k + _EXPORT_BLOCK].T.tolist()))
-              for k in range(0, len(rows), _EXPORT_BLOCK))
-    return "".join((SCENE_HEADER + "\n", *blocks))
+    px, py, pz, dx, dy, dz = np.vstack((B.T, D.T))[:, order]
+    rows = _rows_text(len(B), (px, ",", py, ",", pz, ",", dx, ",", dy, ",", dz,
+                               "," + fmt_float(scene.radius) + "\n"))
+    return "".join((SCENE_HEADER + "\n", *rows))
 
 
 def parse_scene(text: str) -> CylinderScene:

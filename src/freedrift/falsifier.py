@@ -141,6 +141,13 @@ class CandidateField:
         return Vec2(float(w1[0]), float(w2[0]))
 
 
+def _values(field: CandidateField, x1: list[float], x2: list[float]) -> list[Vec2]:
+    """field.evaluate at each point (x1[i], x2[i]), from one kernel call."""
+    with np.errstate(all="ignore"):
+        w1, w2 = field._kernel(np.array(x1, dtype=float), np.array(x2, dtype=float))
+    return list(map(Vec2, w1.tolist(), w2.tolist()))
+
+
 # Each kernel maps arrays of coordinates (x1, x2) to the field values
 # (w1, w2) as two float64 arrays. `CandidateField` picks its kernel once, so
 # every evaluation (the search, `evaluate`, the chain and circle probes)
@@ -309,9 +316,8 @@ def chain_check(field: CandidateField, x: Vec2, y: Vec2,
         raise DegenerateSegmentError(f"segment length {length} <= 1")
     n = math.ceil(length / 2.0)
     cone = Cone(sub(x, y), a)
-    points = [Vec2(x.x1 + (i / n) * (y.x1 - x.x1),
-                   x.x2 + (i / n) * (y.x2 - x.x2)) for i in range(n + 1)]
-    values = [field.evaluate(p) for p in points]
+    values = _values(field, [x.x1 + (i / n) * (y.x1 - x.x1) for i in range(n + 1)],
+                     [x.x2 + (i / n) * (y.x2 - x.x2) for i in range(n + 1)])
     margins = tuple(
         cone_contains(cone, sub(values[i], values[i + 1])).margin
         for i in range(n)
@@ -661,12 +667,10 @@ def angular_separation_probe(field: CandidateField, radius: float,
 
     reps: list[Vec2] = []
     members: list[list[int]] = []
-    angles = []
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        angles.append(theta)
-        value = field.evaluate(Vec2(radius * math.cos(theta),
-                                    radius * math.sin(theta)))
+    angles = [2.0 * math.pi * k / samples for k in range(samples)]
+    values = _values(field, [radius * math.cos(theta) for theta in angles],
+                     [radius * math.sin(theta) for theta in angles])
+    for k, value in enumerate(values):
         for idx, rep in enumerate(reps):
             if norm(sub(value, rep)) <= value_tol:
                 members[idx].append(k)

@@ -1,8 +1,19 @@
 """Text formats shared by the CLI and exporters.
 
-All floats are written with 17 significant digits, enough for doubles to
-round-trip exactly; all emitters are deterministic (no timestamps, no
-environment-dependent content), so identical inputs give identical bytes.
+All floats are written with 17 significant digits, as format(x, ".17g")
+writes them, enough for doubles to round-trip exactly; all emitters are
+deterministic (no timestamps, no environment-dependent content), so
+identical inputs give identical bytes.
+
+The bulk emitters (particles, frames.csv, SVG frames and cylinder scenes)
+format whole float64 columns at once with integer arithmetic: for
+1e-4 <= |x| < 1e15 and for +-0, x = M 2^e with M < 2^53 is scaled by
+10^(16-X) as the exact 128-bit product M 5^(16-X) (32-bit limbs in uint64)
+shifted right, rounded half to even on the exact remainder, which gives the
+17 digits that CPython's correctly rounded dtoa gives; X, the decimal
+exponent, is guessed from log10 and checked against the digit count. Every
+other value, and any row the checks reject, goes through format(x, ".17g").
+Rows go out _ROW_BLOCK at a time.
 """
 from __future__ import annotations
 
@@ -31,6 +42,149 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# The bulk emitters build this many rows per chunk of text, so the
+# character matrices alive at once stay bounded whatever the row count.
+_ROW_BLOCK = 8192
+# Characters of one value in _g17_chars: a sign, "0." and three zeros
+# before the digits of a value below 1, then 17 digits, each but the last
+# followed by a slot for the decimal point. Longer than any ".17g" string.
+_WIDTH = 39
+_WRITE_SLICE = 1 << 20
+_E16 = np.uint64(10 ** 16)
+_E17 = np.uint64(10 ** 17)
+
+
+def _scaled(M: np.ndarray, e: np.ndarray, X: np.ndarray):
+    """q = floor(M 2^e 10^(16-X)) for uint64 M < 2^53, whether rounding
+    half to even adds one to q, and where the product fits the arithmetic.
+
+    M 5^k, k = 16-X, is formed exactly as a 128-bit (hi, lo) pair from
+    32-bit limbs, then shifted right by s = -(e+k); lo's low s bits are the
+    exact remainder.
+    """
+    k = 16 - X
+    s = -(e + k)
+    ok = (k >= 0) & (k <= 27) & (s >= 1) & (s <= 63)
+    F = np.array([5 ** j for j in range(28)], dtype=np.uint64)[np.clip(k, 0, 27)]
+    s = np.clip(s, 1, 63).astype(np.uint64)
+    low32, one = np.uint64(0xFFFFFFFF), np.uint64(1)
+    m0, m1 = M & low32, M >> np.uint64(32)
+    f0, f1 = F & low32, F >> np.uint64(32)
+    lo = m0 * f0
+    mid = m1 * f0 + m0 * f1  # below 2^54
+    hi = m1 * f1 + (mid >> np.uint64(32))
+    mid <<= np.uint64(32)
+    lo += mid  # wraps modulo 2^64; the carry goes to hi
+    hi += lo < mid
+    q = (hi << (np.uint64(64) - s)) | (lo >> s)
+    ok &= (hi >> s) == 0
+    lo &= (one << s) - one  # the remainder
+    half = one << (s - one)
+    up = (lo > half) | ((lo == half) & ((q & one) == one))
+    return q, up, ok
+
+
+def _g17_chars(x: np.ndarray) -> np.ndarray:
+    """The characters of format(v, ".17g") for each v of the float64
+    column x, as a (_WIDTH, n) uint8 matrix: column i holds v = x[i]'s
+    characters in order, with zero bytes between and after them.
+    """
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e15)
+    g = np.where(fast, a, 1.0)
+    X = np.floor(np.log10(g)).astype(np.int64)
+    m, e = np.frexp(g)
+    M = (m * 2.0 ** 53).astype(np.uint64)
+    e = e.astype(np.int64) - 53
+    # X is right exactly when 10^16 <= q < 10^17; log10 can miss by one
+    # next to a power of ten, so the misses are redone once with X -+ 1.
+    q, up, ok = _scaled(M, e, X)
+    right = ok & (q >= _E16) & (q < _E17)
+    redo = np.flatnonzero(~right)
+    if redo.size:
+        X[redo] += np.where(ok[redo] & (q[redo] < _E16), -1, 1)
+        q[redo], up[redo], ok[redo] = _scaled(M[redo], e[redo], X[redo])
+        right[redo] = ok[redo] & (q[redo] >= _E16) & (q[redo] < _E17)
+    D = q + up
+    carry = D == _E17  # rounds up to 10^17: one digit more in the exponent
+    D[carry] = _E16
+    X += carry
+    slow = ~(fast & right | zero)
+    # Zeros are laid out as the digits of 10^16 at X = 0 with the "1"
+    # turned to "0", and slow values are overwritten at the end.
+    D[zero | slow] = _E16
+    X[zero | slow] = 0
+    X = X.astype(np.int8)
+
+    # The 17 digits, from the two halves D // 10^9 and D % 10^9.
+    R = np.empty((17, n), np.uint8)
+    A = np.empty((2, n), np.uint32)
+    A[0] = D // np.uint64(10 ** 9)
+    A[1] = D - A[0].astype(np.uint64) * np.uint64(10 ** 9)
+    ten = np.uint32(10)
+    for j in range(8):
+        Q = A // ten
+        R[7 - j], R[16 - j] = A - Q * ten
+        A = Q
+    R[8] = A[1]
+
+    # %g's fixed notation: digit j shows up to the last nonzero digit or
+    # the units digit, whichever comes later; the point after the units
+    # digit X shows when a nonzero digit follows it.
+    out = np.zeros((_WIDTH, n), np.uint8)
+    J = np.arange(17, dtype=np.int8)[:, None]
+    last = ((R != 0) * J).max(axis=0)
+    R += np.uint8(ord("0"))
+    R *= J <= np.maximum(last, X)
+    out[6::2] = R
+    out[7::2] = ((J[:16] == X) & (last > X)) * np.uint8(ord("."))
+    out[6] -= zero
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    below_1 = X < 0
+    out[1] = below_1 * np.uint8(ord("0"))
+    out[2] = below_1 * np.uint8(ord("."))
+    for j in range(3):
+        out[3 + j] = (X < -1 - j) * np.uint8(ord("0"))
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        text = b"".join(format(v, ".17g").encode().ljust(_WIDTH, b"\0")
+                        for v in x[idx].tolist())
+        out[:, idx] = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH).T
+    return out
+
+
+def _rows_text(n: int, parts):
+    """The text of n rows, yielded _ROW_BLOCK rows at a time as str.
+
+    Each row is its parts in order: a str is written as is, a float64
+    column of n values by format(v, ".17g"), and a (w, n) uint8 matrix
+    (one from _g17_chars) by its nonzero bytes.
+    """
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        block = []
+        for part in parts:
+            if isinstance(part, str):
+                block.append(np.frombuffer(part.encode("ascii"), np.uint8)[:, None])
+            else:
+                chars = (part[:, start:stop] if part.ndim == 2
+                         else _g17_chars(part[start:stop]))
+                # Drop character slots no value of the block uses.
+                block.append(chars[chars.any(axis=1)])
+        # The rows are laid out in place in one buffer, which translate
+        # then copies without the zero bytes.
+        widths = [len(chars) for chars in block]
+        text = bytearray(sum(widths) * (stop - start))
+        rows = np.frombuffer(text, np.uint8).reshape(stop - start, -1)
+        for column, chars in zip(np.cumsum([0] + widths), block):
+            rows[:, column:column + len(chars)] = chars.T
+        del block, chars, rows
+        text = text.translate(None, b"\0")
+        yield text.decode("ascii")
+
+
 def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -54,8 +208,8 @@ def _parse_float(line_no: int, field: str) -> float:
 
 def particles_document(P, V) -> str:
     """Positions P and velocities V, (n, 2) each, one x1,x2,v1,v2 row each."""
-    row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
-    return PARTICLES_HEADER + "\n" + "".join(map(row, *P.T.tolist(), *V.T.tolist()))
+    columns = (P[:, 0], ",", P[:, 1], ",", V[:, 0], ",", V[:, 1], "\n")
+    return "".join((PARTICLES_HEADER + "\n", *_rows_text(len(P), columns)))
 
 
 def _check_finite(values, row_lines) -> None:
@@ -187,13 +341,17 @@ def parse_table_csv(text: str) -> list[tuple[int, float]]:
 def write_text_atomic(path: str, text) -> None:
     """Write-then-rename so readers never observe a partial file.
 
-    text is a string or an iterable of strings, written as they come.
+    text is a string or an iterable of strings, written as they come, a
+    slice of at most _WRITE_SLICE characters at a time: the file encodes
+    what it is given whole, so a long string would otherwise be held twice.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            for chunk in [text] if isinstance(text, str) else text:
+                for k in range(0, len(chunk), _WRITE_SLICE):
+                    handle.write(chunk[k:k + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -206,11 +364,15 @@ def write_text_atomic(path: str, text) -> None:
 def frames_csv(series):
     """Snapshot series of (t, (n, 2) positions) as CSV rows
     frame,time,particle,x1,x2: yields the header line, then each frame's
-    rows as soon as series yields the frame."""
+    rows as soon as series yields the frame, in chunks of text."""
     yield "frame,time,particle,x1,x2\n"
+    particle = None
     for frame, (t, points) in enumerate(series):
-        row = f"{frame},{fmt_float(t)},{{}},{{:.17g}},{{:.17g}}\n".format
-        yield "".join(map(row, range(len(points)), *points.T.tolist()))
+        if particle is None or particle.shape[1] != len(points):
+            particle = _g17_chars(np.arange(len(points), dtype=float))
+        yield from _rows_text(len(points), (
+            f"{frame},{fmt_float(t)},", particle,
+            ",", points[:, 0], ",", points[:, 1], "\n"))
 
 
 def svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
@@ -222,12 +384,12 @@ def svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad viewport [{lo}, {hi}]")
     side = hi - lo
-    circle = ('<circle cx="{:.17g}" cy="{:.17g}" '
-              f'r="{fmt_float(radius)}" fill="#336699" '
-              'stroke="black" stroke-width="0.02"/>\n').format
-    circles = map(circle, (points[:, 0] - lo).tolist(), (hi - points[:, 1]).tolist())
-    return (
+    circles = _rows_text(len(points), (
+        '<circle cx="', points[:, 0] - lo, '" cy="', hi - points[:, 1],
+        f'" r="{fmt_float(radius)}" fill="#336699" '
+        'stroke="black" stroke-width="0.02"/>\n'))
+    return "".join((
         '<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
         f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">\n'
-        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n'
-        + "".join(circles) + "</svg>\n")
+        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n',
+        *circles, "</svg>\n"))

@@ -6,7 +6,9 @@ grown until the minimizer stops landing on the boundary. The exact oracle
 evaluates the squared worldline distance in rationals on the given doubles,
 with no rounding at all, to decide last-bit questions. The falsifier
 reference is the `Vec2` formulation of the search, kept to pin the float
-search bit for bit.
+search bit for bit. The reference emitters format one row at a time with
+str.format, as the emitters did before they formatted whole columns, and
+pin the emitted bytes.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from freedrift.cylinders import SCENE_HEADER
 from freedrift.falsifier import (
     BUDGET_SPENT,
     REFINE_CONVERGED,
@@ -23,6 +26,7 @@ from freedrift.falsifier import (
     FieldKind,
     ViolationReport,
 )
+from freedrift.formats import PARTICLES_HEADER, fmt_float
 from freedrift.geometry import Vec2, dot, norm, sub
 
 
@@ -314,3 +318,44 @@ def reference_falsify(field, c, budget, seed):
         if hit is not None:
             return _reference_violation(search, hit, "refine")
     return _reference_exhausted(search)
+
+
+def reference_particles_document(P, V) -> str:
+    row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+    return PARTICLES_HEADER + "\n" + "".join(map(row, *P.T.tolist(), *V.T.tolist()))
+
+
+def reference_frames_csv(series):
+    yield "frame,time,particle,x1,x2\n"
+    for frame, (t, points) in enumerate(series):
+        row = f"{frame},{fmt_float(t)},{{}},{{:.17g}},{{:.17g}}\n".format
+        yield "".join(map(row, range(len(points)), *points.T.tolist()))
+
+
+def reference_svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad viewport [{lo}, {hi}]")
+    side = hi - lo
+    circle = ('<circle cx="{:.17g}" cy="{:.17g}" '
+              f'r="{fmt_float(radius)}" fill="#336699" '
+              'stroke="black" stroke-width="0.02"/>\n').format
+    circles = map(circle, (points[:, 0] - lo).tolist(), (hi - points[:, 1]).tolist())
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
+        f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">\n'
+        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n'
+        + "".join(circles) + "</svg>\n")
+
+
+def reference_export_scene(scene) -> str:
+    B, V = scene.bases, scene.velocities
+    if len(B) == 0:
+        return SCENE_HEADER + "\n"
+    lengths = np.array(list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist(),
+                                [1.0] * len(V))))
+    D = np.column_stack((V, np.ones(len(V)))) / lengths[:, None]
+    # Stable, like sorting rows on their (px, py, pz) tuples.
+    order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
+    row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
+    rows = np.hstack((B, D))[order]
+    return SCENE_HEADER + "\n" + "".join(map(row, *rows.T.tolist()))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from freedrift import cli, cylinders
+from freedrift import cli, formats
 from freedrift.cylinders import (
     CylinderScene,
     HardCoreNotVerifiedError,
@@ -255,7 +255,7 @@ def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     scene = build_scene(flow.as_configuration())
     whole = export_scene(scene)  # nine rows: one block
-    monkeypatch.setattr(cylinders, "_EXPORT_BLOCK", block)
+    monkeypatch.setattr(formats, "_ROW_BLOCK", block)
     assert export_scene(scene) == whole
 
 

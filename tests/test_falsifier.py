@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -429,6 +430,32 @@ def test_field_kernels_match_reference_evaluate():
             assert field.evaluate(p) == expected, (name, p)
             assert (w1[k].hex(), w2[k].hex()) == (expected.x1.hex(),
                                                   expected.x2.hex()), (name, p)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_chain_check_and_probe_make_one_kernel_call(name, monkeypatch):
+    # Each call evaluates all its points in one kernel call, and its report
+    # is bit for bit the report from evaluating point by point.
+    field = dataclasses.replace(FIELDS[name])
+    kernel, calls = field._kernel, []
+
+    def counted(x1, x2):
+        calls.append(len(x1))
+        return kernel(x1, x2)
+
+    object.__setattr__(field, "_kernel", counted)
+    x, y = Vec2(-3.0, 7.5), Vec2(40.0, -2.25)
+    chain = chain_check(field, x, y, 0.3)
+    probe = angular_separation_probe(field, 50.0, 90)
+    assert calls == [chain.n + 1, 90]
+
+    def per_point(field, x1, x2):
+        return [field.evaluate(Vec2(a, b)) for a, b in zip(x1, x2)]
+
+    monkeypatch.setattr(falsifier, "_values", per_point)
+    assert repr(chain_check(field, x, y, 0.3)) == repr(chain)
+    assert repr(angular_separation_probe(field, 50.0, 90)) == repr(probe)
+    assert len(calls) == 2 + chain.n + 1 + 90
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,16 @@
 import math
 import os
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from freedrift import formats
+from freedrift.cylinders import CylinderScene, export_scene, lemma1_bound
+from freedrift.evolution import speeds
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -16,6 +23,12 @@ from freedrift.formats import (
     report_document,
     svg_snapshot,
     write_text_atomic,
+)
+from oracles import (
+    reference_export_scene,
+    reference_frames_csv,
+    reference_particles_document,
+    reference_svg_snapshot,
 )
 
 
@@ -189,3 +202,110 @@ def test_svg_snapshot_geometry():
 def test_svg_snapshot_rejects_bad_viewport():
     with pytest.raises(ValueError):
         svg_snapshot(np.zeros((0, 2)), 0.5, 2.0, 2.0)
+
+
+def _g17(values) -> list[str]:
+    """The strings that _g17_chars lays out for values."""
+    chars = formats._g17_chars(np.array(values, dtype=float))
+    return [column.tobytes().translate(None, b"\0").decode() for column in chars.T]
+
+
+def _largest_below_power_of_ten(p: int) -> float:
+    d = float(f"1e{p}")
+    return d if Fraction(d) < Fraction(10) ** p else float(np.nextafter(d, 0.0))
+
+
+# Half-even ties, both sides of the fast range's edges and of the decades
+# where %g changes notation, the largest double below each power of ten in
+# the fast range (where a round-up would carry into the next decade), +-0
+# and the smallest subnormal.
+PINNED = [
+    1 + 2 ** -17, 1 + 3 * 2 ** -17,
+    *(float(v) for edge in (1e-4, 1.0, 1e15, 1e16, 1e17)
+      for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))),
+    *(_largest_below_power_of_ten(p) for p in range(-4, 16)),
+    0.0, -0.0, 5e-324,
+]
+
+
+def test_g17_ties_round_half_to_even():
+    assert _g17([1 + 2 ** -17, 1 + 3 * 2 ** -17, 999.99999999999989]) == [
+        "1.0000076293945312", "1.0000228881835938", "999.99999999999989"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example(PINNED)
+def test_g17_chars_matches_format_on_finite_doubles(values):
+    assert _g17(values) == [format(v, ".17g") for v in values]
+
+
+FAST_BITS = st.integers(int(np.float64(1e-4).view(np.uint64)) - 2 ** 20,
+                        int(np.float64(1e15).view(np.uint64)) + 2 ** 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 2 ** 64 - 1), FAST_BITS),
+                          st.booleans()), max_size=40))
+def test_g17_chars_matches_format_on_bit_patterns(patterns):
+    bits = np.array([b | (1 << 63) if negative else b for b, negative in patterns],
+                    dtype=np.uint64)
+    values = bits.view(np.float64).tolist()
+    assert _g17(values) == [format(v, ".17g") for v in values]
+
+
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+           -1e-7, 3e-5, 1e15, -1e16, 1e17, 0.5, 123.0)
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300),
+                   st.floats(-1e-4, 1e-4), st.floats(-1e3, 1e3))
+INTEGER = st.integers(-10 ** 6, 10 ** 6).map(float)
+
+
+@st.composite
+def tables(draw, columns: int) -> np.ndarray:
+    """(n, columns) float64 rows, 0 <= n <= 50; some rows integer-valued."""
+    rows = draw(st.lists(st.one_of(st.tuples(*[VALUES] * columns),
+                                   st.tuples(*[INTEGER] * columns)), max_size=50))
+    return np.array(rows, dtype=float).reshape(len(rows), columns)
+
+
+BLOCKS = st.sampled_from([1, 3, 8192])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(4), BLOCKS)
+def test_particles_document_matches_reference(A, block):
+    P, V = A[:, :2], A[:, 2:]
+    with mock.patch.object(formats, "_ROW_BLOCK", block):
+        assert particles_document(P, V) == reference_particles_document(P, V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(VALUES, INTEGER), tables(2)), max_size=4),
+       BLOCKS)
+def test_frames_csv_matches_reference(series, block):
+    with mock.patch.object(formats, "_ROW_BLOCK", block):
+        assert ("".join(frames_csv(series))
+                == "".join(reference_frames_csv(series)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(2), st.sampled_from([0.5, 1e-7, 0.44721359549995793]),
+       st.sampled_from([(-1e300, 1e300), (-2.0, 4.0), (-0.0, 1e-5)]), BLOCKS)
+def test_svg_snapshot_matches_reference(points, radius, viewport, block):
+    with mock.patch.object(formats, "_ROW_BLOCK", block):
+        assert (svg_snapshot(points, radius, *viewport)
+                == reference_svg_snapshot(points, radius, *viewport))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(5), BLOCKS)
+def test_export_scene_matches_reference(A, block):
+    bases, V = A[:, :3], A[:, 3:]
+    if len(A):
+        bounds = (min(speeds(V)), max(speeds(V)))
+        scene = CylinderScene(bases, V, lemma1_bound(bounds[1]) / 2.0, bounds)
+    else:
+        scene = CylinderScene(bases, V, None, (0.0, 0.0))
+    with mock.patch.object(formats, "_ROW_BLOCK", block):
+        assert export_scene(scene) == reference_export_scene(scene)
