@@ -58,6 +58,19 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def math_map(f, *columns: np.ndarray) -> np.ndarray:
+    """f(a, b, ...) for each element of the float64 columns, as one `math`
+    call each, into a float64 array.
+
+    numpy's hypot, exp, cos and sin need not match `math`'s to the last
+    bit, so the callers that must agree with a CPython float computation
+    map `math` instead. A memoryview yields the elements as Python floats
+    one at a time, so no list of them is built.
+    """
+    return np.fromiter(map(f, *map(memoryview, columns)), float,
+                       len(columns[0]))
+
+
 class _Tile:
     """Rows [a, b) against columns a+1 .. n-1; entry (r, c) is the pair
     (a + r, a + 1 + c), valid when c >= r."""

@@ -13,8 +13,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import cylinders as cyl
 from . import falsifier as fal
 from ._pairscan import DEFAULT_SEED
@@ -196,7 +194,9 @@ def _load_configuration(config: RunConfig):
     return flow.as_configuration(), flow
 
 
-def _emit(config: RunConfig, name: str, text: str) -> str:
+def _emit(config: RunConfig, name: str, text) -> str:
+    """Write text, a str or the chunks an emitter yields, to name in the
+    output directory."""
     os.makedirs(config.out, exist_ok=True)
     path = os.path.join(config.out, name)
     write_text_atomic(path, text)
@@ -252,7 +252,8 @@ def _cmd_evolve(config: RunConfig) -> int:
         draw_radius = _to_finite(config.radius)
     P = configuration.P
     horizon = max(abs(config.t0), abs(config.t1))
-    pad = max(speeds(configuration.V), default=0.0) * horizon + draw_radius + 1.0
+    fastest = float(speeds(configuration.V).max(initial=0.0))
+    pad = fastest * horizon + draw_radius + 1.0
     lo = (float(P.min()) if P.size else 0.0) - pad
     hi = (float(P.max()) if P.size else 0.0) + pad
 
@@ -272,9 +273,8 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 def _cmd_cylinders(config: RunConfig) -> int:
     configuration, _ = _load_configuration(config)
-    # Measured once for the radius and the scene; an array, so that it
-    # holds less memory than the list through the pair scan.
-    measured = np.array(speeds(configuration.V))
+    # Measured once for the radius and the scene.
+    measured = speeds(configuration.V)
     if config.radius == "auto":
         radius = cyl.lemma1_bound(float(measured.max(initial=0.0))) / 2.0
     else:

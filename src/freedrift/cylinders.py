@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _pairscan
 from .evolution import MovingConfiguration, Particle, speeds, verify_hardcore
-from .formats import UNREPORTED, ParseError, _rows_text, fmt_float
+from .formats import UNREPORTED, ParseError, _row_slices, _rows_text, fmt_float
 from .geometry import DISTANCE_TOL, Vec3
 
 SCENE_HEADER = "cylinder-scene v1"
@@ -107,7 +107,7 @@ class CylinderScene:
             raise RadiusTooLargeError(
                 f"radius {radius} exceeds {lemma1_bound(cap) / 2.0}")
         if measured is None:
-            measured = np.array(speeds(self.velocities))
+            measured = speeds(self.velocities)
         outside = np.flatnonzero((measured < m - 1e-12) | (measured > cap + 1e-12))
         if outside.size:
             raise ValueError(f"direction speed {float(measured[outside[0]])} "
@@ -142,7 +142,7 @@ def build_scene(config: MovingConfiguration, radius: float | None = None,
     if n == 0:
         return CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
     if measured is None:
-        measured = np.array(speeds(config.V))
+        measured = speeds(config.V)
     m, cap = float(measured.min()), float(measured.max())
     if radius is None:
         radius = lemma1_bound(cap) / 2.0
@@ -257,21 +257,26 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     )
 
 
-def export_scene(scene: CylinderScene) -> str:
+def export_scene(scene: CylinderScene):
     """Text form: header, then px,py,pz,dx,dy,dz,r rows (unit directions),
-    sorted by axis point."""
+    sorted by axis point; yields the header line, then the rows in chunks
+    of text."""
+    yield SCENE_HEADER + "\n"
     B, V = scene.bases, scene.velocities
     if len(B) == 0:
-        return SCENE_HEADER + "\n"
-    lengths = np.array(list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist(),
-                                [1.0] * len(V))))
-    D = np.column_stack((V, np.ones(len(V)))) / lengths[:, None]
+        return
     # Stable, like sorting rows on their (px, py, pz) tuples.
     order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
-    px, py, pz, dx, dy, dz = np.vstack((B.T, D.T))[:, order]
-    rows = _rows_text(len(B), (px, ",", py, ",", pz, ",", dx, ",", dy, ",", dz,
-                               "," + fmt_float(scene.radius) + "\n"))
-    return "".join((SCENE_HEADER + "\n", *rows))
+    tail = "," + fmt_float(scene.radius) + "\n"
+    # The rows are gathered and their directions made a block at a time.
+    for rows in _row_slices(len(B)):
+        k = order[rows]
+        b, v = B[k], V[k]
+        ones = np.ones(len(v))
+        lengths = _pairscan.math_map(math.hypot, v[:, 0], v[:, 1], ones)
+        yield from _rows_text(len(b), (
+            b[:, 0], ",", b[:, 1], ",", b[:, 2], ",", v[:, 0] / lengths, ",",
+            v[:, 1] / lengths, ",", ones / lengths, tail))
 
 
 def parse_scene(text: str) -> CylinderScene:
@@ -300,7 +305,7 @@ def parse_scene(text: str) -> CylinderScene:
         slopes.append(row[3:])
         radii.append(radius)
     V = np.array(slopes, dtype=float).reshape(-1, 2)
-    measured = np.array(speeds(V))
+    measured = speeds(V)
     bounds = ((float(measured.min()), float(measured.max())) if measured.size
               else (0.0, 0.0))
     return CylinderScene(np.array(bases, dtype=float).reshape(-1, 3), V,

@@ -31,10 +31,10 @@ class Particle:
     velocity: Vec2
 
 
-def speeds(V) -> list[float]:
+def speeds(V) -> np.ndarray:
     """|v| for each row of V by math.hypot, which numpy's hypot need not
-    match to the last bit."""
-    return list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist()))
+    match to the last bit, as a float64 array."""
+    return _pairscan.math_map(math.hypot, V[:, 0], V[:, 1])
 
 
 @dataclass(eq=False)

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from ._pairscan import DEFAULT_SEED
+from ._pairscan import DEFAULT_SEED, math_map
 from .formats import UNREPORTED
 from .geometry import CHAIN_TOL, Vec2, dot, norm, sub
 
@@ -152,18 +152,8 @@ def _values(field: CandidateField, x1: list[float], x2: list[float]) -> list[Vec
 # (w1, w2) as two float64 arrays. `CandidateField` picks its kernel once, so
 # every evaluation (the search, `evaluate`, the chain and circle probes)
 # runs the same arithmetic. Each element is the scalar formula's CPython
-# float, by the rule in the module docstring: `_math_map` for hypot, and
+# float, by the rule in the module docstring: `math_map` for hypot, and
 # `_pymax`/`_pymin` where the formula uses Python's max and min.
-
-def _math_map(f, *columns: np.ndarray) -> np.ndarray:
-    """f(a, b, ...) for each element of the columns, as one `math` call.
-
-    A memoryview yields the elements as Python floats one at a time, so no
-    list of them is built.
-    """
-    return np.fromiter(map(f, *map(memoryview, columns)), float,
-                       len(columns[0]))
-
 
 def _pymax(a, b):
     """Python's max(a, b) elementwise: b only where b > a."""
@@ -189,7 +179,7 @@ def _radial_kernel(field: CandidateField):
 
     def kernel(x1: np.ndarray, x2: np.ndarray):
         u1, u2 = x1 / scale, x2 / scale
-        f = bound / _math_map(hypot_1, u1, u2)
+        f = bound / math_map(hypot_1, u1, u2)
         return f * u1, f * u2
     return kernel
 
@@ -198,7 +188,7 @@ def _rotational_kernel(field: CandidateField):
     bound, scale = field.bound, field.scale
 
     def kernel(x1: np.ndarray, x2: np.ndarray):
-        f = bound / _pymax(_math_map(math.hypot, x1, x2), scale)
+        f = bound / _pymax(math_map(math.hypot, x1, x2), scale)
         return -f * x2, f * x1
     return kernel
 
@@ -440,7 +430,7 @@ class _Search:
         with np.errstate(all="ignore"):
             d1 = x1 - y1
             d2 = x2 - y2
-            separation = _math_map(math.hypot, d1, d2)
+            separation = math_map(math.hypot, d1, d2)
             take = np.flatnonzero(separation > 1.0)
             take = take[:(self.budget - self.evals) // 2]
             n = len(take)
@@ -453,7 +443,7 @@ class _Search:
             dw1 = w1[:n] - w1[n:]
             dw2 = w2[:n] - w2[n:]
             inner = d1 * dw1 + d2 * dw2
-            dw_norm = _math_map(math.hypot, dw1, dw2)
+            dw_norm = math_map(math.hypot, dw1, dw2)
             margin = self.c * dw_norm - np.abs(inner)
         # A finite increment implies both field values are finite.
         finite = np.isfinite(dw1) & np.isfinite(dw2)
@@ -577,13 +567,13 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
         # drawn by a pair-by-pair loop too: no batch outruns the stream.
         while (pairs := min((stream_end - search.evals) // 2, _CHUNK)) > 0:
             r, t, gap, phi = _random_floats(rng, 4 * pairs).reshape(pairs, 4).T
-            r = _math_map(exp, _uniform(0.0, log_r_max, r))
+            r = math_map(exp, _uniform(0.0, log_r_max, r))
             t = _uniform(0.0, turn, t)
-            x1, x2 = r * _math_map(cos, t), r * _math_map(sin, t)
-            gap = _math_map(exp, _uniform(log_gap_min, log_gap_max, gap))
+            x1, x2 = r * math_map(cos, t), r * math_map(sin, t)
+            gap = math_map(exp, _uniform(log_gap_min, log_gap_max, gap))
             phi = _uniform(0.0, turn, phi)
-            hit = search.try_pairs(x1, x2, x1 + gap * _math_map(cos, phi),
-                                   x2 + gap * _math_map(sin, phi))
+            hit = search.try_pairs(x1, x2, x1 + gap * math_map(cos, phi),
+                                   x2 + gap * math_map(sin, phi))
             if hit is not None:
                 return _violation(search, hit, f"random-slot-{stream}")
 

@@ -13,11 +13,14 @@ shifted right, rounded half to even on the exact remainder, which gives the
 17 digits that CPython's correctly rounded dtoa gives; X, the decimal
 exponent, is guessed from log10 and checked against the digit count. Every
 other value, and any row the checks reject, goes through format(x, ".17g").
-Rows go out _ROW_BLOCK at a time.
+Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
+the memory they hold is bounded by a block whatever the row count, and
+parse_particles likewise reads rows a block at a time.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import tempfile
@@ -50,6 +53,11 @@ _ROW_BLOCK = 8192
 # followed by a slot for the decimal point. Longer than any ".17g" string.
 _WIDTH = 39
 _WRITE_SLICE = 1 << 20
+# parse_particles reads rows a block of at least this many characters at a
+# time; each block runs on to the end of its last line.
+_PARSE_BLOCK = 1 << 16
+# The characters of a plain particle row besides its commas and newline.
+_NUMBER_CHARS = b"0123456789+-.eE"
 _E16 = np.uint64(10 ** 16)
 _E17 = np.uint64(10 ** 17)
 
@@ -155,6 +163,12 @@ def _g17_chars(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_slices(n: int):
+    """Slices covering range(n), _ROW_BLOCK rows each."""
+    return (slice(start, min(start + _ROW_BLOCK, n))
+            for start in range(0, n, _ROW_BLOCK))
+
+
 def _rows_text(n: int, parts):
     """The text of n rows, yielded _ROW_BLOCK rows at a time as str.
 
@@ -162,25 +176,25 @@ def _rows_text(n: int, parts):
     column of n values by format(v, ".17g"), and a (w, n) uint8 matrix
     (one from _g17_chars) by its nonzero bytes.
     """
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
+    for rows in _row_slices(n):
         block = []
         for part in parts:
             if isinstance(part, str):
                 block.append(np.frombuffer(part.encode("ascii"), np.uint8)[:, None])
             else:
-                chars = (part[:, start:stop] if part.ndim == 2
-                         else _g17_chars(part[start:stop]))
+                chars = (part[:, rows] if part.ndim == 2
+                         else _g17_chars(part[rows]))
                 # Drop character slots no value of the block uses.
                 block.append(chars[chars.any(axis=1)])
         # The rows are laid out in place in one buffer, which translate
         # then copies without the zero bytes.
+        count = rows.stop - rows.start
         widths = [len(chars) for chars in block]
-        text = bytearray(sum(widths) * (stop - start))
-        rows = np.frombuffer(text, np.uint8).reshape(stop - start, -1)
+        text = bytearray(sum(widths) * count)
+        lines = np.frombuffer(text, np.uint8).reshape(count, -1)
         for column, chars in zip(np.cumsum([0] + widths), block):
-            rows[:, column:column + len(chars)] = chars.T
-        del block, chars, rows
+            lines[:, column:column + len(chars)] = chars.T
+        del block, chars, lines
         text = text.translate(None, b"\0")
         yield text.decode("ascii")
 
@@ -206,16 +220,18 @@ def _parse_float(line_no: int, field: str) -> float:
         raise ParseError(line_no, f"expected a number, got {field!r}") from None
 
 
-def particles_document(P, V) -> str:
-    """Positions P and velocities V, (n, 2) each, one x1,x2,v1,v2 row each."""
-    columns = (P[:, 0], ",", P[:, 1], ",", V[:, 0], ",", V[:, 1], "\n")
-    return "".join((PARTICLES_HEADER + "\n", *_rows_text(len(P), columns)))
+def particles_document(P, V):
+    """Positions P and velocities V, (n, 2) each, one x1,x2,v1,v2 row each:
+    yields the header line, then the rows in chunks of text."""
+    yield PARTICLES_HEADER + "\n"
+    yield from _rows_text(len(P), (P[:, 0], ",", P[:, 1], ",", V[:, 0], ",",
+                                   V[:, 1], "\n"))
 
 
 def _check_finite(values, row_lines) -> None:
-    """Raise for the first row of values (flat, 4 per row) that holds a
-    NaN or infinity, naming its position or else its velocity."""
-    A = np.array(values, dtype=float).reshape(-1, 4)
+    """Raise for the first row of values (4 per row) that holds a NaN or
+    infinity, naming its position or else its velocity."""
+    A = np.asarray(values, dtype=float).reshape(-1, 4)
     finite = np.isfinite(A)
     bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
@@ -225,19 +241,15 @@ def _check_finite(values, row_lines) -> None:
                          f"non-finite Vec2 component: ({x[0]}, {x[1]})")
 
 
-def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities, (n, 2) float64 arrays, of a particles file.
+def _parse_lines(lines, first_line: int) -> np.ndarray:
+    """The rows of lines, numbered from first_line, as an (r, 4) array.
 
-    Blank lines are skipped. The first bad line raises ParseError with its
-    line number: a wrong field count, a field that is not a number, or a
-    NaN or infinity.
+    Blank lines are skipped. The first bad line raises ParseError: a wrong
+    field count, a field that is not a number, or a NaN or infinity.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PARTICLES_HEADER:
-        raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
     values: list[float] = []
     row_lines: list[int] = []
-    for ln, raw in enumerate(lines[1:], start=2):
+    for ln, raw in enumerate(lines, start=first_line):
         fields = raw.split(",")
         try:
             if len(fields) != 4:
@@ -256,8 +268,81 @@ def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
                 _parse_float(ln, f.strip())
         row_lines.append(ln)
     _check_finite(values, row_lines)
-    A = np.array(values, dtype=float).reshape(-1, 4)
-    return np.ascontiguousarray(A[:, :2]), np.ascontiguousarray(A[:, 2:])
+    return np.array(values, dtype=float).reshape(-1, 4)
+
+
+def _plain_rows(block: str) -> np.ndarray | None:
+    """The rows of a block of plain rows as an (r, 4) array, else None.
+
+    A plain row is ASCII digits, signs, points and exponent letters with
+    exactly three commas, ending in a newline; deleting all but the commas
+    and newlines of a plain block leaves ",,,\n" once per row.
+    """
+    # A last row without its newline ("1,2,3,4\n55") would pass the comma
+    # check below with its fields silently dropped.
+    if not block.isascii() or not block.endswith("\n"):
+        return None
+    data = block.encode("ascii")
+    r = data.count(b"\n")
+    if data.translate(None, _NUMBER_CHARS) != b",,,\n" * r:
+        return None
+    try:
+        values = np.fromiter(map(float, data.replace(b"\n", b",").split(b",")),
+                             float, 4 * r)
+    except ValueError:  # an empty field, "1e" and the like: the line loop reports it
+        return None
+    return values.reshape(r, 4)
+
+
+def _parse_blocks(text: str, start: int, ln: int):
+    """The rows of text[start:], its first line numbered ln, as (r, 4)
+    arrays, one block of at least _PARSE_BLOCK characters at a time."""
+    while start < len(text):
+        stop = text.find("\n", start + _PARSE_BLOCK - 1) + 1 or len(text)
+        block = text[start:stop]
+        start = stop
+        A = _plain_rows(block)
+        if A is None:
+            lines = block.splitlines()
+            A = _parse_lines(lines, ln)
+            ln += len(lines)
+        else:
+            _check_finite(A, range(ln, ln + len(A)))
+            ln += len(A)
+        yield A
+
+
+def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities, (n, 2) float64 arrays, of a particles file.
+
+    Blank lines are skipped. The first bad line raises ParseError with its
+    line number: a wrong field count, a field that is not a number, or a
+    NaN or infinity.
+
+    The rows are read a block at a time (_parse_blocks) into preallocated
+    arrays, so the memory held besides the text and the result is bounded
+    by a block. A block of plain rows (_plain_rows) goes through one split
+    and one map(float); any other block, or one that float rejects, goes
+    line by line.
+    """
+    head = text[:text.find("\n") + 1] or text
+    lines = head.splitlines()
+    if not lines or lines[0].strip() != PARTICLES_HEADER:
+        raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
+    # Exact for plain rows; grown when line breaks other than "\n" make more.
+    capacity = text.count("\n", len(head)) + (not text.endswith("\n"))
+    P, V = np.empty((capacity, 2)), np.empty((capacity, 2))
+    n = 0
+    for A in itertools.chain([_parse_lines(lines[1:], 2)],
+                             _parse_blocks(text, len(head), len(lines) + 1)):
+        if n + len(A) > len(P):
+            more = np.empty((max(len(P), len(A)), 2))
+            P, V = np.concatenate((P, more)), np.concatenate((V, more))
+        P[n:n + len(A)], V[n:n + len(A)] = A[:, :2], A[:, 2:]
+        n += len(A)
+    if n < len(P):
+        P, V = P[:n].copy(), V[:n].copy()
+    return P, V
 
 
 def report_document(items) -> str:
@@ -370,26 +455,35 @@ def frames_csv(series):
     for frame, (t, points) in enumerate(series):
         if particle is None or particle.shape[1] != len(points):
             particle = _g17_chars(np.arange(len(points), dtype=float))
+            # Kept for every frame: without the slots no index uses.
+            particle = particle[particle.any(axis=1)]
         yield from _rows_text(len(points), (
             f"{frame},{fmt_float(t)},", particle,
             ",", points[:, 0], ",", points[:, 1], "\n"))
 
 
-def svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
+def svg_snapshot(points, radius: float, lo: float, hi: float):
     """One frame as SVG: disks at the (n, 2) positions in the fixed world
-    square [lo, hi]^2.
+    square [lo, hi]^2, yielded in chunks of text. A bad viewport raises
+    ValueError at the call.
 
     The world y axis points up, SVG's points down, so y is flipped.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad viewport [{lo}, {hi}]")
+    return _svg_chunks(points, radius, lo, hi)
+
+
+def _svg_chunks(points, radius: float, lo: float, hi: float):
     side = hi - lo
-    circles = _rows_text(len(points), (
-        '<circle cx="', points[:, 0] - lo, '" cy="', hi - points[:, 1],
-        f'" r="{fmt_float(radius)}" fill="#336699" '
-        'stroke="black" stroke-width="0.02"/>\n'))
-    return "".join((
-        '<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
-        f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">\n'
-        f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n',
-        *circles, "</svg>\n"))
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
+           f'viewBox="0 0 {fmt_float(side)} {fmt_float(side)}">\n'
+           f'<rect width="{fmt_float(side)}" height="{fmt_float(side)}" fill="white"/>\n')
+    tail = (f'" r="{fmt_float(radius)}" fill="#336699" '
+            'stroke="black" stroke-width="0.02"/>\n')
+    # The shifted coordinates are made a block at a time, not for all rows.
+    for rows in _row_slices(len(points)):
+        block = points[rows]
+        yield from _rows_text(len(block), (
+            '<circle cx="', block[:, 0] - lo, '" cy="', hi - block[:, 1], tail))
+    yield "</svg>\n"

@@ -32,11 +32,12 @@ class ProfileKind(enum.Enum):
 DISK_RADIUS = (1.0 - 1e-9) / 2.0
 UNIT_GUARANTEE = 1.0
 # Largest window build_flow accepts. A particle costs 32 bytes in P and V;
-# a command adds a few more (n, 2) float64 arrays (field, slices, sort keys,
-# unit directions) and about 100 bytes of text per emitted row. Peak RSS
-# grows by about 500 bytes per particle (evolve, the largest, measured at
-# N = 100 and 200), so 2**22 particles, a square window up to N = 1023,
-# stay near 2 GiB. Larger windows are refused before anything is allocated.
+# a command adds a few more (n, 2) float64 arrays (field, slices, sort
+# keys), while text is parsed and emitted a block of rows at a time. Peak
+# RSS grows by about 230 bytes per particle (evolve, the largest, measured
+# at N = 100 and 200, from a window or a particles file), so 2**22
+# particles, a square window up to N = 1023, stay near 1 GiB. Larger
+# windows are refused before anything is allocated.
 MAX_PARTICLES = 1 << 22
 
 

@@ -8,7 +8,9 @@ with no rounding at all, to decide last-bit questions. The falsifier
 reference is the `Vec2` formulation of the search, kept to pin the float
 search bit for bit. The reference emitters format one row at a time with
 str.format, as the emitters did before they formatted whole columns, and
-pin the emitted bytes.
+pin the emitted bytes. The reference parser reads a particles file line by
+line, as the parser did before it read plain rows a block at a time, and
+pins its arrays and its errors.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from freedrift.falsifier import (
     FieldKind,
     ViolationReport,
 )
-from freedrift.formats import PARTICLES_HEADER, fmt_float
+from freedrift.formats import PARTICLES_HEADER, ParseError, fmt_float
 from freedrift.geometry import Vec2, dot, norm, sub
 
 
@@ -60,33 +62,54 @@ def time_grid_min_distance(x, vx, y, vy, levels: int = 28, points: int = 2001):
 
 
 def line_grid_min_distance(p1, d1, p2, d2, half: float = 64.0,
-                           levels: int = 30, points: int = 41):
-    """Nested 2D grid minimization of |(p1 + t d1) - (p2 + s d2)|.
+                           levels: int = 30, points: int = 41,
+                           inner_levels: int = 18, inner_points: int = 41):
+    """Grid minimization of |(p1 + t d1) - (p2 + s d2)| over t and s.
 
-    Doubles the bracket whenever the argmin lands on its boundary, then
-    refines. Works for parallel lines too (flat valley; the value still
-    converges).
+    For each t, the distance h(t) from p1 + t d1 to the second line is
+    minimized over s on nested grids from the bracket |s| <= |p1 + t d1 - p2|
+    / |d2| + 1 (Cauchy-Schwarz). h is convex, being the partial minimum of
+    a convex function, so nested grids on t converge too: they double the
+    bracket whenever the argmin lands on its boundary, then refine. A joint
+    grid on (t, s) does not: for nearly parallel lines its argmin stalls
+    across the narrow valley of the distance, away from the minimum. Works
+    for parallel lines too (h is then constant).
     """
     p1 = np.asarray(p1, dtype=float)
     d1 = np.asarray(d1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    center = np.array([0.0, 0.0])
+    d2_norm = math.sqrt(float(d2 @ d2))
+    unit = np.linspace(-1.0, 1.0, inner_points)
+
+    def to_second_line(ts):
+        q = p1[None, :] + ts[:, None] * d1[None, :] - p2[None, :]
+        rows = np.arange(len(ts))
+        center = np.zeros(len(ts))
+        spread = np.sqrt((q ** 2).sum(axis=1)) / d2_norm + 1.0
+        best = np.full(len(ts), math.inf)
+        for _ in range(inner_levels):
+            ss = center[:, None] + spread[:, None] * unit[None, :]
+            diff = q[:, None, :] - ss[:, :, None] * d2[None, None, :]
+            dist = np.sqrt((diff ** 2).sum(axis=2))
+            k = np.argmin(dist, axis=1)
+            best = np.minimum(best, dist[rows, k])
+            center = ss[rows, k]
+            spread = spread * (8.0 / (inner_points - 1))
+        return best
+
+    center = 0.0
     best = math.inf
     for _ in range(levels):
-        ts = np.linspace(center[0] - half, center[0] + half, points)
-        ss = np.linspace(center[1] - half, center[1] + half, points)
-        tg, sg = np.meshgrid(ts, ss, indexing="ij")
-        diff = (p1[None, None, :] + tg[:, :, None] * d1[None, None, :]
-                - p2[None, None, :] - sg[:, :, None] * d2[None, None, :])
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, points)
-        best = min(best, float(dist[i, j]))
-        on_edge = i in (0, points - 1) or j in (0, points - 1)
-        center = np.array([ts[i], ss[j]])
-        if on_edge:
+        ts = np.linspace(center - half, center + half, points)
+        h = to_second_line(ts)
+        i = int(np.argmin(h))
+        best = min(best, float(h[i]))
+        center = float(ts[i])
+        if i in (0, points - 1):
             half *= 2.0
+        elif half < 1e-10 * (1.0 + abs(center)):
+            break  # h is |d1|-Lipschitz: the bracket is fine enough
         else:
             half = 4.0 * (2.0 * half / (points - 1))
     return best
@@ -359,3 +382,50 @@ def reference_export_scene(scene) -> str:
     row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
     rows = np.hstack((B, D))[order]
     return SCENE_HEADER + "\n" + "".join(map(row, *rows.T.tolist()))
+
+
+def _reference_parse_float(line_no: int, field: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise ParseError(line_no, f"expected a number, got {field!r}") from None
+
+
+def _reference_check_finite(values, row_lines) -> None:
+    A = np.array(values, dtype=float).reshape(-1, 4)
+    finite = np.isfinite(A)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        x = (A[k, :2] if not finite[k, :2].all() else A[k, 2:]).tolist()
+        raise ParseError(row_lines[k],
+                         f"non-finite Vec2 component: ({x[0]}, {x[1]})")
+
+
+def reference_parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != PARTICLES_HEADER:
+        raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
+    values: list[float] = []
+    row_lines: list[int] = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        fields = raw.split(",")
+        try:
+            if len(fields) != 4:
+                if not raw.strip():
+                    continue
+                raise ParseError(
+                    ln, f"expected 4 fields x1,x2,v1,v2, got {len(fields)}")
+            values.extend(map(float, fields))
+        except ValueError as exc:
+            # Earlier rows come first: finish checking them, then report.
+            del values[4 * len(row_lines):]
+            _reference_check_finite(values, row_lines)
+            if isinstance(exc, ParseError):
+                raise
+            for f in fields:
+                _reference_parse_float(ln, f.strip())
+        row_lines.append(ln)
+    _reference_check_finite(values, row_lines)
+    A = np.array(values, dtype=float).reshape(-1, 4)
+    return np.ascontiguousarray(A[:, :2]), np.ascontiguousarray(A[:, 2:])

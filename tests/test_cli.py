@@ -297,7 +297,7 @@ def _radius_above_certificate():
 def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsys,
                                                     scan_passes, case):
     P, V, extra = case()
-    (tmp_path / "rows.txt").write_text(particles_document(P, V))
+    (tmp_path / "rows.txt").write_text("".join(particles_document(P, V)))
     monkeypatch.chdir(tmp_path)
     args = ["--command", "cylinders", "--particles", "rows.txt", *extra]
     code = cli.main([*args, "--out", "out"])

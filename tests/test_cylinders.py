@@ -223,7 +223,7 @@ def test_build_scene_defaults():
 
 
 def test_export_empty_scene_is_header_only():
-    doc = export_scene(CylinderScene.from_cylinders((), (0.0, 0.0)))
+    doc = "".join(export_scene(CylinderScene.from_cylinders((), (0.0, 0.0))))
     assert doc == SCENE_HEADER + "\n"
     parsed = parse_scene(doc)
     assert parsed.cylinders == ()
@@ -231,7 +231,7 @@ def test_export_empty_scene_is_header_only():
 
 def test_export_single_vertical_cylinder():
     scene = build_scene(_static_pair(2.0), radius=0.5)
-    doc = export_scene(scene)
+    doc = "".join(export_scene(scene))
     lines = doc.splitlines()
     assert lines[0] == SCENE_HEADER
     assert lines[1] == "0,0,0,0,0,1,0.5"
@@ -245,7 +245,7 @@ def test_export_rows_sorted_by_axis_point():
         Particle(Vec2(-1.0, 2.0), Vec2(0.5, 0.25)),
     )
     scene = build_scene(MovingConfiguration.from_particles(particles), radius=0.25)
-    rows = export_scene(scene).splitlines()[1:]
+    rows = "".join(export_scene(scene)).splitlines()[1:]
     keys = [tuple(float(f) for f in row.split(",")[:3]) for row in rows]
     assert keys == sorted(keys)
 
@@ -254,15 +254,15 @@ def test_export_rows_sorted_by_axis_point():
 def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     scene = build_scene(flow.as_configuration())
-    whole = export_scene(scene)  # nine rows: one block
+    whole = "".join(export_scene(scene))  # nine rows: one block
     monkeypatch.setattr(formats, "_ROW_BLOCK", block)
-    assert export_scene(scene) == whole
+    assert "".join(export_scene(scene)) == whole
 
 
 def test_scene_round_trip_preserves_distances():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     scene = build_scene(flow.as_configuration())
-    parsed = parse_scene(export_scene(scene))
+    parsed = parse_scene("".join(export_scene(scene)))
     assert len(parsed.cylinders) == 9
     assert parsed.radius == pytest.approx(scene.radius, rel=1e-15)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -9,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import formats
-from freedrift.cylinders import CylinderScene, export_scene, lemma1_bound
-from freedrift.evolution import speeds
+from freedrift.cylinders import CylinderScene, build_scene, export_scene, lemma1_bound
+from freedrift.evolution import MovingConfiguration, speeds
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -27,6 +28,7 @@ from freedrift.formats import (
 from oracles import (
     reference_export_scene,
     reference_frames_csv,
+    reference_parse_particles,
     reference_particles_document,
     reference_svg_snapshot,
 )
@@ -42,7 +44,7 @@ def test_fmt_float_round_trips_doubles():
 def test_particles_round_trip():
     P = np.array([(0.0, 0.0), (-3.0, 4.0)])
     V = np.array([(1.25, -0.5), (math.atan(2), math.pi)])
-    text = particles_document(P, V)
+    text = "".join(particles_document(P, V))
     assert text.startswith("particles v1\n")
     back_P, back_V = parse_particles(text)
     assert back_P.tolist() == P.tolist()
@@ -104,6 +106,125 @@ def test_particles_first_bad_line_wins(later):
     with pytest.raises(ParseError) as info:
         parse_particles(text)
     assert str(info.value) == "line 3: non-finite Vec2 component: (0.0, inf)"
+
+
+# Particle text for the comparison with the line-by-line reference parser.
+# Plain fields are what a block of plain rows may hold; odd fields go
+# through the per-line loop, or make float fail on a plain-looking block.
+PLAIN_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["1e999", "-1e999", "-0", "+1.5", ".5", "5.", "1E-3", "0e0",
+                     "", "e", "1e", "--1", "1.2.3", "+-1"]))
+ODD_FIELDS = st.sampled_from([
+    "nan", "-inf", "Infinity", " 1", "2 ", "\t3", " 1 e5", "1_0", "+_1", "1__0",
+    "\u0661", "\u0663.\u0665", "\uff11", "x", "0x1", "1e5\u00a0"])
+FIELDS = st.one_of(PLAIN_FIELDS, PLAIN_FIELDS, ODD_FIELDS)
+LINES = st.one_of(
+    st.lists(PLAIN_FIELDS, min_size=4, max_size=4).map(",".join),
+    st.lists(FIELDS, min_size=4, max_size=4).map(",".join),
+    st.lists(FIELDS, max_size=6).map(",".join),
+    st.sampled_from(["", " ", "\t", " \t "]))
+# Every str.splitlines separator; mostly "\n".
+BREAKS = st.sampled_from(["\n"] * 10 + [
+    "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+PARSE_BLOCKS = st.sampled_from([1, 2, 7, 30, 1 << 16])
+
+
+@st.composite
+def particle_texts(draw) -> str:
+    header = draw(st.sampled_from([formats.PARTICLES_HEADER] * 8
+                                  + [" particles v1\t", "particles v2", ""]))
+    lines = draw(st.lists(st.tuples(LINES, BREAKS), max_size=40))
+    text = header + draw(BREAKS) + "".join(line + br for line, br in lines)
+    if lines and draw(st.booleans()):  # no final line break
+        text = text[:-len(lines[-1][1])]
+    return text
+
+
+def _parse_outcome(parse, text):
+    """The arrays' shapes and bits, or the ParseError's line and message."""
+    try:
+        P, V = parse(text)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc)
+    assert P.dtype == V.dtype == np.float64
+    assert P.flags.c_contiguous and V.flags.c_contiguous
+    return "rows", P.shape, V.shape, P.tobytes(), V.tobytes()
+
+
+_PLAIN_ROWS = "".join(f"{k},{k}.5,-{k}e-3,+{k}\n" for k in range(6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(particle_texts(), PARSE_BLOCKS)
+@example("particles v1\n1e999,0,0,0\n" + _PLAIN_ROWS + "x,1,2,3\n", 1)
+@example("particles v1\n" + _PLAIN_ROWS + "0,nan,0,0\n" + _PLAIN_ROWS + "0,1\n", 7)
+@example("particles v1\n" + _PLAIN_ROWS + "0,0,-1e999,0\n" + _PLAIN_ROWS, 1 << 16)
+@example("particles v1\r\n" + _PLAIN_ROWS.replace("\n", "\r\n"), 2)
+@example("particles v1\n" + _PLAIN_ROWS + "\n" + _PLAIN_ROWS + "1,2,3,4", 30)
+@example("particles v1\n" + _PLAIN_ROWS + "1,\u0662,3,4\n" + _PLAIN_ROWS, 30)
+@example("particles v1\u2028" + _PLAIN_ROWS + "1,2,3,4\r5,6,7,8\n", 7)
+@example("particles v1\n0.0", 1)
+@example("particles v1\n" + _PLAIN_ROWS + "55", 1 << 16)
+def test_parse_particles_matches_reference(text, block):
+    with mock.patch.object(formats, "_PARSE_BLOCK", block):
+        got = _parse_outcome(parse_particles, text)
+    assert got == _parse_outcome(reference_parse_particles, text)
+
+
+def test_plain_rows_skip_the_line_loop(monkeypatch):
+    line_loop = []
+    parse_lines = formats._parse_lines
+
+    def counted(lines, first_line):
+        line_loop.extend(lines)
+        return parse_lines(lines, first_line)
+
+    monkeypatch.setattr(formats, "_parse_lines", counted)
+    monkeypatch.setattr(formats, "_PARSE_BLOCK", 64)
+    P = np.arange(400.0).reshape(200, 2)
+    back_P, back_V = parse_particles("".join(particles_document(P, -P)))
+    assert back_P.tolist() == P.tolist() and back_V.tolist() == (-P).tolist()
+    assert line_loop == []
+
+
+def _traced_peak(make):
+    """What make() returns, and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        return make(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_above_arrays(n: int, task: str) -> int:
+    """Peak traced memory of one parse or one fully consumed emitter on n
+    seeded rows, above its input (made before tracing) and its output
+    arrays."""
+    rng = np.random.default_rng(n)
+    P, V = rng.uniform(-100.0, 100.0, (n, 2)), rng.uniform(-2.0, 2.0, (n, 2))
+    if task == "parse":
+        text = "".join(particles_document(P, V))
+        (P, V), peak = _traced_peak(lambda: parse_particles(text))
+        return peak - P.nbytes - V.nbytes
+    scene = build_scene(MovingConfiguration(P, V))
+    chunks = {"particles": lambda: particles_document(P, V),
+              "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),
+              "scene": lambda: export_scene(scene)}[task]
+    return _traced_peak(lambda: sum(map(len, chunks())))[1]
+
+
+@pytest.mark.parametrize("task", ["parse", "particles", "svg", "scene"])
+def test_memory_is_bounded_by_a_block(task):
+    n = 2000
+    with mock.patch.object(formats, "_ROW_BLOCK", 256), \
+            mock.patch.object(formats, "_PARSE_BLOCK", 1 << 13):
+        small, large = (_peak_above_arrays(rows, task) for rows in (n, 4 * n))
+    # export_scene sorts its rows first: np.lexsort's n-long order, with
+    # its work space, is all that may grow.
+    allowed = 16 * 3 * n if task == "scene" else 0
+    assert large - small <= allowed + (16 << 10)
 
 
 def test_report_round_trip_and_value_formats():
@@ -191,7 +312,7 @@ def test_frames_csv_layout():
 
 
 def test_svg_snapshot_geometry():
-    text = svg_snapshot(np.array([(0.0, 0.0), (1.0, 3.0)]), 0.5, -2.0, 4.0)
+    text = "".join(svg_snapshot(np.array([(0.0, 0.0), (1.0, 3.0)]), 0.5, -2.0, 4.0))
     assert text.count("<circle") == 2
     assert 'viewBox="0 0 6 6"' in text
     # y flips: world x2=3 inside [-2, 4] lands at cy = 4 - 3 = 1
@@ -277,7 +398,8 @@ BLOCKS = st.sampled_from([1, 3, 8192])
 def test_particles_document_matches_reference(A, block):
     P, V = A[:, :2], A[:, 2:]
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert particles_document(P, V) == reference_particles_document(P, V)
+        assert ("".join(particles_document(P, V))
+                == reference_particles_document(P, V))
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,7 +416,7 @@ def test_frames_csv_matches_reference(series, block):
        st.sampled_from([(-1e300, 1e300), (-2.0, 4.0), (-0.0, 1e-5)]), BLOCKS)
 def test_svg_snapshot_matches_reference(points, radius, viewport, block):
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert (svg_snapshot(points, radius, *viewport)
+        assert ("".join(svg_snapshot(points, radius, *viewport))
                 == reference_svg_snapshot(points, radius, *viewport))
 
 
@@ -308,4 +430,4 @@ def test_export_scene_matches_reference(A, block):
     else:
         scene = CylinderScene(bases, V, None, (0.0, 0.0))
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert export_scene(scene) == reference_export_scene(scene)
+        assert "".join(export_scene(scene)) == reference_export_scene(scene)

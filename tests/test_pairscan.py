@@ -191,8 +191,15 @@ def test_coordinates_around_1e8(config, tile, offset):
         assert near == scan
 
 
+# Worldlines that cross at t = 128 at an angle of 0.4 degrees: a joint
+# (t, s) grid oracle stalled across their narrow valley at 0.34.
+NEARLY_PARALLEL = (np.array([[8.0, 0.0], [0.0, 0.0]]),
+                   np.array([[-2.75, 0.0], [-2.6875, 0.0]]), np.zeros((2, 2)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES))
+@example(NEARLY_PARALLEL, 1)
 def test_engine_matches_scalar_formulas_and_oracles(config, tile):
     P, V, _ = config
     n = len(P)
