@@ -273,18 +273,14 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 def _cmd_cylinders(config: RunConfig) -> int:
     configuration, _ = _load_configuration(config)
-    # Measured once for the radius and the scene.
-    measured = speeds(configuration.V)
-    if config.radius == "auto":
-        radius = cyl.lemma1_bound(float(measured.max(initial=0.0))) / 2.0
-    else:
-        radius = _to_finite(config.radius)
+    radius = None if config.radius == "auto" else _to_finite(config.radius)
     try:
         report = cyl.verify_scene(configuration, radius, seed=config.seed)
     except cyl.HardCoreNotVerifiedError as exc:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    scene = cyl.build_scene(configuration, radius, measured)
+    # The speeds verify_scene measured, for the scene's bounds.
+    scene = cyl.build_scene(configuration, report.radius, report.measured)
     _emit(config, "scene.txt", cyl.export_scene(scene))
     _emit(config, "cylinder_report.txt", report_document(
         {"command": "cylinders", **report_items(report)}))

@@ -5,7 +5,7 @@ keeps all pairwise distances >= 1 at all times and speeds stay <= M, any
 two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
 builds such scenes, verifies the distance and nonparallelity claims, and
-round-trips scenes through a plain text format.
+exports scenes in a plain text format.
 
 For a lattice flow the verification needs no pass over the pairs: the
 structural certificate gives the exact worldline minimum 1/sqrt(1+S^2),
@@ -20,9 +20,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration, Particle, speeds, verify_hardcore
-from .formats import UNREPORTED, ParseError, _row_slices, _rows_text, fmt_float
-from .geometry import DISTANCE_TOL, Vec3
+from .evolution import MovingConfiguration, speeds, verify_hardcore
+from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
+from .geometry import DISTANCE_TOL
 
 SCENE_HEADER = "cylinder-scene v1"
 # Slack on the radius cap so a radius computed as exactly bound/2 passes.
@@ -42,36 +42,6 @@ def lemma1_bound(max_speed: float) -> float:
     if not (math.isfinite(max_speed) and max_speed >= 0):
         raise ValueError("max speed must be finite and >= 0")
     return 1.0 / math.hypot(1.0, max_speed)
-
-
-@dataclass(frozen=True, slots=True)
-class WorldLine:
-    """Space-time line through base with direction (v1, v2, 1)."""
-
-    base: Vec3
-    direction: Vec3
-
-    def __post_init__(self) -> None:
-        if self.direction.x3 != 1.0:
-            raise ValueError("worldline direction must have third coordinate 1")
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.direction.x1, self.direction.x2)
-
-
-def worldline_of(p: Particle) -> WorldLine:
-    return WorldLine(
-        base=Vec3(p.position.x1, p.position.x2, 0.0),
-        direction=Vec3(p.velocity.x1, p.velocity.x2, 1.0),
-    )
-
-
-def _equal_radius(radii) -> float | None:
-    distinct = set(radii)
-    if len(distinct) > 1:
-        raise ValueError("all cylinder radii must be equal")
-    return distinct.pop() if distinct else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +82,6 @@ class CylinderScene:
         if outside.size:
             raise ValueError(f"direction speed {float(measured[outside[0]])} "
                              f"outside [{m}, {cap}]")
-
-    @classmethod
-    def from_cylinders(cls, cylinders, speed_bounds) -> "CylinderScene":
-        """Scene from (WorldLine, radius) pairs, the per-cylinder API form."""
-        cylinders = tuple(cylinders)
-        bases = [(line.base.x1, line.base.x2, line.base.x3) for line, _ in cylinders]
-        slopes = [(line.direction.x1, line.direction.x2) for line, _ in cylinders]
-        return cls(np.array(bases, dtype=float).reshape(-1, 3),
-                   np.array(slopes, dtype=float).reshape(-1, 2),
-                   _equal_radius(r for _, r in cylinders), speed_bounds)
-
-    @property
-    def cylinders(self) -> tuple[tuple[WorldLine, float], ...]:
-        """(WorldLine, radius) pairs, built on each access."""
-        return tuple(
-            (WorldLine(Vec3(*b), Vec3(v1, v2, 1.0)), self.radius)
-            for b, (v1, v2) in zip(self.bases.tolist(), self.velocities.tolist()))
 
 
 def build_scene(config: MovingConfiguration, radius: float | None = None,
@@ -181,9 +134,11 @@ class SceneReport:
     mode: str
     seed: int | None
     passed: bool
+    # evolution.speeds(V), measured once; build_scene can reuse it.
+    measured: np.ndarray = field(repr=False, compare=False, metadata=UNREPORTED)
 
 
-def verify_scene(config: MovingConfiguration, radius: float, *,
+def verify_scene(config: MovingConfiguration, radius: float | None, *,
                  sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET,
                  seed: int = _pairscan.DEFAULT_SEED,
                  exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT) -> SceneReport:
@@ -191,8 +146,9 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same pass over the pairs; the speed ceiling
-    M is measured here, never trusted from metadata, and the radius is
-    checked against it before the pass.
+    M is measured here with evolution.speeds, never trusted from metadata,
+    and the radius is checked against it before the pass. radius None
+    means half the floor, as in build_scene.
 
     A configuration with the structure of a lattice flow is decided by the
     structural certificate (_pairscan.certify with worldline): the exact
@@ -204,10 +160,12 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
     P, V = config.P, config.V
-    measured = np.hypot(V[:, 0], V[:, 1])
+    measured = speeds(V)
     m = float(measured.min())
     cap = float(measured.max())
     floor = lemma1_bound(cap)
+    if radius is None:
+        radius = floor / 2.0
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be finite and positive")
     if radius > floor / 2.0 * RADIUS_SLACK:
@@ -254,6 +212,7 @@ def verify_scene(config: MovingConfiguration, radius: float, *,
         mode=scan.mode,
         seed=scan.seed,
         passed=distances_ok,
+        measured=measured,
     )
 
 
@@ -277,36 +236,3 @@ def export_scene(scene: CylinderScene):
         yield from _rows_text(len(b), (
             b[:, 0], ",", b[:, 1], ",", b[:, 2], ",", v[:, 0] / lengths, ",",
             v[:, 1] / lengths, ",", ones / lengths, tail))
-
-
-def parse_scene(text: str) -> CylinderScene:
-    """Inverse of export_scene up to direction renormalization rounding."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SCENE_HEADER:
-        raise ParseError(1, f"expected header {SCENE_HEADER!r}")
-    bases, slopes, radii = [], [], []
-    for ln, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        fields = stripped.split(",")
-        if len(fields) != 7:
-            raise ParseError(ln, f"expected 7 fields, got {len(fields)}")
-        try:
-            px, py, pz, dx, dy, dz, radius = (float(f) for f in fields)
-        except ValueError:
-            raise ParseError(ln, f"bad number in {stripped!r}") from None
-        if not dz > 0:
-            raise ParseError(ln, "direction must point forward in time")
-        row = (px, py, pz, dx / dz, dy / dz)
-        if not all(map(math.isfinite, row)):
-            raise ParseError(ln, f"non-finite axis in {stripped!r}")
-        bases.append(row[:3])
-        slopes.append(row[3:])
-        radii.append(radius)
-    V = np.array(slopes, dtype=float).reshape(-1, 2)
-    measured = speeds(V)
-    bounds = ((float(measured.min()), float(measured.max())) if measured.size
-              else (0.0, 0.0))
-    return CylinderScene(np.array(bases, dtype=float).reshape(-1, 3), V,
-                         _equal_radius(radii), bounds, measured)

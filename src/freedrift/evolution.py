@@ -23,14 +23,6 @@ class BadRangeError(ValueError):
     """Raised for an empty or inverted snapshot time range."""
 
 
-@dataclass(frozen=True, slots=True)
-class Particle:
-    """A point with its constant velocity (the per-particle API type)."""
-
-    position: Vec2
-    velocity: Vec2
-
-
 def speeds(V) -> np.ndarray:
     """|v| for each row of V by math.hypot, which numpy's hypot need not
     match to the last bit, as a float64 array."""
@@ -44,7 +36,7 @@ class MovingConfiguration:
     P and V are the positions and velocities, contiguous (n, 2) float64
     arrays; treat them as read-only. Non-finite values and duplicate
     particles (same position and velocity) are rejected outright; spacing
-    is measured by initial_min_distance and the verifiers.
+    is measured by the verifiers.
     """
 
     P: np.ndarray
@@ -56,37 +48,27 @@ class MovingConfiguration:
         if self.P.ndim != 2 or self.P.shape[1:] != (2,) or self.V.shape != self.P.shape:
             raise ValueError(f"positions {self.P.shape} and velocities "
                              f"{self.V.shape} must both be (n, 2)")
-        A = np.hstack((self.P, self.V))
-        bad = ~np.isfinite(A).all(axis=1)
+        P, V = self.P, self.V
+        bad = ~(np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1))
         if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"non-finite particle {k}: {tuple(A[k].tolist())}")
+            k = int(np.argmax(bad))
+            raise ValueError(f"non-finite particle {k}: {self._row(k)}")
         # Sorting is stable, so within each run of equal rows the indices
         # increase; the smallest index that is not first in its run is the
         # first particle that repeats an earlier one.
-        order = np.lexsort(A.T[::-1])
-        S = A[order]
-        repeats = order[1:][(S[1:] == S[:-1]).all(axis=1)]
+        order = np.lexsort((V[:, 1], V[:, 0], P[:, 1], P[:, 0]))
+        Ps, Vs = P[order], V[order]
+        same = (Ps[1:] == Ps[:-1]).all(axis=1) & (Vs[1:] == Vs[:-1]).all(axis=1)
+        repeats = order[1:][same]
         if repeats.size:
-            key = tuple(A[int(repeats.min())].tolist())
-            raise IdenticalParticleError(f"duplicate particle at {key}")
+            raise IdenticalParticleError(
+                f"duplicate particle at {self._row(int(repeats.min()))}")
 
-    @classmethod
-    def from_particles(cls, particles) -> "MovingConfiguration":
-        A = np.array([(p.position.x1, p.position.x2, p.velocity.x1, p.velocity.x2)
-                      for p in particles], dtype=float).reshape(-1, 4)
-        return cls(A[:, :2], A[:, 2:])
+    def _row(self, k: int) -> tuple[float, ...]:
+        return (*self.P[k].tolist(), *self.V[k].tolist())
 
     def __len__(self) -> int:
         return len(self.P)
-
-    def particle(self, k: int) -> Particle:
-        return Particle(Vec2(*self.P[k].tolist()), Vec2(*self.V[k].tolist()))
-
-    @property
-    def particles(self) -> tuple[Particle, ...]:
-        """The particles as API objects, built on each access."""
-        return tuple(self.particle(k) for k in range(len(self)))
 
     def positions_array(self) -> np.ndarray:
         """The positions P."""
@@ -125,11 +107,6 @@ def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
     return config.P + t * config.V
 
 
-def initial_min_distance(config: MovingConfiguration) -> float:
-    """Minimum pairwise distance of the t=0 slice (inf for < 2 particles)."""
-    return _pairscan.scan(config.P, np.zeros_like(config.P)).min_distance
-
-
 def verify_hardcore(config: MovingConfiguration,
                     threshold: float = DEFAULT_THRESHOLD, *,
                     sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET,
@@ -161,9 +138,11 @@ def verify_hardcore(config: MovingConfiguration,
             sample_budget=sample_budget, seed=seed)
     witness_time: float | None = None
     if scan.witness is not None:
-        a, b = (config.particle(k) for k in scan.witness)
-        pa = closest_approach(a.position, a.velocity, b.position, b.velocity)
-        witness_time = pa.time_at_min
+        i, j = scan.witness
+        P, V = config.P, config.V
+        witness_time = closest_approach(
+            Vec2(*P[i].tolist()), Vec2(*V[i].tolist()),
+            Vec2(*P[j].tolist()), Vec2(*V[j].tolist())).time_at_min
     margin = scan.min_distance - threshold
     return HardCoreReport(
         particle_count=len(config),

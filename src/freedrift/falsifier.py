@@ -4,10 +4,9 @@ No bounded continuous planar vector field w can keep
 |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| for every pair with |x-y| > 1; this
 module makes that failure observable. It provides the cone/chaining
 apparatus the impossibility argument uses, a library of bounded continuous
-candidate fields, a deterministic search that exhibits violating pairs,
-and a circle-sampling diagnostic for the field's behavior far from the
-origin. Equality (including dw = 0) already defeats the strict
-inequality, so the search accepts margin >= 0.
+candidate fields, and a deterministic search that exhibits violating
+pairs. Equality (including dw = 0) already defeats the strict inequality,
+so the search accepts margin >= 0.
 
 The search decides pairs in batches of float64 arrays, and its results are
 bit for bit those of a pair-by-pair pass in CPython floats. The rule that
@@ -42,13 +41,6 @@ class ZeroAxisError(ValueError):
 
 class DegenerateSegmentError(ValueError):
     """Chain subdivision needs segment length > 1."""
-
-
-def aperture_for(c: float) -> float:
-    """Cone aperture cosine min(c/2, 1/2) used by the chaining argument."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be finite and positive")
-    return min(c / 2.0, 0.5)
 
 
 def direction_capacity(aperture_cos: float) -> int:
@@ -150,9 +142,9 @@ def _values(field: CandidateField, x1: list[float], x2: list[float]) -> list[Vec
 
 # Each kernel maps arrays of coordinates (x1, x2) to the field values
 # (w1, w2) as two float64 arrays. `CandidateField` picks its kernel once, so
-# every evaluation (the search, `evaluate`, the chain and circle probes)
-# runs the same arithmetic. Each element is the scalar formula's CPython
-# float, by the rule in the module docstring: `math_map` for hypot, and
+# every evaluation (the search, `evaluate`, the chain check) runs the
+# same arithmetic. Each element is the scalar formula's CPython float, by
+# the rule in the module docstring: `math_map` for hypot, and
 # `_pymax`/`_pymin` where the formula uses Python's max and min.
 
 def _pymax(a, b):
@@ -611,90 +603,3 @@ def _exhausted(search: _Search) -> Exhausted:
                      (Vec2(pair[0], pair[1]), Vec2(pair[2], pair[3])),
                      evaluations_used=search.evals,
                      note=BUDGET_SPENT if search.out_of_budget() else REFINE_CONVERGED)
-
-
-@dataclass(frozen=True)
-class ProbeCluster:
-    value: Vec2
-    size: int
-    share: float
-    mean_angle: float
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Circle-sampling diagnostic for far-field value clusters."""
-
-    radius: float
-    samples: int
-    value_tol: float
-    clusters: tuple[ProbeCluster, ...]
-    circular_distances: tuple[tuple[int, int, float], ...]
-    two_delta_floor: float
-    note: str
-
-
-def circular_distance(alpha: float, beta: float) -> float:
-    spread = abs(alpha - beta) % (2.0 * math.pi)
-    return min(spread, 2.0 * math.pi - spread)
-
-
-def angular_separation_probe(field: CandidateField, radius: float,
-                             samples: int, aperture_cos: float = 0.5,
-                             value_tol: float | None = None) -> ProbeReport:
-    """Sample w on a circle, cluster the values, report the clusters'
-    mean angles and pairwise circular distances.
-
-    Diagnostic only: finitely many samples cannot compute the true limit
-    set, and the 2*arcsin(a) floor is emitted for comparison, not claimed.
-    """
-    if not (math.isfinite(radius) and radius > 1.0):
-        raise ValueError("probe radius must be > 1")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if value_tol is None:
-        value_tol = 1e-6 * max(1.0, field.bound)
-
-    reps: list[Vec2] = []
-    members: list[list[int]] = []
-    angles = [2.0 * math.pi * k / samples for k in range(samples)]
-    values = _values(field, [radius * math.cos(theta) for theta in angles],
-                     [radius * math.sin(theta) for theta in angles])
-    for k, value in enumerate(values):
-        for idx, rep in enumerate(reps):
-            if norm(sub(value, rep)) <= value_tol:
-                members[idx].append(k)
-                break
-        else:
-            reps.append(value)
-            members.append([k])
-
-    clusters = []
-    for rep, idxs in zip(reps, members):
-        sin_sum = sum(math.sin(angles[k]) for k in idxs)
-        cos_sum = sum(math.cos(angles[k]) for k in idxs)
-        clusters.append(ProbeCluster(
-            value=rep,
-            size=len(idxs),
-            share=len(idxs) / samples,
-            mean_angle=math.atan2(sin_sum, cos_sum),
-        ))
-    distances = tuple(
-        (i, j, circular_distance(clusters[i].mean_angle, clusters[j].mean_angle))
-        for i in range(len(clusters))
-        for j in range(i + 1, len(clusters))
-    )
-    if len(clusters) == 1:
-        note = "single value cluster; no angular separation constraints apply"
-    else:
-        note = (f"{len(clusters)} value clusters; empirical circular "
-                f"distances reported next to the 2*arcsin(a) floor")
-    return ProbeReport(
-        radius=radius,
-        samples=samples,
-        value_tol=value_tol,
-        clusters=tuple(clusters),
-        circular_distances=distances,
-        two_delta_floor=2.0 * math.asin(aperture_cos),
-        note=note,
-    )

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration, Particle
+from .evolution import MovingConfiguration
 from .formats import UNREPORTED
 from .geometry import CHAIN_TOL, DISTANCE_TOL, Vec2
 
@@ -137,11 +137,6 @@ def profile_eval(phi: MonotoneProfile, n: int) -> float:
     return values[n]
 
 
-def assign_w(phi: MonotoneProfile, point: tuple[int, int]) -> Vec2:
-    """Componentwise profile application w(x1, x2) = (phi(x1), phi(x2))."""
-    return Vec2(profile_eval(phi, point[0]), profile_eval(phi, point[1]))
-
-
 @dataclass(frozen=True)
 class Window:
     """Inclusive integer rectangle."""
@@ -179,11 +174,6 @@ class FlowAssignment:
     speed_min: float
     speed_max: float
     disk_radius: float
-
-    @property
-    def particles(self) -> tuple[Particle, ...]:
-        """The particles as API objects, built on each access."""
-        return self.as_configuration().particles
 
     def as_configuration(self) -> MovingConfiguration:
         return MovingConfiguration(self.P, self.V)

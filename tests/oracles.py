@@ -10,7 +10,9 @@ search bit for bit. The reference emitters format one row at a time with
 str.format, as the emitters did before they formatted whole columns, and
 pin the emitted bytes. The reference parser reads a particles file line by
 line, as the parser did before it read plain rows a block at a time, and
-pins its arrays and its errors.
+pins its arrays and its errors. `line_distance_3d` is the scalar per-pair
+form of the worldline kernel, itself checked against the grid and exact
+oracles, and `read_scene` reads an exported scene back into arrays.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from freedrift.falsifier import (
     ViolationReport,
 )
 from freedrift.formats import PARTICLES_HEADER, ParseError, fmt_float
-from freedrift.geometry import Vec2, dot, norm, sub
+from freedrift.geometry import PARALLEL_EPS, Vec2, dot, norm, sub
 
 
 def time_grid_min_distance(x, vx, y, vy, levels: int = 28, points: int = 2001):
@@ -132,6 +134,56 @@ def exact_line_distance_sq(P, V, i, j) -> Fraction:
     # (d, 0) x (a, 1) over |(a, 1)|.
     cross = (d1, -d0, d0 * a1 - d1 * a0)
     return sum(c * c for c in cross) / (a0 * a0 + a1 * a1 + 1)
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _norm3(a) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def line_distance_3d(p1, d1, p2, d2) -> float:
+    """Distance between the infinite lines p1 + t d1 and p2 + s d2, for
+    3-tuples of floats, in scalar double arithmetic.
+
+    The per-pair reference for the worldline kernel. Nonparallel lines use
+    the cross-product formula; the parallel branch (cross norm below
+    PARALLEL_EPS times the product of direction norms) projects p2 - p1 off
+    the shared direction. The normal d1 x d2 is computed as d1 x (d2 - d1),
+    or as (d1 - d2) x d2 when d2 is shorter, both equal in exact
+    arithmetic, so that nearly parallel directions do not cancel its large
+    products to noise, and a much shorter direction is not rounded away in
+    the difference. Raises ValueError for a zero direction.
+    """
+    n1 = _norm3(d1)
+    n2 = _norm3(d2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("line direction must be nonzero")
+    if n1 <= n2:
+        cross = _cross3(d1, (d2[0] - d1[0], d2[1] - d1[1], d2[2] - d1[2]))
+    else:
+        cross = _cross3((d1[0] - d2[0], d1[1] - d2[1], d1[2] - d2[2]), d2)
+    offset = (p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2])
+    cross_norm = _norm3(cross)
+    if cross_norm < PARALLEL_EPS * n1 * n2:
+        # Parallel: distance from p2 to the first line.
+        return _norm3(_cross3(offset, d1)) / n1
+    return abs(offset[0] * cross[0] + offset[1] * cross[1]
+               + offset[2] * cross[2]) / cross_norm
+
+
+def read_scene(text: str):
+    """(bases, velocities, radii) arrays of a cylinder-scene text: the row
+    px,py,pz,dx,dy,dz,r has base (px, py, pz), slope (dx/dz, dy/dz) and
+    radius r."""
+    header, *rows = text.splitlines()
+    assert header == SCENE_HEADER, header
+    A = np.array([row.split(",") for row in rows], dtype=float).reshape(-1, 7)
+    return A[:, :3], A[:, 3:5] / A[:, 5:6], A[:, 6]
 
 
 def scalar_grid_min(m: float, lo: float = 0.0, hi: float = 1.0,

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from freedrift import cylinders as cyl
-from freedrift.evolution import MovingConfiguration, Particle, verify_hardcore
+from freedrift.evolution import MovingConfiguration, verify_hardcore
 from freedrift.falsifier import (
     Cone,
     ViolationReport,
@@ -25,10 +26,11 @@ from freedrift.falsifier import (
     falsify,
     violation_margin,
 )
-from freedrift.geometry import Vec2, Vec3, closest_approach, line_distance_3d
+from freedrift.geometry import Vec2, closest_approach
 from freedrift.lattice import Window, arctan_profile, build_flow, verify_flow
 from oracles import (
     greedy_direction_packing,
+    line_distance_3d,
     line_grid_min_distance,
     scalar_grid_min,
 )
@@ -68,10 +70,10 @@ def test_criterion_1_unit_separation(arctan_flows):
         if not report.min_distance >= 1.0 - 1e-9:
             failures.append(f"N={n} min {report.min_distance}")
         # axis-adjacent pair must attain the unit bound
-        by_site = {(p.position.x1, p.position.x2): p for p in flow.particles}
+        by_site = {tuple(p): (Vec2(*p), Vec2(*v))
+                   for p, v in zip(flow.P.tolist(), flow.V.tolist())}
         a, b = by_site[(0.0, 0.0)], by_site[(1.0, 0.0)]
-        attained = closest_approach(a.position, a.velocity,
-                                    b.position, b.velocity).distance
+        attained = closest_approach(*a, *b).distance
         if abs(attained - 1.0) > 1e-9:
             failures.append(f"N={n} adjacent {attained}")
         if n == 25 and elapsed > 60.0:
@@ -131,17 +133,14 @@ def test_criterion_4_worldline_distance_floor():
                         f"< floor {floor}")
 
     # independent grid oracle vs the closed form on random line pairs
-    lines = [cyl.worldline_of(p) for p in config.particles]
+    lines = [((x1, x2, 0.0), (v1, v2, 1.0))
+             for (x1, x2), (v1, v2) in zip(config.P.tolist(), config.V.tolist())]
     rng = random.Random(41)
     worst = 0.0
     for _ in range(100):
         i, j = rng.sample(range(len(lines)), 2)
-        li, lj = lines[i], lines[j]
-        p1 = (li.base.x1, li.base.x2, li.base.x3)
-        d1 = (li.direction.x1, li.direction.x2, li.direction.x3)
-        p2 = (lj.base.x1, lj.base.x2, lj.base.x3)
-        d2 = (lj.direction.x1, lj.direction.x2, lj.direction.x3)
-        closed = line_distance_3d(Vec3(*p1), Vec3(*d1), Vec3(*p2), Vec3(*d2))
+        (p1, d1), (p2, d2) = lines[i], lines[j]
+        closed = line_distance_3d(p1, d1, p2, d2)
         gridded = line_grid_min_distance(p1, d1, p2, d2)
         worst = max(worst, abs(closed - gridded))
     if worst > 1e-6:
@@ -168,11 +167,9 @@ def test_criterion_5_nonparallel_directions():
         failures.append(f"flow scene duplicates "
                         f"{report.duplicate_direction_pairs}")
 
-    injected = MovingConfiguration.from_particles((
-        Particle(Vec2(0.0, 0.0), Vec2(0.5, 0.25)),
-        Particle(Vec2(0.0, 3.0), Vec2(0.5, 0.25)),
-        Particle(Vec2(10.0, 0.0), Vec2(0.5, -0.25)),
-    ))
+    injected = MovingConfiguration(
+        np.array([(0.0, 0.0), (0.0, 3.0), (10.0, 0.0)]),
+        np.array([(0.5, 0.25), (0.5, 0.25), (0.5, -0.25)]))
     if not verify_hardcore(injected, 1.0).passed:
         failures.append("injected configuration lost hard-core")
     dup_report = cyl.verify_scene(injected, 0.05)

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from freedrift import _pairscan, cli, cylinders
-from freedrift.cylinders import lemma1_bound, parse_scene
+from freedrift.cylinders import lemma1_bound
 from freedrift.evolution import speeds
 from freedrift.formats import parse_particles, parse_report, particles_document
 from freedrift.lattice import Window, arctan_profile, build_flow
+
+from oracles import read_scene
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
@@ -123,9 +125,10 @@ def test_cylinders_scene_round_trips(tmp_path):
     report = parse_report(read(out / "cylinder_report.txt").decode())
     assert report["passed"] == "true"
     assert report["distances_ok"] == "true"
-    scene = parse_scene(read(out / "scene.txt").decode())
-    assert len(scene.cylinders) == 9
-    assert scene.radius == pytest.approx(float(report["radius"]), rel=1e-15)
+    bases, _, radii = read_scene(read(out / "scene.txt").decode())
+    assert len(bases) == 9
+    assert radii.tolist() == [radii[0]] * 9
+    assert radii[0] == pytest.approx(float(report["radius"]), rel=1e-15)
 
 
 def test_cylinders_passes_pair_ten_apart(tmp_path):

@@ -10,52 +10,55 @@ from freedrift.cylinders import (
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
     SCENE_HEADER,
-    WorldLine,
     build_scene,
     export_scene,
     lemma1_bound,
-    parse_scene,
     verify_scene,
-    worldline_of,
 )
-from freedrift.evolution import MovingConfiguration, Particle
-from freedrift.formats import ParseError, parse_report
-from freedrift.geometry import Vec2, Vec3, line_distance_3d
+from freedrift.evolution import MovingConfiguration, speeds
+from freedrift.formats import parse_report
 from freedrift.lattice import Window, arctan_profile, build_flow
 
-from oracles import line_grid_min_distance, scalar_grid_min
+from oracles import line_distance_3d, line_grid_min_distance, read_scene, scalar_grid_min
+
+
+def _config(rows):
+    """Configuration of (x1, x2, v1, v2) rows."""
+    A = np.array(rows, dtype=float).reshape(-1, 4)
+    return MovingConfiguration(A[:, :2], A[:, 2:])
 
 
 def _static_pair(distance):
-    return MovingConfiguration.from_particles((
-        Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)),
-        Particle(Vec2(distance, 0.0), Vec2(0.0, 0.0)),
-    ))
+    return _config([(0.0, 0.0, 0.0, 0.0), (distance, 0.0, 0.0, 0.0)])
 
 
-def _line_tuple(line):
-    return ((line.base.x1, line.base.x2, line.base.x3),
-            (line.direction.x1, line.direction.x2, line.direction.x3))
+def _worldlines(bases, velocities):
+    """(base, direction) 3-tuples of the axes b + t (v1, v2, 1)."""
+    return [(tuple(b), (v1, v2, 1.0))
+            for b, (v1, v2) in zip(bases.tolist(), velocities.tolist())]
+
+
+def _worldline_of(row):
+    scene = build_scene(_config([row]))
+    (line,) = _worldlines(scene.bases, scene.velocities)
+    return line
 
 
 def test_worldline_of_static_particle():
-    line = worldline_of(Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)))
-    assert _line_tuple(line) == ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    line = _worldline_of((0.0, 0.0, 0.0, 0.0))
+    assert line == ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def test_worldline_of_moving_particle():
-    line = worldline_of(Particle(Vec2(1.0, 2.0), Vec2(3.0, 4.0)))
-    assert _line_tuple(line) == ((1.0, 2.0, 0.0), (3.0, 4.0, 1.0))
+    line = _worldline_of((1.0, 2.0, 3.0, 4.0))
+    assert line == ((1.0, 2.0, 0.0), (3.0, 4.0, 1.0))
 
 
 def test_worldline_angle_to_vertical():
-    line = worldline_of(Particle(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
-    assert math.atan(line.speed) == pytest.approx(math.pi / 4, abs=1e-15)
-
-
-def test_worldline_requires_unit_time_component():
-    with pytest.raises(ValueError):
-        WorldLine(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.5))
+    scene = build_scene(_config([(0.0, 0.0, 1.0, 0.0)]))
+    (row,) = "".join(export_scene(scene)).splitlines()[1:]
+    dz = float(row.split(",")[5])  # time component of the unit direction
+    assert math.acos(dz) == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 def test_lemma1_bound_values():
@@ -108,11 +111,11 @@ def test_verify_scene_counts_every_duplicate_direction():
 
 
 def test_verify_scene_detects_injected_duplicate_velocity():
-    config = MovingConfiguration.from_particles((
-        Particle(Vec2(0.0, 0.0), Vec2(0.5, 0.0)),
-        Particle(Vec2(0.0, 3.0), Vec2(0.5, 0.0)),
-        Particle(Vec2(0.0, 6.0), Vec2(0.25, 0.1)),
-    ))
+    config = _config([
+        (0.0, 0.0, 0.5, 0.0),
+        (0.0, 3.0, 0.5, 0.0),
+        (0.0, 6.0, 0.25, 0.1),
+    ])
     report = verify_scene(config, radius=0.25)
     assert not report.nonparallel_ok
     assert report.duplicate_direction_pairs == ((0, 1),)
@@ -121,8 +124,7 @@ def test_verify_scene_detects_injected_duplicate_velocity():
 def test_verify_scene_3x3_flow():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     config = flow.as_configuration()
-    speeds = [math.hypot(p.velocity.x1, p.velocity.x2) for p in config.particles]
-    cap = max(speeds)
+    cap = max(map(math.hypot, *config.V.T.tolist()))
     radius = lemma1_bound(cap) / 2.0
     report = verify_scene(config, radius)
     assert report.passed
@@ -131,37 +133,29 @@ def test_verify_scene_3x3_flow():
     assert report.distance_margin >= -1e-9
 
     # Cross-check the scanned minimum against scalar per-pair distances.
-    lines = [worldline_of(p) for p in config.particles]
+    scene = build_scene(config)
+    lines = _worldlines(scene.bases, scene.velocities)
     best = math.inf
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            best = min(best, line_distance_3d(lines[i].base, lines[i].direction,
-                                              lines[j].base, lines[j].direction))
+            best = min(best, line_distance_3d(*lines[i], *lines[j]))
     assert report.min_line_distance == pytest.approx(best, rel=1e-12)
 
 
 def test_verify_scene_line_distances_match_grid_oracle():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    particles = flow.particles
+    scene = build_scene(flow.as_configuration())
+    lines = _worldlines(scene.bases, scene.velocities)
     rng = random.Random(11)
     for _ in range(6):
-        i, j = rng.sample(range(len(particles)), 2)
-        li = worldline_of(particles[i])
-        lj = worldline_of(particles[j])
-        closed = line_distance_3d(li.base, li.direction, lj.base, lj.direction)
-        gridded = line_grid_min_distance(
-            (li.base.x1, li.base.x2, li.base.x3),
-            (li.direction.x1, li.direction.x2, li.direction.x3),
-            (lj.base.x1, lj.base.x2, lj.base.x3),
-            (lj.direction.x1, lj.direction.x2, lj.direction.x3))
+        i, j = rng.sample(range(len(lines)), 2)
+        closed = line_distance_3d(*lines[i], *lines[j])
+        gridded = line_grid_min_distance(*lines[i], *lines[j])
         assert closed == pytest.approx(gridded, abs=1e-6)
 
 
 def test_verify_scene_rejects_unverified_hardcore():
-    head_on = MovingConfiguration.from_particles((
-        Particle(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
-        Particle(Vec2(4.0, 0.0), Vec2(-1.0, 0.0)),
-    ))
+    head_on = _config([(0.0, 0.0, 1.0, 0.0), (4.0, 0.0, -1.0, 0.0)])
     with pytest.raises(HardCoreNotVerifiedError):
         verify_scene(head_on, radius=0.25)
 
@@ -174,6 +168,21 @@ def test_verify_scene_passes_pair_ten_apart():
     report = verify_scene(config, lemma1_bound(1.3382449266544367) / 2.0)
     assert report.min_line_distance == 10.0
     assert report.passed
+
+
+def test_verify_scene_measures_speeds_as_the_scene_does():
+    # math.hypot and np.hypot round both of these speeds differently on
+    # some platforms; the report must agree with evolution.speeds, which
+    # gives the scene its bounds, to the last bit.
+    config = _config([(0.0, 0.0, 0.535, 1.896), (100.0, 0.0, 0.394, 0.112)])
+    measured = speeds(config.V)
+    report = verify_scene(config, 0.1)
+    assert report.speed_max == float(measured.max())
+    assert report.speed_min == float(measured.min())
+    assert report.separation_floor == lemma1_bound(float(measured.max()))
+    assert build_scene(config).speed_bounds == (report.speed_min, report.speed_max)
+    # radius None is half the floor, as in build_scene.
+    assert verify_scene(config, None).radius == report.separation_floor / 2.0
 
 
 def test_radius_above_the_floor_gets_no_tolerance(tmp_path, monkeypatch):
@@ -200,16 +209,14 @@ def test_verify_scene_rejects_oversized_radius():
 
 
 def test_scene_invariants():
-    vertical = worldline_of(Particle(Vec2(0.0, 0.0), Vec2(0.0, 0.0)))
-    other = worldline_of(Particle(Vec2(2.0, 0.0), Vec2(0.0, 0.0)))
-    with pytest.raises(ValueError):
-        CylinderScene.from_cylinders(((vertical, 0.5), (other, 0.25)), (0.0, 0.0))
+    # One vertical axis through the origin.
+    base, slope = np.zeros((1, 3)), np.zeros((1, 2))
     with pytest.raises(RadiusTooLargeError):
-        CylinderScene.from_cylinders(((vertical, 0.51),), (0.0, 0.0))
+        CylinderScene(base, slope, 0.51, (0.0, 0.0))
     with pytest.raises(ValueError):
         # speed 0 is not in [1, 2]
-        CylinderScene.from_cylinders(((vertical, 0.5),), (1.0, 2.0))
-    scene = CylinderScene.from_cylinders(((vertical, 0.5),), (0.0, 0.0))
+        CylinderScene(base, slope, 0.5, (1.0, 2.0))
+    scene = CylinderScene(base, slope, 0.5, (0.0, 0.0))
     assert scene.radius == 0.5
 
 
@@ -219,14 +226,15 @@ def test_build_scene_defaults():
     m, cap = scene.speed_bounds
     assert scene.radius == lemma1_bound(cap) / 2.0
     assert m <= cap
-    assert len(scene.cylinders) == 9
+    assert scene.bases.shape == (9, 3) and scene.velocities.shape == (9, 2)
 
 
 def test_export_empty_scene_is_header_only():
-    doc = "".join(export_scene(CylinderScene.from_cylinders((), (0.0, 0.0))))
+    scene = CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
+    doc = "".join(export_scene(scene))
     assert doc == SCENE_HEADER + "\n"
-    parsed = parse_scene(doc)
-    assert parsed.cylinders == ()
+    bases, velocities, radii = read_scene(doc)
+    assert len(bases) == len(velocities) == len(radii) == 0
 
 
 def test_export_single_vertical_cylinder():
@@ -239,12 +247,12 @@ def test_export_single_vertical_cylinder():
 
 
 def test_export_rows_sorted_by_axis_point():
-    particles = (
-        Particle(Vec2(3.0, 0.0), Vec2(0.25, 0.0)),
-        Particle(Vec2(-1.0, 5.0), Vec2(0.0, 0.5)),
-        Particle(Vec2(-1.0, 2.0), Vec2(0.5, 0.25)),
-    )
-    scene = build_scene(MovingConfiguration.from_particles(particles), radius=0.25)
+    config = _config([
+        (3.0, 0.0, 0.25, 0.0),
+        (-1.0, 5.0, 0.0, 0.5),
+        (-1.0, 2.0, 0.5, 0.25),
+    ])
+    scene = build_scene(config, radius=0.25)
     rows = "".join(export_scene(scene)).splitlines()[1:]
     keys = [tuple(float(f) for f in row.split(",")[:3]) for row in rows]
     assert keys == sorted(keys)
@@ -262,31 +270,17 @@ def test_export_in_blocks_is_byte_identical(monkeypatch, block):
 def test_scene_round_trip_preserves_distances():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     scene = build_scene(flow.as_configuration())
-    parsed = parse_scene("".join(export_scene(scene)))
-    assert len(parsed.cylinders) == 9
-    assert parsed.radius == pytest.approx(scene.radius, rel=1e-15)
+    bases, velocities, radii = read_scene("".join(export_scene(scene)))
+    parsed = _worldlines(bases, velocities)
+    assert len(parsed) == 9
+    assert radii.tolist() == [radii[0]] * 9
+    assert radii[0] == pytest.approx(scene.radius, rel=1e-15)
 
-    original = sorted(scene.cylinders,
-                      key=lambda c: (c[0].base.x1, c[0].base.x2, c[0].base.x3))
-    for (line_a, _), (line_b, _) in zip(original, parsed.cylinders):
-        assert line_a.base == line_b.base
+    original = sorted(_worldlines(scene.bases, scene.velocities))
+    for (base_a, _), (base_b, _) in zip(original, parsed):
+        assert base_a == base_b
     for i in range(9):
         for j in range(i + 1, 9):
-            da = line_distance_3d(original[i][0].base, original[i][0].direction,
-                                  original[j][0].base, original[j][0].direction)
-            db = line_distance_3d(parsed.cylinders[i][0].base,
-                                  parsed.cylinders[i][0].direction,
-                                  parsed.cylinders[j][0].base,
-                                  parsed.cylinders[j][0].direction)
+            da = line_distance_3d(*original[i], *original[j])
+            db = line_distance_3d(*parsed[i], *parsed[j])
             assert db == pytest.approx(da, rel=1e-12)
-
-
-def test_parse_scene_rejects_bad_input():
-    with pytest.raises(ParseError):
-        parse_scene("wrong header\n")
-    with pytest.raises(ParseError):
-        parse_scene(SCENE_HEADER + "\n1,2,3\n")
-    with pytest.raises(ParseError):
-        parse_scene(SCENE_HEADER + "\n0,0,0,0,0,ow,0.5\n")
-    with pytest.raises(ParseError):
-        parse_scene(SCENE_HEADER + "\n0,0,0,0,0,-1,0.5\n")

@@ -7,8 +7,6 @@ import pytest
 from freedrift.evolution import (
     BadRangeError,
     MovingConfiguration,
-    Particle,
-    initial_min_distance,
     slice_at,
     snapshot_series,
     verify_hardcore,
@@ -19,15 +17,18 @@ from freedrift.lattice import Window, arctan_profile, build_flow
 from oracles import time_grid_min_distance
 
 
+def _config(rows):
+    """Configuration of (position, velocity) pairs of 2-tuples."""
+    A = np.array(rows, dtype=float).reshape(-1, 4)
+    return MovingConfiguration(A[:, :2], A[:, 2:])
+
+
 def _pair(x, vx, y, vy):
-    return MovingConfiguration.from_particles((
-        Particle(Vec2(*x), Vec2(*vx)),
-        Particle(Vec2(*y), Vec2(*vy)),
-    ))
+    return _config([(x, vx), (y, vy)])
 
 
 def _one(x, vx):
-    return MovingConfiguration.from_particles((Particle(Vec2(*x), Vec2(*vx)),))
+    return _config([(x, vx)])
 
 
 def _slice_min(points):
@@ -42,8 +43,7 @@ def _slice_min(points):
 def test_slice_at_zero_is_identity():
     config = _pair((0.25, -3.0), (1.0, 2.0), (5.0, 5.0), (-1.0, 0.5))
     sliced = slice_at(config, 0.0)
-    assert sliced.tolist() == [[p.position.x1, p.position.x2]
-                               for p in config.particles]
+    assert sliced.tolist() == [[0.25, -3.0], [5.0, 5.0]]
 
 
 def test_slice_at_linear_motion():
@@ -61,8 +61,9 @@ def test_slice_at_rejects_nonfinite_time():
 def test_two_particle_flow_separated_at_far_times():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
     config = flow.as_configuration()
-    a, b = config.particles
-    closed = closest_approach(a.position, a.velocity, b.position, b.velocity)
+    a, b = (Vec2(*row) for row in config.P.tolist())
+    va, vb = (Vec2(*row) for row in config.V.tolist())
+    closed = closest_approach(a, va, b, vb)
     for t in (10.0, -10.0):
         (p, q) = slice_at(config, t)
         dist = math.hypot(p[0] - q[0], p[1] - q[1])
@@ -91,21 +92,17 @@ def test_duplicate_particle_names_the_first_repeat(order, named):
         "z": ((-0.0, 1.0), (0.5, -0.0)),
     }
     with pytest.raises(IdenticalParticleError) as info:
-        MovingConfiguration.from_particles(
-            tuple(Particle(Vec2(*rows[k][0]), Vec2(*rows[k][1])) for k in order))
+        _config([rows[k] for k in order])
     assert str(info.value) == f"duplicate particle at {named}"
 
 
-def test_configuration_arrays_and_particles_agree():
-    P = np.array([(0.0, 1.0), (2.5, -3.0)])
-    V = np.array([(0.5, 0.0), (-1.0, 0.25)])
-    config = MovingConfiguration(P, V)
+def test_configuration_holds_contiguous_arrays():
+    A = np.array([(0.0, 1.0, 0.5, 0.0), (2.5, -3.0, -1.0, 0.25)])
+    config = MovingConfiguration(A[:, :2], A[:, 2:])
     assert len(config) == 2
     assert config.P.flags.c_contiguous and config.V.flags.c_contiguous
-    assert config.particles == (Particle(Vec2(0.0, 1.0), Vec2(0.5, 0.0)),
-                                Particle(Vec2(2.5, -3.0), Vec2(-1.0, 0.25)))
-    back = MovingConfiguration.from_particles(config.particles)
-    assert back.P.tolist() == P.tolist() and back.V.tolist() == V.tolist()
+    assert config.P.tolist() == [[0.0, 1.0], [2.5, -3.0]]
+    assert config.V.tolist() == [[0.5, 0.0], [-1.0, 0.25]]
 
 
 def test_configuration_rejects_bad_arrays():
@@ -115,9 +112,21 @@ def test_configuration_rejects_bad_arrays():
         MovingConfiguration(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
-def test_initial_min_distance_single_particle_is_inf():
-    config = _one((1.0, 1.0), (0.0, 0.0))
-    assert initial_min_distance(config) == math.inf
+def test_non_finite_velocity_names_its_particle():
+    P = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    V = np.array([(0.0, 0.0), (0.0, 0.0), (math.inf, 0.0)])
+    with pytest.raises(ValueError) as info:
+        MovingConfiguration(P, V)
+    assert str(info.value) == "non-finite particle 2: (2.0, 0.0, inf, 0.0)"
+
+
+def test_particles_sharing_a_position_differ_by_velocity():
+    rows = [((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, 0.5)),
+            ((0.0, 0.0), (0.5, 0.0))]
+    assert len(_config(rows)) == 3
+    with pytest.raises(IdenticalParticleError) as info:
+        _config(rows + [rows[1]])
+    assert str(info.value) == "duplicate particle at (0.0, 0.0, 1.0, 0.5)"
 
 
 def test_verify_hardcore_static_pair_passes():
@@ -153,7 +162,7 @@ def test_verify_hardcore_5x5_arctan_flow_zero_margin():
 
 
 def test_verify_hardcore_requires_a_particle():
-    config = MovingConfiguration.from_particles(())
+    config = _config([])
     with pytest.raises(ValueError):
         verify_hardcore(config)
 
@@ -198,8 +207,8 @@ def test_slices_never_undercut_alltime_minimum():
             continue
         seen.add(pos)
         vel = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        particles.append(Particle(Vec2(*pos), Vec2(*vel)))
-    config = MovingConfiguration.from_particles(tuple(particles))
+        particles.append((pos, vel))
+    config = _config(particles)
     report = verify_hardcore(config, threshold=0.0)
     for k in range(41):
         t = -5.0 + k * 0.25
@@ -231,16 +240,13 @@ def test_flow_without_the_structure_is_sampled_past_the_limit():
 
 def test_time_symmetry_exact():
     rng = random.Random(21)
-    particles = tuple(
-        Particle(Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-                 Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    particles = [
+        ((rng.uniform(-5, 5), rng.uniform(-5, 5)),
+         (rng.uniform(-3, 3), rng.uniform(-3, 3)))
         for _ in range(12)
-    )
-    forward = MovingConfiguration.from_particles(particles)
-    backward = MovingConfiguration.from_particles(tuple(
-        Particle(p.position, Vec2(-p.velocity.x1, -p.velocity.x2))
-        for p in particles
-    ))
+    ]
+    forward = _config(particles)
+    backward = MovingConfiguration(forward.P, -forward.V)
     rf = verify_hardcore(forward, threshold=1.0)
     rb = verify_hardcore(backward, threshold=1.0)
     assert rf.min_alltime_distance == rb.min_alltime_distance
@@ -251,12 +257,7 @@ def test_translation_invariance():
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
     base = flow.as_configuration()
     # Offsets exactly representable, so pair differences are bit-identical.
-    shift = Vec2(10.5, -3.25)
-    moved = MovingConfiguration.from_particles(tuple(
-        Particle(Vec2(p.position.x1 + shift.x1, p.position.x2 + shift.x2),
-                 p.velocity)
-        for p in base.particles
-    ))
+    moved = MovingConfiguration(base.P + np.array([10.5, -3.25]), base.V)
     ra = verify_hardcore(base, threshold=1.0)
     rb = verify_hardcore(moved, threshold=1.0)
     assert ra.min_alltime_distance == rb.min_alltime_distance

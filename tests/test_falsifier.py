@@ -21,11 +21,8 @@ from freedrift.falsifier import (
     FieldKind,
     ViolationReport,
     ZeroAxisError,
-    angular_separation_probe,
-    aperture_for,
     builtin_field,
     chain_check,
-    circular_distance,
     cone_contains,
     constant_field,
     clamped_linear_field,
@@ -132,14 +129,6 @@ def test_cone_validation():
         Cone(Vec2(1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         Cone(Vec2(1.0, 0.0), 0.0)
-
-
-def test_aperture_for():
-    assert aperture_for(0.1) == 0.05
-    assert aperture_for(0.5) == 0.25
-    assert aperture_for(2.0) == 0.5  # capped at 1/2
-    with pytest.raises(ValueError):
-        aperture_for(0.0)
 
 
 def test_chain_check_subdivision_counts():
@@ -312,56 +301,6 @@ def test_violation_report_requires_separation():
                         both_signs_observed=False)
 
 
-def test_probe_constant_field_single_cluster():
-    report = angular_separation_probe(builtin_field("constant"),
-                                      radius=1000.0, samples=360)
-    assert len(report.clusters) == 1
-    assert report.clusters[0].size == 360
-    assert report.circular_distances == ()
-    assert "no angular separation constraints" in report.note
-
-
-def test_probe_two_limit_bump_field():
-    # Piecewise-linear ramp in x1: value A right of the strip |x1| <= 1,
-    # value B left of it. At radius 1000 with 361 samples no sample lands
-    # inside the strip, so exactly two value clusters appear, centered on
-    # opposite directions.
-    a_val, b_val = (1.0, 0.0), (-1.0, 0.0)
-    field = grid_field((-1.0, -1.0), 1.0,
-                       [[b_val, (0.0, 0.0), a_val],
-                        [b_val, (0.0, 0.0), a_val]])
-    report = angular_separation_probe(field, radius=1000.0, samples=361)
-    assert len(report.clusters) == 2
-    assert report.clusters[0].size + report.clusters[1].size == 361
-    ((i, j, dist),) = report.circular_distances
-    assert (i, j) == (0, 1)
-    assert dist == pytest.approx(math.pi, abs=1e-6)
-    means = sorted(abs(c.mean_angle) for c in report.clusters)
-    assert means[0] == pytest.approx(0.0, abs=1e-6)
-    assert means[1] == pytest.approx(math.pi, abs=1e-6)
-
-
-def test_probe_validation():
-    field = builtin_field("constant")
-    with pytest.raises(ValueError):
-        angular_separation_probe(field, radius=1.0, samples=10)
-    with pytest.raises(ValueError):
-        angular_separation_probe(field, radius=10.0, samples=1)
-
-
-def test_probe_reports_two_delta_floor():
-    report = angular_separation_probe(builtin_field("constant"),
-                                      radius=10.0, samples=8,
-                                      aperture_cos=0.05)
-    assert report.two_delta_floor == pytest.approx(2 * math.asin(0.05),
-                                                   rel=1e-15)
-
-
-def test_circular_distance():
-    assert circular_distance(0.0, math.pi) == pytest.approx(math.pi)
-    assert circular_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
-
-
 def test_direction_capacity_matches_greedy_packing():
     assert direction_capacity(0.05) == 62
     delta = math.asin(0.05)
@@ -434,8 +373,9 @@ def test_field_kernels_match_reference_evaluate():
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_chain_check_and_probe_make_one_kernel_call(name, monkeypatch):
-    # Each call evaluates all its points in one kernel call, and its report
-    # is bit for bit the report from evaluating point by point.
+    # The chain check and the search's probe stage each evaluate all their
+    # points in one kernel call, and the chain report is bit for bit the
+    # report from evaluating point by point.
     field = dataclasses.replace(FIELDS[name])
     kernel, calls = field._kernel, []
 
@@ -446,16 +386,15 @@ def test_chain_check_and_probe_make_one_kernel_call(name, monkeypatch):
     object.__setattr__(field, "_kernel", counted)
     x, y = Vec2(-3.0, 7.5), Vec2(40.0, -2.25)
     chain = chain_check(field, x, y, 0.3)
-    probe = angular_separation_probe(field, 50.0, 90)
-    assert calls == [chain.n + 1, 90]
+    falsify(field, 1e-4, budget=1344)  # the 672 probe pairs, nothing more
+    assert calls == [chain.n + 1, 1344]
 
     def per_point(field, x1, x2):
         return [field.evaluate(Vec2(a, b)) for a, b in zip(x1, x2)]
 
     monkeypatch.setattr(falsifier, "_values", per_point)
     assert repr(chain_check(field, x, y, 0.3)) == repr(chain)
-    assert repr(angular_separation_probe(field, 50.0, 90)) == repr(probe)
-    assert len(calls) == 2 + chain.n + 1 + 90
+    assert len(calls) == 2 + chain.n + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from freedrift import _pairscan
 from freedrift.evolution import MovingConfiguration, verify_hardcore
-from freedrift.geometry import Vec2, closest_approach, separation_margin
+from freedrift.geometry import Vec2, closest_approach, norm, sub
 from freedrift.lattice import (
     DISK_RADIUS,
     MAX_PARTICLES,
@@ -19,7 +19,6 @@ from freedrift.lattice import (
     ProfileKind,
     Window,
     arctan_profile,
-    assign_w,
     build_flow,
     named_profile,
     profile_eval,
@@ -34,6 +33,11 @@ from freedrift.lattice import (
 def all_profiles():
     table = table_profile((n, n + 0.25 * math.sin(n)) for n in range(-6, 7))
     return [arctan_profile(), tanh_profile(), rational_profile(), table]
+
+
+def particles(flow):
+    """(position, velocity) Vec2 pairs of the flow's rows."""
+    return [(Vec2(*p), Vec2(*v)) for p, v in zip(flow.P.tolist(), flow.V.tolist())]
 
 
 def test_profile_eval_arctan_values():
@@ -84,20 +88,6 @@ def test_named_profile_lookup():
         named_profile("linear")
 
 
-def test_assign_w_componentwise():
-    phi = arctan_profile()
-    assert assign_w(phi, (0, 0)) == Vec2(0.0, 0.0)
-    assert assign_w(phi, (1, 0)) == Vec2(math.atan(1), 0.0)
-    assert assign_w(phi, (-1, 2)) == Vec2(math.atan(-1), math.atan(2))
-
-
-def test_assign_w_norm_within_bound():
-    for phi in all_profiles():
-        for point in [(-3, 5), (0, 0), (6, -6)]:
-            w = assign_w(phi, point)
-            assert math.hypot(w.x1, w.x2) <= math.sqrt(2) * phi.bound + 1e-12
-
-
 def test_window_shapes():
     win = Window.square(2)
     assert win == Window(-2, 2, -2, 2)
@@ -109,11 +99,11 @@ def test_window_shapes():
 
 def test_build_flow_two_point_window():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    assert len(flow.particles) == 2
-    a, b = flow.particles
-    dv = Vec2(b.velocity.x1 - a.velocity.x1, b.velocity.x2 - a.velocity.x2)
+    assert len(flow.P) == 2
+    a, b = particles(flow)
+    dv = Vec2(b[1].x1 - a[1].x1, b[1].x2 - a[1].x2)
     assert dv == Vec2(0.0, -math.atan(1))  # -I(pi/4, 0)
-    approach = closest_approach(a.position, a.velocity, b.position, b.velocity)
+    approach = closest_approach(*a, *b)
     assert approach.distance == 1.0
     assert flow.speed_min == 1.0
     assert flow.shift == Vec2(math.atan(1) + 1.0, 0.0)
@@ -121,7 +111,7 @@ def test_build_flow_two_point_window():
 
 def test_build_flow_single_point():
     flow = build_flow(tanh_profile(), Window(3, 3, -2, -2), shift_margin=0.25)
-    assert len(flow.particles) == 1
+    assert len(flow.P) == 1
     assert flow.speed_min == 0.25
     report = verify_flow(flow)
     assert report.min_distance == math.inf
@@ -130,17 +120,17 @@ def test_build_flow_single_point():
 
 def test_build_flow_3x3_all_pairs_separated():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    parts = flow.particles
+    parts = particles(flow)
     assert len(parts) == 9
     W = recovered_field(flow)
     count = 0
     for i in range(9):
         for j in range(i + 1, 9):
-            margin = separation_margin(
-                parts[i].position, parts[j].position,
-                Vec2(*W[i]), Vec2(*W[j]))
-            approach = closest_approach(parts[i].position, parts[i].velocity,
-                                        parts[j].position, parts[j].velocity)
+            # The separation margin |<x-y, dw>| / |dw| of the increment.
+            dw = sub(Vec2(*W[i]), Vec2(*W[j]))
+            offset = sub(parts[i][0], parts[j][0])
+            margin = abs(offset.x1 * dw.x1 + offset.x2 * dw.x2) / norm(dw)
+            approach = closest_approach(*parts[i], *parts[j])
             assert margin >= 1.0 - 1e-12
             assert approach.distance == pytest.approx(margin, rel=1e-12)
             count += 1
@@ -185,7 +175,8 @@ def test_build_flow_matches_pointwise_definition():
     window = Window(-3, 2, -1, 4)
     for phi in all_profiles():
         flow = build_flow(phi, window, shift_margin=0.5)
-        w = [assign_w(phi, point) for point in window.points()]
+        w = [Vec2(profile_eval(phi, i), profile_eval(phi, j))
+             for i, j in window.points()]
         sup = max(math.hypot(v.x1, v.x2) for v in w)
         a = sup + 0.5
         assert flow.P.tolist() == [[float(i), float(j)] for i, j in window.points()]
@@ -224,8 +215,8 @@ def test_verify_flow_3x3_example():
     assert report.injective
     # Witness pair must be axis-adjacent lattice neighbors.
     i, j = report.witness_pair
-    pi, pj = flow.particles[i].position, flow.particles[j].position
-    step = (abs(pi.x1 - pj.x1), abs(pi.x2 - pj.x2))
+    pi, pj = flow.P[i], flow.P[j]
+    step = (abs(pi[0] - pj[0]), abs(pi[1] - pj[1]))
     assert sorted(step) == [0.0, 1.0]
 
 
@@ -251,8 +242,8 @@ def test_verify_flow_speed_window():
         report = verify_flow(flow)
         assert report.speeds_ok
         norm_a = math.hypot(flow.shift.x1, flow.shift.x2)
-        for p in flow.particles:
-            speed = math.hypot(p.velocity.x1, p.velocity.x2)
+        for v1, v2 in flow.V.tolist():
+            speed = math.hypot(v1, v2)
             assert speed >= flow.speed_min - 1e-12
             assert speed <= norm_a + math.sqrt(2) * phi.bound + 1e-12
 

@@ -16,13 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan
-from freedrift.geometry import (
-    PARALLEL_EPS,
-    Vec2,
-    Vec3,
-    closest_approach,
-    line_distance_3d,
-)
+from freedrift.geometry import PARALLEL_EPS, Vec2, closest_approach
 from freedrift.lattice import (
     Window,
     arctan_profile,
@@ -32,7 +26,12 @@ from freedrift.lattice import (
     table_profile,
     tanh_profile,
 )
-from oracles import exact_line_distance_sq, line_grid_min_distance, time_grid_min_distance
+from oracles import (
+    exact_line_distance_sq,
+    line_distance_3d,
+    line_grid_min_distance,
+    time_grid_min_distance,
+)
 
 TILES = (1, 2, 3, 5, 8, 1 << 13)
 TOL = 1e-12
@@ -214,8 +213,8 @@ def test_engine_matches_scalar_formulas_and_oracles(config, tile):
             y, vy = Vec2(*P[j]), Vec2(*V[j])
             closest[i, j] = closest_approach(x, vx, y, vy).distance
             line[i, j] = line_distance_3d(
-                Vec3(x.x1, x.x2, 0.0), Vec3(vx.x1, vx.x2, 1.0),
-                Vec3(y.x1, y.x2, 0.0), Vec3(vy.x1, vy.x2, 1.0))
+                (x.x1, x.x2, 0.0), (vx.x1, vx.x2, 1.0),
+                (y.x1, y.x2, 0.0), (vy.x1, vy.x2, 1.0))
     assert scan.min_distance == pytest.approx(min(closest.values()), rel=1e-12, abs=1e-12)
     assert scan.line_distance == pytest.approx(min(line.values()), rel=1e-9, abs=1e-12)
     # Every pair before the witness is larger; ties resolve to the first.
