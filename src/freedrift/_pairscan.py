@@ -20,7 +20,7 @@ visited in increasing a, so the first minimum of a tile is its smallest
 pair and a later tile replaces the running minimum only when strictly
 smaller. Drawn chunks have no order, so their ties are broken by pair.
 Chain failures are kept in enumeration order (lexicographic when
-exhaustive), the first max_failures of them.
+exhaustive), the first _MAX_FAILURES of them.
 
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
@@ -45,6 +45,8 @@ from .geometry import CHAIN_TOL, PARALLEL_EPS
 DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_BUDGET = 10**6
+# Chain failures kept by pair; the rest are only counted.
+_MAX_FAILURES = 16
 # Pairs drawn per sampled chunk; part of the seeded stream, so fixed.
 _CHUNK = 1 << 18
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
@@ -201,11 +203,10 @@ class _Min:
 
 
 class _Chain:
-    """Running chain margins and the first max_failures failing pairs."""
+    """Running chain margins and the first _MAX_FAILURES failing pairs, those
+    with a margin below -CHAIN_TOL."""
 
-    def __init__(self, tolerance: float, max_failures: int):
-        self.tolerance = tolerance
-        self.max_failures = max_failures
+    def __init__(self):
         self.dot_margin = self.norm_margin = math.inf
         self.failures: list[tuple[int, int]] = []
         self.failure_count = 0
@@ -218,11 +219,11 @@ class _Chain:
         _require_finite("chain norm margin", chunk, m2, low2)
         self.dot_margin = min(self.dot_margin, low1)
         self.norm_margin = min(self.norm_margin, low2)
-        if min(low1, low2) >= -self.tolerance:
+        if min(low1, low2) >= -CHAIN_TOL:
             return
-        bad = np.flatnonzero((m1 < -self.tolerance) | (m2 < -self.tolerance))
+        bad = np.flatnonzero((m1 < -CHAIN_TOL) | (m2 < -CHAIN_TOL))
         self.failure_count += len(bad)
-        room = max(0, self.max_failures - len(self.failures))
+        room = max(0, _MAX_FAILURES - len(self.failures))
         self.failures.extend(chunk.pair(k) for k in bad[:room])
 
 
@@ -261,15 +262,14 @@ class PairScan:
 
 
 def scan(P, V, W=None, *, worldline: bool = False,
-         chain_tolerance: float = CHAIN_TOL,
          exhaustive_limit: int = EXHAUSTIVE_LIMIT,
          sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-         seed: int = DEFAULT_SEED, max_failures: int = 16) -> PairScan:
+         seed: int = DEFAULT_SEED) -> PairScan:
     """One pass over the pairs of positions P and velocities V, (n, 2) each.
 
     Always computes the minimum closest-approach distance. With a field W
     (n, 2), also the chain margins <x-y, dW> - (|dW1|+|dW2|) and
-    (|dW1|+|dW2|) - |dW|, counting pairs below -chain_tolerance as failures
+    (|dW1|+|dW2|) - |dW|, counting pairs below -CHAIN_TOL as failures
     (lattice points are at integer offsets, so each coordinate contributes
     at least its profile increment). With worldline, also the minimum
     distance between worldlines (x, 0) + t (v, 1).
@@ -289,7 +289,7 @@ def scan(P, V, W=None, *, worldline: bool = False,
     vx, vy = _columns(V)
     closest = _Min("closest approach")
     line = _Min("worldline distance") if worldline else None
-    chain = _Chain(chain_tolerance, max_failures) if W is not None else None
+    chain = _Chain() if W is not None else None
     if chain is not None:
         wx, wy = _columns(W)
     checked = 0

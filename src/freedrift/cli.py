@@ -82,21 +82,15 @@ def _to_finite(text: str) -> float:
     return value
 
 
-_CONVERTERS = {
-    "command": str, "window": str, "profile": str, "field": str,
-    "out": str, "particles": str, "radius": str,
-    "shift_margin": _to_finite, "threshold": _to_finite,
-    "t0": _to_finite, "t1": _to_finite, "c": _to_finite,
-    "frames": _to_int, "budget": _to_int, "seed": _to_int,
-}
-
-
 def _apply(config: RunConfig, key: str, raw: str) -> None:
-    if key not in _CONVERTERS:
-        known = ", ".join(sorted(_CONVERTERS))
+    """Set one field from its text, converted by the type of its default."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    if key not in defaults:
+        known = ", ".join(sorted(defaults))
         raise ValueError(f"unknown key {key!r}; known keys: {known}")
+    convert = {float: _to_finite, int: _to_int}.get(type(defaults[key]), str)
     try:
-        setattr(config, key, _CONVERTERS[key](raw))
+        setattr(config, key, convert(raw))
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
 
@@ -279,9 +273,8 @@ def _cmd_cylinders(config: RunConfig) -> int:
     except cyl.HardCoreNotVerifiedError as exc:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    # The speeds verify_scene measured, for the scene's bounds.
-    scene = cyl.build_scene(configuration, report.radius, report.measured)
-    _emit(config, "scene.txt", cyl.export_scene(scene))
+    _emit(config, "scene.txt", cyl.export_scene(
+        configuration.P, configuration.V, report.radius))
     _emit(config, "cylinder_report.txt", report_document(
         {"command": "cylinders", **report_items(report)}))
     verdict = "pass" if report.passed else "fail"

@@ -4,8 +4,9 @@ A particle (x, v) traces the line {(x + t v, t)}. When a configuration
 keeps all pairwise distances >= 1 at all times and speeds stay <= M, any
 two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
-builds such scenes, verifies the distance and nonparallelity claims, and
-exports scenes in a plain text format.
+verifies the distance and nonparallelity claims for a configuration and a
+radius, and exports the cylinders straight from the configuration's
+arrays in a plain text format.
 
 For a lattice flow the verification needs no pass over the pairs: the
 structural certificate gives the exact worldline minimum 1/sqrt(1+S^2),
@@ -15,7 +16,7 @@ above because S <= M. Other configurations go through the pair engine.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,66 +43,6 @@ def lemma1_bound(max_speed: float) -> float:
     if not (math.isfinite(max_speed) and max_speed >= 0):
         raise ValueError("max speed must be finite and >= 0")
     return 1.0 / math.hypot(1.0, max_speed)
-
-
-@dataclass(frozen=True, eq=False)
-class CylinderScene:
-    """Equal-radius cylinders around the axes b + t (v1, v2, 1).
-
-    bases (n, 3) holds the axis points b and velocities (n, 2) the axis
-    slopes v; every speed |v| lies within speed_bounds [m, M]. radius is
-    None exactly when the scene is empty. measured, when given, holds
-    evolution.speeds(velocities), already computed by the caller.
-    """
-
-    bases: np.ndarray
-    velocities: np.ndarray
-    radius: float | None
-    speed_bounds: tuple[float, float]
-    measured: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, measured) -> None:
-        m, cap = self.speed_bounds
-        if not (math.isfinite(m) and math.isfinite(cap) and 0 <= m <= cap):
-            raise ValueError(f"bad speed bounds {self.speed_bounds}")
-        n = len(self.bases)
-        if self.bases.shape != (n, 3) or self.velocities.shape != (n, 2):
-            raise ValueError(f"bases {self.bases.shape} and velocities "
-                             f"{self.velocities.shape} must be (n, 3) and (n, 2)")
-        if n == 0:
-            return
-        radius = self.radius
-        if not (radius is not None and math.isfinite(radius) and radius > 0):
-            raise ValueError("radius must be finite and positive")
-        if radius > lemma1_bound(cap) / 2.0 * RADIUS_SLACK:
-            raise RadiusTooLargeError(
-                f"radius {radius} exceeds {lemma1_bound(cap) / 2.0}")
-        if measured is None:
-            measured = speeds(self.velocities)
-        outside = np.flatnonzero((measured < m - 1e-12) | (measured > cap + 1e-12))
-        if outside.size:
-            raise ValueError(f"direction speed {float(measured[outside[0]])} "
-                             f"outside [{m}, {cap}]")
-
-
-def build_scene(config: MovingConfiguration, radius: float | None = None,
-                measured: np.ndarray | None = None) -> CylinderScene:
-    """Scene with measured speed bounds; radius defaults to half the floor.
-
-    measured, when given, is the array of evolution.speeds(config.V),
-    already computed by the caller.
-    """
-    n = len(config)
-    if n == 0:
-        return CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
-    if measured is None:
-        measured = speeds(config.V)
-    m, cap = float(measured.min()), float(measured.max())
-    if radius is None:
-        radius = lemma1_bound(cap) / 2.0
-    bases = np.zeros((n, 3))
-    bases[:, :2] = config.P
-    return CylinderScene(bases, config.V, radius, (m, cap), measured)
 
 
 @dataclass(frozen=True)
@@ -134,21 +75,17 @@ class SceneReport:
     mode: str
     seed: int | None
     passed: bool
-    # evolution.speeds(V), measured once; build_scene can reuse it.
-    measured: np.ndarray = field(repr=False, compare=False, metadata=UNREPORTED)
 
 
 def verify_scene(config: MovingConfiguration, radius: float | None, *,
-                 sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET,
-                 seed: int = _pairscan.DEFAULT_SEED,
-                 exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT) -> SceneReport:
+                 seed: int = _pairscan.DEFAULT_SEED) -> SceneReport:
     """Check pairwise worldline distances against max(2 radius, floor).
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same pass over the pairs; the speed ceiling
     M is measured here with evolution.speeds, never trusted from metadata,
     and the radius is checked against it before the pass. radius None
-    means half the floor, as in build_scene.
+    means half the floor.
 
     A configuration with the structure of a lattice flow is decided by the
     structural certificate (_pairscan.certify with worldline): the exact
@@ -176,9 +113,7 @@ def verify_scene(config: MovingConfiguration, radius: float | None, *,
     scan = _pairscan.certify(P, V, worldline=True)
     certified = scan is not None and scan.line_distance >= required
     if not certified:
-        scan = _pairscan.scan(
-            P, V, worldline=True, exhaustive_limit=exhaustive_limit,
-            sample_budget=sample_budget, seed=seed)
+        scan = _pairscan.scan(P, V, worldline=True, seed=seed)
     hardcore = verify_hardcore(config, 1.0, scan=scan)
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
@@ -212,27 +147,30 @@ def verify_scene(config: MovingConfiguration, radius: float | None, *,
         mode=scan.mode,
         seed=scan.seed,
         passed=distances_ok,
-        measured=measured,
     )
 
 
-def export_scene(scene: CylinderScene):
-    """Text form: header, then px,py,pz,dx,dy,dz,r rows (unit directions),
-    sorted by axis point; yields the header line, then the rows in chunks
-    of text."""
+def export_scene(P, V, radius: float):
+    """Text form of the cylinders of one radius around the worldlines
+    (x, 0) + t (v, 1) of positions P and velocities V, (n, 2) each.
+
+    Yields the header line, then px,py,pz,dx,dy,dz,r rows in chunks of
+    text: the axis point (x, 0) and the unit direction (v, 1) / |(v, 1)|,
+    sorted by axis point. The radius is written as given; verify_scene is
+    what checks it.
+    """
     yield SCENE_HEADER + "\n"
-    B, V = scene.bases, scene.velocities
-    if len(B) == 0:
+    if len(P) == 0:
         return
-    # Stable, like sorting rows on their (px, py, pz) tuples.
-    order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
-    tail = "," + fmt_float(scene.radius) + "\n"
+    # Stable, like sorting rows on their (px, py, pz) tuples: pz is 0.
+    order = np.lexsort((P[:, 1], P[:, 0]))
+    tail = "," + fmt_float(radius) + "\n"
     # The rows are gathered and their directions made a block at a time.
-    for rows in _row_slices(len(B)):
+    for rows in _row_slices(len(P)):
         k = order[rows]
-        b, v = B[k], V[k]
+        p, v = P[k], V[k]
         ones = np.ones(len(v))
         lengths = _pairscan.math_map(math.hypot, v[:, 0], v[:, 1], ones)
-        yield from _rows_text(len(b), (
-            b[:, 0], ",", b[:, 1], ",", b[:, 2], ",", v[:, 0] / lengths, ",",
+        yield from _rows_text(len(p), (
+            p[:, 0], ",", p[:, 1], ",0,", v[:, 0] / lengths, ",",
             v[:, 1] / lengths, ",", ones / lengths, tail))

@@ -70,14 +70,6 @@ class MovingConfiguration:
     def __len__(self) -> int:
         return len(self.P)
 
-    def positions_array(self) -> np.ndarray:
-        """The positions P."""
-        return self.P
-
-    def velocities_array(self) -> np.ndarray:
-        """The velocities V."""
-        return self.V
-
 
 @dataclass(frozen=True)
 class HardCoreReport:
@@ -109,18 +101,16 @@ def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
 
 def verify_hardcore(config: MovingConfiguration,
                     threshold: float = DEFAULT_THRESHOLD, *,
-                    sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET,
                     seed: int = _pairscan.DEFAULT_SEED,
-                    exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT,
                     scan: _pairscan.PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
     A configuration with the structure of a lattice flow is decided by the
     structural certificate (_pairscan.certify): every pair, exactly, mode
     "exhaustive-structural". Otherwise the pair engine runs: exact per pair
-    (closed-form closest approach), exhaustive over pairs up to
-    exhaustive_limit, uniformly sampled beyond it. The witness is the
-    lexicographically smallest minimizing pair.
+    (closed-form closest approach), exhaustive up to
+    _pairscan.EXHAUSTIVE_LIMIT pairs, uniformly sampled (seeded) beyond it.
+    The witness is the lexicographically smallest minimizing pair.
 
     scan, when given, is a pass already made over this configuration's
     pairs (as verify_flow and verify_scene make one); it is used instead of
@@ -133,9 +123,7 @@ def verify_hardcore(config: MovingConfiguration,
     if scan is None:
         scan = _pairscan.certify(config.P, config.V)
     if scan is None:
-        scan = _pairscan.scan(
-            config.P, config.V, exhaustive_limit=exhaustive_limit,
-            sample_budget=sample_budget, seed=seed)
+        scan = _pairscan.scan(config.P, config.V, seed=seed)
     witness_time: float | None = None
     if scan.witness is not None:
         i, j = scan.witness

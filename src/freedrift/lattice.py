@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration
+from .evolution import MovingConfiguration, speeds
 from .formats import UNREPORTED
 from .geometry import CHAIN_TOL, DISTANCE_TOL, Vec2
 
@@ -279,10 +279,8 @@ def recovered_field(flow: FlowAssignment) -> np.ndarray:
     return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
-def verify_flow(flow: FlowAssignment,
-                sample_budget: int = _pairscan.DEFAULT_SAMPLE_BUDGET, *,
-                seed: int = _pairscan.DEFAULT_SEED,
-                exhaustive_limit: int = _pairscan.EXHAUSTIVE_LIMIT) -> FlowReport:
+def verify_flow(flow: FlowAssignment, *,
+                seed: int = _pairscan.DEFAULT_SEED) -> FlowReport:
     """Check the unit-distance guarantee and the inequality chain behind it.
 
     First tries the structural certificate (_pairscan.certify), which
@@ -290,10 +288,11 @@ def verify_flow(flow: FlowAssignment,
     "exhaustive-structural", minimum exactly 1 at the smallest unit axis
     pair, chain margins exactly 0. Flows from build_flow with two or more
     particles have that structure. Without it, the pair engine runs:
-    exhaustive over pairs up to exhaustive_limit, uniformly sampled (seeded)
-    beyond it. The report records which mode ran. passed states the flow
-    contract: closest approaches >= 1, chain margins >= -1e-12, injective
-    velocities, speeds within the declared range.
+    exhaustive up to _pairscan.EXHAUSTIVE_LIMIT pairs, uniformly sampled
+    (seeded) beyond it. The report records which mode ran. Speeds are
+    measured by evolution.speeds, as in every verifier. passed states the
+    flow contract: closest approaches >= 1, chain margins >= -1e-12,
+    injective velocities, speeds within the declared range.
     """
     P, V = flow.P, flow.V
     n = len(P)
@@ -303,14 +302,12 @@ def verify_flow(flow: FlowAssignment,
 
     scan = _pairscan.certify(P, V, W)
     if scan is None:
-        scan = _pairscan.scan(
-            P, V, W, chain_tolerance=CHAIN_TOL, exhaustive_limit=exhaustive_limit,
-            sample_budget=sample_budget, seed=seed)
+        scan = _pairscan.scan(P, V, W, seed=seed)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
 
-    speeds = np.hypot(V[:, 0], V[:, 1])
-    measured_min = float(speeds.min())
-    measured_max = float(speeds.max())
+    measured = speeds(V)
+    measured_min = float(measured.min())
+    measured_max = float(measured.max())
     speeds_ok = (measured_min >= flow.speed_min - DISTANCE_TOL
                  and measured_max <= flow.speed_max + DISTANCE_TOL)
 

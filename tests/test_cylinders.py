@@ -6,11 +6,9 @@ import pytest
 
 from freedrift import cli, formats
 from freedrift.cylinders import (
-    CylinderScene,
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
     SCENE_HEADER,
-    build_scene,
     export_scene,
     lemma1_bound,
     verify_scene,
@@ -38,9 +36,18 @@ def _worldlines(bases, velocities):
             for b, (v1, v2) in zip(bases.tolist(), velocities.tolist())]
 
 
+def _axes(config):
+    """The worldlines of a configuration: bases (x, 0), slopes v."""
+    return _worldlines(np.column_stack((config.P, np.zeros(len(config)))), config.V)
+
+
+def _export(config, radius=0.25):
+    return "".join(export_scene(config.P, config.V, radius))
+
+
 def _worldline_of(row):
-    scene = build_scene(_config([row]))
-    (line,) = _worldlines(scene.bases, scene.velocities)
+    bases, slopes, _ = read_scene(_export(_config([row])))
+    (line,) = _worldlines(bases, slopes)
     return line
 
 
@@ -55,8 +62,7 @@ def test_worldline_of_moving_particle():
 
 
 def test_worldline_angle_to_vertical():
-    scene = build_scene(_config([(0.0, 0.0, 1.0, 0.0)]))
-    (row,) = "".join(export_scene(scene)).splitlines()[1:]
+    (row,) = _export(_config([(0.0, 0.0, 1.0, 0.0)])).splitlines()[1:]
     dz = float(row.split(",")[5])  # time component of the unit direction
     assert math.acos(dz) == pytest.approx(math.pi / 4, abs=1e-15)
 
@@ -133,8 +139,7 @@ def test_verify_scene_3x3_flow():
     assert report.distance_margin >= -1e-9
 
     # Cross-check the scanned minimum against scalar per-pair distances.
-    scene = build_scene(config)
-    lines = _worldlines(scene.bases, scene.velocities)
+    lines = _axes(config)
     best = math.inf
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -144,8 +149,7 @@ def test_verify_scene_3x3_flow():
 
 def test_verify_scene_line_distances_match_grid_oracle():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    scene = build_scene(flow.as_configuration())
-    lines = _worldlines(scene.bases, scene.velocities)
+    lines = _axes(flow.as_configuration())
     rng = random.Random(11)
     for _ in range(6):
         i, j = rng.sample(range(len(lines)), 2)
@@ -172,16 +176,15 @@ def test_verify_scene_passes_pair_ten_apart():
 
 def test_verify_scene_measures_speeds_as_the_scene_does():
     # math.hypot and np.hypot round both of these speeds differently on
-    # some platforms; the report must agree with evolution.speeds, which
-    # gives the scene its bounds, to the last bit.
+    # some platforms; the report must agree with evolution.speeds, the one
+    # definition of speed, to the last bit.
     config = _config([(0.0, 0.0, 0.535, 1.896), (100.0, 0.0, 0.394, 0.112)])
     measured = speeds(config.V)
     report = verify_scene(config, 0.1)
     assert report.speed_max == float(measured.max())
     assert report.speed_min == float(measured.min())
     assert report.separation_floor == lemma1_bound(float(measured.max()))
-    assert build_scene(config).speed_bounds == (report.speed_min, report.speed_max)
-    # radius None is half the floor, as in build_scene.
+    # radius None is half the floor.
     assert verify_scene(config, None).radius == report.separation_floor / 2.0
 
 
@@ -208,39 +211,15 @@ def test_verify_scene_rejects_oversized_radius():
         verify_scene(_static_pair(1.0), radius=0.0)
 
 
-def test_scene_invariants():
-    # One vertical axis through the origin.
-    base, slope = np.zeros((1, 3)), np.zeros((1, 2))
-    with pytest.raises(RadiusTooLargeError):
-        CylinderScene(base, slope, 0.51, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        # speed 0 is not in [1, 2]
-        CylinderScene(base, slope, 0.5, (1.0, 2.0))
-    scene = CylinderScene(base, slope, 0.5, (0.0, 0.0))
-    assert scene.radius == 0.5
-
-
-def test_build_scene_defaults():
-    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    scene = build_scene(flow.as_configuration())
-    m, cap = scene.speed_bounds
-    assert scene.radius == lemma1_bound(cap) / 2.0
-    assert m <= cap
-    assert scene.bases.shape == (9, 3) and scene.velocities.shape == (9, 2)
-
-
 def test_export_empty_scene_is_header_only():
-    scene = CylinderScene(np.zeros((0, 3)), np.zeros((0, 2)), None, (0.0, 0.0))
-    doc = "".join(export_scene(scene))
+    doc = _export(MovingConfiguration(np.zeros((0, 2)), np.zeros((0, 2))))
     assert doc == SCENE_HEADER + "\n"
     bases, velocities, radii = read_scene(doc)
     assert len(bases) == len(velocities) == len(radii) == 0
 
 
 def test_export_single_vertical_cylinder():
-    scene = build_scene(_static_pair(2.0), radius=0.5)
-    doc = "".join(export_scene(scene))
-    lines = doc.splitlines()
+    lines = _export(_static_pair(2.0), radius=0.5).splitlines()
     assert lines[0] == SCENE_HEADER
     assert lines[1] == "0,0,0,0,0,1,0.5"
     assert lines[2] == "2,0,0,0,0,1,0.5"
@@ -252,8 +231,7 @@ def test_export_rows_sorted_by_axis_point():
         (-1.0, 5.0, 0.0, 0.5),
         (-1.0, 2.0, 0.5, 0.25),
     ])
-    scene = build_scene(config, radius=0.25)
-    rows = "".join(export_scene(scene)).splitlines()[1:]
+    rows = _export(config).splitlines()[1:]
     keys = [tuple(float(f) for f in row.split(",")[:3]) for row in rows]
     assert keys == sorted(keys)
 
@@ -261,22 +239,23 @@ def test_export_rows_sorted_by_axis_point():
 @pytest.mark.parametrize("block", [1, 4, 8, 9])
 def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    scene = build_scene(flow.as_configuration())
-    whole = "".join(export_scene(scene))  # nine rows: one block
+    config = flow.as_configuration()
+    whole = _export(config)  # nine rows: one block
     monkeypatch.setattr(formats, "_ROW_BLOCK", block)
-    assert "".join(export_scene(scene)) == whole
+    assert _export(config) == whole
 
 
 def test_scene_round_trip_preserves_distances():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    scene = build_scene(flow.as_configuration())
-    bases, velocities, radii = read_scene("".join(export_scene(scene)))
+    config = flow.as_configuration()
+    radius = verify_scene(config, None).radius
+    bases, velocities, radii = read_scene(_export(config, radius))
     parsed = _worldlines(bases, velocities)
     assert len(parsed) == 9
     assert radii.tolist() == [radii[0]] * 9
-    assert radii[0] == pytest.approx(scene.radius, rel=1e-15)
+    assert radii[0] == pytest.approx(radius, rel=1e-15)
 
-    original = sorted(_worldlines(scene.bases, scene.velocities))
+    original = sorted(_axes(config))
     for (base_a, _), (base_b, _) in zip(original, parsed):
         assert base_a == base_b
     for i in range(9):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from freedrift import _pairscan
 from freedrift.evolution import (
     BadRangeError,
     MovingConfiguration,
@@ -231,8 +232,9 @@ def test_flow_without_the_structure_is_sampled_past_the_limit():
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
+    scan = _pairscan.scan(flow.P, V, exhaustive_limit=0, sample_budget=1000, seed=7)
     report = verify_hardcore(MovingConfiguration(flow.P, V), threshold=1.0,
-                             exhaustive_limit=0, sample_budget=1000, seed=7)
+                             scan=scan)
     assert (report.mode, report.seed) == ("sampled", 7)
     assert (report.pairs_checked, report.pairs_total) == (1000, 49 * 48 // 2)
     assert report.passed

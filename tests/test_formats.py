@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import formats
-from freedrift.cylinders import CylinderScene, build_scene, export_scene, lemma1_bound
-from freedrift.evolution import MovingConfiguration, speeds
+from freedrift.cylinders import export_scene, lemma1_bound
+from freedrift.evolution import speeds
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -208,10 +209,9 @@ def _peak_above_arrays(n: int, task: str) -> int:
         text = "".join(particles_document(P, V))
         (P, V), peak = _traced_peak(lambda: parse_particles(text))
         return peak - P.nbytes - V.nbytes
-    scene = build_scene(MovingConfiguration(P, V))
     chunks = {"particles": lambda: particles_document(P, V),
               "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),
-              "scene": lambda: export_scene(scene)}[task]
+              "scene": lambda: export_scene(P, V, 0.25)}[task]
     return _traced_peak(lambda: sum(map(len, chunks())))[1]
 
 
@@ -421,13 +421,12 @@ def test_svg_snapshot_matches_reference(points, radius, viewport, block):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables(5), BLOCKS)
+@given(tables(4), BLOCKS)
 def test_export_scene_matches_reference(A, block):
-    bases, V = A[:, :3], A[:, 3:]
-    if len(A):
-        bounds = (min(speeds(V)), max(speeds(V)))
-        scene = CylinderScene(bases, V, lemma1_bound(bounds[1]) / 2.0, bounds)
-    else:
-        scene = CylinderScene(bases, V, None, (0.0, 0.0))
+    P, V = A[:, :2], A[:, 2:]
+    radius = lemma1_bound(float(speeds(V).max(initial=0.0))) / 2.0
+    # The scene's axis points are the positions at time 0.
+    scene = SimpleNamespace(bases=np.column_stack((P, np.zeros(len(P)))),
+                            velocities=V, radius=radius)
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert "".join(export_scene(scene)) == reference_export_scene(scene)
+        assert "".join(export_scene(P, V, radius)) == reference_export_scene(scene)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freedrift import _pairscan
-from freedrift.evolution import MovingConfiguration, verify_hardcore
+from freedrift.evolution import MovingConfiguration, speeds, verify_hardcore
 from freedrift.geometry import Vec2, closest_approach, norm, sub
 from freedrift.lattice import (
     DISK_RADIUS,
@@ -283,6 +283,19 @@ def _with_velocities(flow, V):
     return FlowAssignment(P=flow.P, V=V, shift=flow.shift,
                           speed_min=flow.speed_min, speed_max=flow.speed_max,
                           disk_radius=flow.disk_radius)
+
+
+def test_flow_speeds_are_measured_as_every_verifier_measures_them():
+    # np.hypot rounds the first speed one ulp above math.hypot here; the
+    # report must agree with evolution.speeds, as verify_scene does.
+    P = np.array([[0.0, 0.0], [100.0, 0.0]])
+    V = np.array([[0.535, 1.896], [0.394, 0.112]])
+    flow = FlowAssignment(P=P, V=V, shift=Vec2(0.0, 0.0), speed_min=0.0,
+                          speed_max=2.0, disk_radius=DISK_RADIUS)
+    report = verify_flow(flow)
+    measured = speeds(V)
+    assert report.speed_measured_max == float(measured.max()) == 1.9700357864769866
+    assert report.speed_measured_min == float(measured.min())
 
 
 def test_certified_reports_match_the_engine(monkeypatch):

@@ -130,7 +130,7 @@ def configurations(draw):
 def test_engine_matches_reference_bit_for_bit(config, tile):
     P, V, W = config
     n = len(P)
-    scan = scan_tiled(tile, P, V, W, worldline=True, chain_tolerance=TOL)
+    scan = scan_tiled(tile, P, V, W, worldline=True)
     assert scan.pairs_total == scan.pairs_checked == n * (n - 1) // 2
     assert scan.mode == "exhaustive" and scan.seed is None
     if n < 2:
@@ -162,7 +162,7 @@ def test_coordinates_around_1e8(config, tile, offset):
     P, V, W = config
     far = P + offset
     n = len(P)
-    scan = scan_tiled(tile, far, V, W, worldline=True, chain_tolerance=TOL)
+    scan = scan_tiled(tile, far, V, W, worldline=True)
     if n < 2:
         return
     ref = reference(far, V, W)
@@ -186,7 +186,7 @@ def test_coordinates_around_1e8(config, tile, offset):
                   for i in range(n) for j in range(i + 1, n))
     assert scan.min_distance == pytest.approx(closest, rel=1e-12, abs=1e-12)
     if np.array_equal(P, np.round(P)):
-        near = scan_tiled(tile, P, V, W, worldline=True, chain_tolerance=TOL)
+        near = scan_tiled(tile, P, V, W, worldline=True)
         assert near == scan
 
 
