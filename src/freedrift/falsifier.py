@@ -8,6 +8,20 @@ candidate fields, and a deterministic search that exhibits violating
 pairs. Equality (including dw = 0) already defeats the strict inequality,
 so the search accepts margin >= 0.
 
+The search runs five stages in order: far-field probes at fixed radii,
+pairs at radii scaled by bound/c ("scaled"), seeded random pairs, a
+bisection between pairs of opposite sign of <x-y, dw> ("sign-change"),
+and local refinement of the best pair. Every hit the floats find is then
+decided again exactly, in integers on the doubles x, y, w(x), w(y) and c
+(`_exact_violation`): |x-y| > 1 and c^2 |dw|^2 >= <x-y, dw>^2. A float hit
+that fails it is not reported, and the search goes on. The check is exact
+for the field values as doubles, not for the field itself: for the radial
+field at c <= 1e-5 the true margins (about c^2/4r at r >~ 2/c) fall below
+double resolution, and the hits found there have dw rounded to 0. At
+x = (2e5, 0), y = (200001.001, 0) the margin computed in 50-digit decimals
+from the field's formula is -1.25e-16, so such a hit holds on the doubles
+only.
+
 The search decides pairs in batches of float64 arrays, and its results are
 bit for bit those of a pair-by-pair pass in CPython floats. The rule that
 keeps them so: numpy runs only IEEE arithmetic (+, -, *, /, abs, min, max
@@ -372,6 +386,18 @@ def violation_margin(field: CandidateField, c: float,
 
 _PROBE_RADII = (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0)
 _PROBE_ANGLES = 16
+# The scaled stage's pairs x = (r, 0), y = (r + g)(cos t, sin t) with
+# r = k bound/c and t = h c/r, k outermost and h innermost. A field that
+# saturates along rays, such as the radial one, breaks only where
+# r >~ bound/c and t <~ c/r (its margin is about c t - r t^2 - g^2/r^3),
+# which the fixed probe radii (<= 8,192) and random radii (<= 10^4) miss
+# once c is small.
+_SCALED_RADII = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
+_SCALED_GAPS = (1.001, 1.01, 1.25)
+_SCALED_ANGLES = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
+# Halvings of the sign-change path: its bracket ends at 2^-60 of the
+# path, below the 2^-52 relative spacing of the doubles on it.
+_BISECTION_STEPS = 60
 # The random stage draws from this many fixed seeded streams, one after
 # another; stream k labels its hits "random-slot-k".
 _RANDOM_STREAMS = 4
@@ -401,23 +427,26 @@ class _Search:
         self.evals = 0
         self.best_margin = -math.inf
         self.best_pair: tuple[float, float, float, float] | None = None
-        self.pos_seen = False
-        self.neg_seen = False
+        # The latest pair decided with <x-y, dw> > 0, and with < 0.
+        self.pos_pair: tuple[float, float, float, float] | None = None
+        self.neg_pair: tuple[float, float, float, float] | None = None
 
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
 
     def try_pairs(self, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray,
                   y2: np.ndarray, *, until_better: bool = False):
-        """Decide the pairs in order; the first hit (margin >= 0), or None.
+        """Decide the pairs in order; the first hit, or None.
 
-        A pair with |x-y| <= 1 is skipped and costs nothing; pairs past
-        the budget are not evaluated. The batch stops at the first hit and,
+        A hit is a pair whose float margin is >= 0 and that passes
+        `_exact_violation`; a float hit that fails it is passed over. A
+        pair with |x-y| <= 1 is skipped and costs nothing; pairs past the
+        budget are not evaluated. The batch stops at the first hit and,
         with until_better, at the first margin above the best one before
         the call. A non-finite increment before that stop raises
-        ValueError. The sign flags, the best margin (the first strictly
-        larger one; NaN never) and the evaluation count then cover the
-        pairs up to the stop.
+        ValueError. The kept pair of each sign, the best margin (the first
+        strictly larger one; NaN never) and the evaluation count then cover
+        the pairs up to the stop.
         """
         with np.errstate(all="ignore"):
             d1 = x1 - y1
@@ -440,34 +469,71 @@ class _Search:
         # A finite increment implies both field values are finite.
         finite = np.isfinite(dw1) & np.isfinite(dw2)
         bad = n if finite.all() else int(np.argmin(finite))
-        stops = margin[:bad] >= 0.0
-        if until_better:
-            stops |= margin[:bad] > self.best_margin
-        if stops.any():
-            end = int(np.argmax(stops)) + 1
-        elif bad < n:
-            e1, e2, p1, p2, q1, q2 = (float(a[bad])
-                                      for a in (dw1, dw2, x1, x2, y1, y2))
-            raise ValueError(
-                f"field increment w(x) - w(y) = ({e1}, {e2}) is not finite "
-                f"at x = ({p1}, {p2}), y = ({q1}, {q2})")
+        hits = margin[:bad] >= 0.0
+        better = margin[:bad] > (self.best_margin if until_better else math.inf)
+        for k in np.flatnonzero(hits | better).tolist():
+            found = bool(hits[k]) and _exact_violation(
+                self.c, *(float(a[k]) for a in (x1, x2, y1, y2)),
+                *(float(a[j]) for j in (k, n + k) for a in (w1, w2)))
+            if found or better[k]:
+                end = k + 1
+                break
         else:
-            end = n
+            if bad < n:
+                e1, e2, p1, p2, q1, q2 = (float(a[bad])
+                                          for a in (dw1, dw2, x1, x2, y1, y2))
+                raise ValueError(
+                    f"field increment w(x) - w(y) = ({e1}, {e2}) is not "
+                    f"finite at x = ({p1}, {p2}), y = ({q1}, {q2})")
+            end, found = n, False
         self.evals += 2 * end
         inner, margin = inner[:end], margin[:end]
-        self.pos_seen = self.pos_seen or bool((inner > 0.0).any())
-        self.neg_seen = self.neg_seen or bool((inner < 0.0).any())
+
+        def pair(k):
+            return float(x1[k]), float(x2[k]), float(y1[k]), float(y2[k])
+
+        signed = np.flatnonzero(inner > 0.0)
+        if len(signed):
+            self.pos_pair = pair(signed[-1])
+        signed = np.flatnonzero(inner < 0.0)
+        if len(signed):
+            self.neg_pair = pair(signed[-1])
         ranked = np.where(np.isnan(margin), -math.inf, margin)
         k = int(np.argmax(ranked))
         if ranked[k] > self.best_margin:
             self.best_margin = float(margin[k])
-            self.best_pair = (float(x1[k]), float(x2[k]),
-                              float(y1[k]), float(y2[k]))
-        k = end - 1
-        if margin[k] >= 0.0:
+            self.best_pair = pair(k)
+        if found:
+            k = end - 1
             return tuple(float(a[k]) for a in (x1, x2, y1, y2, margin, inner,
                                                dw_norm, separation))
         return None
+
+
+def _dyadic(*values: float) -> tuple[list[int], int]:
+    """Integers m and a shift s with values[i] == m[i] / 2**s exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    return [p << (s + 1 - q.bit_length()) for p, q in ratios], s
+
+
+def _exact_violation(c: float, x1: float, x2: float, y1: float, y2: float,
+                     wx1: float, wx2: float, wy1: float, wy2: float) -> bool:
+    """Whether |x-y| > 1 and c^2 |dw|^2 >= <x-y, dw>^2, dw = w(x) - w(y),
+    hold exactly for these finite doubles.
+
+    Every double is an integer over a power of two, so both sides are
+    integers once the positions are scaled by 2^s and the field values by
+    2^t; `fractions` is not imported for this, it costs about 0.4 MB and
+    1.4 ms a process.
+    """
+    (a1, a2, b1, b2), s = _dyadic(x1, x2, y1, y2)
+    (u1, u2, v1, v2), t = _dyadic(wx1, wx2, wy1, wy2)
+    d1, d2, e1, e2 = a1 - b1, a2 - b2, u1 - v1, u2 - v2
+    p, q = c.as_integer_ratio()
+    return (d1 * d1 + d2 * d2 > 1 << 2 * s
+            and p * p * (e1 * e1 + e2 * e2) << 2 * s
+            >= q * q * (d1 * e1 + d2 * e2) ** 2)
 
 
 def _violation(search: _Search, hit, stage: str) -> ViolationReport:
@@ -476,7 +542,8 @@ def _violation(search: _Search, hit, stage: str) -> ViolationReport:
         x=Vec2(x1, x2), y=Vec2(y1, y2), c=search.c, margin=margin,
         inner_product=inner, increment_norm=dw_norm, separation=separation,
         evaluations_used=search.evals, stage=stage,
-        both_signs_observed=search.pos_seen and search.neg_seen,
+        both_signs_observed=(search.pos_pair is not None
+                             and search.neg_pair is not None),
     )
 
 
@@ -497,6 +564,20 @@ def _probe_pairs():
                 phi = theta + h / radius
                 yield (x1, x2, (radius + gap) * math.cos(phi),
                        (radius + gap) * math.sin(phi))
+
+
+def _scaled_pairs(bound: float, c: float):
+    """The scaled stage's pairs, those with finite coordinates."""
+    for k in _SCALED_RADII:
+        r = k * bound / c
+        if not 0.0 < r < math.inf:
+            continue
+        for gap in _SCALED_GAPS:
+            for h in _SCALED_ANGLES:
+                theta = h * c / r
+                if math.isfinite(theta):
+                    yield (r, 0.0, (r + gap) * math.cos(theta),
+                           (r + gap) * math.sin(theta))
 
 
 def _random_floats(rng: random.Random, n: int) -> np.ndarray:
@@ -523,12 +604,18 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     """Search for a pair with |x-y| > 1 where the strict inequality
     |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| fails.
 
-    Three deterministic stages: structured far-field probes, seeded random
-    pairs (budget split evenly across fixed seeded streams, run one after
-    another, so the first hit in stream order wins), and local refinement
-    of the best pair seen. Exhausted is an honest result, not an error; it
-    carries the best margin, says whether the budget ran out or refinement
-    converged first, and certifies nothing.
+    Five deterministic stages, in order: structured far-field probes;
+    126 pairs at radii k bound/c and angular offsets h c/r ("scaled");
+    seeded random pairs (three quarters of the budget left, split evenly
+    across fixed seeded streams, run one after another, so the first hit
+    in stream order wins); a bisection between the latest pairs of each
+    sign of <x-y, dw> to a zero of it ("sign-change"), when both signs
+    occurred; and local refinement of the best pair seen. A hit found in
+    floats is reported only if it holds exactly on the doubles x, y,
+    w(x), w(y) and c (see the module docstring); otherwise the search
+    goes on. Exhausted is an honest result, not an error; it carries the
+    best margin, says whether the budget ran out or refinement converged
+    first, and certifies nothing.
 
     Raises:
         ValueError: for c or budget out of range, or when a field increment
@@ -540,11 +627,14 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
         raise ValueError("budget must be >= 1")
     search = _Search(field, c, budget)
 
-    hit = search.try_pairs(*np.array(list(_probe_pairs())).T)
-    if hit is not None:
-        return _violation(search, hit, "probe")
-    if search.out_of_budget():
-        return _exhausted(search)
+    for stage, pairs in (("probe", _probe_pairs()),
+                         ("scaled", _scaled_pairs(field.bound, c))):
+        hit = search.try_pairs(*np.array(list(pairs), dtype=float)
+                               .reshape(-1, 4).T)
+        if hit is not None:
+            return _violation(search, hit, stage)
+        if search.out_of_budget():
+            return _exhausted(search)
 
     cos, sin, exp = math.cos, math.sin, math.exp
     log_r_max = math.log(1e4)
@@ -569,11 +659,58 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             if hit is not None:
                 return _violation(search, hit, f"random-slot-{stream}")
 
+    if search.pos_pair is not None and search.neg_pair is not None:
+        hit = _sign_change(search)
+        if hit is not None:
+            return _violation(search, hit, "sign-change")
     if search.best_pair is not None:
         hit = _refine(search)
         if hit is not None:
             return _violation(search, hit, "refine")
     return _exhausted(search)
+
+
+def _sign_change(search: _Search):
+    """Bisect from the kept pairs of each sign of <x-y, dw> to a zero of it,
+    where margin = c |dw| - |<x-y, dw>| >= 0 if dw != 0.
+
+    The path from the positive pair (t = 0) to the negative one (t = 1)
+    stays inside {|x-y| > 1}: x moves linearly, and x - y in polar form,
+    its length interpolated (both ends are > 1) and its angle taken along
+    the shorter arc. Each step decides the midpoint of the bracket and
+    keeps the half whose ends differ in sign. The stage ends at a hit,
+    after _BISECTION_STEPS steps, or at a midpoint of neither sign
+    (<x-y, dw> zero or NaN, a pair not more than 1 apart, or no budget).
+    """
+    (a1, a2, b1, b2), (e1, e2, f1, f2) = search.pos_pair, search.neg_pair
+    length0 = math.hypot(a1 - b1, a2 - b2)
+    length1 = math.hypot(e1 - f1, e2 - f2)
+    angle0 = math.atan2(a2 - b2, a1 - b1)
+    turn = math.atan2(e2 - f2, e1 - f1) - angle0
+    if turn > math.pi:
+        turn -= 2.0 * math.pi
+    elif turn < -math.pi:
+        turn += 2.0 * math.pi
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECTION_STEPS):
+        if search.out_of_budget():
+            return None
+        t = 0.5 * (lo + hi)
+        length = length0 + t * (length1 - length0)
+        angle = angle0 + t * turn
+        x1, x2 = a1 + t * (e1 - a1), a2 + t * (e2 - a2)
+        pair = (x1, x2, x1 - length * math.cos(angle),
+                x2 - length * math.sin(angle))
+        hit = search.try_pairs(*np.array(pair)[:, None])
+        if hit is not None:
+            return hit
+        if search.pos_pair == pair:
+            lo = t
+        elif search.neg_pair == pair:
+            hi = t
+        else:
+            return None
+    return None
 
 
 def _refine(search: _Search):

@@ -6,7 +6,8 @@ grown until the minimizer stops landing on the boundary. The exact oracle
 evaluates the squared worldline distance in rationals on the given doubles,
 with no rounding at all, to decide last-bit questions. The falsifier
 reference is the `Vec2` formulation of the search, kept to pin the float
-search bit for bit. The reference emitters format one row at a time with
+search bit for bit; it decides its hits again in rationals
+(`exact_violation`). The reference emitters format one row at a time with
 str.format, as the emitters did before they formatted whole columns, and
 pin the emitted bytes. The reference parser reads a particles file line by
 line, as the parser did before it read plain rows a block at a time, and
@@ -267,13 +268,17 @@ class _ReferenceSearch:
         self.evals = 0
         self.best_margin = -math.inf
         self.best_pair = None
-        self.pos_seen = False
-        self.neg_seen = False
+        # The latest pair with <x-y, dw> > 0, and with < 0.
+        self.pos_pair = None
+        self.neg_pair = None
+        # <x-y, dw> of the latest try_pair call; NaN if it evaluated nothing.
+        self.inner = math.nan
 
     def out_of_budget(self):
         return self.evals + 2 > self.budget
 
     def try_pair(self, x, y):
+        self.inner = math.nan
         if self.out_of_budget():
             return None
         separation = norm(sub(x, y))
@@ -283,18 +288,28 @@ class _ReferenceSearch:
         wy = reference_evaluate(self.field, y)
         self.evals += 2
         dw = sub(wx, wy)
-        inner = dot(sub(x, y), dw)
+        inner = self.inner = dot(sub(x, y), dw)
         if inner > 0.0:
-            self.pos_seen = True
+            self.pos_pair = (x, y)
         elif inner < 0.0:
-            self.neg_seen = True
+            self.neg_pair = (x, y)
         margin = self.c * norm(dw) - abs(inner)
         if margin > self.best_margin:
             self.best_margin = margin
             self.best_pair = (x, y)
-        if margin >= 0.0:
+        if margin >= 0.0 and exact_violation(self.c, x, y, wx, wy):
             return (x, y, margin, inner, norm(dw), separation)
         return None
+
+
+def exact_violation(c, x, y, wx, wy):
+    """|x-y| > 1 and c |dw| >= |<x-y, dw>|, dw = wx - wy, in rationals on
+    the given doubles."""
+    d1, d2 = Fraction(x.x1) - Fraction(y.x1), Fraction(x.x2) - Fraction(y.x2)
+    e1 = Fraction(wx.x1) - Fraction(wy.x1)
+    e2 = Fraction(wx.x2) - Fraction(wy.x2)
+    return (d1 * d1 + d2 * d2 > 1
+            and Fraction(c) ** 2 * (e1 * e1 + e2 * e2) >= (d1 * e1 + d2 * e2) ** 2)
 
 
 def _reference_violation(search, hit, stage):
@@ -303,7 +318,8 @@ def _reference_violation(search, hit, stage):
         x=x, y=y, c=search.c, margin=margin, inner_product=inner,
         increment_norm=dw_norm, separation=separation,
         evaluations_used=search.evals, stage=stage,
-        both_signs_observed=search.pos_seen and search.neg_seen,
+        both_signs_observed=(search.pos_pair is not None
+                             and search.neg_pair is not None),
     )
 
 
@@ -328,6 +344,49 @@ def _reference_probe_pairs():
                 phi = theta + h / radius
                 yield x, Vec2((radius + gap) * math.cos(phi),
                               (radius + gap) * math.sin(phi))
+
+
+def _reference_scaled_pairs(bound, c):
+    for k in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
+        r = k * bound / c
+        if not 0.0 < r < math.inf:
+            continue
+        for gap in (1.001, 1.01, 1.25):
+            for h in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
+                theta = h * c / r
+                if math.isfinite(theta):
+                    yield Vec2(r, 0.0), Vec2((r + gap) * math.cos(theta),
+                                             (r + gap) * math.sin(theta))
+
+
+def _reference_sign_change(search):
+    """Bisection from the latest positive pair (t = 0) to the latest
+    negative one (t = 1): x linear, x - y polar along the shorter arc."""
+    (a, b), (e, f) = search.pos_pair, search.neg_pair
+    d0, d1 = sub(a, b), sub(e, f)
+    angle0 = math.atan2(d0.x2, d0.x1)
+    turn = math.atan2(d1.x2, d1.x1) - angle0
+    if turn > math.pi:
+        turn -= 2.0 * math.pi
+    elif turn < -math.pi:
+        turn += 2.0 * math.pi
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        length = norm(d0) + t * (norm(d1) - norm(d0))
+        angle = angle0 + t * turn
+        x = Vec2(a.x1 + t * (e.x1 - a.x1), a.x2 + t * (e.x2 - a.x2))
+        y = Vec2(x.x1 - length * math.cos(angle), x.x2 - length * math.sin(angle))
+        hit = search.try_pair(x, y)
+        if hit is not None:
+            return hit
+        if search.inner > 0.0:
+            lo = t
+        elif search.inner < 0.0:
+            hi = t
+        else:
+            return None
+    return None
 
 
 def _reference_refine(search):
@@ -362,15 +421,18 @@ def _reference_refine(search):
 
 def reference_falsify(field, c, budget, seed):
     """The staged violation search with a `Vec2` for every point and every
-    field value: probes, four seeded random streams, then refinement of the
-    best pair. `falsify` must return exactly this result."""
+    field value: probes, the c-scaled pairs, four seeded random streams,
+    the sign-change bisection, then refinement of the best pair.
+    `falsify` must return exactly this result."""
     search = _ReferenceSearch(field, c, budget)
-    for x, y in _reference_probe_pairs():
-        hit = search.try_pair(x, y)
-        if hit is not None:
-            return _reference_violation(search, hit, "probe")
-        if search.out_of_budget():
-            return _reference_exhausted(search)
+    for stage, pairs in (("probe", _reference_probe_pairs()),
+                         ("scaled", _reference_scaled_pairs(field.bound, c))):
+        for x, y in pairs:
+            hit = search.try_pair(x, y)
+            if hit is not None:
+                return _reference_violation(search, hit, stage)
+            if search.out_of_budget():
+                return _reference_exhausted(search)
 
     random_budget = (budget - search.evals) * 3 // 4
     per_stream = random_budget // 4
@@ -388,6 +450,10 @@ def reference_falsify(field, c, budget, seed):
             if hit is not None:
                 return _reference_violation(search, hit, f"random-slot-{stream}")
 
+    if search.pos_pair is not None and search.neg_pair is not None:
+        hit = _reference_sign_change(search)
+        if hit is not None:
+            return _reference_violation(search, hit, "sign-change")
     if search.best_pair is not None:
         hit = _reference_refine(search)
         if hit is not None:

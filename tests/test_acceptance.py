@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to stream the verdict
 lines). Every expected value here is either asserted against an independent
 oracle from oracles.py or is a closed-form quantity recomputed in place.
 """
+import decimal
 import math
 import os
 import random
@@ -184,7 +185,7 @@ def test_criterion_5_nonparallel_directions():
 def test_criterion_6_falsifier_breaks_every_family():
     failures = []
     for name in ("constant", "radial", "rotational", "linear"):
-        for c in (0.05, 0.1, 0.5):
+        for c in (1e-4, 3e-4, 0.05, 0.1, 0.5):
             field = builtin_field(name)
             started = time.perf_counter()
             result = falsify(field, c, budget=10 ** 6, seed=0x5EED)
@@ -195,6 +196,9 @@ def test_criterion_6_falsifier_breaks_every_family():
                 continue
             if result.evaluations_used > 10 ** 6:
                 failures.append(f"{tag} over budget")
+            if result.evaluations_used > 2000:
+                failures.append(f"{tag} took {result.evaluations_used} "
+                                "evaluations")
             if elapsed > 30.0:
                 failures.append(f"{tag} took {elapsed:.1f}s")
             again = violation_margin(field, c, result.x, result.y)
@@ -203,6 +207,36 @@ def test_criterion_6_falsifier_breaks_every_family():
                 failures.append(f"{tag} margin mismatch {again} "
                                 f"vs {result.margin}")
     conclude(6, "every candidate family yields a verified violation",
+             not failures, "; ".join(failures))
+
+
+def test_criterion_6_radial_hits_hold_for_the_field_itself():
+    # The radial field w(p) = p / sqrt(1 + |p|^2) and the margin
+    # c |dw| - |<x-y, dw>| in 50-digit decimals on the reported doubles:
+    # the hits are violations of the field, not of its rounding.
+    failures = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+
+        def w(p1, p2):
+            f = 1 / (1 + p1 * p1 + p2 * p2).sqrt()
+            return f * p1, f * p2
+
+        for c in (1e-4, 3e-4):
+            result = falsify(builtin_field("radial"), c, budget=10 ** 6,
+                             seed=0x5EED)
+            if not isinstance(result, ViolationReport):
+                failures.append(f"c={c} exhausted")
+                continue
+            x1, x2, y1, y2 = map(decimal.Decimal, (result.x.x1, result.x.x2,
+                                                   result.y.x1, result.y.x2))
+            (a1, a2), (b1, b2) = w(x1, x2), w(y1, y2)
+            e1, e2 = a1 - b1, a2 - b2
+            margin = (decimal.Decimal(c) * (e1 * e1 + e2 * e2).sqrt()
+                      - abs((x1 - y1) * e1 + (x2 - y2) * e2))
+            if not margin > 0:
+                failures.append(f"c={c} margin {margin}")
+    conclude(6, "radial hits at small c hold in 50-digit arithmetic",
              not failures, "; ".join(failures))
 
 

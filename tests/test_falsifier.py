@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -35,8 +35,8 @@ from freedrift.falsifier import (
 )
 from freedrift.geometry import Vec2
 
-from oracles import (greedy_direction_packing, reference_evaluate,
-                     reference_falsify)
+from oracles import (exact_violation, greedy_direction_packing,
+                     reference_evaluate, reference_falsify)
 
 
 def _sampled_grid(n, spacing, fn):
@@ -48,7 +48,8 @@ def _sampled_grid(n, spacing, fn):
 
 
 # One field per kind, plus fields the probes cannot break: a wide radial
-# field, a linear field unclamped over the search window and a grid
+# field, which the scaled stage does not break either at c = 1e-4, 1e-3 or
+# 0.05, a linear field unclamped over the search window and a grid
 # sampling a radial field over that window.
 FIELDS = {
     "constant": builtin_field("constant"),
@@ -278,9 +279,9 @@ def test_exhausted_note_says_the_budget_ran_out():
 
 def test_exhausted_note_says_refinement_converged():
     # Refinement stops once its step falls below 1e-9, with budget left.
-    result = falsify(builtin_field("radial"), c=1e-4, budget=20000)
+    result = falsify(FIELDS["radial-wide"], c=1e-4, budget=20000)
     assert isinstance(result, Exhausted)
-    assert result.evaluations_used == 15884
+    assert result.evaluations_used == 15812
     assert result.note == REFINE_CONVERGED
     assert "converged with budget left" in result.note
     assert "certif" in result.note
@@ -314,7 +315,7 @@ def _stage(result):
 
 
 # Budgets ending inside the probe stage (672 pairs, 1,344 evaluations),
-# just past it, inside a random stream and in refinement.
+# just past it, inside a random stream and in the last stages.
 @pytest.mark.parametrize("name, stages", [
     ("constant", {"probe"}),
     ("radial", {"probe", "exhausted"}),
@@ -323,7 +324,7 @@ def _stage(result):
     ("grid", {"probe"}),
     ("radial-wide", {"exhausted", "random-slot-0", "random-slot-1",
                      "random-slot-2", "refine"}),
-    ("grid-radial", {"exhausted", "refine"}),
+    ("grid-radial", {"exhausted", "scaled", "sign-change"}),
 ])
 def test_falsify_matches_reference_search(name, stages):
     field = FIELDS[name]
@@ -340,7 +341,7 @@ def test_falsify_matches_reference_search(name, stages):
 
 @pytest.mark.parametrize("c", [1e-4, 3e-4])
 def test_falsify_matches_reference_when_exhausted(c):
-    field = FIELDS["radial"]
+    field = FIELDS["radial-wide"]
     for budget, seed in ((20000, DEFAULT_SEED), (10 ** 5, 1)):
         result = falsify(field, c, budget, seed)
         assert isinstance(result, Exhausted)
@@ -424,7 +425,7 @@ def test_falsify_builds_vec2_only_for_the_result(monkeypatch):
         original(self)
 
     monkeypatch.setattr(geometry.Vec2, "__post_init__", counting)
-    result = falsify(FIELDS["radial"], 1e-4, budget=20000)
+    result = falsify(FIELDS["radial-wide"], 1e-4, budget=20000)
     assert isinstance(result, Exhausted)
     assert len(calls) < 10
 
@@ -443,16 +444,18 @@ def test_non_finite_increment_raises():
 # reference.
 
 PROBE_EVALUATIONS = 1344  # 672 probe pairs, all separated by more than 1
+# Then 126 scaled pairs, also all separated, for fields they do not break.
+BEFORE_RANDOM = PROBE_EVALUATIONS + 252
 
 
 def _per_stream(budget):
-    return (budget - PROBE_EVALUATIONS) * 3 // 4 // 4
+    return (budget - BEFORE_RANDOM) * 3 // 4 // 4
 
 
 def _budget_for(per_stream):
     """The smallest budget that gives each random stream per_stream
     evaluations."""
-    budget = PROBE_EVALUATIONS + -(-16 * per_stream // 3)
+    budget = BEFORE_RANDOM + -(-16 * per_stream // 3)
     assert _per_stream(budget) == per_stream
     return budget
 
@@ -465,12 +468,12 @@ def _budget_for(per_stream):
     2 * falsifier._CHUNK - 2,         # one pair short of a full chunk
 ])
 def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
-    field = FIELDS["radial"]  # no random pair breaks it at c = 1e-4
+    field = FIELDS["radial-wide"]  # no random pair breaks it at c = 1e-4
     budget = _budget_for(per_stream)
     for seed in (1, DEFAULT_SEED):
         result = falsify(field, 1e-4, budget, seed)
         assert isinstance(result, Exhausted)
-        assert result.evaluations_used > PROBE_EVALUATIONS + 4 * (per_stream - 1)
+        assert result.evaluations_used > BEFORE_RANDOM + 4 * (per_stream - 1)
         assert result == reference_falsify(field, 1e-4, budget, seed)
 
 
@@ -480,7 +483,7 @@ def _first_random_hit():
     field = FIELDS["grid-radial"]
     result = falsify(field, 0.05, 50000, 2)
     assert result.stage == "random-slot-0"
-    return field, (result.evaluations_used - PROBE_EVALUATIONS) // 2 - 1
+    return field, (result.evaluations_used - BEFORE_RANDOM) // 2 - 1
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -501,8 +504,8 @@ def test_tiny_chunks_change_nothing(monkeypatch, chunk):
     monkeypatch.setattr(falsifier, "_CHUNK", chunk)
     for name, c, budget, seed in (("radial-wide", 0.05, 5000, 7),
                                   ("grid-radial", 0.05, 6000, 2),
-                                  ("radial", 1e-4, 3001, 1),
-                                  ("radial", 1e-4, 20000, DEFAULT_SEED)):
+                                  ("radial-wide", 1e-4, 3001, 1),
+                                  ("radial-wide", 1e-4, 20000, DEFAULT_SEED)):
         result = falsify(FIELDS[name], c, budget, seed)
         assert result == reference_falsify(FIELDS[name], c, budget, seed), name
 
@@ -605,3 +608,59 @@ def test_chunk_draw_equals_successive_random_calls(seed, n):
     assert values.tolist() == [called.random() for _ in range(n)]
     assert drawn.getstate() == called.getstate()
     assert drawn.random() == called.random()
+
+
+def test_sign_change_stage_bisects_to_a_hit():
+    # grid-radial at c = 0.05 shows both signs of <x-y, dw> and survives
+    # the probes, the scaled pairs and the random streams at these budgets.
+    field = FIELDS["grid-radial"]
+    for budget, seed in ((5000, 1), (20000, 7), (50000, 1)):
+        result = falsify(field, 0.05, budget, seed)
+        assert result == reference_falsify(field, 0.05, budget, seed)
+        assert result.stage == "sign-change"
+        assert result.both_signs_observed
+        assert abs(result.inner_product) <= 0.05 * result.increment_norm
+        # At most _BISECTION_STEPS pairs after the random streams.
+        random_end = BEFORE_RANDOM + 4 * _per_stream(budget)
+        steps = (result.evaluations_used - random_end) // 2
+        assert 0 < steps <= falsifier._BISECTION_STEPS
+
+
+def test_float_hit_failing_the_exact_check_is_passed_over():
+    # w is (0.787, 0.33) from x1 = 1 on and 0 up to x1 = -1. The first
+    # probe, x = (2, 0), y = (-2, 0), has float margin 0, but exactly
+    # c^2 |dw|^2 < <x-y, dw>^2. The search goes on to the second probe,
+    # x = (2, 0), y = (3.25, 0), where dw = 0 exactly.
+    field = grid_field((-1.0, 0.0), 2.0, [[(0.0, 0.0), (0.787, 0.33)]])
+    c = 3.6888314486865403
+    x, y = Vec2(2.0, 0.0), Vec2(-2.0, 0.0)
+    assert violation_margin(field, c, x, y) == 0.0
+    assert not exact_violation(c, x, y, field.evaluate(x), field.evaluate(y))
+    result = falsify(field, c)
+    assert result == reference_falsify(field, c, 10 ** 6, DEFAULT_SEED)
+    assert (result.stage, result.evaluations_used) == ("probe", 4)
+    assert (result.y, result.increment_norm) == (Vec2(3.25, 0.0), 0.0)
+    # The same pair ahead of the hit in one batch: passed over, counted.
+    search = falsifier._Search(field, c, 100)
+    hit = search.try_pairs(*np.array([[2.0, 0.0, -2.0, 0.0],
+                                      [2.0, 0.0, 3.25, 0.0]]).T)
+    assert hit[:4] == (2.0, 0.0, 3.25, 0.0)
+    assert search.evals == 4
+    assert search.best_margin == 0.0
+    assert search.best_pair == (2.0, 0.0, -2.0, 0.0)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, allow_infinity=False),
+       st.tuples(*[_DOUBLES] * 8))
+@example(0.1, (0.0, 0.0, 1.0, 0.0, 0.3, 0.0, 0.0, 0.0))
+@example(5e-324, (1e308, -1e308, -1e308, 1e308, 5e-324, 0.0, -5e-324, 1.0))
+@example(3.6888314486865403, (2.0, 0.0, -2.0, 0.0, 0.787, 0.33, 0.0, 0.0))
+def test_exact_check_matches_rationals(c, values):
+    x1, x2, y1, y2, wx1, wx2, wy1, wy2 = values
+    expected = exact_violation(c, Vec2(x1, x2), Vec2(y1, y2),
+                               Vec2(wx1, wx2), Vec2(wy1, wy2))
+    assert falsifier._exact_violation(c, *values) == expected

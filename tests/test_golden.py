@@ -3,20 +3,25 @@
 `assign --window 10` builds the 441-particle arctan flow; its rows are then
 shuffled with a seeded `random.Random` and fed to `verify`, `cylinders` and
 `evolve`. `verify --window 10` adds the flow report, two static particles
-give the `witness_time = all-times` marker, and radial `falsify` runs once
-to a violation and once to an exhausted budget. The pinned hashes were
+give the `witness_time = all-times` marker, and radial `falsify` runs to a
+violation in the probes at c = 0.05, to a violation in the scaled stage at
+c = 1e-4, and to a budget spent on the probes alone. The pinned hashes were
 taken from the code before the array representation and before the report
 dataclasses became the report schema, so any change to an emitted byte, in
-value, order or formatting, fails here. Since then only three kinds of
-line have changed on purpose: the verify reports' `mode` line, now
-`exhaustive-structural` for the certified lattice rows; the exhausted
-falsify report's `note`, which now says refinement converged with budget
-left; and four lines of the cylinder report, which the certificate now
-decides: `mode` (`exhaustive-structural`), `min_line_distance` (the exact
-minimum rounded down, 0.23962428925284718, where the engine read
-0.23962428925284585), `witness_pair` (the smallest exact minimiser, 2,102,
-where the engine found 102,359) and `distance_margin`, which follows.
-`scene.txt` is unchanged.
+value, order or formatting, fails here. Since then only these lines have
+changed on purpose: the verify reports' `mode` line, now
+`exhaustive-structural` for the certified lattice rows; four lines of the
+cylinder report, which the certificate now decides: `mode`
+(`exhaustive-structural`), `min_line_distance` (the exact minimum rounded
+down, 0.23962428925284718, where the engine read 0.23962428925284585),
+`witness_pair` (the smallest exact minimiser, 2,102, where the engine found
+102,359) and `distance_margin`, which follows; and the radial run at
+c = 1e-4 with budget 20,000, which ended exhausted after 15,884
+evaluations (its `note` saying that refinement converged with budget
+left) and now ends in a violation of the scaled stage after 1,456
+(`falsify-scaled-violation`). `falsify-exhausted` is now the same run
+with budget 1,344: the 672 probe pairs and nothing more. `scene.txt` is
+unchanged.
 """
 import hashlib
 import random
@@ -55,8 +60,11 @@ GOLDEN = {
     "falsify-violation": {
         "falsify_report.txt": "601cf9c96ab4b608789be974e1222c098c1d5b211a4d26175a81643ae4494e42",
     },
+    "falsify-scaled-violation": {
+        "falsify_report.txt": "7e2a84c9f3e6a6a84988f8af801be715fc6bdfda41bae870104c3d3db3829e06",
+    },
     "falsify-exhausted": {
-        "falsify_report.txt": "6c1358f0d404182c2c435507385bb637d6dc3ebbf8b882bf53e5607dd939666e",
+        "falsify_report.txt": "bfb2a2a9f7d9156a65c8f0024e5046eed20b6a178e9ff370fbaf5ecdfd4d6d31",
     },
 }
 
@@ -87,7 +95,9 @@ def outputs(tmp_path_factory):
     run_cli("--command", "falsify", "--field", "radial", "--c", "0.05",
             "--out", root / "falsify-violation")
     run_cli("--command", "falsify", "--field", "radial", "--c", "1e-4",
-            "--budget", "20000", "--out", root / "falsify-exhausted", exit_code=1)
+            "--budget", "20000", "--out", root / "falsify-scaled-violation")
+    run_cli("--command", "falsify", "--field", "radial", "--c", "1e-4",
+            "--budget", "1344", "--out", root / "falsify-exhausted", exit_code=1)
     return root
 
 
