@@ -2,11 +2,10 @@
 
 Shared by the flow, hard-core, and cylinder verifiers. `scan` evaluates
 every requested kernel on the same pairs in a single pass: closest approach
-always (every verdict rests on it), the inequality chain when a field W is
-given, and worldline distance on request. A command that needs the engine
-makes one pass: `verify` scans closest approach plus chain once and hands
-the result to both verifiers, `cylinders` scans closest approach plus
-worldline distance once.
+always (every verdict rests on it) and worldline distance on request. A
+command makes at most one pass: `cylinders` scans both kernels once and
+hands the result to the hard-core verifier, as `verify` hands it the flow
+verifier's.
 
 Up to a pair-count limit the pass is exhaustive. It walks upper-triangle
 tiles of about TILE_PAIRS pairs: a block of rows [a, b) against the columns
@@ -19,8 +18,6 @@ Ties go to the lexicographically smallest pair. Tiles are row-major and
 visited in increasing a, so the first minimum of a tile is its smallest
 pair and a later tile replaces the running minimum only when strictly
 smaller. Drawn chunks have no order, so their ties are broken by pair.
-Chain failures are kept in enumeration order (lexicographic when
-exhaustive), the first _MAX_FAILURES of them.
 
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
@@ -30,8 +27,9 @@ O(n log n), the structure under which every closest approach is at least 1
 with equality exactly at unit axis pairs, and then reports the exact
 minimum over all pairs without visiting them. On request it also gives the
 exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
-in absolute value, rounded down to a double. The flow, hard-core and scene
-verifiers call it first and run `scan` only when it returns None.
+in absolute value, rounded down to a double. The hard-core and scene
+verifiers call it first and run `scan` only when it returns None; the flow
+verifier decides every flow of two or more particles by it alone.
 """
 from __future__ import annotations
 
@@ -40,13 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CHAIN_TOL, PARALLEL_EPS
+from .geometry import PARALLEL_EPS
 
 DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_BUDGET = 10**6
-# Chain failures kept by pair; the rest are only counted.
-_MAX_FAILURES = 16
 # Pairs drawn per sampled chunk; part of the seeded stream, so fixed.
 _CHUNK = 1 << 18
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
@@ -174,14 +170,6 @@ def _worldline(dx0, dx1, dv0, dv1, num, vi, vj, len_i, len_j):
     return out
 
 
-def _chain(dx0, dx1, dw0, dw1):
-    """Margins of <dx, dW> >= |dW1| + |dW2| and of |dW1| + |dW2| >= |dW|."""
-    dot = dx0 * dw0 + dx1 * dw1
-    l1 = np.abs(dw0) + np.abs(dw1)
-    l2 = np.hypot(dw0, dw1)
-    return dot - l1, l1 - l2
-
-
 class _Min:
     """Running minimum of one kernel with its lexicographic witness."""
 
@@ -202,31 +190,6 @@ class _Min:
             self.pair = pair
 
 
-class _Chain:
-    """Running chain margins and the first _MAX_FAILURES failing pairs, those
-    with a margin below -CHAIN_TOL."""
-
-    def __init__(self):
-        self.dot_margin = self.norm_margin = math.inf
-        self.failures: list[tuple[int, int]] = []
-        self.failure_count = 0
-
-    def offer(self, chunk, m1, m2) -> None:
-        chunk.mask(m1)
-        chunk.mask(m2)
-        low1, low2 = float(m1.min()), float(m2.min())
-        _require_finite("chain dot margin", chunk, m1, low1)
-        _require_finite("chain norm margin", chunk, m2, low2)
-        self.dot_margin = min(self.dot_margin, low1)
-        self.norm_margin = min(self.norm_margin, low2)
-        if min(low1, low2) >= -CHAIN_TOL:
-            return
-        bad = np.flatnonzero((m1 < -CHAIN_TOL) | (m2 < -CHAIN_TOL))
-        self.failure_count += len(bad)
-        room = max(0, _MAX_FAILURES - len(self.failures))
-        self.failures.extend(chunk.pair(k) for k in bad[:room])
-
-
 def _require_finite(label: str, chunk, x, low) -> None:
     """Raise if x holds a NaN or infinity; low is its minimum."""
     if math.isfinite(low) and math.isfinite(x.max()):
@@ -244,8 +207,8 @@ def _columns(A):
 
 @dataclass(frozen=True)
 class PairScan:
-    """Result of one pass. Chain and worldline fields are None when the
-    kernel was not requested; with no pairs, minima are inf."""
+    """Result of one pass. Worldline fields are None when the kernel was
+    not requested; with no pairs, minima are inf."""
 
     pairs_total: int
     pairs_checked: int
@@ -255,24 +218,16 @@ class PairScan:
     witness: tuple[int, int] | None
     line_distance: float | None = None
     line_witness: tuple[int, int] | None = None
-    dot_margin: float | None = None
-    norm_margin: float | None = None
-    failures: tuple[tuple[int, int], ...] = ()
-    failure_count: int = 0
 
 
-def scan(P, V, W=None, *, worldline: bool = False,
+def scan(P, V, *, worldline: bool = False,
          exhaustive_limit: int = EXHAUSTIVE_LIMIT,
          sample_budget: int = DEFAULT_SAMPLE_BUDGET,
          seed: int = DEFAULT_SEED) -> PairScan:
     """One pass over the pairs of positions P and velocities V, (n, 2) each.
 
-    Always computes the minimum closest-approach distance. With a field W
-    (n, 2), also the chain margins <x-y, dW> - (|dW1|+|dW2|) and
-    (|dW1|+|dW2|) - |dW|, counting pairs below -CHAIN_TOL as failures
-    (lattice points are at integer offsets, so each coordinate contributes
-    at least its profile increment). With worldline, also the minimum
-    distance between worldlines (x, 0) + t (v, 1).
+    Always computes the minimum closest-approach distance. With worldline,
+    also the minimum distance between worldlines (x, 0) + t (v, 1).
 
     Raises ValueError naming the pair if any kernel value is NaN or infinite.
     """
@@ -289,9 +244,6 @@ def scan(P, V, W=None, *, worldline: bool = False,
     vx, vy = _columns(V)
     closest = _Min("closest approach")
     line = _Min("worldline distance") if worldline else None
-    chain = _Chain() if W is not None else None
-    if chain is not None:
-        wx, wy = _columns(W)
     checked = 0
     # Overflow shows up as a non-finite kernel value, which raises.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -311,8 +263,6 @@ def scan(P, V, W=None, *, worldline: bool = False,
                 line.offer(chunk, _worldline(
                     dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),
                     length[i], length[j]))
-            if chain is not None:
-                chain.offer(chunk, *_chain(dx0, dx1, wx[j] - wx[i], wy[j] - wy[i]))
     return PairScan(
         pairs_total=total,
         pairs_checked=checked,
@@ -322,14 +272,10 @@ def scan(P, V, W=None, *, worldline: bool = False,
         witness=closest.pair,
         line_distance=line.value if line is not None else None,
         line_witness=line.pair if line is not None else None,
-        dot_margin=chain.dot_margin if chain is not None else None,
-        norm_margin=chain.norm_margin if chain is not None else None,
-        failures=tuple(chain.failures) if chain is not None else (),
-        failure_count=chain.failure_count if chain is not None else 0,
     )
 
 
-def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
+def certify(P, V, *, worldline: bool = False) -> PairScan | None:
     """Decide every pair at once from the structure of a lattice flow, or
     return None when that structure is absent.
 
@@ -342,9 +288,13 @@ def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
     exactly at unit axis pairs: one coordinate shared, the other exactly 1
     apart. When such a pair exists the minimum closest approach over all
     pairs is exactly 1, and the witness is the smallest unit axis pair
-    (i < j). With a field W, W0 a non-decreasing function of x1 alone and
-    W1 of x2 alone give <d, dW> = |d1||dW0| + |d2||dW1| >= |dW0| + |dW1|
-    >= |dW|, so both chain margins have minimum exactly 0, at the same pair.
+    (i < j).
+
+    The structure also proves a flow's inequality chain. Its recovered
+    field has W0 = -fl(V1 - a2) and W1 = fl(V0 - a1), and rounded
+    subtraction is monotone, so W0 is a non-decreasing function of x1 alone
+    and W1 of x2 alone: <d, dW> = |d1||dW0| + |d2||dW1| >= |dW0| + |dW1|
+    >= |dW|, with equality at unit axis pairs. Both chain margins are 0.
 
     With worldline, also the minimum distance between worldlines
     (x, 0) + t (v, 1). Their normal is (-dv1, dv0, v_i x dv) and
@@ -367,9 +317,8 @@ def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
         return None
     x1, x2 = _columns(P)
     v0, v1 = _columns(V)
-    w0, w1 = _columns(W) if W is not None else (None, None)
-    # Axis 1 sorts rows by (x1, x2), axis 2 by (x2, x1); along axis k, V and
-    # W components must be functions of x_k alone.
+    # Axis 1 sorts rows by (x1, x2), axis 2 by (x2, x1); along axis k, a
+    # velocity component must be a function of x_k alone.
     one = _Axis(x1, x2, np.lexsort((x2, x1)))
     if one.unit is None or one.duplicate():
         return None
@@ -380,9 +329,7 @@ def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
             or not one.function(v1, np.less)
             or not two.function(v0, np.greater)
             # Finite velocity differences give the witness a finite time.
-            or not all(math.isfinite(float(v.max()) - float(v.min())) for v in (v0, v1))
-            or (W is not None and not (one.function(w0, np.greater_equal)
-                                       and two.function(w1, np.greater_equal)))):
+            or not all(math.isfinite(float(v.max()) - float(v.min())) for v in (v0, v1))):
         return None
     witness = _smallest(one.unit_pair(two), two.unit_pair(one))
     if witness is None:
@@ -407,8 +354,6 @@ def certify(P, V, W=None, *, worldline: bool = False) -> PairScan | None:
         witness=witness,
         line_distance=line_distance,
         line_witness=line_witness,
-        dot_margin=0.0 if W is not None else None,
-        norm_margin=0.0 if W is not None else None,
     )
 
 

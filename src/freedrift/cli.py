@@ -216,8 +216,8 @@ def _cmd_assign(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     configuration, flow = _load_configuration(config)
-    # With a flow, one pass over the pairs serves both reports.
-    flow_report = verify_flow(flow, seed=config.seed) if flow is not None else None
+    # With a flow, the flow report's scan serves the hard-core report too.
+    flow_report = verify_flow(flow) if flow is not None else None
     hardcore = verify_hardcore(
         configuration, config.threshold, seed=config.seed,
         scan=flow_report.scan if flow_report is not None else None)

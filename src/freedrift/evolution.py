@@ -112,9 +112,9 @@ def verify_hardcore(config: MovingConfiguration,
     _pairscan.EXHAUSTIVE_LIMIT pairs, uniformly sampled (seeded) beyond it.
     The witness is the lexicographically smallest minimizing pair.
 
-    scan, when given, is a pass already made over this configuration's
-    pairs (as verify_flow and verify_scene make one); it is used instead of
-    scanning again.
+    scan, when given, already decides this configuration's pairs: the
+    certificate verify_flow rests on (a zero-pair scan for one particle)
+    or the pass verify_scene makes. It is used instead of scanning again.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")

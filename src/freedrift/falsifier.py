@@ -273,19 +273,21 @@ def grid_field(origin: tuple[float, float], spacing: float,
                           spacing=float(spacing), values=rows)
 
 
-def builtin_field(name: str, bound: float = 1.0) -> CandidateField:
-    factories = {
-        "constant": lambda: constant_field(Vec2(bound, 0.0)),
-        "radial": lambda: saturated_radial_field(bound),
-        "rotational": lambda: rotational_field(bound),
-        "linear": lambda: clamped_linear_field(bound),
-    }
-    if name not in factories:
-        raise ValueError(f"unknown field {name!r}; "
-                         f"expected one of {sorted(factories)} or a grid file")
-    return factories[name]()
+# Built-in field factories by name, each taking the bound.
+_BUILTIN = {
+    "constant": lambda bound: constant_field(Vec2(bound, 0.0)),
+    "radial": saturated_radial_field,
+    "rotational": rotational_field,
+    "linear": clamped_linear_field,
+}
+BUILTIN_FIELDS = tuple(_BUILTIN)
 
-BUILTIN_FIELDS = ("constant", "radial", "rotational", "linear")
+
+def builtin_field(name: str, bound: float = 1.0) -> CandidateField:
+    if name not in _BUILTIN:
+        raise ValueError(f"unknown field {name!r}; "
+                         f"expected one of {sorted(_BUILTIN)} or a grid file")
+    return _BUILTIN[name](bound)
 
 
 @dataclass(frozen=True)

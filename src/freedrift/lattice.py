@@ -4,7 +4,8 @@ A bounded strictly increasing integer-to-real profile phi induces the field
 w(x1, x2) = (phi(x1), phi(x2)) on lattice points. Rotating it a quarter turn
 (v = -I w) and adding one common shift along the first axis yields bounded,
 pairwise distinct velocities whose motions never come closer than unit
-distance; verify_flow checks that claim plus the inequality chain behind it.
+distance. verify_flow decides that claim by the structural certificate,
+which also proves the inequality chain behind it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import _pairscan
 from .evolution import MovingConfiguration, speeds
 from .formats import UNREPORTED
-from .geometry import CHAIN_TOL, DISTANCE_TOL, Vec2
+from .geometry import DISTANCE_TOL, Vec2
 
 
 class ProfileKind(enum.Enum):
@@ -29,8 +30,7 @@ class ProfileKind(enum.Enum):
 
 # Closest approaches are >= 1 for every flow built here; half of that,
 # shrunk, is always a safe disk radius.
-DISK_RADIUS = (1.0 - 1e-9) / 2.0
-UNIT_GUARANTEE = 1.0
+DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
 # Largest window build_flow accepts. A particle costs 32 bytes in P and V;
 # a command adds a few more (n, 2) float64 arrays (field, slices, sort
 # keys), while text is parsed and emitted a block of rows at a time. Peak
@@ -206,7 +206,10 @@ def build_flow(phi: MonotoneProfile, window: Window,
     x-major like Window.points, gather their values by index. Raises
     NonMonotoneProfileError when phi, or phi shifted by a in double
     precision, is not strictly increasing on the window, and ValueError
-    for windows of more than MAX_PARTICLES points.
+    for windows of more than MAX_PARTICLES points, for coordinates beyond
+    2**53 and for velocities that overflow float64. So every flow it
+    returns with two or more particles has the structure that verify_flow
+    needs.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -214,6 +217,10 @@ def build_flow(phi: MonotoneProfile, window: Window,
     if n > MAX_PARTICLES:
         raise ValueError(f"window has {n} points, more than the limit of "
                          f"{MAX_PARTICLES} (lattice.MAX_PARTICLES)")
+    # Positions are doubles: beyond 2**53, neighbouring integers merge.
+    if max(map(abs, (window.x_lo, window.x_hi, window.y_lo, window.y_hi))) > 2 ** 53:
+        raise ValueError(f"window {window} reaches beyond 2**53, where "
+                         "neighbouring integers round to the same double")
     phi_x = _profile_values(phi, window.x_lo, window.x_hi)
     phi_y = _profile_values(phi, window.y_lo, window.y_hi)
     ix = np.repeat(np.arange(len(phi_x)), len(phi_y))
@@ -221,6 +228,9 @@ def build_flow(phi: MonotoneProfile, window: Window,
     w1, w2 = phi_x[ix], phi_y[iy]
     sup_speed = max(map(math.hypot, w1.tolist(), w2.tolist()))
     a = sup_speed + shift_margin
+    if not math.isfinite(float(phi_y[-1]) + a):  # the largest V0
+        raise ValueError(f"shift a = {a} overflows the velocities: the profile "
+                         "values are too large for float64")
     shifted = phi_y + a
     merged = np.flatnonzero(shifted[1:] <= shifted[:-1])
     if merged.size:
@@ -255,10 +265,8 @@ class FlowReport:
     witness_pair: tuple[int, int] | None
     chain_dot_margin: float
     chain_norm_margin: float
-    chain_failures: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     chain_failure_count: int
     injective: bool
-    duplicate_velocity_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     speed_measured_min: float
     speed_measured_max: float
     speed_declared_min: float
@@ -279,42 +287,37 @@ def recovered_field(flow: FlowAssignment) -> np.ndarray:
     return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
-def verify_flow(flow: FlowAssignment, *,
-                seed: int = _pairscan.DEFAULT_SEED) -> FlowReport:
-    """Check the unit-distance guarantee and the inequality chain behind it.
+def verify_flow(flow: FlowAssignment) -> FlowReport:
+    """Check the unit-distance guarantee by the structural certificate.
 
-    First tries the structural certificate (_pairscan.certify), which
-    decides every pair exactly at any window size: mode
+    _pairscan.certify decides every pair exactly at any window size: mode
     "exhaustive-structural", minimum exactly 1 at the smallest unit axis
-    pair, chain margins exactly 0. Flows from build_flow with two or more
-    particles have that structure. Without it, the pair engine runs:
-    exhaustive up to _pairscan.EXHAUSTIVE_LIMIT pairs, uniformly sampled
-    (seeded) beyond it. The report records which mode ran. Speeds are
-    measured by evolution.speeds, as in every verifier. passed states the
-    flow contract: closest approaches >= 1, chain margins >= -1e-12,
-    injective velocities, speeds within the declared range.
+    pair. Its hypotheses prove the rest of the flow contract but speeds:
+    the inequality chain, with both margins exactly 0 (see certify), and
+    injective velocities, since equal velocities would force equal x1 and
+    equal x2. Flows from build_flow with two or more particles have that
+    structure; any other flow of two or more particles raises ValueError,
+    and evolution.verify_hardcore decides its configuration with the pair
+    engine. One particle has no pair: mode "exhaustive", minimum and chain
+    margins inf. Speeds are measured by evolution.speeds, as in every
+    verifier, and passed states that they lie within the declared range.
     """
     P, V = flow.P, flow.V
     n = len(P)
     if n < 1:
         raise ValueError("flow must contain at least one particle")
-    W = recovered_field(flow)
-
-    scan = _pairscan.certify(P, V, W)
+    scan = _pairscan.scan(P, V) if n == 1 else _pairscan.certify(P, V)
     if scan is None:
-        scan = _pairscan.scan(P, V, W, seed=seed)
-    dup_count, dup_pairs = _pairscan.duplicate_rows(V)
+        raise ValueError("flow lacks the lattice structure that the certificate "
+                         "decides; check its configuration with "
+                         "evolution.verify_hardcore")
+    margin = 0.0 if scan.pairs_total else math.inf
 
     measured = speeds(V)
     measured_min = float(measured.min())
     measured_max = float(measured.max())
-    speeds_ok = (measured_min >= flow.speed_min - DISTANCE_TOL
-                 and measured_max <= flow.speed_max + DISTANCE_TOL)
-
-    distance_ok = scan.min_distance >= UNIT_GUARANTEE - DISTANCE_TOL
-    chain_ok = (scan.dot_margin >= -CHAIN_TOL
-                and scan.norm_margin >= -CHAIN_TOL)
-    injective = dup_count == 0
+    speeds_ok = bool(measured_min >= flow.speed_min - DISTANCE_TOL
+                     and measured_max <= flow.speed_max + DISTANCE_TOL)
 
     return FlowReport(
         particle_count=n,
@@ -324,17 +327,15 @@ def verify_flow(flow: FlowAssignment, *,
         seed=scan.seed,
         min_distance=scan.min_distance,
         witness_pair=scan.witness,
-        chain_dot_margin=scan.dot_margin,
-        chain_norm_margin=scan.norm_margin,
-        chain_failures=scan.failures,
-        chain_failure_count=scan.failure_count,
-        injective=injective,
-        duplicate_velocity_pairs=dup_pairs,
+        chain_dot_margin=margin,
+        chain_norm_margin=margin,
+        chain_failure_count=0,
+        injective=True,
         speed_measured_min=measured_min,
         speed_measured_max=measured_max,
         speed_declared_min=flow.speed_min,
         speed_declared_max=flow.speed_max,
-        speeds_ok=bool(speeds_ok),
-        passed=bool(distance_ok and chain_ok and injective and speeds_ok),
+        speeds_ok=speeds_ok,
+        passed=speeds_ok,
         scan=scan,
     )

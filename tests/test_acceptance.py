@@ -6,6 +6,7 @@ oracle from oracles.py or is a closed-form quantity recomputed in place.
 """
 import decimal
 import math
+from fractions import Fraction
 import os
 import random
 import subprocess
@@ -28,7 +29,13 @@ from freedrift.falsifier import (
     violation_margin,
 )
 from freedrift.geometry import Vec2, closest_approach
-from freedrift.lattice import Window, arctan_profile, build_flow, verify_flow
+from freedrift.lattice import (
+    Window,
+    arctan_profile,
+    build_flow,
+    recovered_field,
+    verify_flow,
+)
 from oracles import (
     greedy_direction_packing,
     line_distance_3d,
@@ -93,6 +100,18 @@ def test_criterion_2_chain_inequality(arctan_flows):
             failures.append(f"N={n} norm {report.chain_norm_margin}")
         if report.chain_failure_count:
             failures.append(f"N={n} {report.chain_failure_count} failures")
+    # The report margins are the proof's constants, so recompute the chain
+    # <d, dW> >= |dW0| + |dW1| exactly on every pair of the small windows.
+    for n in (1, 5):
+        flow = arctan_flows[n][0]
+        P = [tuple(map(Fraction, p)) for p in flow.P.tolist()]
+        W = [tuple(map(Fraction, w)) for w in recovered_field(flow).tolist()]
+        for i in range(len(P)):
+            for j in range(i + 1, len(P)):
+                d0, d1 = P[j][0] - P[i][0], P[j][1] - P[i][1]
+                w0, w1 = W[j][0] - W[i][0], W[j][1] - W[i][1]
+                if d0 * w0 + d1 * w1 < abs(w0) + abs(w1):
+                    failures.append(f"N={n} exact chain at pair ({i}, {j})")
     conclude(2, "componentwise chain inequality on arctan windows",
              not failures, "; ".join(failures))
 

@@ -2,7 +2,9 @@
 
 `assign --window 10` builds the 441-particle arctan flow; its rows are then
 shuffled with a seeded `random.Random` and fed to `verify`, `cylinders` and
-`evolve`. `verify --window 10` adds the flow report, two static particles
+`evolve`. `verify --window 10` adds the flow report, `verify --window 0`
+the one-particle flow (no pair: mode `exhaustive`, inf margins, the only
+flow that `verify_flow` scans rather than certifies), two static particles
 give the `witness_time = all-times` marker, and radial `falsify` runs to a
 violation in the probes at c = 0.05, to a violation in the scaled stage at
 c = 1e-4, and to a budget spent on the probes alone. The pinned hashes were
@@ -21,7 +23,8 @@ evaluations (its `note` saying that refinement converged with budget
 left) and now ends in a violation of the scaled stage after 1,456
 (`falsify-scaled-violation`). `falsify-exhausted` is now the same run
 with budget 1,344: the 672 probe pairs and nothing more. `scene.txt` is
-unchanged.
+unchanged. `verify-one` was pinned when `verify_flow` came to rest on
+the certificate alone, from the code before that change.
 """
 import hashlib
 import random
@@ -53,6 +56,10 @@ GOLDEN = {
     "verify-flow": {
         "report.txt": "a0743dd48c1285a2137f45010a1f7833fd4552d0450fe575a1408e80c7586e90",
         "flow_report.txt": "0af3d871ad8abac1a53c19a5f306109608305d9f1052269e3558f6fdca5f2ae0",
+    },
+    "verify-one": {
+        "report.txt": "4b0ac23bb7ec004f27a262523fb7515f3f075fe799807563ec87a3f2c6488111",
+        "flow_report.txt": "51945131931349bfb7a582ba50dd8492c2498441fe16a9807a3f76e6239c657e",
     },
     "verify-static": {
         "report.txt": "aaba9774491ab920b25e036ef10c321a9db57663efd96e16df7c94e711fd094f",
@@ -88,6 +95,7 @@ def outputs(tmp_path_factory):
         run_cli("--command", command, "--particles", shuffled,
                 "--seed", "777", "--out", root / command)
     run_cli("--command", "verify", "--window", "10", "--out", root / "verify-flow")
+    run_cli("--command", "verify", "--window", "0", "--out", root / "verify-one")
     static = root / "static.txt"
     static.write_text("particles v1\n0,0,0,0\n0,3,0,0\n")
     run_cli("--command", "verify", "--particles", static,

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from freedrift import _pairscan
 from freedrift.evolution import MovingConfiguration, speeds, verify_hardcore
@@ -221,6 +223,8 @@ def test_verify_flow_3x3_example():
 
 
 def test_verify_flow_flags_duplicate_velocities():
+    # Equal velocities break V1's strict decrease in x1, so the certificate
+    # refuses the flow; the hard-core verifier decides it with the engine.
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
     corrupted = FlowAssignment(
         P=flow.P,
@@ -230,10 +234,11 @@ def test_verify_flow_flags_duplicate_velocities():
         speed_max=flow.speed_max,
         disk_radius=flow.disk_radius,
     )
-    report = verify_flow(corrupted)
-    assert not report.injective
-    assert report.duplicate_velocity_pairs == ((0, 1),)
-    assert not report.passed
+    with pytest.raises(ValueError, match="verify_hardcore"):
+        verify_flow(corrupted)
+    report = verify_hardcore(corrupted.as_configuration())
+    assert report.mode == "exhaustive"
+    assert (report.min_alltime_distance, report.witness_pair) == (1.0, (0, 1))
 
 
 def test_verify_flow_speed_window():
@@ -287,9 +292,11 @@ def _with_velocities(flow, V):
 
 def test_flow_speeds_are_measured_as_every_verifier_measures_them():
     # np.hypot rounds the first speed one ulp above math.hypot here; the
-    # report must agree with evolution.speeds, as verify_scene does.
-    P = np.array([[0.0, 0.0], [100.0, 0.0]])
-    V = np.array([[0.535, 1.896], [0.394, 0.112]])
+    # report must agree with evolution.speeds, as verify_scene does. The
+    # rows have the lattice structure: V0 shared along x2 = 0, V1 strictly
+    # decreasing in x1.
+    P = np.array([[0.0, 0.0], [1.0, 0.0]])
+    V = np.array([[0.535, 1.896], [0.535, 0.112]])
     flow = FlowAssignment(P=P, V=V, shift=Vec2(0.0, 0.0), speed_min=0.0,
                           speed_max=2.0, disk_radius=DISK_RADIUS)
     report = verify_flow(flow)
@@ -305,12 +312,13 @@ def test_certified_reports_match_the_engine(monkeypatch):
         config = flow.as_configuration()
         report, hardcore = verify_flow(flow), verify_hardcore(config)
         assert report.mode == hardcore.mode == "exhaustive-structural"
-        assert report.scan == _pairscan.certify(flow.P, flow.V, recovered_field(flow))
+        assert report.scan == _pairscan.certify(flow.P, flow.V)
+        engine = _pairscan.scan(flow.P, flow.V)
+        assert dataclasses.replace(report.scan, mode="exhaustive") == engine
         with monkeypatch.context() as m:
             m.setattr(_pairscan, "certify", lambda *args: None)
-            engine, engine_hardcore = verify_flow(flow), verify_hardcore(config)
-        assert engine.mode == engine_hardcore.mode == "exhaustive"
-        assert dataclasses.replace(report, mode="exhaustive") == engine
+            engine_hardcore = verify_hardcore(config)
+        assert engine_hardcore.mode == "exhaustive"
         assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
 
 
@@ -323,13 +331,13 @@ def _nudged(V):
 @pytest.mark.parametrize("refused", [_nudged, lambda V: V[:, ::-1].copy()],
                          ids=["nudged", "swapped"])
 def test_refused_flow_runs_the_engine(refused):
+    # verify_flow decides by the certificate alone; the configuration of a
+    # flow it refuses goes to the hard-core verifier and its engine.
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
     V = refused(flow.V)
-    W = recovered_field(_with_velocities(flow, V))
-    assert _pairscan.certify(flow.P, V, W) is None
-    report = verify_flow(_with_velocities(flow, V))
-    assert report.mode == "exhaustive"
-    assert report.scan == _pairscan.scan(flow.P, V, W)
+    assert _pairscan.certify(flow.P, V) is None
+    with pytest.raises(ValueError, match="verify_hardcore"):
+        verify_flow(_with_velocities(flow, V))
     config = MovingConfiguration(flow.P, V)
     assert verify_hardcore(config) == verify_hardcore(
         config, scan=_pairscan.scan(flow.P, V))
@@ -359,3 +367,76 @@ def test_flow_beyond_the_exhaustive_limit_is_certified():
     assert (report.min_distance, report.witness_pair) == (1.0, (0, 1))
     assert (report.chain_dot_margin, report.chain_norm_margin) == (0.0, 0.0)
     assert report.passed
+
+
+def largest_margin(phi, window):
+    """The largest shift margin build_flow accepts on window, by bisection
+    over the bit patterns of the non-negative doubles; None if it refuses
+    margin 0."""
+    def accepts(bits):
+        try:
+            build_flow(phi, window, float(np.int64(bits).view(float)))
+        except ValueError:
+            return False
+        return True
+
+    if not accepts(0):
+        return None
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))  # accepted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return float(np.int64(lo).view(float))
+
+
+@st.composite
+def flow_inputs(draw):
+    """(profile, window of two or more points inside its domain, shift
+    margin from 0 up to the largest build_flow accepts there)."""
+    name = draw(st.sampled_from(["arctan", "tanh", "rational", "table"]))
+    if name == "table":
+        values = draw(st.lists(
+            st.one_of(st.floats(-10.0, 10.0),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([-1.7e308, 1e308, 1.7e308])),
+            min_size=2, max_size=8, unique=True))
+        # Near +-2**53, where neighbouring integers stop being doubles.
+        first = draw(st.integers(-20, 20)) + draw(st.sampled_from([0, 2 ** 53, -2 ** 53]))
+        phi = table_profile(zip(range(first, first + len(values)), sorted(values)))
+        domain = (first, first + len(values) - 1)
+        lows = st.integers(*domain)
+    else:
+        phi = named_profile(name)
+        domain = (-10 ** 4, 10 ** 4)
+        lows = st.one_of(st.integers(-30, 30), st.integers(*domain))
+    x_lo, y_lo = draw(lows), draw(lows)
+    x_hi = draw(st.integers(x_lo, min(domain[1], x_lo + 5)))
+    y_min = y_lo + (x_hi == x_lo)
+    assume(y_min <= domain[1])
+    window = Window(x_lo, x_hi, y_lo, draw(st.integers(y_min, min(domain[1], y_lo + 5))))
+    top = largest_margin(phi, window)
+    if top is None:
+        return phi, window, 0.0
+    return phi, window, draw(st.one_of(st.just(top), st.just(0.0), st.floats(0.0, top)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_inputs())
+@example((table_profile([(2 ** 53 - 1, 0.0), (2 ** 53, 1.0), (2 ** 53 + 1, 2.0)]),
+          Window(2 ** 53 - 1, 2 ** 53 + 1, 2 ** 53 - 1, 2 ** 53 - 1), 0.0))
+@example((table_profile([(0, 0.0), (1, 1e308)]), Window(0, 1, 0, 1), 0.0))
+def test_every_built_flow_is_certified(inputs):
+    """verify_flow raises for a flow of two or more particles that the
+    certificate refuses; build_flow never returns one. The recovered field
+    then has the structure that proves the inequality chain."""
+    try:
+        flow = build_flow(*inputs)
+    except ValueError:
+        return  # refused: no flow to decide
+    assert verify_flow(flow).scan == _pairscan.certify(flow.P, flow.V) is not None
+    W = recovered_field(flow)
+    for k in (0, 1):
+        # W_k is a non-decreasing function of x_k alone.
+        order = np.lexsort((flow.P[:, 1 - k], flow.P[:, k]))
+        x, w = flow.P[order, k], W[order, k]
+        assert np.where(x[1:] == x[:-1], w[1:] == w[:-1], w[1:] >= w[:-1]).all()

@@ -1,7 +1,7 @@
 """The pair engine against per-pair formulas and the brute-force oracles.
 
-Tiles are shrunk to a few pairs so that minima, ties and chain failures
-fall across tile boundaries. `reference` evaluates every pair at once with
+Tiles are shrunk to a few pairs so that minima and ties fall across tile
+boundaries. `reference` evaluates every pair at once with
 the per-pair gather formulas the engine's kernels must reproduce bit for
 bit; `geometry` and `oracles` check the values independently.
 """
@@ -22,7 +22,6 @@ from freedrift.lattice import (
     arctan_profile,
     build_flow,
     rational_profile,
-    recovered_field,
     table_profile,
     tanh_profile,
 )
@@ -34,7 +33,6 @@ from oracles import (
 )
 
 TILES = (1, 2, 3, 5, 8, 1 << 13)
-TOL = 1e-12
 
 
 def scan_tiled(tile, *args, **kwargs):
@@ -42,7 +40,7 @@ def scan_tiled(tile, *args, **kwargs):
         return _pairscan.scan(*args, **kwargs)
 
 
-def reference(P, V, W):
+def reference(P, V):
     """Every pair in lexicographic order, by per-pair gathers."""
     ii, jj = np.triu_indices(len(P), 1)
     dx = P[jj] - P[ii]
@@ -69,12 +67,6 @@ def reference(P, V, W):
     point_line = np.sqrt(back[:, 1] ** 2 + back[:, 0] ** 2 + c3 * c3) / len_a
     line = np.where(parallel, point_line, skew)
 
-    dw = W[jj] - W[ii]
-    dot = dx[:, 0] * dw[:, 0] + dx[:, 1] * dw[:, 1]
-    l1 = np.abs(dw[:, 0]) + np.abs(dw[:, 1])
-    l2 = np.hypot(dw[:, 0], dw[:, 1])
-    m1, m2 = dot - l1, l1 - l2
-    bad = np.flatnonzero((m1 < -TOL) | (m2 < -TOL))
 
     def best(x):
         k = int(np.argmin(x))  # first minimum: the smallest pair
@@ -83,9 +75,6 @@ def reference(P, V, W):
     return {
         "closest": best(closest),
         "line": best(line),
-        "margins": (float(m1.min()), float(m2.min())),
-        "failures": tuple((int(ii[k]), int(jj[k])) for k in bad[:16]),
-        "failure_count": len(bad),
     }
 
 
@@ -95,7 +84,7 @@ speed = st.floats(-3.0, 3.0, allow_nan=False)
 
 @st.composite
 def configurations(draw):
-    """(P, V, W) of distinct particles, in one of several shapes."""
+    """(P, V) of distinct particles, in one of several shapes."""
     n = draw(st.integers(0, 14))
     shape = draw(st.sampled_from(["random", "lattice", "static", "parallel"]))
     if shape == "random":
@@ -120,36 +109,28 @@ def configurations(draw):
                                    min_size=n, max_size=n)), dtype=float).reshape(n, 2)
     if shape == "lattice":
         V = np.round(V)  # many equal velocities and tied distances
-    W = np.array(draw(st.lists(st.tuples(speed, speed), min_size=n, max_size=n)),
-                 dtype=float).reshape(n, 2)
-    return P, V, W
+    return P, V
 
 
 @settings(max_examples=150, deadline=None)
 @given(configurations(), st.sampled_from(TILES))
 def test_engine_matches_reference_bit_for_bit(config, tile):
-    P, V, W = config
+    P, V = config
     n = len(P)
-    scan = scan_tiled(tile, P, V, W, worldline=True)
+    scan = scan_tiled(tile, P, V, worldline=True)
     assert scan.pairs_total == scan.pairs_checked == n * (n - 1) // 2
     assert scan.mode == "exhaustive" and scan.seed is None
     if n < 2:
         assert (scan.min_distance, scan.witness) == (math.inf, None)
         assert (scan.line_distance, scan.line_witness) == (math.inf, None)
-        assert (scan.dot_margin, scan.norm_margin) == (math.inf, math.inf)
-        assert (scan.failures, scan.failure_count) == ((), 0)
         return
-    ref = reference(P, V, W)
+    ref = reference(P, V)
     assert (scan.min_distance, scan.witness) == ref["closest"]
     assert (scan.line_distance, scan.line_witness) == ref["line"]
-    assert (scan.dot_margin, scan.norm_margin) == ref["margins"]
-    assert scan.failures == ref["failures"]
-    assert scan.failure_count == ref["failure_count"]
 
 
 # Two static particles 6.26e-29 apart merge into one in the 1e8 shift.
-MERGED = (np.array([[0.0, 0.0], [0.0, 6.26e-29]]), np.zeros((2, 2)),
-          np.zeros((2, 2)))
+MERGED = (np.array([[0.0, 0.0], [0.0, 6.26e-29]]), np.zeros((2, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,18 +140,15 @@ def test_coordinates_around_1e8(config, tile, offset):
     """Far from the origin the engine still matches the per-pair reference
     bit for bit and the scalar formulas closely; integer points shift
     exactly, so there every value and witness is unchanged."""
-    P, V, W = config
+    P, V = config
     far = P + offset
     n = len(P)
-    scan = scan_tiled(tile, far, V, W, worldline=True)
+    scan = scan_tiled(tile, far, V, worldline=True)
     if n < 2:
         return
-    ref = reference(far, V, W)
+    ref = reference(far, V)
     assert (scan.min_distance, scan.witness) == ref["closest"]
     assert (scan.line_distance, scan.line_witness) == ref["line"]
-    assert (scan.dot_margin, scan.norm_margin) == ref["margins"]
-    assert scan.failures == ref["failures"]
-    assert scan.failure_count == ref["failure_count"]
 
     def scalar_distance(i, j):
         # Points closer than the spacing of doubles near 1e8 merge in the
@@ -186,21 +164,21 @@ def test_coordinates_around_1e8(config, tile, offset):
                   for i in range(n) for j in range(i + 1, n))
     assert scan.min_distance == pytest.approx(closest, rel=1e-12, abs=1e-12)
     if np.array_equal(P, np.round(P)):
-        near = scan_tiled(tile, P, V, W, worldline=True)
+        near = scan_tiled(tile, P, V, worldline=True)
         assert near == scan
 
 
 # Worldlines that cross at t = 128 at an angle of 0.4 degrees: a joint
 # (t, s) grid oracle stalled across their narrow valley at 0.34.
 NEARLY_PARALLEL = (np.array([[8.0, 0.0], [0.0, 0.0]]),
-                   np.array([[-2.75, 0.0], [-2.6875, 0.0]]), np.zeros((2, 2)))
+                   np.array([[-2.75, 0.0], [-2.6875, 0.0]]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES))
 @example(NEARLY_PARALLEL, 1)
 def test_engine_matches_scalar_formulas_and_oracles(config, tile):
-    P, V, _ = config
+    P, V = config
     n = len(P)
     if n < 2:
         return
@@ -237,43 +215,27 @@ def test_lattice_ties_keep_first_pair(tile):
     flow = build_flow(arctan_profile(), Window.square(3), 0.5)
     P, V = flow.P, flow.V
     for velocities in (V, np.zeros_like(V)):
-        scan = scan_tiled(tile, P, velocities, recovered_field(flow))
+        scan = scan_tiled(tile, P, velocities)
         assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
-        assert scan.failure_count == 0
-
-
-@pytest.mark.parametrize("tile", TILES)
-def test_first_sixteen_chain_failures_in_order(tile):
-    n = 10
-    P = np.column_stack((np.arange(n, dtype=float), np.zeros(n)))
-    W = -P  # a decreasing field: every pair breaks the chain
-    scan = scan_tiled(tile, P, np.zeros_like(P), W)
-    expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert scan.failure_count == len(expected) == 45
-    assert scan.failures == tuple(expected[:16])
-    assert scan.dot_margin == -(n - 1) ** 2 - (n - 1)
 
 
 def test_one_and_two_particles():
-    one = _pairscan.scan(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
-                         worldline=True)
+    one = _pairscan.scan(np.zeros((1, 2)), np.zeros((1, 2)), worldline=True)
     assert (one.pairs_total, one.pairs_checked, one.mode) == (0, 0, "exhaustive")
     assert (one.min_distance, one.witness, one.line_distance) == (math.inf, None, math.inf)
-    assert (one.dot_margin, one.failures) == (math.inf, ())
     P = np.array([[-2.0, 0.0], [2.0, 0.5]])
     V = np.array([[1.0, 0.0], [-1.0, 0.0]])
     two = _pairscan.scan(P, V, worldline=True)
     assert (two.pairs_total, two.pairs_checked) == (1, 1)
     assert (two.min_distance, two.witness, two.line_witness) == (0.5, (0, 1), (0, 1))
-    assert two.dot_margin is None and two.failure_count == 0
 
 
 def test_sampled_pass_keeps_its_draws():
     # Pinned from the per-kernel scans this engine replaced: same seeded
-    # stream, same chunks (two here), same tie rule, same failure order.
+    # stream, same chunks (two here), same tie rule.
     flow = build_flow(arctan_profile(), Window.square(3), 0.5)
     P, V = flow.P, flow.V
-    scan = _pairscan.scan(P, V, -recovered_field(flow), worldline=True,
+    scan = _pairscan.scan(P, V, worldline=True,
                           exhaustive_limit=0, sample_budget=(1 << 18) + 1000,
                           seed=0x5EED)
     assert (scan.pairs_total, scan.pairs_checked) == (1176, 263144)
@@ -281,12 +243,6 @@ def test_sampled_pass_keeps_its_draws():
     assert (scan.min_distance, scan.witness) == (1.0, (0, 1))
     # The exact worldline minimum rounded down, as the certificate gives it.
     assert (scan.line_distance, scan.line_witness) == (0.2736033736705344, (20, 27))
-    assert (scan.dot_margin, scan.norm_margin) == (-34.973281627151124, 0.0)
-    assert scan.failure_count == 263144
-    assert scan.failures == (
-        (15, 34), (6, 31), (10, 33), (45, 48), (14, 35), (10, 15), (17, 44),
-        (24, 30), (3, 10), (21, 23), (9, 14), (0, 5), (6, 21), (30, 38),
-        (11, 15), (2, 27))
 
 
 @pytest.mark.parametrize("exhaustive_limit", [_pairscan.EXHAUSTIVE_LIMIT, 0])
@@ -310,13 +266,6 @@ def test_non_finite_kernel_value_names_the_pair(rows, worldline, message,
                        exhaustive_limit=exhaustive_limit, sample_budget=1000)
 
 
-def test_non_finite_chain_margin_names_the_pair():
-    P = np.array([[0.0, 0.0], [1e200, 0.0]])
-    W = np.array([[0.0, 0.0], [1e200, 0.0]])
-    with pytest.raises(ValueError, match=r"chain dot margin of pair \(0, 1\)"):
-        _pairscan.scan(P, np.eye(2), W)
-
-
 # The structural certificate: every pair decided from the lattice structure.
 
 PROFILES = {
@@ -338,15 +287,13 @@ def smallest_unit_axis_pair(P):
     return None
 
 
-def assert_certified(cert, P, V, W=None):
+def assert_certified(cert, P, V):
     n = len(P)
     assert cert.mode == "exhaustive-structural" and cert.seed is None
     assert cert.pairs_total == cert.pairs_checked == n * (n - 1) // 2
     assert cert.min_distance == 1.0
     assert cert.witness == smallest_unit_axis_pair(P)
-    assert (cert.line_distance, cert.failures, cert.failure_count) == (None, (), 0)
-    margins = (0.0, 0.0) if W is not None else (None, None)
-    assert (cert.dot_margin, cert.norm_margin) == margins
+    assert cert.line_distance is None
     i, j = cert.witness
     oracle, _ = time_grid_min_distance(P[i], V[i], P[j], V[j])
     assert oracle == pytest.approx(1.0, abs=1e-9)
@@ -356,31 +303,26 @@ def assert_certified(cert, P, V, W=None):
 def test_certificate_agrees_with_engine_on_windows(name):
     for n in range(13):
         flow = build_flow(PROFILES[name], Window.square(n), 0.5)
-        W = recovered_field(flow)
-        cert = _pairscan.certify(flow.P, flow.V, W)
+        cert = _pairscan.certify(flow.P, flow.V)
         if n == 0:
             assert cert is None  # one particle, no pair
             continue
-        scan = _pairscan.scan(flow.P, flow.V, W)
-        assert_certified(cert, flow.P, flow.V, W)
+        scan = _pairscan.scan(flow.P, flow.V)
+        assert_certified(cert, flow.P, flow.V)
         assert (scan.min_distance, scan.witness) == (1.0, (0, 1)) == \
             (cert.min_distance, cert.witness)
-        assert (scan.dot_margin, scan.norm_margin) == (0.0, 0.0)
         assert scan.pairs_total == cert.pairs_total
 
 
 @pytest.mark.parametrize("n", [25, 32])
 def test_certificate_agrees_with_engine_on_large_arctan_windows(n):
     flow = build_flow(arctan_profile(), Window.square(n), 0.5)
-    W = recovered_field(flow)
-    cert = _pairscan.certify(flow.P, flow.V, W)
-    scan = _pairscan.scan(flow.P, flow.V, W)
+    cert = _pairscan.certify(flow.P, flow.V)
+    scan = _pairscan.scan(flow.P, flow.V)
     assert cert.mode == "exhaustive-structural" and scan.mode == "exhaustive"
     assert cert.pairs_checked == scan.pairs_checked == scan.pairs_total
     assert (cert.min_distance, cert.witness) == (scan.min_distance, scan.witness) \
         == (1.0, (0, 1))
-    assert (cert.dot_margin, cert.norm_margin) == (scan.dot_margin, scan.norm_margin) \
-        == (0.0, 0.0)
 
 
 @st.composite
@@ -394,23 +336,20 @@ def lattice_rows(draw):
     order = draw(st.permutations(range(n)))
     keep = [k for k in order if draw(st.booleans())] if draw(st.booleans()) else order
     rows = np.array(keep, dtype=int)
-    return flow.P[rows], flow.V[rows], recovered_field(flow)[rows]
+    return flow.P[rows], flow.V[rows]
 
 
 @settings(max_examples=120, deadline=None)
 @given(lattice_rows())
 def test_certificate_on_shuffled_and_sparse_rows(rows):
-    P, V, W = rows
-    cert = _pairscan.certify(P, V, W)
+    P, V = rows
+    cert = _pairscan.certify(P, V)
     if smallest_unit_axis_pair(P) is None:
         assert cert is None
         return
-    assert_certified(cert, P, V, W)
-    assert _pairscan.certify(P, V) == dataclasses.replace(
-        cert, dot_margin=None, norm_margin=None)
-    scan = _pairscan.scan(P, V, W)
+    assert_certified(cert, P, V)
+    scan = _pairscan.scan(P, V)
     assert scan.min_distance == pytest.approx(1.0, abs=1e-12)
-    assert min(scan.dot_margin, scan.norm_margin) >= -TOL
 
 
 def test_checkerboard_has_no_unit_axis_pair():
@@ -421,29 +360,29 @@ def test_checkerboard_has_no_unit_axis_pair():
 
 def _flow_arrays():
     flow = build_flow(arctan_profile(), Window.square(3), 0.5)
-    return flow.P.copy(), flow.V.copy(), recovered_field(flow)
+    return flow.P.copy(), flow.V.copy()
 
 
 def _nudged():
-    P, V, W = _flow_arrays()
+    P, V = _flow_arrays()
     V[20, 1] = np.nextafter(V[20, 1], np.inf)  # V1 no longer a function of x1
     return P, V
 
 
 def _swapped():
-    P, V, _ = _flow_arrays()
+    P, V = _flow_arrays()
     return P, V[:, ::-1].copy()
 
 
 def _shared_position():
-    P, V, _ = _flow_arrays()
+    P, V = _flow_arrays()
     P[9] = P[8]
     return P, V
 
 
 def _duplicate_row():
     # One particle twice: the velocity structure still holds.
-    P, V, _ = _flow_arrays()
+    P, V = _flow_arrays()
     return np.vstack((P, P[:1])), np.vstack((V, V[:1]))
 
 
@@ -496,14 +435,6 @@ def test_certificate_refuses(case):
     P, V = case()
     assert _pairscan.certify(P, V) is None
     assert _pairscan.certify(P, V, worldline=True) is None
-
-
-def test_certificate_refuses_a_field_without_the_structure():
-    P, V, W = _flow_arrays()
-    assert _pairscan.certify(P, V, W) is not None
-    assert _pairscan.certify(P, V, -W) is None
-    W[4, 1] = np.nextafter(W[4, 1], -np.inf)  # W1 no longer a function of x2
-    assert _pairscan.certify(P, V, W) is None
 
 
 def test_certificate_accepts_exact_unit_gaps_off_the_integers():
@@ -570,7 +501,7 @@ def test_worldline_certificate_is_the_exact_minimum_on_windows(name):
 @settings(max_examples=100, deadline=None)
 @given(lattice_rows())
 def test_worldline_certificate_on_shuffled_and_sparse_rows(rows):
-    P, V, _ = rows
+    P, V = rows
     cert = _pairscan.certify(P, V, worldline=True)
     if _pairscan.certify(P, V) is None:
         assert cert is None
@@ -587,7 +518,7 @@ def test_worldline_certificate_on_shuffled_and_sparse_rows(rows):
 
 
 def test_worldline_certificate_needs_a_pair_attaining_s():
-    P, V, _ = _flow_arrays()
+    P, V = _flow_arrays()
     # S is attained only along the row x2 = 3; keep every other point of it.
     assert set(P[np.abs(V).max(axis=1) == np.abs(V).max(), 1]) == {3.0}
     keep = ~((P[:, 1] == 3.0) & (P[:, 0] % 2 == 1))
