@@ -7,17 +7,17 @@ command makes at most one pass: `cylinders` scans both kernels once and
 hands the result to the hard-core verifier, as `verify` hands it the flow
 verifier's.
 
-Up to a pair-count limit the pass is exhaustive. It walks upper-triangle
-tiles of about TILE_PAIRS pairs: a block of rows [a, b) against the columns
-a+1 .. n-1, as broadcast differences of contiguous slices, with the in-tile
-lower triangle masked out. Memory stays bounded by the tile, whatever n.
-Beyond the limit the pass draws pairs uniformly with a seeded generator in
-fixed-size chunks and feeds them to the same kernels.
+The pass walks tiles of about TILE_PAIRS pairs, a block of rows against a
+block of columns, as broadcast differences of contiguous slices, so memory
+stays bounded by the tile, whatever n. Up to a pair-count limit it is
+exhaustive: rows [a, b) against the columns a+1 .. n-1, with the in-tile
+lower triangle masked out. Beyond the limit it samples whole seeded rows,
+each against the columns after it.
 
 Ties go to the lexicographically smallest pair. Tiles are row-major and
 visited in increasing a, so the first minimum of a tile is its smallest
 pair and a later tile replaces the running minimum only when strictly
-smaller. Drawn chunks have no order, so their ties are broken by pair.
+smaller.
 
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
@@ -34,6 +34,7 @@ verifier decides every flow of two or more particles by it alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,6 @@ from .geometry import PARALLEL_EPS
 DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_BUDGET = 10**6
-# Pairs drawn per sampled chunk; part of the seeded stream, so fixed.
-_CHUNK = 1 << 18
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
 # small enough that a tile's temporaries stay in cache.
 TILE_PAIRS = 1 << 13
@@ -70,72 +69,58 @@ def math_map(f, *columns: np.ndarray) -> np.ndarray:
 
 
 class _Tile:
-    """Rows [a, b) against columns a+1 .. n-1; entry (r, c) is the pair
-    (a + r, a + 1 + c), valid when c >= r."""
+    """Rows [a, b) against columns [c0, c1); entry (r, c) is the pair
+    (a + r, c0 + c). A diagonal block, c0 = a + 1, holds a pair only where
+    c >= r; lower, row-major lower-triangle indices of a square at least
+    b - a wide, masks out the rest."""
 
-    def __init__(self, a: int, b: int, n: int, lower):
+    def __init__(self, a: int, b: int, c0: int, c1: int, lower=None):
         self.a = a
-        self.cols = n - 1 - a
+        self.c0 = c0
+        self.cols = c1 - c0
         self.i = (slice(a, b), None)
-        self.j = (None, slice(a + 1, n))
-        masked = (b - a) * (b - a - 1) // 2
+        self.j = (None, slice(c0, c1))
+        masked = (b - a) * (b - a - 1) // 2 if c0 == a + 1 else 0
         self.count = (b - a) * self.cols - masked
-        self.lower = lower[0][:masked], lower[1][:masked]
+        self.lower = (lower[0][:masked], lower[1][:masked]) if masked else None
 
     def mask(self, x):
-        x[self.lower] = _MASKED
+        if self.lower is not None:
+            x[self.lower] = _MASKED
 
     def pair(self, k: int) -> tuple[int, int]:
         r, c = divmod(int(k), self.cols)
-        return self.a + r, self.a + 1 + c
-
-    def first(self, x, k: int) -> int:
-        """Flat index of the smallest pair valued x[k], k the first such."""
-        return k  # row-major order is lexicographic
+        return self.a + r, self.c0 + c
 
 
 def _tiles(n: int):
+    """Every pair: blocks of rows [a, b) against the columns a+1 .. n-1."""
     # rows <= min(cols, TILE_PAIRS // cols) <= isqrt(TILE_PAIRS); the lower
     # triangle of a smaller square is a prefix of this one, row-major.
     lower = np.tril_indices(math.isqrt(TILE_PAIRS) + 1, -1)
     a = 0
     while a < n - 1:
         rows = max(1, min(n - 1 - a, TILE_PAIRS // (n - 1 - a)))
-        yield _Tile(a, a + rows, n, lower)
+        yield _Tile(a, a + rows, a + 1, n, lower)
         a += rows
 
 
-class _Draw:
-    """One chunk of sampled pairs ii[k] < jj[k], in draw order."""
-
-    def __init__(self, ii, jj, n: int):
-        self.i = ii
-        self.j = jj
-        self.n = n
-        self.count = len(ii)
-
-    def mask(self, x):
-        pass
-
-    def pair(self, k: int) -> tuple[int, int]:
-        return int(self.i[k]), int(self.j[k])
-
-    def first(self, x, k: int) -> int:
-        """Index of the smallest pair valued x[k]."""
-        tied = np.flatnonzero(x == x[k])
-        return int(tied[np.argmin(self.i[tied] * self.n + self.j[tied])])
-
-
-def _draws(n: int, budget: int, seed: int):
-    rng = np.random.default_rng(seed)
-    remaining = budget
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n - 1, size=m)
-        jj = np.where(jj >= ii, jj + 1, jj)  # uniform over the n-1 others
-        yield _Draw(np.minimum(ii, jj), np.maximum(ii, jj), n)
-        remaining -= m
+def _sampled_rows(n: int, seed: int):
+    """Sampled rows: random.Random(seed).randrange(n - 1) draws rows,
+    discarding repeats, until they hold DEFAULT_SAMPLE_BUDGET pairs (or
+    every pair), row a holding the pairs (a, a+1 .. n-1). Each is then
+    scanned, in increasing a, TILE_PAIRS columns at a time."""
+    rng = random.Random(seed)
+    rows = set()
+    held = 0
+    while held < min(DEFAULT_SAMPLE_BUDGET, pair_count(n)):
+        a = rng.randrange(n - 1)
+        if a not in rows:
+            rows.add(a)
+            held += n - 1 - a
+    for a in sorted(rows):
+        for c in range(a + 1, n, TILE_PAIRS):
+            yield _Tile(a, a + 1, c, min(c + TILE_PAIRS, n))
 
 
 def _closest(dx0, dx1, num, dv_norm):
@@ -178,24 +163,24 @@ class _Min:
         self.value = math.inf
         self.pair: tuple[int, int] | None = None
 
-    def offer(self, chunk, x) -> None:
-        chunk.mask(x)
+    def offer(self, tile: _Tile, x) -> None:
+        """Fold in one tile's values x. Tiles come in pair order, so a tie
+        keeps the earlier pair."""
+        tile.mask(x)
         k = int(np.argmin(x))
-        _require_finite(self.label, chunk, x, x.flat[k])
-        k = chunk.first(x, k)
         value = float(x.flat[k])
-        pair = chunk.pair(k)
-        if value < self.value or (value == self.value and pair < self.pair):
+        _require_finite(self.label, tile, x, value)
+        if value < self.value:
             self.value = value
-            self.pair = pair
+            self.pair = tile.pair(k)
 
 
-def _require_finite(label: str, chunk, x, low) -> None:
+def _require_finite(label: str, tile: _Tile, x, low: float) -> None:
     """Raise if x holds a NaN or infinity; low is its minimum."""
     if math.isfinite(low) and math.isfinite(x.max()):
         return
     k = int(np.flatnonzero(~np.isfinite(x))[0])
-    i, j = chunk.pair(k)
+    i, j = tile.pair(k)
     raise ValueError(f"{label} of pair ({i}, {j}) is {float(x.flat[k])}; "
                      "the coordinates are too large for float64")
 
@@ -221,25 +206,20 @@ class PairScan:
 
 
 def scan(P, V, *, worldline: bool = False,
-         exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-         sample_budget: int = DEFAULT_SAMPLE_BUDGET,
          seed: int = DEFAULT_SEED) -> PairScan:
     """One pass over the pairs of positions P and velocities V, (n, 2) each.
 
     Always computes the minimum closest-approach distance. With worldline,
     also the minimum distance between worldlines (x, 0) + t (v, 1).
+    Exhaustive up to EXHAUSTIVE_LIMIT pairs; beyond it, whole rows sampled
+    with seed, and pairs_checked counts the distinct pairs they hold.
 
     Raises ValueError naming the pair if any kernel value is NaN or infinite.
     """
     n = len(P)
     total = pair_count(n)
-    exhaustive = total <= exhaustive_limit
-    if total == 0:
-        chunks = ()
-    elif exhaustive:
-        chunks = _tiles(n)
-    else:
-        chunks = _draws(n, sample_budget, seed)
+    exhaustive = total <= EXHAUSTIVE_LIMIT
+    tiles = _tiles(n) if exhaustive else _sampled_rows(n, seed)
     px, py = _columns(P)
     vx, vy = _columns(V)
     closest = _Min("closest approach")
@@ -249,18 +229,18 @@ def scan(P, V, *, worldline: bool = False,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if line is not None:
             length = np.sqrt(1.0 + vx ** 2 + vy ** 2)
-        for chunk in chunks:
-            i, j = chunk.i, chunk.j
-            checked += chunk.count
+        for tile in tiles:
+            i, j = tile.i, tile.j
+            checked += tile.count
             dx0 = px[j] - px[i]
             dx1 = py[j] - py[i]
             dv0 = vx[j] - vx[i]
             dv1 = vy[j] - vy[i]
-            chunk.mask(dv0)  # keeps non-pairs off the static, parallel branches
+            tile.mask(dv0)  # keeps non-pairs off the static, parallel branches
             num = np.abs(dx1 * dv0 - dx0 * dv1)
-            closest.offer(chunk, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
+            closest.offer(tile, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
             if line is not None:
-                line.offer(chunk, _worldline(
+                line.offer(tile, _worldline(
                     dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),
                     length[i], length[j]))
     return PairScan(

@@ -45,8 +45,6 @@ from .lattice import (
     verify_flow,
 )
 
-COMMANDS = ("assign", "verify", "evolve", "cylinders", "falsify")
-
 PASS_EXIT = 0
 FAIL_EXIT = 1
 INPUT_EXIT = 2
@@ -237,13 +235,10 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
-    configuration, flow = _load_configuration(config)
+    configuration, _ = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
-    if config.radius == "auto":
-        draw_radius = flow.disk_radius if flow is not None else DISK_RADIUS
-    else:
-        draw_radius = _to_finite(config.radius)
+    draw_radius = DISK_RADIUS if config.radius == "auto" else _to_finite(config.radius)
     P = configuration.P
     horizon = max(abs(config.t0), abs(config.t1))
     fastest = float(speeds(configuration.V).max(initial=0.0))
@@ -315,6 +310,7 @@ _DISPATCH = {
     "cylinders": _cmd_cylinders,
     "falsify": _cmd_falsify,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:

@@ -109,7 +109,7 @@ def verify_hardcore(config: MovingConfiguration,
     structural certificate (_pairscan.certify): every pair, exactly, mode
     "exhaustive-structural". Otherwise the pair engine runs: exact per pair
     (closed-form closest approach), exhaustive up to
-    _pairscan.EXHAUSTIVE_LIMIT pairs, uniformly sampled (seeded) beyond it.
+    _pairscan.EXHAUSTIVE_LIMIT pairs, on whole seeded sampled rows beyond it.
     The witness is the lexicographically smallest minimizing pair.
 
     scan, when given, already decides this configuration's pairs: the

@@ -154,11 +154,6 @@ class Window:
     def square(cls, n: int) -> "Window":
         return cls(-n, n, -n, n)
 
-    def points(self):
-        for i in range(self.x_lo, self.x_hi + 1):
-            for j in range(self.y_lo, self.y_hi + 1):
-                yield (i, j)
-
     def count(self) -> int:
         return (self.x_hi - self.x_lo + 1) * (self.y_hi - self.y_lo + 1)
 
@@ -198,18 +193,19 @@ def build_flow(phi: MonotoneProfile, window: Window,
     """Velocities v(x) = -I w(x) + a on the window.
 
     The shift a points along the positive first axis with magnitude
-    sup|w| + shift_margin, so every speed lands in
+    sup|w| + shift_margin, rounded up where rounding would take a speed
+    below shift_margin, so every speed lands in
     [shift_margin, |a| + sup|w|]. shift_margin 0 is allowed: the relative
     velocities, and hence all closest approaches, do not depend on it.
 
     The profile is evaluated once per integer of each axis; the points,
-    x-major like Window.points, gather their values by index. Raises
+    x-major (x1 outer, x2 inner), gather their values by index. Raises
     NonMonotoneProfileError when phi, or phi shifted by a in double
     precision, is not strictly increasing on the window, and ValueError
     for windows of more than MAX_PARTICLES points, for coordinates beyond
-    2**53 and for velocities that overflow float64. So every flow it
-    returns with two or more particles has the structure that verify_flow
-    needs.
+    2**53 and for a speed bound a + sup|w| that overflows float64. So
+    every flow it returns with two or more particles has the structure
+    that verify_flow needs, and finite speeds.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -226,11 +222,17 @@ def build_flow(phi: MonotoneProfile, window: Window,
     ix = np.repeat(np.arange(len(phi_x)), len(phi_y))
     iy = np.tile(np.arange(len(phi_y)), len(phi_x))
     w1, w2 = phi_x[ix], phi_y[iy]
-    sup_speed = max(map(math.hypot, w1.tolist(), w2.tolist()))
+    sup_speed = float(_pairscan.math_map(math.hypot, w1, w2).max())
     a = sup_speed + shift_margin
-    if not math.isfinite(float(phi_y[-1]) + a):  # the largest V0
-        raise ValueError(f"shift a = {a} overflows the velocities: the profile "
-                         "values are too large for float64")
+    # Every speed is at least its V0, but a rounded down can take the
+    # smallest V0 below shift_margin (phi(y_lo) near -sup|w|): step a up.
+    while float(phi_y[0]) + a < shift_margin:
+        a = math.nextafter(a, math.inf)
+    # Bounds every V0 too: phi <= sup|w|, and rounding is monotone.
+    speed_max = a + sup_speed
+    if not math.isfinite(speed_max):
+        raise ValueError(f"speed bound a + sup|w| with shift a = {a} overflows "
+                         "float64: the profile values are too large")
     shifted = phi_y + a
     merged = np.flatnonzero(shifted[1:] <= shifted[:-1])
     if merged.size:
@@ -251,7 +253,7 @@ def build_flow(phi: MonotoneProfile, window: Window,
         V=V,
         shift=Vec2(a, 0.0),
         speed_min=float(shift_margin),
-        speed_max=a + sup_speed,
+        speed_max=speed_max,
         disk_radius=DISK_RADIUS,
     )
 
@@ -316,7 +318,8 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
     measured = speeds(V)
     measured_min = float(measured.min())
     measured_max = float(measured.max())
-    speeds_ok = bool(measured_min >= flow.speed_min - DISTANCE_TOL
+    speeds_ok = bool(math.isfinite(measured_max)
+                     and measured_min >= flow.speed_min - DISTANCE_TOL
                      and measured_max <= flow.speed_max + DISTANCE_TOL)
 
     return FlowReport(

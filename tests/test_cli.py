@@ -370,6 +370,20 @@ def test_table_profile_from_file(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("command", ["assign", "verify", "cylinders"])
+def test_overflowing_speed_bound_is_input_error(tmp_path, command):
+    # Finite velocities, but a + sup|w| = 1.5e308 + 1.5e308 overflows.
+    table = tmp_path / "profile.csv"
+    table.write_text("0,0.0\n1,1e308\n2,1.5e308\n")
+    out = tmp_path / "out"
+    result = run_cli("--command", command, "--window", "1:2,0:0",
+                     "--profile", f"table:{table}", "--out", out)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: speed bound a + sup|w| ")
+    assert "overflows" in result.stderr
+    assert not out.exists()
+
+
 def test_grid_field_from_file(tmp_path):
     grid = tmp_path / "grid.txt"
     rows = ["particles v1"]

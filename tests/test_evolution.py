@@ -228,15 +228,17 @@ def test_large_window_flow_passes_structural():
     assert report.min_alltime_distance >= 1.0 - 1e-9
 
 
-def test_flow_without_the_structure_is_sampled_past_the_limit():
+def test_flow_without_the_structure_is_sampled_past_the_limit(monkeypatch):
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
-    scan = _pairscan.scan(flow.P, V, exhaustive_limit=0, sample_budget=1000, seed=7)
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 0)
+    monkeypatch.setattr(_pairscan, "DEFAULT_SAMPLE_BUDGET", 1000)
     report = verify_hardcore(MovingConfiguration(flow.P, V), threshold=1.0,
-                             scan=scan)
+                             seed=7)
     assert (report.mode, report.seed) == ("sampled", 7)
-    assert (report.pairs_checked, report.pairs_total) == (1000, 49 * 48 // 2)
+    # Whole rows, drawn until they hold 1,000 pairs: 42 of the 48.
+    assert (report.pairs_checked, report.pairs_total) == (1006, 49 * 48 // 2)
     assert report.passed
 
 

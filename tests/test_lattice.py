@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -94,7 +95,6 @@ def test_window_shapes():
     win = Window.square(2)
     assert win == Window(-2, 2, -2, 2)
     assert win.count() == 25
-    assert len(list(win.points())) == 25
     with pytest.raises(EmptyWindowError):
         Window(1, 0, 0, 0)
 
@@ -177,11 +177,13 @@ def test_build_flow_matches_pointwise_definition():
     window = Window(-3, 2, -1, 4)
     for phi in all_profiles():
         flow = build_flow(phi, window, shift_margin=0.5)
-        w = [Vec2(profile_eval(phi, i), profile_eval(phi, j))
-             for i, j in window.points()]
+        # x-major: x1 outer, x2 inner.
+        points = list(itertools.product(range(window.x_lo, window.x_hi + 1),
+                                        range(window.y_lo, window.y_hi + 1)))
+        w = [Vec2(profile_eval(phi, i), profile_eval(phi, j)) for i, j in points]
         sup = max(math.hypot(v.x1, v.x2) for v in w)
         a = sup + 0.5
-        assert flow.P.tolist() == [[float(i), float(j)] for i, j in window.points()]
+        assert flow.P.tolist() == [[float(i), float(j)] for i, j in points]
         assert flow.V.tolist() == [[v.x2 + a, -v.x1] for v in w]
         assert flow.shift == Vec2(a, 0.0)
         assert (flow.speed_min, flow.speed_max) == (0.5, a + sup)
@@ -425,15 +427,24 @@ def flow_inputs(draw):
 @example((table_profile([(2 ** 53 - 1, 0.0), (2 ** 53, 1.0), (2 ** 53 + 1, 2.0)]),
           Window(2 ** 53 - 1, 2 ** 53 + 1, 2 ** 53 - 1, 2 ** 53 - 1), 0.0))
 @example((table_profile([(0, 0.0), (1, 1e308)]), Window(0, 1, 0, 1), 0.0))
+# Finite velocities whose speed bound a + sup|w| overflows.
+@example((table_profile([(0, 0.0), (1, 1e308), (2, 1.5e308)]), Window(1, 2, 0, 0), 0.0))
+# phi(-1) = -sup|w|: a = sup|w| + 0.1 rounded down gave V0 below 0.1.
+@example((arctan_profile(), Window(0, 0, -1, 0), 0.1))
 def test_every_built_flow_is_certified(inputs):
     """verify_flow raises for a flow of two or more particles that the
-    certificate refuses; build_flow never returns one. The recovered field
-    then has the structure that proves the inequality chain."""
+    certificate refuses; build_flow never returns one, nor one whose speeds
+    overflow or leave the declared range. The recovered field then has the
+    structure that proves the inequality chain."""
     try:
         flow = build_flow(*inputs)
     except ValueError:
         return  # refused: no flow to decide
-    assert verify_flow(flow).scan == _pairscan.certify(flow.P, flow.V) is not None
+    report = verify_flow(flow)
+    assert report.scan == _pairscan.certify(flow.P, flow.V) is not None
+    assert math.isfinite(flow.speed_max) and report.speeds_ok
+    assert flow.speed_min <= report.speed_measured_min
+    assert report.speed_measured_max <= flow.speed_max
     W = recovered_field(flow)
     for k in (0, 1):
         # W_k is a non-decreasing function of x_k alone.
