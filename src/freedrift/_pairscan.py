@@ -9,10 +9,10 @@ verifier's.
 
 The pass walks tiles of about TILE_PAIRS pairs, a block of rows against a
 block of columns, as broadcast differences of contiguous slices, so memory
-stays bounded by the tile, whatever n. Up to a pair-count limit it is
-exhaustive: rows [a, b) against the columns a+1 .. n-1, with the in-tile
-lower triangle masked out. Beyond the limit it samples whole seeded rows,
-each against the columns after it.
+stays bounded by the tile, whatever n. It is exhaustive: rows [a, b)
+against the columns a+1 .. n-1, with the in-tile lower triangle masked out.
+Beyond EXHAUSTIVE_LIMIT pairs it makes no pass and raises UndecidedError:
+a verdict covers every pair or is not given.
 
 Ties go to the lexicographically smallest pair. Tiles are row-major and
 visited in increasing a, so the first minimum of a tile is its smallest
@@ -34,21 +34,23 @@ verifier decides every flow of two or more particles by it alone.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PARALLEL_EPS
 
-DEFAULT_SEED = 0x5EED
 EXHAUSTIVE_LIMIT = 10**7
-DEFAULT_SAMPLE_BUDGET = 10**6
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
 # small enough that a tile's temporaries stay in cache.
 TILE_PAIRS = 1 << 13
 # Stands in for masked (non-)pairs: above every finite kernel value.
 _MASKED = np.finfo(float).max
+
+
+class UndecidedError(Exception):
+    """More than EXHAUSTIVE_LIMIT pairs: no pass, so no verdict. Not a
+    ValueError, because the input is valid."""
 
 
 def pair_count(n: int) -> int:
@@ -103,24 +105,6 @@ def _tiles(n: int):
         rows = max(1, min(n - 1 - a, TILE_PAIRS // (n - 1 - a)))
         yield _Tile(a, a + rows, a + 1, n, lower)
         a += rows
-
-
-def _sampled_rows(n: int, seed: int):
-    """Sampled rows: random.Random(seed).randrange(n - 1) draws rows,
-    discarding repeats, until they hold DEFAULT_SAMPLE_BUDGET pairs (or
-    every pair), row a holding the pairs (a, a+1 .. n-1). Each is then
-    scanned, in increasing a, TILE_PAIRS columns at a time."""
-    rng = random.Random(seed)
-    rows = set()
-    held = 0
-    while held < min(DEFAULT_SAMPLE_BUDGET, pair_count(n)):
-        a = rng.randrange(n - 1)
-        if a not in rows:
-            rows.add(a)
-            held += n - 1 - a
-    for a in sorted(rows):
-        for c in range(a + 1, n, TILE_PAIRS):
-            yield _Tile(a, a + 1, c, min(c + TILE_PAIRS, n))
 
 
 def _closest(dx0, dx1, num, dv_norm):
@@ -198,28 +182,27 @@ class PairScan:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: int | None
     min_distance: float
     witness: tuple[int, int] | None
     line_distance: float | None = None
     line_witness: tuple[int, int] | None = None
 
 
-def scan(P, V, *, worldline: bool = False,
-         seed: int = DEFAULT_SEED) -> PairScan:
-    """One pass over the pairs of positions P and velocities V, (n, 2) each.
+def scan(P, V, *, worldline: bool = False) -> PairScan:
+    """One pass over every pair of positions P and velocities V, (n, 2) each.
 
     Always computes the minimum closest-approach distance. With worldline,
     also the minimum distance between worldlines (x, 0) + t (v, 1).
-    Exhaustive up to EXHAUSTIVE_LIMIT pairs; beyond it, whole rows sampled
-    with seed, and pairs_checked counts the distinct pairs they hold.
 
-    Raises ValueError naming the pair if any kernel value is NaN or infinite.
+    Raises UndecidedError, before any work, if there are more than
+    EXHAUSTIVE_LIMIT pairs, and ValueError naming the pair if any kernel
+    value is NaN or infinite.
     """
     n = len(P)
     total = pair_count(n)
-    exhaustive = total <= EXHAUSTIVE_LIMIT
-    tiles = _tiles(n) if exhaustive else _sampled_rows(n, seed)
+    if total > EXHAUSTIVE_LIMIT:
+        raise UndecidedError(f"{total} pairs exceed the exhaustive limit of "
+                             f"{EXHAUSTIVE_LIMIT}")
     px, py = _columns(P)
     vx, vy = _columns(V)
     closest = _Min("closest approach")
@@ -229,7 +212,7 @@ def scan(P, V, *, worldline: bool = False,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if line is not None:
             length = np.sqrt(1.0 + vx ** 2 + vy ** 2)
-        for tile in tiles:
+        for tile in _tiles(n):
             i, j = tile.i, tile.j
             checked += tile.count
             dx0 = px[j] - px[i]
@@ -246,8 +229,7 @@ def scan(P, V, *, worldline: bool = False,
     return PairScan(
         pairs_total=total,
         pairs_checked=checked,
-        mode="exhaustive" if exhaustive else "sampled",
-        seed=None if exhaustive else seed,
+        mode="exhaustive",
         min_distance=closest.value,
         witness=closest.pair,
         line_distance=line.value if line is not None else None,
@@ -329,7 +311,6 @@ def certify(P, V, *, worldline: bool = False) -> PairScan | None:
         pairs_total=total,
         pairs_checked=total,
         mode="exhaustive-structural",
-        seed=None,
         min_distance=1.0,
         witness=witness,
         line_distance=line_distance,

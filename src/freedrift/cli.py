@@ -3,7 +3,8 @@ exports cylinder scenes, and runs the field falsifier.
 
 Every run is deterministic for a fixed config and seed; emitted files carry
 no timestamps or environment-dependent content. Exit codes: 0 pass (or
-violation found), 1 verification failure (or search exhausted), 2 bad input.
+violation found), 1 verification failure (or search exhausted, or a pair
+scan past the exhaustive limit: undecided, no report), 2 bad input.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, fields
 
 from . import cylinders as cyl
 from . import falsifier as fal
-from ._pairscan import DEFAULT_SEED
+from ._pairscan import UndecidedError
 from .evolution import (
     MovingConfiguration,
     snapshot_series,
@@ -63,7 +64,7 @@ class RunConfig:
     field: str = "constant"
     c: float = 0.1
     budget: int = 10 ** 6
-    seed: int = DEFAULT_SEED
+    seed: int = fal.DEFAULT_SEED
     out: str = "out"
     particles: str = ""
     radius: str = "auto"
@@ -99,9 +100,20 @@ def load_run_config(argv) -> RunConfig:
         description="collision-free constant-velocity assignments: "
                     "build, verify, render, falsify")
     parser.add_argument("--config", help="flat key = value configuration file")
+    flags = {"--config"}
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
+        flags.add(flag)
         parser.add_argument(flag, dest=f.name, default=None, metavar="V")
+    # Every flag takes one value: join each flag to the argument after it,
+    # unless that is a flag too, so that a value starting with "-", such as
+    # the window -3:2,-1:4, is not read as a flag.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    k = 0
+    while k < len(argv) - 1:
+        if argv[k] in flags and argv[k + 1] not in flags:
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+        k += 1
     args = parser.parse_args(argv)
 
     config = RunConfig()
@@ -217,7 +229,7 @@ def _cmd_verify(config: RunConfig) -> int:
     # With a flow, the flow report's scan serves the hard-core report too.
     flow_report = verify_flow(flow) if flow is not None else None
     hardcore = verify_hardcore(
-        configuration, config.threshold, seed=config.seed,
+        configuration, config.threshold,
         scan=flow_report.scan if flow_report is not None else None)
     items = report_items(hardcore)
     if hardcore.witness_pair is not None and hardcore.witness_time is None:
@@ -239,6 +251,8 @@ def _cmd_evolve(config: RunConfig) -> int:
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
     draw_radius = DISK_RADIUS if config.radius == "auto" else _to_finite(config.radius)
+    if not draw_radius > 0:
+        raise ValueError("radius must be finite and positive")
     P = configuration.P
     horizon = max(abs(config.t0), abs(config.t1))
     fastest = float(speeds(configuration.V).max(initial=0.0))
@@ -264,7 +278,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
     configuration, _ = _load_configuration(config)
     radius = None if config.radius == "auto" else _to_finite(config.radius)
     try:
-        report = cyl.verify_scene(configuration, radius, seed=config.seed)
+        report = cyl.verify_scene(configuration, radius)
     except cyl.HardCoreNotVerifiedError as exc:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
@@ -321,6 +335,9 @@ def main(argv=None) -> int:
         return INPUT_EXIT
     try:
         return _DISPATCH[config.command](config)
+    except UndecidedError as exc:
+        print(f"{config.command}: undecided: {exc}")
+        return FAIL_EXIT
     except (ParseError, IdenticalParticleError, cyl.RadiusTooLargeError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

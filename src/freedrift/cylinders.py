@@ -73,12 +73,11 @@ class SceneReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: int | None
+    seed: None  # no verdict rests on a sample; kept as the report's seed line
     passed: bool
 
 
-def verify_scene(config: MovingConfiguration, radius: float | None, *,
-                 seed: int = _pairscan.DEFAULT_SEED) -> SceneReport:
+def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneReport:
     """Check pairwise worldline distances against max(2 radius, floor).
 
     The configuration must already satisfy the all-time unit-distance
@@ -92,7 +91,7 @@ def verify_scene(config: MovingConfiguration, radius: float | None, *,
     minima over all pairs, mode "exhaustive-structural". Its worldline
     minimum is rounded down and is used only when it is at least the
     required distance; when the certificate is absent or falls short, the
-    pair engine decides.
+    pair engine decides every pair or raises _pairscan.UndecidedError.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -113,7 +112,7 @@ def verify_scene(config: MovingConfiguration, radius: float | None, *,
     scan = _pairscan.certify(P, V, worldline=True)
     certified = scan is not None and scan.line_distance >= required
     if not certified:
-        scan = _pairscan.scan(P, V, worldline=True, seed=seed)
+        scan = _pairscan.scan(P, V, worldline=True)
     hardcore = verify_hardcore(config, 1.0, scan=scan)
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
@@ -145,7 +144,7 @@ def verify_scene(config: MovingConfiguration, radius: float | None, *,
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=scan.seed,
+        seed=None,
         passed=distances_ok,
     )
 

@@ -88,7 +88,7 @@ class HardCoreReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: int | None
+    seed: None  # no verdict rests on a sample; kept as the report's seed line
     passed: bool
 
 
@@ -101,15 +101,14 @@ def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
 
 def verify_hardcore(config: MovingConfiguration,
                     threshold: float = DEFAULT_THRESHOLD, *,
-                    seed: int = _pairscan.DEFAULT_SEED,
                     scan: _pairscan.PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
     A configuration with the structure of a lattice flow is decided by the
     structural certificate (_pairscan.certify): every pair, exactly, mode
-    "exhaustive-structural". Otherwise the pair engine runs: exact per pair
-    (closed-form closest approach), exhaustive up to
-    _pairscan.EXHAUSTIVE_LIMIT pairs, on whole seeded sampled rows beyond it.
+    "exhaustive-structural". Otherwise the pair engine checks every pair
+    exactly (closed-form closest approach), mode "exhaustive", and past
+    _pairscan.EXHAUSTIVE_LIMIT pairs raises _pairscan.UndecidedError.
     The witness is the lexicographically smallest minimizing pair.
 
     scan, when given, already decides this configuration's pairs: the
@@ -123,7 +122,7 @@ def verify_hardcore(config: MovingConfiguration,
     if scan is None:
         scan = _pairscan.certify(config.P, config.V)
     if scan is None:
-        scan = _pairscan.scan(config.P, config.V, seed=seed)
+        scan = _pairscan.scan(config.P, config.V)
     witness_time: float | None = None
     if scan.witness is not None:
         i, j = scan.witness
@@ -143,7 +142,7 @@ def verify_hardcore(config: MovingConfiguration,
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=scan.seed,
+        seed=None,
     )
 
 

@@ -277,7 +277,7 @@ class FlowReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: int | None
+    seed: None  # no verdict rests on a sample; kept as the report's seed line
     passed: bool
     # The pass behind this report; verify_hardcore can reuse it.
     scan: _pairscan.PairScan = field(repr=False, compare=False, metadata=UNREPORTED)
@@ -327,7 +327,7 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=scan.seed,
+        seed=None,
         min_distance=scan.min_distance,
         witness_pair=scan.witness,
         chain_dot_margin=margin,

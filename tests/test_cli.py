@@ -319,6 +319,31 @@ def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsy
         assert report["mode"] == "exhaustive"
 
 
+@pytest.mark.parametrize("command", ["verify", "cylinders"])
+def test_undecided_past_the_limit_writes_no_report(tmp_path, monkeypatch, capsys,
+                                                   command):
+    P, V, _ = _nudged()
+    (tmp_path / "rows.txt").write_text("".join(particles_document(P, V)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
+    assert cli.main(["--command", command, "--particles", "rows.txt",
+                     "--out", "out"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == (f"{command}: undecided: 1176 pairs exceed the "
+                           "exhaustive limit of 1175\n")
+    assert printed.err == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_evolve_refuses_a_radius_that_is_not_positive(tmp_path, capsys, radius):
+    out = tmp_path / "out"
+    assert cli.main(["--command", "evolve", "--window", "1", "--radius", radius,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: radius must be finite and positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["-1", "0", "10"])
 def test_bad_radius_refused_before_any_pass(tmp_path, scan_passes, radius):
     assert cli.main(["--command", "cylinders", "--window", "2",
@@ -347,6 +372,24 @@ def test_seeded_runs_byte_identical(tmp_path):
             second.stdout.replace(str(b), "")
         for rel in outputs:
             assert read(a / rel) == read(b / rel), f"{name}/{rel} differs"
+
+
+def test_flag_values_may_start_with_a_dash(tmp_path):
+    runs = []
+    for args in (["--window", "-3:2,-1:4", "--threshold", "-1"],
+                 ["--window=-3:2,-1:4", "--threshold=-1"]):
+        out = tmp_path / f"run{len(runs)}"
+        result = run_cli("--command", "verify", *args, "--out", out)
+        assert result.returncode == 0, result.stderr
+        runs.append((result.stdout, result.stderr,
+                     {p.name: read(p) for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+    report = parse_report(runs[0][2]["report.txt"].decode())
+    assert (report["particle_count"], report["threshold"]) == ("36", "-1")
+    # A flag with no value after it is still an input error.
+    result = run_cli("--command", "verify", "--out", tmp_path / "x", "--window")
+    assert result.returncode == 2
+    assert "argument --window: expected one argument" in result.stderr
 
 
 def test_config_file_with_flag_override(tmp_path):

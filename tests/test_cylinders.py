@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from freedrift import cli, formats
+from freedrift import _pairscan, cli, formats
 from freedrift.cylinders import (
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
@@ -202,6 +202,31 @@ def test_radius_above_the_floor_gets_no_tolerance(tmp_path, monkeypatch):
     assert report["distances_ok"] == "false"
     assert float(report["distance_margin"]) == -4.4686476741162551e-14
     assert float(report["required_distance"]) > float(report["separation_floor"])
+
+
+def _nudged_window3():
+    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
+    V = flow.V.copy()
+    V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
+    return MovingConfiguration(flow.P, V)
+
+
+def _single_column():
+    # One x1 column: no unit axis pair shares the V1 that attains S, so the
+    # certificate leaves the worldline minimum to the engine.
+    flow = build_flow(arctan_profile(), Window(0, 0, -3, 3), shift_margin=0.5)
+    return flow.as_configuration()
+
+
+@pytest.mark.parametrize("case", [_nudged_window3, _single_column])
+def test_verify_scene_past_the_limit_is_undecided(monkeypatch, case):
+    config = case()
+    total = len(config) * (len(config) - 1) // 2
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", total)
+    assert verify_scene(config, None).mode == "exhaustive"
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", total - 1)
+    with pytest.raises(_pairscan.UndecidedError, match=f"^{total} pairs .* {total - 1}$"):
+        verify_scene(config, None)
 
 
 def test_verify_scene_rejects_oversized_radius():

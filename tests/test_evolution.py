@@ -228,18 +228,16 @@ def test_large_window_flow_passes_structural():
     assert report.min_alltime_distance >= 1.0 - 1e-9
 
 
-def test_flow_without_the_structure_is_sampled_past_the_limit(monkeypatch):
+def test_flow_without_the_structure_is_undecided_past_the_limit(monkeypatch):
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 0)
-    monkeypatch.setattr(_pairscan, "DEFAULT_SAMPLE_BUDGET", 1000)
-    report = verify_hardcore(MovingConfiguration(flow.P, V), threshold=1.0,
-                             seed=7)
-    assert (report.mode, report.seed) == ("sampled", 7)
-    # Whole rows, drawn until they hold 1,000 pairs: 42 of the 48.
-    assert (report.pairs_checked, report.pairs_total) == (1006, 49 * 48 // 2)
-    assert report.passed
+    config = MovingConfiguration(flow.P, V)
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2)
+    assert verify_hardcore(config, threshold=1.0).mode == "exhaustive"
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
+    with pytest.raises(_pairscan.UndecidedError, match="1176 pairs .* 1175"):
+        verify_hardcore(config, threshold=1.0)
 
 
 def test_time_symmetry_exact():

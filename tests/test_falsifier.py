@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from freedrift import falsifier, geometry
-from freedrift._pairscan import DEFAULT_SEED
 from freedrift.falsifier import (
     BUDGET_SPENT,
     BUILTIN_FIELDS,
+    DEFAULT_SEED,
     REFINE_CONVERGED,
     CandidateField,
     Cone,

@@ -7,9 +7,6 @@ bit; `geometry` and `oracles` check the values independently.
 """
 import dataclasses
 import math
-import random
-import subprocess
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -43,30 +40,9 @@ def scan_tiled(tile, *args, **kwargs):
         return _pairscan.scan(*args, **kwargs)
 
 
-def scan_sampled(tile, budget, *args, **kwargs):
-    with mock.patch.multiple(_pairscan, TILE_PAIRS=tile, EXHAUSTIVE_LIMIT=0,
-                             DEFAULT_SAMPLE_BUDGET=budget):
-        return _pairscan.scan(*args, **kwargs)
-
-
-def drawn_rows(n, seed, budget):
-    """The rows a sampled scan takes: randrange(n - 1) of random.Random(seed)
-    until the distinct rows drawn hold min(budget, all) pairs, row a holding
-    the n - 1 - a pairs (a, j > a)."""
-    rng = random.Random(seed)
-    rows = set()
-    while sum(n - 1 - a for a in rows) < min(budget, n * (n - 1) // 2):
-        rows.add(rng.randrange(n - 1))
-    return sorted(rows)
-
-
-def reference(P, V, rows=None):
-    """Every pair in lexicographic order, or with rows only the pairs (i, j)
-    with i in rows, by per-pair gathers."""
+def reference(P, V):
+    """Every pair in lexicographic order, by per-pair gathers."""
     ii, jj = np.triu_indices(len(P), 1)
-    if rows is not None:
-        keep = np.isin(ii, rows)
-        ii, jj = ii[keep], jj[keep]
     dx = P[jj] - P[ii]
     dv = V[jj] - V[ii]
     num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
@@ -143,7 +119,7 @@ def test_engine_matches_reference_bit_for_bit(config, tile):
     n = len(P)
     scan = scan_tiled(tile, P, V, worldline=True)
     assert scan.pairs_total == scan.pairs_checked == n * (n - 1) // 2
-    assert scan.mode == "exhaustive" and scan.seed is None
+    assert scan.mode == "exhaustive"
     if n < 2:
         assert (scan.min_distance, scan.witness) == (math.inf, None)
         assert (scan.line_distance, scan.line_witness) == (math.inf, None)
@@ -254,63 +230,6 @@ def test_one_and_two_particles():
     assert (two.min_distance, two.witness, two.line_witness) == (0.5, (0, 1), (0, 1))
 
 
-@settings(max_examples=100, deadline=None)
-@given(configurations(), st.sampled_from(TILES), st.integers(1, 100),
-       st.integers(0, 2 ** 64))
-def test_sampled_pass_matches_brute_force_over_its_rows(config, tile, budget, seed):
-    """A sampled pass visits exactly the pairs of its drawn rows, each once,
-    and finds their minima and smallest witnesses bit for bit."""
-    P, V = config
-    n = len(P)
-    if n < 2:
-        return
-    scan = scan_sampled(tile, budget, P, V, worldline=True, seed=seed)
-    rows = drawn_rows(n, seed, budget)
-    assert (scan.mode, scan.seed) == ("sampled", seed)
-    assert scan.pairs_checked == sum(n - 1 - a for a in rows) <= scan.pairs_total
-    ref = reference(P, V, rows)
-    assert (scan.min_distance, scan.witness) == ref["closest"]
-    assert (scan.line_distance, scan.line_witness) == ref["line"]
-
-
-def test_sampled_pass_keeps_its_rows():
-    # Pins the random.Random stream behind the drawn rows.
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
-    V = flow.V.copy()
-    V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
-    assert _pairscan.certify(flow.P, V) is None
-    scan = scan_sampled(1 << 13, 300, flow.P, V, worldline=True, seed=0x5EED)
-    assert drawn_rows(49, 0x5EED, 300) == [9, 12, 14, 19, 21, 22, 25, 26, 29,
-                                           30, 37, 38, 39, 40, 41, 46]
-    assert (scan.pairs_total, scan.pairs_checked) == (1176, 320)
-    assert (scan.mode, scan.seed) == ("sampled", 0x5EED)
-    assert (scan.min_distance, scan.witness) == (1.0, (9, 10))
-    assert (scan.line_distance, scan.line_witness) == (0.27360337367053444, (41, 48))
-
-
-def test_sampled_scan_imports_nothing():
-    # numpy 1.x imports numpy.random with numpy, numpy 2 on first use; either
-    # way a sampled scan must add no module to what freedrift loads.
-    code = """
-import sys
-import numpy as np
-import freedrift
-from freedrift import _pairscan
-
-before = set(sys.modules)
-_pairscan.EXHAUSTIVE_LIMIT = 0
-scan = _pairscan.scan(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)),
-                      worldline=True)
-assert scan.mode == "sampled", scan
-print(sorted(set(sys.modules) - before))
-"""
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
-@pytest.mark.parametrize("exhaustive_limit", [_pairscan.EXHAUSTIVE_LIMIT, 0])
 @pytest.mark.parametrize("rows, worldline, message", [
     # Head-on at 1e200: the cross term is inf - inf.
     ([[0, 0, 0, 0], [1e200, 1e200, -1e200, -1e200]], False,
@@ -323,13 +242,30 @@ print(sorted(set(sys.modules) - before))
     ([[0, 0, 0, 0], [1e200, 0, 0, 1e-200]], True,
      r"worldline distance of pair \(0, 1\) is inf"),
 ])
-def test_non_finite_kernel_value_names_the_pair(rows, worldline, message,
-                                                 exhaustive_limit, monkeypatch):
-    # At limit 0 the pass samples, and its budget takes every row.
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", exhaustive_limit)
+def test_non_finite_kernel_value_names_the_pair(rows, worldline, message):
     A = np.array(rows, dtype=float)
     with pytest.raises(ValueError, match=message):
         _pairscan.scan(A[:, :2], A[:, 2:], worldline=worldline)
+
+
+@pytest.mark.parametrize("worldline", [False, True])
+def test_scan_past_the_limit_is_undecided_before_any_tile(worldline, monkeypatch):
+    P, V = np.arange(10.0).reshape(5, 2), np.zeros((5, 2))  # 10 pairs
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 10)
+    at_limit = _pairscan.scan(P, V, worldline=worldline)
+    assert (at_limit.mode, at_limit.pairs_total, at_limit.pairs_checked) == \
+        ("exhaustive", 10, 10)
+
+    def no_tiles(n):
+        raise AssertionError("a tile was made past the limit")
+
+    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 9)
+    monkeypatch.setattr(_pairscan, "_tiles", no_tiles)
+    with pytest.raises(_pairscan.UndecidedError,
+                       match=r"^10 pairs exceed the exhaustive limit of 9$") as raised:
+        _pairscan.scan(P, V, worldline=worldline)
+    # The input is valid: no handler of bad input may take it.
+    assert not isinstance(raised.value, ValueError)
 
 
 # The structural certificate: every pair decided from the lattice structure.
@@ -355,7 +291,7 @@ def smallest_unit_axis_pair(P):
 
 def assert_certified(cert, P, V):
     n = len(P)
-    assert cert.mode == "exhaustive-structural" and cert.seed is None
+    assert cert.mode == "exhaustive-structural"
     assert cert.pairs_total == cert.pairs_checked == n * (n - 1) // 2
     assert cert.min_distance == 1.0
     assert cert.witness == smallest_unit_axis_pair(P)
