@@ -4,129 +4,93 @@ Constructs constant-velocity assignments on integer windows whose particles
 never come closer than unit distance, verifies user-supplied configurations,
 packs the corresponding space-time cylinders, and searches for violations of
 would-be universal separation fields.
+
+The namespace is lazy (PEP 562): ``import freedrift`` loads no submodule and
+no numpy. Each exported name imports its home module on first use and is
+then cached here.
 """
-from __future__ import annotations
+import importlib
 
-from ._pairscan import UndecidedError
-from .cylinders import (
-    HardCoreNotVerifiedError,
-    RadiusTooLargeError,
-    SceneReport,
-    export_scene,
-    lemma1_bound,
-    verify_scene,
-)
-from .evolution import (
-    BadRangeError,
-    HardCoreReport,
-    MovingConfiguration,
-    slice_at,
-    snapshot_series,
-    verify_hardcore,
-)
-from .falsifier import (
-    CandidateField,
-    ChainCheckReport,
-    Cone,
-    ConeMembership,
-    Exhausted,
-    FieldKind,
-    ViolationReport,
-    builtin_field,
-    chain_check,
-    clamped_linear_field,
-    cone_contains,
-    constant_field,
-    direction_capacity,
-    falsify,
-    grid_field,
-    rotational_field,
-    saturated_radial_field,
-    violation_margin,
-)
-from .formats import ParseError
-from .geometry import (
-    GeometryError,
-    IdenticalParticleError,
-    PairApproach,
-    Vec2,
-    closest_approach,
-    rotate_quarter,
-)
-from .lattice import (
-    EmptyWindowError,
-    FlowAssignment,
-    FlowReport,
-    MonotoneProfile,
-    NonMonotoneProfileError,
-    OutOfDomainError,
-    ProfileKind,
-    Window,
-    arctan_profile,
-    build_flow,
-    named_profile,
-    profile_eval,
-    rational_profile,
-    recovered_field,
-    table_profile,
-    tanh_profile,
-    verify_flow,
-)
+# Each submodule and the public names it exports.
+_EXPORTS = {
+    "_pairscan": ("UndecidedError",),
+    "cylinders": (
+        "HardCoreNotVerifiedError",
+        "RadiusTooLargeError",
+        "SceneReport",
+        "export_scene",
+        "lemma1_bound",
+        "verify_scene",
+    ),
+    "evolution": (
+        "BadRangeError",
+        "HardCoreReport",
+        "MovingConfiguration",
+        "slice_at",
+        "snapshot_series",
+        "verify_hardcore",
+    ),
+    "falsifier": (
+        "CandidateField",
+        "ChainCheckReport",
+        "Cone",
+        "ConeMembership",
+        "Exhausted",
+        "FieldKind",
+        "ViolationReport",
+        "builtin_field",
+        "chain_check",
+        "clamped_linear_field",
+        "cone_contains",
+        "constant_field",
+        "direction_capacity",
+        "falsify",
+        "grid_field",
+        "rotational_field",
+        "saturated_radial_field",
+        "violation_margin",
+    ),
+    "formats": ("ParseError",),
+    "geometry": (
+        "GeometryError",
+        "IdenticalParticleError",
+        "PairApproach",
+        "Vec2",
+        "closest_approach",
+        "rotate_quarter",
+    ),
+    "lattice": (
+        "EmptyWindowError",
+        "FlowAssignment",
+        "FlowReport",
+        "MonotoneProfile",
+        "NonMonotoneProfileError",
+        "OutOfDomainError",
+        "ProfileKind",
+        "Window",
+        "arctan_profile",
+        "build_flow",
+        "named_profile",
+        "profile_eval",
+        "rational_profile",
+        "recovered_field",
+        "table_profile",
+        "tanh_profile",
+        "verify_flow",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BadRangeError",
-    "CandidateField",
-    "ChainCheckReport",
-    "Cone",
-    "ConeMembership",
-    "EmptyWindowError",
-    "Exhausted",
-    "FieldKind",
-    "FlowAssignment",
-    "FlowReport",
-    "GeometryError",
-    "HardCoreNotVerifiedError",
-    "HardCoreReport",
-    "IdenticalParticleError",
-    "MonotoneProfile",
-    "MovingConfiguration",
-    "NonMonotoneProfileError",
-    "OutOfDomainError",
-    "PairApproach",
-    "ParseError",
-    "ProfileKind",
-    "RadiusTooLargeError",
-    "SceneReport",
-    "UndecidedError",
-    "Vec2",
-    "ViolationReport",
-    "Window",
-    "arctan_profile",
-    "build_flow",
-    "builtin_field",
-    "chain_check",
-    "clamped_linear_field",
-    "closest_approach",
-    "cone_contains",
-    "constant_field",
-    "direction_capacity",
-    "export_scene",
-    "falsify",
-    "grid_field",
-    "lemma1_bound",
-    "named_profile",
-    "profile_eval",
-    "rational_profile",
-    "recovered_field",
-    "rotate_quarter",
-    "rotational_field",
-    "saturated_radial_field",
-    "slice_at",
-    "snapshot_series",
-    "table_profile",
-    "tanh_profile",
-    "verify_flow",
-    "verify_hardcore",
-    "verify_scene",
-    "violation_margin",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,10 @@ Every run is deterministic for a fixed config and seed; emitted files carry
 no timestamps or environment-dependent content. Exit codes: 0 pass (or
 violation found), 1 verification failure (or search exhausted, or a pair
 scan past the exhaustive limit: undecided, no report), 2 bad input.
+
+Each command imports only the modules it runs: `falsify` never loads the
+lattice, evolution or cylinder modules, and the other commands never load
+the falsifier.
 """
 from __future__ import annotations
 
@@ -14,37 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import cylinders as cyl
-from . import falsifier as fal
-from ._pairscan import UndecidedError
-from .evolution import (
-    MovingConfiguration,
-    snapshot_series,
-    speeds,
-    verify_hardcore,
-)
-from .formats import (
-    ParseError,
-    fmt_float,
-    frames_csv,
-    parse_config_text,
-    parse_particles,
-    parse_table_csv,
-    particles_document,
-    report_document,
-    report_items,
-    svg_snapshot,
-    write_text_atomic,
-)
-from .geometry import IdenticalParticleError
-from .lattice import (
-    DISK_RADIUS,
-    Window,
-    build_flow,
-    named_profile,
-    table_profile,
-    verify_flow,
-)
+from .geometry import DEFAULT_SEED
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -64,7 +38,7 @@ class RunConfig:
     field: str = "constant"
     c: float = 0.1
     budget: int = 10 ** 6
-    seed: int = fal.DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     out: str = "out"
     particles: str = ""
     radius: str = "auto"
@@ -94,6 +68,15 @@ def _apply(config: RunConfig, key: str, raw: str) -> None:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
 
 
+def _flag(arg: str, flags) -> str | None:
+    """The flag that arg spells in full or, as argparse allows, abbreviates
+    by an unambiguous prefix; None for anything else."""
+    if arg in flags:
+        return arg
+    matches = [f for f in flags if arg.startswith("--") and f.startswith(arg)]
+    return matches[0] if len(matches) == 1 else None
+
+
 def load_run_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="freedrift",
@@ -105,19 +88,21 @@ def load_run_config(argv) -> RunConfig:
         flag = "--" + f.name.replace("_", "-")
         flags.add(flag)
         parser.add_argument(flag, dest=f.name, default=None, metavar="V")
-    # Every flag takes one value: join each flag to the argument after it,
-    # unless that is a flag too, so that a value starting with "-", such as
-    # the window -3:2,-1:4, is not read as a flag.
+    # Every flag takes one value: join each flag, or its abbreviation, to
+    # the argument after it, unless that is a flag too, so that a value
+    # starting with "-", such as the window -3:2,-1:4, is not read as a flag.
     argv = list(sys.argv[1:] if argv is None else argv)
     k = 0
     while k < len(argv) - 1:
-        if argv[k] in flags and argv[k + 1] not in flags:
-            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+        flag = _flag(argv[k], flags)
+        if flag is not None and _flag(argv[k + 1], flags) is None:
+            argv[k:k + 2] = [f"{flag}={argv[k + 1]}"]
         k += 1
     args = parser.parse_args(argv)
 
     config = RunConfig()
     if args.config is not None:
+        from .formats import parse_config_text
         with open(args.config) as handle:
             for key, value in parse_config_text(handle.read()).items():
                 _apply(config, key, value)
@@ -136,7 +121,8 @@ def load_run_config(argv) -> RunConfig:
     return config
 
 
-def _parse_window(text: str) -> Window:
+def _parse_window(text: str):
+    from .lattice import Window
     text = text.strip()
     if "," in text:
         xs, ys = text.split(",", 1)
@@ -150,7 +136,9 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_profile(text: str):
+    from .lattice import named_profile, table_profile
     if text.startswith("table:"):
+        from .formats import parse_table_csv
         path = text[len("table:"):]
         with open(path) as handle:
             return table_profile(parse_table_csv(handle.read()))
@@ -158,15 +146,18 @@ def _parse_profile(text: str):
 
 
 def _parse_field(text: str):
+    from .falsifier import builtin_field
     if text.startswith("grid:"):
+        from .formats import parse_particles
         path = text[len("grid:"):]
         with open(path) as handle:
             return _grid_from_samples(*parse_particles(handle.read()))
-    return fal.builtin_field(text)
+    return builtin_field(text)
 
 
-def _grid_from_samples(P, V) -> fal.CandidateField:
+def _grid_from_samples(P, V):
     """Grid field from particle rows read as (position, vector value)."""
+    from .falsifier import grid_field
     if not len(P):
         raise ValueError("grid file has no rows")
     xs = sorted(set(P[:, 0].tolist()))
@@ -185,14 +176,17 @@ def _grid_from_samples(P, V) -> fal.CandidateField:
         values = [[by_pos[(x, y)] for x in xs] for y in ys]
     except KeyError as exc:
         raise ValueError(f"grid is missing a node at {exc.args[0]}") from None
-    return fal.grid_field((xs[0], ys[0]), spacing, values)
+    return grid_field((xs[0], ys[0]), spacing, values)
 
 
 def _load_configuration(config: RunConfig):
     """(configuration, flow-or-None) from a particles file or a built flow."""
     if config.particles:
+        from .evolution import MovingConfiguration
+        from .formats import parse_particles
         with open(config.particles) as handle:
             return MovingConfiguration(*parse_particles(handle.read())), None
+    from .lattice import build_flow
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
     return flow.as_configuration(), flow
@@ -201,6 +195,7 @@ def _load_configuration(config: RunConfig):
 def _emit(config: RunConfig, name: str, text) -> str:
     """Write text, a str or the chunks an emitter yields, to name in the
     output directory."""
+    from .formats import write_text_atomic
     os.makedirs(config.out, exist_ok=True)
     path = os.path.join(config.out, name)
     write_text_atomic(path, text)
@@ -208,6 +203,8 @@ def _emit(config: RunConfig, name: str, text) -> str:
 
 
 def _cmd_assign(config: RunConfig) -> int:
+    from .formats import particles_document, report_document, report_items
+    from .lattice import build_flow
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
     _emit(config, "particles.txt", particles_document(flow.P, flow.V))
@@ -225,9 +222,14 @@ def _cmd_assign(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .evolution import verify_hardcore
+    from .formats import fmt_float, report_document, report_items
     configuration, flow = _load_configuration(config)
-    # With a flow, the flow report's scan serves the hard-core report too.
-    flow_report = verify_flow(flow) if flow is not None else None
+    flow_report = None
+    if flow is not None:
+        from .lattice import verify_flow
+        # The flow report's scan serves the hard-core report too.
+        flow_report = verify_flow(flow)
     hardcore = verify_hardcore(
         configuration, config.threshold,
         scan=flow_report.scan if flow_report is not None else None)
@@ -247,6 +249,9 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
+    from .evolution import snapshot_series, speeds
+    from .formats import fmt_float, frames_csv, svg_snapshot
+    from .lattice import DISK_RADIUS
     configuration, _ = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
@@ -275,6 +280,8 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 
 def _cmd_cylinders(config: RunConfig) -> int:
+    from . import cylinders as cyl
+    from .formats import fmt_float, report_document, report_items
     configuration, _ = _load_configuration(config)
     radius = None if config.radius == "auto" else _to_finite(config.radius)
     try:
@@ -294,9 +301,11 @@ def _cmd_cylinders(config: RunConfig) -> int:
 
 
 def _cmd_falsify(config: RunConfig) -> int:
+    from .falsifier import ViolationReport, falsify
+    from .formats import fmt_float, report_document, report_items
     field = _parse_field(config.field)
-    result = fal.falsify(field, config.c, config.budget, config.seed)
-    found = isinstance(result, fal.ViolationReport)
+    result = falsify(field, config.c, config.budget, config.seed)
+    found = isinstance(result, ViolationReport)
     _emit(config, "falsify_report.txt", report_document({
         "command": "falsify",
         "field": config.field,
@@ -330,16 +339,16 @@ COMMANDS = tuple(_DISPATCH)
 def main(argv=None) -> int:
     try:
         config = load_run_config(argv)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
+    from ._pairscan import UndecidedError
     try:
         return _DISPATCH[config.command](config)
     except UndecidedError as exc:
         print(f"{config.command}: undecided: {exc}")
         return FAIL_EXIT
-    except (ParseError, IdenticalParticleError, cyl.RadiusTooLargeError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._pairscan import math_map
 from .formats import UNREPORTED
-from .geometry import CHAIN_TOL, Vec2, dot, norm, sub
+from .geometry import CHAIN_TOL, DEFAULT_SEED, Vec2, dot, norm, sub
 
 
 class ZeroAxisError(ValueError):
@@ -400,7 +400,6 @@ _SCALED_ANGLES = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
 # Halvings of the sign-change path: its bracket ends at 2^-60 of the
 # path, below the 2^-52 relative spacing of the doubles on it.
 _BISECTION_STEPS = 60
-DEFAULT_SEED = 0x5EED
 # The random stage draws from this many fixed seeded streams, one after
 # another; stream k labels its hits "random-slot-k".
 _RANDOM_STREAMS = 4

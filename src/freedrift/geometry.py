@@ -16,6 +16,8 @@ PARALLEL_EPS = 1e-12
 DISTANCE_TOL = 1e-9
 # Slack on the inequality chain margins before a pair counts as failing.
 CHAIN_TOL = 1e-12
+# The falsifier's default seed, and so the CLI's --seed default.
+DEFAULT_SEED = 0x5EED
 # The positive normal doubles.
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freedrift import _pairscan, cli, cylinders
+from freedrift import _pairscan, cli, cylinders, evolution
 from freedrift.cylinders import lemma1_bound
 from freedrift.evolution import speeds
 from freedrift.formats import parse_particles, parse_report, particles_document
@@ -210,7 +210,7 @@ def test_cylinders_measures_speeds_once(tmp_path, monkeypatch):
         calls.append(len(V))
         return speeds(V)
 
-    monkeypatch.setattr(cli, "speeds", counted)
+    monkeypatch.setattr(evolution, "speeds", counted)
     monkeypatch.setattr(cylinders, "speeds", counted)
     assert cli.main(["--command", "cylinders", "--window", "2",
                      "--out", str(tmp_path / "out")]) == 0
@@ -390,6 +390,28 @@ def test_flag_values_may_start_with_a_dash(tmp_path):
     result = run_cli("--command", "verify", "--out", tmp_path / "x", "--window")
     assert result.returncode == 2
     assert "argument --window: expected one argument" in result.stderr
+
+
+def test_abbreviated_flags_take_values_starting_with_a_dash(tmp_path, capsys):
+    runs = []
+    for args in (["--win", "-3:2,-1:4", "--thr", "-1"],
+                 ["--window=-3:2,-1:4", "--threshold", "-1"]):
+        out = tmp_path / f"run{len(runs)}"
+        assert cli.main(["--command", "verify", *args, "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(),
+                     {p.name: read(p) for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+    report = parse_report(runs[0][1]["report.txt"].decode())
+    assert (report["particle_count"], report["threshold"]) == ("36", "-1")
+    # A prefix of two flags is still ambiguous, and a flag before another
+    # flag's abbreviation still has no value.
+    for args in (["--co", "verify"], ["--command", "verify", "--window", "--thr", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ambiguous option: --co could match --config, --command" in err
+    assert "argument --window: expected one argument" in err
 
 
 def test_config_file_with_flag_override(tmp_path):

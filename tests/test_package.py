@@ -1,6 +1,11 @@
-"""Package hygiene, read from the source with ast: the export list, and no
-module-level import that its module never uses."""
+"""Package hygiene: the lazy export table, what importing the package and
+running each command loads, and, read from the source with ast, no import
+that its scope never uses."""
 import ast
+import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,22 +13,34 @@ import pytest
 import freedrift
 
 PACKAGE = Path(freedrift.__file__).parent
+TABLE = [name for names in freedrift._EXPORTS.values() for name in names]
 
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _imported(tree):
-    """The names the module-level imports bind, with their line numbers."""
-    names = {}
-    for node in tree.body:
+def _imported(scope):
+    """(name, line) for each name an import in scope binds, imports in
+    nested functions included."""
+    for node in ast.walk(scope):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
-    return names
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _loaded_modules(code):
+    """The freedrift submodules, and numpy if loaded, after running code in
+    a fresh interpreter."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "    if m.startswith('freedrift.') or m == 'numpy')))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_every_exported_name_resolves():
@@ -31,19 +48,61 @@ def test_every_exported_name_resolves():
 
 
 def test_exports_are_the_public_names_imported():
-    imported = _imported(_tree(PACKAGE / "__init__.py"))
     assert len(set(freedrift.__all__)) == len(freedrift.__all__)
-    assert set(freedrift.__all__) == {name for name in imported
+    assert len(set(TABLE)) == len(TABLE)
+    assert set(freedrift.__all__) == {name for name in TABLE
                                       if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", sorted(freedrift._EXPORTS))
+def test_each_name_is_the_object_in_its_home_module(module):
+    home = importlib.import_module(f"freedrift.{module}")
+    for name in freedrift._EXPORTS[module]:
+        assert getattr(freedrift, name) is getattr(home, name), name
+
+
+def test_dir_star_import_and_unknown_names():
+    assert set(freedrift.__all__) <= set(dir(freedrift))
+    namespace = {}
+    exec("from freedrift import *", namespace)
+    assert {name: namespace[name] for name in freedrift.__all__} == \
+        {name: getattr(freedrift, name) for name in freedrift.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        freedrift.no_such_name
+    with pytest.raises(ImportError):
+        exec("from freedrift import no_such_name", {})
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    assert _loaded_modules("import freedrift") == set()
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["assign", "--window", "1"], {"falsifier", "cylinders"}),
+    (["verify", "--window", "1"], {"falsifier", "cylinders"}),
+    (["evolve", "--window", "1", "--frames", "1"], {"falsifier", "cylinders"}),
+    (["cylinders", "--window", "1"], {"falsifier"}),
+    (["falsify", "--field", "constant"], {"lattice", "evolution", "cylinders"}),
+], ids=["assign", "verify", "evolve", "cylinders", "falsify"])
+def test_each_command_loads_only_its_modules(tmp_path, args, absent):
+    argv = ["--command", *args, "--out", str(tmp_path)]
+    loaded = _loaded_modules("from freedrift import cli\n"
+                             f"assert cli.main({argv!r}) == 0")
+    assert "freedrift.cli" in loaded
+    assert loaded & {f"freedrift.{name}" for name in absent} == set()
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = _tree(path)
-    used = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    if path.name == "__init__.py":
-        used |= set(freedrift.__all__)
-    unused = [f"{name} (line {line})"
-              for name, line in _imported(tree).items() if name not in used]
-    assert unused == []
+    # Each import must be used in its scope: the module for module-level
+    # imports, the function that holds it for function-local ones.
+    scopes = [tree, *(node for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+    unused = set()
+    for scope in scopes:
+        used = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused |= {f"{name} (line {line})" for name, line in _imported(scope)
+                   if name not in used}
+    assert sorted(unused) == []
