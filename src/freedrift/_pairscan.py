@@ -27,9 +27,10 @@ O(n log n), the structure under which every closest approach is at least 1
 with equality exactly at unit axis pairs, and then reports the exact
 minimum over all pairs without visiting them. On request it also gives the
 exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
-in absolute value, rounded down to a double. The hard-core and scene
-verifiers call it first and run `scan` only when it returns None; the flow
-verifier decides every flow of two or more particles by it alone.
+in absolute value, rounded down to a double. `decide` is the one pair
+decision of the hard-core and scene verifiers: the certificate, or `scan`
+when it returns None. The flow verifier decides every flow of two or more
+particles by the certificate alone.
 """
 from __future__ import annotations
 
@@ -316,6 +317,14 @@ def certify(P, V, *, worldline: bool = False) -> PairScan | None:
         line_distance=line_distance,
         line_witness=line_witness,
     )
+
+
+def decide(P, V, *, worldline: bool = False) -> PairScan:
+    """Every pair of positions P and velocities V, (n, 2) each: certify's
+    exact result when the configuration has the structure of a lattice
+    flow, else one scan over every pair, which past EXHAUSTIVE_LIMIT
+    raises UndecidedError. With worldline, the worldline minimum too."""
+    return certify(P, V, worldline=worldline) or scan(P, V, worldline=worldline)
 
 
 class _Axis:

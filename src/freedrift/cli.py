@@ -180,16 +180,16 @@ def _grid_from_samples(P, V):
 
 
 def _load_configuration(config: RunConfig):
-    """(configuration, flow-or-None) from a particles file or a built flow."""
+    """The configuration of the particles file, or else the flow built on
+    the window, itself a configuration."""
     if config.particles:
         from .evolution import MovingConfiguration
         from .formats import parse_particles
         with open(config.particles) as handle:
-            return MovingConfiguration(*parse_particles(handle.read())), None
+            return MovingConfiguration(*parse_particles(handle.read()))
     from .lattice import build_flow
-    flow = build_flow(_parse_profile(config.profile),
+    return build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
-    return flow.as_configuration(), flow
 
 
 def _emit(config: RunConfig, name: str, text) -> str:
@@ -224,15 +224,14 @@ def _cmd_assign(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     from .evolution import verify_hardcore
     from .formats import fmt_float, report_document, report_items
-    configuration, flow = _load_configuration(config)
-    flow_report = None
-    if flow is not None:
+    configuration = _load_configuration(config)
+    flow_report = scan = None
+    if not config.particles:
         from .lattice import verify_flow
         # The flow report's scan serves the hard-core report too.
-        flow_report = verify_flow(flow)
-    hardcore = verify_hardcore(
-        configuration, config.threshold,
-        scan=flow_report.scan if flow_report is not None else None)
+        flow_report = verify_flow(configuration)
+        scan = flow_report.scan
+    hardcore = verify_hardcore(configuration, config.threshold, scan=scan)
     items = report_items(hardcore)
     if hardcore.witness_pair is not None and hardcore.witness_time is None:
         items["witness_time"] = "all-times"
@@ -249,10 +248,9 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
-    from .evolution import snapshot_series, speeds
+    from .evolution import DISK_RADIUS, snapshot_series, speeds
     from .formats import fmt_float, frames_csv, svg_snapshot
-    from .lattice import DISK_RADIUS
-    configuration, _ = _load_configuration(config)
+    configuration = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
     draw_radius = DISK_RADIUS if config.radius == "auto" else _to_finite(config.radius)
@@ -282,7 +280,7 @@ def _cmd_evolve(config: RunConfig) -> int:
 def _cmd_cylinders(config: RunConfig) -> int:
     from . import cylinders as cyl
     from .formats import fmt_float, report_document, report_items
-    configuration, _ = _load_configuration(config)
+    configuration = _load_configuration(config)
     radius = None if config.radius == "auto" else _to_finite(config.radius)
     try:
         report = cyl.verify_scene(configuration, radius)

@@ -5,13 +5,14 @@ keeps all pairwise distances >= 1 at all times and speeds stay <= M, any
 two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
 verifies the distance and nonparallelity claims for a configuration and a
-radius, and exports the cylinders straight from the configuration's
-arrays in a plain text format.
+radius of at most half that floor, and exports the cylinders straight from
+the configuration's arrays in a plain text format.
 
 For a lattice flow the verification needs no pass over the pairs: the
-structural certificate gives the exact worldline minimum 1/sqrt(1+S^2),
-S the largest velocity component in absolute value, at least the floor
-above because S <= M. Other configurations go through the pair engine.
+structural certificate gives the worldline minimum 1/sqrt(1+S^2), S the
+largest velocity component in absolute value, rounded down; since S <= M
+it is at least the floor, up to the rounding of both. Other configurations
+go through the pair engine.
 """
 from __future__ import annotations
 
@@ -26,8 +27,6 @@ from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
 from .geometry import DISTANCE_TOL
 
 SCENE_HEADER = "cylinder-scene v1"
-# Slack on the radius cap so a radius computed as exactly bound/2 passes.
-RADIUS_SLACK = 1.0 + 1e-12
 
 
 class HardCoreNotVerifiedError(ValueError):
@@ -78,20 +77,19 @@ class SceneReport:
 
 
 def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneReport:
-    """Check pairwise worldline distances against max(2 radius, floor).
+    """Check pairwise worldline distances against the floor 1/sqrt(1+M^2).
 
     The configuration must already satisfy the all-time unit-distance
-    condition, checked in the same pass over the pairs; the speed ceiling
-    M is measured here with evolution.speeds, never trusted from metadata,
-    and the radius is checked against it before the pass. radius None
-    means half the floor.
+    condition, checked in the same decision over the pairs; the speed
+    ceiling M is measured here with evolution.speeds, never trusted from
+    metadata. The radius must be at most half the floor as the report
+    prints it, checked before any pair; radius None means half the floor.
 
-    A configuration with the structure of a lattice flow is decided by the
-    structural certificate (_pairscan.certify with worldline): the exact
-    minima over all pairs, mode "exhaustive-structural". Its worldline
-    minimum is rounded down and is used only when it is at least the
-    required distance; when the certificate is absent or falls short, the
-    pair engine decides every pair or raises _pairscan.UndecidedError.
+    One _pairscan.decide, with worldline, decides every pair: the
+    structural certificate (mode "exhaustive-structural", its worldline
+    minimum rounded down) or else the pair engine (mode "exhaustive"), or
+    it raises _pairscan.UndecidedError. Either way the distances pass at
+    the floor less DISTANCE_TOL.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -104,28 +102,17 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
         radius = floor / 2.0
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be finite and positive")
-    if radius > floor / 2.0 * RADIUS_SLACK:
+    if radius > floor / 2.0:
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
-    required = max(2.0 * radius, floor)
-
-    scan = _pairscan.certify(P, V, worldline=True)
-    certified = scan is not None and scan.line_distance >= required
-    if not certified:
-        scan = _pairscan.scan(P, V, worldline=True)
+    scan = _pairscan.decide(P, V, worldline=True)
     hardcore = verify_hardcore(config, 1.0, scan=scan)
     if not hardcore.passed:
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
 
-    margin = scan.line_distance - required
-    # DISTANCE_TOL forgives float error only against the proven floor. When
-    # 2 radius lies above the floor (RADIUS_SLACK lets it), the worldlines
-    # must be that far apart with no slack.
-    tol = 0.0 if 2.0 * radius > floor else DISTANCE_TOL
-    distances_ok = bool(scan.line_distance >= required - tol)
+    distances_ok = bool(scan.line_distance >= floor - DISTANCE_TOL)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
-    nonparallel_ok = dup_count == 0
 
     return SceneReport(
         particle_count=len(config),
@@ -133,12 +120,12 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
         speed_min=m,
         speed_max=cap,
         separation_floor=floor,
-        required_distance=required,
+        required_distance=floor,
         min_line_distance=scan.line_distance,
         witness_pair=scan.line_witness,
-        distance_margin=margin,
+        distance_margin=scan.line_distance - floor,
         distances_ok=distances_ok,
-        nonparallel_ok=bool(nonparallel_ok),
+        nonparallel_ok=dup_count == 0,
         duplicate_direction_pairs=dup_pairs,
         duplicate_direction_count=dup_count,
         pairs_total=scan.pairs_total,

@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pairscan
+from .formats import UNREPORTED
 from .geometry import DISTANCE_TOL, IdenticalParticleError, Vec2, closest_approach
 
 DEFAULT_THRESHOLD = 1.0
+# Closest approaches are >= 1 in every configuration that passes at the
+# default threshold; half of that, shrunk, is a safe disk radius to draw.
+DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
 
 
 class BadRangeError(ValueError):
@@ -29,26 +33,27 @@ def speeds(V) -> np.ndarray:
     return _pairscan.math_map(math.hypot, V[:, 0], V[:, 1])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MovingConfiguration:
-    """Finite particle set.
+    """Finite particle set, frozen.
 
     P and V are the positions and velocities, contiguous (n, 2) float64
-    arrays; treat them as read-only. Non-finite values and duplicate
-    particles (same position and velocity) are rejected outright; spacing
-    is measured by the verifiers.
+    arrays; treat their contents as read-only. Non-finite values and
+    duplicate particles (same position and velocity) are rejected outright;
+    spacing is measured by the verifiers. A lattice.FlowAssignment is one.
     """
 
-    P: np.ndarray
-    V: np.ndarray
+    P: np.ndarray = field(metadata=UNREPORTED)
+    V: np.ndarray = field(metadata=UNREPORTED)
 
     def __post_init__(self) -> None:
-        self.P = np.ascontiguousarray(self.P, dtype=float)
-        self.V = np.ascontiguousarray(self.V, dtype=float)
-        if self.P.ndim != 2 or self.P.shape[1:] != (2,) or self.V.shape != self.P.shape:
-            raise ValueError(f"positions {self.P.shape} and velocities "
-                             f"{self.V.shape} must both be (n, 2)")
-        P, V = self.P, self.V
+        P = np.ascontiguousarray(self.P, dtype=float)
+        V = np.ascontiguousarray(self.V, dtype=float)
+        if P.ndim != 2 or P.shape[1:] != (2,) or V.shape != P.shape:
+            raise ValueError(f"positions {P.shape} and velocities "
+                             f"{V.shape} must both be (n, 2)")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "V", V)
         bad = ~(np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1))
         if bad.any():
             k = int(np.argmax(bad))
@@ -104,25 +109,23 @@ def verify_hardcore(config: MovingConfiguration,
                     scan: _pairscan.PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
-    A configuration with the structure of a lattice flow is decided by the
-    structural certificate (_pairscan.certify): every pair, exactly, mode
-    "exhaustive-structural". Otherwise the pair engine checks every pair
-    exactly (closed-form closest approach), mode "exhaustive", and past
-    _pairscan.EXHAUSTIVE_LIMIT pairs raises _pairscan.UndecidedError.
-    The witness is the lexicographically smallest minimizing pair.
+    _pairscan.decide decides every pair: the structural certificate for a
+    configuration with the structure of a lattice flow, exactly, mode
+    "exhaustive-structural"; otherwise the pair engine (closed-form closest
+    approach), mode "exhaustive", which past _pairscan.EXHAUSTIVE_LIMIT
+    pairs raises _pairscan.UndecidedError. The witness is the
+    lexicographically smallest minimizing pair.
 
     scan, when given, already decides this configuration's pairs: the
     certificate verify_flow rests on (a zero-pair scan for one particle)
-    or the pass verify_scene makes. It is used instead of scanning again.
+    or verify_scene's decision. It is used instead of deciding again.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     if scan is None:
-        scan = _pairscan.certify(config.P, config.V)
-    if scan is None:
-        scan = _pairscan.scan(config.P, config.V)
+        scan = _pairscan.decide(config.P, config.V)
     witness_time: float | None = None
     if scan.witness is not None:
         i, j = scan.witness

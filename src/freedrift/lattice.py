@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration, speeds
+from .evolution import DISK_RADIUS, MovingConfiguration, speeds
 from .formats import UNREPORTED
-from .geometry import DISTANCE_TOL, Vec2
+from .geometry import Vec2
 
 
 class ProfileKind(enum.Enum):
@@ -28,9 +28,6 @@ class ProfileKind(enum.Enum):
     RATIONAL_SATURATING = "rational"
     TABLE_DRIVEN = "table"
 
-# Closest approaches are >= 1 for every flow built here; half of that,
-# shrunk, is always a safe disk radius.
-DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
 # Largest window build_flow accepts. A particle costs 32 bytes in P and V;
 # a command adds a few more (n, 2) float64 arrays (field, slices, sort
 # keys), while text is parsed and emitted a block of rows at a time. Peak
@@ -159,19 +156,14 @@ class Window:
 
 
 @dataclass(frozen=True, eq=False)
-class FlowAssignment:
-    """A window's particles, as (n, 2) position and velocity arrays P and V,
-    with their common shift and declared bounds."""
+class FlowAssignment(MovingConfiguration):
+    """A window's particles, a configuration that every verifier reads as
+    it is, with their common shift and declared bounds."""
 
-    P: np.ndarray = field(metadata=UNREPORTED)
-    V: np.ndarray = field(metadata=UNREPORTED)
     shift: Vec2
     speed_min: float
     speed_max: float
     disk_radius: float
-
-    def as_configuration(self) -> MovingConfiguration:
-        return MovingConfiguration(self.P, self.V)
 
 
 def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
@@ -183,7 +175,7 @@ def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
             prev = values[k - 1]
             raise NonMonotoneProfileError(
                 f"phi({n}) = {cur} does not increase past phi({n - 1}) = {prev}")
-        if abs(cur) > phi.bound + 1e-12:
+        if abs(cur) > phi.bound:
             raise NonMonotoneProfileError(f"|phi({n})| exceeds declared bound")
     return np.array(values)
 
@@ -205,7 +197,8 @@ def build_flow(phi: MonotoneProfile, window: Window,
     for windows of more than MAX_PARTICLES points, for coordinates beyond
     2**53 and for a speed bound a + sup|w| that overflows float64. So
     every flow it returns with two or more particles has the structure
-    that verify_flow needs, and finite speeds.
+    that verify_flow needs, and finite speeds. The flow is a
+    MovingConfiguration, so its arrays are checked once, here.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -299,10 +292,11 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
     injective velocities, since equal velocities would force equal x1 and
     equal x2. Flows from build_flow with two or more particles have that
     structure; any other flow of two or more particles raises ValueError,
-    and evolution.verify_hardcore decides its configuration with the pair
-    engine. One particle has no pair: mode "exhaustive", minimum and chain
-    margins inf. Speeds are measured by evolution.speeds, as in every
-    verifier, and passed states that they lie within the declared range.
+    and evolution.verify_hardcore decides it with the pair engine. One
+    particle has no pair: mode "exhaustive", minimum and chain margins inf.
+    Speeds are measured by evolution.speeds, as in every verifier, and
+    passed states that they are finite and lie within the declared range,
+    compared exactly.
     """
     P, V = flow.P, flow.V
     n = len(P)
@@ -319,8 +313,8 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
     measured_min = float(measured.min())
     measured_max = float(measured.max())
     speeds_ok = bool(math.isfinite(measured_max)
-                     and measured_min >= flow.speed_min - DISTANCE_TOL
-                     and measured_max <= flow.speed_max + DISTANCE_TOL)
+                     and flow.speed_min <= measured_min
+                     and measured_max <= flow.speed_max)
 
     return FlowReport(
         particle_count=n,

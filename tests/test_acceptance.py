@@ -143,7 +143,7 @@ def test_criterion_3_shift_invariance_and_speed_bounds():
 def test_criterion_4_worldline_distance_floor():
     failures = []
     flow = build_flow(arctan_profile(), Window.square(2), 0.5)
-    config = flow.as_configuration()
+    config = flow
     report = verify_flow(flow)
     speed_cap = report.speed_measured_max
     floor = cyl.lemma1_bound(speed_cap)
@@ -182,7 +182,7 @@ def test_criterion_4_worldline_distance_floor():
 def test_criterion_5_nonparallel_directions():
     failures = []
     flow = build_flow(arctan_profile(), Window.square(2), 0.5)
-    report = cyl.verify_scene(flow.as_configuration(), 0.05)
+    report = cyl.verify_scene(flow, 0.05)
     if report.duplicate_direction_pairs or not report.nonparallel_ok:
         failures.append(f"flow scene duplicates "
                         f"{report.duplicate_direction_pairs}")

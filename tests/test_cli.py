@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from freedrift import _pairscan, cli, cylinders, evolution
-from freedrift.cylinders import lemma1_bound
 from freedrift.evolution import speeds
 from freedrift.formats import parse_particles, parse_report, particles_document
 from freedrift.lattice import Window, arctan_profile, build_flow
@@ -283,20 +282,8 @@ def _sparse():
     return P[keep], V[keep], []
 
 
-def _radius_above_certificate():
-    # S = 2 at the unit pair and the speed ceiling rounds to 2 as well, so a
-    # radius at the slack's edge requires more than the rounded-down
-    # certificate value 1/sqrt(5); the engine fails it, with no tolerance.
-    P = np.array([[0.0, 0.0], [1.0, 0.0]])
-    V = np.array([[2.0, 1e-12], [2.0, 0.0]])
-    radius = lemma1_bound(2.0) / 2.0 * (1.0 + 1e-13)
-    cert = _pairscan.certify(P, V, worldline=True)
-    assert cert.line_distance < 2.0 * radius
-    return P, V, ["--radius", repr(radius)]
-
-
-@pytest.mark.parametrize("case", [_nudged, _swapped, _sparse, _radius_above_certificate],
-                         ids=["nudged", "swapped", "sparse", "radius"])
+@pytest.mark.parametrize("case", [_nudged, _swapped, _sparse],
+                         ids=["nudged", "swapped", "sparse"])
 def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsys,
                                                     scan_passes, case):
     P, V, extra = case()
@@ -317,6 +304,35 @@ def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsy
     if written:
         report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
         assert report["mode"] == "exhaustive"
+
+
+def test_cylinders_radius_above_half_the_floor_is_refused(tmp_path, capsys,
+                                                         scan_passes):
+    # One ulp above floor / 2 = 0.14260689159438428, as the report prints it.
+    out = tmp_path / "out"
+    assert cli.main(["--command", "cylinders", "--window", "2",
+                     "--radius", "0.1426068915943843", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: radius 0.1426068915943843 "
+                                       "exceeds 0.14260689159438428\n")
+    assert not out.exists()
+    assert scan_passes == []
+
+
+def test_certified_scene_short_of_the_floor_is_decided_once(tmp_path, monkeypatch,
+                                                            scan_passes):
+    # The certificate's rounded-down worldline minimum lies one ulp below
+    # the floor, inside DISTANCE_TOL: the certificate decides, no engine pass.
+    (tmp_path / "rows.txt").write_text("particles v1\n0,0,1.0206185567010309,0\n"
+                                       "1,0,1.0206185567010309,-1e-300\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--command", "cylinders", "--particles", "rows.txt",
+                     "--out", "out"]) == 0
+    assert scan_passes == []
+    report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
+    assert report["mode"] == "exhaustive-structural"
+    assert report["min_line_distance"] == "0.69985497121846485"
+    assert report["distance_margin"] == "-1.1102230246251565e-16"
+    assert report["passed"] == "true"
 
 
 @pytest.mark.parametrize("command", ["verify", "cylinders"])

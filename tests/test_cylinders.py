@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from freedrift import _pairscan, cli, formats
+from freedrift import _pairscan, formats
 from freedrift.cylinders import (
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
@@ -14,7 +14,6 @@ from freedrift.cylinders import (
     verify_scene,
 )
 from freedrift.evolution import MovingConfiguration, speeds
-from freedrift.formats import parse_report
 from freedrift.lattice import Window, arctan_profile, build_flow
 
 from oracles import line_distance_3d, line_grid_min_distance, read_scene, scalar_grid_min
@@ -129,7 +128,7 @@ def test_verify_scene_detects_injected_duplicate_velocity():
 
 def test_verify_scene_3x3_flow():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow.as_configuration()
+    config = flow
     cap = max(map(math.hypot, *config.V.T.tolist()))
     radius = lemma1_bound(cap) / 2.0
     report = verify_scene(config, radius)
@@ -149,7 +148,7 @@ def test_verify_scene_3x3_flow():
 
 def test_verify_scene_line_distances_match_grid_oracle():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    lines = _axes(flow.as_configuration())
+    lines = _axes(flow)
     rng = random.Random(11)
     for _ in range(6):
         i, j = rng.sample(range(len(lines)), 2)
@@ -188,22 +187,6 @@ def test_verify_scene_measures_speeds_as_the_scene_does():
     assert verify_scene(config, None).radius == report.separation_floor / 2.0
 
 
-def test_radius_above_the_floor_gets_no_tolerance(tmp_path, monkeypatch):
-    # RADIUS_SLACK admits a radius whose 2 radius lies 4.5e-14 above both
-    # the floor and the minimum worldline distance. DISTANCE_TOL must not
-    # forgive that shortfall: the scene fails.
-    (tmp_path / "rows.txt").write_text("particles v1\n0,0,2,1e-12\n1,0,2,0\n")
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(["--command", "cylinders", "--particles", "rows.txt",
-                     "--radius", "0.2236067977500013", "--out", "out"])
-    report = parse_report((tmp_path / "out" / "cylinder_report.txt").read_text())
-    assert code == 1
-    assert report["passed"] == "false"
-    assert report["distances_ok"] == "false"
-    assert float(report["distance_margin"]) == -4.4686476741162551e-14
-    assert float(report["required_distance"]) > float(report["separation_floor"])
-
-
 def _nudged_window3():
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
@@ -215,7 +198,7 @@ def _single_column():
     # One x1 column: no unit axis pair shares the V1 that attains S, so the
     # certificate leaves the worldline minimum to the engine.
     flow = build_flow(arctan_profile(), Window(0, 0, -3, 3), shift_margin=0.5)
-    return flow.as_configuration()
+    return flow
 
 
 @pytest.mark.parametrize("case", [_nudged_window3, _single_column])
@@ -232,6 +215,12 @@ def test_verify_scene_past_the_limit_is_undecided(monkeypatch, case):
 def test_verify_scene_rejects_oversized_radius():
     with pytest.raises(RadiusTooLargeError):
         verify_scene(_static_pair(1.0), radius=0.6)
+    # No slack: one ulp above half the floor is refused.
+    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
+    half = verify_scene(flow, None).radius
+    with pytest.raises(RadiusTooLargeError, match=f"^radius {math.nextafter(half, 1)} "
+                                                  f"exceeds {half}$"):
+        verify_scene(flow, math.nextafter(half, 1))
     with pytest.raises(ValueError):
         verify_scene(_static_pair(1.0), radius=0.0)
 
@@ -264,7 +253,7 @@ def test_export_rows_sorted_by_axis_point():
 @pytest.mark.parametrize("block", [1, 4, 8, 9])
 def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow.as_configuration()
+    config = flow
     whole = _export(config)  # nine rows: one block
     monkeypatch.setattr(formats, "_ROW_BLOCK", block)
     assert _export(config) == whole
@@ -272,7 +261,7 @@ def test_export_in_blocks_is_byte_identical(monkeypatch, block):
 
 def test_scene_round_trip_preserves_distances():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow.as_configuration()
+    config = flow
     radius = verify_scene(config, None).radius
     bases, velocities, radii = read_scene(_export(config, radius))
     parsed = _worldlines(bases, velocities)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from freedrift import _pairscan
+from freedrift.cylinders import verify_scene
 from freedrift.evolution import (
     BadRangeError,
     MovingConfiguration,
@@ -61,7 +63,7 @@ def test_slice_at_rejects_nonfinite_time():
 
 def test_two_particle_flow_separated_at_far_times():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    config = flow.as_configuration()
+    config = flow
     a, b = (Vec2(*row) for row in config.P.tolist())
     va, vb = (Vec2(*row) for row in config.V.tolist())
     closed = closest_approach(a, va, b, vb)
@@ -154,7 +156,7 @@ def test_verify_hardcore_head_on_pair_fails_at_t2():
 
 def test_verify_hardcore_5x5_arctan_flow_zero_margin():
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
-    report = verify_hardcore(flow.as_configuration(), threshold=1.0)
+    report = verify_hardcore(flow, threshold=1.0)
     assert report.passed
     assert report.min_alltime_distance == pytest.approx(1.0, abs=1e-9)
     assert abs(report.margin) <= 1e-9
@@ -220,7 +222,7 @@ def test_large_window_flow_passes_structural():
     # 101x101 lattice: 52M pairs, beyond the engine's exhaustive limit, all
     # decided by the structural certificate.
     flow = build_flow(arctan_profile(), Window.square(50), shift_margin=0.5)
-    report = verify_hardcore(flow.as_configuration(), threshold=1.0)
+    report = verify_hardcore(flow, threshold=1.0)
     assert report.mode == "exhaustive-structural"
     assert report.pairs_checked == report.pairs_total == 10201 * 10200 // 2
     assert report.seed is None
@@ -257,7 +259,7 @@ def test_time_symmetry_exact():
 
 def test_translation_invariance():
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
-    base = flow.as_configuration()
+    base = flow
     # Offsets exactly representable, so pair differences are bit-identical.
     moved = MovingConfiguration(base.P + np.array([10.5, -3.25]), base.V)
     ra = verify_hardcore(base, threshold=1.0)
@@ -265,3 +267,21 @@ def test_translation_invariance():
     assert ra.min_alltime_distance == rb.min_alltime_distance
     assert ra.witness_pair == rb.witness_pair
     assert ra.witness_time == rb.witness_time
+
+
+def test_configuration_is_frozen():
+    config = _one((0.0, 0.0), (1.0, 2.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.P = np.zeros((1, 2))
+
+
+def test_a_flow_is_read_as_its_configuration():
+    flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), shift_margin=0.5)
+    assert isinstance(flow, MovingConfiguration)
+    config = MovingConfiguration(flow.P, flow.V)
+    assert verify_hardcore(flow) == verify_hardcore(config)
+    assert verify_scene(flow, None) == verify_scene(config, None)
+    for (t, a), (u, b) in zip(snapshot_series(flow, -1.0, 2.0, 4),
+                              snapshot_series(config, -1.0, 2.0, 4), strict=True):
+        assert t == u
+        assert a.tolist() == b.tolist()

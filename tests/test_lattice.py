@@ -164,6 +164,11 @@ def test_build_flow_rejects_lying_bound():
                           table=((-1, -2.0), (0, 0.0), (1, 2.0)), bound=1.0)
     with pytest.raises(NonMonotoneProfileError):
         build_flow(phi, Window(-1, 1, 0, 0), shift_margin=1.0)
+    # The bound is compared with no slack.
+    phi = MonotoneProfile(ProfileKind.TABLE_DRIVEN, table=((0, 0.0), (1, 1.0)),
+                          bound=1.0 - 5e-13)
+    with pytest.raises(NonMonotoneProfileError):
+        build_flow(phi, Window(0, 1, 0, 1), shift_margin=1.0)
 
 
 def test_disk_radius_below_half_minimum():
@@ -238,7 +243,7 @@ def test_verify_flow_flags_duplicate_velocities():
     )
     with pytest.raises(ValueError, match="verify_hardcore"):
         verify_flow(corrupted)
-    report = verify_hardcore(corrupted.as_configuration())
+    report = verify_hardcore(corrupted)
     assert report.mode == "exhaustive"
     assert (report.min_alltime_distance, report.witness_pair) == (1.0, (0, 1))
 
@@ -253,6 +258,18 @@ def test_verify_flow_speed_window():
             speed = math.hypot(v1, v2)
             assert speed >= flow.speed_min - 1e-12
             assert speed <= norm_a + math.sqrt(2) * phi.bound + 1e-12
+
+
+def test_verify_flow_compares_speeds_exactly():
+    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
+    report = verify_flow(flow)
+    lo, hi = report.speed_measured_min, report.speed_measured_max
+    assert lo == 0.9585960144742947
+    # A declared bound 5e-10 past the measured speed is not forgiven.
+    assert not verify_flow(dataclasses.replace(flow, speed_min=lo + 5e-10)).speeds_ok
+    assert not verify_flow(dataclasses.replace(
+        flow, speed_max=math.nextafter(hi, 0))).speeds_ok
+    assert verify_flow(dataclasses.replace(flow, speed_min=lo, speed_max=hi)).speeds_ok
 
 
 def test_shift_invariance_of_minimum_distance():
@@ -282,7 +299,7 @@ def test_chain_margins_across_profiles_and_windows():
 
 def test_flow_feeds_hardcore_verifier():
     flow = build_flow(rational_profile(), Window.square(2), shift_margin=0.5)
-    report = verify_hardcore(flow.as_configuration(), threshold=1.0)
+    report = verify_hardcore(flow, threshold=1.0)
     assert report.passed
 
 
@@ -311,14 +328,14 @@ def test_certified_reports_match_the_engine(monkeypatch):
     """Apart from the mode, certifying gives the engine's report values."""
     for phi in all_profiles():
         flow = build_flow(phi, Window(-3, 2, -1, 4), shift_margin=0.5)
-        config = flow.as_configuration()
+        config = flow
         report, hardcore = verify_flow(flow), verify_hardcore(config)
         assert report.mode == hardcore.mode == "exhaustive-structural"
         assert report.scan == _pairscan.certify(flow.P, flow.V)
         engine = _pairscan.scan(flow.P, flow.V)
         assert dataclasses.replace(report.scan, mode="exhaustive") == engine
         with monkeypatch.context() as m:
-            m.setattr(_pairscan, "certify", lambda *args: None)
+            m.setattr(_pairscan, "certify", lambda *args, **kw: None)
             engine_hardcore = verify_hardcore(config)
         assert engine_hardcore.mode == "exhaustive"
         assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
