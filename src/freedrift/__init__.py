@@ -13,7 +13,6 @@ import importlib
 
 # Each submodule and the public names it exports.
 _EXPORTS = {
-    "_pairscan": ("UndecidedError",),
     "cylinders": (
         "HardCoreNotVerifiedError",
         "RadiusTooLargeError",
@@ -55,6 +54,7 @@ _EXPORTS = {
         "GeometryError",
         "IdenticalParticleError",
         "PairApproach",
+        "UndecidedError",
         "Vec2",
         "closest_approach",
         "rotate_quarter",
@@ -73,7 +73,6 @@ _EXPORTS = {
         "named_profile",
         "profile_eval",
         "rational_profile",
-        "recovered_field",
         "table_profile",
         "tanh_profile",
         "verify_flow",

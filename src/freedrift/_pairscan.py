@@ -29,17 +29,18 @@ minimum over all pairs without visiting them. On request it also gives the
 exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
 in absolute value, rounded down to a double. `decide` is the one pair
 decision of the hard-core and scene verifiers: the certificate, or `scan`
-when it returns None. The flow verifier decides every flow of two or more
-particles by the certificate alone.
+when it returns None. The flow verifier reads no array: from a flow's two
+axes it gives the result that certify gives on the flow's arrays.
+
+PairScan and UndecidedError live in geometry, which loads no numpy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS
+from .geometry import PARALLEL_EPS, PairScan, UndecidedError
 
 EXHAUSTIVE_LIMIT = 10**7
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
@@ -47,11 +48,6 @@ EXHAUSTIVE_LIMIT = 10**7
 TILE_PAIRS = 1 << 13
 # Stands in for masked (non-)pairs: above every finite kernel value.
 _MASKED = np.finfo(float).max
-
-
-class UndecidedError(Exception):
-    """More than EXHAUSTIVE_LIMIT pairs: no pass, so no verdict. Not a
-    ValueError, because the input is valid."""
 
 
 def pair_count(n: int) -> int:
@@ -173,20 +169,6 @@ def _require_finite(label: str, tile: _Tile, x, low: float) -> None:
 def _columns(A):
     return (np.ascontiguousarray(A[:, 0], dtype=float),
             np.ascontiguousarray(A[:, 1], dtype=float))
-
-
-@dataclass(frozen=True)
-class PairScan:
-    """Result of one pass. Worldline fields are None when the kernel was
-    not requested; with no pairs, minima are inf."""
-
-    pairs_total: int
-    pairs_checked: int
-    mode: str
-    min_distance: float
-    witness: tuple[int, int] | None
-    line_distance: float | None = None
-    line_witness: tuple[int, int] | None = None
 
 
 def scan(P, V, *, worldline: bool = False) -> PairScan:

@@ -7,8 +7,12 @@ violation found), 1 verification failure (or search exhausted, or a pair
 scan past the exhaustive limit: undecided, no report), 2 bad input.
 
 Each command imports only the modules it runs: `falsify` never loads the
-lattice, evolution or cylinder modules, and the other commands never load
-the falsifier.
+lattice, evolution or cylinder modules, the other commands never load the
+falsifier, `evolve --particles` never loads the lattice module, and only
+`cylinders` loads the cylinder module. numpy is loaded by the commands that
+read or write particle arrays: `verify --window` decides the flow from its
+two axes and loads no numpy, while `verify --particles`, `assign`, `evolve`,
+`cylinders` and `falsify` do.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .geometry import DEFAULT_SEED
+from .geometry import DEFAULT_SEED, UndecidedError
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -181,7 +185,7 @@ def _grid_from_samples(P, V):
 
 def _load_configuration(config: RunConfig):
     """The configuration of the particles file, or else the flow built on
-    the window, itself a configuration."""
+    the window, which every verifier reads as a configuration."""
     if config.particles:
         from .evolution import MovingConfiguration
         from .formats import parse_particles
@@ -340,7 +344,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
-    from ._pairscan import UndecidedError
     try:
         return _DISPATCH[config.command](config)
     except UndecidedError as exc:

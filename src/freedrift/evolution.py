@@ -4,18 +4,25 @@ and snapshot series for the emitters.
 A configuration is a finite set of particles, each a position plus a
 constant velocity, held as two (n, 2) float64 arrays P and V. Results are
 exact for the pairs present; a finite window says nothing about particles
-outside it.
+outside it. A lattice.FlowAssignment is read the same way, through P, V,
+len and row, and builds its arrays only when P or V is read.
+
+numpy is imported by the functions that make or read whole arrays, so
+HardCoreReport, DISK_RADIUS and verify_hardcore handed a scan load without
+it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _pairscan
 from .formats import UNREPORTED
-from .geometry import DISTANCE_TOL, IdenticalParticleError, Vec2, closest_approach
+from .geometry import (DISTANCE_TOL, IdenticalParticleError, PairScan, Vec2,
+                       closest_approach)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_THRESHOLD = 1.0
 # Closest approaches are >= 1 in every configuration that passes at the
@@ -30,7 +37,8 @@ class BadRangeError(ValueError):
 def speeds(V) -> np.ndarray:
     """|v| for each row of V by math.hypot, which numpy's hypot need not
     match to the last bit, as a float64 array."""
-    return _pairscan.math_map(math.hypot, V[:, 0], V[:, 1])
+    from ._pairscan import math_map
+    return math_map(math.hypot, V[:, 0], V[:, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +48,14 @@ class MovingConfiguration:
     P and V are the positions and velocities, contiguous (n, 2) float64
     arrays; treat their contents as read-only. Non-finite values and
     duplicate particles (same position and velocity) are rejected outright;
-    spacing is measured by the verifiers. A lattice.FlowAssignment is one.
+    spacing is measured by the verifiers.
     """
 
     P: np.ndarray = field(metadata=UNREPORTED)
     V: np.ndarray = field(metadata=UNREPORTED)
 
     def __post_init__(self) -> None:
+        import numpy as np
         P = np.ascontiguousarray(self.P, dtype=float)
         V = np.ascontiguousarray(self.V, dtype=float)
         if P.ndim != 2 or P.shape[1:] != (2,) or V.shape != P.shape:
@@ -57,7 +66,7 @@ class MovingConfiguration:
         bad = ~(np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1))
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValueError(f"non-finite particle {k}: {self._row(k)}")
+            raise ValueError(f"non-finite particle {k}: {self.row(k)}")
         # Sorting is stable, so within each run of equal rows the indices
         # increase; the smallest index that is not first in its run is the
         # first particle that repeats an earlier one.
@@ -67,9 +76,10 @@ class MovingConfiguration:
         repeats = order[1:][same]
         if repeats.size:
             raise IdenticalParticleError(
-                f"duplicate particle at {self._row(int(repeats.min()))}")
+                f"duplicate particle at {self.row(int(repeats.min()))}")
 
-    def _row(self, k: int) -> tuple[float, ...]:
+    def row(self, k: int) -> tuple[float, float, float, float]:
+        """Particle k as (x1, x2, v1, v2)."""
         return (*self.P[k].tolist(), *self.V[k].tolist())
 
     def __len__(self) -> int:
@@ -106,33 +116,33 @@ def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
 
 def verify_hardcore(config: MovingConfiguration,
                     threshold: float = DEFAULT_THRESHOLD, *,
-                    scan: _pairscan.PairScan | None = None) -> HardCoreReport:
+                    scan: PairScan | None = None) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
     _pairscan.decide decides every pair: the structural certificate for a
     configuration with the structure of a lattice flow, exactly, mode
     "exhaustive-structural"; otherwise the pair engine (closed-form closest
     approach), mode "exhaustive", which past _pairscan.EXHAUSTIVE_LIMIT
-    pairs raises _pairscan.UndecidedError. The witness is the
-    lexicographically smallest minimizing pair.
+    pairs raises UndecidedError. The witness is the lexicographically
+    smallest minimizing pair.
 
     scan, when given, already decides this configuration's pairs: the
-    certificate verify_flow rests on (a zero-pair scan for one particle)
-    or verify_scene's decision. It is used instead of deciding again.
+    result verify_flow rests on (a zero-pair scan for one particle) or
+    verify_scene's decision. It is used instead of deciding again, and
+    then only len(config) and the witness's two rows are read.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     if scan is None:
-        scan = _pairscan.decide(config.P, config.V)
+        from ._pairscan import decide
+        scan = decide(config.P, config.V)
     witness_time: float | None = None
     if scan.witness is not None:
-        i, j = scan.witness
-        P, V = config.P, config.V
+        p, q = (config.row(k) for k in scan.witness)
         witness_time = closest_approach(
-            Vec2(*P[i].tolist()), Vec2(*V[i].tolist()),
-            Vec2(*P[j].tolist()), Vec2(*V[j].tolist())).time_at_min
+            Vec2(*p[:2]), Vec2(*p[2:]), Vec2(*q[:2]), Vec2(*q[2:])).time_at_min
     margin = scan.min_distance - threshold
     return HardCoreReport(
         particle_count=len(config),

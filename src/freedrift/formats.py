@@ -16,6 +16,9 @@ other value, and any row the checks reject, goes through format(x, ".17g").
 Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
 the memory they hold is bounded by a block whatever the row count, and
 parse_particles likewise reads rows a block at a time.
+
+numpy is imported by the column functions themselves, so the report,
+config and table formats and write_text_atomic load without it.
 """
 from __future__ import annotations
 
@@ -24,8 +27,10 @@ import itertools
 import math
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PARTICLES_HEADER = "particles v1"
 REPORT_HEADER = "report v1"
@@ -58,8 +63,6 @@ _WRITE_SLICE = 1 << 20
 _PARSE_BLOCK = 1 << 16
 # The characters of a plain particle row besides its commas and newline.
 _NUMBER_CHARS = b"0123456789+-.eE"
-_E16 = np.uint64(10 ** 16)
-_E17 = np.uint64(10 ** 17)
 
 
 def _scaled(M: np.ndarray, e: np.ndarray, X: np.ndarray):
@@ -70,6 +73,7 @@ def _scaled(M: np.ndarray, e: np.ndarray, X: np.ndarray):
     32-bit limbs, then shifted right by s = -(e+k); lo's low s bits are the
     exact remainder.
     """
+    import numpy as np
     k = 16 - X
     s = -(e + k)
     ok = (k >= 0) & (k <= 27) & (s >= 1) & (s <= 63)
@@ -97,6 +101,8 @@ def _g17_chars(x: np.ndarray) -> np.ndarray:
     column x, as a (_WIDTH, n) uint8 matrix: column i holds v = x[i]'s
     characters in order, with zero bytes between and after them.
     """
+    import numpy as np
+    E16, E17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
     n = len(x)
     a = np.abs(x)
     zero = a == 0
@@ -109,20 +115,20 @@ def _g17_chars(x: np.ndarray) -> np.ndarray:
     # X is right exactly when 10^16 <= q < 10^17; log10 can miss by one
     # next to a power of ten, so the misses are redone once with X -+ 1.
     q, up, ok = _scaled(M, e, X)
-    right = ok & (q >= _E16) & (q < _E17)
+    right = ok & (q >= E16) & (q < E17)
     redo = np.flatnonzero(~right)
     if redo.size:
-        X[redo] += np.where(ok[redo] & (q[redo] < _E16), -1, 1)
+        X[redo] += np.where(ok[redo] & (q[redo] < E16), -1, 1)
         q[redo], up[redo], ok[redo] = _scaled(M[redo], e[redo], X[redo])
-        right[redo] = ok[redo] & (q[redo] >= _E16) & (q[redo] < _E17)
+        right[redo] = ok[redo] & (q[redo] >= E16) & (q[redo] < E17)
     D = q + up
-    carry = D == _E17  # rounds up to 10^17: one digit more in the exponent
-    D[carry] = _E16
+    carry = D == E17  # rounds up to 10^17: one digit more in the exponent
+    D[carry] = E16
     X += carry
     slow = ~(fast & right | zero)
     # Zeros are laid out as the digits of 10^16 at X = 0 with the "1"
     # turned to "0", and slow values are overwritten at the end.
-    D[zero | slow] = _E16
+    D[zero | slow] = E16
     X[zero | slow] = 0
     X = X.astype(np.int8)
 
@@ -176,6 +182,7 @@ def _rows_text(n: int, parts):
     column of n values by format(v, ".17g"), and a (w, n) uint8 matrix
     (one from _g17_chars) by its nonzero bytes.
     """
+    import numpy as np
     for rows in _row_slices(n):
         block = []
         for part in parts:
@@ -231,6 +238,7 @@ def particles_document(P, V):
 def _check_finite(values, row_lines) -> None:
     """Raise for the first row of values (4 per row) that holds a NaN or
     infinity, naming its position or else its velocity."""
+    import numpy as np
     A = np.asarray(values, dtype=float).reshape(-1, 4)
     finite = np.isfinite(A)
     bad = np.flatnonzero(~finite.all(axis=1))
@@ -247,6 +255,7 @@ def _parse_lines(lines, first_line: int) -> np.ndarray:
     Blank lines are skipped. The first bad line raises ParseError: a wrong
     field count, a field that is not a number, or a NaN or infinity.
     """
+    import numpy as np
     values: list[float] = []
     row_lines: list[int] = []
     for ln, raw in enumerate(lines, start=first_line):
@@ -278,6 +287,7 @@ def _plain_rows(block: str) -> np.ndarray | None:
     exactly three commas, ending in a newline; deleting all but the commas
     and newlines of a plain block leaves ",,,\n" once per row.
     """
+    import numpy as np
     # A last row without its newline ("1,2,3,4\n55") would pass the comma
     # check below with its fields silently dropped.
     if not block.isascii() or not block.endswith("\n"):
@@ -325,6 +335,7 @@ def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
     and one map(float); any other block, or one that float rejects, goes
     line by line.
     """
+    import numpy as np
     head = text[:text.find("\n") + 1] or text
     lines = head.splitlines()
     if not lines or lines[0].strip() != PARTICLES_HEADER:
@@ -450,6 +461,7 @@ def frames_csv(series):
     """Snapshot series of (t, (n, 2) positions) as CSV rows
     frame,time,particle,x1,x2: yields the header line, then each frame's
     rows as soon as series yields the frame, in chunks of text."""
+    import numpy as np
     yield "frame,time,particle,x1,x2\n"
     particle = None
     for frame, (t, points) in enumerate(series):

@@ -1,8 +1,9 @@
 """Planar and space-time vector kinematics.
 
 Scalar building blocks for everything else in the package: the quarter-turn
-rotation and the closest point of approach for two linearly moving points.
-All arithmetic is IEEE double precision.
+rotation, the closest point of approach for two linearly moving points, and
+the result of a decision over every pair of a configuration. All arithmetic
+is IEEE double precision, and nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -31,6 +32,11 @@ class IdenticalParticleError(GeometryError):
     """Raised when two particles share both position and velocity."""
 
 
+class UndecidedError(Exception):
+    """More than _pairscan.EXHAUSTIVE_LIMIT pairs: no pass, so no verdict.
+    Not a ValueError, because the input is valid."""
+
+
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """Planar vector; components must be finite."""
@@ -57,6 +63,21 @@ class PairApproach:
     @property
     def at_all_times(self) -> bool:
         return self.time_at_min is None
+
+
+@dataclass(frozen=True)
+class PairScan:
+    """Result of one decision over every pair: a pass of the pair engine
+    or a structural certificate. Worldline fields are None when that kernel
+    was not requested; with no pairs, minima are inf."""
+
+    pairs_total: int
+    pairs_checked: int
+    mode: str
+    min_distance: float
+    witness: tuple[int, int] | None
+    line_distance: float | None = None
+    line_witness: tuple[int, int] | None = None
 
 
 def sub(u: Vec2, v: Vec2) -> Vec2:

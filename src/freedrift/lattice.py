@@ -4,22 +4,30 @@ A bounded strictly increasing integer-to-real profile phi induces the field
 w(x1, x2) = (phi(x1), phi(x2)) on lattice points. Rotating it a quarter turn
 (v = -I w) and adding one common shift along the first axis yields bounded,
 pairwise distinct velocities whose motions never come closer than unit
-distance. verify_flow decides that claim by the structural certificate,
-which also proves the inequality chain behind it.
+distance.
+
+A flow is the profile's values on the window's two axes plus the shift, so
+build_flow and verify_flow work on 2 (2N + 1) doubles for the square window
+of size N, in pure Python, and load no numpy: verify_flow decides the claim
+with the result that the structural certificate gives on the flow's arrays,
+which also proves the inequality chain behind it. The arrays P and V are
+built, with numpy, only when a command reads them.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _pairscan
-from .evolution import DISK_RADIUS, MovingConfiguration, speeds
+from .evolution import DISK_RADIUS
 from .formats import UNREPORTED
-from .geometry import Vec2
+from .geometry import PairScan, Vec2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProfileKind(enum.Enum):
@@ -28,13 +36,15 @@ class ProfileKind(enum.Enum):
     RATIONAL_SATURATING = "rational"
     TABLE_DRIVEN = "table"
 
-# Largest window build_flow accepts. A particle costs 32 bytes in P and V;
-# a command adds a few more (n, 2) float64 arrays (field, slices, sort
-# keys), while text is parsed and emitted a block of rows at a time. Peak
-# RSS grows by about 230 bytes per particle (evolve, the largest, measured
-# at N = 100 and 200, from a window or a particles file), so 2**22
-# particles, a square window up to N = 1023, stay near 1 GiB. Larger
-# windows are refused before anything is allocated.
+# Largest window build_flow accepts, for every command. verify on a window
+# holds only the two axes and allocates no P or V. The other commands read
+# a flow's arrays: a particle costs 32 bytes in P and V, and a command adds
+# a few more (n, 2) float64 arrays (slices, sort keys), while text is parsed
+# and emitted a block of rows at a time. Peak RSS grows by about 230 bytes
+# per particle (evolve, the largest, measured at N = 100 and 200, from a
+# window or a particles file), so 2**22 particles, a square window up to
+# N = 1023, stay near 1 GiB. Larger windows are refused before anything is
+# allocated.
 MAX_PARTICLES = 1 << 22
 
 
@@ -155,18 +165,88 @@ class Window:
         return (self.x_hi - self.x_lo + 1) * (self.y_hi - self.y_lo + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class FlowAssignment(MovingConfiguration):
-    """A window's particles, a configuration that every verifier reads as
-    it is, with their common shift and declared bounds."""
+@dataclass(frozen=True)
+class FlowAssignment:
+    """A window's particles, held as the profile's values on the window's
+    two axes and the common shift, with the declared bounds.
 
+    Particle k = i * len(phi_y) + j, x-major (x1 outer, x2 inner), sits at
+    (x_lo + i, y_lo + j) and moves with (phi_y[j] + shift.x1, -phi_x[i]).
+    Every verifier reads a flow as a configuration, through len, row, P
+    and V; P and V, (n, 2) float64 arrays, are built on first read. The
+    axes must have the structure that verify_flow decides from, else
+    ValueError.
+    """
+
+    window: Window = field(metadata=UNREPORTED)
+    phi_x: tuple[float, ...] = field(repr=False, metadata=UNREPORTED)
+    phi_y: tuple[float, ...] = field(repr=False, metadata=UNREPORTED)
     shift: Vec2
     speed_min: float
     speed_max: float
     disk_radius: float
 
+    def __post_init__(self) -> None:
+        win, wx, v0 = self.window, self.phi_x, self._v0()
+        # Integer coordinates within 2**53 are distinct doubles 1 apart;
+        # strictly monotone finite velocity components do the rest.
+        if not (len(wx) == win.x_hi - win.x_lo + 1
+                and len(v0) == win.y_hi - win.y_lo + 1
+                and max(map(abs, (win.x_lo, win.x_hi, win.y_lo, win.y_hi))) <= 2 ** 53
+                and self.shift.x2 == 0.0
+                and _increasing(wx) and math.isfinite(wx[-1] - wx[0])
+                and _increasing(v0) and math.isfinite(v0[-1] - v0[0])):
+            raise ValueError("flow axes need one value per integer of the "
+                             "window, within 2**53, a shift along x1, and "
+                             "strictly increasing phi_x and phi_y + shift "
+                             "with finite spans")
 
-def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
+    def _v0(self) -> list[float]:
+        """V0 along the x2 axis: phi_y + shift.x1."""
+        a = self.shift.x1
+        return [w2 + a for w2 in self.phi_y]
+
+    def __len__(self) -> int:
+        return len(self.phi_x) * len(self.phi_y)
+
+    def row(self, k: int) -> tuple[float, float, float, float]:
+        """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""
+        i, j = divmod(k, len(self.phi_y))
+        return (float(self.window.x_lo + i), float(self.window.y_lo + j),
+                self.phi_y[j] + self.shift.x1, -self.phi_x[i])
+
+    def _indices(self):
+        """The axis indices (i, j) of every particle, as two int arrays."""
+        import numpy as np
+        nx, ny = len(self.phi_x), len(self.phi_y)
+        return np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Positions, an (n, 2) float64 array."""
+        import numpy as np
+        ix, iy = self._indices()
+        P = np.empty((len(ix), 2))
+        P[:, 0] = self.window.x_lo + ix
+        P[:, 1] = self.window.y_lo + iy
+        return P
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Velocities, an (n, 2) float64 array."""
+        import numpy as np
+        ix, iy = self._indices()
+        V = np.empty((len(ix), 2))
+        V[:, 0] = np.array(self.phi_y)[iy] + self.shift.x1
+        V[:, 1] = -np.array(self.phi_x)[ix]
+        return V
+
+
+def _increasing(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> tuple[float, ...]:
     """phi(lo), ..., phi(hi), checked strictly increasing and within bound."""
     values = [profile_eval(phi, n) for n in range(lo, hi + 1)]
     for k, cur in enumerate(values):
@@ -177,7 +257,7 @@ def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> np.ndarray:
                 f"phi({n}) = {cur} does not increase past phi({n - 1}) = {prev}")
         if abs(cur) > phi.bound:
             raise NonMonotoneProfileError(f"|phi({n})| exceeds declared bound")
-    return np.array(values)
+    return tuple(values)
 
 
 def build_flow(phi: MonotoneProfile, window: Window,
@@ -190,15 +270,15 @@ def build_flow(phi: MonotoneProfile, window: Window,
     [shift_margin, |a| + sup|w|]. shift_margin 0 is allowed: the relative
     velocities, and hence all closest approaches, do not depend on it.
 
-    The profile is evaluated once per integer of each axis; the points,
-    x-major (x1 outer, x2 inner), gather their values by index. Raises
-    NonMonotoneProfileError when phi, or phi shifted by a in double
-    precision, is not strictly increasing on the window, and ValueError
-    for windows of more than MAX_PARTICLES points, for coordinates beyond
-    2**53 and for a speed bound a + sup|w| that overflows float64. So
-    every flow it returns with two or more particles has the structure
-    that verify_flow needs, and finite speeds. The flow is a
-    MovingConfiguration, so its arrays are checked once, here.
+    The profile is evaluated once per integer of each axis, and the flow
+    holds those values; everything here is computed on the two axes, in
+    pure Python. sup|w| is the largest math.hypot(phi(x1), phi(x2)) over
+    the window's points. Raises NonMonotoneProfileError when phi, or phi
+    shifted by a in double precision, is not strictly increasing on the
+    window, and ValueError for windows of more than MAX_PARTICLES points,
+    for coordinates beyond 2**53 and for a speed bound a + sup|w| that
+    overflows float64. So every flow it returns has the structure that
+    verify_flow needs, and finite speeds.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -212,38 +292,32 @@ def build_flow(phi: MonotoneProfile, window: Window,
                          "neighbouring integers round to the same double")
     phi_x = _profile_values(phi, window.x_lo, window.x_hi)
     phi_y = _profile_values(phi, window.y_lo, window.y_hi)
-    ix = np.repeat(np.arange(len(phi_x)), len(phi_y))
-    iy = np.tile(np.arange(len(phi_y)), len(phi_x))
-    w1, w2 = phi_x[ix], phi_y[iy]
-    sup_speed = float(_pairscan.math_map(math.hypot, w1, w2).max())
+    # math.hypot reads only the magnitudes of its arguments.
+    ys = set(map(abs, phi_y))
+    sup_speed = max(max(map(math.hypot, repeat(w1), ys))
+                    for w1 in set(map(abs, phi_x)))
     a = sup_speed + shift_margin
     # Every speed is at least its V0, but a rounded down can take the
     # smallest V0 below shift_margin (phi(y_lo) near -sup|w|): step a up.
-    while float(phi_y[0]) + a < shift_margin:
+    while phi_y[0] + a < shift_margin:
         a = math.nextafter(a, math.inf)
     # Bounds every V0 too: phi <= sup|w|, and rounding is monotone.
     speed_max = a + sup_speed
     if not math.isfinite(speed_max):
         raise ValueError(f"speed bound a + sup|w| with shift a = {a} overflows "
                          "float64: the profile values are too large")
-    shifted = phi_y + a
-    merged = np.flatnonzero(shifted[1:] <= shifted[:-1])
-    if merged.size:
-        k = int(merged[0])
-        n = window.y_lo + k
-        raise NonMonotoneProfileError(
-            f"phi({n + 1}) + a = {float(shifted[k + 1])} does not increase past "
-            f"phi({n}) + a with shift a = {a}: the profile saturates in double "
-            "precision, so two velocities would coincide")
-    P = np.empty((n, 2))
-    P[:, 0] = window.x_lo + ix
-    P[:, 1] = window.y_lo + iy
-    V = np.empty((n, 2))
-    V[:, 0] = w2 + a
-    V[:, 1] = -w1
+    shifted = [w2 + a for w2 in phi_y]
+    for k in range(len(shifted) - 1):
+        if shifted[k + 1] <= shifted[k]:
+            n = window.y_lo + k
+            raise NonMonotoneProfileError(
+                f"phi({n + 1}) + a = {shifted[k + 1]} does not increase past "
+                f"phi({n}) + a with shift a = {a}: the profile saturates in double "
+                "precision, so two velocities would coincide")
     return FlowAssignment(
-        P=P,
-        V=V,
+        window=window,
+        phi_x=phi_x,
+        phi_y=phi_y,
         shift=Vec2(a, 0.0),
         speed_min=float(shift_margin),
         speed_max=speed_max,
@@ -272,46 +346,49 @@ class FlowReport:
     mode: str
     seed: None  # no verdict rests on a sample; kept as the report's seed line
     passed: bool
-    # The pass behind this report; verify_hardcore can reuse it.
-    scan: _pairscan.PairScan = field(repr=False, compare=False, metadata=UNREPORTED)
-
-
-def recovered_field(flow: FlowAssignment) -> np.ndarray:
-    """w = I(v - a) per particle: undo the shift, rotate back."""
-    vu = flow.V - np.array([flow.shift.x1, flow.shift.x2])
-    return np.column_stack((-vu[:, 1], vu[:, 0]))
+    # The decision behind this report; verify_hardcore can reuse it.
+    scan: PairScan = field(repr=False, compare=False, metadata=UNREPORTED)
 
 
 def verify_flow(flow: FlowAssignment) -> FlowReport:
-    """Check the unit-distance guarantee by the structural certificate.
+    """Check the unit-distance guarantee from the flow's two axes.
 
-    _pairscan.certify decides every pair exactly at any window size: mode
-    "exhaustive-structural", minimum exactly 1 at the smallest unit axis
-    pair. Its hypotheses prove the rest of the flow contract but speeds:
+    A flow has the structure that _pairscan.certify decides: integer
+    coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2 alone,
+    V1 = -phi(x1) strictly decreasing in x1 alone. So the result is
+    certify's on the flow's arrays, read off the axes without building
+    them: every pair decided exactly, mode "exhaustive-structural", minimum
+    exactly 1 at the smallest unit axis pair, which is (0, 1) in x-major
+    order. Those hypotheses prove the rest of the flow contract but speeds:
     the inequality chain, with both margins exactly 0 (see certify), and
     injective velocities, since equal velocities would force equal x1 and
-    equal x2. Flows from build_flow with two or more particles have that
-    structure; any other flow of two or more particles raises ValueError,
-    and evolution.verify_hardcore decides it with the pair engine. One
-    particle has no pair: mode "exhaustive", minimum and chain margins inf.
-    Speeds are measured by evolution.speeds, as in every verifier, and
-    passed states that they are finite and lie within the declared range,
-    compared exactly.
-    """
-    P, V = flow.P, flow.V
-    n = len(P)
-    if n < 1:
-        raise ValueError("flow must contain at least one particle")
-    scan = _pairscan.scan(P, V) if n == 1 else _pairscan.certify(P, V)
-    if scan is None:
-        raise ValueError("flow lacks the lattice structure that the certificate "
-                         "decides; check its configuration with "
-                         "evolution.verify_hardcore")
-    margin = 0.0 if scan.pairs_total else math.inf
+    equal x2. One particle has no pair: the engine's zero-pair scan, mode
+    "exhaustive", minimum and chain margins inf.
 
-    measured = speeds(V)
-    measured_min = float(measured.min())
-    measured_max = float(measured.max())
+    Speeds are measured by math.hypot on the doubles of V, as
+    evolution.speeds measures them, one x1 column at a time, so memory
+    stays O(side); passed states that they are finite and lie within the
+    declared range, compared exactly.
+    """
+    n = len(flow)
+    total = n * (n - 1) // 2
+    if total:
+        scan = PairScan(pairs_total=total, pairs_checked=total,
+                        mode="exhaustive-structural", min_distance=1.0,
+                        witness=(0, 1))
+    else:
+        scan = PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
+                        min_distance=math.inf, witness=None)
+    margin = 0.0 if total else math.inf
+
+    v0 = flow._v0()
+    measured_min, measured_max = math.inf, -math.inf
+    # math.hypot reads only the magnitudes of its arguments, so the
+    # columns of x1 values with one |phi(x1)| measure the same speeds.
+    for w1 in set(map(abs, flow.phi_x)):
+        column = list(map(math.hypot, v0, repeat(w1)))
+        measured_min = min(measured_min, min(column))
+        measured_max = max(measured_max, max(column))
     speeds_ok = bool(math.isfinite(measured_max)
                      and flow.speed_min <= measured_min
                      and measured_max <= flow.speed_max)

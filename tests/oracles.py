@@ -14,6 +14,8 @@ line, as the parser did before it read plain rows a block at a time, and
 pins its arrays and its errors. `line_distance_3d` is the scalar per-pair
 form of the worldline kernel, itself checked against the grid and exact
 oracles, and `read_scene` reads an exported scene back into arrays.
+`recovered_field` undoes a flow's shift and quarter turn, for the tests of
+the inequality chain that the flow verifier proves without computing it.
 """
 from __future__ import annotations
 
@@ -185,6 +187,13 @@ def read_scene(text: str):
     assert header == SCENE_HEADER, header
     A = np.array([row.split(",") for row in rows], dtype=float).reshape(-1, 7)
     return A[:, :3], A[:, 3:5] / A[:, 5:6], A[:, 6]
+
+
+def recovered_field(flow) -> np.ndarray:
+    """w = I(v - a) per particle of a lattice flow: undo the shift, rotate
+    back."""
+    vu = flow.V - np.array([flow.shift.x1, flow.shift.x2])
+    return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
 def scalar_grid_min(m: float, lo: float = 0.0, hi: float = 1.0,

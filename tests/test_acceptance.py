@@ -33,13 +33,13 @@ from freedrift.lattice import (
     Window,
     arctan_profile,
     build_flow,
-    recovered_field,
     verify_flow,
 )
 from oracles import (
     greedy_direction_packing,
     line_distance_3d,
     line_grid_min_distance,
+    recovered_field,
     scalar_grid_min,
 )
 

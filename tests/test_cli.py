@@ -177,6 +177,23 @@ def test_verify_certifies_every_pair_of_window_100(tmp_path):
         assert report["passed"] == "true"
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_verify_of_window_1000_allocates_no_particle_arrays(tmp_path):
+    # 4,004,001 particles: P and V alone would take 128 MB. The flow is
+    # decided from its two axes of 2,001 values each.
+    out = tmp_path / "out"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "freedrift.cli", "--command", "verify",
+         "--window", "1000", "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss * 1024 < 100e6  # ru_maxrss is in KiB on Linux
+    report = parse_report(read(out / "flow_report.txt").decode())
+    assert report["pairs_checked"] == report["pairs_total"] == "8016010002000"
+    assert report["passed"] == "true"
+
+
 def test_cylinders_certifies_every_pair_of_window_100(tmp_path):
     out = tmp_path / "out"
     result = run_cli("--command", "cylinders", "--window", "100", "--out", out)

@@ -15,7 +15,7 @@ from freedrift.lattice import (
     DISK_RADIUS,
     MAX_PARTICLES,
     EmptyWindowError,
-    FlowAssignment,
+    FlowReport,
     MonotoneProfile,
     NonMonotoneProfileError,
     OutOfDomainError,
@@ -26,11 +26,11 @@ from freedrift.lattice import (
     named_profile,
     profile_eval,
     rational_profile,
-    recovered_field,
     table_profile,
     tanh_profile,
     verify_flow,
 )
+from oracles import recovered_field
 
 
 def all_profiles():
@@ -230,20 +230,15 @@ def test_verify_flow_3x3_example():
 
 
 def test_verify_flow_flags_duplicate_velocities():
-    # Equal velocities break V1's strict decrease in x1, so the certificate
-    # refuses the flow; the hard-core verifier decides it with the engine.
+    # Equal velocities break V1's strict decrease in x1: a flow refuses
+    # the axes that give them and the certificate refuses their arrays; the
+    # hard-core verifier decides those with the engine.
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    corrupted = FlowAssignment(
-        P=flow.P,
-        V=flow.V[[0, 0]],
-        shift=flow.shift,
-        speed_min=flow.speed_min,
-        speed_max=flow.speed_max,
-        disk_radius=flow.disk_radius,
-    )
-    with pytest.raises(ValueError, match="verify_hardcore"):
-        verify_flow(corrupted)
-    report = verify_hardcore(corrupted)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(flow, phi_x=flow.phi_x[:1] * 2)
+    V = flow.V[[0, 0]]
+    assert _pairscan.certify(flow.P, V) is None
+    report = verify_hardcore(MovingConfiguration(flow.P, V))
     assert report.mode == "exhaustive"
     assert (report.min_alltime_distance, report.witness_pair) == (1.0, (0, 1))
 
@@ -303,25 +298,74 @@ def test_flow_feeds_hardcore_verifier():
     assert report.passed
 
 
-def _with_velocities(flow, V):
-    return FlowAssignment(P=flow.P, V=V, shift=flow.shift,
-                          speed_min=flow.speed_min, speed_max=flow.speed_max,
-                          disk_radius=flow.disk_radius)
-
-
 def test_flow_speeds_are_measured_as_every_verifier_measures_them():
-    # np.hypot rounds the first speed one ulp above math.hypot here; the
-    # report must agree with evolution.speeds, as verify_scene does. The
-    # rows have the lattice structure: V0 shared along x2 = 0, V1 strictly
-    # decreasing in x1.
-    P = np.array([[0.0, 0.0], [1.0, 0.0]])
-    V = np.array([[0.535, 1.896], [0.535, 0.112]])
-    flow = FlowAssignment(P=P, V=V, shift=Vec2(0.0, 0.0), speed_min=0.0,
-                          speed_max=2.0, disk_radius=DISK_RADIUS)
+    # np.hypot rounds the fastest speed one ulp above math.hypot here; the
+    # report must agree with evolution.speeds, as verify_scene does.
+    phi = table_profile([(0, -0.132), (1, -0.062), (2, 1.332)])
+    flow = build_flow(phi, Window(0, 2, 0, 0), shift_margin=0.5)
     report = verify_flow(flow)
-    measured = speeds(V)
-    assert report.speed_measured_max == float(measured.max()) == 1.9700357864769866
+    measured = speeds(flow.V)
+    assert report.speed_measured_max == float(measured.max()) == 2.164821026502182
+    assert float(np.hypot(flow.V[:, 0], flow.V[:, 1]).max()) == 2.1648210265021826
     assert report.speed_measured_min == float(measured.min())
+
+
+def _report_from_arrays(flow):
+    """verify_flow's report as the flow's arrays give it: certify's result
+    (the engine's zero-pair scan for one particle) and evolution.speeds."""
+    P, V = flow.P, flow.V
+    scan = _pairscan.certify(P, V) if len(P) > 1 else _pairscan.scan(P, V)
+    measured = speeds(V)
+    lo, hi = float(measured.min()), float(measured.max())
+    ok = math.isfinite(hi) and flow.speed_min <= lo and hi <= flow.speed_max
+    margin = 0.0 if scan.pairs_total else math.inf
+    return FlowReport(
+        particle_count=len(P), min_distance=scan.min_distance,
+        witness_pair=scan.witness, chain_dot_margin=margin,
+        chain_norm_margin=margin, chain_failure_count=0, injective=True,
+        speed_measured_min=lo, speed_measured_max=hi,
+        speed_declared_min=flow.speed_min, speed_declared_max=flow.speed_max,
+        speeds_ok=ok, pairs_total=scan.pairs_total,
+        pairs_checked=scan.pairs_checked, mode=scan.mode, seed=None,
+        passed=ok, scan=scan)
+
+
+@pytest.mark.parametrize("phi", [
+    arctan_profile(), tanh_profile(), rational_profile(),
+    table_profile((n, n + 0.25 * math.sin(n)) for n in range(-40, 41)),
+], ids=["arctan", "tanh", "rational", "table"])
+def test_axes_decide_as_the_arrays_do(phi):
+    """verify_flow reads only the axes; its report, and the hard-core
+    report it hands its scan to, are those that the arrays give."""
+    windows = [Window(3, 3, -2, -2), Window(-4, 5, 1, 1), Window(2, 2, -3, 6),
+               Window(-3, 2, -1, 4), Window(1, 4, -6, -2),
+               *map(Window.square, (0, 1, 2, 32))]
+    for window, margin in itertools.product(windows, (0.0, 0.5, 2.0)):
+        try:
+            flow = build_flow(phi, window, margin)
+        except NonMonotoneProfileError:
+            continue  # tanh saturates before N = 32
+        report = verify_flow(flow)
+        hardcore = verify_hardcore(flow, scan=report.scan)
+        assert "P" not in vars(flow) and "V" not in vars(flow)
+        expected = _report_from_arrays(flow)
+        assert report == expected and report.scan == expected.scan
+        assert hardcore == verify_hardcore(MovingConfiguration(flow.P, flow.V))
+
+
+def test_a_flow_holds_only_axes_with_the_certified_structure():
+    flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), shift_margin=0.5)
+    assert [list(flow.row(k)) for k in range(len(flow))] == \
+        np.column_stack((flow.P, flow.V)).tolist()
+    for bad in [dict(phi_x=flow.phi_x[::-1]),
+                dict(phi_y=flow.phi_y[:-1]),
+                # Increasing, but equal once shifted.
+                dict(phi_y=tuple(k * 1e-17 for k in range(len(flow.phi_y)))),
+                dict(phi_x=(-math.inf, *flow.phi_x[1:])),
+                dict(shift=Vec2(flow.shift.x1, 1.0)),
+                dict(window=Window(2 ** 53 - 2, 2 ** 53 + 1, -1, 3))]:
+        with pytest.raises(ValueError, match="flow axes"):
+            dataclasses.replace(flow, **bad)
 
 
 def test_certified_reports_match_the_engine(monkeypatch):
@@ -350,13 +394,11 @@ def _nudged(V):
 @pytest.mark.parametrize("refused", [_nudged, lambda V: V[:, ::-1].copy()],
                          ids=["nudged", "swapped"])
 def test_refused_flow_runs_the_engine(refused):
-    # verify_flow decides by the certificate alone; the configuration of a
-    # flow it refuses goes to the hard-core verifier and its engine.
+    # The certificate refuses these velocities, which no flow holds; their
+    # configuration goes to the hard-core verifier and its engine.
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
     V = refused(flow.V)
     assert _pairscan.certify(flow.P, V) is None
-    with pytest.raises(ValueError, match="verify_hardcore"):
-        verify_flow(_with_velocities(flow, V))
     config = MovingConfiguration(flow.P, V)
     assert verify_hardcore(config) == verify_hardcore(
         config, scan=_pairscan.scan(flow.P, V))
@@ -449,10 +491,11 @@ def flow_inputs(draw):
 # phi(-1) = -sup|w|: a = sup|w| + 0.1 rounded down gave V0 below 0.1.
 @example((arctan_profile(), Window(0, 0, -1, 0), 0.1))
 def test_every_built_flow_is_certified(inputs):
-    """verify_flow raises for a flow of two or more particles that the
-    certificate refuses; build_flow never returns one, nor one whose speeds
-    overflow or leave the declared range. The recovered field then has the
-    structure that proves the inequality chain."""
+    """verify_flow's result on the axes is the certificate's on the arrays:
+    build_flow never returns a flow of two or more particles that the
+    certificate refuses, nor one whose speeds overflow or leave the
+    declared range. The recovered field then has the structure that proves
+    the inequality chain."""
     try:
         flow = build_flow(*inputs)
     except ValueError:
