@@ -31,23 +31,16 @@ _EXPORTS = {
     ),
     "falsifier": (
         "CandidateField",
-        "ChainCheckReport",
-        "Cone",
-        "ConeMembership",
         "Exhausted",
         "FieldKind",
         "ViolationReport",
         "builtin_field",
-        "chain_check",
         "clamped_linear_field",
-        "cone_contains",
         "constant_field",
-        "direction_capacity",
         "falsify",
         "grid_field",
         "rotational_field",
         "saturated_radial_field",
-        "violation_margin",
     ),
     "formats": ("ParseError",),
     "geometry": (
@@ -57,7 +50,6 @@ _EXPORTS = {
         "UndecidedError",
         "Vec2",
         "closest_approach",
-        "rotate_quarter",
     ),
     "lattice": (
         "EmptyWindowError",

@@ -48,6 +48,8 @@ EXHAUSTIVE_LIMIT = 10**7
 TILE_PAIRS = 1 << 13
 # Stands in for masked (non-)pairs: above every finite kernel value.
 _MASKED = np.finfo(float).max
+# Index pairs duplicate_rows lists; it counts every duplicate.
+_DUPLICATE_PAIRS = 16
 
 
 def pair_count(n: int) -> int:
@@ -397,11 +399,11 @@ def _unit_gaps(lo, hi):
     return unit
 
 
-def duplicate_rows(A, max_pairs: int = 16):
+def duplicate_rows(A):
     """Exactly equal rows of an (n, 2) array.
 
-    Returns (count, pairs) where pairs lists up to max_pairs index pairs
-    (i < j), each a duplicate adjacency in value-sorted order.
+    Returns (count, pairs) where pairs lists up to _DUPLICATE_PAIRS index
+    pairs (i < j), each a duplicate adjacency in value-sorted order.
     """
     n = len(A)
     if n < 2:
@@ -410,7 +412,7 @@ def duplicate_rows(A, max_pairs: int = 16):
     S = A[order]
     eq = np.flatnonzero((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
     pairs = []
-    for k in eq[:max_pairs]:
+    for k in eq[:_DUPLICATE_PAIRS]:
         a, b = int(order[k]), int(order[k + 1])
         pairs.append((min(a, b), max(a, b)))
     return int(len(eq)), tuple(sorted(pairs))

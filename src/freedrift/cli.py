@@ -132,8 +132,17 @@ def _parse_window(text: str):
         xs, ys = text.split(",", 1)
         x_lo, _, x_hi = xs.partition(":")
         y_lo, _, y_hi = ys.partition(":")
-        return Window(int(x_lo), int(x_hi), int(y_lo), int(y_hi))
-    n = int(text)
+        parts = (x_lo, x_hi, y_lo, y_hi)
+    else:
+        parts = (text,)
+    try:
+        bounds = [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"bad window {text!r}: expected N or "
+                         "x_lo:x_hi,y_lo:y_hi") from None
+    if len(bounds) == 4:
+        return Window(*bounds)
+    n, = bounds
     if n < 0:
         raise ValueError(f"square window size must be >= 0, got {n}")
     return Window.square(n)

@@ -66,7 +66,8 @@ class SceneReport:
     distances_ok: bool
     nonparallel_ok: bool
     duplicate_direction_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
-    # All duplicate directions; the pairs above list the first 16.
+    # All duplicate directions; the pairs above list the first
+    # _pairscan._DUPLICATE_PAIRS.
     duplicate_direction_count: int = field(
         metadata={"key": "duplicate_direction_pairs"})
     pairs_total: int

@@ -2,11 +2,10 @@
 
 No bounded continuous planar vector field w can keep
 |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| for every pair with |x-y| > 1; this
-module makes that failure observable. It provides the cone/chaining
-apparatus the impossibility argument uses, a library of bounded continuous
-candidate fields, and a deterministic search that exhibits violating
-pairs. Equality (including dw = 0) already defeats the strict inequality,
-so the search accepts margin >= 0.
+module makes that failure observable. It provides a library of bounded
+continuous candidate fields and a deterministic search that exhibits
+violating pairs. Equality (including dw = 0) already defeats the strict
+inequality, so the search accepts margin >= 0.
 
 The search runs five stages in order: far-field probes at fixed radii,
 pairs at radii scaled by bound/c ("scaled"), seeded random pairs, a
@@ -46,52 +45,7 @@ import numpy as np
 
 from ._pairscan import math_map
 from .formats import UNREPORTED
-from .geometry import CHAIN_TOL, DEFAULT_SEED, Vec2, dot, norm, sub
-
-
-class ZeroAxisError(ValueError):
-    """Cone axis must be nonzero."""
-
-
-class DegenerateSegmentError(ValueError):
-    """Chain subdivision needs segment length > 1."""
-
-
-def direction_capacity(aperture_cos: float) -> int:
-    """How many pairwise 2*arcsin(a)-separated directions fit on a circle."""
-    if not (0.0 < aperture_cos < 1.0):
-        raise ValueError("aperture cosine must lie in (0, 1)")
-    return math.floor(math.pi / math.asin(aperture_cos))
-
-
-@dataclass(frozen=True, slots=True)
-class Cone:
-    """Closed convex cone {z : <axis, z> >= aperture_cos |axis| |z|}."""
-
-    axis: Vec2
-    aperture_cos: float
-
-    def __post_init__(self) -> None:
-        if self.axis.x1 == 0.0 and self.axis.x2 == 0.0:
-            raise ZeroAxisError("cone axis must be nonzero")
-        if not (0.0 < self.aperture_cos < 1.0):
-            raise ValueError("aperture cosine must lie in (0, 1)")
-
-    @property
-    def half_angle(self) -> float:
-        return math.asin(self.aperture_cos)
-
-
-@dataclass(frozen=True, slots=True)
-class ConeMembership:
-    margin: float
-    member: bool
-
-
-def cone_contains(cone: Cone, z: Vec2) -> ConeMembership:
-    """Membership with margin <u,z> - a|u||z|; zero is a member (margin 0)."""
-    margin = dot(cone.axis, z) - cone.aperture_cos * norm(cone.axis) * norm(z)
-    return ConeMembership(margin=margin, member=margin >= 0.0)
+from .geometry import DEFAULT_SEED, Vec2, norm
 
 
 class FieldKind(enum.Enum):
@@ -104,11 +58,10 @@ class FieldKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CandidateField:
-    """Bounded continuous field; evaluate() never exceeds bound in norm.
+    """Bounded continuous field; its values never exceed bound in norm.
 
-    `_kernel(x1, x2) -> (w1, w2)` is the array form of the field over
-    float64 coordinate arrays, picked once per kind; `evaluate` wraps it
-    for one `Vec2` point.
+    `_kernel(x1, x2) -> (w1, w2)` evaluates the field on float64
+    coordinate arrays, picked once per kind.
     """
 
     kind: FieldKind
@@ -140,26 +93,13 @@ class CandidateField:
                 raise ValueError("grid rows must have equal length")
         object.__setattr__(self, "_kernel", _KERNELS[self.kind](self))
 
-    def evaluate(self, p: Vec2) -> Vec2:
-        # Overflow gives inf as in scalar floats, not a warning.
-        with np.errstate(all="ignore"):
-            w1, w2 = self._kernel(np.array([p.x1]), np.array([p.x2]))
-        return Vec2(float(w1[0]), float(w2[0]))
-
-
-def _values(field: CandidateField, x1: list[float], x2: list[float]) -> list[Vec2]:
-    """field.evaluate at each point (x1[i], x2[i]), from one kernel call."""
-    with np.errstate(all="ignore"):
-        w1, w2 = field._kernel(np.array(x1, dtype=float), np.array(x2, dtype=float))
-    return list(map(Vec2, w1.tolist(), w2.tolist()))
-
 
 # Each kernel maps arrays of coordinates (x1, x2) to the field values
 # (w1, w2) as two float64 arrays. `CandidateField` picks its kernel once, so
-# every evaluation (the search, `evaluate`, the chain check) runs the
-# same arithmetic. Each element is the scalar formula's CPython float, by
-# the rule in the module docstring: `math_map` for hypot, and
-# `_pymax`/`_pymin` where the formula uses Python's max and min.
+# every evaluation of a field runs the same arithmetic. Each element is the
+# scalar formula's CPython float, by the rule in the module docstring:
+# `math_map` for hypot, and `_pymax`/`_pymin` where the formula uses
+# Python's max and min.
 
 def _pymax(a, b):
     """Python's max(a, b) elementwise: b only where b > a."""
@@ -280,58 +220,11 @@ _BUILTIN = {
     "rotational": rotational_field,
     "linear": clamped_linear_field,
 }
-BUILTIN_FIELDS = tuple(_BUILTIN)
-
-
 def builtin_field(name: str, bound: float = 1.0) -> CandidateField:
     if name not in _BUILTIN:
         raise ValueError(f"unknown field {name!r}; "
                          f"expected one of {sorted(_BUILTIN)} or a grid file")
     return _BUILTIN[name](bound)
-
-
-@dataclass(frozen=True)
-class ChainCheckReport:
-    """One run of the subdivision argument along [x, y]."""
-
-    segment_length: float
-    n: int
-    step_length: float
-    increment_margins: tuple[float, ...]
-    increments_in_cone: bool
-    sum_margin: float
-    sum_in_cone: bool
-    convexity_respected: bool
-
-
-def chain_check(field: CandidateField, x: Vec2, y: Vec2,
-                a: float) -> ChainCheckReport:
-    """Subdivide [x, y] into n = ceil(L/2) steps of length in (1, 2] and
-    test each increment w(z_i) - w(z_{i+1}), plus their telescoped total,
-    against the cone around x - y."""
-    length = norm(sub(x, y))
-    if not length > 1.0:
-        raise DegenerateSegmentError(f"segment length {length} <= 1")
-    n = math.ceil(length / 2.0)
-    cone = Cone(sub(x, y), a)
-    values = _values(field, [x.x1 + (i / n) * (y.x1 - x.x1) for i in range(n + 1)],
-                     [x.x2 + (i / n) * (y.x2 - x.x2) for i in range(n + 1)])
-    margins = tuple(
-        cone_contains(cone, sub(values[i], values[i + 1])).margin
-        for i in range(n)
-    )
-    total = cone_contains(cone, sub(values[0], values[n]))
-    all_in = all(m >= 0.0 for m in margins)
-    return ChainCheckReport(
-        segment_length=length,
-        n=n,
-        step_length=length / n,
-        increment_margins=margins,
-        increments_in_cone=all_in,
-        sum_margin=total.margin,
-        sum_in_cone=total.member,
-        convexity_respected=(not all_in) or total.margin >= -CHAIN_TOL,
-    )
 
 
 @dataclass(frozen=True)
@@ -377,15 +270,6 @@ class Exhausted:
     note: str = BUDGET_SPENT
 
 
-def violation_margin(field: CandidateField, c: float,
-                     x: Vec2, y: Vec2) -> float:
-    """c |dw| - |<x-y, dw>|, the quantity falsify maximizes."""
-    wx = field.evaluate(x)
-    wy = field.evaluate(y)
-    dw = sub(wx, wy)
-    return c * norm(dw) - abs(dot(sub(x, y), dw))
-
-
 _PROBE_RADII = (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0)
 _PROBE_ANGLES = 16
 # The scaled stage's pairs x = (r, 0), y = (r + g)(cos t, sin t) with
@@ -417,9 +301,9 @@ class _Search:
     """Budgeted, seeded pair search; shared state across stages.
 
     Pairs come in float64 arrays (x1, x2, y1, y2) and are decided as a
-    batch; `Vec2` is built only for the result. The arithmetic is that of
-    `violation_margin`, in the same order, and every decision is the one a
-    pair-by-pair pass would make.
+    batch; `Vec2` is built only for the result. The margin is
+    c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y), and every decision is the
+    one a pair-by-pair pass would make.
     """
 
     def __init__(self, field: CandidateField, c: float, budget: int):

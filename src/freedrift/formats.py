@@ -381,22 +381,6 @@ def report_items(report) -> dict:
     return items
 
 
-def parse_report(text: str) -> dict[str, str]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != REPORT_HEADER:
-        raise ParseError(1, f"expected header {REPORT_HEADER!r}")
-    out: dict[str, str] = {}
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(ln, "expected `key = value`")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key-value config: `key = value`, blank lines and # comments."""
     out: dict[str, str] = {}

@@ -1,9 +1,9 @@
 """Planar and space-time vector kinematics.
 
-Scalar building blocks for everything else in the package: the quarter-turn
-rotation, the closest point of approach for two linearly moving points, and
-the result of a decision over every pair of a configuration. All arithmetic
-is IEEE double precision, and nothing here needs numpy.
+Scalar building blocks for everything else in the package: the closest
+point of approach for two linearly moving points, and the result of a
+decision over every pair of a configuration. All arithmetic is IEEE double
+precision, and nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 PARALLEL_EPS = 1e-12
 # Absolute tolerance for ">=" verdicts on distances.
 DISTANCE_TOL = 1e-9
-# Slack on the inequality chain margins before a pair counts as failing.
-CHAIN_TOL = 1e-12
 # The falsifier's default seed, and so the CLI's --seed default.
 DEFAULT_SEED = 0x5EED
 # The positive normal doubles.
@@ -60,10 +58,6 @@ class PairApproach:
     distance: float
     time_at_min: float | None
 
-    @property
-    def at_all_times(self) -> bool:
-        return self.time_at_min is None
-
 
 @dataclass(frozen=True)
 class PairScan:
@@ -92,15 +86,6 @@ def norm(u: Vec2) -> float:
     return math.hypot(u.x1, u.x2)
 
 
-def rotate_quarter(u: Vec2) -> Vec2:
-    """Rotate a planar vector by a quarter turn counterclockwise.
-
-    Applying it four times returns the argument; norms are preserved and the
-    result is orthogonal to the argument.
-    """
-    return Vec2(-u.x2, u.x1)
-
-
 def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
     """Closest approach of two points moving with constant velocities.
 
@@ -111,7 +96,7 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
     Returns:
         PairApproach with the infimum over all (signed) times of
         ``|(x + t vx) - (y + t vy)|`` and the minimizing time. Equal
-        velocities give the constant separation with the all-times marker.
+        velocities give the constant separation and time_at_min None.
 
     Raises:
         IdenticalParticleError: if the points coincide and move identically.
@@ -122,7 +107,9 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
         if dx.x1 == 0.0 and dx.x2 == 0.0:
             raise IdenticalParticleError("coincident particles with equal velocities")
         return PairApproach(distance=norm(dx), time_at_min=None)
-    distance = abs(dot(dx, rotate_quarter(dv))) / norm(dv)
+    # The offset's component across the relative velocity (dv turned a
+    # quarter counterclockwise).
+    distance = abs(dot(dx, Vec2(-dv.x2, dv.x1))) / norm(dv)
     speed2 = dot(dv, dv)
     if _NORMAL_MIN <= speed2 <= _NORMAL_MAX:
         time_at_min = -dot(dx, dv) / speed2

@@ -107,7 +107,8 @@ def rational_profile() -> MonotoneProfile:
 
 def table_profile(pairs) -> MonotoneProfile:
     table = tuple((int(n), float(v)) for n, v in pairs)
-    bound = max(abs(v) for _, v in table)
+    # An empty table reaches MonotoneProfile's check on its rows.
+    bound = max((abs(v) for _, v in table), default=0.0)
     return MonotoneProfile(ProfileKind.TABLE_DRIVEN, table=table, bound=bound)
 
 

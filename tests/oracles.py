@@ -16,12 +16,19 @@ form of the worldline kernel, itself checked against the grid and exact
 oracles, and `read_scene` reads an exported scene back into arrays.
 `recovered_field` undoes a flow's shift and quarter turn, for the tests of
 the inequality chain that the flow verifier proves without computing it.
+The cone and segment-chaining apparatus of the impossibility argument
+(`Cone`, `chain_check`, `direction_capacity`), which no command runs, is
+kept here for the criteria that check it; `chain_check` and
+`violation_margin` evaluate fields point by point with
+`reference_evaluate`. `parse_report` reads an emitted report back.
 """
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from freedrift.falsifier import (
     FieldKind,
     ViolationReport,
 )
-from freedrift.formats import PARTICLES_HEADER, ParseError, fmt_float
+from freedrift.formats import PARTICLES_HEADER, REPORT_HEADER, ParseError, fmt_float
 from freedrift.geometry import PARALLEL_EPS, Vec2, dot, norm, sub
 
 
@@ -196,6 +203,29 @@ def recovered_field(flow) -> np.ndarray:
     return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
+def rotate_quarter(u):
+    """u turned a quarter counterclockwise, as `closest_approach` turns the
+    relative velocity."""
+    return Vec2(-u.x2, u.x1)
+
+
+def parse_report(text: str) -> dict[str, str]:
+    """The `key = value` lines of an emitted report, values as str."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != REPORT_HEADER:
+        raise ParseError(1, f"expected header {REPORT_HEADER!r}")
+    out = {}
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(ln, "expected `key = value`")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
 def scalar_grid_min(m: float, lo: float = 0.0, hi: float = 1.0,
                     step: float = 1e-5):
     """Single fine-grid minimum of (1 - m*u)^2 + u^2; returns (value, argmin)."""
@@ -227,6 +257,50 @@ def greedy_direction_packing(delta: float) -> int:
         if ok:
             accepted.append(theta)
     return len(accepted)
+
+
+def direction_capacity(aperture_cos: float) -> int:
+    """How many pairwise 2*arcsin(a)-separated directions fit on a circle."""
+    if not 0.0 < aperture_cos < 1.0:
+        raise ValueError("aperture cosine must lie in (0, 1)")
+    return math.floor(math.pi / math.asin(aperture_cos))
+
+
+class ZeroAxisError(ValueError):
+    """Cone axis must be nonzero."""
+
+
+class DegenerateSegmentError(ValueError):
+    """Chain subdivision needs segment length > 1."""
+
+
+@dataclass(frozen=True)
+class Cone:
+    """Closed convex cone {z : <axis, z> >= aperture_cos |axis| |z|}."""
+
+    axis: Vec2
+    aperture_cos: float
+
+    def __post_init__(self):
+        if self.axis.x1 == 0.0 and self.axis.x2 == 0.0:
+            raise ZeroAxisError("cone axis must be nonzero")
+        if not 0.0 < self.aperture_cos < 1.0:
+            raise ValueError("aperture cosine must lie in (0, 1)")
+
+    @property
+    def half_angle(self) -> float:
+        return math.asin(self.aperture_cos)
+
+
+class ConeMembership(NamedTuple):
+    margin: float
+    member: bool
+
+
+def cone_contains(cone: Cone, z) -> ConeMembership:
+    """Membership with margin <u,z> - a|u||z|; zero is a member (margin 0)."""
+    margin = dot(cone.axis, z) - cone.aperture_cos * norm(cone.axis) * norm(z)
+    return ConeMembership(margin, margin >= 0.0)
 
 
 def reference_evaluate(field, p):
@@ -264,6 +338,50 @@ def reference_evaluate(field, p):
     a1 = (w01[0] * (1 - fu) + w11[0] * fu, w01[1] * (1 - fu) + w11[1] * fu)
     return Vec2(a0[0] * (1 - fv) + a1[0] * fv,
                 a0[1] * (1 - fv) + a1[1] * fv)
+
+
+@dataclass(frozen=True)
+class ChainCheckReport:
+    """One run of the subdivision argument along [x, y]."""
+
+    n: int
+    step_length: float
+    increment_margins: tuple[float, ...]
+    increments_in_cone: bool
+    sum_margin: float
+    sum_in_cone: bool
+    convexity_respected: bool
+
+
+def chain_check(field, x, y, a: float) -> ChainCheckReport:
+    """Subdivide [x, y] into n = ceil(L/2) steps of length in (1, 2] and
+    test each increment w(z_i) - w(z_{i+1}), plus their telescoped total,
+    against the cone around x - y. Convexity holds when some increment is
+    outside the cone or the total misses it by at most 1e-12."""
+    length = norm(sub(x, y))
+    if not length > 1.0:
+        raise DegenerateSegmentError(f"segment length {length} <= 1")
+    n = math.ceil(length / 2.0)
+    cone = Cone(sub(x, y), a)
+    values = [reference_evaluate(field, Vec2(x.x1 + (i / n) * (y.x1 - x.x1),
+                                             x.x2 + (i / n) * (y.x2 - x.x2)))
+              for i in range(n + 1)]
+    margins = tuple(cone_contains(cone, sub(values[i], values[i + 1])).margin
+                    for i in range(n))
+    total = cone_contains(cone, sub(values[0], values[n]))
+    all_in = all(m >= 0.0 for m in margins)
+    return ChainCheckReport(
+        n=n, step_length=length / n, increment_margins=margins,
+        increments_in_cone=all_in, sum_margin=total.margin,
+        sum_in_cone=total.member,
+        convexity_respected=not all_in or total.margin >= -1e-12)
+
+
+def violation_margin(field, c: float, x, y) -> float:
+    """c |dw| - |<x-y, dw>|, dw = w(x) - w(y): the margin falsify
+    reports."""
+    dw = sub(reference_evaluate(field, x), reference_evaluate(field, y))
+    return c * norm(dw) - abs(dot(sub(x, y), dw))
 
 
 class _ReferenceSearch:

@@ -18,16 +18,7 @@ import pytest
 
 from freedrift import cylinders as cyl
 from freedrift.evolution import MovingConfiguration, verify_hardcore
-from freedrift.falsifier import (
-    Cone,
-    ViolationReport,
-    builtin_field,
-    chain_check,
-    cone_contains,
-    direction_capacity,
-    falsify,
-    violation_margin,
-)
+from freedrift.falsifier import ViolationReport, builtin_field, falsify
 from freedrift.geometry import Vec2, closest_approach
 from freedrift.lattice import (
     Window,
@@ -36,11 +27,16 @@ from freedrift.lattice import (
     verify_flow,
 )
 from oracles import (
+    Cone,
+    chain_check,
+    cone_contains,
+    direction_capacity,
     greedy_direction_packing,
     line_distance_3d,
     line_grid_min_distance,
     recovered_field,
     scalar_grid_min,
+    violation_margin,
 )
 
 WINDOW_NS = (1, 5, 25, 50)

@@ -10,10 +10,10 @@ import pytest
 
 from freedrift import _pairscan, cli, cylinders, evolution
 from freedrift.evolution import speeds
-from freedrift.formats import parse_particles, parse_report, particles_document
+from freedrift.formats import parse_particles, particles_document
 from freedrift.lattice import Window, arctan_profile, build_flow
 
-from oracles import read_scene
+from oracles import parse_report, read_scene
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
@@ -479,6 +479,27 @@ def test_overflowing_speed_bound_is_input_error(tmp_path, command):
     assert result.returncode == 2
     assert result.stderr.startswith("error: speed bound a + sup|w| ")
     assert "overflows" in result.stderr
+    assert not out.exists()
+
+
+def test_empty_table_profile_is_input_error(tmp_path, capsys):
+    table = tmp_path / "profile.csv"
+    table.write_text("# n,value rows, none yet\n")
+    out = tmp_path / "out"
+    assert cli.main(["--command", "verify", "--profile", f"table:{table}",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: table profile needs at least two entries\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["3,", "1,2", "1:2", "a", "2.5"])
+def test_malformed_window_names_the_value_and_the_forms(tmp_path, capsys, window):
+    out = tmp_path / "out"
+    assert cli.main(["--command", "verify", "--window", window,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: bad window {window!r}: "
+                                       "expected N or x_lo:x_hi,y_lo:y_hi\n")
     assert not out.exists()
 
 

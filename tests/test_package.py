@@ -1,11 +1,13 @@
 """Package hygiene: the lazy export table, what importing the package and
 running each command loads, and, read from the source with ast, no import
-that its scope never uses."""
+that its scope never uses and no definition that the package never names."""
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import freedrift
 
 PACKAGE = Path(freedrift.__file__).parent
+TESTS = Path(__file__).parent
 TABLE = [name for names in freedrift._EXPORTS.values() for name in names]
 
 
@@ -98,7 +101,9 @@ def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     assert loaded & absent == set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     tree = _tree(path)
     # Each import must be used in its scope: the module for module-level
@@ -112,3 +117,35 @@ def test_no_unused_module_imports(path):
         unused |= {f"{name} (line {line})" for name, line in _imported(scope)
                    if name not in used}
     assert sorted(unused) == []
+
+
+def _definitions(tree):
+    """Names of the top-level functions, classes and assignments of a module
+    and of the methods of its classes, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = [node.name, *(item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef))]
+        elif isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if not name.startswith("__"))
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # Each definition must be named somewhere in the package besides its
+    # own definition: code that nothing in the package reaches belongs in
+    # the tests. The export table of __init__.py names nothing in this sense.
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    defined = Counter(name for source in sources
+                      for name in _definitions(ast.parse(source)))
+    text = "\n".join(sources)
+    unnamed = [name for name, count in defined.items()
+               if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count]
+    assert sorted(unnamed) == []
