@@ -3,9 +3,8 @@
 Shared by the flow, hard-core, and cylinder verifiers. `scan` evaluates
 every requested kernel on the same pairs in a single pass: closest approach
 always (every verdict rests on it) and worldline distance on request. A
-command makes at most one pass: `cylinders` scans both kernels once and
-hands the result to the hard-core verifier, as `verify` hands it the flow
-verifier's.
+command makes at most one pass: `cylinders` scans both kernels once, and
+its hard-core gate reads the closest-approach minimum of that pass.
 
 The pass walks tiles of about TILE_PAIRS pairs, a block of rows against a
 block of columns, as broadcast differences of contiguous slices, so memory
@@ -27,10 +26,12 @@ O(n log n), the structure under which every closest approach is at least 1
 with equality exactly at unit axis pairs, and then reports the exact
 minimum over all pairs without visiting them. On request it also gives the
 exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
-in absolute value, rounded down to a double. `decide` is the one pair
-decision of the hard-core and scene verifiers: the certificate, or `scan`
-when it returns None. The flow verifier reads no array: from a flow's two
-axes it gives the result that certify gives on the flow's arrays.
+in absolute value, rounded down to a double. `decide` is the pair
+decision of every configuration held as arrays
+(evolution.MovingConfiguration.decide) and of the scene verifier: the
+certificate, or `scan` when it returns None. A lattice flow decides its
+pairs without them (lattice.FlowAssignment.decide): from its two axes it
+gives the result that certify gives on its arrays.
 
 PairScan and UndecidedError live in geometry, which loads no numpy.
 """

@@ -163,7 +163,7 @@ def _parse_field(text: str):
     if text.startswith("grid:"):
         from .formats import parse_particles
         path = text[len("grid:"):]
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             return _grid_from_samples(*parse_particles(handle.read()))
     return builtin_field(text)
 
@@ -198,7 +198,7 @@ def _load_configuration(config: RunConfig):
     if config.particles:
         from .evolution import MovingConfiguration
         from .formats import parse_particles
-        with open(config.particles) as handle:
+        with open(config.particles, "rb") as handle:
             return MovingConfiguration(*parse_particles(handle.read()))
     from .lattice import build_flow
     return build_flow(_parse_profile(config.profile),
@@ -238,13 +238,11 @@ def _cmd_verify(config: RunConfig) -> int:
     from .evolution import verify_hardcore
     from .formats import fmt_float, report_document, report_items
     configuration = _load_configuration(config)
-    flow_report = scan = None
+    flow_report = None
     if not config.particles:
         from .lattice import verify_flow
-        # The flow report's scan serves the hard-core report too.
         flow_report = verify_flow(configuration)
-        scan = flow_report.scan
-    hardcore = verify_hardcore(configuration, config.threshold, scan=scan)
+    hardcore = verify_hardcore(configuration, config.threshold)
     items = report_items(hardcore)
     if hardcore.witness_pair is not None and hardcore.witness_time is None:
         items["witness_time"] = "all-times"

@@ -12,7 +12,9 @@ For a lattice flow the verification needs no pass over the pairs: the
 structural certificate gives the worldline minimum 1/sqrt(1+S^2), S the
 largest velocity component in absolute value, rounded down; since S <= M
 it is at least the floor, up to the rounding of both. Other configurations
-go through the pair engine.
+go through the pair engine. Either way one decision gives both the
+closest-approach minimum, which must clear 1, and the worldline minimum,
+each judged by evolution.clears, the rule of every distance verdict.
 """
 from __future__ import annotations
 
@@ -22,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pairscan
-from .evolution import MovingConfiguration, speeds, verify_hardcore
+from .evolution import MovingConfiguration, clears, speeds
 from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
-from .geometry import DISTANCE_TOL
 
 SCENE_HEADER = "cylinder-scene v1"
 
@@ -89,8 +90,9 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
     One _pairscan.decide, with worldline, decides every pair: the
     structural certificate (mode "exhaustive-structural", its worldline
     minimum rounded down) or else the pair engine (mode "exhaustive"), or
-    it raises _pairscan.UndecidedError. Either way the distances pass at
-    the floor less DISTANCE_TOL.
+    it raises _pairscan.UndecidedError. Its closest-approach minimum must
+    clear 1 (evolution.clears), else HardCoreNotVerifiedError, and its
+    worldline minimum is held to the floor by the same rule.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -107,12 +109,11 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
     scan = _pairscan.decide(P, V, worldline=True)
-    hardcore = verify_hardcore(config, 1.0, scan=scan)
-    if not hardcore.passed:
+    if not clears(scan.min_distance, 1.0):
         raise HardCoreNotVerifiedError(
-            f"all-time minimum distance {hardcore.min_alltime_distance} < 1")
+            f"all-time minimum distance {scan.min_distance} < 1")
 
-    distances_ok = bool(scan.line_distance >= floor - DISTANCE_TOL)
+    distances_ok = clears(scan.line_distance, floor)
     dup_count, dup_pairs = _pairscan.duplicate_rows(V)
 
     return SceneReport(

@@ -5,11 +5,15 @@ A configuration is a finite set of particles, each a position plus a
 constant velocity, held as two (n, 2) float64 arrays P and V. Results are
 exact for the pairs present; a finite window says nothing about particles
 outside it. A lattice.FlowAssignment is read the same way, through P, V,
-len and row, and builds its arrays only when P or V is read.
+len, row and decide, and builds its arrays only when P or V is read.
+verify_hardcore asks the configuration for its decision over all pairs,
+decide(), which a flow gives from its two axes. Every distance verdict,
+here and in cylinders, goes through clears, the one place DISTANCE_TOL
+enters a verdict.
 
 numpy is imported by the functions that make or read whole arrays, so
-HardCoreReport, DISK_RADIUS and verify_hardcore handed a scan load without
-it.
+HardCoreReport, DISK_RADIUS, clears and verify_hardcore on a flow load
+without it.
 """
 from __future__ import annotations
 
@@ -32,6 +36,11 @@ DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
 
 class BadRangeError(ValueError):
     """Raised for an empty or inverted snapshot time range."""
+
+
+def clears(distance: float, bound: float) -> bool:
+    """The verdict distance >= bound, with the one slack DISTANCE_TOL."""
+    return bool(distance >= bound - DISTANCE_TOL)
 
 
 def speeds(V) -> np.ndarray:
@@ -82,6 +91,11 @@ class MovingConfiguration:
         """Particle k as (x1, x2, v1, v2)."""
         return (*self.P[k].tolist(), *self.V[k].tolist())
 
+    def decide(self) -> PairScan:
+        """Every pair's closest approach: _pairscan.decide on P and V."""
+        from ._pairscan import decide
+        return decide(self.P, self.V)
+
     def __len__(self) -> int:
         return len(self.P)
 
@@ -115,43 +129,37 @@ def slice_at(config: MovingConfiguration, t: float) -> np.ndarray:
 
 
 def verify_hardcore(config: MovingConfiguration,
-                    threshold: float = DEFAULT_THRESHOLD, *,
-                    scan: PairScan | None = None) -> HardCoreReport:
+                    threshold: float = DEFAULT_THRESHOLD) -> HardCoreReport:
     """All-time minimum pairwise distance versus a threshold.
 
-    _pairscan.decide decides every pair: the structural certificate for a
-    configuration with the structure of a lattice flow, exactly, mode
-    "exhaustive-structural"; otherwise the pair engine (closed-form closest
-    approach), mode "exhaustive", which past _pairscan.EXHAUSTIVE_LIMIT
-    pairs raises UndecidedError. The witness is the lexicographically
-    smallest minimizing pair.
-
-    scan, when given, already decides this configuration's pairs: the
-    result verify_flow rests on (a zero-pair scan for one particle) or
-    verify_scene's decision. It is used instead of deciding again, and
-    then only len(config) and the witness's two rows are read.
+    config.decide() decides every pair. For a MovingConfiguration that is
+    _pairscan.decide: the structural certificate for a configuration with
+    the structure of a lattice flow, exactly, mode "exhaustive-structural";
+    otherwise the pair engine (closed-form closest approach), mode
+    "exhaustive", which past _pairscan.EXHAUSTIVE_LIMIT pairs raises
+    UndecidedError. A lattice.FlowAssignment gives the certificate's result
+    from its two axes, so it builds no arrays. The witness is the
+    lexicographically smallest minimizing pair; only its two rows are read
+    besides the decision.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    if scan is None:
-        from ._pairscan import decide
-        scan = decide(config.P, config.V)
+    scan = config.decide()
     witness_time: float | None = None
     if scan.witness is not None:
         p, q = (config.row(k) for k in scan.witness)
         witness_time = closest_approach(
             Vec2(*p[:2]), Vec2(*p[2:]), Vec2(*q[:2]), Vec2(*q[2:])).time_at_min
-    margin = scan.min_distance - threshold
     return HardCoreReport(
         particle_count=len(config),
         min_alltime_distance=scan.min_distance,
         witness_pair=scan.witness,
         witness_time=witness_time,
         passed_threshold=threshold,
-        margin=margin,
-        passed=bool(scan.min_distance >= threshold - DISTANCE_TOL),
+        margin=scan.min_distance - threshold,
+        passed=clears(scan.min_distance, threshold),
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,

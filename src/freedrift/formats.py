@@ -15,7 +15,8 @@ exponent, is guessed from log10 and checked against the digit count. Every
 other value, and any row the checks reject, goes through format(x, ".17g").
 Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
 the memory they hold is bounded by a block whatever the row count, and
-parse_particles likewise reads rows a block at a time.
+parse_particles likewise reads rows a block at a time, from the file's
+bytes.
 
 numpy is imported by the column functions themselves, so the report,
 config and table formats and write_text_atomic load without it.
@@ -26,7 +27,6 @@ import dataclasses
 import itertools
 import math
 import os
-import tempfile
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -58,8 +58,8 @@ _ROW_BLOCK = 8192
 # followed by a slot for the decimal point. Longer than any ".17g" string.
 _WIDTH = 39
 _WRITE_SLICE = 1 << 20
-# parse_particles reads rows a block of at least this many characters at a
-# time; each block runs on to the end of its last line.
+# parse_particles reads rows a block of at least this many bytes at a time;
+# each block runs on to the end of its last line.
 _PARSE_BLOCK = 1 << 16
 # The characters of a plain particle row besides its commas and newline.
 _NUMBER_CHARS = b"0123456789+-.eE"
@@ -280,72 +280,87 @@ def _parse_lines(lines, first_line: int) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 4)
 
 
-def _plain_rows(block: str) -> np.ndarray | None:
+def _plain_rows(block: bytes) -> np.ndarray | None:
     """The rows of a block of plain rows as an (r, 4) array, else None.
 
     A plain row is ASCII digits, signs, points and exponent letters with
     exactly three commas, ending in a newline; deleting all but the commas
-    and newlines of a plain block leaves ",,,\n" once per row.
+    and newlines of a plain block leaves ",,,\n" once per row, and any
+    other byte, ASCII or not, is left over.
     """
     import numpy as np
     # A last row without its newline ("1,2,3,4\n55") would pass the comma
     # check below with its fields silently dropped.
-    if not block.isascii() or not block.endswith("\n"):
+    if not block.endswith(b"\n"):
         return None
-    data = block.encode("ascii")
-    r = data.count(b"\n")
-    if data.translate(None, _NUMBER_CHARS) != b",,,\n" * r:
+    r = block.count(b"\n")
+    if block.translate(None, _NUMBER_CHARS) != b",,,\n" * r:
         return None
     try:
-        values = np.fromiter(map(float, data.replace(b"\n", b",").split(b",")),
+        values = np.fromiter(map(float, block.replace(b"\n", b",").split(b",")),
                              float, 4 * r)
     except ValueError:  # an empty field, "1e" and the like: the line loop reports it
         return None
     return values.reshape(r, 4)
 
 
-def _parse_blocks(text: str, start: int, ln: int):
-    """The rows of text[start:], its first line numbered ln, as (r, 4)
-    arrays, one block of at least _PARSE_BLOCK characters at a time."""
-    while start < len(text):
-        stop = text.find("\n", start + _PARSE_BLOCK - 1) + 1 or len(text)
-        block = text[start:stop]
-        start = stop
-        A = _plain_rows(block)
+def _parse_blocks(data: bytes, start: int, ln: int, eol: bytes):
+    """The rows of data[start:], its first line numbered ln, as (r, 4)
+    arrays, one block of at least _PARSE_BLOCK bytes at a time. Each block
+    ends at an eol byte, "\n", or "\r" in a file without "\n"; that byte is
+    never part of a multi-byte character, so a block that is not plain is
+    decoded as UTF-8 on its own."""
+    while start < len(data):
+        stop = data.find(eol, start + _PARSE_BLOCK - 1) + 1 or len(data)
+        block = data[start:stop]
+        # Rows ending in "\r\n" or "\r" are plain too: str.splitlines, which
+        # numbers the lines of the other blocks, ends a line there as at "\n".
+        A = _plain_rows(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
         if A is None:
-            lines = block.splitlines()
+            try:
+                lines = block.decode().splitlines()
+            except UnicodeDecodeError as exc:
+                # The position counts from the start of the data.
+                raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
+                                         start + exc.end, exc.reason) from None
             A = _parse_lines(lines, ln)
             ln += len(lines)
         else:
             _check_finite(A, range(ln, ln + len(A)))
             ln += len(A)
+        start = stop
         yield A
 
 
-def parse_particles(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities, (n, 2) float64 arrays, of a particles file.
+def parse_particles(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities, (n, 2) float64 arrays, of the bytes of a
+    particles file, UTF-8 text.
 
-    Blank lines are skipped. The first bad line raises ParseError with its
-    line number: a wrong field count, a field that is not a number, or a
-    NaN or infinity.
+    Blank lines are skipped, and lines end as str.splitlines ends them.
+    The first bad line raises ParseError with its line number: a wrong
+    field count, a field that is not a number, or a NaN or infinity. Bytes
+    that are not UTF-8 raise UnicodeDecodeError, a ValueError.
 
     The rows are read a block at a time (_parse_blocks) into preallocated
-    arrays, so the memory held besides the text and the result is bounded
-    by a block. A block of plain rows (_plain_rows) goes through one split
-    and one map(float); any other block, or one that float rejects, goes
-    line by line.
+    arrays, so the memory held besides the data and the result is bounded
+    by a block; blocks end at "\n", or at "\r" when the data has no "\n".
+    A block of plain rows (_plain_rows) goes through one split
+    and one map(float) on its bytes; any other block, or one that float
+    rejects, is decoded and goes line by line.
     """
     import numpy as np
-    head = text[:text.find("\n") + 1] or text
-    lines = head.splitlines()
+    # A file whose lines end in "\r" alone has no "\n" to split blocks at.
+    eol = b"\n" if b"\n" in data else b"\r"
+    head = data[:data.find(eol) + 1] or data
+    lines = head.decode().splitlines()
     if not lines or lines[0].strip() != PARTICLES_HEADER:
         raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
-    # Exact for plain rows; grown when line breaks other than "\n" make more.
-    capacity = text.count("\n", len(head)) + (not text.endswith("\n"))
+    # Exact for plain rows; grown when other line breaks make more.
+    capacity = data.count(eol, len(head)) + (not data.endswith(eol))
     P, V = np.empty((capacity, 2)), np.empty((capacity, 2))
     n = 0
     for A in itertools.chain([_parse_lines(lines[1:], 2)],
-                             _parse_blocks(text, len(head), len(lines) + 1)):
+                             _parse_blocks(data, len(head), len(lines) + 1, eol)):
         if n + len(A) > len(P):
             more = np.empty((max(len(P), len(A)), 2))
             P, V = np.concatenate((P, more)), np.concatenate((V, more))
@@ -424,9 +439,14 @@ def write_text_atomic(path: str, text) -> None:
     text is a string or an iterable of strings, written as they come, a
     slice of at most _WRITE_SLICE characters at a time: the file encodes
     what it is given whole, so a long string would otherwise be held twice.
+    The file gets the mode open() would give it, 0666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    # O_EXCL never opens an existing file or follows a link, and the kernel
+    # applies the umask to 0666 as open() does (mkstemp would give 0600).
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             for chunk in [text] if isinstance(text, str) else text:

@@ -8,10 +8,10 @@ distance.
 
 A flow is the profile's values on the window's two axes plus the shift, so
 build_flow and verify_flow work on 2 (2N + 1) doubles for the square window
-of size N, in pure Python, and load no numpy: verify_flow decides the claim
-with the result that the structural certificate gives on the flow's arrays,
-which also proves the inequality chain behind it. The arrays P and V are
-built, with numpy, only when a command reads them.
+of size N, in pure Python, and load no numpy: a flow decides its pairs
+(FlowAssignment.decide) with the result that the structural certificate
+gives on its arrays, which also proves the inequality chain behind it. The
+arrays P and V are built, with numpy, only when a command reads them.
 """
 from __future__ import annotations
 
@@ -173,10 +173,11 @@ class FlowAssignment:
 
     Particle k = i * len(phi_y) + j, x-major (x1 outer, x2 inner), sits at
     (x_lo + i, y_lo + j) and moves with (phi_y[j] + shift.x1, -phi_x[i]).
-    Every verifier reads a flow as a configuration, through len, row, P
-    and V; P and V, (n, 2) float64 arrays, are built on first read. The
-    axes must have the structure that verify_flow decides from, else
-    ValueError.
+    Every verifier reads a flow as a configuration, through len, row,
+    decide, P and V; P and V, (n, 2) float64 arrays, are built on first
+    read. The axes must have the structure that decide rests on, else
+    ValueError; NonMonotoneProfileError when phi_y + shift, in double
+    precision, is not strictly increasing.
     """
 
     window: Window = field(metadata=UNREPORTED)
@@ -195,12 +196,19 @@ class FlowAssignment:
                 and len(v0) == win.y_hi - win.y_lo + 1
                 and max(map(abs, (win.x_lo, win.x_hi, win.y_lo, win.y_hi))) <= 2 ** 53
                 and self.shift.x2 == 0.0
-                and _increasing(wx) and math.isfinite(wx[-1] - wx[0])
-                and _increasing(v0) and math.isfinite(v0[-1] - v0[0])):
+                and all(a < b for a, b in zip(wx, wx[1:]))
+                and math.isfinite(wx[-1] - wx[0])
+                and math.isfinite(v0[-1] - v0[0])):
             raise ValueError("flow axes need one value per integer of the "
                              "window, within 2**53, a shift along x1, and "
                              "strictly increasing phi_x and phi_y + shift "
                              "with finite spans")
+        for n, (cur, nxt) in enumerate(zip(v0, v0[1:]), win.y_lo):
+            if not cur < nxt:  # NaN, which compares false, is refused too
+                raise NonMonotoneProfileError(
+                    f"phi({n + 1}) + a = {nxt} does not increase past phi({n}) "
+                    f"+ a with shift a = {self.shift.x1}: the profile saturates "
+                    "in double precision, so two velocities would coincide")
 
     def _v0(self) -> list[float]:
         """V0 along the x2 axis: phi_y + shift.x1."""
@@ -209,6 +217,24 @@ class FlowAssignment:
 
     def __len__(self) -> int:
         return len(self.phi_x) * len(self.phi_y)
+
+    def decide(self) -> PairScan:
+        """The result _pairscan.certify gives on the flow's arrays, read
+        off the structure the constructor checked: integer coordinates 1
+        apart, V0 = phi(x2) + a strictly increasing in x2 alone, V1 =
+        -phi(x1) strictly decreasing in x1 alone. Every pair is decided
+        exactly, mode "exhaustive-structural", minimum exactly 1 at the
+        smallest unit axis pair, which is (0, 1) in x-major order. One
+        particle has no pair: the engine's zero-pair scan, mode
+        "exhaustive", minimum inf. No array is read."""
+        n = len(self)
+        total = n * (n - 1) // 2
+        if total:
+            return PairScan(pairs_total=total, pairs_checked=total,
+                            mode="exhaustive-structural", min_distance=1.0,
+                            witness=(0, 1))
+        return PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
+                        min_distance=math.inf, witness=None)
 
     def row(self, k: int) -> tuple[float, float, float, float]:
         """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""
@@ -243,10 +269,6 @@ class FlowAssignment:
         return V
 
 
-def _increasing(values) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
-
-
 def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> tuple[float, ...]:
     """phi(lo), ..., phi(hi), checked strictly increasing and within bound."""
     values = [profile_eval(phi, n) for n in range(lo, hi + 1)]
@@ -274,12 +296,13 @@ def build_flow(phi: MonotoneProfile, window: Window,
     The profile is evaluated once per integer of each axis, and the flow
     holds those values; everything here is computed on the two axes, in
     pure Python. sup|w| is the largest math.hypot(phi(x1), phi(x2)) over
-    the window's points. Raises NonMonotoneProfileError when phi, or phi
-    shifted by a in double precision, is not strictly increasing on the
-    window, and ValueError for windows of more than MAX_PARTICLES points,
-    for coordinates beyond 2**53 and for a speed bound a + sup|w| that
+    the window's points. Raises NonMonotoneProfileError when phi is not
+    strictly increasing on the window, or, from FlowAssignment, when phi
+    shifted by a in double precision is not, and ValueError for windows of
+    more than MAX_PARTICLES points, for coordinates beyond 2**53 (checked
+    before the profile is evaluated) and for a speed bound a + sup|w| that
     overflows float64. So every flow it returns has the structure that
-    verify_flow needs, and finite speeds.
+    FlowAssignment.decide rests on, and finite speeds.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -307,14 +330,6 @@ def build_flow(phi: MonotoneProfile, window: Window,
     if not math.isfinite(speed_max):
         raise ValueError(f"speed bound a + sup|w| with shift a = {a} overflows "
                          "float64: the profile values are too large")
-    shifted = [w2 + a for w2 in phi_y]
-    for k in range(len(shifted) - 1):
-        if shifted[k + 1] <= shifted[k]:
-            n = window.y_lo + k
-            raise NonMonotoneProfileError(
-                f"phi({n + 1}) + a = {shifted[k + 1]} does not increase past "
-                f"phi({n}) + a with shift a = {a}: the profile saturates in double "
-                "precision, so two velocities would coincide")
     return FlowAssignment(
         window=window,
         phi_x=phi_x,
@@ -347,40 +362,25 @@ class FlowReport:
     mode: str
     seed: None  # no verdict rests on a sample; kept as the report's seed line
     passed: bool
-    # The decision behind this report; verify_hardcore can reuse it.
-    scan: PairScan = field(repr=False, compare=False, metadata=UNREPORTED)
 
 
 def verify_flow(flow: FlowAssignment) -> FlowReport:
     """Check the unit-distance guarantee from the flow's two axes.
 
-    A flow has the structure that _pairscan.certify decides: integer
-    coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2 alone,
-    V1 = -phi(x1) strictly decreasing in x1 alone. So the result is
-    certify's on the flow's arrays, read off the axes without building
-    them: every pair decided exactly, mode "exhaustive-structural", minimum
-    exactly 1 at the smallest unit axis pair, which is (0, 1) in x-major
-    order. Those hypotheses prove the rest of the flow contract but speeds:
-    the inequality chain, with both margins exactly 0 (see certify), and
-    injective velocities, since equal velocities would force equal x1 and
-    equal x2. One particle has no pair: the engine's zero-pair scan, mode
-    "exhaustive", minimum and chain margins inf.
+    The pairs are decided by flow.decide(): certify's result on the flow's
+    arrays, without building them. The structure that result rests on
+    proves the rest of the flow contract but speeds: the inequality chain,
+    with both margins exactly 0 (see certify), and injective velocities,
+    since equal velocities would force equal x1 and equal x2. One particle
+    has no pair: chain margins inf.
 
     Speeds are measured by math.hypot on the doubles of V, as
     evolution.speeds measures them, one x1 column at a time, so memory
     stays O(side); passed states that they are finite and lie within the
     declared range, compared exactly.
     """
-    n = len(flow)
-    total = n * (n - 1) // 2
-    if total:
-        scan = PairScan(pairs_total=total, pairs_checked=total,
-                        mode="exhaustive-structural", min_distance=1.0,
-                        witness=(0, 1))
-    else:
-        scan = PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
-                        min_distance=math.inf, witness=None)
-    margin = 0.0 if total else math.inf
+    scan = flow.decide()
+    margin = 0.0 if scan.pairs_total else math.inf
 
     v0 = flow._v0()
     measured_min, measured_max = math.inf, -math.inf
@@ -395,7 +395,7 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
                      and measured_max <= flow.speed_max)
 
     return FlowReport(
-        particle_count=n,
+        particle_count=len(flow),
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
@@ -412,5 +412,4 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
         speed_declared_max=flow.speed_max,
         speeds_ok=speeds_ok,
         passed=speeds_ok,
-        scan=scan,
     )

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver in a subprocess."""
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -91,7 +92,7 @@ def test_assign_output_feeds_verify(tmp_path):
     out = tmp_path / "out"
     result = run_cli("--command", "assign", "--window", "1", "--out", out)
     assert result.returncode == 0
-    P, V = parse_particles(read(out / "particles.txt").decode())
+    P, V = parse_particles(read(out / "particles.txt"))
     assert P.shape == V.shape == (9, 2)
     second = run_cli("--command", "verify",
                      "--particles", out / "particles.txt",
@@ -147,7 +148,8 @@ def test_cylinders_head_on_pair_fails_hardcore(tmp_path):
     result = run_cli("--command", "cylinders", "--particles", particles,
                      "--out", tmp_path / "out")
     assert result.returncode == 1
-    assert "minimum distance" in result.stderr
+    assert result.stderr == "cylinders: all-time minimum distance 0.0 < 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "cylinders"])
@@ -550,6 +552,76 @@ def test_malformed_particles_reports_line(tmp_path):
                      "--out", tmp_path / "out")
     assert result.returncode == 2
     assert "line 3" in result.stderr
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,0,1,0", "", "0,1,x,0", "5,5,1,0"],
+    ["0,0,1,0", "", "", "0,1,2"],
+    ["0,0,1,0", "0,inf,1,0"],
+    ["0,0,1,0", "", "3,0,0,1", ""],
+], ids=["bad-field", "field-count", "non-finite", "passes"])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_particles_lines_end_as_with_newlines(tmp_path, rows, newline):
+    """A file read as bytes numbers its lines, and parses, as the same
+    rows with newlines do."""
+    runs = []
+    for name, nl in (("lf", "\n"), ("other", newline)):
+        particles = tmp_path / f"{name}.txt"
+        particles.write_bytes(nl.join(["particles v1", *rows, ""]).encode())
+        out = tmp_path / name
+        result = run_cli("--command", "verify", "--particles", particles,
+                         "--out", out)
+        files = {f.name: f.read_bytes() for f in out.glob("*")}
+        runs.append((result.returncode, result.stdout, result.stderr, files))
+    assert runs[0] == runs[1]
+
+
+def test_particles_file_that_is_not_utf8_is_input_error(tmp_path):
+    particles = tmp_path / "latin1.txt"
+    particles.write_bytes(b"particles v1\n0,0,1,0\n0,1,\xe9,0\n")
+    result = run_cli("--command", "verify", "--particles", particles,
+                     "--out", tmp_path / "out")
+    assert result.returncode == 2
+    assert result.stderr == ("error: 'utf-8' codec can't decode byte 0xe9 in "
+                             "position 25: invalid continuation byte\n")
+
+
+def test_particles_file_is_held_once(tmp_path):
+    # Read as text, the file's bytes and its decoded str are alive at once:
+    # a peak of twice the file.
+    rng = np.random.default_rng(7)
+    n = 20000
+    P, V = rng.uniform(-100.0, 100.0, (n, 2)), rng.uniform(-2.0, 2.0, (n, 2))
+    particles = tmp_path / "particles.txt"
+    # A file whose lines end in "\r" alone is read a block at a time too.
+    for newline in ("\n", "\r"):
+        particles.write_bytes("".join(particles_document(P, V))
+                              .replace("\n", newline).encode())
+        tracemalloc.start()
+        try:
+            configuration = cli._load_configuration(
+                cli.RunConfig(particles=str(particles)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert configuration.P.tolist() == P.tolist()
+        assert peak < 1.8 * particles.stat().st_size
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_emitted_files_take_the_mode_open_gives(tmp_path, umask, mode):
+    out = tmp_path / "out"
+    for command in ("verify", "cylinders"):
+        result = subprocess.run(
+            [sys.executable, "-m", "freedrift.cli", "--command", command,
+             "--window", "1", "--out", str(out)],
+            capture_output=True, text=True, umask=umask)
+        assert result.returncode == 0, result.stderr
+    names = sorted(os.listdir(out))
+    assert names == ["cylinder_report.txt", "flow_report.txt", "report.txt",
+                     "scene.txt"]
+    assert [stat.S_IMODE(os.stat(out / name).st_mode) for name in names] == [mode] * 4
 
 
 def test_unknown_config_key_is_input_error(tmp_path):

@@ -47,39 +47,38 @@ def test_particles_round_trip():
     V = np.array([(1.25, -0.5), (math.atan(2), math.pi)])
     text = "".join(particles_document(P, V))
     assert text.startswith("particles v1\n")
-    back_P, back_V = parse_particles(text)
+    back_P, back_V = parse_particles(text.encode())
     assert back_P.tolist() == P.tolist()
     assert back_V.tolist() == V.tolist()
     assert back_P.flags.c_contiguous and back_V.flags.c_contiguous
 
 
 def test_particles_blank_lines_skipped():
-    text = "particles v1\n\n0,0,1,0\n\n"
-    P, V = parse_particles(text)
+    P, V = parse_particles(b"particles v1\n\n0,0,1,0\n\n")
     assert P.shape == V.shape == (1, 2)
 
 
 def test_particles_header_only_is_empty():
-    P, V = parse_particles("particles v1\n")
+    P, V = parse_particles(b"particles v1\n")
     assert P.shape == V.shape == (0, 2)
 
 
 def test_particles_bad_header():
     with pytest.raises(ParseError) as info:
-        parse_particles("particle v2\n0,0,1,0\n")
+        parse_particles(b"particle v2\n0,0,1,0\n")
     assert info.value.line_no == 1
 
 
 def test_particles_bad_field_count():
     with pytest.raises(ParseError) as info:
-        parse_particles("particles v1\n0,0,1\n")
+        parse_particles(b"particles v1\n0,0,1\n")
     assert info.value.line_no == 2
     assert "4 fields" in str(info.value)
 
 
 def test_particles_bad_number_reports_line():
     with pytest.raises(ParseError) as info:
-        parse_particles("particles v1\n0,0,1,0\n0,1,x,0\n")
+        parse_particles(b"particles v1\n0,0,1,0\n0,1,x,0\n")
     assert info.value.line_no == 3
 
 
@@ -95,7 +94,7 @@ def test_particles_bad_number_reports_line():
 def test_particles_bad_row_names_its_line_past_a_blank(bad, message):
     text = f"particles v1\n0,0,1,0\n\n{bad}\n5,5,1,0\n"
     with pytest.raises(ParseError) as info:
-        parse_particles(text)
+        parse_particles(text.encode())
     assert info.value.line_no == 4
     assert str(info.value) == message
 
@@ -105,7 +104,7 @@ def test_particles_first_bad_line_wins(later):
     # A non-finite row is reported before any later error, whatever its kind.
     text = f"particles v1\n0,0,1,0\n0,inf,1,0\n{later}\n"
     with pytest.raises(ParseError) as info:
-        parse_particles(text)
+        parse_particles(text.encode())
     assert str(info.value) == "line 3: non-finite Vec2 component: (0.0, inf)"
 
 
@@ -163,6 +162,7 @@ _PLAIN_ROWS = "".join(f"{k},{k}.5,-{k}e-3,+{k}\n" for k in range(6))
 @example("particles v1\n" + _PLAIN_ROWS + "0,nan,0,0\n" + _PLAIN_ROWS + "0,1\n", 7)
 @example("particles v1\n" + _PLAIN_ROWS + "0,0,-1e999,0\n" + _PLAIN_ROWS, 1 << 16)
 @example("particles v1\r\n" + _PLAIN_ROWS.replace("\n", "\r\n"), 2)
+@example("particles v1\r" + _PLAIN_ROWS.replace("\n", "\r") + "\r0,nan,0,0\r", 2)
 @example("particles v1\n" + _PLAIN_ROWS + "\n" + _PLAIN_ROWS + "1,2,3,4", 30)
 @example("particles v1\n" + _PLAIN_ROWS + "1,\u0662,3,4\n" + _PLAIN_ROWS, 30)
 @example("particles v1\u2028" + _PLAIN_ROWS + "1,2,3,4\r5,6,7,8\n", 7)
@@ -170,7 +170,7 @@ _PLAIN_ROWS = "".join(f"{k},{k}.5,-{k}e-3,+{k}\n" for k in range(6))
 @example("particles v1\n" + _PLAIN_ROWS + "55", 1 << 16)
 def test_parse_particles_matches_reference(text, block):
     with mock.patch.object(formats, "_PARSE_BLOCK", block):
-        got = _parse_outcome(parse_particles, text)
+        got = _parse_outcome(parse_particles, text.encode())
     assert got == _parse_outcome(reference_parse_particles, text)
 
 
@@ -185,9 +185,22 @@ def test_plain_rows_skip_the_line_loop(monkeypatch):
     monkeypatch.setattr(formats, "_parse_lines", counted)
     monkeypatch.setattr(formats, "_PARSE_BLOCK", 64)
     P = np.arange(400.0).reshape(200, 2)
-    back_P, back_V = parse_particles("".join(particles_document(P, -P)))
-    assert back_P.tolist() == P.tolist() and back_V.tolist() == (-P).tolist()
+    data = "".join(particles_document(P, -P)).encode()
+    for newline in (b"\n", b"\r\n", b"\r"):
+        back_P, back_V = parse_particles(data.replace(b"\n", newline))
+        assert back_P.tolist() == P.tolist() and back_V.tolist() == (-P).tolist()
     assert line_loop == []
+
+
+def test_bytes_that_are_not_utf8_raise_at_their_position(monkeypatch):
+    # The bad byte sits in a later block; the error counts from the start.
+    monkeypatch.setattr(formats, "_PARSE_BLOCK", 8)
+    data = b"particles v1\n" + b"0,0,1,0\n" * 4 + b"0,1,\xff,0\n"
+    with pytest.raises(UnicodeDecodeError) as info:
+        parse_particles(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode()
+    assert str(info.value) == str(whole.value)
 
 
 def _traced_peak(make):
@@ -205,9 +218,11 @@ def _peak_above_arrays(n: int, task: str) -> int:
     arrays."""
     rng = np.random.default_rng(n)
     P, V = rng.uniform(-100.0, 100.0, (n, 2)), rng.uniform(-2.0, 2.0, (n, 2))
-    if task == "parse":
-        text = "".join(particles_document(P, V))
-        (P, V), peak = _traced_peak(lambda: parse_particles(text))
+    if task in ("parse", "parse-cr"):
+        data = "".join(particles_document(P, V)).encode()
+        if task == "parse-cr":
+            data = data.replace(b"\n", b"\r")
+        (P, V), peak = _traced_peak(lambda: parse_particles(data))
         return peak - P.nbytes - V.nbytes
     chunks = {"particles": lambda: particles_document(P, V),
               "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),
@@ -215,7 +230,7 @@ def _peak_above_arrays(n: int, task: str) -> int:
     return _traced_peak(lambda: sum(map(len, chunks())))[1]
 
 
-@pytest.mark.parametrize("task", ["parse", "particles", "svg", "scene"])
+@pytest.mark.parametrize("task", ["parse", "parse-cr", "particles", "svg", "scene"])
 def test_memory_is_bounded_by_a_block(task):
     n = 2000
     with mock.patch.object(formats, "_ROW_BLOCK", 256), \
@@ -299,6 +314,16 @@ def test_atomic_write_takes_chunks(tmp_path):
     with open(path) as handle:
         assert handle.read() == "0\n1\n2\n"
     assert sorted(os.listdir(tmp_path)) == ["frames.csv"]
+
+
+def test_atomic_write_that_fails_leaves_nothing(tmp_path):
+    def chunks():
+        yield "0\n"
+        raise RuntimeError("emitter failed")
+
+    with pytest.raises(RuntimeError, match="emitter failed"):
+        write_text_atomic(str(tmp_path / "frames.csv"), chunks())
+    assert os.listdir(tmp_path) == []
 
 
 def test_frames_csv_layout():

@@ -333,7 +333,7 @@ def _report_from_arrays(flow):
         speed_declared_min=flow.speed_min, speed_declared_max=flow.speed_max,
         speeds_ok=ok, pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked, mode=scan.mode, seed=None,
-        passed=ok, scan=scan)
+        passed=ok)
 
 
 @pytest.mark.parametrize("phi", [
@@ -341,8 +341,10 @@ def _report_from_arrays(flow):
     table_profile((n, n + 0.25 * math.sin(n)) for n in range(-40, 41)),
 ], ids=["arctan", "tanh", "rational", "table"])
 def test_axes_decide_as_the_arrays_do(phi):
-    """verify_flow reads only the axes; its report, and the hard-core
-    report it hands its scan to, are those that the arrays give."""
+    """A flow decides its pairs from its axes as its arrays decide them, so
+    verify_flow and verify_hardcore read only the axes and give the reports
+    that the arrays give."""
+    # One point, single rows, single columns, rectangles and squares.
     windows = [Window(3, 3, -2, -2), Window(-4, 5, 1, 1), Window(2, 2, -3, 6),
                Window(-3, 2, -1, 4), Window(1, 4, -6, -2),
                *map(Window.square, (0, 1, 2, 32))]
@@ -351,12 +353,12 @@ def test_axes_decide_as_the_arrays_do(phi):
             flow = build_flow(phi, window, margin)
         except NonMonotoneProfileError:
             continue  # tanh saturates before N = 32
-        report = verify_flow(flow)
-        hardcore = verify_hardcore(flow, scan=report.scan)
+        scan, report, hardcore = flow.decide(), verify_flow(flow), verify_hardcore(flow)
         assert "P" not in vars(flow) and "V" not in vars(flow)
-        expected = _report_from_arrays(flow)
-        assert report == expected and report.scan == expected.scan
-        assert hardcore == verify_hardcore(MovingConfiguration(flow.P, flow.V))
+        arrays = MovingConfiguration(flow.P, flow.V)
+        assert scan == arrays.decide()
+        assert report == _report_from_arrays(flow)
+        assert hardcore == verify_hardcore(arrays)
 
 
 def test_a_flow_holds_only_axes_with_the_certified_structure():
@@ -365,30 +367,49 @@ def test_a_flow_holds_only_axes_with_the_certified_structure():
         np.column_stack((flow.P, flow.V)).tolist()
     for bad in [dict(phi_x=flow.phi_x[::-1]),
                 dict(phi_y=flow.phi_y[:-1]),
-                # Increasing, but equal once shifted.
-                dict(phi_y=tuple(k * 1e-17 for k in range(len(flow.phi_y)))),
                 dict(phi_x=(-math.inf, *flow.phi_x[1:])),
                 dict(shift=Vec2(flow.shift.x1, 1.0)),
                 dict(window=Window(2 ** 53 - 2, 2 ** 53 + 1, -1, 3))]:
         with pytest.raises(ValueError, match="flow axes"):
             dataclasses.replace(flow, **bad)
+    # Increasing, but equal once shifted: build_flow's refusal, raised by
+    # the flow itself.
+    a = flow.shift.x1
+    with pytest.raises(NonMonotoneProfileError) as info:
+        dataclasses.replace(flow, phi_y=tuple(k * 1e-17 for k in range(len(flow.phi_y))))
+    assert str(info.value) == (
+        f"phi(0) + a = {a} does not increase past phi(-1) + a with shift "
+        f"a = {a}: the profile saturates in double precision, so two "
+        "velocities would coincide")
+    # A NaN inside phi_y leaves both ends, and so the span, finite.
+    phi_y = (*flow.phi_y[:2], math.nan, *flow.phi_y[3:])
+    with pytest.raises(NonMonotoneProfileError, match="phi\\(1\\) \\+ a = nan"):
+        dataclasses.replace(flow, phi_y=phi_y)
 
 
 def test_certified_reports_match_the_engine(monkeypatch):
     """Apart from the mode, certifying gives the engine's report values."""
     for phi in all_profiles():
         flow = build_flow(phi, Window(-3, 2, -1, 4), shift_margin=0.5)
-        config = flow
-        report, hardcore = verify_flow(flow), verify_hardcore(config)
+        report, hardcore = verify_flow(flow), verify_hardcore(flow)
         assert report.mode == hardcore.mode == "exhaustive-structural"
-        assert report.scan == _pairscan.certify(flow.P, flow.V)
+        assert flow.decide() == _pairscan.certify(flow.P, flow.V)
         engine = _pairscan.scan(flow.P, flow.V)
-        assert dataclasses.replace(report.scan, mode="exhaustive") == engine
+        assert dataclasses.replace(flow.decide(), mode="exhaustive") == engine
+        # A flow never reaches certify; its arrays do.
         with monkeypatch.context() as m:
             m.setattr(_pairscan, "certify", lambda *args, **kw: None)
-            engine_hardcore = verify_hardcore(config)
+            engine_hardcore = verify_hardcore(MovingConfiguration(flow.P, flow.V))
         assert engine_hardcore.mode == "exhaustive"
         assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
+
+
+def _rests_on(report, scan):
+    """Whether a hard-core report gives the decision scan."""
+    return ((report.pairs_total, report.pairs_checked, report.mode,
+             report.min_alltime_distance, report.witness_pair)
+            == (scan.pairs_total, scan.pairs_checked, scan.mode,
+                scan.min_distance, scan.witness))
 
 
 def _nudged(V):
@@ -406,8 +427,9 @@ def test_refused_flow_runs_the_engine(refused):
     V = refused(flow.V)
     assert _pairscan.certify(flow.P, V) is None
     config = MovingConfiguration(flow.P, V)
-    assert verify_hardcore(config) == verify_hardcore(
-        config, scan=_pairscan.scan(flow.P, V))
+    engine = _pairscan.scan(flow.P, V)
+    assert config.decide() == engine
+    assert _rests_on(verify_hardcore(config), engine)
 
 
 @pytest.mark.parametrize("P, V", [
@@ -423,7 +445,8 @@ def test_refused_configuration_runs_the_engine(P, V):
     assert _pairscan.certify(config.P, config.V) is None
     report = verify_hardcore(config)
     assert report.mode == "exhaustive"
-    assert report == verify_hardcore(config, scan=_pairscan.scan(config.P, config.V))
+    engine = _pairscan.scan(config.P, config.V)
+    assert config.decide() == engine and _rests_on(report, engine)
 
 
 def test_flow_beyond_the_exhaustive_limit_is_certified():
@@ -507,7 +530,7 @@ def test_every_built_flow_is_certified(inputs):
     except ValueError:
         return  # refused: no flow to decide
     report = verify_flow(flow)
-    assert report.scan == _pairscan.certify(flow.P, flow.V) is not None
+    assert flow.decide() == _pairscan.certify(flow.P, flow.V) is not None
     assert math.isfinite(flow.speed_max) and report.speeds_ok
     assert flow.speed_min <= report.speed_measured_min
     assert report.speed_measured_max <= flow.speed_max

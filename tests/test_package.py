@@ -47,6 +47,16 @@ def _loaded_modules(code):
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's python block runs as written, in an empty directory."""
+    readme = (TESTS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
+
+
 def test_every_exported_name_resolves():
     assert [name for name in freedrift.__all__ if not hasattr(freedrift, name)] == []
 
