@@ -31,7 +31,8 @@ decision of every configuration held as arrays
 (evolution.MovingConfiguration.decide) and of the scene verifier: the
 certificate, or `scan` when it returns None. A lattice flow decides its
 pairs without them (lattice.FlowAssignment.decide): from its two axes it
-gives the result that certify gives on its arrays.
+gives the result that certify gives on its arrays, worldlines included,
+and hands the arrays to `decide` only where certify refuses them.
 
 PairScan and UndecidedError live in geometry, which loads no numpy.
 """
@@ -41,7 +42,8 @@ import math
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS, PairScan, UndecidedError
+from .geometry import (PARALLEL_EPS, PairScan, UndecidedError,
+                       _inverse_hypot_down)
 
 EXHAUSTIVE_LIMIT = 10**7
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
@@ -359,26 +361,6 @@ class _Axis:
 
 def _smallest(*pairs):
     return min((p for p in pairs if p is not None), default=None)
-
-
-def _inverse_hypot_down(s: float) -> float:
-    """The largest double not above 1/sqrt(1 + s^2), for finite s.
-
-    Decided exactly on integer ratios: a double is a ratio of integers.
-    """
-    sn, sd = s.as_integer_ratio()
-
-    def above(d: float) -> bool:
-        """Whether d^2 (1 + s^2) > 1."""
-        dn, dd = d.as_integer_ratio()
-        return dn * dn * (sd * sd + sn * sn) > (dd * sd) ** 2
-
-    d = 1.0 / math.hypot(1.0, s)
-    while above(d):
-        d = math.nextafter(d, 0.0)
-    while not above(up := math.nextafter(d, math.inf)):
-        d = up
-    return d
 
 
 def _unit_gaps(lo, hi):

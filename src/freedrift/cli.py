@@ -10,9 +10,11 @@ Each command imports only the modules it runs: `falsify` never loads the
 lattice, evolution or cylinder modules, the other commands never load the
 falsifier, `evolve --particles` never loads the lattice module, and only
 `cylinders` loads the cylinder module. numpy is loaded by the commands that
-read or write particle arrays: `verify --window` decides the flow from its
-two axes and loads no numpy, while `verify --particles`, `assign`, `evolve`,
-`cylinders` and `falsify` do.
+read or write particle arrays: `assign`, `verify` and `cylinders` on a
+window decide, measure and write the flow from its two axes, hold no P or
+V and load no numpy (but `cylinders` on a single column or row whose
+worldlines the certificate leaves to the pair engine), while `evolve`,
+`falsify` and every command on a particles file do.
 """
 from __future__ import annotations
 
@@ -220,16 +222,16 @@ def _cmd_assign(config: RunConfig) -> int:
     from .lattice import build_flow
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
-    _emit(config, "particles.txt", particles_document(flow.P, flow.V))
+    _emit(config, "particles.txt", particles_document(flow.particle_rows()))
     _emit(config, "assign_report.txt", report_document({
         "command": "assign",
         "window": config.window,
         "profile": config.profile,
         "shift_margin": config.shift_margin,
-        "particle_count": len(flow.P),
+        "particle_count": len(flow),
         **report_items(flow),
     }))
-    print(f"assigned {len(flow.P)} particles "
+    print(f"assigned {len(flow)} particles "
           f"-> {os.path.join(config.out, 'particles.txt')}")
     return PASS_EXIT
 
@@ -298,8 +300,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
     except cyl.HardCoreNotVerifiedError as exc:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    _emit(config, "scene.txt", cyl.export_scene(
-        configuration.P, configuration.V, report.radius))
+    _emit(config, "scene.txt", cyl.export_scene(configuration, report.radius))
     _emit(config, "cylinder_report.txt", report_document(
         {"command": "cylinders", **report_items(report)}))
     verdict = "pass" if report.passed else "fail"

@@ -6,25 +6,29 @@ two of its worldlines are at least 1/sqrt(1+M^2) apart, so cylinders of
 half that radius around them have pairwise disjoint interiors. This module
 verifies the distance and nonparallelity claims for a configuration and a
 radius of at most half that floor, and exports the cylinders straight from
-the configuration's arrays in a plain text format.
+the configuration in a plain text format.
 
 For a lattice flow the verification needs no pass over the pairs: the
 structural certificate gives the worldline minimum 1/sqrt(1+S^2), S the
 largest velocity component in absolute value, rounded down; since S <= M
 it is at least the floor, up to the rounding of both. Other configurations
-go through the pair engine. Either way one decision gives both the
-closest-approach minimum, which must clear 1, and the worldline minimum,
-each judged by evolution.clears, the rule of every distance verdict.
+go through the pair engine. Either way one decision, the configuration's
+decide, gives both the closest-approach minimum, which must clear 1, and
+the worldline minimum, each judged by evolution.clears, the rule of every
+distance verdict.
+
+A lattice flow answers every question here from its two axes (decide,
+speed_range, duplicate_velocities, scene_rows), so cylinders on a window
+holds no P or V and loads no numpy, unless it is a single column or row
+whose worldlines the certificate leaves to the engine. A configuration
+held as arrays is read through numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _pairscan
-from .evolution import MovingConfiguration, clears, speeds
+from .evolution import MovingConfiguration, clears
 from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
 
 SCENE_HEADER = "cylinder-scene v1"
@@ -83,23 +87,21 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same decision over the pairs; the speed
-    ceiling M is measured here with evolution.speeds, never trusted from
-    metadata. The radius must be at most half the floor as the report
-    prints it, checked before any pair; radius None means half the floor.
+    ceiling M is measured here by config.speed_range(), as
+    evolution.speeds measures it, never trusted from metadata. The radius
+    must be at most half the floor as the report prints it, checked before
+    any pair; radius None means half the floor.
 
-    One _pairscan.decide, with worldline, decides every pair: the
-    structural certificate (mode "exhaustive-structural", its worldline
-    minimum rounded down) or else the pair engine (mode "exhaustive"), or
-    it raises _pairscan.UndecidedError. Its closest-approach minimum must
-    clear 1 (evolution.clears), else HardCoreNotVerifiedError, and its
-    worldline minimum is held to the floor by the same rule.
+    One config.decide(worldline=True) decides every pair: the structural
+    certificate (mode "exhaustive-structural", its worldline minimum
+    rounded down) or else the pair engine (mode "exhaustive"), or it
+    raises UndecidedError. Its closest-approach minimum must clear 1
+    (evolution.clears), else HardCoreNotVerifiedError, and its worldline
+    minimum is held to the floor by the same rule.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
-    P, V = config.P, config.V
-    measured = speeds(V)
-    m = float(measured.min())
-    cap = float(measured.max())
+    m, cap = config.speed_range()
     floor = lemma1_bound(cap)
     if radius is None:
         radius = floor / 2.0
@@ -108,13 +110,13 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
     if radius > floor / 2.0:
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
-    scan = _pairscan.decide(P, V, worldline=True)
+    scan = config.decide(worldline=True)
     if not clears(scan.min_distance, 1.0):
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {scan.min_distance} < 1")
 
     distances_ok = clears(scan.line_distance, floor)
-    dup_count, dup_pairs = _pairscan.duplicate_rows(V)
+    dup_count, dup_pairs = config.duplicate_velocities()
 
     return SceneReport(
         particle_count=len(config),
@@ -138,16 +140,25 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
     )
 
 
-def export_scene(P, V, radius: float):
+def export_scene(config: MovingConfiguration, radius: float):
     """Text form of the cylinders of one radius around the worldlines
-    (x, 0) + t (v, 1) of positions P and velocities V, (n, 2) each.
+    (x, 0) + t (v, 1) of a configuration's particles.
 
     Yields the header line, then px,py,pz,dx,dy,dz,r rows in chunks of
     text: the axis point (x, 0) and the unit direction (v, 1) / |(v, 1)|,
     sorted by axis point. The radius is written as given; verify_scene is
-    what checks it.
+    what checks it. A lattice flow writes the same bytes from its two axes
+    (FlowAssignment.scene_rows); a MovingConfiguration, from its arrays,
+    a block of rows at a time.
     """
     yield SCENE_HEADER + "\n"
+    if not isinstance(config, MovingConfiguration):
+        yield from config.scene_rows(radius)
+        return
+    import numpy as np
+
+    from ._pairscan import math_map
+    P, V = config.P, config.V
     if len(P) == 0:
         return
     # Stable, like sorting rows on their (px, py, pz) tuples: pz is 0.
@@ -158,7 +169,7 @@ def export_scene(P, V, radius: float):
         k = order[rows]
         p, v = P[k], V[k]
         ones = np.ones(len(v))
-        lengths = _pairscan.math_map(math.hypot, v[:, 0], v[:, 1], ones)
+        lengths = math_map(math.hypot, v[:, 0], v[:, 1], ones)
         yield from _rows_text(len(p), (
             p[:, 0], ",", p[:, 1], ",0,", v[:, 0] / lengths, ",",
             v[:, 1] / lengths, ",", ones / lengths, tail))

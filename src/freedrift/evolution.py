@@ -5,7 +5,8 @@ A configuration is a finite set of particles, each a position plus a
 constant velocity, held as two (n, 2) float64 arrays P and V. Results are
 exact for the pairs present; a finite window says nothing about particles
 outside it. A lattice.FlowAssignment is read the same way, through P, V,
-len, row and decide, and builds its arrays only when P or V is read.
+len, row, decide, speed_range and duplicate_velocities, and builds its
+arrays only when P or V is read.
 verify_hardcore asks the configuration for its decision over all pairs,
 decide(), which a flow gives from its two axes. Every distance verdict,
 here and in cylinders, goes through clears, the one place DISTANCE_TOL
@@ -91,10 +92,21 @@ class MovingConfiguration:
         """Particle k as (x1, x2, v1, v2)."""
         return (*self.P[k].tolist(), *self.V[k].tolist())
 
-    def decide(self) -> PairScan:
-        """Every pair's closest approach: _pairscan.decide on P and V."""
+    def decide(self, worldline: bool = False) -> PairScan:
+        """Every pair's closest approach, and with worldline its worldline
+        distance: _pairscan.decide on P and V."""
         from ._pairscan import decide
-        return decide(self.P, self.V)
+        return decide(self.P, self.V, worldline=worldline)
+
+    def speed_range(self) -> tuple[float, float]:
+        """The smallest and largest of speeds(V); at least one particle."""
+        measured = speeds(self.V)
+        return float(measured.min()), float(measured.max())
+
+    def duplicate_velocities(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Equal velocities, as _pairscan.duplicate_rows counts them."""
+        from ._pairscan import duplicate_rows
+        return duplicate_rows(self.V)
 
     def __len__(self) -> int:
         return len(self.P)

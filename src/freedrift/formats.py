@@ -5,16 +5,18 @@ writes them, enough for doubles to round-trip exactly; all emitters are
 deterministic (no timestamps, no environment-dependent content), so
 identical inputs give identical bytes.
 
-The bulk emitters (particles, frames.csv, SVG frames and cylinder scenes)
-format whole float64 columns at once with integer arithmetic: for
-1e-4 <= |x| < 1e15 and for +-0, x = M 2^e with M < 2^53 is scaled by
-10^(16-X) as the exact 128-bit product M 5^(16-X) (32-bit limbs in uint64)
-shifted right, rounded half to even on the exact remainder, which gives the
-17 digits that CPython's correctly rounded dtoa gives; X, the decimal
-exponent, is guessed from log10 and checked against the digit count. Every
-other value, and any row the checks reject, goes through format(x, ".17g").
-Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
-the memory they hold is bounded by a block whatever the row count, and
+The bulk emitters of arrays (frames.csv, SVG frames and the cylinder
+scenes of particle files) format whole float64 columns at once with integer
+arithmetic: for 1e-4 <= |x| < 1e15 and for +-0, x = M 2^e with M < 2^53 is
+scaled by 10^(16-X) as the exact 128-bit product M 5^(16-X) (32-bit limbs
+in uint64) shifted right, rounded half to even on the exact remainder,
+which gives the 17 digits that CPython's correctly rounded dtoa gives; X,
+the decimal exponent, is guessed from log10 and checked against the digit
+count. Every other value, and any row the checks reject, goes through
+format(x, ".17g"). Rows go out _ROW_BLOCK at a time: the bulk emitters
+yield str chunks, so the memory they hold is bounded by a block whatever
+the row count (a lattice flow's rows, which particles_document and
+cylinders.export_scene write from its axes, go out the same way), and
 parse_particles likewise reads rows a block at a time, from the file's
 bytes.
 
@@ -227,12 +229,12 @@ def _parse_float(line_no: int, field: str) -> float:
         raise ParseError(line_no, f"expected a number, got {field!r}") from None
 
 
-def particles_document(P, V):
-    """Positions P and velocities V, (n, 2) each, one x1,x2,v1,v2 row each:
-    yields the header line, then the rows in chunks of text."""
+def particles_document(rows):
+    """The particles file of x1,x2,v1,v2 rows: yields the header line, then
+    the chunks of row text that rows yields, such as
+    lattice.FlowAssignment.particle_rows()."""
     yield PARTICLES_HEADER + "\n"
-    yield from _rows_text(len(P), (P[:, 0], ",", P[:, 1], ",", V[:, 0], ",",
-                                   V[:, 1], "\n"))
+    yield from rows
 
 
 def _check_finite(values, row_lines) -> None:
@@ -320,7 +322,12 @@ def _parse_blocks(data: bytes, start: int, ln: int, eol: bytes):
             try:
                 lines = block.decode().splitlines()
             except UnicodeDecodeError as exc:
-                # The position counts from the start of the data.
+                # Earlier lines come first: parse the whole lines before the
+                # bad byte (a sentinel ends the partial one, which is
+                # dropped), then report it, its position counted from the
+                # start of the data.
+                before = block[:exc.start].decode() + "\0"
+                _parse_lines(before.splitlines()[:-1], ln)
                 raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
                                          start + exc.end, exc.reason) from None
             A = _parse_lines(lines, ln)
@@ -339,7 +346,8 @@ def parse_particles(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     Blank lines are skipped, and lines end as str.splitlines ends them.
     The first bad line raises ParseError with its line number: a wrong
     field count, a field that is not a number, or a NaN or infinity. Bytes
-    that are not UTF-8 raise UnicodeDecodeError, a ValueError.
+    that are not UTF-8 raise UnicodeDecodeError, a ValueError, unless a line
+    before them is bad.
 
     The rows are read a block at a time (_parse_blocks) into preallocated
     arrays, so the memory held besides the data and the result is bounded

@@ -1,8 +1,9 @@
 """Planar and space-time vector kinematics.
 
 Scalar building blocks for everything else in the package: the closest
-point of approach for two linearly moving points, and the result of a
-decision over every pair of a configuration. All arithmetic is IEEE double
+point of approach for two linearly moving points, the result of a decision
+over every pair of a configuration, and the worldline floor 1/sqrt(1 + s^2)
+rounded down. All arithmetic is IEEE double
 precision, and nothing here needs numpy.
 """
 from __future__ import annotations
@@ -118,3 +119,23 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
         speed = norm(dv)
         time_at_min = -dot(dx, Vec2(dv.x1 / speed, dv.x2 / speed)) / speed
     return PairApproach(distance=distance, time_at_min=time_at_min)
+
+
+def _inverse_hypot_down(s: float) -> float:
+    """The largest double not above 1/sqrt(1 + s^2), for finite s.
+
+    Decided exactly on integer ratios: a double is a ratio of integers.
+    """
+    sn, sd = s.as_integer_ratio()
+
+    def above(d: float) -> bool:
+        """Whether d^2 (1 + s^2) > 1."""
+        dn, dd = d.as_integer_ratio()
+        return dn * dn * (sd * sd + sn * sn) > (dd * sd) ** 2
+
+    d = 1.0 / math.hypot(1.0, s)
+    while above(d):
+        d = math.nextafter(d, 0.0)
+    while not above(up := math.nextafter(d, math.inf)):
+        d = up
+    return d

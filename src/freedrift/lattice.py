@@ -9,9 +9,13 @@ distance.
 A flow is the profile's values on the window's two axes plus the shift, so
 build_flow and verify_flow work on 2 (2N + 1) doubles for the square window
 of size N, in pure Python, and load no numpy: a flow decides its pairs
-(FlowAssignment.decide) with the result that the structural certificate
-gives on its arrays, which also proves the inequality chain behind it. The
-arrays P and V are built, with numpy, only when a command reads them.
+(FlowAssignment.decide), worldlines included, with the result that the
+structural certificate gives on its arrays, which also proves the
+inequality chain behind it. It measures its speeds and writes the rows of
+its particles and cylinder-scene files from the axes too, each axis value
+formatted once. The arrays P and V are built, with numpy, only when a
+command reads them: evolve, and the engine pass over the worldlines of a
+single column or row that the certificate does not decide.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .evolution import DISK_RADIUS
-from .formats import UNREPORTED
-from .geometry import PairScan, Vec2
+from .formats import UNREPORTED, _row_slices, fmt_float
+from .geometry import PairScan, Vec2, _inverse_hypot_down
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,15 +40,16 @@ class ProfileKind(enum.Enum):
     RATIONAL_SATURATING = "rational"
     TABLE_DRIVEN = "table"
 
-# Largest window build_flow accepts, for every command. verify on a window
-# holds only the two axes and allocates no P or V. The other commands read
-# a flow's arrays: a particle costs 32 bytes in P and V, and a command adds
-# a few more (n, 2) float64 arrays (slices, sort keys), while text is parsed
-# and emitted a block of rows at a time. Peak RSS grows by about 230 bytes
-# per particle (evolve, the largest, measured at N = 100 and 200, from a
-# window or a particles file), so 2**22 particles, a square window up to
-# N = 1023, stay near 1 GiB. Larger windows are refused before anything is
-# allocated.
+# Largest window build_flow accepts, for every command. assign, verify and
+# cylinders on a window hold only the two axes, a string or two per axis
+# value and a block of text, and allocate no P or V. evolve, and every
+# command on a particles file, read a configuration's arrays: a particle
+# costs 32 bytes in P and V, and a command adds a few more (n, 2) float64
+# arrays (slices, sort keys), while text is parsed and emitted a block of
+# rows at a time. Peak RSS grows by about 230 bytes per particle (evolve,
+# the largest, measured at N = 100 and 200, from a window or a particles
+# file), so 2**22 particles, a square window up to N = 1023, stay near
+# 1 GiB. Larger windows are refused before anything is allocated.
 MAX_PARTICLES = 1 << 22
 
 
@@ -174,10 +179,12 @@ class FlowAssignment:
     Particle k = i * len(phi_y) + j, x-major (x1 outer, x2 inner), sits at
     (x_lo + i, y_lo + j) and moves with (phi_y[j] + shift.x1, -phi_x[i]).
     Every verifier reads a flow as a configuration, through len, row,
-    decide, P and V; P and V, (n, 2) float64 arrays, are built on first
-    read. The axes must have the structure that decide rests on, else
-    ValueError; NonMonotoneProfileError when phi_y + shift, in double
-    precision, is not strictly increasing.
+    decide, speed_range and duplicate_velocities, and the emitters through
+    particle_rows and scene_rows, all from the axes; P and V, (n, 2)
+    float64 arrays, are built on first read. The axes must have the
+    structure that decide rests on, else ValueError;
+    NonMonotoneProfileError when phi_y + shift, in double precision, is
+    not strictly increasing.
     """
 
     window: Window = field(metadata=UNREPORTED)
@@ -218,23 +225,103 @@ class FlowAssignment:
     def __len__(self) -> int:
         return len(self.phi_x) * len(self.phi_y)
 
-    def decide(self) -> PairScan:
-        """The result _pairscan.certify gives on the flow's arrays, read
-        off the structure the constructor checked: integer coordinates 1
-        apart, V0 = phi(x2) + a strictly increasing in x2 alone, V1 =
-        -phi(x1) strictly decreasing in x1 alone. Every pair is decided
-        exactly, mode "exhaustive-structural", minimum exactly 1 at the
-        smallest unit axis pair, which is (0, 1) in x-major order. One
-        particle has no pair: the engine's zero-pair scan, mode
-        "exhaustive", minimum inf. No array is read."""
+    def decide(self, worldline: bool = False) -> PairScan:
+        """The result _pairscan.decide gives on the flow's arrays, read off
+        the structure the constructor checked: integer coordinates 1 apart,
+        V0 = phi(x2) + a strictly increasing in x2 alone, V1 = -phi(x1)
+        strictly decreasing in x1 alone. Every pair is decided exactly, mode
+        "exhaustive-structural", minimum exactly 1 at the smallest unit axis
+        pair, which is (0, 1) in x-major order. One particle has no pair:
+        the engine's zero-pair scan, mode "exhaustive", minima inf.
+
+        With worldline, also certify's worldline minimum: S is the larger of
+        max|V0| and max|phi(x1)|, line_distance the largest double not
+        above 1/sqrt(1 + S^2), and line_witness the smallest unit axis pair
+        whose shared velocity component has magnitude S: (i ny, i ny + 1)
+        in the first x1 column with |phi(x1)| = S, or (j, ny + j) in the
+        first x2 row with |V0| = S, ny = len(phi_y). Where neither exists
+        (a single column whose |V1| falls short of S, or a single row whose
+        |V0| does), certify refuses, and the arrays go to _pairscan.decide:
+        the engine, or UndecidedError. Otherwise no array is read."""
         n = len(self)
         total = n * (n - 1) // 2
-        if total:
-            return PairScan(pairs_total=total, pairs_checked=total,
-                            mode="exhaustive-structural", min_distance=1.0,
-                            witness=(0, 1))
-        return PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
-                        min_distance=math.inf, witness=None)
+        if not total:
+            line = math.inf if worldline else None
+            return PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
+                            min_distance=math.inf, witness=None,
+                            line_distance=line)
+        line_distance = line_witness = None
+        if worldline:
+            v0, nx, ny = self._v0(), len(self.phi_x), len(self.phi_y)
+            s = max(max(map(abs, v0)), max(map(abs, self.phi_x)))
+            # Pairs in one x1 column share V1, pairs in one x2 row share V0.
+            line_witness = min(
+                [(i * ny, i * ny + 1) for i, w1 in enumerate(self.phi_x)
+                 if ny > 1 and abs(w1) == s]
+                + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s],
+                default=None)
+            if line_witness is None:
+                from ._pairscan import decide
+                return decide(self.P, self.V, worldline=True)
+            line_distance = _inverse_hypot_down(s)
+        return PairScan(pairs_total=total, pairs_checked=total,
+                        mode="exhaustive-structural", min_distance=1.0,
+                        witness=(0, 1), line_distance=line_distance,
+                        line_witness=line_witness)
+
+    def speed_range(self) -> tuple[float, float]:
+        """The smallest and largest speed, measured by math.hypot on the
+        doubles of V, as evolution.speeds measures them, one x1 column at a
+        time, so memory stays O(side)."""
+        v0 = self._v0()
+        low, high = math.inf, -math.inf
+        # math.hypot reads only the magnitudes of its arguments, so the
+        # columns of x1 values with one |phi(x1)| measure the same speeds.
+        for w1 in set(map(abs, self.phi_x)):
+            column = list(map(math.hypot, v0, repeat(w1)))
+            low = min(low, min(column))
+            high = max(high, max(column))
+        return low, high
+
+    def duplicate_velocities(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Equal velocities, as _pairscan.duplicate_rows counts them: none,
+        (0, ()), by the structure the constructor checked, since equal
+        velocities would force equal x1 and equal x2."""
+        return 0, ()
+
+    def particle_rows(self):
+        """The x1,x2,v1,v2 rows of every particle, x-major, in the bytes
+        the particles format writes (format(x, ".17g")): yields at most
+        formats._ROW_BLOCK rows of one x1 column at a time. Each axis value
+        is formatted once."""
+        y_lo = self.window.y_lo
+        middles = [f"{fmt_float(float(y_lo + j))},{fmt_float(a)}"
+                   for j, a in enumerate(self._v0())]
+        for i, w1 in enumerate(self.phi_x):
+            head = fmt_float(float(self.window.x_lo + i)) + ","
+            tail = f",{fmt_float(-w1)}\n"
+            for rows in _row_slices(len(middles)):
+                yield head + (tail + head).join(middles[rows]) + tail
+
+    def scene_rows(self, radius: float):
+        """The px,py,pz,dx,dy,dz,r rows of cylinders.export_scene for the
+        worldlines (x, 0) + t (v, 1), in its bytes: the axis point (x, 0)
+        and the unit direction (v, 1) / |(v, 1)|, with |(v, 1)| =
+        math.hypot(v0, v1, 1.0) and three divisions, as the array path
+        divides. x-major order is already the order by axis point. Yields
+        at most formats._ROW_BLOCK rows of one x1 column at a time; each
+        axis position is formatted once."""
+        y_lo, v0 = self.window.y_lo, self._v0()
+        ys = [fmt_float(float(y_lo + j)) for j in range(len(v0))]
+        for i, w1 in enumerate(self.phi_x):
+            v1 = -w1
+            # "%.17g" writes what format(x, ".17g") writes, in less time.
+            row = (f"{fmt_float(float(self.window.x_lo + i))},%s,0,%.17g,%.17g,"
+                   f"%.17g,{fmt_float(radius)}\n")
+            for rows in _row_slices(len(v0)):
+                lengths = map(math.hypot, v0[rows], repeat(v1), repeat(1.0))
+                yield "".join([row % (y, a / n, v1 / n, 1.0 / n)
+                               for y, a, n in zip(ys[rows], v0[rows], lengths)])
 
     def row(self, k: int) -> tuple[float, float, float, float]:
         """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""
@@ -374,22 +461,13 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
     since equal velocities would force equal x1 and equal x2. One particle
     has no pair: chain margins inf.
 
-    Speeds are measured by math.hypot on the doubles of V, as
-    evolution.speeds measures them, one x1 column at a time, so memory
-    stays O(side); passed states that they are finite and lie within the
+    Speeds are measured by flow.speed_range(), as evolution.speeds
+    measures them; passed states that they are finite and lie within the
     declared range, compared exactly.
     """
     scan = flow.decide()
     margin = 0.0 if scan.pairs_total else math.inf
-
-    v0 = flow._v0()
-    measured_min, measured_max = math.inf, -math.inf
-    # math.hypot reads only the magnitudes of its arguments, so the
-    # columns of x1 values with one |phi(x1)| measure the same speeds.
-    for w1 in set(map(abs, flow.phi_x)):
-        column = list(map(math.hypot, v0, repeat(w1)))
-        measured_min = min(measured_min, min(column))
-        measured_max = max(measured_max, max(column))
+    measured_min, measured_max = flow.speed_range()
     speeds_ok = bool(math.isfinite(measured_max)
                      and flow.speed_min <= measured_min
                      and measured_max <= flow.speed_max)

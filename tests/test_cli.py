@@ -9,12 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freedrift import _pairscan, cli, cylinders, evolution
+from freedrift import _pairscan, cli, evolution
 from freedrift.evolution import speeds
-from freedrift.formats import parse_particles, particles_document
-from freedrift.lattice import Window, arctan_profile, build_flow
+from freedrift.formats import parse_particles
+from freedrift.lattice import FlowAssignment, Window, arctan_profile, build_flow
 
-from oracles import parse_report, read_scene
+from oracles import parse_report, read_scene, reference_particles_document
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
@@ -222,17 +222,33 @@ def test_verify_pair_whose_speed_squared_underflows(tmp_path):
 
 
 def test_cylinders_measures_speeds_once(tmp_path, monkeypatch):
+    # A particles file's speeds by evolution.speeds, a flow's from its axes.
     calls = []
 
     def counted(V):
         calls.append(len(V))
         return speeds(V)
 
+    speed_range = FlowAssignment.speed_range
+
+    def counted_flow(flow):
+        calls.append(("flow", len(flow)))
+        return speed_range(flow)
+
     monkeypatch.setattr(evolution, "speeds", counted)
-    monkeypatch.setattr(cylinders, "speeds", counted)
+    monkeypatch.setattr(FlowAssignment, "speed_range", counted_flow)
     assert cli.main(["--command", "cylinders", "--window", "2",
-                     "--out", str(tmp_path / "out")]) == 0
+                     "--out", str(tmp_path / "window")]) == 0
+    assert calls == [("flow", 25)]
+    flow = build_flow(arctan_profile(), Window.square(2), 0.5)
+    rows = tmp_path / "rows.txt"
+    rows.write_text(reference_particles_document(flow.P, flow.V))
+    calls.clear()
+    assert cli.main(["--command", "cylinders", "--particles", str(rows),
+                     "--out", str(tmp_path / "file")]) == 0
     assert calls == [25]
+    for name in ("scene.txt", "cylinder_report.txt"):
+        assert read(tmp_path / "window" / name) == read(tmp_path / "file" / name)
 
 
 @pytest.fixture
@@ -306,7 +322,7 @@ def _sparse():
 def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsys,
                                                     scan_passes, case):
     P, V, extra = case()
-    (tmp_path / "rows.txt").write_text("".join(particles_document(P, V)))
+    (tmp_path / "rows.txt").write_text(reference_particles_document(P, V))
     monkeypatch.chdir(tmp_path)
     args = ["--command", "cylinders", "--particles", "rows.txt", *extra]
     code = cli.main([*args, "--out", "out"])
@@ -323,6 +339,32 @@ def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsy
     if written:
         report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
         assert report["mode"] == "exhaustive"
+
+
+def test_cylinders_of_a_single_column_runs_the_engine(tmp_path, monkeypatch,
+                                                     capsys, scan_passes):
+    # No unit axis pair of one column attains the largest velocity
+    # component, so the certificate leaves its worldlines to the engine:
+    # the flow hands over its arrays, and the run writes what the same rows
+    # read from a file give.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--command", "assign", "--window=0:0,-3:3", "--out", "rows"]) == 0
+    capsys.readouterr()
+    runs = []
+    for source in (["--window=0:0,-3:3"], ["--particles", "rows/particles.txt"]):
+        assert cli.main(["--command", "cylinders", *source, "--out", "out"]) == 0
+        runs.append((capsys.readouterr(), read(tmp_path / "out" / "scene.txt"),
+                     read(tmp_path / "out" / "cylinder_report.txt")))
+    assert runs[0] == runs[1]
+    assert len(scan_passes) == 2
+    report = parse_report(runs[0][2].decode())
+    assert (report["mode"], report["pairs_checked"]) == ("exhaustive", "21")
+    # Past the exhaustive limit the column is undecided: no report.
+    assert cli.main(["--command", "cylinders", "--window=0:0,-3000:3000",
+                     "--out", "long"]) == 1
+    assert capsys.readouterr().out == ("cylinders: undecided: 18003000 pairs "
+                                       "exceed the exhaustive limit of 10000000\n")
+    assert not (tmp_path / "long").exists()
 
 
 def test_cylinders_radius_above_half_the_floor_is_refused(tmp_path, capsys,
@@ -358,7 +400,7 @@ def test_certified_scene_short_of_the_floor_is_decided_once(tmp_path, monkeypatc
 def test_undecided_past_the_limit_writes_no_report(tmp_path, monkeypatch, capsys,
                                                    command):
     P, V, _ = _nudged()
-    (tmp_path / "rows.txt").write_text("".join(particles_document(P, V)))
+    (tmp_path / "rows.txt").write_text(reference_particles_document(P, V))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
     assert cli.main(["--command", command, "--particles", "rows.txt",
@@ -595,7 +637,7 @@ def test_particles_file_is_held_once(tmp_path):
     particles = tmp_path / "particles.txt"
     # A file whose lines end in "\r" alone is read a block at a time too.
     for newline in ("\n", "\r"):
-        particles.write_bytes("".join(particles_document(P, V))
+        particles.write_bytes(reference_particles_document(P, V)
                               .replace("\n", newline).encode())
         tracemalloc.start()
         try:

@@ -41,7 +41,7 @@ def _axes(config):
 
 
 def _export(config, radius=0.25):
-    return "".join(export_scene(config.P, config.V, radius))
+    return "".join(export_scene(config, radius))
 
 
 def _worldline_of(row):

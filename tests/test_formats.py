@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from freedrift import formats
 from freedrift.cylinders import export_scene, lemma1_bound
-from freedrift.evolution import speeds
+from freedrift.evolution import MovingConfiguration, speeds
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -25,6 +25,7 @@ from freedrift.formats import (
     svg_snapshot,
     write_text_atomic,
 )
+from freedrift.lattice import Window, arctan_profile, build_flow
 from oracles import (
     parse_report,
     reference_export_scene,
@@ -43,13 +44,12 @@ def test_fmt_float_round_trips_doubles():
 
 
 def test_particles_round_trip():
-    P = np.array([(0.0, 0.0), (-3.0, 4.0)])
-    V = np.array([(1.25, -0.5), (math.atan(2), math.pi)])
-    text = "".join(particles_document(P, V))
+    flow = build_flow(arctan_profile(), Window(-3, 1, 0, 4), shift_margin=0.5)
+    text = "".join(particles_document(flow.particle_rows()))
     assert text.startswith("particles v1\n")
     back_P, back_V = parse_particles(text.encode())
-    assert back_P.tolist() == P.tolist()
-    assert back_V.tolist() == V.tolist()
+    assert back_P.tolist() == flow.P.tolist()
+    assert back_V.tolist() == flow.V.tolist()
     assert back_P.flags.c_contiguous and back_V.flags.c_contiguous
 
 
@@ -185,7 +185,7 @@ def test_plain_rows_skip_the_line_loop(monkeypatch):
     monkeypatch.setattr(formats, "_parse_lines", counted)
     monkeypatch.setattr(formats, "_PARSE_BLOCK", 64)
     P = np.arange(400.0).reshape(200, 2)
-    data = "".join(particles_document(P, -P)).encode()
+    data = reference_particles_document(P, -P).encode()
     for newline in (b"\n", b"\r\n", b"\r"):
         back_P, back_V = parse_particles(data.replace(b"\n", newline))
         assert back_P.tolist() == P.tolist() and back_V.tolist() == (-P).tolist()
@@ -201,6 +201,14 @@ def test_bytes_that_are_not_utf8_raise_at_their_position(monkeypatch):
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode()
     assert str(info.value) == str(whole.value)
+    # An earlier bad line comes first, whether the byte follows it in the
+    # same 64 KiB block or, past 20,000 more rows, in a later one.
+    monkeypatch.setattr(formats, "_PARSE_BLOCK", 1 << 16)
+    for rows in (0, 20_000):
+        data = (b"particles v1\n0,0,0,0\n1,2,3\n" + b"1,1,1,1\n" * rows
+                + b"5,0,0,0 \xff\n")
+        with pytest.raises(ParseError, match="^line 3: expected 4 fields"):
+            parse_particles(data)
 
 
 def _traced_peak(make):
@@ -219,14 +227,17 @@ def _peak_above_arrays(n: int, task: str) -> int:
     rng = np.random.default_rng(n)
     P, V = rng.uniform(-100.0, 100.0, (n, 2)), rng.uniform(-2.0, 2.0, (n, 2))
     if task in ("parse", "parse-cr"):
-        data = "".join(particles_document(P, V)).encode()
+        data = reference_particles_document(P, V).encode()
         if task == "parse-cr":
             data = data.replace(b"\n", b"\r")
         (P, V), peak = _traced_peak(lambda: parse_particles(data))
         return peak - P.nbytes - V.nbytes
-    chunks = {"particles": lambda: particles_document(P, V),
+    # The particles file of a flow of columns of 400 rows, n // 400 of them.
+    flow = build_flow(arctan_profile(), Window(0, n // 400 - 1, 0, 399), 0.5)
+    config = MovingConfiguration(P, V)
+    chunks = {"particles": lambda: particles_document(flow.particle_rows()),
               "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),
-              "scene": lambda: export_scene(P, V, 0.25)}[task]
+              "scene": lambda: export_scene(config, 0.25)}[task]
     return _traced_peak(lambda: sum(map(len, chunks())))[1]
 
 
@@ -418,15 +429,6 @@ def tables(draw, columns: int) -> np.ndarray:
 BLOCKS = st.sampled_from([1, 3, 8192])
 
 
-@settings(max_examples=100, deadline=None)
-@given(tables(4), BLOCKS)
-def test_particles_document_matches_reference(A, block):
-    P, V = A[:, :2], A[:, 2:]
-    with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert ("".join(particles_document(P, V))
-                == reference_particles_document(P, V))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.one_of(VALUES, INTEGER), tables(2)), max_size=4),
        BLOCKS)
@@ -448,10 +450,13 @@ def test_svg_snapshot_matches_reference(points, radius, viewport, block):
 @settings(max_examples=100, deadline=None)
 @given(tables(4), BLOCKS)
 def test_export_scene_matches_reference(A, block):
+    # A configuration holds each row once; the first of each stays in place.
+    A = A[np.sort(np.unique(A, axis=0, return_index=True)[1])]
     P, V = A[:, :2], A[:, 2:]
     radius = lemma1_bound(float(speeds(V).max(initial=0.0))) / 2.0
     # The scene's axis points are the positions at time 0.
     scene = SimpleNamespace(bases=np.column_stack((P, np.zeros(len(P)))),
                             velocities=V, radius=radius)
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert "".join(export_scene(P, V, radius)) == reference_export_scene(scene)
+        assert ("".join(export_scene(MovingConfiguration(P, V), radius))
+                == reference_export_scene(scene))

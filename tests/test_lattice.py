@@ -2,14 +2,18 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from freedrift import _pairscan
+from freedrift import _pairscan, formats
+from freedrift.cylinders import SceneReport, export_scene, verify_scene
 from freedrift.evolution import MovingConfiguration, speeds, verify_hardcore
+from freedrift.formats import particles_document, report_document, report_items
 from freedrift.geometry import Vec2, closest_approach, norm, sub
 from freedrift.lattice import (
     DISK_RADIUS,
@@ -30,7 +34,8 @@ from freedrift.lattice import (
     tanh_profile,
     verify_flow,
 )
-from oracles import recovered_field
+from oracles import (recovered_field, reference_export_scene,
+                     reference_particles_document)
 
 
 def all_profiles():
@@ -357,6 +362,7 @@ def test_axes_decide_as_the_arrays_do(phi):
         assert "P" not in vars(flow) and "V" not in vars(flow)
         arrays = MovingConfiguration(flow.P, flow.V)
         assert scan == arrays.decide()
+        assert flow.decide(worldline=True) == arrays.decide(worldline=True)
         assert report == _report_from_arrays(flow)
         assert hardcore == verify_hardcore(arrays)
 
@@ -540,3 +546,55 @@ def test_every_built_flow_is_certified(inputs):
         order = np.lexsort((flow.P[:, 1 - k], flow.P[:, k]))
         x, w = flow.P[order, k], W[order, k]
         assert np.where(x[1:] == x[:-1], w[1:] == w[:-1], w[1:] >= w[:-1]).all()
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _scene_outcome(config, radius):
+    """verify_scene's report as cylinder_report.txt writes it, beside the
+    report itself, and the scene.txt it admits; or what it raises."""
+    report = _outcome(verify_scene, config, radius)
+    if not isinstance(report, SceneReport):
+        return report
+    return (report_document(report_items(report)), report,
+            "".join(export_scene(config, report.radius)))
+
+
+ONE_POINT = st.tuples(st.sampled_from(all_profiles()),
+                      st.integers(-6, 6).map(lambda n: Window(n, n, -n, -n)),
+                      st.just(0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ONE_POINT, flow_inputs()),
+       st.one_of(st.none(), st.floats(1e-3, 0.5)), st.sampled_from([1, 3, 8192]))
+def test_flow_files_match_the_array_path(inputs, radius, block):
+    """particles.txt, scene.txt and cylinder_report.txt as a flow writes
+    them from its axes are the bytes its arrays give: the reference
+    particles document, the reference scene, and verify_scene on
+    MovingConfiguration(flow.P, flow.V). Only a single column or row can
+    read its arrays: its worldlines may be left to the engine."""
+    try:
+        flow = build_flow(*inputs)
+    except ValueError:
+        return  # refused: no flow to write
+    with mock.patch.object(formats, "_ROW_BLOCK", block):
+        particles = "".join(particles_document(flow.particle_rows()))
+        scene = _scene_outcome(flow, radius)
+    if len(flow.phi_x) > 1 and len(flow.phi_y) > 1:
+        assert "P" not in vars(flow) and "V" not in vars(flow)
+    P, V = flow.P, flow.V
+    assert particles == reference_particles_document(P, V)
+    arrays = _scene_outcome(MovingConfiguration(P, V), radius)
+    assert scene[:2] == arrays[:2]
+    if len(scene) == 3:
+        bases = np.column_stack((P, np.zeros(len(P))))
+        reference = reference_export_scene(SimpleNamespace(
+            bases=bases, velocities=V, radius=scene[1].radius))
+        assert scene[2] == arrays[2] == reference

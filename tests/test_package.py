@@ -92,12 +92,12 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 
 @pytest.mark.parametrize("args, absent", [
-    (["assign", "--window", "1"], {"falsifier", "cylinders"}),
+    (["assign", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
     (["verify", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
     (["evolve", "--window", "1", "--frames", "1"], {"falsifier", "cylinders"}),
     (["evolve", "--particles", "PAIR", "--frames", "1"],
      {"lattice", "falsifier", "cylinders"}),
-    (["cylinders", "--window", "1"], {"falsifier"}),
+    (["cylinders", "--window", "1"], {"falsifier", "numpy"}),
     (["falsify", "--field", "constant"], {"lattice", "evolution", "cylinders"}),
 ], ids=["assign", "verify", "evolve", "evolve-particles", "cylinders", "falsify"])
 def test_each_command_loads_only_its_modules(tmp_path, args, absent):

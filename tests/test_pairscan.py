@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan
-from freedrift.geometry import PARALLEL_EPS, Vec2, closest_approach
+from freedrift.geometry import (PARALLEL_EPS, Vec2, _inverse_hypot_down,
+                                closest_approach)
 from freedrift.lattice import (
     Window,
     arctan_profile,
@@ -531,7 +532,7 @@ def test_worldline_certificate_needs_a_pair_attaining_s():
 @pytest.mark.parametrize("s", [0.0, 1e-300, 0.5, 1.0, 2.0, 3.515463243748644,
                                1e8, 1e200, 1.7e308])
 def test_inverse_hypot_is_rounded_down(s):
-    assert_rounded_down(_pairscan._inverse_hypot_down(s), 1 / (1 + Fraction(s) ** 2))
+    assert_rounded_down(_inverse_hypot_down(s), 1 / (1 + Fraction(s) ** 2))
 
 
 def test_worldline_kernel_is_within_four_ulps_of_exact():
