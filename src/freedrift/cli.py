@@ -30,6 +30,12 @@ PASS_EXIT = 0
 FAIL_EXIT = 1
 INPUT_EXIT = 2
 
+# Relative tolerance of a grid file's node spacing: every step along both
+# axes may differ from the first by up to GRID_SPACING_TOL * max(|first|,
+# 1), and the grid is evaluated with the first step. Decimal coordinates
+# such as 0.1 steps are not exactly uniform as doubles.
+GRID_SPACING_TOL = 1e-9
+
 
 @dataclass
 class RunConfig:
@@ -182,15 +188,15 @@ def _grid_from_samples(P, V):
     steps = [b - a for a, b in zip(xs, xs[1:])] + \
             [b - a for a, b in zip(ys, ys[1:])]
     spacing = steps[0] if steps else 1.0
-    if any(abs(s - spacing) > 1e-9 * max(abs(spacing), 1.0) for s in steps):
+    tol = GRID_SPACING_TOL * max(abs(spacing), 1.0)
+    if any(abs(s - spacing) > tol for s in steps):
         raise ValueError("grid spacing must be uniform on both axes")
     by_pos = dict(zip(map(tuple, P.tolist()), map(tuple, V.tolist())))
     if len(by_pos) != len(P):
         raise ValueError("grid samples repeat a position")
-    try:
-        values = [[by_pos[(x, y)] for x in xs] for y in ys]
-    except KeyError as exc:
-        raise ValueError(f"grid is missing a node at {exc.args[0]}") from None
+    # len(P) distinct positions, each in xs x ys, which has len(P) nodes:
+    # every node has its sample.
+    values = [[by_pos[(x, y)] for x in xs] for y in ys]
     return grid_field((xs[0], ys[0]), spacing, values)
 
 

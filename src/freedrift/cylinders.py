@@ -159,8 +159,6 @@ def export_scene(config: MovingConfiguration, radius: float):
 
     from ._pairscan import math_map
     P, V = config.P, config.V
-    if len(P) == 0:
-        return
     # Stable, like sorting rows on their (px, py, pz) tuples: pz is 0.
     order = np.lexsort((P[:, 1], P[:, 0]))
     tail = "," + fmt_float(radius) + "\n"

@@ -16,13 +16,17 @@ its particles and cylinder-scene files from the axes too, each axis value
 formatted once. The arrays P and V are built, with numpy, only when a
 command reads them: evolve, and the engine pass over the worldlines of a
 single column or row that the certificate does not decide.
+
+The profile is evaluated once per integer of each axis. A table profile
+holds its rows as one dict, so a window costs the same whatever the
+table's length.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -70,7 +74,9 @@ class MonotoneProfile:
     """Bounded strictly increasing map from integers to reals.
 
     kind selects a built-in (arctan, tanh, rational n/(1+|n|)) or a
-    table-driven profile; bound is the sup of |phi| over the domain.
+    table-driven profile; bound is the sup of |phi| over the domain. A
+    table profile also holds its rows as one dict, built once here, which
+    profile_eval reads.
     """
 
     kind: ProfileKind
@@ -93,6 +99,7 @@ class MonotoneProfile:
                 raise ValueError("table values must be finite")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise NonMonotoneProfileError("table values must be strictly increasing")
+            object.__setattr__(self, "_values", dict(self.table))
         if not (math.isfinite(self.bound) and self.bound > 0):
             raise ValueError("profile bound must be finite and positive")
 
@@ -130,13 +137,10 @@ def named_profile(name: str) -> MonotoneProfile:
     return factories[name]()
 
 
-@lru_cache(maxsize=64)
-def _table_map(table):
-    return dict(table)
-
-
 def profile_eval(phi: MonotoneProfile, n: int) -> float:
-    """phi(n). Table-driven profiles never extrapolate."""
+    """phi(n). A table profile looks n up in its dict, in O(1) time, and
+    never extrapolates: OutOfDomainError for an integer it has no row
+    for."""
     n = int(n)
     if phi.kind is ProfileKind.ARCTAN:
         return math.atan(n)
@@ -144,10 +148,9 @@ def profile_eval(phi: MonotoneProfile, n: int) -> float:
         return math.tanh(n)
     if phi.kind is ProfileKind.RATIONAL_SATURATING:
         return n / (1 + abs(n))
-    values = _table_map(phi.table)
-    if n not in values:
+    if n not in phi._values:
         raise OutOfDomainError(f"table profile has no value for n={n}")
-    return values[n]
+    return phi._values[n]
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,9 @@ class FlowAssignment:
         in the first x1 column with |phi(x1)| = S, or (j, ny + j) in the
         first x2 row with |V0| = S, ny = len(phi_y). Where neither exists
         (a single column whose |V1| falls short of S, or a single row whose
-        |V0| does), certify refuses, and the arrays go to _pairscan.decide:
-        the engine, or UndecidedError. Otherwise no array is read."""
+        |V0| does), certify would refuse by the same test, so the arrays go
+        straight to the engine, _pairscan.scan, which past EXHAUSTIVE_LIMIT
+        raises UndecidedError. Otherwise no array is read."""
         n = len(self)
         total = n * (n - 1) // 2
         if not total:
@@ -261,8 +265,8 @@ class FlowAssignment:
                 + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s],
                 default=None)
             if line_witness is None:
-                from ._pairscan import decide
-                return decide(self.P, self.V, worldline=True)
+                from ._pairscan import scan
+                return scan(self.P, self.V, worldline=True)
             line_distance = _inverse_hypot_down(s)
         return PairScan(pairs_total=total, pairs_checked=total,
                         mode="exhaustive-structural", min_distance=1.0,

@@ -562,6 +562,41 @@ def test_grid_field_from_file(tmp_path):
     assert report["outcome"] == "violation"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([], "grid file has no rows"),
+    (["0,0,0,0", "1,0,0,0", "0,1,0,0"],
+     "grid samples must cover a full rectangular grid"),
+    (["0,0,0,0", "1,0,0,0", "3,0,0,0", "0,1,0,0", "1,1,0,0", "3,1,0,0"],
+     "grid spacing must be uniform on both axes"),
+    (["0,0,1,0", "0,0,2,0", "1,1,0,0", "1,1,0,1"],
+     "grid samples repeat a position"),
+], ids=["no-rows", "not-rectangular", "non-uniform", "repeated"])
+def test_malformed_grid_file_is_input_error(tmp_path, capsys, rows, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("\n".join(["particles v1", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["--command", "falsify", "--field", f"grid:{grid}",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slip", [0.5, 2.0], ids=["within", "beyond"])
+def test_grid_spacing_tolerance(tmp_path, slip):
+    # Decimal 0.1 steps are not exactly uniform as doubles (0.3 - 0.2 is
+    # not 0.1); the last step also slips by slip tolerances.
+    xs = [0.0, 0.1, 0.2, 0.3 + slip * cli.GRID_SPACING_TOL]
+    grid = tmp_path / "grid.txt"
+    grid.write_text("particles v1\n" + "".join(
+        f"{x!r},{y!r},{x!r},0\n" for y in xs for x in xs))
+    if slip > 1:
+        with pytest.raises(ValueError, match="grid spacing must be uniform"):
+            cli._parse_field(f"grid:{grid}")
+        return
+    field = cli._parse_field(f"grid:{grid}")
+    assert (field.origin, field.spacing) == ((0.0, 0.0), 0.1)
+
+
 def test_non_finite_field_increment_is_input_error(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text(OVERFLOW_GRID)

@@ -81,6 +81,27 @@ def test_table_profile_eval_and_domain():
         profile_eval(phi, 1)
 
 
+class Counting(tuple):
+    """A profile table that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        Counting.hashes += 1
+        return super().__hash__()
+
+
+def test_table_lookups_do_not_hash_the_table(monkeypatch):
+    # Each lookup costs O(1), not a hash of all T rows: a window costs the
+    # same whatever the table's length.
+    table = Counting((n, math.atan(n)) for n in range(-100, 101))
+    phi = MonotoneProfile(ProfileKind.TABLE_DRIVEN, table=table, bound=math.pi / 2)
+    monkeypatch.setattr(Counting, "hashes", 0)
+    flow = build_flow(phi, Window.square(100), shift_margin=0.5)
+    assert Counting.hashes <= 1
+    assert flow == build_flow(arctan_profile(), Window.square(100), shift_margin=0.5)
+
+
 def test_table_profile_must_increase():
     with pytest.raises(NonMonotoneProfileError):
         table_profile([(0, 0.0), (1, 0.0)])

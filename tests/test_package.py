@@ -94,16 +94,22 @@ def test_import_loads_no_submodule_and_no_numpy():
 @pytest.mark.parametrize("args, absent", [
     (["assign", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
     (["verify", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
+    (["verify", "--window", "1", "--profile", "table:TABLE"],
+     {"falsifier", "cylinders", "numpy"}),
     (["evolve", "--window", "1", "--frames", "1"], {"falsifier", "cylinders"}),
     (["evolve", "--particles", "PAIR", "--frames", "1"],
      {"lattice", "falsifier", "cylinders"}),
     (["cylinders", "--window", "1"], {"falsifier", "numpy"}),
     (["falsify", "--field", "constant"], {"lattice", "evolution", "cylinders"}),
-], ids=["assign", "verify", "evolve", "evolve-particles", "cylinders", "falsify"])
+], ids=["assign", "verify", "verify-table", "evolve", "evolve-particles",
+        "cylinders", "falsify"])
 def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     pair = tmp_path / "pair.txt"
     pair.write_text("particles v1\n0,0,0,0\n0,3,0,0\n")
-    args = [str(pair) if arg == "PAIR" else arg for arg in args]
+    table = tmp_path / "table.csv"
+    table.write_text("-1,-0.5\n0,0\n1,0.5\n")
+    files = {"PAIR": str(pair), "table:TABLE": f"table:{table}"}
+    args = [files.get(arg, arg) for arg in args]
     argv = ["--command", *args, "--out", str(tmp_path)]
     loaded = _loaded_modules("from freedrift import cli\n"
                              f"assert cli.main({argv!r}) == 0")
