@@ -26,13 +26,12 @@ O(n log n), the structure under which every closest approach is at least 1
 with equality exactly at unit axis pairs, and then reports the exact
 minimum over all pairs without visiting them. On request it also gives the
 exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
-in absolute value, rounded down to a double. `decide` is the pair
-decision of every configuration held as arrays
-(evolution.MovingConfiguration.decide) and of the scene verifier: the
-certificate, or `scan` when it returns None. A lattice flow decides its
-pairs without them (lattice.FlowAssignment.decide): from its two axes it
-gives the result that certify gives on its arrays, worldlines included,
-and hands the arrays to `decide` only where certify refuses them.
+in absolute value over the kinds of pair that occur, rounded down to a
+double. A configuration held as arrays decides its pairs
+(evolution.MovingConfiguration.decide) by the certificate, or by `scan`
+when it returns None. A lattice flow decides its pairs without them
+(lattice.FlowAssignment.decide): from its two axes it gives the result
+that certify gives on its arrays, worldlines included.
 
 PairScan and UndecidedError live in geometry, which loads no numpy.
 """
@@ -249,12 +248,15 @@ def certify(P, V, *, worldline: bool = False) -> PairScan | None:
     With worldline, also the minimum distance between worldlines
     (x, 0) + t (v, 1). Their normal is (-dv1, dv0, v_i x dv) and
     |v_i x dv| <= S (|dv0| + |dv1|) with S = max_i max(|V_i0|, |V_i1|), so
-    every worldline distance is at least 1/sqrt(1 + S^2). A unit axis pair
-    whose shared velocity component c has |c| = S attains it exactly, and
-    only such pairs do. The smallest of them (i < j) is the witness, and
-    line_distance is the largest double not above 1/sqrt(1 + S^2). When no
-    unit axis pair attains S the bound may not be the minimum, and the
-    result is None.
+    every worldline distance is at least 1/sqrt(1 + S^2). S is taken only
+    over the kinds of pair that occur: with one x1 value every pair shares
+    V1 (dv1 = 0), so |v_i x dv| = |V1| |dv0| and S = |V1|; with one x2
+    value, likewise S = max|V0|. A unit axis pair whose shared velocity
+    component c has |c| = S attains the bound exactly, and only such pairs
+    do. The smallest of them (i < j) is the witness, and line_distance is
+    the largest double not above 1/sqrt(1 + S^2). A single column or row
+    always has one. When no unit axis pair attains S the bound may not be
+    the minimum, and the result is None.
 
     Every test compares the given doubles exactly: a coordinate gap that
     rounds to 1.0 is decided in integer arithmetic. Velocity differences
@@ -287,8 +289,10 @@ def certify(P, V, *, worldline: bool = False) -> PairScan | None:
     line_distance = line_witness = None
     if worldline:
         a0, a1 = np.abs(v0), np.abs(v1)
-        s = float(max(a0.max(), a1.max()))
-        # Pairs in one x1 column share V1, pairs in one x2 row share V0.
+        # Pairs in one x1 column share V1, pairs in one x2 row share V0;
+        # S is taken over the kinds of pair that occur.
+        s = float(max(a0.max() if one.new.any() else 0.0,
+                      a1.max() if two.new.any() else 0.0))
         line_witness = _smallest(one.unit_pair(two, a1 == s),
                                  two.unit_pair(one, a0 == s))
         if line_witness is None:
@@ -304,14 +308,6 @@ def certify(P, V, *, worldline: bool = False) -> PairScan | None:
         line_distance=line_distance,
         line_witness=line_witness,
     )
-
-
-def decide(P, V, *, worldline: bool = False) -> PairScan:
-    """Every pair of positions P and velocities V, (n, 2) each: certify's
-    exact result when the configuration has the structure of a lattice
-    flow, else one scan over every pair, which past EXHAUSTIVE_LIMIT
-    raises UndecidedError. With worldline, the worldline minimum too."""
-    return certify(P, V, worldline=worldline) or scan(P, V, worldline=worldline)
 
 
 class _Axis:

@@ -12,9 +12,8 @@ falsifier, `evolve --particles` never loads the lattice module, and only
 `cylinders` loads the cylinder module. numpy is loaded by the commands that
 read or write particle arrays: `assign`, `verify` and `cylinders` on a
 window decide, measure and write the flow from its two axes, hold no P or
-V and load no numpy (but `cylinders` on a single column or row whose
-worldlines the certificate leaves to the pair engine), while `evolve`,
-`falsify` and every command on a particles file do.
+V and load no numpy, while `evolve`, `falsify` and every command on a
+particles file do.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     out: str = "out"
     particles: str = ""
-    radius: str = "auto"
+    radius: float | str = "auto"
 
 
 def _to_int(text: str) -> int:
@@ -67,13 +66,19 @@ def _to_finite(text: str) -> float:
     return value
 
 
+def _to_radius(text: str) -> float | str:
+    return text if text == "auto" else _to_finite(text)
+
+
 def _apply(config: RunConfig, key: str, raw: str) -> None:
-    """Set one field from its text, converted by the type of its default."""
+    """Set one field from its text, converted by the type of its default;
+    radius is auto or a finite float."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
     if key not in defaults:
         known = ", ".join(sorted(defaults))
         raise ValueError(f"unknown key {key!r}; known keys: {known}")
-    convert = {float: _to_finite, int: _to_int}.get(type(defaults[key]), str)
+    convert = _to_radius if key == "radius" else \
+        {float: _to_finite, int: _to_int}.get(type(defaults[key]), str)
     try:
         setattr(config, key, convert(raw))
     except ValueError as exc:
@@ -272,7 +277,7 @@ def _cmd_evolve(config: RunConfig) -> int:
     configuration = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
-    draw_radius = DISK_RADIUS if config.radius == "auto" else _to_finite(config.radius)
+    draw_radius = DISK_RADIUS if config.radius == "auto" else config.radius
     if not draw_radius > 0:
         raise ValueError("radius must be finite and positive")
     P = configuration.P
@@ -300,7 +305,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
     from . import cylinders as cyl
     from .formats import fmt_float, report_document, report_items
     configuration = _load_configuration(config)
-    radius = None if config.radius == "auto" else _to_finite(config.radius)
+    radius = None if config.radius == "auto" else config.radius
     try:
         report = cyl.verify_scene(configuration, radius)
     except cyl.HardCoreNotVerifiedError as exc:

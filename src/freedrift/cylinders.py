@@ -10,18 +10,17 @@ the configuration in a plain text format.
 
 For a lattice flow the verification needs no pass over the pairs: the
 structural certificate gives the worldline minimum 1/sqrt(1+S^2), S the
-largest velocity component in absolute value, rounded down; since S <= M
-it is at least the floor, up to the rounding of both. Other configurations
-go through the pair engine. Either way one decision, the configuration's
-decide, gives both the closest-approach minimum, which must clear 1, and
-the worldline minimum, each judged by evolution.clears, the rule of every
-distance verdict.
+largest velocity component in absolute value over the kinds of pair that
+occur, rounded down; since S <= M it is at least the floor, up to the
+rounding of both. Other configurations go through the pair engine. Either
+way one decision, the configuration's decide, gives both the
+closest-approach minimum, which must clear 1, and the worldline minimum,
+each judged by evolution.clears, the rule of every distance verdict.
 
 A lattice flow answers every question here from its two axes (decide,
 speed_range, duplicate_velocities, scene_rows), so cylinders on a window
-holds no P or V and loads no numpy, unless it is a single column or row
-whose worldlines the certificate leaves to the engine. A configuration
-held as arrays is read through numpy.
+holds no P or V and loads no numpy. A configuration held as arrays is read
+through numpy.
 """
 from __future__ import annotations
 

@@ -94,9 +94,13 @@ class MovingConfiguration:
 
     def decide(self, worldline: bool = False) -> PairScan:
         """Every pair's closest approach, and with worldline its worldline
-        distance: _pairscan.decide on P and V."""
-        from ._pairscan import decide
-        return decide(self.P, self.V, worldline=worldline)
+        distance: the structural certificate's exact result when P and V
+        have the structure of a lattice flow, else one engine pass over
+        every pair, which past _pairscan.EXHAUSTIVE_LIMIT raises
+        UndecidedError."""
+        from ._pairscan import certify, scan
+        return (certify(self.P, self.V, worldline=worldline)
+                or scan(self.P, self.V, worldline=worldline))
 
     def speed_range(self) -> tuple[float, float]:
         """The smallest and largest of speeds(V); at least one particle."""
@@ -145,11 +149,11 @@ def verify_hardcore(config: MovingConfiguration,
     """All-time minimum pairwise distance versus a threshold.
 
     config.decide() decides every pair. For a MovingConfiguration that is
-    _pairscan.decide: the structural certificate for a configuration with
-    the structure of a lattice flow, exactly, mode "exhaustive-structural";
-    otherwise the pair engine (closed-form closest approach), mode
-    "exhaustive", which past _pairscan.EXHAUSTIVE_LIMIT pairs raises
-    UndecidedError. A lattice.FlowAssignment gives the certificate's result
+    the structural certificate for a configuration with the structure of a
+    lattice flow, exactly, mode "exhaustive-structural"; otherwise the
+    pair engine (closed-form closest approach), mode "exhaustive", which
+    past _pairscan.EXHAUSTIVE_LIMIT pairs raises UndecidedError. A
+    lattice.FlowAssignment gives the certificate's result
     from its two axes, so it builds no arrays. The witness is the
     lexicographically smallest minimizing pair; only its two rows are read
     besides the decision.

@@ -14,8 +14,7 @@ structural certificate gives on its arrays, which also proves the
 inequality chain behind it. It measures its speeds and writes the rows of
 its particles and cylinder-scene files from the axes too, each axis value
 formatted once. The arrays P and V are built, with numpy, only when a
-command reads them: evolve, and the engine pass over the worldlines of a
-single column or row that the certificate does not decide.
+command reads them: evolve.
 
 The profile is evaluated once per integer of each axis. A table profile
 holds its rows as one dict, so a window costs the same whatever the
@@ -229,24 +228,24 @@ class FlowAssignment:
         return len(self.phi_x) * len(self.phi_y)
 
     def decide(self, worldline: bool = False) -> PairScan:
-        """The result _pairscan.decide gives on the flow's arrays, read off
-        the structure the constructor checked: integer coordinates 1 apart,
-        V0 = phi(x2) + a strictly increasing in x2 alone, V1 = -phi(x1)
-        strictly decreasing in x1 alone. Every pair is decided exactly, mode
-        "exhaustive-structural", minimum exactly 1 at the smallest unit axis
-        pair, which is (0, 1) in x-major order. One particle has no pair:
-        the engine's zero-pair scan, mode "exhaustive", minima inf.
+        """The result MovingConfiguration.decide gives on the flow's
+        arrays, read off the structure the constructor checked: integer
+        coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2
+        alone, V1 = -phi(x1) strictly decreasing in x1 alone. Every pair is
+        decided exactly, mode "exhaustive-structural", minimum exactly 1 at
+        the smallest unit axis pair, which is (0, 1) in x-major order. One
+        particle has no pair: the engine's zero-pair scan, mode
+        "exhaustive", minima inf.
 
-        With worldline, also certify's worldline minimum: S is the larger of
-        max|V0| and max|phi(x1)|, line_distance the largest double not
-        above 1/sqrt(1 + S^2), and line_witness the smallest unit axis pair
-        whose shared velocity component has magnitude S: (i ny, i ny + 1)
-        in the first x1 column with |phi(x1)| = S, or (j, ny + j) in the
-        first x2 row with |V0| = S, ny = len(phi_y). Where neither exists
-        (a single column whose |V1| falls short of S, or a single row whose
-        |V0| does), certify would refuse by the same test, so the arrays go
-        straight to the engine, _pairscan.scan, which past EXHAUSTIVE_LIMIT
-        raises UndecidedError. Otherwise no array is read."""
+        With worldline, also certify's worldline minimum: S is the largest
+        |V0| and |phi(x1)| over the kinds of pair that occur (a single
+        column has only pairs sharing its V1, a single row only pairs
+        sharing V0), line_distance the largest double not above
+        1/sqrt(1 + S^2), and line_witness the smallest unit axis pair whose
+        shared velocity component has magnitude S: (i ny, i ny + 1) in the
+        first x1 column with |phi(x1)| = S, or (j, ny + j) in the first x2
+        row with |V0| = S, ny = len(phi_y). Such a pair always exists, so
+        no array is read."""
         n = len(self)
         total = n * (n - 1) // 2
         if not total:
@@ -257,16 +256,14 @@ class FlowAssignment:
         line_distance = line_witness = None
         if worldline:
             v0, nx, ny = self._v0(), len(self.phi_x), len(self.phi_y)
-            s = max(max(map(abs, v0)), max(map(abs, self.phi_x)))
-            # Pairs in one x1 column share V1, pairs in one x2 row share V0.
+            # Pairs in one x1 column share V1, pairs in one x2 row share V0;
+            # S is taken over the kinds of pair that occur.
+            s = max(max(map(abs, v0)) if nx > 1 else 0.0,
+                    max(map(abs, self.phi_x)) if ny > 1 else 0.0)
             line_witness = min(
                 [(i * ny, i * ny + 1) for i, w1 in enumerate(self.phi_x)
                  if ny > 1 and abs(w1) == s]
-                + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s],
-                default=None)
-            if line_witness is None:
-                from ._pairscan import scan
-                return scan(self.P, self.V, worldline=True)
+                + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s])
             line_distance = _inverse_hypot_down(s)
         return PairScan(pairs_total=total, pairs_checked=total,
                         mode="exhaustive-structural", min_distance=1.0,
@@ -288,7 +285,7 @@ class FlowAssignment:
         return low, high
 
     def duplicate_velocities(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Equal velocities, as _pairscan.duplicate_rows counts them: none,
+        """Equal velocities, as a MovingConfiguration counts them: none,
         (0, ()), by the structure the constructor checked, since equal
         velocities would force equal x1 and equal x2."""
         return 0, ()

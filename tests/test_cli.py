@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freedrift import _pairscan, cli, evolution
+from freedrift import _pairscan, cli, evolution, lattice
 from freedrift.evolution import speeds
 from freedrift.formats import parse_particles
+from freedrift.geometry import _inverse_hypot_down
 from freedrift.lattice import FlowAssignment, Window, arctan_profile, build_flow
 
 from oracles import parse_report, read_scene, reference_particles_document
@@ -341,12 +342,12 @@ def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsy
         assert report["mode"] == "exhaustive"
 
 
-def test_cylinders_of_a_single_column_runs_the_engine(tmp_path, monkeypatch,
-                                                     capsys, scan_passes):
-    # No unit axis pair of one column attains the largest velocity
-    # component, so the certificate leaves its worldlines to the engine:
-    # the flow hands over its arrays, and the run writes what the same rows
-    # read from a file give.
+def test_cylinders_of_a_single_column_is_certified(tmp_path, monkeypatch,
+                                                  capsys, scan_passes):
+    # Every pair of one column shares V1 = c and lies exactly |dx2|/sqrt(1 +
+    # c^2) apart, so the certificate gives the worldline minimum at the
+    # smallest unit pair, from the axes and from the same rows read from a
+    # file alike, with no pass over the pairs.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--command", "assign", "--window=0:0,-3:3", "--out", "rows"]) == 0
     capsys.readouterr()
@@ -356,15 +357,24 @@ def test_cylinders_of_a_single_column_runs_the_engine(tmp_path, monkeypatch,
         runs.append((capsys.readouterr(), read(tmp_path / "out" / "scene.txt"),
                      read(tmp_path / "out" / "cylinder_report.txt")))
     assert runs[0] == runs[1]
-    assert len(scan_passes) == 2
+    assert scan_passes == []
     report = parse_report(runs[0][2].decode())
-    assert (report["mode"], report["pairs_checked"]) == ("exhaustive", "21")
-    # Past the exhaustive limit the column is undecided: no report.
-    assert cli.main(["--command", "cylinders", "--window=0:0,-3000:3000",
-                     "--out", "long"]) == 1
-    assert capsys.readouterr().out == ("cylinders: undecided: 18003000 pairs "
-                                       "exceed the exhaustive limit of 10000000\n")
-    assert not (tmp_path / "long").exists()
+    assert (report["mode"], report["pairs_checked"]) == ("exhaustive-structural", "21")
+    # Past the exhaustive limit too: a 6,001-point column and row, each at
+    # 1/sqrt(1 + c^2) rounded down, c the shared V1 of the column (-phi(0))
+    # and the shared V0 of the row (row k of a particle is x1, x2, v1, v2).
+    for window, k in [(Window(0, 0, -3000, 3000), 3),
+                      (Window(-3000, 3000, -500, -500), 2)]:
+        text = f"{window.x_lo}:{window.x_hi},{window.y_lo}:{window.y_hi}"
+        assert cli.main(["--command", "cylinders", f"--window={text}",
+                         "--out", "long"]) == 0
+        capsys.readouterr()
+        report = parse_report(read(tmp_path / "long" / "cylinder_report.txt").decode())
+        assert (report["mode"], report["pairs_checked"], report["witness_pair"]) == \
+            ("exhaustive-structural", "18003000", "0,1")
+        c = build_flow(arctan_profile(), window, 0.5).row(0)[k]
+        assert float(report["min_line_distance"]) == _inverse_hypot_down(c)
+    assert scan_passes == []
 
 
 def test_cylinders_radius_above_half_the_floor_is_refused(tmp_path, capsys,
@@ -419,6 +429,26 @@ def test_evolve_refuses_a_radius_that_is_not_positive(tmp_path, capsys, radius):
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: radius must be finite and positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "cylinders"])
+@pytest.mark.parametrize("radius, message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("nan", "must be finite, got 'nan'"),
+    ("-inf", "must be finite, got '-inf'"),
+    ("Auto", "could not convert string to float: 'Auto'"),
+], ids=["abc", "nan", "-inf", "Auto"])
+def test_radius_that_is_not_auto_or_a_finite_float_is_input_error(
+        tmp_path, monkeypatch, capsys, command, radius, message):
+    # Refused as the value of its key, like every other key, before the
+    # configuration is built.
+    built = []
+    monkeypatch.setattr(lattice, "build_flow", lambda *a: built.append(a))
+    out = tmp_path / "out"
+    assert cli.main(["--command", command, "--window", "1", "--radius", radius,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad value for 'radius': {message}\n"
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "10"])

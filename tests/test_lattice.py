@@ -367,9 +367,9 @@ def _report_from_arrays(flow):
     table_profile((n, n + 0.25 * math.sin(n)) for n in range(-40, 41)),
 ], ids=["arctan", "tanh", "rational", "table"])
 def test_axes_decide_as_the_arrays_do(phi):
-    """A flow decides its pairs from its axes as its arrays decide them, so
-    verify_flow and verify_hardcore read only the axes and give the reports
-    that the arrays give."""
+    """A flow decides its pairs, worldlines included, from its axes as its
+    arrays decide them, so verify_flow and verify_hardcore read only the
+    axes and give the reports that the arrays give."""
     # One point, single rows, single columns, rectangles and squares.
     windows = [Window(3, 3, -2, -2), Window(-4, 5, 1, 1), Window(2, 2, -3, 6),
                Window(-3, 2, -1, 4), Window(1, 4, -6, -2),
@@ -379,11 +379,12 @@ def test_axes_decide_as_the_arrays_do(phi):
             flow = build_flow(phi, window, margin)
         except NonMonotoneProfileError:
             continue  # tanh saturates before N = 32
-        scan, report, hardcore = flow.decide(), verify_flow(flow), verify_hardcore(flow)
+        scan, line = flow.decide(), flow.decide(worldline=True)
+        report, hardcore = verify_flow(flow), verify_hardcore(flow)
         assert "P" not in vars(flow) and "V" not in vars(flow)
         arrays = MovingConfiguration(flow.P, flow.V)
         assert scan == arrays.decide()
-        assert flow.decide(worldline=True) == arrays.decide(worldline=True)
+        assert line == arrays.decide(worldline=True)
         assert report == _report_from_arrays(flow)
         assert hardcore == verify_hardcore(arrays)
 
@@ -599,8 +600,7 @@ def test_flow_files_match_the_array_path(inputs, radius, block):
     """particles.txt, scene.txt and cylinder_report.txt as a flow writes
     them from its axes are the bytes its arrays give: the reference
     particles document, the reference scene, and verify_scene on
-    MovingConfiguration(flow.P, flow.V). Only a single column or row can
-    read its arrays: its worldlines may be left to the engine."""
+    MovingConfiguration(flow.P, flow.V). No flow reads its arrays."""
     try:
         flow = build_flow(*inputs)
     except ValueError:
@@ -608,8 +608,7 @@ def test_flow_files_match_the_array_path(inputs, radius, block):
     with mock.patch.object(formats, "_ROW_BLOCK", block):
         particles = "".join(particles_document(flow.particle_rows()))
         scene = _scene_outcome(flow, radius)
-    if len(flow.phi_x) > 1 and len(flow.phi_y) > 1:
-        assert "P" not in vars(flow) and "V" not in vars(flow)
+    assert "P" not in vars(flow) and "V" not in vars(flow)
     P, V = flow.P, flow.V
     assert particles == reference_particles_document(P, V)
     arrays = _scene_outcome(MovingConfiguration(P, V), radius)

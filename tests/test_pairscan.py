@@ -16,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan
+from freedrift.evolution import MovingConfiguration
+from freedrift.formats import parse_particles
 from freedrift.geometry import (PARALLEL_EPS, Vec2, _inverse_hypot_down,
                                 closest_approach)
 from freedrift.lattice import (
@@ -30,6 +32,7 @@ from oracles import (
     exact_line_distance_sq,
     line_distance_3d,
     line_grid_min_distance,
+    reference_particles_document,
     time_grid_min_distance,
 )
 
@@ -479,11 +482,19 @@ def assert_rounded_down(x, exact_sq):
     assert Fraction(x) ** 2 <= exact_sq < Fraction(math.nextafter(x, math.inf)) ** 2
 
 
+def largest_shared_component(P, V):
+    """S over the kinds of pair that occur: V0, shared by the pairs of one
+    x2 row, counts when the rows hold two or more x1 values; V1, shared by
+    the pairs of one x1 column, when they hold two or more x2 values."""
+    return Fraction(max(float(np.abs(V[:, k]).max()) for k in (0, 1)
+                        if len(set(P[:, k].tolist())) > 1))
+
+
 def assert_exact_line_minimum(cert, P, V):
     exact_sq, pair = exact_line_minimum(P, V)
     assert cert.line_witness == pair
     assert_rounded_down(cert.line_distance, exact_sq)
-    s = Fraction(float(np.abs(V).max()))
+    s = largest_shared_component(P, V)
     assert exact_sq == 1 / (1 + s * s)
     # The closest-approach half is the plain certificate's.
     assert dataclasses.replace(cert, line_distance=None, line_witness=None) == \
@@ -511,13 +522,58 @@ def test_worldline_certificate_on_shuffled_and_sparse_rows(rows):
         return
     # Refused exactly when no pair attains the bound, e.g. when the rows
     # attaining S lost their unit axis neighbours.
-    s = Fraction(float(np.abs(V).max()))
+    s = largest_shared_component(P, V)
     exact_sq, _ = exact_line_minimum(P, V)
     assert exact_sq >= 1 / (1 + s * s)
     if exact_sq > 1 / (1 + s * s):
         assert cert is None
     else:
         assert_exact_line_minimum(cert, P, V)
+
+
+LINE_PROFILES = [arctan_profile(), tanh_profile(), rational_profile(),
+                 table_profile((n, n + 0.25 * math.sin(n)) for n in range(-3000, 3001))]
+
+
+@st.composite
+def single_lines(draw):
+    """((profile, single row or column of 2 to 13 points at offsets up to
+    +-3000, shift margin), an order of its points)."""
+    phi = draw(st.sampled_from(LINE_PROFILES))
+    length = draw(st.integers(2, 13))
+    lo = draw(st.one_of(st.integers(-15, 3), st.integers(-3000, 3001 - length)))
+    at = draw(st.integers(-3000, 3000))
+    column = draw(st.booleans())
+    window = (Window(at, at, lo, lo + length - 1) if column
+              else Window(lo, lo + length - 1, at, at))
+    margin = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return (phi, window, margin), draw(st.permutations(range(length)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_lines())
+# The engine reads 0.602170129585289 at (2, 3); exactly, the minimum lies
+# at (0, 1), and rounded down it is 0.6021701295852891.
+@example(((arctan_profile(), Window(-4, -4, -6, 6), 0.5), list(range(12, -1, -1))))
+def test_single_rows_and_columns_get_the_exact_worldline_minimum(line):
+    """Every pair of a single column shares V1, every pair of a single row
+    V0, so the exact minimum is 1/sqrt(1 + c^2) at the smallest unit pair.
+    The flow gives it from its axes and the certificate from the same rows
+    shuffled and read from a file."""
+    inputs, order = line
+    try:
+        flow = build_flow(*inputs)
+    except ValueError:
+        return  # tanh saturates in double precision
+    cert = flow.decide(worldline=True)
+    assert "P" not in vars(flow) and "V" not in vars(flow)
+    assert cert.mode == "exhaustive-structural"
+    assert_exact_line_minimum(cert, flow.P, flow.V)
+    text = reference_particles_document(flow.P[order], flow.V[order])
+    P, V = parse_particles(text.encode())
+    cert = MovingConfiguration(P, V).decide(worldline=True)
+    assert cert.mode == "exhaustive-structural"
+    assert_exact_line_minimum(cert, P, V)
 
 
 def test_worldline_certificate_needs_a_pair_attaining_s():
