@@ -17,10 +17,13 @@ way one decision, the configuration's decide, gives both the
 closest-approach minimum, which must clear 1, and the worldline minimum,
 each judged by evolution.clears, the rule of every distance verdict.
 
-A lattice flow answers every question here from its two axes (decide,
-speed_range, duplicate_velocities, scene_rows), so cylinders on a window
-holds no P or V and loads no numpy. A configuration held as arrays is read
-through numpy.
+A scene row is a particle's worldline: the axis point (x, 0) and the
+direction (v, 1), written with the particle's own doubles, so the file
+holds what was verified and its rows take no arithmetic. A lattice flow
+answers every question here from its two axes (decide, speed_range,
+duplicate_velocities, particle_rows), so cylinders on a window holds no P
+or V and loads no numpy. A configuration held as arrays is read through
+numpy.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from .evolution import MovingConfiguration, clears
 from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
 
-SCENE_HEADER = "cylinder-scene v1"
+SCENE_HEADER = "cylinder-scene v2"
 
 
 class HardCoreNotVerifiedError(ValueError):
@@ -143,30 +146,28 @@ def export_scene(config: MovingConfiguration, radius: float):
     """Text form of the cylinders of one radius around the worldlines
     (x, 0) + t (v, 1) of a configuration's particles.
 
-    Yields the header line, then px,py,pz,dx,dy,dz,r rows in chunks of
-    text: the axis point (x, 0) and the unit direction (v, 1) / |(v, 1)|,
-    sorted by axis point. The radius is written as given; verify_scene is
-    what checks it. A lattice flow writes the same bytes from its two axes
-    (FlowAssignment.scene_rows); a MovingConfiguration, from its arrays,
-    a block of rows at a time.
+    Yields the header line, then x1,x2,0,v1,v2,1,r rows in chunks of
+    text: the axis point (x, 0) and the direction (v, 1), the particle's
+    own doubles as the particles format writes them, sorted by axis point.
+    The direction is not normalised, so the file holds exactly the
+    worldlines that verify_scene decides. The radius is written as given;
+    verify_scene is what checks it. A lattice flow writes the same bytes
+    from its two axes (FlowAssignment.particle_rows); a
+    MovingConfiguration, from its arrays, a block of rows at a time.
     """
     yield SCENE_HEADER + "\n"
     if not isinstance(config, MovingConfiguration):
-        yield from config.scene_rows(radius)
+        yield from config.particle_rows(radius)
         return
     import numpy as np
 
-    from ._pairscan import math_map
     P, V = config.P, config.V
     # Stable, like sorting rows on their (px, py, pz) tuples: pz is 0.
     order = np.lexsort((P[:, 1], P[:, 0]))
-    tail = "," + fmt_float(radius) + "\n"
-    # The rows are gathered and their directions made a block at a time.
+    tail = ",1," + fmt_float(radius) + "\n"
+    # The rows are gathered a block at a time.
     for rows in _row_slices(len(P)):
         k = order[rows]
         p, v = P[k], V[k]
-        ones = np.ones(len(v))
-        lengths = math_map(math.hypot, v[:, 0], v[:, 1], ones)
         yield from _rows_text(len(p), (
-            p[:, 0], ",", p[:, 1], ",0,", v[:, 0] / lengths, ",",
-            v[:, 1] / lengths, ",", ones / lengths, tail))
+            p[:, 0], ",", p[:, 1], ",0,", v[:, 0], ",", v[:, 1], tail))

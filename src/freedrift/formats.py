@@ -16,9 +16,9 @@ count. Every other value, and any row the checks reject, goes through
 format(x, ".17g"). Rows go out _ROW_BLOCK at a time: the bulk emitters
 yield str chunks, so the memory they hold is bounded by a block whatever
 the row count (a lattice flow's rows, which particles_document and
-cylinders.export_scene write from its axes, go out the same way), and
-parse_particles likewise reads rows a block at a time, from the file's
-bytes.
+cylinders.export_scene write from its axes, one generator for both, go
+out the same way), and parse_particles likewise reads rows a block at a
+time, from the file's bytes.
 
 numpy is imported by the column functions themselves, so the report,
 config and table formats and write_text_atomic load without it.

@@ -12,9 +12,10 @@ of size N, in pure Python, and load no numpy: a flow decides its pairs
 (FlowAssignment.decide), worldlines included, with the result that the
 structural certificate gives on its arrays, which also proves the
 inequality chain behind it. It measures its speeds and writes the rows of
-its particles and cylinder-scene files from the axes too, each axis value
-formatted once. The arrays P and V are built, with numpy, only when a
-command reads them: evolve.
+its particles and cylinder-scene files from the axes too, in one row
+generator that formats each axis value once: a scene row is a particles
+row with the worldline's 0 and 1 and the radius added. The arrays P and V
+are built, with numpy, only when a command reads them: evolve.
 
 The profile is evaluated once per integer of each axis. A table profile
 holds its rows as one dict, so a window costs the same whatever the
@@ -181,8 +182,8 @@ class FlowAssignment:
     Particle k = i * len(phi_y) + j, x-major (x1 outer, x2 inner), sits at
     (x_lo + i, y_lo + j) and moves with (phi_y[j] + shift.x1, -phi_x[i]).
     Every verifier reads a flow as a configuration, through len, row,
-    decide, speed_range and duplicate_velocities, and the emitters through
-    particle_rows and scene_rows, all from the axes; P and V, (n, 2)
+    decide, speed_range and duplicate_velocities, and both emitters
+    through particle_rows, all from the axes; P and V, (n, 2)
     float64 arrays, are built on first read. The axes must have the
     structure that decide rests on, else ValueError;
     NonMonotoneProfileError when phi_y + shift, in double precision, is
@@ -290,39 +291,24 @@ class FlowAssignment:
         velocities would force equal x1 and equal x2."""
         return 0, ()
 
-    def particle_rows(self):
+    def particle_rows(self, radius: float | None = None):
         """The x1,x2,v1,v2 rows of every particle, x-major, in the bytes
-        the particles format writes (format(x, ".17g")): yields at most
-        formats._ROW_BLOCK rows of one x1 column at a time. Each axis value
-        is formatted once."""
+        the particles format writes (format(x, ".17g")); given a radius,
+        the x1,x2,0,v1,v2,1,r rows of cylinders.export_scene instead, the
+        same doubles with the worldline's axis point (x, 0) and direction
+        (v, 1). x-major order is already the order by axis point. Yields
+        at most formats._ROW_BLOCK rows of one x1 column at a time. Each
+        axis value is formatted once, and no row takes arithmetic."""
+        sep, end = ((",", "\n") if radius is None
+                    else (",0,", f",1,{fmt_float(radius)}\n"))
         y_lo = self.window.y_lo
-        middles = [f"{fmt_float(float(y_lo + j))},{fmt_float(a)}"
+        middles = [f"{fmt_float(float(y_lo + j))}{sep}{fmt_float(a)}"
                    for j, a in enumerate(self._v0())]
         for i, w1 in enumerate(self.phi_x):
             head = fmt_float(float(self.window.x_lo + i)) + ","
-            tail = f",{fmt_float(-w1)}\n"
+            tail = f",{fmt_float(-w1)}{end}"
             for rows in _row_slices(len(middles)):
                 yield head + (tail + head).join(middles[rows]) + tail
-
-    def scene_rows(self, radius: float):
-        """The px,py,pz,dx,dy,dz,r rows of cylinders.export_scene for the
-        worldlines (x, 0) + t (v, 1), in its bytes: the axis point (x, 0)
-        and the unit direction (v, 1) / |(v, 1)|, with |(v, 1)| =
-        math.hypot(v0, v1, 1.0) and three divisions, as the array path
-        divides. x-major order is already the order by axis point. Yields
-        at most formats._ROW_BLOCK rows of one x1 column at a time; each
-        axis position is formatted once."""
-        y_lo, v0 = self.window.y_lo, self._v0()
-        ys = [fmt_float(float(y_lo + j)) for j in range(len(v0))]
-        for i, w1 in enumerate(self.phi_x):
-            v1 = -w1
-            # "%.17g" writes what format(x, ".17g") writes, in less time.
-            row = (f"{fmt_float(float(self.window.x_lo + i))},%s,0,%.17g,%.17g,"
-                   f"%.17g,{fmt_float(radius)}\n")
-            for rows in _row_slices(len(v0)):
-                lengths = map(math.hypot, v0[rows], repeat(v1), repeat(1.0))
-                yield "".join([row % (y, a / n, v1 / n, 1.0 / n)
-                               for y, a, n in zip(ys[rows], v0[rows], lengths)])
 
     def row(self, k: int) -> tuple[float, float, float, float]:
         """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""

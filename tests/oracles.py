@@ -13,7 +13,9 @@ pin the emitted bytes. The reference parser reads a particles file line by
 line, as the parser did before it read plain rows a block at a time, and
 pins its arrays and its errors. `line_distance_3d` is the scalar per-pair
 form of the worldline kernel, itself checked against the grid and exact
-oracles, and `read_scene` reads an exported scene back into arrays.
+oracles, and `read_scene` reads an exported scene back into arrays;
+`exact_scene_overlaps` decides, in integers, which cylinders of a scene
+overlap.
 `recovered_field` undoes a flow's shift and quarter turn, for the tests of
 the inequality chain that the flow verifier proves without computing it.
 The cone and segment-chaining apparatus of the impossibility argument
@@ -617,16 +619,52 @@ def reference_svg_snapshot(points, radius: float, lo: float, hi: float) -> str:
 
 def reference_export_scene(scene) -> str:
     B, V = scene.bases, scene.velocities
-    if len(B) == 0:
-        return SCENE_HEADER + "\n"
-    lengths = np.array(list(map(math.hypot, V[:, 0].tolist(), V[:, 1].tolist(),
-                                [1.0] * len(V))))
-    D = np.column_stack((V, np.ones(len(V)))) / lengths[:, None]
     # Stable, like sorting rows on their (px, py, pz) tuples.
     order = np.lexsort((B[:, 2], B[:, 1], B[:, 0]))
     row = ("{:.17g}," * 6 + fmt_float(scene.radius) + "\n").format
-    rows = np.hstack((B, D))[order]
+    rows = np.hstack((B, V, np.ones((len(V), 1))))[order]
     return SCENE_HEADER + "\n" + "".join(map(row, *rows.T.tolist()))
+
+
+def exact_scene_overlaps(text: str) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of rows of a cylinder-scene text whose
+    cylinders' interiors meet, decided exactly.
+
+    A row px,py,pz,dx,dy,dz,r is the cylinder of radius r around the line
+    p + t d, for any direction d. Each field is read as the double it
+    denotes, as a Fraction; the doubles of a scene share one power-of-two
+    denominator, so every value is scaled to an integer by it, which
+    multiplies both sides of each comparison below by the same power of
+    it. Two skew axes are (w.c)^2 / |c|^2 apart squared, with
+    w = q - p and c = d x e; parallel axes (c = 0) are |w x d|^2 / |d|^2
+    apart squared. The interiors meet when that is below (r + s)^2.
+    """
+    header, *rows = text.splitlines()
+    assert header == SCENE_HEADER, header
+    values = [[Fraction(float(f)) for f in row.split(",")] for row in rows]
+    assert all(len(row) == 7 for row in values)
+    scale = max((v.denominator for row in values for v in row), default=1)
+    rows = [[int(v * scale) for v in row] for row in values]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    overlaps = []
+    for i in range(len(rows)):
+        p, d, r = rows[i][:3], rows[i][3:6], rows[i][6]
+        for j in range(i + 1, len(rows)):
+            q, e, s = rows[j][:3], rows[j][3:6], rows[j][6]
+            w = [b - a for a, b in zip(p, q)]
+            reach = (r + s) ** 2
+            c = _cross3(d, e)
+            if any(c):
+                meet = dot(w, c) ** 2 < reach * dot(c, c)
+            else:
+                u = _cross3(w, d)
+                meet = dot(u, u) < reach * dot(d, d)
+            if meet:
+                overlaps.append((i, j))
+    return overlaps
 
 
 def _reference_parse_float(line_no: int, field: str) -> float:

@@ -180,18 +180,32 @@ def test_verify_certifies_every_pair_of_window_100(tmp_path):
         assert report["passed"] == "true"
 
 
+# Runs the command in sys.argv[1:] and prints its exit code and peak RSS
+# (ru_maxrss, KiB on Linux) as os.wait4 gives them. A child forked from the
+# test process would count that process's image, whatever it has grown to,
+# in its ru_maxrss; forked from this small launcher, it counts only its own.
+MEASURE_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_verify_of_window_1000_allocates_no_particle_arrays(tmp_path):
     # 4,004,001 particles: P and V alone would take 128 MB. The flow is
     # decided from its two axes of 2,001 values each.
     out = tmp_path / "out"
-    child = subprocess.Popen(
-        [sys.executable, "-m", "freedrift.cli", "--command", "verify",
-         "--window", "1000", "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss * 1024 < 100e6  # ru_maxrss is in KiB on Linux
+    launcher = subprocess.run(
+        [sys.executable, "-c", MEASURE_CHILD, sys.executable, "-m",
+         "freedrift.cli", "--command", "verify", "--window", "1000",
+         "--out", str(out)],
+        capture_output=True, text=True, check=True)
+    status, maxrss = map(int, launcher.stdout.split())
+    assert status == 0
+    assert maxrss * 1024 < 100e6
     report = parse_report(read(out / "flow_report.txt").decode())
     assert report["pairs_checked"] == report["pairs_total"] == "8016010002000"
     assert report["passed"] == "true"

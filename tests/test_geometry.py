@@ -103,6 +103,16 @@ def test_underflowing_relative_speed_with_numpy_floats():
     assert math.isfinite(pa.time_at_min) and pa.time_at_min == 0.0
 
 
+def test_subnormal_relative_speed_gives_an_infinite_time_without_warning():
+    # -1 / 2.2e-309 overflows: the closest approach lies infinitely far back.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pa = closest_approach(_v2(1e8, 0), _v2(0, 0),
+                              _v2(1e8 + 1, 0), _v2(2.2250738585072014e-309, 0))
+    assert pa.distance == 0.0
+    assert pa.time_at_min == -math.inf
+
+
 def test_overflowing_relative_speed_keeps_a_finite_time():
     # |dv|^2 = 1e400 overflows to inf, which left the time NaN.
     pa = closest_approach(_v2(0, 0), _v2(1e200, 0), _v2(-3e200, 1), _v2(0, 0))

@@ -22,8 +22,11 @@ c = 1e-4 with budget 20,000, which ended exhausted after 15,884
 evaluations (its `note` saying that refinement converged with budget
 left) and now ends in a violation of the scaled stage after 1,456
 (`falsify-scaled-violation`). `falsify-exhausted` is now the same run
-with budget 1,344: the 672 probe pairs and nothing more. `scene.txt` is
-unchanged. `verify-one` was pinned when `verify_flow` came to rest on
+with budget 1,344: the 672 probe pairs and nothing more. `scene.txt`
+changed once, when the scene format became `cylinder-scene v2`: each row
+is now the particles row with `0` after x2 and `1,<radius>` after v2, the
+exact worldline direction (v, 1) in place of the rounded unit direction
+(v, 1) / |(v, 1)|; its row order is unchanged. `verify-one` was pinned when `verify_flow` came to rest on
 the certificate alone, from the code before that change.
 """
 import hashlib
@@ -43,7 +46,7 @@ GOLDEN = {
     },
     "cylinders": {
         "cylinder_report.txt": "7a5465df6acdb8827828fff0387853cb24c895eab40557bc1dd231ce075a0f5f",
-        "scene.txt": "1d04dd16689e779116b0aa7e6b6d1609db12a2b7d3a2a9fbf70b71edbb154c0d",
+        "scene.txt": "cac877f6549799b01989b0806198364c02ba46969ffec551b872bcae70e89563",
     },
     "evolve": {
         "frames.csv": "55c47bbf3d68ec0e5e6ae4ddae154b914eaba8091a796d00b1c88b64e7369bb5",

@@ -135,11 +135,15 @@ def test_engine_matches_reference_bit_for_bit(config, tile):
 
 # Two static particles 6.26e-29 apart merge into one in the 1e8 shift.
 MERGED = (np.array([[0.0, 0.0], [0.0, 6.26e-29]]), np.zeros((2, 2)))
+# A subnormal relative speed: the time of closest approach is -inf.
+SUBNORMAL = (np.array([[0.0, 0.0], [1.0, 0.0]]),
+             np.array([[0.0, 0.0], [2.2250738585072014e-309, 0.0]]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES), st.sampled_from([1e8, -1e8]))
 @example(MERGED, 1, 1e8)
+@example(SUBNORMAL, 1, 1e8)
 def test_coordinates_around_1e8(config, tile, offset):
     """Far from the origin the engine still matches the per-pair reference
     bit for bit and the scalar formulas closely; integer points shift
@@ -154,15 +158,19 @@ def test_coordinates_around_1e8(config, tile, offset):
     assert (scan.min_distance, scan.witness) == ref["closest"]
     assert (scan.line_distance, scan.line_witness) == ref["line"]
 
+    # Python floats, as MovingConfiguration.row gives them: numpy scalars
+    # warn where a float division overflows to inf.
+    far_rows, V_rows = far.tolist(), V.tolist()
+
     def scalar_distance(i, j):
         # Points closer than the spacing of doubles near 1e8 merge in the
         # shift; a merged pair with equal velocities is one particle twice,
         # which the scalar formula refuses. It is static at dx = 0, so its
         # distance is 0.
-        if np.array_equal(far[i], far[j]) and np.array_equal(V[i], V[j]):
+        if far_rows[i] == far_rows[j] and V_rows[i] == V_rows[j]:
             return 0.0
-        return closest_approach(Vec2(*far[i]), Vec2(*V[i]),
-                                Vec2(*far[j]), Vec2(*V[j])).distance
+        return closest_approach(Vec2(*far_rows[i]), Vec2(*V_rows[i]),
+                                Vec2(*far_rows[j]), Vec2(*V_rows[j])).distance
 
     closest = min(scalar_distance(i, j)
                   for i in range(n) for j in range(i + 1, n))
