@@ -12,8 +12,9 @@ falsifier, `evolve --particles` never loads the lattice module, and only
 `cylinders` loads the cylinder module. numpy is loaded by the commands that
 read or write particle arrays: `assign`, `verify` and `cylinders` on a
 window decide, measure and write the flow from its two axes, hold no P or
-V and load no numpy, while `evolve`, `falsify` and every command on a
-particles file do.
+V and load no numpy, while `evolve` and every command on a particles file
+do. `falsify` loads it only to read a grid file or when its search
+reaches the random stage, which no built-in field's verdict does.
 """
 from __future__ import annotations
 

@@ -21,17 +21,24 @@ x = (2e5, 0), y = (200001.001, 0) the margin computed in 50-digit decimals
 from the field's formula is -1.25e-16, so such a hit holds on the doubles
 only.
 
-The search decides pairs in batches of float64 arrays, and its results are
-bit for bit those of a pair-by-pair pass in CPython floats. The rule that
-keeps them so: numpy runs only IEEE arithmetic (+, -, *, /, abs, min, max
-and comparisons), which rounds as CPython's float operations do, while
-every exp, cos, sin and hypot is a `math` call mapped over the batch.
-numpy's versions of those may differ from `math` in the last bit: with
-numpy 2.4 on x86-64, np.exp disagreed with math.exp on 4.6% of 10^6
-uniform inputs in [0, ln 10^4], and np.hypot with math.hypot on about
-0.6% of random points. The random stage draws from `random.Random` a batch at a time
-(`_random_floats`), never from numpy.random: importing numpy.random costs
-about 5.3 MB of RSS and 15-20 ms, a sixth of the falsifier's peak RSS.
+The probe, scaled, sign-change and refine stages decide their few hundred
+pairs one at a time in CPython floats, through one point kernel per field
+kind. Only the random stage, hundreds of thousands of pairs, batches them:
+2,048 pairs at a time in float64 arrays, through the kind's array kernel.
+It is the only stage that loads numpy (about 0.1 s of a run), so a field
+broken before it, as every built-in one is, is decided without it; in
+pure Python the random stage would take about five times as long. Both
+paths give bit for bit the results of a pair-by-pair pass in CPython
+floats. The rule that keeps the batches so: numpy runs only IEEE
+arithmetic (+, -, *, /, abs, min, max and comparisons), which rounds as
+CPython's float operations do, while every exp, cos, sin and hypot is a
+`math` call mapped over the batch. numpy's versions of those may differ
+from `math` in the last bit: with numpy 2.4 on x86-64, np.exp disagreed
+with math.exp on 4.6% of 10^6 uniform inputs in [0, ln 10^4], and
+np.hypot with math.hypot on about 0.6% of random points. The random stage
+draws from `random.Random` a batch at a time (`_random_floats`), never
+from numpy.random: importing numpy.random costs about 5.3 MB of RSS and
+15-20 ms, a sixth of the falsifier's peak RSS.
 """
 from __future__ import annotations
 
@@ -39,13 +46,14 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._pairscan import math_map
 from .formats import UNREPORTED
 from .geometry import DEFAULT_SEED, Vec2, norm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FieldKind(enum.Enum):
@@ -60,8 +68,9 @@ class FieldKind(enum.Enum):
 class CandidateField:
     """Bounded continuous field; its values never exceed bound in norm.
 
-    `_kernel(x1, x2) -> (w1, w2)` evaluates the field on float64
-    coordinate arrays, picked once per kind.
+    `_point_kernel(x1, x2) -> (w1, w2)` evaluates the field at one point in
+    CPython floats, picked once per kind. The random stage builds the
+    kind's array kernel from `_KERNELS` when it decides its first batch.
     """
 
     kind: FieldKind
@@ -91,27 +100,106 @@ class CandidateField:
                 raise ValueError("grid needs at least one node")
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("grid rows must have equal length")
-        object.__setattr__(self, "_kernel", _KERNELS[self.kind](self))
+        object.__setattr__(self, "_point_kernel",
+                           _POINT_KERNELS[self.kind](self))
 
 
-# Each kernel maps arrays of coordinates (x1, x2) to the field values
-# (w1, w2) as two float64 arrays. `CandidateField` picks its kernel once, so
-# every evaluation of a field runs the same arithmetic. Each element is the
-# scalar formula's CPython float, by the rule in the module docstring:
-# `math_map` for hypot, and `_pymax`/`_pymin` where the formula uses
-# Python's max and min.
+# Each point kernel maps a point's coordinates (x1, x2) to the field value
+# (w1, w2) as two floats; the probe, scaled, sign-change and refine stages
+# evaluate the field through it.
+
+def _constant_point(field: CandidateField):
+    w = (field.value.x1, field.value.x2)
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        return w
+    return kernel
+
+
+def _radial_point(field: CandidateField):
+    bound, scale = field.bound, field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        u1, u2 = x1 / scale, x2 / scale
+        f = bound / math.hypot(1.0, u1, u2)
+        return f * u1, f * u2
+    return kernel
+
+
+def _rotational_point(field: CandidateField):
+    bound, scale = field.bound, field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        f = bound / max(math.hypot(x1, x2), scale)
+        return -f * x2, f * x1
+    return kernel
+
+
+def _linear_point(field: CandidateField):
+    f, scale = field.bound / math.sqrt(2.0), field.scale
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        c1 = min(1.0, max(-1.0, x1 / scale))
+        c2 = min(1.0, max(-1.0, x2 / scale))
+        return f * c1, f * c2
+    return kernel
+
+
+def _grid_point(field: CandidateField):
+    rows = field.values
+    ny, nx = len(rows), len(rows[0])
+    (o1, o2), spacing = field.origin, field.spacing
+
+    def kernel(x1: float, x2: float) -> tuple[float, float]:
+        u = (x1 - o1) / spacing
+        v = (x2 - o2) / spacing
+        # Clamping extends the boundary values constantly: still continuous.
+        u = min(max(u, 0.0), nx - 1.0)
+        v = min(max(v, 0.0), ny - 1.0)
+        i = min(int(u), nx - 2) if nx > 1 else 0
+        j = min(int(v), ny - 2) if ny > 1 else 0
+        fu = u - i
+        fv = v - j
+        i2 = min(i + 1, nx - 1)
+        j2 = min(j + 1, ny - 1)
+        w00, w10 = rows[j][i], rows[j][i2]
+        w01, w11 = rows[j2][i], rows[j2][i2]
+        a0 = (w00[0] * (1 - fu) + w10[0] * fu, w00[1] * (1 - fu) + w10[1] * fu)
+        a1 = (w01[0] * (1 - fu) + w11[0] * fu, w01[1] * (1 - fu) + w11[1] * fu)
+        return (a0[0] * (1 - fv) + a1[0] * fv,
+                a0[1] * (1 - fv) + a1[1] * fv)
+    return kernel
+
+
+_POINT_KERNELS = {
+    FieldKind.CONSTANT: _constant_point,
+    FieldKind.SATURATED_RADIAL: _radial_point,
+    FieldKind.ROTATIONAL: _rotational_point,
+    FieldKind.CLAMPED_LINEAR: _linear_point,
+    FieldKind.SAMPLED_GRID: _grid_point,
+}
+
+
+# Each array kernel maps arrays of coordinates (x1, x2) to the field values
+# (w1, w2) as two float64 arrays; only the random stage builds one. Each
+# element is the point kernel's CPython float, by the rule in the module
+# docstring: `math_map` for hypot, and `_pymax`/`_pymin` where the point
+# kernel uses Python's max and min.
 
 def _pymax(a, b):
     """Python's max(a, b) elementwise: b only where b > a."""
+    import numpy as np
     return np.where(b > a, b, a)
 
 
 def _pymin(a, b):
     """Python's min(a, b) elementwise: b only where b < a."""
+    import numpy as np
     return np.where(b < a, b, a)
 
 
 def _constant_kernel(field: CandidateField):
+    import numpy as np
     w1, w2 = field.value.x1, field.value.x2
 
     def kernel(x1: np.ndarray, x2: np.ndarray):
@@ -120,6 +208,7 @@ def _constant_kernel(field: CandidateField):
 
 
 def _radial_kernel(field: CandidateField):
+    from ._pairscan import math_map
     bound, scale = field.bound, field.scale
     hypot_1 = partial(math.hypot, 1.0)
 
@@ -131,6 +220,7 @@ def _radial_kernel(field: CandidateField):
 
 
 def _rotational_kernel(field: CandidateField):
+    from ._pairscan import math_map
     bound, scale = field.bound, field.scale
 
     def kernel(x1: np.ndarray, x2: np.ndarray):
@@ -150,6 +240,7 @@ def _linear_kernel(field: CandidateField):
 
 
 def _grid_kernel(field: CandidateField):
+    import numpy as np
     w = np.array(field.values, dtype=float)
     ny, nx = w.shape[:2]
     (o1, o2), spacing = field.origin, field.spacing
@@ -290,24 +381,25 @@ _RANDOM_STREAMS = 4
 # Pairs per batch in the random stage: one draw and one kernel call each.
 _CHUNK = 2048
 # Refinement's eight moves in the order tried (+x1, -x1, +x2, ..., -y2),
-# one per column; the rows are the offsets of x1, x2, y1 and y2.
-_MOVES = ((1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-          (0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0),
-          (0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0),
-          (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0))
+# each the offsets of (x1, x2, y1, y2) in steps.
+_MOVES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+          (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
+          (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0),
+          (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0))
 
 
 class _Search:
     """Budgeted, seeded pair search; shared state across stages.
 
-    Pairs come in float64 arrays (x1, x2, y1, y2) and are decided as a
-    batch; `Vec2` is built only for the result. The margin is
-    c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y), and every decision is the
-    one a pair-by-pair pass would make.
+    A pair is four floats (x1, x2, y1, y2): `try_pair` decides one, and
+    `try_pairs` a batch of them in float64 arrays; `Vec2` is built only for
+    the result. The margin is c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y),
+    and a batch makes every decision a pair-by-pair pass would.
     """
 
     def __init__(self, field: CandidateField, c: float, budget: int):
-        self.kernel = field._kernel
+        self.field = field
+        self.point_kernel = field._point_kernel
         self.c = c
         self.budget = budget
         self.evals = 0
@@ -317,23 +409,64 @@ class _Search:
         self.pos_pair: tuple[float, float, float, float] | None = None
         self.neg_pair: tuple[float, float, float, float] | None = None
 
+    @cached_property
+    def array_kernel(self):
+        """The field's array kernel, built by the first batch."""
+        return _KERNELS[self.field.kind](self.field)
+
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
 
-    def try_pairs(self, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray,
-                  y2: np.ndarray, *, until_better: bool = False):
-        """Decide the pairs in order; the first hit, or None.
+    def try_pair(self, x1: float, x2: float, y1: float, y2: float):
+        """Decide the pair (x, y); the hit, or None.
 
         A hit is a pair whose float margin is >= 0 and that passes
-        `_exact_violation`; a float hit that fails it is passed over. A
-        pair with |x-y| <= 1 is skipped and costs nothing; pairs past the
-        budget are not evaluated. The batch stops at the first hit and,
-        with until_better, at the first margin above the best one before
-        the call. A non-finite increment before that stop raises
-        ValueError. The kept pair of each sign, the best margin (the first
-        strictly larger one; NaN never) and the evaluation count then cover
-        the pairs up to the stop.
+        `_exact_violation`. A pair with |x-y| <= 1 is skipped and costs
+        nothing, and none is evaluated past the budget. A non-finite
+        increment raises ValueError. Otherwise the pair is kept as the
+        latest of its sign of <x-y, dw>, and as the best if its margin is
+        strictly larger than the best one (NaN never is).
         """
+        d1, d2 = x1 - y1, x2 - y2
+        separation = math.hypot(d1, d2)
+        if not separation > 1.0 or self.out_of_budget():
+            return None
+        wx1, wx2 = self.point_kernel(x1, x2)
+        wy1, wy2 = self.point_kernel(y1, y2)
+        dw1, dw2 = wx1 - wy1, wx2 - wy2
+        # A finite increment implies both field values are finite.
+        if not (math.isfinite(dw1) and math.isfinite(dw2)):
+            raise ValueError(
+                f"field increment w(x) - w(y) = ({dw1}, {dw2}) is not "
+                f"finite at x = ({x1}, {x2}), y = ({y1}, {y2})")
+        self.evals += 2
+        inner = d1 * dw1 + d2 * dw2
+        dw_norm = math.hypot(dw1, dw2)
+        margin = self.c * dw_norm - abs(inner)
+        pair = (x1, x2, y1, y2)
+        if inner > 0.0:
+            self.pos_pair = pair
+        elif inner < 0.0:
+            self.neg_pair = pair
+        if margin > self.best_margin:
+            self.best_margin, self.best_pair = margin, pair
+        if margin >= 0.0 and _exact_violation(self.c, *pair,
+                                              wx1, wx2, wy1, wy2):
+            return (*pair, margin, inner, dw_norm, separation)
+        return None
+
+    def try_pairs(self, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray,
+                  y2: np.ndarray):
+        """Decide the pairs in order, as `try_pair` would one by one; the
+        first hit, or None.
+
+        The batch stops at the first hit. A non-finite increment before it
+        raises ValueError. The kept pair of each sign, the best margin and
+        the evaluation count then cover the pairs up to the stop.
+        """
+        import numpy as np
+
+        from ._pairscan import math_map
         with np.errstate(all="ignore"):
             d1 = x1 - y1
             d2 = x2 - y2
@@ -345,8 +478,8 @@ class _Search:
                 return None
             x1, x2, y1, y2, d1, d2, separation = (
                 a[take] for a in (x1, x2, y1, y2, d1, d2, separation))
-            w1, w2 = self.kernel(np.concatenate((x1, y1)),
-                                 np.concatenate((x2, y2)))
+            w1, w2 = self.array_kernel(np.concatenate((x1, y1)),
+                                       np.concatenate((x2, y2)))
             dw1 = w1[:n] - w1[n:]
             dw2 = w2[:n] - w2[n:]
             inner = d1 * dw1 + d2 * dw2
@@ -356,12 +489,11 @@ class _Search:
         finite = np.isfinite(dw1) & np.isfinite(dw2)
         bad = n if finite.all() else int(np.argmin(finite))
         hits = margin[:bad] >= 0.0
-        better = margin[:bad] > (self.best_margin if until_better else math.inf)
-        for k in np.flatnonzero(hits | better).tolist():
-            found = bool(hits[k]) and _exact_violation(
+        for k in np.flatnonzero(hits).tolist():
+            found = _exact_violation(
                 self.c, *(float(a[k]) for a in (x1, x2, y1, y2)),
                 *(float(a[j]) for j in (k, n + k) for a in (w1, w2)))
-            if found or better[k]:
+            if found:
                 end = k + 1
                 break
         else:
@@ -475,6 +607,7 @@ def _random_floats(rng: random.Random, n: int) -> np.ndarray:
     values and the generator state afterwards are those of n random()
     calls.
     """
+    import numpy as np
     words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
                           dtype="<u4").astype(np.uint64)
     return ((words[0::2] >> 5) * 2 ** 26 + (words[1::2] >> 6)) / 2.0 ** 53
@@ -515,13 +648,15 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
 
     for stage, pairs in (("probe", _probe_pairs()),
                          ("scaled", _scaled_pairs(field.bound, c))):
-        hit = search.try_pairs(*np.array(list(pairs), dtype=float)
-                               .reshape(-1, 4).T)
-        if hit is not None:
-            return _violation(search, hit, stage)
-        if search.out_of_budget():
-            return _exhausted(search)
+        for pair in pairs:
+            hit = search.try_pair(*pair)
+            if hit is not None:
+                return _violation(search, hit, stage)
+            if search.out_of_budget():
+                return _exhausted(search)
 
+    # Only the random stage batches its pairs, so numpy loads here.
+    from ._pairscan import math_map
     cos, sin, exp = math.cos, math.sin, math.exp
     log_r_max = math.log(1e4)
     log_gap_min, log_gap_max = math.log(1.0001), math.log(1e3)
@@ -587,7 +722,7 @@ def _sign_change(search: _Search):
         x1, x2 = a1 + t * (e1 - a1), a2 + t * (e2 - a2)
         pair = (x1, x2, x1 - length * math.cos(angle),
                 x2 - length * math.sin(angle))
-        hit = search.try_pairs(*np.array(pair)[:, None])
+        hit = search.try_pair(*pair)
         if hit is not None:
             return hit
         if search.pos_pair == pair:
@@ -606,15 +741,17 @@ def _refine(search: _Search):
     first that raises the best margin; a round without one halves the
     step.
     """
-    moves = np.array(_MOVES)
     step = 1.0
     while step > 1e-9 and not search.out_of_budget():
         before = search.best_margin
-        base = np.array(search.best_pair)[:, None]
-        hit = search.try_pairs(*(base + step * moves), until_better=True)
-        if hit is not None:
-            return hit
-        if not search.best_margin > before:
+        base = search.best_pair
+        for move in _MOVES:
+            hit = search.try_pair(*(p + step * m for p, m in zip(base, move)))
+            if hit is not None:
+                return hit
+            if search.best_margin > before:
+                break
+        else:
             step /= 2.0
     return None
 

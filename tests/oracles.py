@@ -49,30 +49,37 @@ from freedrift.geometry import PARALLEL_EPS, Vec2, dot, norm, sub
 def time_grid_min_distance(x, vx, y, vy, levels: int = 28, points: int = 2001):
     """Grid-minimize |(x + t vx) - (y + t vy)| over t; returns (distance, t).
 
-    The squared distance is a convex quadratic in t, so refining around the
-    sampled argmin converges. The initial bracket |t| <= |x-y|/|vx-vy| + 1
-    contains the true minimizer for any nonzero relative velocity.
+    The grid runs over s = t |vx-vy|, the distance moved along the unit
+    direction u of vx-vy. The squared distance is a convex quadratic in s,
+    so refining around the sampled argmin converges. The initial bracket
+    |s| <= |x-y| + 1 contains the true minimizer for any nonzero relative
+    velocity, and stays finite where |x-y| / |vx-vy| overflows (a
+    subnormal relative velocity).
     """
     dx = np.array([x[0] - y[0], x[1] - y[1]], dtype=float)
     dv = np.array([vx[0] - vy[0], vx[1] - vy[1]], dtype=float)
     dv_norm = math.hypot(dv[0], dv[1])
     if dv_norm == 0.0:
         return math.hypot(dx[0], dx[1]), None
-    half = math.hypot(dx[0], dx[1]) / dv_norm + 1.0
+    # Scaled by its largest component first: a subnormal dv divided by its
+    # own rounded norm is not a unit vector.
+    u = dv / np.max(np.abs(dv))
+    u /= math.hypot(u[0], u[1])
+    half = math.hypot(dx[0], dx[1]) + 1.0
     center = 0.0
     best_d = math.inf
-    best_t = 0.0
+    best_s = 0.0
     for _ in range(levels):
-        ts = np.linspace(center - half, center + half, points)
-        d = np.hypot(dx[0] + ts * dv[0], dx[1] + ts * dv[1])
+        ss = np.linspace(center - half, center + half, points)
+        d = np.hypot(dx[0] + ss * u[0], dx[1] + ss * u[1])
         k = int(np.argmin(d))
         if d[k] < best_d:
             best_d = float(d[k])
-            best_t = float(ts[k])
-        center = float(ts[k])
+            best_s = float(ss[k])
+        center = float(ss[k])
         # Keep a few cells of slack so the true argmin stays inside.
         half = 4.0 * (2.0 * half / (points - 1))
-    return best_d, best_t
+    return best_d, best_s / dv_norm
 
 
 def line_grid_min_distance(p1, d1, p2, d2, half: float = 64.0,

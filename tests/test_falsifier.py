@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -43,9 +42,8 @@ from oracles import (
 
 
 def _at(field, p):
-    """The field's kernel at the one point p."""
-    w1, w2 = field._kernel(np.array([p.x1]), np.array([p.x2]))
-    return Vec2(float(w1[0]), float(w2[0]))
+    """The field's point kernel at p."""
+    return Vec2(*field._point_kernel(p.x1, p.x2))
 
 
 def _sampled_grid(n, spacing, fn):
@@ -359,8 +357,8 @@ def test_falsify_matches_reference_when_exhausted(c):
 
 
 def test_field_kernels_match_reference_evaluate():
-    # One array-kernel call per field on all points, compared element by
-    # element (and bit for bit) with the scalar reference.
+    # The point kernel at each point, and one array-kernel call per field
+    # on all points, compared bit for bit with the scalar reference.
     rng = random.Random(5)
     for name, field in FIELDS.items():
         # Signed zeros and grid nodes, where ties meet min and max.
@@ -370,30 +368,42 @@ def test_field_kernels_match_reference_evaluate():
             r = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
             t = rng.uniform(0.0, 2.0 * math.pi)
             points.append(Vec2(r * math.cos(t), r * math.sin(t)))
-        w1, w2 = field._kernel(np.array([p.x1 for p in points]),
-                               np.array([p.x2 for p in points]))
+        kernel = falsifier._KERNELS[field.kind](field)
+        w1, w2 = kernel(np.array([p.x1 for p in points]),
+                        np.array([p.x2 for p in points]))
         assert w1.dtype == w2.dtype == np.float64
         assert len(w1) == len(w2) == len(points)
         for k, p in enumerate(points):
             expected = reference_evaluate(field, p)
-            assert _at(field, p) == expected, (name, p)
-            assert (w1[k].hex(), w2[k].hex()) == (expected.x1.hex(),
-                                                  expected.x2.hex()), (name, p)
+            bits = (expected.x1.hex(), expected.x2.hex())
+            point = field._point_kernel(p.x1, p.x2)
+            assert tuple(w.hex() for w in point) == bits, (name, p)
+            assert (w1[k].hex(), w2[k].hex()) == bits, (name, p)
+
+
+class _ArrayKernelBuilt(Exception):
+    pass
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_chain_check_and_probe_make_one_kernel_call(name):
-    # The search's probe stage evaluates all its points in one kernel call.
-    field = dataclasses.replace(FIELDS[name])
-    kernel, calls = field._kernel, []
+def test_only_the_random_stage_builds_an_array_kernel(monkeypatch, name):
+    # A search that ends in the probe or the scaled stage, or with the
+    # budget spent by them, decides every pair with the point kernel; one
+    # that reaches the random stage builds the array kernel there.
+    field = FIELDS[name]
+    budgets = (100, BEFORE_RANDOM, 5000)
+    results = [falsify(field, 1e-4, budget) for budget in budgets]
 
-    def counted(x1, x2):
-        calls.append(len(x1))
-        return kernel(x1, x2)
+    def refuse(field):
+        raise _ArrayKernelBuilt(field.kind)
 
-    object.__setattr__(field, "_kernel", counted)
-    falsify(field, 1e-4, budget=1344)  # the 672 probe pairs, nothing more
-    assert calls == [1344]
+    monkeypatch.setattr(falsifier, "_KERNELS", dict.fromkeys(FieldKind, refuse))
+    for budget, result in zip(budgets, results):
+        if budget <= BEFORE_RANDOM or _stage(result) in ("probe", "scaled"):
+            assert falsify(field, 1e-4, budget) == result, budget
+        else:
+            with pytest.raises(_ArrayKernelBuilt):
+                falsify(field, 1e-4, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,6 +483,32 @@ def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
         assert isinstance(result, Exhausted)
         assert result.evaluations_used > BEFORE_RANDOM + 4 * (per_stream - 1)
         assert result == reference_falsify(field, 1e-4, budget, seed)
+
+
+def test_empty_scaled_stage_hands_the_probes_to_the_random_stage(monkeypatch):
+    # At c = 5e-324, r = k bound/c overflows for every k: the scaled stage
+    # has no pair, and the random stage starts right after the probes.
+    field, c = FIELDS["radial"], 5e-324
+    assert list(falsifier._scaled_pairs(field.bound, c)) == []
+    starts = []
+    original = falsifier._Search.try_pairs
+
+    def recording(self, *batch):
+        starts.append(self.evals)
+        return original(self, *batch)
+
+    monkeypatch.setattr(falsifier._Search, "try_pairs", recording)
+    reached = 0
+    for budget in (1344, 1346, 1355, 1356, 1600, 2500, 4000):
+        # A stream of fewer than 2 evaluations draws no pair.
+        reaches = (budget - PROBE_EVALUATIONS) * 3 // 4 // 4 >= 2
+        reached += reaches
+        for seed in (1, 7):
+            starts.clear()
+            result = falsify(field, c, budget, seed)
+            assert result == reference_falsify(field, c, budget, seed), budget
+            assert starts[:1] == ([PROBE_EVALUATIONS] if reaches else [])
+    assert reached == 5
 
 
 def _first_random_hit():
@@ -560,23 +596,57 @@ def test_hit_before_a_non_finite_increment_in_the_chunk_wins():
     assert result == reference_falsify(field, 1.25, 10 ** 5, 1)
 
 
-def test_refinement_batch_stops_only_at_a_strictly_larger_margin():
+def test_try_pair_keeps_only_a_strictly_larger_margin():
     # w = (clamp(x1, 0, 1), 0): moving x2 or y2 changes neither dw nor
     # <x-y, dw>, so these pairs all have the first one's margin. None of
-    # them stops an until_better batch; the strictly larger last one does.
+    # them becomes the best; the strictly larger last one does.
     field = grid_field((0.0, 0.0), 1.0, [[(0.0, 0.0), (1.0, 0.0)]])
     search = falsifier._Search(field, 0.1, 100)
-    x1 = np.array([0.5, 0.5, 0.5, 0.5, 0.75])
-    x2 = np.array([0.0, 1.0, 2.0, -3.0, 0.0])
-    y1 = np.full(5, 3.0)
-    y2 = np.array([0.0, 1.0, 0.0, 5.0, 0.0])
-    assert search.try_pairs(x1[:1], x2[:1], y1[:1], y2[:1]) is None
+    first = (0.5, 0.0, 3.0, 0.0)
+    assert search.try_pair(*first) is None
     before = search.best_margin
     assert before == 0.1 * 0.5 - 2.5 * 0.5
-    assert search.try_pairs(x1, x2, y1, y2, until_better=True) is None
+    for pair in (first, (0.5, 1.0, 3.0, 1.0), (0.5, 2.0, 3.0, 0.0),
+                 (0.5, -3.0, 3.0, 5.0)):
+        assert search.try_pair(*pair) is None
+        assert (search.best_margin, search.best_pair) == (before, first)
+    assert search.try_pair(0.75, 0.0, 3.0, 0.0) is None
     assert search.evals == 2 + 2 * 5
     assert search.best_margin > before
     assert search.best_pair == (0.75, 0.0, 3.0, 0.0)
+
+
+def test_refine_stops_its_moves_at_a_strictly_larger_margin(monkeypatch):
+    # w = (g(x1), 0), g piecewise linear through g(-1..4) = 1, 1, 2, 0, 0, 0,
+    # and c = 0.1: from (0, 0)-(3, 0) at step 1, moving x1 either way or y1
+    # up lowers the margin, moving x2 keeps it, and moving y1 down to 2
+    # raises it. The round stops there, and the next starts from that pair.
+    field = grid_field((-1.0, 0.0), 1.0,
+                       [[(1.0, 0.0), (1.0, 0.0), (2.0, 0.0),
+                         (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]])
+    search = falsifier._Search(field, 0.1, 10 ** 4)
+    assert search.try_pair(0.0, 0.0, 3.0, 0.0) is None
+    before = search.best_margin
+    tried = []
+    original = falsifier._Search.try_pair
+
+    def recording(self, *pair):
+        hit = original(self, *pair)
+        tried.append((pair, self.evals, self.best_margin))
+        return hit
+
+    monkeypatch.setattr(falsifier._Search, "try_pair", recording)
+    falsifier._refine(search)
+    pairs = [pair for pair, _, _ in tried]
+    assert pairs[:7] == [(1.0, 0.0, 3.0, 0.0), (-1.0, 0.0, 3.0, 0.0),
+                         (0.0, 1.0, 3.0, 0.0), (0.0, -1.0, 3.0, 0.0),
+                         (0.0, 0.0, 4.0, 0.0), (0.0, 0.0, 2.0, 0.0),
+                         (1.0, 0.0, 2.0, 0.0)]
+    assert [margin for _, _, margin in tried[:5]] == [before] * 5
+    _, evals, margin = tried[5]
+    assert evals == 2 + 2 * 6
+    assert margin > before
+    assert margin == 0.1 - 2.0
 
 
 def test_nan_margins_never_become_the_best():

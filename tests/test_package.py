@@ -101,9 +101,12 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"lattice", "falsifier", "cylinders"}),
     (["cylinders", "--window", "1"], {"falsifier", "numpy"}),
     (["cylinders", "--window=0:0,-3:3"], {"falsifier", "numpy"}),
-    (["falsify", "--field", "constant"], {"lattice", "evolution", "cylinders"}),
+    (["falsify", "--field", "constant"],
+     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
+    (["falsify", "--field", "radial", "--c", "1e-4"],
+     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
 ], ids=["assign", "verify", "verify-table", "evolve", "evolve-particles",
-        "cylinders", "cylinders-column", "falsify"])
+        "cylinders", "cylinders-column", "falsify", "falsify-radial"])
 def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     pair = tmp_path / "pair.txt"
     pair.write_text("particles v1\n0,0,0,0\n0,3,0,0\n")

@@ -138,6 +138,10 @@ MERGED = (np.array([[0.0, 0.0], [0.0, 6.26e-29]]), np.zeros((2, 2)))
 # A subnormal relative speed: the time of closest approach is -inf.
 SUBNORMAL = (np.array([[0.0, 0.0], [1.0, 0.0]]),
              np.array([[0.0, 0.0], [2.2250738585072014e-309, 0.0]]))
+# The least subnormal relative speed, across the offset: |x-y| / |dv|
+# overflows.
+SUBNORMAL_ACROSS = (np.array([[0.0, 0.0], [0.0, 1.0]]),
+                    np.array([[0.0, 0.0], [5e-324, 0.0]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,18 +193,23 @@ NEARLY_PARALLEL = (np.array([[8.0, 0.0], [0.0, 0.0]]),
 @settings(max_examples=60, deadline=None)
 @given(configurations(), st.sampled_from(TILES))
 @example(NEARLY_PARALLEL, 1)
+@example(SUBNORMAL, 1)
+@example(SUBNORMAL_ACROSS, 1)
 def test_engine_matches_scalar_formulas_and_oracles(config, tile):
     P, V = config
     n = len(P)
     if n < 2:
         return
     scan = scan_tiled(tile, P, V, worldline=True)
+    # Python floats, as MovingConfiguration.row gives them: numpy scalars
+    # warn where a float division overflows to inf.
+    P_rows, V_rows = P.tolist(), V.tolist()
     closest = {}
     line = {}
     for i in range(n):
         for j in range(i + 1, n):
-            x, vx = Vec2(*P[i]), Vec2(*V[i])
-            y, vy = Vec2(*P[j]), Vec2(*V[j])
+            x, vx = Vec2(*P_rows[i]), Vec2(*V_rows[i])
+            y, vy = Vec2(*P_rows[j]), Vec2(*V_rows[j])
             closest[i, j] = closest_approach(x, vx, y, vy).distance
             line[i, j] = line_distance_3d(
                 (x.x1, x.x2, 0.0), (vx.x1, vx.x2, 1.0),
