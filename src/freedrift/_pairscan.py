@@ -1,17 +1,19 @@
 """The pair engine: one pass over the pairs of a particle configuration.
 
-Shared by the flow, hard-core, and cylinder verifiers. `scan` evaluates
-every requested kernel on the same pairs in a single pass: closest approach
-always (every verdict rests on it) and worldline distance on request. A
-command makes at most one pass: `cylinders` scans both kernels once, and
-its hard-core gate reads the closest-approach minimum of that pass.
+Shared by the hard-core and cylinder verifiers, for the configurations that
+the structural certificate (evolution.MovingConfiguration.certify) does not
+decide. `scan` evaluates every requested kernel on the same pairs in a
+single pass: closest approach always (every verdict rests on it) and
+worldline distance on request. A command makes at most one pass:
+`cylinders` scans both kernels once, and its hard-core gate reads the
+closest-approach minimum of that pass.
 
 The pass walks tiles of about TILE_PAIRS pairs, a block of rows against a
 block of columns, as broadcast differences of contiguous slices, so memory
 stays bounded by the tile, whatever n. It is exhaustive: rows [a, b)
 against the columns a+1 .. n-1, with the in-tile lower triangle masked out.
-Beyond EXHAUSTIVE_LIMIT pairs it makes no pass and raises UndecidedError:
-a verdict covers every pair or is not given.
+Beyond geometry.EXHAUSTIVE_LIMIT pairs it makes no pass and raises
+UndecidedError: a verdict covers every pair or is not given.
 
 Ties go to the lexicographically smallest pair. Tiles are row-major and
 visited in increasing a, so the first minimum of a tile is its smallest
@@ -21,19 +23,11 @@ smaller.
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
 
-`certify` is the engine's shortcut for lattice flows. It checks, in
-O(n log n), the structure under which every closest approach is at least 1
-with equality exactly at unit axis pairs, and then reports the exact
-minimum over all pairs without visiting them. On request it also gives the
-exact worldline minimum 1/sqrt(1 + S^2), S the largest velocity component
-in absolute value over the kinds of pair that occur, rounded down to a
-double. A configuration held as arrays decides its pairs
-(evolution.MovingConfiguration.decide) by the certificate, or by `scan`
-when it returns None. A lattice flow decides its pairs without them
-(lattice.FlowAssignment.decide): from its two axes it gives the result
-that certify gives on its arrays, worldlines included.
-
-PairScan and UndecidedError live in geometry, which loads no numpy.
+This module, and numpy with it, is loaded only when a pass runs, when a
+configuration without the certificate's structure counts its duplicate
+velocities (duplicate_rows), and by the falsifier's random stage
+(math_map). A lattice flow, and a particles file with a flow's structure
+in any row order, is decided without it.
 """
 from __future__ import annotations
 
@@ -41,10 +35,8 @@ import math
 
 import numpy as np
 
-from .geometry import (PARALLEL_EPS, PairScan, UndecidedError,
-                       _inverse_hypot_down)
+from .geometry import PARALLEL_EPS, PairScan, pair_count, require_exhaustive
 
-EXHAUSTIVE_LIMIT = 10**7
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
 # small enough that a tile's temporaries stay in cache.
 TILE_PAIRS = 1 << 13
@@ -52,10 +44,6 @@ TILE_PAIRS = 1 << 13
 _MASKED = np.finfo(float).max
 # Index pairs duplicate_rows lists; it counts every duplicate.
 _DUPLICATE_PAIRS = 16
-
-
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 def math_map(f, *columns: np.ndarray) -> np.ndarray:
@@ -182,14 +170,12 @@ def scan(P, V, *, worldline: bool = False) -> PairScan:
     also the minimum distance between worldlines (x, 0) + t (v, 1).
 
     Raises UndecidedError, before any work, if there are more than
-    EXHAUSTIVE_LIMIT pairs, and ValueError naming the pair if any kernel
-    value is NaN or infinite.
+    geometry.EXHAUSTIVE_LIMIT pairs, and ValueError naming the pair if any
+    kernel value is NaN or infinite.
     """
     n = len(P)
     total = pair_count(n)
-    if total > EXHAUSTIVE_LIMIT:
-        raise UndecidedError(f"{total} pairs exceed the exhaustive limit of "
-                             f"{EXHAUSTIVE_LIMIT}")
+    require_exhaustive(total)
     px, py = _columns(P)
     vx, vy = _columns(V)
     closest = _Min("closest approach")
@@ -222,160 +208,6 @@ def scan(P, V, *, worldline: bool = False) -> PairScan:
         line_distance=line.value if line is not None else None,
         line_witness=line.pair if line is not None else None,
     )
-
-
-def certify(P, V, *, worldline: bool = False) -> PairScan | None:
-    """Decide every pair at once from the structure of a lattice flow, or
-    return None when that structure is absent.
-
-    The structure, checked on positions P and velocities V (n, 2):
-    positions are distinct; any two distinct x1 values, and any two
-    distinct x2 values, are at least 1 apart; V0 is a strictly increasing
-    function of x2 alone and V1 a strictly decreasing function of x1 alone.
-    A pair with offset d and velocity difference dv then has
-    |d x dv| = |d1||dv1| + |d2||dv0| >= |dv0| + |dv1| >= |dv|, with equality
-    exactly at unit axis pairs: one coordinate shared, the other exactly 1
-    apart. When such a pair exists the minimum closest approach over all
-    pairs is exactly 1, and the witness is the smallest unit axis pair
-    (i < j).
-
-    The structure also proves a flow's inequality chain. Its recovered
-    field has W0 = -fl(V1 - a2) and W1 = fl(V0 - a1), and rounded
-    subtraction is monotone, so W0 is a non-decreasing function of x1 alone
-    and W1 of x2 alone: <d, dW> = |d1||dW0| + |d2||dW1| >= |dW0| + |dW1|
-    >= |dW|, with equality at unit axis pairs. Both chain margins are 0.
-
-    With worldline, also the minimum distance between worldlines
-    (x, 0) + t (v, 1). Their normal is (-dv1, dv0, v_i x dv) and
-    |v_i x dv| <= S (|dv0| + |dv1|) with S = max_i max(|V_i0|, |V_i1|), so
-    every worldline distance is at least 1/sqrt(1 + S^2). S is taken only
-    over the kinds of pair that occur: with one x1 value every pair shares
-    V1 (dv1 = 0), so |v_i x dv| = |V1| |dv0| and S = |V1|; with one x2
-    value, likewise S = max|V0|. A unit axis pair whose shared velocity
-    component c has |c| = S attains the bound exactly, and only such pairs
-    do. The smallest of them (i < j) is the witness, and line_distance is
-    the largest double not above 1/sqrt(1 + S^2). A single column or row
-    always has one. When no unit axis pair attains S the bound may not be
-    the minimum, and the result is None.
-
-    Every test compares the given doubles exactly: a coordinate gap that
-    rounds to 1.0 is decided in integer arithmetic. Velocity differences
-    must be finite, so the witness has a finite closest-approach time. The
-    result has mode "exhaustive-structural" and counts every pair as
-    checked.
-    """
-    n = len(P)
-    if n < 2:
-        return None
-    x1, x2 = _columns(P)
-    v0, v1 = _columns(V)
-    # Axis 1 sorts rows by (x1, x2), axis 2 by (x2, x1); along axis k, a
-    # velocity component must be a function of x_k alone.
-    one = _Axis(x1, x2, np.lexsort((x2, x1)))
-    if one.unit is None or one.duplicate():
-        return None
-    # A stable sort on x2 of rows in (x1, x2) order leaves them in (x2, x1)
-    # order, and costs far less than a second lexsort.
-    two = _Axis(x2, x1, one.order[np.argsort(x2[one.order], kind="stable")])
-    if (two.unit is None
-            or not one.function(v1, np.less)
-            or not two.function(v0, np.greater)
-            # Finite velocity differences give the witness a finite time.
-            or not all(math.isfinite(float(v.max()) - float(v.min())) for v in (v0, v1))):
-        return None
-    witness = _smallest(one.unit_pair(two), two.unit_pair(one))
-    if witness is None:
-        return None
-    line_distance = line_witness = None
-    if worldline:
-        a0, a1 = np.abs(v0), np.abs(v1)
-        # Pairs in one x1 column share V1, pairs in one x2 row share V0;
-        # S is taken over the kinds of pair that occur.
-        s = float(max(a0.max() if one.new.any() else 0.0,
-                      a1.max() if two.new.any() else 0.0))
-        line_witness = _smallest(one.unit_pair(two, a1 == s),
-                                 two.unit_pair(one, a0 == s))
-        if line_witness is None:
-            return None
-        line_distance = _inverse_hypot_down(s)
-    total = pair_count(n)
-    return PairScan(
-        pairs_total=total,
-        pairs_checked=total,
-        mode="exhaustive-structural",
-        min_distance=1.0,
-        witness=witness,
-        line_distance=line_distance,
-        line_witness=line_witness,
-    )
-
-
-class _Axis:
-    """Rows in (key, other) order, with the ranks of their key values."""
-
-    def __init__(self, key, other, order):
-        self.order = order
-        self.other = other
-        keys = key[self.order]
-        # new[k]: sorted rows k and k+1 have different keys.
-        self.new = keys[1:] != keys[:-1]
-        self.unit = _unit_gaps(keys[:-1][self.new], keys[1:][self.new])
-        ranks = np.empty(len(key), dtype=np.intp)
-        ranks[self.order[0]] = 0
-        ranks[self.order[1:]] = np.cumsum(self.new)
-        self.rank = ranks
-
-    def duplicate(self) -> bool:
-        """Whether two rows share both coordinates."""
-        others = self.other[self.order]
-        return bool((~self.new & (others[1:] == others[:-1])).any())
-
-    def function(self, values, across) -> bool:
-        """Whether values are a function of the key alone, related by across
-        from each key to the next."""
-        s = values[self.order]
-        return bool(np.where(self.new, across(s[1:], s[:-1]), s[1:] == s[:-1]).all())
-
-    def unit_pair(self, cross: "_Axis", mask=None) -> tuple[int, int] | None:
-        """The smallest pair (i < j) of rows that share this key and whose
-        other coordinates are exactly 1 apart (cross sorts by them). With
-        mask, one bool per row and a function of the key, only pairs of
-        selected rows."""
-        rows = self.order
-        r = cross.rank[rows]
-        step = np.flatnonzero(~self.new & (r[1:] == r[:-1] + 1))
-        step = step[cross.unit[r[step]]]
-        if mask is not None:
-            step = step[mask[rows[step]]]
-        if not step.size:
-            return None
-        a, b = rows[step], rows[step + 1]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        k = int(np.argmin(lo * len(rows) + hi))
-        return int(lo[k]), int(hi[k])
-
-
-def _smallest(*pairs):
-    return min((p for p in pairs if p is not None), default=None)
-
-
-def _unit_gaps(lo, hi):
-    """For gaps hi - lo > 0 between sorted distinct values: whether each is
-    exactly 1, or None if any is below 1."""
-    gap = hi - lo
-    if not (gap >= 1.0).all():
-        return None
-    unit = gap == 1.0
-    tied = np.flatnonzero(unit)
-    # The float difference rounds; decide these gaps exactly, on the
-    # integer ratios a = an/ad, b = bn/bd: b - a - 1 has the sign of over.
-    for k, a, b in zip(tied.tolist(), lo[tied].tolist(), hi[tied].tolist()):
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        over = bn * ad - an * bd - ad * bd
-        if over < 0:
-            return None
-        unit[k] = over == 0
-    return unit
 
 
 def duplicate_rows(A):

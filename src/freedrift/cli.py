@@ -11,10 +11,13 @@ lattice, evolution or cylinder modules, the other commands never load the
 falsifier, `evolve --particles` never loads the lattice module, and only
 `cylinders` loads the cylinder module. numpy is loaded by the commands that
 read or write particle arrays: `assign`, `verify` and `cylinders` on a
-window decide, measure and write the flow from its two axes, hold no P or
-V and load no numpy, while `evolve` and every command on a particles file
-do. `falsify` loads it only to read a grid file or when its search
-reaches the random stage, which no built-in field's verdict does.
+window decide, measure and write the flow from its two axes, and on a
+particles file with a lattice flow's structure, in any row order, from its
+four columns, so they hold no P or V and load no numpy. `evolve` loads it,
+and `verify` and `cylinders` on any other particles file, where the pair
+engine runs. `falsify` loads it only when its search reaches the random
+stage, which no built-in field's verdict does; a grid file is read without
+it.
 """
 from __future__ import annotations
 
@@ -182,14 +185,16 @@ def _parse_field(text: str):
     return builtin_field(text)
 
 
-def _grid_from_samples(P, V):
-    """Grid field from particle rows read as (position, vector value)."""
+def _grid_from_samples(positions, velocities):
+    """Grid field from particle rows read as (position, vector value), as
+    parse_particles gives them."""
     from .falsifier import grid_field
-    if not len(P):
+    if not positions:
         raise ValueError("grid file has no rows")
-    xs = sorted(set(P[:, 0].tolist()))
-    ys = sorted(set(P[:, 1].tolist()))
-    if len(xs) * len(ys) != len(P):
+    n = len(positions) // 2
+    xs = sorted(set(positions[0::2]))
+    ys = sorted(set(positions[1::2]))
+    if len(xs) * len(ys) != n:
         raise ValueError("grid samples must cover a full rectangular grid")
     steps = [b - a for a, b in zip(xs, xs[1:])] + \
             [b - a for a, b in zip(ys, ys[1:])]
@@ -197,11 +202,12 @@ def _grid_from_samples(P, V):
     tol = GRID_SPACING_TOL * max(abs(spacing), 1.0)
     if any(abs(s - spacing) > tol for s in steps):
         raise ValueError("grid spacing must be uniform on both axes")
-    by_pos = dict(zip(map(tuple, P.tolist()), map(tuple, V.tolist())))
-    if len(by_pos) != len(P):
+    by_pos = dict(zip(zip(positions[0::2], positions[1::2]),
+                      zip(velocities[0::2], velocities[1::2])))
+    if len(by_pos) != n:
         raise ValueError("grid samples repeat a position")
-    # len(P) distinct positions, each in xs x ys, which has len(P) nodes:
-    # every node has its sample.
+    # n distinct positions, each in xs x ys, which has n nodes: every node
+    # has its sample.
     values = [[by_pos[(x, y)] for x in xs] for y in ys]
     return grid_field((xs[0], ys[0]), spacing, values)
 
@@ -273,7 +279,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
-    from .evolution import DISK_RADIUS, snapshot_series, speeds
+    from .evolution import DISK_RADIUS, snapshot_series
     from .formats import fmt_float, frames_csv, svg_snapshot
     configuration = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
@@ -283,7 +289,7 @@ def _cmd_evolve(config: RunConfig) -> int:
         raise ValueError("radius must be finite and positive")
     P = configuration.P
     horizon = max(abs(config.t0), abs(config.t1))
-    fastest = float(speeds(configuration.V).max(initial=0.0))
+    fastest = configuration.speed_range()[1] if len(configuration) else 0.0
     pad = fastest * horizon + draw_radius + 1.0
     lo = (float(P.min()) if P.size else 0.0) - pad
     hi = (float(P.max()) if P.size else 0.0) + pad

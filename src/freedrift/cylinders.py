@@ -20,10 +20,12 @@ each judged by evolution.clears, the rule of every distance verdict.
 A scene row is a particle's worldline: the axis point (x, 0) and the
 direction (v, 1), written with the particle's own doubles, so the file
 holds what was verified and its rows take no arithmetic. A lattice flow
-answers every question here from its two axes (decide, speed_range,
-duplicate_velocities, particle_rows), so cylinders on a window holds no P
-or V and loads no numpy. A configuration held as arrays is read through
-numpy.
+answers every question here from its two axes, and a particles file with
+a flow's structure, in any row order, from its four columns (decide,
+speed_range, duplicate_velocities, particle_rows): cylinders on either
+holds no P or V and loads no numpy unless the certificate finds no unit
+axis pair. A configuration without that structure goes through the pair
+engine and is written from its arrays, with numpy.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .evolution import MovingConfiguration, clears
-from .formats import UNREPORTED, _row_slices, _rows_text, fmt_float
+from .formats import UNREPORTED
 
 SCENE_HEADER = "cylinder-scene v2"
 
@@ -89,8 +91,8 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same decision over the pairs; the speed
-    ceiling M is measured here by config.speed_range(), as
-    evolution.speeds measures it, never trusted from metadata. The radius
+    ceiling M is measured here by config.speed_range(), by math.hypot on
+    the doubles of V, never trusted from metadata. The radius
     must be at most half the floor as the report prints it, checked before
     any pair; radius None means half the floor.
 
@@ -151,23 +153,10 @@ def export_scene(config: MovingConfiguration, radius: float):
     own doubles as the particles format writes them, sorted by axis point.
     The direction is not normalised, so the file holds exactly the
     worldlines that verify_scene decides. The radius is written as given;
-    verify_scene is what checks it. A lattice flow writes the same bytes
-    from its two axes (FlowAssignment.particle_rows); a
-    MovingConfiguration, from its arrays, a block of rows at a time.
+    verify_scene is what checks it. The configuration writes its rows
+    (particle_rows): a lattice flow from its two axes, a
+    MovingConfiguration from its columns or, without a flow's structure,
+    its arrays, the same bytes either way.
     """
     yield SCENE_HEADER + "\n"
-    if not isinstance(config, MovingConfiguration):
-        yield from config.particle_rows(radius)
-        return
-    import numpy as np
-
-    P, V = config.P, config.V
-    # Stable, like sorting rows on their (px, py, pz) tuples: pz is 0.
-    order = np.lexsort((P[:, 1], P[:, 0]))
-    tail = ",1," + fmt_float(radius) + "\n"
-    # The rows are gathered a block at a time.
-    for rows in _row_slices(len(P)):
-        k = order[rows]
-        p, v = P[k], V[k]
-        yield from _rows_text(len(p), (
-            p[:, 0], ",", p[:, 1], ",0,", v[:, 0], ",", v[:, 1], tail))
+    yield from config.particle_rows(radius)

@@ -5,23 +5,26 @@ writes them, enough for doubles to round-trip exactly; all emitters are
 deterministic (no timestamps, no environment-dependent content), so
 identical inputs give identical bytes.
 
-The bulk emitters of arrays (frames.csv, SVG frames and the cylinder
-scenes of particle files) format whole float64 columns at once with integer
-arithmetic: for 1e-4 <= |x| < 1e15 and for +-0, x = M 2^e with M < 2^53 is
-scaled by 10^(16-X) as the exact 128-bit product M 5^(16-X) (32-bit limbs
-in uint64) shifted right, rounded half to even on the exact remainder,
-which gives the 17 digits that CPython's correctly rounded dtoa gives; X,
-the decimal exponent, is guessed from log10 and checked against the digit
-count. Every other value, and any row the checks reject, goes through
-format(x, ".17g"). Rows go out _ROW_BLOCK at a time: the bulk emitters
-yield str chunks, so the memory they hold is bounded by a block whatever
-the row count (a lattice flow's rows, which particles_document and
-cylinders.export_scene write from its axes, one generator for both, go
-out the same way), and parse_particles likewise reads rows a block at a
-time, from the file's bytes.
+The bulk emitters of arrays (frames.csv, SVG frames, and the cylinder
+scenes of particle configurations without a lattice flow's structure) format
+whole float64 columns at once with integer arithmetic: for
+1e-4 <= |x| < 1e15 and for +-0, x = M 2^e with M < 2^53 is scaled by
+10^(16-X) as the exact 128-bit product M 5^(16-X) (32-bit limbs in uint64)
+shifted right, rounded half to even on the exact remainder, which gives the
+17 digits that CPython's correctly rounded dtoa gives; X, the decimal
+exponent, is guessed from log10 and checked against the digit count. Every
+other value, and any row the checks reject, goes through format(x, ".17g").
+Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
+the memory they hold is bounded by a block whatever the row count. A
+lattice flow's rows (FlowAssignment.particle_rows, which particles_document
+and cylinders.export_scene write from its axes) and a certified
+configuration's scene rows (MovingConfiguration.particle_rows) go out the
+same way, each distinct double formatted once by format(x, ".17g").
 
-numpy is imported by the column functions themselves, so the report,
-config and table formats and write_text_atomic load without it.
+parse_particles reads rows a block at a time, from the file's bytes, into
+two array('d'), with no numpy. numpy is imported by the column functions
+themselves, so the particles, report, config and table formats and
+write_text_atomic load without it.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import dataclasses
 import itertools
 import math
 import os
+from array import array
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -240,24 +244,24 @@ def particles_document(rows):
 def _check_finite(values, row_lines) -> None:
     """Raise for the first row of values (4 per row) that holds a NaN or
     infinity, naming its position or else its velocity."""
-    import numpy as np
-    A = np.asarray(values, dtype=float).reshape(-1, 4)
-    finite = np.isfinite(A)
-    bad = np.flatnonzero(~finite.all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        x = (A[k, :2] if not finite[k, :2].all() else A[k, 2:]).tolist()
-        raise ParseError(row_lines[k],
-                         f"non-finite Vec2 component: ({x[0]}, {x[1]})")
+    # A sum of doubles is finite only if every term is; one that overflows
+    # sends the search through every row, which finds none.
+    if math.isfinite(sum(values)):
+        return
+    for k, line in enumerate(row_lines):
+        row = values[4 * k:4 * k + 4]
+        if not all(map(math.isfinite, row)):
+            x = row[:2] if not all(map(math.isfinite, row[:2])) else row[2:]
+            raise ParseError(line, f"non-finite Vec2 component: ({x[0]}, {x[1]})")
 
 
-def _parse_lines(lines, first_line: int) -> np.ndarray:
-    """The rows of lines, numbered from first_line, as an (r, 4) array.
+def _parse_lines(lines, first_line: int) -> array:
+    """The x1,x2,v1,v2 values of the rows of lines, numbered from
+    first_line, as one array('d') of 4 per row.
 
     Blank lines are skipped. The first bad line raises ParseError: a wrong
     field count, a field that is not a number, or a NaN or infinity.
     """
-    import numpy as np
     values: list[float] = []
     row_lines: list[int] = []
     for ln, raw in enumerate(lines, start=first_line):
@@ -279,46 +283,44 @@ def _parse_lines(lines, first_line: int) -> np.ndarray:
                 _parse_float(ln, f.strip())
         row_lines.append(ln)
     _check_finite(values, row_lines)
-    return np.array(values, dtype=float).reshape(-1, 4)
+    return array("d", values)
 
 
-def _plain_rows(block: bytes) -> np.ndarray | None:
-    """The rows of a block of plain rows as an (r, 4) array, else None.
+def _plain_rows(block: bytes) -> array | None:
+    """The values of a block of plain rows, 4 per row, else None.
 
     A plain row is ASCII digits, signs, points and exponent letters with
     exactly three commas, ending in a newline; deleting all but the commas
     and newlines of a plain block leaves ",,,\n" once per row, and any
     other byte, ASCII or not, is left over.
     """
-    import numpy as np
     # A last row without its newline ("1,2,3,4\n55") would pass the comma
     # check below with its fields silently dropped.
     if not block.endswith(b"\n"):
         return None
-    r = block.count(b"\n")
-    if block.translate(None, _NUMBER_CHARS) != b",,,\n" * r:
+    if block.translate(None, _NUMBER_CHARS) != b",,,\n" * block.count(b"\n"):
         return None
+    fields = block.replace(b"\n", b",").split(b",")
+    fields.pop()  # the empty field after the last newline
     try:
-        values = np.fromiter(map(float, block.replace(b"\n", b",").split(b",")),
-                             float, 4 * r)
+        return array("d", map(float, fields))
     except ValueError:  # an empty field, "1e" and the like: the line loop reports it
         return None
-    return values.reshape(r, 4)
 
 
 def _parse_blocks(data: bytes, start: int, ln: int, eol: bytes):
-    """The rows of data[start:], its first line numbered ln, as (r, 4)
-    arrays, one block of at least _PARSE_BLOCK bytes at a time. Each block
-    ends at an eol byte, "\n", or "\r" in a file without "\n"; that byte is
-    never part of a multi-byte character, so a block that is not plain is
-    decoded as UTF-8 on its own."""
+    """The values of the rows of data[start:], its first line numbered ln,
+    as arrays of 4 per row, one block of at least _PARSE_BLOCK bytes at a
+    time. Each block ends at an eol byte, "\n", or "\r" in a file without
+    "\n"; that byte is never part of a multi-byte character, so a block
+    that is not plain is decoded as UTF-8 on its own."""
     while start < len(data):
         stop = data.find(eol, start + _PARSE_BLOCK - 1) + 1 or len(data)
         block = data[start:stop]
         # Rows ending in "\r\n" or "\r" are plain too: str.splitlines, which
         # numbers the lines of the other blocks, ends a line there as at "\n".
-        A = _plain_rows(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
-        if A is None:
+        values = _plain_rows(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        if values is None:
             try:
                 lines = block.decode().splitlines()
             except UnicodeDecodeError as exc:
@@ -330,18 +332,20 @@ def _parse_blocks(data: bytes, start: int, ln: int, eol: bytes):
                 _parse_lines(before.splitlines()[:-1], ln)
                 raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
                                          start + exc.end, exc.reason) from None
-            A = _parse_lines(lines, ln)
+            values = _parse_lines(lines, ln)
             ln += len(lines)
         else:
-            _check_finite(A, range(ln, ln + len(A)))
-            ln += len(A)
+            rows = len(values) // 4
+            _check_finite(values, range(ln, ln + rows))
+            ln += rows
         start = stop
-        yield A
+        yield values
 
 
-def parse_particles(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities, (n, 2) float64 arrays, of the bytes of a
-    particles file, UTF-8 text.
+def parse_particles(data: bytes) -> tuple[array, array]:
+    """The bytes of a particles file, UTF-8 text, as the positions and
+    velocities that MovingConfiguration takes: two array('d'), of x1, x2
+    and of v1, v2 for each row in turn.
 
     Blank lines are skipped, and lines end as str.splitlines ends them.
     The first bad line raises ParseError with its line number: a wrong
@@ -354,9 +358,8 @@ def parse_particles(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     by a block; blocks end at "\n", or at "\r" when the data has no "\n".
     A block of plain rows (_plain_rows) goes through one split
     and one map(float) on its bytes; any other block, or one that float
-    rejects, is decoded and goes line by line.
+    rejects, is decoded and goes line by line. No numpy is loaded.
     """
-    import numpy as np
     # A file whose lines end in "\r" alone has no "\n" to split blocks at.
     eol = b"\n" if b"\n" in data else b"\r"
     head = data[:data.find(eol) + 1] or data
@@ -365,18 +368,22 @@ def parse_particles(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(1, f"expected header {PARTICLES_HEADER!r}")
     # Exact for plain rows; grown when other line breaks make more.
     capacity = data.count(eol, len(head)) + (not data.endswith(eol))
-    P, V = np.empty((capacity, 2)), np.empty((capacity, 2))
+    positions = array("d", [0.0]) * (2 * capacity)
+    velocities = array("d", [0.0]) * (2 * capacity)
     n = 0
-    for A in itertools.chain([_parse_lines(lines[1:], 2)],
-                             _parse_blocks(data, len(head), len(lines) + 1, eol)):
-        if n + len(A) > len(P):
-            more = np.empty((max(len(P), len(A)), 2))
-            P, V = np.concatenate((P, more)), np.concatenate((V, more))
-        P[n:n + len(A)], V[n:n + len(A)] = A[:, :2], A[:, 2:]
-        n += len(A)
-    if n < len(P):
-        P, V = P[:n].copy(), V[:n].copy()
-    return P, V
+    for values in itertools.chain([_parse_lines(lines[1:], 2)],
+                                  _parse_blocks(data, len(head), len(lines) + 1, eol)):
+        rows = len(values) // 4
+        if 2 * (n + rows) > len(positions):
+            more = array("d", [0.0]) * (2 * max(n, rows))
+            positions += more
+            velocities += more
+        for out, column in ((positions, 0), (velocities, 2)):
+            out[2 * n:2 * (n + rows):2] = values[column::4]
+            out[2 * n + 1:2 * (n + rows):2] = values[column + 1::4]
+        n += rows
+    del positions[2 * n:], velocities[2 * n:]
+    return positions, velocities
 
 
 def report_document(items) -> str:

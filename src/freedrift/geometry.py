@@ -2,9 +2,9 @@
 
 Scalar building blocks for everything else in the package: the closest
 point of approach for two linearly moving points, the result of a decision
-over every pair of a configuration, and the worldline floor 1/sqrt(1 + s^2)
-rounded down. All arithmetic is IEEE double
-precision, and nothing here needs numpy.
+over every pair of a configuration, the limit past which no decision is
+made, and the worldline floor 1/sqrt(1 + s^2) rounded down. All arithmetic
+is IEEE double precision, and nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ PARALLEL_EPS = 1e-12
 DISTANCE_TOL = 1e-9
 # The falsifier's default seed, and so the CLI's --seed default.
 DEFAULT_SEED = 0x5EED
+# The most pairs the engine visits one by one; a decision that needs more
+# raises UndecidedError.
+EXHAUSTIVE_LIMIT = 10**7
 # The positive normal doubles.
 _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
@@ -32,8 +35,8 @@ class IdenticalParticleError(GeometryError):
 
 
 class UndecidedError(Exception):
-    """More than _pairscan.EXHAUSTIVE_LIMIT pairs: no pass, so no verdict.
-    Not a ValueError, because the input is valid."""
+    """More than EXHAUSTIVE_LIMIT pairs: no pass, so no verdict. Not a
+    ValueError, because the input is valid."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +76,17 @@ class PairScan:
     witness: tuple[int, int] | None
     line_distance: float | None = None
     line_witness: tuple[int, int] | None = None
+
+
+def pair_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def require_exhaustive(pairs: int) -> None:
+    """Raise UndecidedError when pairs exceed EXHAUSTIVE_LIMIT."""
+    if pairs > EXHAUSTIVE_LIMIT:
+        raise UndecidedError(f"{pairs} pairs exceed the exhaustive limit of "
+                             f"{EXHAUSTIVE_LIMIT}")
 
 
 def sub(u: Vec2, v: Vec2) -> Vec2:

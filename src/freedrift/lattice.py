@@ -10,11 +10,11 @@ A flow is the profile's values on the window's two axes plus the shift, so
 build_flow and verify_flow work on 2 (2N + 1) doubles for the square window
 of size N, in pure Python, and load no numpy: a flow decides its pairs
 (FlowAssignment.decide), worldlines included, with the result that the
-structural certificate gives on its arrays, which also proves the
-inequality chain behind it. It measures its speeds and writes the rows of
-its particles and cylinder-scene files from the axes too, in one row
-generator that formats each axis value once: a scene row is a particles
-row with the worldline's 0 and 1 and the radius added. The arrays P and V
+structural certificate (MovingConfiguration.certify) gives on its rows,
+which also proves the inequality chain behind it. It measures its speeds
+and writes the rows of its particles and cylinder-scene files from the
+axes too, in one row generator that formats each axis value once: a scene
+row is a particles row with the worldline's 0 and 1 and the radius added. The arrays P and V
 are built, with numpy, only when a command reads them: evolve.
 
 The profile is evaluated once per integer of each axis. A table profile
@@ -46,14 +46,17 @@ class ProfileKind(enum.Enum):
 
 # Largest window build_flow accepts, for every command. assign, verify and
 # cylinders on a window hold only the two axes, a string or two per axis
-# value and a block of text, and allocate no P or V. evolve, and every
-# command on a particles file, read a configuration's arrays: a particle
-# costs 32 bytes in P and V, and a command adds a few more (n, 2) float64
-# arrays (slices, sort keys), while text is parsed and emitted a block of
+# value and a block of text, and allocate no P or V. A particles file is
+# held as its doubles, 32 bytes a particle, of which P and V are views:
+# verify and cylinders on it add, while the constructor and the
+# certificate run, its positions as complex numbers (about 70 bytes a
+# particle), and evolve adds a few (n, 2) float64 arrays (slices) and, on
+# a window, builds P and V, while text is parsed and emitted a block of
 # rows at a time. Peak RSS grows by about 230 bytes per particle (evolve,
-# the largest, measured at N = 100 and 200, from a window or a particles
-# file), so 2**22 particles, a square window up to N = 1023, stay near
-# 1 GiB. Larger windows are refused before anything is allocated.
+# the largest, measured at N = 100 and 200 from a window or a particles
+# file, and at 100 and 400 from a file; verify and cylinders on a file
+# about 130), so 2**22 particles, a square window up to N = 1023, stay
+# near 1 GiB. Larger windows are refused before anything is allocated.
 MAX_PARTICLES = 1 << 22
 
 
@@ -230,7 +233,7 @@ class FlowAssignment:
 
     def decide(self, worldline: bool = False) -> PairScan:
         """The result MovingConfiguration.decide gives on the flow's
-        arrays, read off the structure the constructor checked: integer
+        rows, read off the structure the constructor checked: integer
         coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2
         alone, V1 = -phi(x1) strictly decreasing in x1 alone. Every pair is
         decided exactly, mode "exhaustive-structural", minimum exactly 1 at
@@ -273,8 +276,8 @@ class FlowAssignment:
 
     def speed_range(self) -> tuple[float, float]:
         """The smallest and largest speed, measured by math.hypot on the
-        doubles of V, as evolution.speeds measures them, one x1 column at a
-        time, so memory stays O(side)."""
+        doubles of V, as MovingConfiguration.speed_range measures them, one
+        x1 column at a time, so memory stays O(side)."""
         v0 = self._v0()
         low, high = math.inf, -math.inf
         # math.hypot reads only the magnitudes of its arguments, so the
@@ -441,16 +444,16 @@ class FlowReport:
 def verify_flow(flow: FlowAssignment) -> FlowReport:
     """Check the unit-distance guarantee from the flow's two axes.
 
-    The pairs are decided by flow.decide(): certify's result on the flow's
-    arrays, without building them. The structure that result rests on
-    proves the rest of the flow contract but speeds: the inequality chain,
-    with both margins exactly 0 (see certify), and injective velocities,
-    since equal velocities would force equal x1 and equal x2. One particle
-    has no pair: chain margins inf.
+    The pairs are decided by flow.decide(): MovingConfiguration.certify's
+    result on the flow's rows, without building them. The structure that
+    result rests on proves the rest of the flow contract but speeds: the
+    inequality chain, with both margins exactly 0 (see certify), and
+    injective velocities, since equal velocities would force equal x1 and
+    equal x2. One particle has no pair: chain margins inf.
 
-    Speeds are measured by flow.speed_range(), as evolution.speeds
-    measures them; passed states that they are finite and lie within the
-    declared range, compared exactly.
+    Speeds are measured by flow.speed_range(), as
+    MovingConfiguration.speed_range measures them; passed states that they
+    are finite and lie within the declared range, compared exactly.
     """
     scan = flow.decide()
     margin = 0.0 if scan.pairs_total else math.inf

@@ -15,7 +15,8 @@ pins its arrays and its errors. `line_distance_3d` is the scalar per-pair
 form of the worldline kernel, itself checked against the grid and exact
 oracles, and `read_scene` reads an exported scene back into arrays;
 `exact_scene_overlaps` decides, in integers, which cylinders of a scene
-overlap.
+overlap. `configuration` holds the rows of two (n, 2) arrays as a
+MovingConfiguration.
 `recovered_field` undoes a flow's shift and quarter turn, for the tests of
 the inequality chain that the flow verifier proves without computing it.
 The cone and segment-chaining apparatus of the impossibility argument
@@ -35,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from freedrift.cylinders import SCENE_HEADER
+from freedrift.evolution import MovingConfiguration
 from freedrift.falsifier import (
     BUDGET_SPENT,
     REFINE_CONVERGED,
@@ -595,6 +597,12 @@ def reference_falsify(field, c, budget, seed):
         if hit is not None:
             return _reference_violation(search, hit, "refine")
     return _reference_exhausted(search)
+
+
+def configuration(P, V) -> MovingConfiguration:
+    """The configuration of positions P and velocities V, (n, 2) arrays:
+    their rows in turn, as parse_particles reads them from a file."""
+    return MovingConfiguration(np.ravel(P), np.ravel(V))
 
 
 def reference_particles_document(P, V) -> str:

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from freedrift import cylinders as cyl
@@ -183,9 +182,8 @@ def test_criterion_5_nonparallel_directions():
         failures.append(f"flow scene duplicates "
                         f"{report.duplicate_direction_pairs}")
 
-    injected = MovingConfiguration(
-        np.array([(0.0, 0.0), (0.0, 3.0), (10.0, 0.0)]),
-        np.array([(0.5, 0.25), (0.5, 0.25), (0.5, -0.25)]))
+    injected = MovingConfiguration([0.0, 0.0, 0.0, 3.0, 10.0, 0.0],
+                                   [0.5, 0.25, 0.5, 0.25, 0.5, -0.25])
     if not verify_hardcore(injected, 1.0).passed:
         failures.append("injected configuration lost hard-core")
     dup_report = cyl.verify_scene(injected, 0.05)

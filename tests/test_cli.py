@@ -5,17 +5,20 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from freedrift import _pairscan, cli, evolution, lattice
-from freedrift.evolution import speeds
+from freedrift import _pairscan, cli, geometry, lattice
+from freedrift.evolution import MovingConfiguration
 from freedrift.formats import parse_particles
 from freedrift.geometry import _inverse_hypot_down
 from freedrift.lattice import FlowAssignment, Window, arctan_profile, build_flow
 
-from oracles import parse_report, read_scene, reference_particles_document
+from oracles import (parse_report, read_scene, reference_export_scene,
+                     reference_particles_document)
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
 STATIC_PAIR = "particles v1\n0,0,0,0\n0,3,0,0\n"
@@ -93,8 +96,8 @@ def test_assign_output_feeds_verify(tmp_path):
     out = tmp_path / "out"
     result = run_cli("--command", "assign", "--window", "1", "--out", out)
     assert result.returncode == 0
-    P, V = parse_particles(read(out / "particles.txt"))
-    assert P.shape == V.shape == (9, 2)
+    positions, velocities = parse_particles(read(out / "particles.txt"))
+    assert len(positions) == len(velocities) == 9 * 2
     second = run_cli("--command", "verify",
                      "--particles", out / "particles.txt",
                      "--threshold", "1", "--out", tmp_path / "check")
@@ -237,31 +240,29 @@ def test_verify_pair_whose_speed_squared_underflows(tmp_path):
 
 
 def test_cylinders_measures_speeds_once(tmp_path, monkeypatch):
-    # A particles file's speeds by evolution.speeds, a flow's from its axes.
+    # A particles file's speeds from its columns, a flow's from its axes.
     calls = []
 
-    def counted(V):
-        calls.append(len(V))
-        return speeds(V)
+    def counted(kind):
+        speed_range = kind.speed_range
 
-    speed_range = FlowAssignment.speed_range
+        def measured(config):
+            calls.append((kind.__name__, len(config)))
+            return speed_range(config)
+        monkeypatch.setattr(kind, "speed_range", measured)
 
-    def counted_flow(flow):
-        calls.append(("flow", len(flow)))
-        return speed_range(flow)
-
-    monkeypatch.setattr(evolution, "speeds", counted)
-    monkeypatch.setattr(FlowAssignment, "speed_range", counted_flow)
+    counted(MovingConfiguration)
+    counted(FlowAssignment)
     assert cli.main(["--command", "cylinders", "--window", "2",
                      "--out", str(tmp_path / "window")]) == 0
-    assert calls == [("flow", 25)]
+    assert calls == [("FlowAssignment", 25)]
     flow = build_flow(arctan_profile(), Window.square(2), 0.5)
     rows = tmp_path / "rows.txt"
     rows.write_text(reference_particles_document(flow.P, flow.V))
     calls.clear()
     assert cli.main(["--command", "cylinders", "--particles", str(rows),
                      "--out", str(tmp_path / "file")]) == 0
-    assert calls == [25]
+    assert calls == [("MovingConfiguration", 25)]
     for name in ("scene.txt", "cylinder_report.txt"):
         assert read(tmp_path / "window" / name) == read(tmp_path / "file" / name)
 
@@ -344,7 +345,7 @@ def test_cylinders_refusals_fall_back_to_the_engine(tmp_path, monkeypatch, capsy
     printed = capsys.readouterr()
     assert len(scan_passes) == 1
     # The same run with no certificate at all: the engine's bytes.
-    monkeypatch.setattr(_pairscan, "certify", lambda *a, **kw: None)
+    monkeypatch.setattr(MovingConfiguration, "certify", lambda *a, **kw: None)
     assert cli.main([*args, "--out", "engine"]) == code
     assert capsys.readouterr() == printed
     written = sorted(p.name for p in (tmp_path / "engine").glob("*"))
@@ -420,13 +421,79 @@ def test_certified_scene_short_of_the_floor_is_decided_once(tmp_path, monkeypatc
     assert report["passed"] == "true"
 
 
+def _zero_column_rows(mixed):
+    """The window-2 flow's rows in a seeded order, with -0.0 for x1 on its
+    x1 = 0 column, where V1 = -phi(0) is -0.0 already; mixed, every other
+    row there takes 0.0 for x1 and every third 0.0 for V1."""
+    flow = build_flow(arctan_profile(), Window.square(2), 0.5)
+    P, V = flow.P.copy(), flow.V.copy()
+    zero = np.flatnonzero(P[:, 0] == 0.0)
+    assert np.signbit(V[zero, 1]).all()
+    P[zero, 0] = -0.0
+    if mixed:
+        P[zero[::2], 0] = 0.0
+        V[zero[::3], 1] = 0.0
+    order = np.random.default_rng(5).permutation(len(P))
+    return P[order], V[order]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["negative", "mixed"])
+def test_signed_zeros_are_written_as_given(tmp_path, monkeypatch, mixed):
+    """0.0 and -0.0 compare equal, so one dict key holds both: each scene
+    row must still write its own zeros' signs, as format(x, ".17g") does
+    value by value, and neither report may depend on them."""
+    P, V = _zero_column_rows(mixed)
+    unsigned = np.where(P == 0.0, 0.0, P), np.where(V == 0.0, 0.0, V)
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for name, (p, v) in (("signed", (P, V)), ("unsigned", unsigned)):
+        (tmp_path / f"{name}.txt").write_text(reference_particles_document(p, v))
+        for command in ("verify", "cylinders"):
+            assert cli.main(["--command", command, "--particles", f"{name}.txt",
+                             "--out", name]) == 0
+        outputs.append({f: read(tmp_path / name / f)
+                        for f in ("report.txt", "cylinder_report.txt")})
+        report = parse_report(outputs[-1]["cylinder_report.txt"].decode())
+        assert report["mode"] == "exhaustive-structural"
+    assert outputs[0] == outputs[1]
+    radius = float(report["radius"])
+    scene = SimpleNamespace(bases=np.column_stack((P, np.zeros(len(P)))),
+                            velocities=V, radius=radius)
+    text = read(tmp_path / "signed" / "scene.txt").decode()
+    assert text == reference_export_scene(scene)
+    # Rows are x1,x2,0,v1,v2,1,r.
+    assert "\n-0," in text and ("\n0," in text) == mixed
+    assert ",-0,1," in text and (",0,1," in text) == mixed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the float engine reads the minimum as exactly 1 at margin 0 (ROADMAP "
+    "finding 1); exact verdicts at the threshold are ROADMAP item 2"))
+def test_verify_fails_a_flow_nudged_below_unit_distance(tmp_path, capsys):
+    # The window-32 flow with row 1's V0 one ulp higher: rows 1 and 66,
+    # (-32, -31) and (-31, -31), share x2, lie 1 apart in x1 and now differ
+    # in V0, so their closest approach |dv1| / |dv| is below 1.
+    flow = build_flow(arctan_profile(), Window.square(32), 0.5)
+    V = flow.V.copy()
+    V[1, 0] = np.nextafter(V[1, 0], np.inf)
+    d = [Fraction(b) - Fraction(a) for a, b in zip(flow.P[1].tolist(), flow.P[66].tolist())]
+    dv = [Fraction(b) - Fraction(a) for a, b in zip(V[1].tolist(), V[66].tolist())]
+    assert d == [1, 0] and dv[0] != 0
+    assert (d[0] * dv[1] - d[1] * dv[0]) ** 2 < dv[0] ** 2 + dv[1] ** 2
+    (tmp_path / "nudged.txt").write_text(reference_particles_document(flow.P, V))
+    code = cli.main(["--command", "verify", "--particles", str(tmp_path / "nudged.txt"),
+                     "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out.endswith(": fail\n")
+    assert code == 1
+
+
 @pytest.mark.parametrize("command", ["verify", "cylinders"])
 def test_undecided_past_the_limit_writes_no_report(tmp_path, monkeypatch, capsys,
                                                    command):
     P, V, _ = _nudged()
     (tmp_path / "rows.txt").write_text(reference_particles_document(P, V))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
+    monkeypatch.setattr(geometry, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
     assert cli.main(["--command", command, "--particles", "rows.txt",
                      "--out", "out"]) == 1
     printed = capsys.readouterr()

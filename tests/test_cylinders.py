@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freedrift import _pairscan, formats
+from freedrift import _pairscan, formats, geometry
 from freedrift.cylinders import (
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
@@ -15,18 +15,18 @@ from freedrift.cylinders import (
     lemma1_bound,
     verify_scene,
 )
-from freedrift.evolution import MovingConfiguration, speeds
+from freedrift.evolution import MovingConfiguration
 from freedrift.lattice import (Window, arctan_profile, build_flow, rational_profile,
                                table_profile, tanh_profile)
 
-from oracles import (exact_scene_overlaps, line_distance_3d, line_grid_min_distance,
-                     read_scene, scalar_grid_min)
+from oracles import (configuration, exact_scene_overlaps, line_distance_3d,
+                     line_grid_min_distance, read_scene, scalar_grid_min)
 
 
 def _config(rows):
     """Configuration of (x1, x2, v1, v2) rows."""
     A = np.array(rows, dtype=float).reshape(-1, 4)
-    return MovingConfiguration(A[:, :2], A[:, 2:])
+    return configuration(A[:, :2], A[:, 2:])
 
 
 def _static_pair(distance):
@@ -112,7 +112,7 @@ def test_verify_scene_static_pair():
 
 
 def test_verify_scene_counts_every_duplicate_direction():
-    config = MovingConfiguration(
+    config = configuration(
         np.column_stack((2.0 * np.arange(20), np.zeros(20))), np.zeros((20, 2)))
     report = verify_scene(config, radius=0.5)
     assert report.passed and not report.nonparallel_ok
@@ -170,9 +170,9 @@ def test_verify_scene_rejects_unverified_hardcore():
 
 def test_verify_scene_passes_pair_ten_apart():
     # np.arctan and math.atan differ in the last bit on these speeds.
-    config = MovingConfiguration(np.array([(0.0, 0.0), (0.0, 10.0)]),
-                                 np.array([(0.33824492665443673, 0.0),
-                                           (1.3382449266544367, 0.0)]))
+    config = configuration(np.array([(0.0, 0.0), (0.0, 10.0)]),
+                           np.array([(0.33824492665443673, 0.0),
+                                     (1.3382449266544367, 0.0)]))
     report = verify_scene(config, lemma1_bound(1.3382449266544367) / 2.0)
     assert report.min_line_distance == 10.0
     assert report.passed
@@ -180,14 +180,15 @@ def test_verify_scene_passes_pair_ten_apart():
 
 def test_verify_scene_measures_speeds_as_the_scene_does():
     # math.hypot and np.hypot round both of these speeds differently on
-    # some platforms; the report must agree with evolution.speeds, the one
+    # some platforms; the report must agree with math.hypot, the one
     # definition of speed, to the last bit.
     config = _config([(0.0, 0.0, 0.535, 1.896), (100.0, 0.0, 0.394, 0.112)])
-    measured = speeds(config.V)
+    measured = [math.hypot(0.535, 1.896), math.hypot(0.394, 0.112)]
+    assert config.speed_range() == (min(measured), max(measured))
     report = verify_scene(config, 0.1)
-    assert report.speed_max == float(measured.max())
-    assert report.speed_min == float(measured.min())
-    assert report.separation_floor == lemma1_bound(float(measured.max()))
+    assert report.speed_max == max(measured)
+    assert report.speed_min == min(measured)
+    assert report.separation_floor == lemma1_bound(max(measured))
     # radius None is half the floor.
     assert verify_scene(config, None).radius == report.separation_floor / 2.0
 
@@ -196,17 +197,17 @@ def _nudged_window3():
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
-    return MovingConfiguration(flow.P, V)
+    return configuration(flow.P, V)
 
 
 @pytest.mark.parametrize("case", [_nudged_window3])
 def test_verify_scene_past_the_limit_is_undecided(monkeypatch, case):
     config = case()
     total = len(config) * (len(config) - 1) // 2
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", total)
+    monkeypatch.setattr(geometry, "EXHAUSTIVE_LIMIT", total)
     assert verify_scene(config, None).mode == "exhaustive"
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", total - 1)
-    with pytest.raises(_pairscan.UndecidedError, match=f"^{total} pairs .* {total - 1}$"):
+    monkeypatch.setattr(geometry, "EXHAUSTIVE_LIMIT", total - 1)
+    with pytest.raises(geometry.UndecidedError, match=f"^{total} pairs .* {total - 1}$"):
         verify_scene(config, None)
 
 
@@ -224,7 +225,7 @@ def test_verify_scene_rejects_oversized_radius():
 
 
 def test_export_empty_scene_is_header_only():
-    doc = _export(MovingConfiguration(np.zeros((0, 2)), np.zeros((0, 2))))
+    doc = _export(MovingConfiguration([], []))
     assert doc == SCENE_HEADER + "\n"
     bases, velocities, radii = read_scene(doc)
     assert len(bases) == len(velocities) == len(radii) == 0
@@ -251,10 +252,15 @@ def test_export_rows_sorted_by_axis_point():
 @pytest.mark.parametrize("block", [1, 4, 8, 9])
 def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow
-    whole = _export(config)  # nine rows: one block
+    whole = _export(flow)  # nine rows: one block
+    # The same rows shuffled, written from the configuration's columns.
+    order = random.Random(block).sample(range(len(flow)), len(flow))
+    shuffled = configuration(flow.P[order], flow.V[order])
     monkeypatch.setattr(formats, "_ROW_BLOCK", block)
-    assert _export(config) == whole
+    for config in (flow, shuffled):
+        header, *chunks = export_scene(config, 0.25)
+        assert max(chunk.count("\n") for chunk in chunks) <= block
+        assert header + "".join(chunks) == whole
 
 
 def test_scene_round_trip_preserves_distances():
@@ -278,7 +284,7 @@ def test_scene_round_trip_preserves_distances():
 
 def test_export_does_no_arithmetic_per_row(monkeypatch):
     flow = build_flow(arctan_profile(), Window(-3, 2, -1, 4), shift_margin=0.5)
-    config = MovingConfiguration(flow.P, flow.V)
+    config = configuration(flow.P, flow.V)
 
     def refuse(*args):
         raise AssertionError("export_scene computed a length")
@@ -324,8 +330,9 @@ def test_scene_rows_are_particle_rows_with_their_worldline(inputs, rng):
         f"{x1},{x2},0,{v1},{v2},1,{formats.fmt_float(report.radius)}"
         for x1, x2, v1, v2 in (row.split(",") for row in rows)]
     rng.shuffle(rows)
-    P, V = formats.parse_particles("\n".join([header, *rows, ""]).encode())
-    for source in (flow, MovingConfiguration(P, V)):
+    positions, velocities = formats.parse_particles(
+        "\n".join([header, *rows, ""]).encode())
+    for source in (flow, MovingConfiguration(positions, velocities)):
         scene = _export(source, report.radius)
         assert scene.splitlines() == expected
         assert exact_scene_overlaps(scene) == []

@@ -5,11 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from freedrift import _pairscan
+from freedrift import geometry
 from freedrift.cylinders import verify_scene
 from freedrift.evolution import (
     BadRangeError,
-    MovingConfiguration,
     slice_at,
     snapshot_series,
     verify_hardcore,
@@ -17,13 +16,13 @@ from freedrift.evolution import (
 from freedrift.geometry import IdenticalParticleError, Vec2, closest_approach
 from freedrift.lattice import Window, arctan_profile, build_flow
 
-from oracles import time_grid_min_distance
+from oracles import configuration, time_grid_min_distance
 
 
 def _config(rows):
     """Configuration of (position, velocity) pairs of 2-tuples."""
     A = np.array(rows, dtype=float).reshape(-1, 4)
-    return MovingConfiguration(A[:, :2], A[:, 2:])
+    return configuration(A[:, :2], A[:, 2:])
 
 
 def _pair(x, vx, y, vy):
@@ -101,7 +100,7 @@ def test_duplicate_particle_names_the_first_repeat(order, named):
 
 def test_configuration_holds_contiguous_arrays():
     A = np.array([(0.0, 1.0, 0.5, 0.0), (2.5, -3.0, -1.0, 0.25)])
-    config = MovingConfiguration(A[:, :2], A[:, 2:])
+    config = configuration(A[:, :2], A[:, 2:])
     assert len(config) == 2
     assert config.P.flags.c_contiguous and config.V.flags.c_contiguous
     assert config.P.tolist() == [[0.0, 1.0], [2.5, -3.0]]
@@ -110,16 +109,16 @@ def test_configuration_holds_contiguous_arrays():
 
 def test_configuration_rejects_bad_arrays():
     with pytest.raises(ValueError, match=r"non-finite particle 1"):
-        MovingConfiguration(np.array([(0.0, 0.0), (1.0, math.nan)]), np.zeros((2, 2)))
+        configuration(np.array([(0.0, 0.0), (1.0, math.nan)]), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="must both be"):
-        MovingConfiguration(np.zeros((3, 2)), np.zeros((2, 2)))
+        configuration(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def test_non_finite_velocity_names_its_particle():
     P = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     V = np.array([(0.0, 0.0), (0.0, 0.0), (math.inf, 0.0)])
     with pytest.raises(ValueError) as info:
-        MovingConfiguration(P, V)
+        configuration(P, V)
     assert str(info.value) == "non-finite particle 2: (2.0, 0.0, inf, 0.0)"
 
 
@@ -234,11 +233,11 @@ def test_flow_without_the_structure_is_undecided_past_the_limit(monkeypatch):
     flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
-    config = MovingConfiguration(flow.P, V)
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2)
+    config = configuration(flow.P, V)
+    monkeypatch.setattr(geometry, "EXHAUSTIVE_LIMIT", 49 * 48 // 2)
     assert verify_hardcore(config, threshold=1.0).mode == "exhaustive"
-    monkeypatch.setattr(_pairscan, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
-    with pytest.raises(_pairscan.UndecidedError, match="1176 pairs .* 1175"):
+    monkeypatch.setattr(geometry, "EXHAUSTIVE_LIMIT", 49 * 48 // 2 - 1)
+    with pytest.raises(geometry.UndecidedError, match="1176 pairs .* 1175"):
         verify_hardcore(config, threshold=1.0)
 
 
@@ -250,7 +249,7 @@ def test_time_symmetry_exact():
         for _ in range(12)
     ]
     forward = _config(particles)
-    backward = MovingConfiguration(forward.P, -forward.V)
+    backward = configuration(forward.P, -forward.V)
     rf = verify_hardcore(forward, threshold=1.0)
     rb = verify_hardcore(backward, threshold=1.0)
     assert rf.min_alltime_distance == rb.min_alltime_distance
@@ -261,7 +260,7 @@ def test_translation_invariance():
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
     base = flow
     # Offsets exactly representable, so pair differences are bit-identical.
-    moved = MovingConfiguration(base.P + np.array([10.5, -3.25]), base.V)
+    moved = configuration(base.P + np.array([10.5, -3.25]), base.V)
     ra = verify_hardcore(base, threshold=1.0)
     rb = verify_hardcore(moved, threshold=1.0)
     assert ra.min_alltime_distance == rb.min_alltime_distance
@@ -277,7 +276,7 @@ def test_configuration_is_frozen():
 
 def test_a_flow_is_read_as_its_configuration():
     flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), shift_margin=0.5)
-    config = MovingConfiguration(flow.P, flow.V)
+    config = configuration(flow.P, flow.V)
     assert verify_hardcore(flow) == verify_hardcore(config)
     assert verify_scene(flow, None) == verify_scene(config, None)
     for (t, a), (u, b) in zip(snapshot_series(flow, -1.0, 2.0, 4),

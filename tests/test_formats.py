@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from freedrift import formats
 from freedrift.cylinders import export_scene, lemma1_bound
-from freedrift.evolution import MovingConfiguration, speeds
 from freedrift.formats import (
     ParseError,
     fmt_float,
@@ -27,6 +26,7 @@ from freedrift.formats import (
 )
 from freedrift.lattice import Window, arctan_profile, build_flow
 from oracles import (
+    configuration,
     parse_report,
     reference_export_scene,
     reference_frames_csv,
@@ -47,20 +47,20 @@ def test_particles_round_trip():
     flow = build_flow(arctan_profile(), Window(-3, 1, 0, 4), shift_margin=0.5)
     text = "".join(particles_document(flow.particle_rows()))
     assert text.startswith("particles v1\n")
-    back_P, back_V = parse_particles(text.encode())
-    assert back_P.tolist() == flow.P.tolist()
-    assert back_V.tolist() == flow.V.tolist()
-    assert back_P.flags.c_contiguous and back_V.flags.c_contiguous
+    positions, velocities = parse_particles(text.encode())
+    assert positions.tolist() == flow.P.ravel().tolist()
+    assert velocities.tolist() == flow.V.ravel().tolist()
+    assert positions.typecode == velocities.typecode == "d"
 
 
 def test_particles_blank_lines_skipped():
-    P, V = parse_particles(b"particles v1\n\n0,0,1,0\n\n")
-    assert P.shape == V.shape == (1, 2)
+    positions, velocities = parse_particles(b"particles v1\n\n0,0,1,0\n\n")
+    assert positions.tolist() == [0.0, 0.0] and velocities.tolist() == [1.0, 0.0]
 
 
 def test_particles_header_only_is_empty():
-    P, V = parse_particles(b"particles v1\n")
-    assert P.shape == V.shape == (0, 2)
+    positions, velocities = parse_particles(b"particles v1\n")
+    assert len(positions) == len(velocities) == 0
 
 
 def test_particles_bad_header():
@@ -143,14 +143,13 @@ def particle_texts(draw) -> str:
 
 
 def _parse_outcome(parse, text):
-    """The arrays' shapes and bits, or the ParseError's line and message."""
+    """The positions' and velocities' bits, 16 bytes a row, or the
+    ParseError's line and message."""
     try:
-        P, V = parse(text)
+        positions, velocities = parse(text)
     except ParseError as exc:
         return "error", exc.line_no, str(exc)
-    assert P.dtype == V.dtype == np.float64
-    assert P.flags.c_contiguous and V.flags.c_contiguous
-    return "rows", P.shape, V.shape, P.tobytes(), V.tobytes()
+    return "rows", bytes(memoryview(positions)), bytes(memoryview(velocities))
 
 
 _PLAIN_ROWS = "".join(f"{k},{k}.5,-{k}e-3,+{k}\n" for k in range(6))
@@ -187,8 +186,9 @@ def test_plain_rows_skip_the_line_loop(monkeypatch):
     P = np.arange(400.0).reshape(200, 2)
     data = reference_particles_document(P, -P).encode()
     for newline in (b"\n", b"\r\n", b"\r"):
-        back_P, back_V = parse_particles(data.replace(b"\n", newline))
-        assert back_P.tolist() == P.tolist() and back_V.tolist() == (-P).tolist()
+        positions, velocities = parse_particles(data.replace(b"\n", newline))
+        assert positions.tolist() == P.ravel().tolist()
+        assert velocities.tolist() == (-P).ravel().tolist()
     assert line_loop == []
 
 
@@ -230,11 +230,11 @@ def _peak_above_arrays(n: int, task: str) -> int:
         data = reference_particles_document(P, V).encode()
         if task == "parse-cr":
             data = data.replace(b"\n", b"\r")
-        (P, V), peak = _traced_peak(lambda: parse_particles(data))
-        return peak - P.nbytes - V.nbytes
+        (positions, velocities), peak = _traced_peak(lambda: parse_particles(data))
+        return peak - 8 * (len(positions) + len(velocities))
     # The particles file of a flow of columns of 400 rows, n // 400 of them.
     flow = build_flow(arctan_profile(), Window(0, n // 400 - 1, 0, 399), 0.5)
-    config = MovingConfiguration(P, V)
+    config = configuration(P, V)
     chunks = {"particles": lambda: particles_document(flow.particle_rows()),
               "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),
               "scene": lambda: export_scene(config, 0.25)}[task]
@@ -453,10 +453,10 @@ def test_export_scene_matches_reference(A, block):
     # A configuration holds each row once; the first of each stays in place.
     A = A[np.sort(np.unique(A, axis=0, return_index=True)[1])]
     P, V = A[:, :2], A[:, 2:]
-    radius = lemma1_bound(float(speeds(V).max(initial=0.0))) / 2.0
+    radius = lemma1_bound(max(map(math.hypot, *V.T.tolist()), default=0.0)) / 2.0
     # The scene's axis points are the positions at time 0.
     scene = SimpleNamespace(bases=np.column_stack((P, np.zeros(len(P)))),
                             velocities=V, radius=radius)
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        assert ("".join(export_scene(MovingConfiguration(P, V), radius))
+        assert ("".join(export_scene(configuration(P, V), radius))
                 == reference_export_scene(scene))

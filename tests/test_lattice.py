@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from freedrift import _pairscan, formats
 from freedrift.cylinders import SceneReport, export_scene, verify_scene
-from freedrift.evolution import MovingConfiguration, speeds, verify_hardcore
+from freedrift.evolution import MovingConfiguration, verify_hardcore
 from freedrift.formats import particles_document, report_document, report_items
 from freedrift.geometry import Vec2, closest_approach, norm, sub
 from freedrift.lattice import (
@@ -34,7 +34,7 @@ from freedrift.lattice import (
     tanh_profile,
     verify_flow,
 )
-from oracles import (recovered_field, reference_export_scene,
+from oracles import (configuration, recovered_field, reference_export_scene,
                      reference_particles_document)
 
 
@@ -263,14 +263,14 @@ def test_verify_flow_3x3_example():
 
 def test_verify_flow_flags_duplicate_velocities():
     # Equal velocities break V1's strict decrease in x1: a flow refuses
-    # the axes that give them and the certificate refuses their arrays; the
+    # the axes that give them and the certificate refuses their rows; the
     # hard-core verifier decides those with the engine.
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         dataclasses.replace(flow, phi_x=flow.phi_x[:1] * 2)
     V = flow.V[[0, 0]]
-    assert _pairscan.certify(flow.P, V) is None
-    report = verify_hardcore(MovingConfiguration(flow.P, V))
+    assert configuration(flow.P, V).certify() is None
+    report = verify_hardcore(configuration(flow.P, V))
     assert report.mode == "exhaustive"
     assert (report.min_alltime_distance, report.witness_pair) == (1.0, (0, 1))
 
@@ -332,23 +332,25 @@ def test_flow_feeds_hardcore_verifier():
 
 def test_flow_speeds_are_measured_as_every_verifier_measures_them():
     # np.hypot rounds the fastest speed one ulp above math.hypot here; the
-    # report must agree with evolution.speeds, as verify_scene does.
+    # report must agree with math.hypot, as verify_scene does.
     phi = table_profile([(0, -0.132), (1, -0.062), (2, 1.332)])
     flow = build_flow(phi, Window(0, 2, 0, 0), shift_margin=0.5)
     report = verify_flow(flow)
-    measured = speeds(flow.V)
-    assert report.speed_measured_max == float(measured.max()) == 2.164821026502182
+    measured = list(map(math.hypot, *flow.V.T.tolist()))
+    assert report.speed_measured_max == max(measured) == 2.164821026502182
     assert float(np.hypot(flow.V[:, 0], flow.V[:, 1]).max()) == 2.1648210265021826
-    assert report.speed_measured_min == float(measured.min())
+    assert report.speed_measured_min == min(measured)
+    assert configuration(flow.P, flow.V).speed_range() == flow.speed_range()
 
 
 def _report_from_arrays(flow):
-    """verify_flow's report as the flow's arrays give it: certify's result
-    (the engine's zero-pair scan for one particle) and evolution.speeds."""
+    """verify_flow's report as the flow's arrays give it: the certificate
+    on their rows (the engine's zero-pair scan for one particle) and
+    math.hypot."""
     P, V = flow.P, flow.V
-    scan = _pairscan.certify(P, V) if len(P) > 1 else _pairscan.scan(P, V)
-    measured = speeds(V)
-    lo, hi = float(measured.min()), float(measured.max())
+    scan = configuration(P, V).certify() if len(P) > 1 else _pairscan.scan(P, V)
+    measured = list(map(math.hypot, *V.T.tolist()))
+    lo, hi = min(measured), max(measured)
     ok = math.isfinite(hi) and flow.speed_min <= lo and hi <= flow.speed_max
     margin = 0.0 if scan.pairs_total else math.inf
     return FlowReport(
@@ -382,7 +384,7 @@ def test_axes_decide_as_the_arrays_do(phi):
         scan, line = flow.decide(), flow.decide(worldline=True)
         report, hardcore = verify_flow(flow), verify_hardcore(flow)
         assert "P" not in vars(flow) and "V" not in vars(flow)
-        arrays = MovingConfiguration(flow.P, flow.V)
+        arrays = configuration(flow.P, flow.V)
         assert scan == arrays.decide()
         assert line == arrays.decide(worldline=True)
         assert report == _report_from_arrays(flow)
@@ -421,13 +423,13 @@ def test_certified_reports_match_the_engine(monkeypatch):
         flow = build_flow(phi, Window(-3, 2, -1, 4), shift_margin=0.5)
         report, hardcore = verify_flow(flow), verify_hardcore(flow)
         assert report.mode == hardcore.mode == "exhaustive-structural"
-        assert flow.decide() == _pairscan.certify(flow.P, flow.V)
+        assert flow.decide() == configuration(flow.P, flow.V).certify()
         engine = _pairscan.scan(flow.P, flow.V)
         assert dataclasses.replace(flow.decide(), mode="exhaustive") == engine
-        # A flow never reaches certify; its arrays do.
+        # A flow never reaches certify; its rows do.
         with monkeypatch.context() as m:
-            m.setattr(_pairscan, "certify", lambda *args, **kw: None)
-            engine_hardcore = verify_hardcore(MovingConfiguration(flow.P, flow.V))
+            m.setattr(MovingConfiguration, "certify", lambda *args, **kw: None)
+            engine_hardcore = verify_hardcore(configuration(flow.P, flow.V))
         assert engine_hardcore.mode == "exhaustive"
         assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
 
@@ -453,8 +455,8 @@ def test_refused_flow_runs_the_engine(refused):
     # configuration goes to the hard-core verifier and its engine.
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
     V = refused(flow.V)
-    assert _pairscan.certify(flow.P, V) is None
-    config = MovingConfiguration(flow.P, V)
+    config = configuration(flow.P, V)
+    assert config.certify() is None
     engine = _pairscan.scan(flow.P, V)
     assert config.decide() == engine
     assert _rests_on(verify_hardcore(config), engine)
@@ -469,8 +471,8 @@ def test_refused_flow_runs_the_engine(refused):
      [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]),
 ], ids=["shared-position", "inexact-gap"])
 def test_refused_configuration_runs_the_engine(P, V):
-    config = MovingConfiguration(np.array(P), np.array(V))
-    assert _pairscan.certify(config.P, config.V) is None
+    config = configuration(np.array(P), np.array(V))
+    assert config.certify() is None
     report = verify_hardcore(config)
     assert report.mode == "exhaustive"
     engine = _pairscan.scan(config.P, config.V)
@@ -558,7 +560,7 @@ def test_every_built_flow_is_certified(inputs):
     except ValueError:
         return  # refused: no flow to decide
     report = verify_flow(flow)
-    assert flow.decide() == _pairscan.certify(flow.P, flow.V) is not None
+    assert flow.decide() == configuration(flow.P, flow.V).certify() is not None
     assert math.isfinite(flow.speed_max) and report.speeds_ok
     assert flow.speed_min <= report.speed_measured_min
     assert report.speed_measured_max <= flow.speed_max
@@ -611,7 +613,7 @@ def test_flow_files_match_the_array_path(inputs, radius, block):
     assert "P" not in vars(flow) and "V" not in vars(flow)
     P, V = flow.P, flow.V
     assert particles == reference_particles_document(P, V)
-    arrays = _scene_outcome(MovingConfiguration(P, V), radius)
+    arrays = _scene_outcome(configuration(P, V), radius)
     assert scene[:2] == arrays[:2]
     if len(scene) == 3:
         bases = np.column_stack((P, np.zeros(len(P))))

@@ -4,6 +4,8 @@ that its scope never uses and no definition that the package never names."""
 import ast
 import importlib
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -105,20 +107,73 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
     (["falsify", "--field", "radial", "--c", "1e-4"],
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
+    # Broken in the probe stage, before the random stage loads numpy.
+    (["falsify", "--field", "grid:GRID", "--c", "0.1"],
+     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
 ], ids=["assign", "verify", "verify-table", "evolve", "evolve-particles",
-        "cylinders", "cylinders-column", "falsify", "falsify-radial"])
+        "cylinders", "cylinders-column", "falsify", "falsify-radial",
+        "falsify-grid"])
 def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     pair = tmp_path / "pair.txt"
     pair.write_text("particles v1\n0,0,0,0\n0,3,0,0\n")
     table = tmp_path / "table.csv"
     table.write_text("-1,-0.5\n0,0\n1,0.5\n")
-    files = {"PAIR": str(pair), "table:TABLE": f"table:{table}"}
+    grid = tmp_path / "grid.txt"
+    grid.write_text("particles v1\n" + "".join(
+        f"{x},{y},{0.5 if x > 0 else -0.5},0\n" for y in (-1, 0, 1) for x in (-1, 0, 1)))
+    files = {"PAIR": str(pair), "table:TABLE": f"table:{table}",
+             "grid:GRID": f"grid:{grid}"}
     args = [files.get(arg, arg) for arg in args]
     argv = ["--command", *args, "--out", str(tmp_path)]
     loaded = _loaded_modules("from freedrift import cli\n"
                              f"assert cli.main({argv!r}) == 0")
     assert "cli" in loaded
     assert loaded & absent == set()
+
+
+@pytest.fixture(scope="module")
+def window_40_files(tmp_path_factory):
+    """The rows of assign --window 40 (6,561 rows, 21,520,080 pairs) in a
+    seeded random order, and in file order with the first row's v1 (V0)
+    one ulp higher."""
+    from freedrift import cli
+    work = tmp_path_factory.mktemp("window-40")
+    assert cli.main(["--command", "assign", "--window", "40",
+                     "--out", str(work)]) == 0
+    header, *rows = (work / "particles.txt").read_text().splitlines()
+    x1, x2, v1, v2 = rows[0].split(",")
+    nudged = [",".join((x1, x2, repr(math.nextafter(float(v1), math.inf)), v2)),
+              *rows[1:]]
+    random.Random(40).shuffle(rows)
+    files = {}
+    for name, lines in (("shuffled", rows), ("nudged", nudged)):
+        files[name] = work / f"{name}.txt"
+        files[name].write_text("\n".join([header, *lines]) + "\n")
+    return files
+
+
+@pytest.mark.parametrize("command, report", [("verify", "report.txt"),
+                                             ("cylinders", "cylinder_report.txt")])
+def test_a_particles_file_is_decided_without_numpy(tmp_path, window_40_files,
+                                                   command, report):
+    """A flow's rows, shuffled, are decided by the certificate from their
+    columns, with neither numpy nor the pair engine loaded; past the
+    exhaustive limit, rows the certificate refuses are undecided before
+    either is loaded: exit 1 and no report."""
+    absent = {"numpy", "_pairscan", "lattice", "falsifier"}
+    for name, code in (("shuffled", 0), ("nudged", 1)):
+        out = tmp_path / name
+        argv = ["--command", command, "--particles", str(window_40_files[name]),
+                "--out", str(out)]
+        loaded = _loaded_modules("from freedrift import cli\n"
+                                 f"assert cli.main({argv!r}) == {code}")
+        assert "evolution" in loaded and loaded & absent == set()
+        if code == 0:
+            text = (out / report).read_text()
+            assert "mode = exhaustive-structural\n" in text
+            assert "pairs_checked = 21520080\n" in text
+        else:
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(
