@@ -23,11 +23,9 @@ smaller.
 Every kernel value must be finite: a NaN or infinity (coordinates too large
 for float64) raises ValueError naming the pair, never a silent verdict.
 
-This module, and numpy with it, is loaded only when a pass runs, when a
-configuration without the certificate's structure counts its duplicate
-velocities (duplicate_rows), and by the falsifier's random stage
-(math_map). A lattice flow, and a particles file with a flow's structure
-in any row order, is decided without it.
+This module, and numpy with it, is loaded only when a pass runs. A
+lattice flow, and a particles file with a flow's structure in any row
+order, is decided without it.
 """
 from __future__ import annotations
 
@@ -42,21 +40,6 @@ from .geometry import PARALLEL_EPS, PairScan, pair_count, require_exhaustive
 TILE_PAIRS = 1 << 13
 # Stands in for masked (non-)pairs: above every finite kernel value.
 _MASKED = np.finfo(float).max
-# Index pairs duplicate_rows lists; it counts every duplicate.
-_DUPLICATE_PAIRS = 16
-
-
-def math_map(f, *columns: np.ndarray) -> np.ndarray:
-    """f(a, b, ...) for each element of the float64 columns, as one `math`
-    call each, into a float64 array.
-
-    numpy's hypot, exp, cos and sin need not match `math`'s to the last
-    bit, so the callers that must agree with a CPython float computation
-    map `math` instead. A memoryview yields the elements as Python floats
-    one at a time, so no list of them is built.
-    """
-    return np.fromiter(map(f, *map(memoryview, columns)), float,
-                       len(columns[0]))
 
 
 class _Tile:
@@ -209,21 +192,3 @@ def scan(P, V, *, worldline: bool = False) -> PairScan:
         line_witness=line.pair if line is not None else None,
     )
 
-
-def duplicate_rows(A):
-    """Exactly equal rows of an (n, 2) array.
-
-    Returns (count, pairs) where pairs lists up to _DUPLICATE_PAIRS index
-    pairs (i < j), each a duplicate adjacency in value-sorted order.
-    """
-    n = len(A)
-    if n < 2:
-        return 0, ()
-    order = np.lexsort((A[:, 1], A[:, 0]))
-    S = A[order]
-    eq = np.flatnonzero((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
-    pairs = []
-    for k in eq[:_DUPLICATE_PAIRS]:
-        a, b = int(order[k]), int(order[k + 1])
-        pairs.append((min(a, b), max(a, b)))
-    return int(len(eq)), tuple(sorted(pairs))

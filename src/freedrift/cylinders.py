@@ -76,7 +76,7 @@ class SceneReport:
     nonparallel_ok: bool
     duplicate_direction_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
     # All duplicate directions; the pairs above list the first
-    # _pairscan._DUPLICATE_PAIRS.
+    # evolution._DUPLICATE_PAIRS.
     duplicate_direction_count: int = field(
         metadata={"key": "duplicate_direction_pairs"})
     pairs_total: int

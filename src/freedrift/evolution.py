@@ -31,13 +31,15 @@ from typing import TYPE_CHECKING
 from . import formats
 from .formats import _row_slices, fmt_float
 from .geometry import (DISTANCE_TOL, IdenticalParticleError, PairScan, Vec2,
-                       _inverse_hypot_down, closest_approach, pair_count,
-                       require_exhaustive)
+                       closest_approach, pair_count, require_exhaustive,
+                       worldline_bound)
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_THRESHOLD = 1.0
+# Index pairs duplicate_velocities lists; it counts every duplicate.
+_DUPLICATE_PAIRS = 16
 # Closest approaches are >= 1 in every configuration that passes at the
 # default threshold; half of that, shrunk, is a safe disk radius to draw.
 DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
@@ -193,17 +195,13 @@ class MovingConfiguration:
             return None
         line_distance = line_witness = None
         if worldline:
-            # Pairs in one x1 column share V1, pairs in one x2 row share V0;
-            # S is taken over the kinds of pair that occur.
-            s = max(max(map(abs, v0_of_x2.values())) if len(v1_of_x1) > 1 else 0.0,
-                    max(map(abs, v1_of_x1.values())) if len(v0_of_x2) > 1 else 0.0)
+            s, line_distance = worldline_bound(v0_of_x2.values(), v1_of_x1.values())
             line_witness = _unit_pair(
                 x1, x2, above1, above2,
                 rows=[b for b, c in v0_of_x2.items() if abs(c) == s],
                 columns=[a for a, c in v1_of_x1.items() if abs(c) == s])
             if line_witness is None:
                 return None
-            line_distance = _inverse_hypot_down(s)
         total = pair_count(len(self))
         return PairScan(pairs_total=total, pairs_checked=total,
                         mode="exhaustive-structural", min_distance=1.0,
@@ -230,13 +228,18 @@ class MovingConfiguration:
         return min(measured), max(measured)
 
     def duplicate_velocities(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Equal velocities, as _pairscan.duplicate_rows counts them: none,
-        (0, ()), with the structure certify checks, as in a flow, since
-        equal velocities would force equal x1 and equal x2."""
+        """Equal velocities: (count, pairs). In the rows sorted by (v1, v2,
+        index), -0.0 equal to 0.0, each two neighbours (i, j) with equal
+        velocities are a duplicate, and pairs holds the first
+        _DUPLICATE_PAIRS of them, sorted. None, (0, ()), with the
+        structure certify checks, as in a flow, since equal velocities
+        would force equal x1 and equal x2. cylinders asks after decide(),
+        so other configurations have at most 4,472 rows to sort."""
         if self._lattice is not None:
             return 0, ()
-        from ._pairscan import duplicate_rows
-        return duplicate_rows(self.V)
+        rows = sorted(zip(*self._columns[2:], count()))
+        pairs = [(a[2], b[2]) for a, b in zip(rows, rows[1:]) if a[:2] == b[:2]]
+        return len(pairs), tuple(sorted(pairs[:_DUPLICATE_PAIRS]))
 
     def particle_rows(self, radius: float):
         """The x1,x2,0,v1,v2,1,r rows of cylinders.export_scene, sorted by

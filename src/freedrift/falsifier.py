@@ -21,24 +21,28 @@ x = (2e5, 0), y = (200001.001, 0) the margin computed in 50-digit decimals
 from the field's formula is -1.25e-16, so such a hit holds on the doubles
 only.
 
-The probe, scaled, sign-change and refine stages decide their few hundred
-pairs one at a time in CPython floats, through one point kernel per field
-kind. Only the random stage, hundreds of thousands of pairs, batches them:
-2,048 pairs at a time in float64 arrays, through the kind's array kernel.
-It is the only stage that loads numpy (about 0.1 s of a run), so a field
-broken before it, as every built-in one is, is decided without it; in
-pure Python the random stage would take about five times as long. Both
-paths give bit for bit the results of a pair-by-pair pass in CPython
-floats. The rule that keeps the batches so: numpy runs only IEEE
-arithmetic (+, -, *, /, abs, min, max and comparisons), which rounds as
-CPython's float operations do, while every exp, cos, sin and hypot is a
-`math` call mapped over the batch. numpy's versions of those may differ
-from `math` in the last bit: with numpy 2.4 on x86-64, np.exp disagreed
-with math.exp on 4.6% of 10^6 uniform inputs in [0, ln 10^4], and
-np.hypot with math.hypot on about 0.6% of random points. The random stage
-draws from `random.Random` a batch at a time (`_random_floats`), never
-from numpy.random: importing numpy.random costs about 5.3 MB of RSS and
-15-20 ms, a sixth of the falsifier's peak RSS.
+Each field kind's formula is written once, in `_KERNELS`, over a
+substrate chosen when its kernel is built. The probe, scaled, sign-change
+and refine stages decide their few hundred pairs one at a time on
+`_FLOATS`, CPython floats. Only the random stage, hundreds of thousands of
+pairs, batches them: 2,048 pairs at a time on float64 arrays, the
+substrate `_arrays` builds for its first batch. It is the only stage that
+loads numpy (about 0.1 s of a run), so a field broken before it, as every
+built-in one is, is decided without it. A search whose random stage runs
+in full (radial at scale 100, c = 1e-4: 750,812 evaluations) took 0.57 s
+with that stage pair by pair in CPython floats, against 0.48 s batched,
+numpy's import included (medians of 9 runs, Python 3.11, numpy 2.4,
+x86-64). Both substrates give bit for bit the results of a pair-by-pair
+pass in CPython floats. The rule that keeps the batches so: numpy runs
+only IEEE arithmetic (+, -, *, /, abs, min, max and comparisons), which
+rounds as CPython's float operations do, while every exp, cos, sin and
+hypot is a `math` call mapped over the batch (`math_map`). numpy's versions of those
+may differ from `math` in the last bit: with numpy 2.4 on x86-64, np.exp
+disagreed with math.exp on 4.6% of 10^6 uniform inputs in [0, ln 10^4],
+and np.hypot with math.hypot on about 0.6% of random points. The random
+stage draws from `random.Random` a batch at a time (`_random_floats`),
+never from numpy.random: importing numpy.random costs about 5.3 MB of RSS
+and 15-20 ms, a sixth of the falsifier's peak RSS.
 """
 from __future__ import annotations
 
@@ -47,7 +51,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .formats import UNREPORTED
 from .geometry import DEFAULT_SEED, Vec2, norm
@@ -68,9 +73,7 @@ class FieldKind(enum.Enum):
 class CandidateField:
     """Bounded continuous field; its values never exceed bound in norm.
 
-    `_point_kernel(x1, x2) -> (w1, w2)` evaluates the field at one point in
-    CPython floats, picked once per kind. The random stage builds the
-    kind's array kernel from `_KERNELS` when it decides its first batch.
+    The search evaluates it through its kind's formula in `_KERNELS`.
     """
 
     kind: FieldKind
@@ -100,180 +103,126 @@ class CandidateField:
                 raise ValueError("grid needs at least one node")
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("grid rows must have equal length")
-        object.__setattr__(self, "_point_kernel",
-                           _POINT_KERNELS[self.kind](self))
 
 
-# Each point kernel maps a point's coordinates (x1, x2) to the field value
-# (w1, w2) as two floats; the probe, scaled, sign-change and refine stages
-# evaluate the field through it.
+class _Substrate(NamedTuple):
+    """What a field formula computes with: Python's hypot, max(a, b) and
+    min(a, b), truncation of values >= 0 to an index, and a table of
+    floats read at such an index."""
 
-def _constant_point(field: CandidateField):
+    hypot: Callable
+    max: Callable
+    min: Callable
+    int: Callable
+    table: Callable
+
+
+# CPython floats, one point at a time: the probe, scaled, sign-change and
+# refine stages.
+_FLOATS = _Substrate(math.hypot, max, min, int, tuple)
+
+
+def _arrays() -> _Substrate:
+    """float64 arrays, a batch of points at a time: the random stage's.
+    Each element is the float _FLOATS gives, by the rule in the module
+    docstring: hypot is a `math` call per element, and max and min pick as
+    Python's do, b only where b > a (b < a)."""
+    import numpy as np
+    return _Substrate(partial(math_map, math.hypot),
+                      lambda a, b: np.where(b > a, b, a),
+                      lambda a, b: np.where(b < a, b, a),
+                      lambda u: u.astype(np.intp),
+                      partial(np.array, dtype=float))
+
+
+def math_map(f, *args) -> np.ndarray:
+    """f(a, b, ...) for each element of the float64 columns among args, as
+    one `math` call each, into a float64 array; a float argument is passed
+    to every call.
+
+    numpy's hypot, exp, cos and sin need not match `math`'s to the last
+    bit, so the array substrate and the random stage map `math` instead. A
+    memoryview yields the elements as Python floats one at a time, so no
+    list of them is built.
+    """
+    import numpy as np
+    n = min(len(a) for a in args if not isinstance(a, float))
+    return np.fromiter(map(f, *(repeat(a) if isinstance(a, float)
+                                else memoryview(a) for a in args)), float, n)
+
+
+# Each kind's formula, once: a factory (field, substrate) -> kernel, and
+# kernel(x1, x2) -> (w1, w2) maps a point's coordinates, or a batch's, to
+# the field's value there. A component that does not vary may be returned
+# as one float; a batch broadcasts it.
+
+def _constant(field: CandidateField, s: _Substrate):
     w = (field.value.x1, field.value.x2)
-
-    def kernel(x1: float, x2: float) -> tuple[float, float]:
-        return w
-    return kernel
+    return lambda x1, x2: w
 
 
-def _radial_point(field: CandidateField):
-    bound, scale = field.bound, field.scale
+def _radial(field: CandidateField, s: _Substrate):
+    bound, scale, hypot = field.bound, field.scale, s.hypot
 
-    def kernel(x1: float, x2: float) -> tuple[float, float]:
+    def kernel(x1, x2):
         u1, u2 = x1 / scale, x2 / scale
-        f = bound / math.hypot(1.0, u1, u2)
+        f = bound / hypot(1.0, u1, u2)
         return f * u1, f * u2
     return kernel
 
 
-def _rotational_point(field: CandidateField):
-    bound, scale = field.bound, field.scale
+def _rotational(field: CandidateField, s: _Substrate):
+    bound, scale, hypot, smax = field.bound, field.scale, s.hypot, s.max
 
-    def kernel(x1: float, x2: float) -> tuple[float, float]:
-        f = bound / max(math.hypot(x1, x2), scale)
+    def kernel(x1, x2):
+        f = bound / smax(hypot(x1, x2), scale)
         return -f * x2, f * x1
     return kernel
 
 
-def _linear_point(field: CandidateField):
-    f, scale = field.bound / math.sqrt(2.0), field.scale
+def _linear(field: CandidateField, s: _Substrate):
+    f, scale, smax, smin = field.bound / math.sqrt(2.0), field.scale, s.max, s.min
 
-    def kernel(x1: float, x2: float) -> tuple[float, float]:
-        c1 = min(1.0, max(-1.0, x1 / scale))
-        c2 = min(1.0, max(-1.0, x2 / scale))
-        return f * c1, f * c2
+    def kernel(x1, x2):
+        return (f * smin(1.0, smax(-1.0, x1 / scale)),
+                f * smin(1.0, smax(-1.0, x2 / scale)))
     return kernel
 
 
-def _grid_point(field: CandidateField):
+def _grid(field: CandidateField, s: _Substrate):
     rows = field.values
     ny, nx = len(rows), len(rows[0])
     (o1, o2), spacing = field.origin, field.spacing
+    smax, smin, sint = s.max, s.min, s.int
+    # Node (i, j) of component c is tables[c][j nx + i]. Its neighbours up
+    # each axis are right and up further on, or itself where the grid is
+    # one node wide.
+    tables = [s.table([w[c] for row in rows for w in row]) for c in (0, 1)]
+    right, up = int(nx > 1), nx if ny > 1 else 0
 
-    def kernel(x1: float, x2: float) -> tuple[float, float]:
-        u = (x1 - o1) / spacing
-        v = (x2 - o2) / spacing
+    def kernel(x1, x2):
         # Clamping extends the boundary values constantly: still continuous.
-        u = min(max(u, 0.0), nx - 1.0)
-        v = min(max(v, 0.0), ny - 1.0)
-        i = min(int(u), nx - 2) if nx > 1 else 0
-        j = min(int(v), ny - 2) if ny > 1 else 0
-        fu = u - i
-        fv = v - j
-        i2 = min(i + 1, nx - 1)
-        j2 = min(j + 1, ny - 1)
-        w00, w10 = rows[j][i], rows[j][i2]
-        w01, w11 = rows[j2][i], rows[j2][i2]
-        a0 = (w00[0] * (1 - fu) + w10[0] * fu, w00[1] * (1 - fu) + w10[1] * fu)
-        a1 = (w01[0] * (1 - fu) + w11[0] * fu, w01[1] * (1 - fu) + w11[1] * fu)
-        return (a0[0] * (1 - fv) + a1[0] * fv,
-                a0[1] * (1 - fv) + a1[1] * fv)
-    return kernel
-
-
-_POINT_KERNELS = {
-    FieldKind.CONSTANT: _constant_point,
-    FieldKind.SATURATED_RADIAL: _radial_point,
-    FieldKind.ROTATIONAL: _rotational_point,
-    FieldKind.CLAMPED_LINEAR: _linear_point,
-    FieldKind.SAMPLED_GRID: _grid_point,
-}
-
-
-# Each array kernel maps arrays of coordinates (x1, x2) to the field values
-# (w1, w2) as two float64 arrays; only the random stage builds one. Each
-# element is the point kernel's CPython float, by the rule in the module
-# docstring: `math_map` for hypot, and `_pymax`/`_pymin` where the point
-# kernel uses Python's max and min.
-
-def _pymax(a, b):
-    """Python's max(a, b) elementwise: b only where b > a."""
-    import numpy as np
-    return np.where(b > a, b, a)
-
-
-def _pymin(a, b):
-    """Python's min(a, b) elementwise: b only where b < a."""
-    import numpy as np
-    return np.where(b < a, b, a)
-
-
-def _constant_kernel(field: CandidateField):
-    import numpy as np
-    w1, w2 = field.value.x1, field.value.x2
-
-    def kernel(x1: np.ndarray, x2: np.ndarray):
-        return np.full(len(x1), w1), np.full(len(x1), w2)
-    return kernel
-
-
-def _radial_kernel(field: CandidateField):
-    from ._pairscan import math_map
-    bound, scale = field.bound, field.scale
-    hypot_1 = partial(math.hypot, 1.0)
-
-    def kernel(x1: np.ndarray, x2: np.ndarray):
-        u1, u2 = x1 / scale, x2 / scale
-        f = bound / math_map(hypot_1, u1, u2)
-        return f * u1, f * u2
-    return kernel
-
-
-def _rotational_kernel(field: CandidateField):
-    from ._pairscan import math_map
-    bound, scale = field.bound, field.scale
-
-    def kernel(x1: np.ndarray, x2: np.ndarray):
-        f = bound / _pymax(math_map(math.hypot, x1, x2), scale)
-        return -f * x2, f * x1
-    return kernel
-
-
-def _linear_kernel(field: CandidateField):
-    f, scale = field.bound / math.sqrt(2.0), field.scale
-
-    def kernel(x1: np.ndarray, x2: np.ndarray):
-        c1 = _pymin(1.0, _pymax(-1.0, x1 / scale))
-        c2 = _pymin(1.0, _pymax(-1.0, x2 / scale))
-        return f * c1, f * c2
-    return kernel
-
-
-def _grid_kernel(field: CandidateField):
-    import numpy as np
-    w = np.array(field.values, dtype=float)
-    ny, nx = w.shape[:2]
-    (o1, o2), spacing = field.origin, field.spacing
-
-    def kernel(x1: np.ndarray, x2: np.ndarray):
-        u = (x1 - o1) / spacing
-        v = (x2 - o2) / spacing
-        # Clamping extends the boundary values constantly: still continuous.
-        u = _pymin(_pymax(u, 0.0), nx - 1.0)
-        v = _pymin(_pymax(v, 0.0), ny - 1.0)
-        # u, v >= 0, so the cast truncates as int() does.
-        i = np.minimum(u.astype(np.intp), max(nx - 2, 0))
-        j = np.minimum(v.astype(np.intp), max(ny - 2, 0))
-        fu = u - i
-        fv = v - j
-        i2 = np.minimum(i + 1, nx - 1)
-        j2 = np.minimum(j + 1, ny - 1)
-        # Node values as (2, n): one row per component.
-        w00, w10 = w[j, i].T, w[j, i2].T
-        w01, w11 = w[j2, i].T, w[j2, i2].T
-        a0 = w00 * (1 - fu) + w10 * fu
-        a1 = w01 * (1 - fu) + w11 * fu
-        w1, w2 = a0 * (1 - fv) + a1 * fv
-        return w1, w2
+        u = smin(smax((x1 - o1) / spacing, 0.0), nx - 1.0)
+        v = smin(smax((x2 - o2) / spacing, 0.0), ny - 1.0)
+        # u, v >= 0, so truncation is the floor.
+        i = smin(sint(u), max(nx - 2, 0))
+        j = smin(sint(v), max(ny - 2, 0))
+        fu, fv = u - i, v - j
+        gu, gv = 1 - fu, 1 - fv
+        k00 = j * nx + i
+        k10, k01 = k00 + right, k00 + up
+        k11 = k01 + right
+        return tuple((t[k00] * gu + t[k10] * fu) * gv
+                     + (t[k01] * gu + t[k11] * fu) * fv for t in tables)
     return kernel
 
 
 _KERNELS = {
-    FieldKind.CONSTANT: _constant_kernel,
-    FieldKind.SATURATED_RADIAL: _radial_kernel,
-    FieldKind.ROTATIONAL: _rotational_kernel,
-    FieldKind.CLAMPED_LINEAR: _linear_kernel,
-    FieldKind.SAMPLED_GRID: _grid_kernel,
+    FieldKind.CONSTANT: _constant,
+    FieldKind.SATURATED_RADIAL: _radial,
+    FieldKind.ROTATIONAL: _rotational,
+    FieldKind.CLAMPED_LINEAR: _linear,
+    FieldKind.SAMPLED_GRID: _grid,
 }
 
 
@@ -391,15 +340,16 @@ _MOVES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
 class _Search:
     """Budgeted, seeded pair search; shared state across stages.
 
-    A pair is four floats (x1, x2, y1, y2): `try_pair` decides one, and
-    `try_pairs` a batch of them in float64 arrays; `Vec2` is built only for
+    A pair is four floats (x1, x2, y1, y2): `try_pair` decides one through
+    the field's kernel on `_FLOATS`, and `try_pairs` a batch of them in
+    float64 arrays through its kernel on `_arrays`; `Vec2` is built only for
     the result. The margin is c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y),
     and a batch makes every decision a pair-by-pair pass would.
     """
 
     def __init__(self, field: CandidateField, c: float, budget: int):
         self.field = field
-        self.point_kernel = field._point_kernel
+        self.point_kernel = _KERNELS[field.kind](field, _FLOATS)
         self.c = c
         self.budget = budget
         self.evals = 0
@@ -411,8 +361,8 @@ class _Search:
 
     @cached_property
     def array_kernel(self):
-        """The field's array kernel, built by the first batch."""
-        return _KERNELS[self.field.kind](self.field)
+        """The field's formula on float64 arrays, built by the first batch."""
+        return _KERNELS[self.field.kind](self.field, _arrays())
 
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
@@ -465,8 +415,6 @@ class _Search:
         the evaluation count then cover the pairs up to the stop.
         """
         import numpy as np
-
-        from ._pairscan import math_map
         with np.errstate(all="ignore"):
             d1 = x1 - y1
             d2 = x2 - y2
@@ -478,8 +426,8 @@ class _Search:
                 return None
             x1, x2, y1, y2, d1, d2, separation = (
                 a[take] for a in (x1, x2, y1, y2, d1, d2, separation))
-            w1, w2 = self.array_kernel(np.concatenate((x1, y1)),
-                                       np.concatenate((x2, y2)))
+            points = np.concatenate((x1, y1)), np.concatenate((x2, y2))
+            w1, w2 = np.broadcast_arrays(*self.array_kernel(*points), points[0])[:2]
             dw1 = w1[:n] - w1[n:]
             dw2 = w2[:n] - w2[n:]
             inner = d1 * dw1 + d2 * dw2
@@ -656,7 +604,6 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
                 return _exhausted(search)
 
     # Only the random stage batches its pairs, so numpy loads here.
-    from ._pairscan import math_map
     cos, sin, exp = math.cos, math.sin, math.exp
     log_r_max = math.log(1e4)
     log_gap_min, log_gap_max = math.log(1.0001), math.log(1e3)

@@ -3,8 +3,10 @@
 Scalar building blocks for everything else in the package: the closest
 point of approach for two linearly moving points, the result of a decision
 over every pair of a configuration, the limit past which no decision is
-made, and the worldline floor 1/sqrt(1 + s^2) rounded down. All arithmetic
-is IEEE double precision, and nothing here needs numpy.
+made, and the worldline bound that a lattice flow's structure proves: S,
+the largest velocity component over the kinds of pair that occur, and
+1/sqrt(1 + S^2) rounded down. All arithmetic is IEEE double precision, and
+nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -133,6 +135,23 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
         speed = norm(dv)
         time_at_min = -dot(dx, Vec2(dv.x1 / speed, dv.x2 / speed)) / speed
     return PairApproach(distance=distance, time_at_min=time_at_min)
+
+
+def worldline_bound(v0, v1) -> tuple[float, float]:
+    """S, and the largest double not above 1/sqrt(1 + S^2): the minimum
+    worldline distance that the structure of a lattice flow proves
+    (evolution.MovingConfiguration.certify).
+
+    v0 holds the V0 of each distinct x2 value and v1 the V1 of each
+    distinct x1 value, of either sign. S is the largest of them in
+    absolute value over the kinds of pair that occur: V0 counts only when
+    there is more than one x1 value, and V1 only when there is more than
+    one x2 value, since pairs in one x1 column share V1 and pairs in one
+    x2 row share V0. At least one of v0 and v1 holds two values.
+    """
+    s = max(max(map(abs, v0)) if len(v1) > 1 else 0.0,
+            max(map(abs, v1)) if len(v0) > 1 else 0.0)
+    return s, _inverse_hypot_down(s)
 
 
 def _inverse_hypot_down(s: float) -> float:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .evolution import DISK_RADIUS
 from .formats import UNREPORTED, _row_slices, fmt_float
-from .geometry import PairScan, Vec2, _inverse_hypot_down
+from .geometry import PairScan, Vec2, worldline_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,15 +260,12 @@ class FlowAssignment:
         line_distance = line_witness = None
         if worldline:
             v0, nx, ny = self._v0(), len(self.phi_x), len(self.phi_y)
-            # Pairs in one x1 column share V1, pairs in one x2 row share V0;
-            # S is taken over the kinds of pair that occur.
-            s = max(max(map(abs, v0)) if nx > 1 else 0.0,
-                    max(map(abs, self.phi_x)) if ny > 1 else 0.0)
+            # V1 = -phi_x: the same magnitudes.
+            s, line_distance = worldline_bound(v0, self.phi_x)
             line_witness = min(
                 [(i * ny, i * ny + 1) for i, w1 in enumerate(self.phi_x)
                  if ny > 1 and abs(w1) == s]
                 + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s])
-            line_distance = _inverse_hypot_down(s)
         return PairScan(pairs_total=total, pairs_checked=total,
                         mode="exhaustive-structural", min_distance=1.0,
                         witness=(0, 1), line_distance=line_distance,

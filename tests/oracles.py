@@ -605,6 +605,19 @@ def configuration(P, V) -> MovingConfiguration:
     return MovingConfiguration(np.ravel(P), np.ravel(V))
 
 
+def duplicate_velocities(velocities, listed: int = 16):
+    """(count, pairs) of equal velocities, by grouping the rows on their
+    velocity (-0.0 and 0.0 are one key): a group of m rows, in index order,
+    has m - 1 duplicates, each two of its rows in turn. pairs holds the
+    first `listed` of them, groups taken by increasing velocity, sorted."""
+    groups: dict = {}
+    for k, v in enumerate(velocities):
+        groups.setdefault(tuple(v), []).append(k)
+    pairs = [pair for key in sorted(groups)
+             for pair in zip(groups[key], groups[key][1:])]
+    return len(pairs), tuple(sorted(pairs[:listed]))
+
+
 def reference_particles_document(P, V) -> str:
     row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
     return PARTICLES_HEADER + "\n" + "".join(map(row, *P.T.tolist(), *V.T.tolist()))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freedrift import _pairscan, formats, geometry
+from freedrift import formats, geometry
 from freedrift.cylinders import (
     HardCoreNotVerifiedError,
     RadiusTooLargeError,
@@ -290,7 +290,6 @@ def test_export_does_no_arithmetic_per_row(monkeypatch):
         raise AssertionError("export_scene computed a length")
 
     monkeypatch.setattr(math, "hypot", refuse)
-    monkeypatch.setattr(_pairscan, "math_map", refuse)
     for source in (flow, config):
         assert _export(source).count("\n") == 1 + len(flow)
 

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from freedrift import geometry
 from freedrift.cylinders import verify_scene
 from freedrift.evolution import (
@@ -283,3 +286,23 @@ def test_a_flow_is_read_as_its_configuration():
                               snapshot_series(config, -1.0, 2.0, 4), strict=True):
         assert t == u
         assert a.tolist() == b.tolist()
+
+
+# Few distinct components, both zeros among them: duplicates are common,
+# and -0.0 must meet 0.0.
+_COMPONENT = st.sampled_from([0.0, -0.0, 1.0, -2.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_COMPONENT, _COMPONENT), max_size=60),
+       st.randoms(use_true_random=False))
+@example([(0.0, -0.0), (-0.0, 0.0)] * 12, random.Random(0))
+def test_duplicate_velocities_match_grouping(velocities, rng):
+    # Rows at (k, 0) in a shuffled order, so the particles are distinct
+    # and their indices are not the order of their velocities.
+    rows = [(float(k), 0.0, *v) for k, v in enumerate(velocities)]
+    rng.shuffle(rows)
+    config = _config(rows)
+    got = config.duplicate_velocities()
+    assert got == oracles.duplicate_velocities([row[2:] for row in rows])
+    assert len(got[1]) == min(got[0], 16)

@@ -42,8 +42,8 @@ from oracles import (
 
 
 def _at(field, p):
-    """The field's point kernel at p."""
-    return Vec2(*field._point_kernel(p.x1, p.x2))
+    """The field's formula at p, in CPython floats."""
+    return Vec2(*falsifier._KERNELS[field.kind](field, falsifier._FLOATS)(p.x1, p.x2))
 
 
 def _sampled_grid(n, spacing, fn):
@@ -356,11 +356,24 @@ def test_falsify_matches_reference_when_exhausted(c):
         assert result == reference_falsify(field, c, budget, seed)
 
 
+# Grids one node wide along an axis, or both: their neighbour up that axis
+# is the node itself.
+DEGENERATE_GRIDS = {
+    "grid-row": grid_field((-1.0, 0.5), 2.0,
+                           [[(0.3, -0.2), (-0.1, 0.4), (0.2, 0.2), (-0.0, 0.0)]]),
+    "grid-column": grid_field((0.0, -3.0), 1.5,
+                              [[(0.3, -0.2)], [(-0.1, 0.4)], [(0.0, -0.0)]]),
+    "grid-node": grid_field((2.0, -2.0), 1.0, [[(0.25, -0.5)]]),
+}
+
+
 def test_field_kernels_match_reference_evaluate():
-    # The point kernel at each point, and one array-kernel call per field
-    # on all points, compared bit for bit with the scalar reference.
+    # The formula on CPython floats at each point, and on float64 arrays in
+    # one call per field on all points, compared bit for bit with the
+    # scalar reference.
     rng = random.Random(5)
-    for name, field in FIELDS.items():
+    arrays = falsifier._arrays()
+    for name, field in {**FIELDS, **DEGENERATE_GRIDS}.items():
         # Signed zeros and grid nodes, where ties meet min and max.
         points = [Vec2(a, b) for a in (0.0, -0.0, 2.0, 1e4)
                   for b in (0.0, -0.0, -2.0)]
@@ -368,16 +381,16 @@ def test_field_kernels_match_reference_evaluate():
             r = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
             t = rng.uniform(0.0, 2.0 * math.pi)
             points.append(Vec2(r * math.cos(t), r * math.sin(t)))
-        kernel = falsifier._KERNELS[field.kind](field)
-        w1, w2 = kernel(np.array([p.x1 for p in points]),
-                        np.array([p.x2 for p in points]))
+        kernel = falsifier._KERNELS[field.kind](field, arrays)
+        x1 = np.array([p.x1 for p in points])
+        w1, w2 = np.broadcast_arrays(
+            *kernel(x1, np.array([p.x2 for p in points])), x1)[:2]
         assert w1.dtype == w2.dtype == np.float64
-        assert len(w1) == len(w2) == len(points)
         for k, p in enumerate(points):
             expected = reference_evaluate(field, p)
             bits = (expected.x1.hex(), expected.x2.hex())
-            point = field._point_kernel(p.x1, p.x2)
-            assert tuple(w.hex() for w in point) == bits, (name, p)
+            point = _at(field, p)
+            assert (point.x1.hex(), point.x2.hex()) == bits, (name, p)
             assert (w1[k].hex(), w2[k].hex()) == bits, (name, p)
 
 
@@ -388,16 +401,16 @@ class _ArrayKernelBuilt(Exception):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_only_the_random_stage_builds_an_array_kernel(monkeypatch, name):
     # A search that ends in the probe or the scaled stage, or with the
-    # budget spent by them, decides every pair with the point kernel; one
-    # that reaches the random stage builds the array kernel there.
+    # budget spent by them, decides every pair on CPython floats; one that
+    # reaches the random stage builds the array substrate there.
     field = FIELDS[name]
     budgets = (100, BEFORE_RANDOM, 5000)
     results = [falsify(field, 1e-4, budget) for budget in budgets]
 
-    def refuse(field):
+    def refuse():
         raise _ArrayKernelBuilt(field.kind)
 
-    monkeypatch.setattr(falsifier, "_KERNELS", dict.fromkeys(FieldKind, refuse))
+    monkeypatch.setattr(falsifier, "_arrays", refuse)
     for budget, result in zip(budgets, results):
         if budget <= BEFORE_RANDOM or _stage(result) in ("probe", "scaled"):
             assert falsify(field, 1e-4, budget) == result, budget

@@ -131,6 +131,24 @@ def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     assert loaded & absent == set()
 
 
+def test_the_random_stage_loads_numpy_but_not_the_pair_engine(tmp_path):
+    # A radial field at scale 1,000 sampled on 9 x 9 nodes 2,500 apart: at
+    # c = 0.1 neither the probes nor the scaled pairs break it.
+    nodes = [-10000.0 + 2500.0 * k for k in range(9)]
+    grid = tmp_path / "grid.txt"
+    grid.write_text("particles v1\n" + "".join(
+        f"{x!r},{y!r},{x / math.hypot(1e3, x, y)!r},{y / math.hypot(1e3, x, y)!r}\n"
+        for y in nodes for x in nodes))
+    out = tmp_path / "out"
+    argv = ["--command", "falsify", "--field", f"grid:{grid}", "--c", "0.1",
+            "--out", str(out)]
+    loaded = _loaded_modules("from freedrift import cli\n"
+                             f"assert cli.main({argv!r}) == 0")
+    assert "stage = random-slot-0\n" in (out / "falsify_report.txt").read_text()
+    assert {"falsifier", "numpy"} <= loaded
+    assert loaded & {"_pairscan", "lattice", "evolution", "cylinders"} == set()
+
+
 @pytest.fixture(scope="module")
 def window_40_files(tmp_path_factory):
     """The rows of assign --window 40 (6,561 rows, 21,520,080 pairs) in a
