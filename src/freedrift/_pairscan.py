@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS, PairScan, pair_count, require_exhaustive
+from .geometry import TINY_SPEED, PairScan, pair_count, require_exhaustive
 
 # Pairs per exhaustive tile: big enough to amortize numpy call overhead,
 # small enough that a tile's temporaries stay in cache.
@@ -92,23 +92,36 @@ def _worldline(dx0, dx1, dv0, dv1, num, vi, vj, len_i, len_j):
     """Distance between worldlines (x_i + t v_i, t) and (x_j + t v_j, t).
 
     The direction cross product (v_i, 1) x (v_j, 1) is (-dv1, dv0, n3), so
-    the skew distance is |dx x dv| / |cross|; parallel lines take the
-    distance from x_j to the line of i. n3 = v_i x v_j is computed as
-    v x dv with v the shorter of v_i, v_j (v_i x dv = v_j x dv exactly):
-    for nearly equal velocities the products of v_i x v_j cancel and lose
-    most of their digits, and against the longer velocity the rounding of
-    dv can cancel them instead.
+    it is zero exactly when dv = 0: those lines are parallel and take the
+    distance from x_j to the line of i, and every other pair the skew
+    distance |dx x dv| / |cross|. dv is at least TINY_SPEED long or scaled
+    up (`_lift`), so its squares do not underflow. n3 = v_i x v_j is
+    computed as v x dv with v the shorter of v_i, v_j (v_i x dv = v_j x dv
+    exactly): for nearly equal velocities the products of v_i x v_j cancel
+    and lose most of their digits, and against the longer velocity the
+    rounding of dv can cancel them instead.
     """
     shorter = len_i <= len_j
     n3 = (np.where(shorter, vi[0], vj[0]) * dv1
           - np.where(shorter, vi[1], vj[1]) * dv0)
-    cross_norm = np.sqrt(dv1 * dv1 + dv0 * dv0 + n3 * n3)
-    out = num / cross_norm
-    parallel = cross_norm < PARALLEL_EPS * len_i * len_j
+    out = num / np.sqrt(dv1 * dv1 + dv0 * dv0 + n3 * n3)
+    parallel = (dv0 == 0.0) & (dv1 == 0.0)
     if parallel.any():
         c3 = dx0 * vi[1] - dx1 * vi[0]
         out = np.where(parallel, np.sqrt(dx1 * dx1 + dx0 * dx0 + c3 * c3) / len_i, out)
     return out
+
+
+def _lift(dv0, dv1, dv_norm):
+    """dv0, dv1 and dv_norm with each nonzero dv shorter than TINY_SPEED
+    scaled by the power of two that brings its norm into [1/2, 1), exactly.
+    """
+    tiny = (dv_norm < TINY_SPEED) & (dv_norm > 0.0)
+    if not tiny.any():
+        return dv0, dv1, dv_norm
+    shift = np.where(tiny, -np.frexp(dv_norm)[1], 0)
+    dv0, dv1 = np.ldexp(dv0, shift), np.ldexp(dv1, shift)
+    return dv0, dv1, np.hypot(dv0, dv1)
 
 
 class _Min:
@@ -176,8 +189,9 @@ def scan(P, V, *, worldline: bool = False) -> PairScan:
             dv0 = vx[j] - vx[i]
             dv1 = vy[j] - vy[i]
             tile.mask(dv0)  # keeps non-pairs off the static, parallel branches
+            dv0, dv1, dv_norm = _lift(dv0, dv1, np.hypot(dv0, dv1))
             num = np.abs(dx1 * dv0 - dx0 * dv1)
-            closest.offer(tile, _closest(dx0, dx1, num, np.hypot(dv0, dv1)))
+            closest.offer(tile, _closest(dx0, dx1, num, dv_norm))
             if line is not None:
                 line.offer(tile, _worldline(
                     dx0, dx1, dv0, dv1, num, (vx[i], vy[i]), (vx[j], vy[j]),

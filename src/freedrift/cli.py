@@ -15,9 +15,8 @@ window decide, measure and write the flow from its two axes, and on a
 particles file with a lattice flow's structure, in any row order, from its
 four columns, so they hold no P or V and load no numpy. `evolve` loads it,
 and `verify` and `cylinders` on any other particles file, where the pair
-engine runs. `falsify` loads it only when its search reaches the random
-stage, which no built-in field's verdict does; a grid file is read without
-it.
+engine runs. `falsify` never loads it: every stage of its search decides
+its pairs on floats, and a grid file is read without it.
 """
 from __future__ import annotations
 

@@ -21,28 +21,16 @@ x = (2e5, 0), y = (200001.001, 0) the margin computed in 50-digit decimals
 from the field's formula is -1.25e-16, so such a hit holds on the doubles
 only.
 
-Each field kind's formula is written once, in `_KERNELS`, over a
-substrate chosen when its kernel is built. The probe, scaled, sign-change
-and refine stages decide their few hundred pairs one at a time on
-`_FLOATS`, CPython floats. Only the random stage, hundreds of thousands of
-pairs, batches them: 2,048 pairs at a time on float64 arrays, the
-substrate `_arrays` builds for its first batch. It is the only stage that
-loads numpy (about 0.1 s of a run), so a field broken before it, as every
-built-in one is, is decided without it. A search whose random stage runs
-in full (radial at scale 100, c = 1e-4: 750,812 evaluations) took 0.57 s
-with that stage pair by pair in CPython floats, against 0.48 s batched,
-numpy's import included (medians of 9 runs, Python 3.11, numpy 2.4,
-x86-64). Both substrates give bit for bit the results of a pair-by-pair
-pass in CPython floats. The rule that keeps the batches so: numpy runs
-only IEEE arithmetic (+, -, *, /, abs, min, max and comparisons), which
-rounds as CPython's float operations do, while every exp, cos, sin and
-hypot is a `math` call mapped over the batch (`math_map`). numpy's versions of those
-may differ from `math` in the last bit: with numpy 2.4 on x86-64, np.exp
-disagreed with math.exp on 4.6% of 10^6 uniform inputs in [0, ln 10^4],
-and np.hypot with math.hypot on about 0.6% of random points. The random
-stage draws from `random.Random` a batch at a time (`_random_floats`),
-never from numpy.random: importing numpy.random costs about 5.3 MB of RSS
-and 15-20 ms, a sixth of the falsifier's peak RSS.
+Each field kind's formula is written once, in `_KERNELS`, in CPython
+floats, and every stage decides its pairs one at a time through it. The
+random stage draws each pair with `random.Random.uniform`. So `falsify`
+never imports numpy. A search whose random stage runs in full (radial at
+scale 100, c = 1e-4: 750,812 evaluations) takes about 1.2 times as long
+as when that stage batched its pairs in float64 arrays (0.70 s against
+0.57 s), at half the peak RSS (14.6 MiB against 28.6 MiB); a grid field
+that breaks early in the random stage, after about 9,000 evaluations, is
+decided in half the time, numpy's import no longer among its costs
+(medians of 5 to 9 runs, Python 3.11, x86-64).
 """
 from __future__ import annotations
 
@@ -50,15 +38,9 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .formats import UNREPORTED
 from .geometry import DEFAULT_SEED, Vec2, norm
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class FieldKind(enum.Enum):
@@ -105,64 +87,17 @@ class CandidateField:
                 raise ValueError("grid rows must have equal length")
 
 
-class _Substrate(NamedTuple):
-    """What a field formula computes with: Python's hypot, max(a, b) and
-    min(a, b), truncation of values >= 0 to an index, and a table of
-    floats read at such an index."""
+# Each kind's formula, once: a factory field -> kernel, and
+# kernel(x1, x2) -> (w1, w2) maps a point's coordinates to the field's
+# value there.
 
-    hypot: Callable
-    max: Callable
-    min: Callable
-    int: Callable
-    table: Callable
-
-
-# CPython floats, one point at a time: the probe, scaled, sign-change and
-# refine stages.
-_FLOATS = _Substrate(math.hypot, max, min, int, tuple)
-
-
-def _arrays() -> _Substrate:
-    """float64 arrays, a batch of points at a time: the random stage's.
-    Each element is the float _FLOATS gives, by the rule in the module
-    docstring: hypot is a `math` call per element, and max and min pick as
-    Python's do, b only where b > a (b < a)."""
-    import numpy as np
-    return _Substrate(partial(math_map, math.hypot),
-                      lambda a, b: np.where(b > a, b, a),
-                      lambda a, b: np.where(b < a, b, a),
-                      lambda u: u.astype(np.intp),
-                      partial(np.array, dtype=float))
-
-
-def math_map(f, *args) -> np.ndarray:
-    """f(a, b, ...) for each element of the float64 columns among args, as
-    one `math` call each, into a float64 array; a float argument is passed
-    to every call.
-
-    numpy's hypot, exp, cos and sin need not match `math`'s to the last
-    bit, so the array substrate and the random stage map `math` instead. A
-    memoryview yields the elements as Python floats one at a time, so no
-    list of them is built.
-    """
-    import numpy as np
-    n = min(len(a) for a in args if not isinstance(a, float))
-    return np.fromiter(map(f, *(repeat(a) if isinstance(a, float)
-                                else memoryview(a) for a in args)), float, n)
-
-
-# Each kind's formula, once: a factory (field, substrate) -> kernel, and
-# kernel(x1, x2) -> (w1, w2) maps a point's coordinates, or a batch's, to
-# the field's value there. A component that does not vary may be returned
-# as one float; a batch broadcasts it.
-
-def _constant(field: CandidateField, s: _Substrate):
+def _constant(field: CandidateField):
     w = (field.value.x1, field.value.x2)
     return lambda x1, x2: w
 
 
-def _radial(field: CandidateField, s: _Substrate):
-    bound, scale, hypot = field.bound, field.scale, s.hypot
+def _radial(field: CandidateField):
+    bound, scale, hypot = field.bound, field.scale, math.hypot
 
     def kernel(x1, x2):
         u1, u2 = x1 / scale, x2 / scale
@@ -171,42 +106,41 @@ def _radial(field: CandidateField, s: _Substrate):
     return kernel
 
 
-def _rotational(field: CandidateField, s: _Substrate):
-    bound, scale, hypot, smax = field.bound, field.scale, s.hypot, s.max
+def _rotational(field: CandidateField):
+    bound, scale, hypot = field.bound, field.scale, math.hypot
 
     def kernel(x1, x2):
-        f = bound / smax(hypot(x1, x2), scale)
+        f = bound / max(hypot(x1, x2), scale)
         return -f * x2, f * x1
     return kernel
 
 
-def _linear(field: CandidateField, s: _Substrate):
-    f, scale, smax, smin = field.bound / math.sqrt(2.0), field.scale, s.max, s.min
+def _linear(field: CandidateField):
+    f, scale = field.bound / math.sqrt(2.0), field.scale
 
     def kernel(x1, x2):
-        return (f * smin(1.0, smax(-1.0, x1 / scale)),
-                f * smin(1.0, smax(-1.0, x2 / scale)))
+        return (f * min(1.0, max(-1.0, x1 / scale)),
+                f * min(1.0, max(-1.0, x2 / scale)))
     return kernel
 
 
-def _grid(field: CandidateField, s: _Substrate):
+def _grid(field: CandidateField):
     rows = field.values
     ny, nx = len(rows), len(rows[0])
     (o1, o2), spacing = field.origin, field.spacing
-    smax, smin, sint = s.max, s.min, s.int
     # Node (i, j) of component c is tables[c][j nx + i]. Its neighbours up
     # each axis are right and up further on, or itself where the grid is
     # one node wide.
-    tables = [s.table([w[c] for row in rows for w in row]) for c in (0, 1)]
+    tables = [tuple(w[c] for row in rows for w in row) for c in (0, 1)]
     right, up = int(nx > 1), nx if ny > 1 else 0
 
     def kernel(x1, x2):
         # Clamping extends the boundary values constantly: still continuous.
-        u = smin(smax((x1 - o1) / spacing, 0.0), nx - 1.0)
-        v = smin(smax((x2 - o2) / spacing, 0.0), ny - 1.0)
+        u = min(max((x1 - o1) / spacing, 0.0), nx - 1.0)
+        v = min(max((x2 - o2) / spacing, 0.0), ny - 1.0)
         # u, v >= 0, so truncation is the floor.
-        i = smin(sint(u), max(nx - 2, 0))
-        j = smin(sint(v), max(ny - 2, 0))
+        i = min(int(u), max(nx - 2, 0))
+        j = min(int(v), max(ny - 2, 0))
         fu, fv = u - i, v - j
         gu, gv = 1 - fu, 1 - fv
         k00 = j * nx + i
@@ -327,8 +261,6 @@ _BISECTION_STEPS = 60
 # The random stage draws from this many fixed seeded streams, one after
 # another; stream k labels its hits "random-slot-k".
 _RANDOM_STREAMS = 4
-# Pairs per batch in the random stage: one draw and one kernel call each.
-_CHUNK = 2048
 # Refinement's eight moves in the order tried (+x1, -x1, +x2, ..., -y2),
 # each the offsets of (x1, x2, y1, y2) in steps.
 _MOVES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
@@ -340,16 +272,13 @@ _MOVES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
 class _Search:
     """Budgeted, seeded pair search; shared state across stages.
 
-    A pair is four floats (x1, x2, y1, y2): `try_pair` decides one through
-    the field's kernel on `_FLOATS`, and `try_pairs` a batch of them in
-    float64 arrays through its kernel on `_arrays`; `Vec2` is built only for
-    the result. The margin is c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y),
-    and a batch makes every decision a pair-by-pair pass would.
+    A pair is four floats (x1, x2, y1, y2), which `try_pair` decides
+    through the field's kernel; `Vec2` is built only for the result. The
+    margin is c hypot(dw) - |<x-y, dw>|, dw = w(x) - w(y).
     """
 
     def __init__(self, field: CandidateField, c: float, budget: int):
-        self.field = field
-        self.point_kernel = _KERNELS[field.kind](field, _FLOATS)
+        self.kernel = _KERNELS[field.kind](field)
         self.c = c
         self.budget = budget
         self.evals = 0
@@ -358,11 +287,6 @@ class _Search:
         # The latest pair decided with <x-y, dw> > 0, and with < 0.
         self.pos_pair: tuple[float, float, float, float] | None = None
         self.neg_pair: tuple[float, float, float, float] | None = None
-
-    @cached_property
-    def array_kernel(self):
-        """The field's formula on float64 arrays, built by the first batch."""
-        return _KERNELS[self.field.kind](self.field, _arrays())
 
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
@@ -381,8 +305,8 @@ class _Search:
         separation = math.hypot(d1, d2)
         if not separation > 1.0 or self.out_of_budget():
             return None
-        wx1, wx2 = self.point_kernel(x1, x2)
-        wy1, wy2 = self.point_kernel(y1, y2)
+        wx1, wx2 = self.kernel(x1, x2)
+        wy1, wy2 = self.kernel(y1, y2)
         dw1, dw2 = wx1 - wy1, wx2 - wy2
         # A finite increment implies both field values are finite.
         if not (math.isfinite(dw1) and math.isfinite(dw2)):
@@ -404,77 +328,6 @@ class _Search:
                                               wx1, wx2, wy1, wy2):
             return (*pair, margin, inner, dw_norm, separation)
         return None
-
-    def try_pairs(self, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray,
-                  y2: np.ndarray):
-        """Decide the pairs in order, as `try_pair` would one by one; the
-        first hit, or None.
-
-        The batch stops at the first hit. A non-finite increment before it
-        raises ValueError. The kept pair of each sign, the best margin and
-        the evaluation count then cover the pairs up to the stop.
-        """
-        import numpy as np
-        with np.errstate(all="ignore"):
-            d1 = x1 - y1
-            d2 = x2 - y2
-            separation = math_map(math.hypot, d1, d2)
-            take = np.flatnonzero(separation > 1.0)
-            take = take[:(self.budget - self.evals) // 2]
-            n = len(take)
-            if n == 0:
-                return None
-            x1, x2, y1, y2, d1, d2, separation = (
-                a[take] for a in (x1, x2, y1, y2, d1, d2, separation))
-            points = np.concatenate((x1, y1)), np.concatenate((x2, y2))
-            w1, w2 = np.broadcast_arrays(*self.array_kernel(*points), points[0])[:2]
-            dw1 = w1[:n] - w1[n:]
-            dw2 = w2[:n] - w2[n:]
-            inner = d1 * dw1 + d2 * dw2
-            dw_norm = math_map(math.hypot, dw1, dw2)
-            margin = self.c * dw_norm - np.abs(inner)
-        # A finite increment implies both field values are finite.
-        finite = np.isfinite(dw1) & np.isfinite(dw2)
-        bad = n if finite.all() else int(np.argmin(finite))
-        hits = margin[:bad] >= 0.0
-        for k in np.flatnonzero(hits).tolist():
-            found = _exact_violation(
-                self.c, *(float(a[k]) for a in (x1, x2, y1, y2)),
-                *(float(a[j]) for j in (k, n + k) for a in (w1, w2)))
-            if found:
-                end = k + 1
-                break
-        else:
-            if bad < n:
-                e1, e2, p1, p2, q1, q2 = (float(a[bad])
-                                          for a in (dw1, dw2, x1, x2, y1, y2))
-                raise ValueError(
-                    f"field increment w(x) - w(y) = ({e1}, {e2}) is not "
-                    f"finite at x = ({p1}, {p2}), y = ({q1}, {q2})")
-            end, found = n, False
-        self.evals += 2 * end
-        inner, margin = inner[:end], margin[:end]
-
-        def pair(k):
-            return float(x1[k]), float(x2[k]), float(y1[k]), float(y2[k])
-
-        signed = np.flatnonzero(inner > 0.0)
-        if len(signed):
-            self.pos_pair = pair(signed[-1])
-        signed = np.flatnonzero(inner < 0.0)
-        if len(signed):
-            self.neg_pair = pair(signed[-1])
-        ranked = np.where(np.isnan(margin), -math.inf, margin)
-        k = int(np.argmax(ranked))
-        if ranked[k] > self.best_margin:
-            self.best_margin = float(margin[k])
-            self.best_pair = pair(k)
-        if found:
-            k = end - 1
-            return tuple(float(a[k]) for a in (x1, x2, y1, y2, margin, inner,
-                                               dw_norm, separation))
-        return None
-
 
 def _dyadic(*values: float) -> tuple[list[int], int]:
     """Integers m and a shift s with values[i] == m[i] / 2**s exactly."""
@@ -546,26 +399,6 @@ def _scaled_pairs(bound: float, c: float):
                            (r + gap) * math.sin(theta))
 
 
-def _random_floats(rng: random.Random, n: int) -> np.ndarray:
-    """The next n values of rng.random(), drawn at once.
-
-    random() makes each double from two 32-bit Mersenne Twister outputs
-    a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and getrandbits(64 n)
-    returns the next 2n outputs as little-endian 32-bit words. So the
-    values and the generator state afterwards are those of n random()
-    calls.
-    """
-    import numpy as np
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
-                          dtype="<u4").astype(np.uint64)
-    return ((words[0::2] >> 5) * 2 ** 26 + (words[1::2] >> 6)) / 2.0 ** 53
-
-
-def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """random.uniform(a, b) for each random() value in u."""
-    return a + (b - a) * u
-
-
 def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             seed: int = DEFAULT_SEED) -> ViolationReport | Exhausted:
     """Search for a pair with |x-y| > 1 where the strict inequality
@@ -603,7 +436,6 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             if search.out_of_budget():
                 return _exhausted(search)
 
-    # Only the random stage batches its pairs, so numpy loads here.
     cos, sin, exp = math.cos, math.sin, math.exp
     log_r_max = math.log(1e4)
     log_gap_min, log_gap_max = math.log(1.0001), math.log(1e3)
@@ -611,19 +443,16 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     random_budget = (budget - search.evals) * 3 // 4
     per_stream = random_budget // _RANDOM_STREAMS
     for stream in range(_RANDOM_STREAMS):
-        rng = random.Random(seed * 1000003 + stream)
+        uniform = random.Random(seed * 1000003 + stream).uniform
         stream_end = min(search.evals + per_stream, budget)
-        # Each pair takes four draws, and every pair of a batch would be
-        # drawn by a pair-by-pair loop too: no batch outruns the stream.
-        while (pairs := min((stream_end - search.evals) // 2, _CHUNK)) > 0:
-            r, t, gap, phi = _random_floats(rng, 4 * pairs).reshape(pairs, 4).T
-            r = math_map(exp, _uniform(0.0, log_r_max, r))
-            t = _uniform(0.0, turn, t)
-            x1, x2 = r * math_map(cos, t), r * math_map(sin, t)
-            gap = math_map(exp, _uniform(log_gap_min, log_gap_max, gap))
-            phi = _uniform(0.0, turn, phi)
-            hit = search.try_pairs(x1, x2, x1 + gap * math_map(cos, phi),
-                                   x2 + gap * math_map(sin, phi))
+        while search.evals + 2 <= stream_end:
+            r = exp(uniform(0.0, log_r_max))
+            t = uniform(0.0, turn)
+            x1, x2 = r * cos(t), r * sin(t)
+            gap = exp(uniform(log_gap_min, log_gap_max))
+            phi = uniform(0.0, turn)
+            hit = search.try_pair(x1, x2, x1 + gap * cos(phi),
+                                  x2 + gap * sin(phi))
             if hit is not None:
                 return _violation(search, hit, f"random-slot-{stream}")
 

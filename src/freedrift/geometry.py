@@ -14,8 +14,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Scale-invariant degeneracy test for the parallel-line branch.
-PARALLEL_EPS = 1e-12
+# A nonzero relative velocity shorter than this is scaled up by a power of
+# two before the products of dx x dv, which would be subnormal and round
+# off their digits (0.75 x 5e-324 reads 1e-323). Distances are ratios
+# homogeneous in dv, so the scaling changes only their rounding.
+TINY_SPEED = 2.0 ** -500
 # Absolute tolerance for ">=" verdicts on distances.
 DISTANCE_TOL = 1e-9
 # The falsifier's default seed, and so the CLI's --seed default.
@@ -126,13 +129,18 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
         return PairApproach(distance=norm(dx), time_at_min=None)
     # The offset's component across the relative velocity (dv turned a
     # quarter counterclockwise).
-    distance = abs(dot(dx, Vec2(-dv.x2, dv.x1))) / norm(dv)
+    speed = length = norm(dv)
+    across = Vec2(-dv.x2, dv.x1)
+    if speed < TINY_SPEED:
+        e = -math.frexp(speed)[1]
+        across = Vec2(math.ldexp(across.x1, e), math.ldexp(across.x2, e))
+        length = norm(across)
+    distance = abs(dot(dx, across)) / length
     speed2 = dot(dv, dv)
     if _NORMAL_MIN <= speed2 <= _NORMAL_MAX:
         time_at_min = -dot(dx, dv) / speed2
     else:
         # |dv|^2 underflows or overflows: project onto the unit direction.
-        speed = norm(dv)
         time_at_min = -dot(dx, Vec2(dv.x1 / speed, dv.x2 / speed)) / speed
     return PairApproach(distance=distance, time_at_min=time_at_min)
 

@@ -45,7 +45,7 @@ from freedrift.falsifier import (
     ViolationReport,
 )
 from freedrift.formats import PARTICLES_HEADER, REPORT_HEADER, ParseError, fmt_float
-from freedrift.geometry import PARALLEL_EPS, Vec2, dot, norm, sub
+from freedrift.geometry import Vec2, dot, norm, sub
 
 
 def time_grid_min_distance(x, vx, y, vy, levels: int = 28, points: int = 2001):
@@ -140,21 +140,23 @@ def line_grid_min_distance(p1, d1, p2, d2, half: float = 64.0,
 
 def exact_line_distance_sq(P, V, i, j) -> Fraction:
     """Exact squared distance between the worldlines (P[k], 0) + t (V[k], 1)
-    of rows i and j, in rationals on the given doubles.
+    of rows i and j, a ratio of integers on the given doubles.
 
-    The offset (d, 0) projected on the normal a x b of the directions
-    a = (V[i], 1), b = (V[j], 1); for parallel lines (a = b), the offset's
-    distance from the line of i.
+    The directions a = (V[i], 1) and b = (V[j], 1) have the cross product
+    (-dv1, dv0, a x dv), dv = V[j] - V[i], which is zero exactly when
+    dv = 0. Then the lines are parallel, and the distance is the offset's
+    (d, 0) from the line of i; otherwise it is the offset projected on
+    that normal.
     """
     d0, d1 = (Fraction(float(P[j][k])) - Fraction(float(P[i][k])) for k in (0, 1))
     a0, a1, b0, b1 = (Fraction(float(x)) for x in (V[i][0], V[i][1], V[j][0], V[j][1]))
-    normal = (a1 - b1, b0 - a0, a0 * b1 - a1 * b0)
-    normal_sq = sum(c * c for c in normal)
-    if normal_sq:
-        return (d0 * normal[0] + d1 * normal[1]) ** 2 / normal_sq
-    # (d, 0) x (a, 1) over |(a, 1)|.
-    cross = (d1, -d0, d0 * a1 - d1 * a0)
-    return sum(c * c for c in cross) / (a0 * a0 + a1 * a1 + 1)
+    dv0, dv1 = b0 - a0, b1 - a1
+    if dv0 == dv1 == 0:
+        # (d, 0) x (a, 1) over |(a, 1)|.
+        cross = (d1, -d0, d0 * a1 - d1 * a0)
+        return sum(c * c for c in cross) / (a0 * a0 + a1 * a1 + 1)
+    n3 = a0 * dv1 - a1 * dv0
+    return (d1 * dv0 - d0 * dv1) ** 2 / (dv0 * dv0 + dv1 * dv1 + n3 * n3)
 
 
 def _cross3(a, b):
@@ -171,14 +173,15 @@ def line_distance_3d(p1, d1, p2, d2) -> float:
     """Distance between the infinite lines p1 + t d1 and p2 + s d2, for
     3-tuples of floats, in scalar double arithmetic.
 
-    The per-pair reference for the worldline kernel. Nonparallel lines use
-    the cross-product formula; the parallel branch (cross norm below
-    PARALLEL_EPS times the product of direction norms) projects p2 - p1 off
-    the shared direction. The normal d1 x d2 is computed as d1 x (d2 - d1),
-    or as (d1 - d2) x d2 when d2 is shorter, both equal in exact
-    arithmetic, so that nearly parallel directions do not cancel its large
-    products to noise, and a much shorter direction is not rounded away in
-    the difference. Raises ValueError for a zero direction.
+    The per-pair reference for the worldline kernel. Lines whose normal
+    d1 x d2 is zero in floats are parallel: p2 - p1 projected off the
+    shared direction. Every other pair uses the cross-product formula, with
+    the normal's norm taken by hypot, so that a tiny normal does not
+    underflow to 0. The normal is computed as d1 x (d2 - d1), or as
+    (d1 - d2) x d2 when d2 is shorter, both equal in exact arithmetic, so
+    that nearly parallel directions do not cancel its large products to
+    noise, and a much shorter direction is not rounded away in the
+    difference. Raises ValueError for a zero direction.
     """
     n1 = _norm3(d1)
     n2 = _norm3(d2)
@@ -189,12 +192,11 @@ def line_distance_3d(p1, d1, p2, d2) -> float:
     else:
         cross = _cross3((d1[0] - d2[0], d1[1] - d2[1], d1[2] - d2[2]), d2)
     offset = (p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2])
-    cross_norm = _norm3(cross)
-    if cross_norm < PARALLEL_EPS * n1 * n2:
+    if cross == (0.0, 0.0, 0.0):
         # Parallel: distance from p2 to the first line.
         return _norm3(_cross3(offset, d1)) / n1
     return abs(offset[0] * cross[0] + offset[1] * cross[1]
-               + offset[2] * cross[2]) / cross_norm
+               + offset[2] * cross[2]) / math.hypot(*cross)
 
 
 def read_scene(text: str):

@@ -1,7 +1,7 @@
 import math
 import random
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,7 +43,7 @@ from oracles import (
 
 def _at(field, p):
     """The field's formula at p, in CPython floats."""
-    return Vec2(*falsifier._KERNELS[field.kind](field, falsifier._FLOATS)(p.x1, p.x2))
+    return Vec2(*falsifier._KERNELS[field.kind](field)(p.x1, p.x2))
 
 
 def _sampled_grid(n, spacing, fn):
@@ -368,11 +368,9 @@ DEGENERATE_GRIDS = {
 
 
 def test_field_kernels_match_reference_evaluate():
-    # The formula on CPython floats at each point, and on float64 arrays in
-    # one call per field on all points, compared bit for bit with the
+    # Each field's formula at each point, compared bit for bit with the
     # scalar reference.
     rng = random.Random(5)
-    arrays = falsifier._arrays()
     for name, field in {**FIELDS, **DEGENERATE_GRIDS}.items():
         # Signed zeros and grid nodes, where ties meet min and max.
         points = [Vec2(a, b) for a in (0.0, -0.0, 2.0, 1e4)
@@ -381,42 +379,11 @@ def test_field_kernels_match_reference_evaluate():
             r = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
             t = rng.uniform(0.0, 2.0 * math.pi)
             points.append(Vec2(r * math.cos(t), r * math.sin(t)))
-        kernel = falsifier._KERNELS[field.kind](field, arrays)
-        x1 = np.array([p.x1 for p in points])
-        w1, w2 = np.broadcast_arrays(
-            *kernel(x1, np.array([p.x2 for p in points])), x1)[:2]
-        assert w1.dtype == w2.dtype == np.float64
-        for k, p in enumerate(points):
+        for p in points:
             expected = reference_evaluate(field, p)
-            bits = (expected.x1.hex(), expected.x2.hex())
             point = _at(field, p)
-            assert (point.x1.hex(), point.x2.hex()) == bits, (name, p)
-            assert (w1[k].hex(), w2[k].hex()) == bits, (name, p)
-
-
-class _ArrayKernelBuilt(Exception):
-    pass
-
-
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_only_the_random_stage_builds_an_array_kernel(monkeypatch, name):
-    # A search that ends in the probe or the scaled stage, or with the
-    # budget spent by them, decides every pair on CPython floats; one that
-    # reaches the random stage builds the array substrate there.
-    field = FIELDS[name]
-    budgets = (100, BEFORE_RANDOM, 5000)
-    results = [falsify(field, 1e-4, budget) for budget in budgets]
-
-    def refuse():
-        raise _ArrayKernelBuilt(field.kind)
-
-    monkeypatch.setattr(falsifier, "_arrays", refuse)
-    for budget, result in zip(budgets, results):
-        if budget <= BEFORE_RANDOM or _stage(result) in ("probe", "scaled"):
-            assert falsify(field, 1e-4, budget) == result, budget
-        else:
-            with pytest.raises(_ArrayKernelBuilt):
-                falsify(field, 1e-4, budget)
+            assert (point.x1.hex(), point.x2.hex()) == \
+                (expected.x1.hex(), expected.x2.hex()), (name, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,9 +427,8 @@ def test_non_finite_increment_raises():
         falsify(field, 0.1)
 
 
-# The batched search: chunk edges, hits and failures inside a chunk, NaN
-# margins and the chunk draw. Each run must equal the pair-by-pair
-# reference.
+# The stages' edges: where the random streams end, a random-stage hit,
+# non-finite increments and NaN margins. Each run must equal the reference.
 
 PROBE_EVALUATIONS = 1344  # 672 probe pairs, all separated by more than 1
 # Then 126 scaled pairs, also all separated, for fields they do not break.
@@ -481,13 +447,8 @@ def _budget_for(per_stream):
     return budget
 
 
-@pytest.mark.parametrize("per_stream", [
-    2 * falsifier._CHUNK,             # each stream ends at a chunk edge
-    4 * falsifier._CHUNK,             # two chunks, then the edge
-    2 * falsifier._CHUNK + 2 * 777,   # ends inside the second chunk
-    2 * falsifier._CHUNK + 2 * 777 + 1,  # odd: the last evaluation unused
-    2 * falsifier._CHUNK - 2,         # one pair short of a full chunk
-])
+# Each stream's evaluations, even, or odd with the last one unused.
+@pytest.mark.parametrize("per_stream", [4096, 8192, 5650, 5651, 4094])
 def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
     field = FIELDS["radial-wide"]  # no random pair breaks it at c = 1e-4
     budget = _budget_for(per_stream)
@@ -500,61 +461,48 @@ def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
 
 def test_empty_scaled_stage_hands_the_probes_to_the_random_stage(monkeypatch):
     # At c = 5e-324, r = k bound/c overflows for every k: the scaled stage
-    # has no pair, and the random stage starts right after the probes.
+    # has no pair, and the random stage starts right after the probes. Only
+    # that stage draws, so the first pair tried after a draw is its first.
     field, c = FIELDS["radial"], 5e-324
     assert list(falsifier._scaled_pairs(field.bound, c)) == []
-    starts = []
-    original = falsifier._Search.try_pairs
+    draws, starts = [], []
 
-    def recording(self, *batch):
-        starts.append(self.evals)
-        return original(self, *batch)
+    class Drawing(random.Random):
+        def uniform(self, a, b):
+            draws.append((a, b))
+            return super().uniform(a, b)
 
-    monkeypatch.setattr(falsifier._Search, "try_pairs", recording)
+    original = falsifier._Search.try_pair
+
+    def recording(self, *pair):
+        if draws and not starts:
+            starts.append(self.evals)
+        return original(self, *pair)
+
+    monkeypatch.setattr(falsifier, "random", SimpleNamespace(Random=Drawing))
+    monkeypatch.setattr(falsifier._Search, "try_pair", recording)
     reached = 0
     for budget in (1344, 1346, 1355, 1356, 1600, 2500, 4000):
         # A stream of fewer than 2 evaluations draws no pair.
         reaches = (budget - PROBE_EVALUATIONS) * 3 // 4 // 4 >= 2
         reached += reaches
         for seed in (1, 7):
+            draws.clear()
             starts.clear()
             result = falsify(field, c, budget, seed)
             assert result == reference_falsify(field, c, budget, seed), budget
-            assert starts[:1] == ([PROBE_EVALUATIONS] if reaches else [])
+            assert starts == ([PROBE_EVALUATIONS] if reaches else [])
     assert reached == 5
 
 
-def _first_random_hit():
-    """A stream-0 hit of grid-radial at c = 0.05, seed 2, and its index
-    among the stream's pairs."""
+def test_random_stage_hit_matches_reference():
+    # grid-radial at c = 0.05, seed 2, breaks at the 1,805th pair of the
+    # first random stream.
     field = FIELDS["grid-radial"]
     result = falsify(field, 0.05, 50000, 2)
     assert result.stage == "random-slot-0"
-    return field, (result.evaluations_used - BEFORE_RANDOM) // 2 - 1
-
-
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_hit_at_each_place_in_a_chunk(monkeypatch, where):
-    field, h = _first_random_hit()
-    assert h > 2
-    chunk = {"first": h, "middle": 2 * h + 1, "last": h + 1}[where]
-    monkeypatch.setattr(falsifier, "_CHUNK", chunk)
-    position = h % chunk
-    assert position == {"first": 0, "middle": h, "last": chunk - 1}[where]
-    result = falsify(field, 0.05, 50000, 2)
-    assert result.stage == "random-slot-0"
+    assert (result.evaluations_used - BEFORE_RANDOM) // 2 == 1805
     assert result == reference_falsify(field, 0.05, 50000, 2)
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_tiny_chunks_change_nothing(monkeypatch, chunk):
-    monkeypatch.setattr(falsifier, "_CHUNK", chunk)
-    for name, c, budget, seed in (("radial-wide", 0.05, 5000, 7),
-                                  ("grid-radial", 0.05, 6000, 2),
-                                  ("radial-wide", 1e-4, 3001, 1),
-                                  ("radial-wide", 1e-4, 20000, DEFAULT_SEED)):
-        result = falsify(FIELDS[name], c, budget, seed)
-        assert result == reference_falsify(FIELDS[name], c, budget, seed), name
 
 
 def _grid_radial_with_far_spikes():
@@ -601,7 +549,7 @@ def test_non_finite_increment_inside_a_chunk(monkeypatch):
 
 def test_hit_before_a_non_finite_increment_in_the_chunk_wins():
     # At c = 1.25 the second probe already breaks the field; the overflow
-    # at probe 577 of the same batch is never reached.
+    # at probe 577 is never reached.
     field = _grid_radial_with_far_spikes()
     result = falsify(field, 1.25, 10 ** 5, 1)
     assert result.stage == "probe"
@@ -680,17 +628,6 @@ def test_nan_margins_never_become_the_best():
     assert result.best_pair == (Vec2(2.0, 0.0), Vec2(4.0, 0.0))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
-@pytest.mark.parametrize("n", [1, 2047, 2048, 2049])
-def test_chunk_draw_equals_successive_random_calls(seed, n):
-    drawn, called = random.Random(seed), random.Random(seed)
-    values = falsifier._random_floats(drawn, n)
-    assert values.dtype == np.float64
-    assert values.tolist() == [called.random() for _ in range(n)]
-    assert drawn.getstate() == called.getstate()
-    assert drawn.random() == called.random()
-
-
 def test_sign_change_stage_bisects_to_a_hit():
     # grid-radial at c = 0.05 shows both signs of <x-y, dw> and survives
     # the probes, the scaled pairs and the random streams at these budgets.
@@ -722,10 +659,11 @@ def test_float_hit_failing_the_exact_check_is_passed_over():
     assert result == reference_falsify(field, c, 10 ** 6, DEFAULT_SEED)
     assert (result.stage, result.evaluations_used) == ("probe", 4)
     assert (result.y, result.increment_norm) == (Vec2(3.25, 0.0), 0.0)
-    # The same pair ahead of the hit in one batch: passed over, counted.
+    # The same two pairs one after the other: the first is passed over and
+    # counted, and kept as the best.
     search = falsifier._Search(field, c, 100)
-    hit = search.try_pairs(*np.array([[2.0, 0.0, -2.0, 0.0],
-                                      [2.0, 0.0, 3.25, 0.0]]).T)
+    assert search.try_pair(2.0, 0.0, -2.0, 0.0) is None
+    hit = search.try_pair(2.0, 0.0, 3.25, 0.0)
     assert hit[:4] == (2.0, 0.0, 3.25, 0.0)
     assert search.evals == 4
     assert search.best_margin == 0.0

@@ -343,11 +343,12 @@ def test_much_shorter_direction_is_not_rounded_away(swap):
     assert line_distance_3d(*lines[0], *lines[1]) == 0.0
 
 
-def test_nearly_parallel_lines_use_projection_branch():
-    # Directions differ by ~1e-15, far below the 1e-12 relative cutoff.
+def test_nearly_parallel_lines_are_skew():
+    # Directions 1e-15 apart: the lines meet at t = -2e15, and only lines
+    # with equal directions take the parallel branch, which would read 2.
     d = line_distance_3d(
-        _v3(0, 0, 0), _v3(0, 0, 1), _v3(2, 0, 0), _v3(0, 1e-15, 1))
-    assert d == pytest.approx(2.0, rel=1e-9)
+        _v3(0, 0, 0), _v3(0, 0, 1), _v3(2, 0, 0), _v3(1e-15, 0, 1))
+    assert d == 0.0
 
 
 # ---------------------------------------------------------------- finiteness

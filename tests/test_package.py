@@ -107,7 +107,7 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
     (["falsify", "--field", "radial", "--c", "1e-4"],
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
-    # Broken in the probe stage, before the random stage loads numpy.
+    # Broken in the probe stage.
     (["falsify", "--field", "grid:GRID", "--c", "0.1"],
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
 ], ids=["assign", "verify", "verify-table", "evolve", "evolve-particles",
@@ -131,7 +131,7 @@ def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     assert loaded & absent == set()
 
 
-def test_the_random_stage_loads_numpy_but_not_the_pair_engine(tmp_path):
+def test_the_random_stage_loads_neither_numpy_nor_the_pair_engine(tmp_path):
     # A radial field at scale 1,000 sampled on 9 x 9 nodes 2,500 apart: at
     # c = 0.1 neither the probes nor the scaled pairs break it.
     nodes = [-10000.0 + 2500.0 * k for k in range(9)]
@@ -145,8 +145,22 @@ def test_the_random_stage_loads_numpy_but_not_the_pair_engine(tmp_path):
     loaded = _loaded_modules("from freedrift import cli\n"
                              f"assert cli.main({argv!r}) == 0")
     assert "stage = random-slot-0\n" in (out / "falsify_report.txt").read_text()
-    assert {"falsifier", "numpy"} <= loaded
-    assert loaded & {"_pairscan", "lattice", "evolution", "cylinders"} == set()
+    assert "falsifier" in loaded
+    assert loaded & {"numpy", "_pairscan", "lattice", "evolution",
+                     "cylinders"} == set()
+
+
+def test_an_exhausted_search_loads_no_numpy():
+    # A radial field at scale 100 survives the probes, the scaled pairs and
+    # the random streams at c = 1e-4, and refinement converges after 15,812
+    # evaluations.
+    loaded = _loaded_modules(
+        "from freedrift.falsifier import Exhausted, falsify, "
+        "saturated_radial_field\n"
+        "result = falsify(saturated_radial_field(scale=100.0), 1e-4, 20000)\n"
+        "assert isinstance(result, Exhausted), result\n"
+        "assert result.evaluations_used == 15812, result")
+    assert loaded == {"falsifier", "formats", "geometry"}
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from freedrift import _pairscan, geometry
 from freedrift.evolution import MovingConfiguration
 from freedrift.formats import parse_particles
-from freedrift.geometry import (PARALLEL_EPS, IdenticalParticleError,
-                                UndecidedError, Vec2, _inverse_hypot_down,
+from freedrift.geometry import (IdenticalParticleError, UndecidedError,
+                                Vec2, _inverse_hypot_down,
                                 closest_approach)
 from freedrift.lattice import (
     Window,
@@ -51,21 +51,26 @@ def reference(P, V):
     ii, jj = np.triu_indices(len(P), 1)
     dx = P[jj] - P[ii]
     dv = V[jj] - V[ii]
-    num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
     dv_norm = np.hypot(dv[:, 0], dv[:, 1])
+    # A nonzero dv shorter than 2^-500, scaled by a power of two to a norm
+    # in [1/2, 1).
+    tiny = (dv_norm < 2.0 ** -500) & (dv_norm > 0.0)
+    dv = np.ldexp(dv, np.where(tiny, -np.frexp(dv_norm)[1], 0)[:, None])
+    dv_norm = np.hypot(dv[:, 0], dv[:, 1])
+    num = np.abs(dx[:, 1] * dv[:, 0] - dx[:, 0] * dv[:, 1])
     static = dv_norm == 0.0
     closest = np.where(static, np.hypot(dx[:, 0], dx[:, 1]),
                        num / np.where(static, 1.0, dv_norm))
 
     a, b = V[ii], V[jj]
-    n1 = a[:, 1] - b[:, 1]
-    n2 = b[:, 0] - a[:, 0]
+    n1 = -dv[:, 1]
+    n2 = dv[:, 0]
     len_a = np.sqrt(1.0 + a[:, 0] ** 2 + a[:, 1] ** 2)
     len_b = np.sqrt(1.0 + b[:, 0] ** 2 + b[:, 1] ** 2)
     short = np.where((len_a <= len_b)[:, None], a, b)
-    n3 = short[:, 0] * (b[:, 1] - a[:, 1]) - short[:, 1] * n2
+    n3 = short[:, 0] * dv[:, 1] - short[:, 1] * n2
     cross_norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    parallel = cross_norm < PARALLEL_EPS * len_a * len_b
+    parallel = (n1 == 0.0) & (n2 == 0.0)
     back = P[ii] - P[jj]
     skew = (np.abs((-back[:, 0]) * n1 + (-back[:, 1]) * n2)
             / np.where(parallel, 1.0, cross_norm))
@@ -105,7 +110,7 @@ def configurations(draw):
         V = np.zeros((n, 2)) + draw(st.sampled_from([0.0, 0.5]))
     elif shape == "parallel":
         base = np.array([draw(speed), draw(speed)])
-        # Far below or far above the parallel threshold, never near it.
+        # Equal velocities, or ones 1e-14 or 1e-10 apart: nearly parallel.
         scale = draw(st.sampled_from([0.0, 1e-14, 1e-10]))
         signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
                               min_size=2 * n, max_size=2 * n))
@@ -261,8 +266,8 @@ def test_one_and_two_particles():
     # not hide behind the finite minimum of pair (0, 1).
     ([[0, 0, 0, 0], [0, 0.5, 0, 0], [1e300, 1e300, -1e300, 1e300]], False,
      r"closest approach of pair \(0, 2\) is inf"),
-    # Parallel after underflow, and the offset squared overflows.
-    ([[0, 0, 0, 0], [1e200, 0, 0, 1e-200]], True,
+    # Parallel, and the offset squared overflows.
+    ([[0, 0, 0.5, 0], [1e200, 0, 0.5, 0]], True,
      r"worldline distance of pair \(0, 1\) is inf"),
 ])
 def test_non_finite_kernel_value_names_the_pair(rows, worldline, message):
@@ -608,27 +613,22 @@ def window_subsets(draw):
     return flow.P[rows], flow.V[rows]
 
 
-def _nearly_parallel_rows():
-    """Rows (-15, -15) and (-15, -14) of the tanh flow on window 15: they
-    share V1, and their V0 differ by about 1.2e-12."""
+def _tanh_window_15_rows(n):
+    """The first n rows of the tanh flow on window 15: x1 = -15 and x2 from
+    -15 up. Neighbouring rows share V1, and their V0 differ by about
+    1.2e-12."""
     flow = build_flow(tanh_profile(), Window.square(15), 0.5)
-    rows = [k for k, (a, b) in enumerate(flow.P.tolist())
-            if (a, b) in {(-15.0, -15.0), (-15.0, -14.0)}]
-    return flow.P[rows], flow.V[rows]
-
-
-def taken_as_parallel(V, i, j):
-    """Whether worldlines of rows i and j fall, give or take rounding, in
-    the engine's parallel branch: |(v_i, 1) x (v_j, 1)| below
-    PARALLEL_EPS |(v_i, 1)| |(v_j, 1)| (_pairscan._worldline)."""
-    (a0, a1), (b0, b1) = V[i].tolist(), V[j].tolist()
-    cross = math.sqrt((b1 - a1) ** 2 + (b0 - a0) ** 2 + (a0 * b1 - a1 * b0) ** 2)
-    return cross < 2 * PARALLEL_EPS * math.hypot(1, a0, a1) * math.hypot(1, b0, b1)
+    assert flow.P[:n].tolist() == [[-15.0, -15.0 + k] for k in range(n)]
+    return flow.P[:n], flow.V[:n]
 
 
 @settings(max_examples=100, deadline=None)
 @given(window_subsets())
-@example(_nearly_parallel_rows())
+@example(_tanh_window_15_rows(2))
+# The exact minimiser is (0, 1), which an engine that took nearly parallel
+# worldlines as parallel read as 0.8046, and (2, 3) the same double as the
+# certificate's minimum.
+@example(_tanh_window_15_rows(4))
 def test_certificate_matches_engine_and_oracles_on_window_subsets(rows):
     """The certificate's result and both its witnesses on rows of flows at
     windows up to 32, against the engine on the same rows and the
@@ -660,28 +660,57 @@ def test_certificate_matches_engine_and_oracles_on_window_subsets(rows):
         return
     assert_exact_line_minimum(line, P, V)
     assert line.line_witness == pair
-    # The engine measures nearly parallel worldlines as parallel, from a
-    # point to a line, which is farther than the lines are
-    # (test_engine_measures_nearly_parallel_worldlines_skew).
-    if taken_as_parallel(V, *pair):
-        assert engine.line_distance > line.line_distance
-    else:
-        assert engine.line_distance == pytest.approx(line.line_distance, rel=1e-12)
+    assert engine.line_distance == pytest.approx(line.line_distance, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="the engine measures worldlines within "
-                   "PARALLEL_EPS of parallel as parallel (ROADMAP item 2)")
 def test_engine_measures_nearly_parallel_worldlines_skew():
     """Two worldlines whose directions differ by about 1e-12 are skew,
-    exactly 1/sqrt(1 + V1^2) apart, which the certificate gives; the engine
-    takes them as parallel and reads 0.80, the distance from one point of
-    one to the other."""
-    P, V = _nearly_parallel_rows()
-    assert taken_as_parallel(V, 0, 1)
+    exactly 1/sqrt(1 + V1^2) apart, which the certificate gives; taken as
+    parallel, they would read 0.80, the distance from one point of one to
+    the other."""
+    P, V = _tanh_window_15_rows(2)
     line = certify(P, V, worldline=True)
     assert_exact_line_minimum(line, P, V)
     engine = _pairscan.scan(P, V, worldline=True)
     assert engine.line_distance == pytest.approx(line.line_distance, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(coordinate, coordinate), st.tuples(speed, speed),
+       st.integers(0, 1), st.one_of(st.integers(1, 64),
+                                    st.floats(1e-16, 1e-6)))
+@example((2.0, 0.0), (0.5, -0.25), 0, 1)
+@example((0.0, 1.5), (0.0, 0.0), 0, 1)  # dv = (5e-324, 0)
+def test_engine_measures_nearly_parallel_worldlines_exactly(y, v, k, apart):
+    """Velocities that differ in one component by 1 to 64 ulps, or by a
+    relative 1e-16 to 1e-6: the worldlines are skew, and the engine's
+    distance is the exact one to within the rounding of the offset."""
+    w = list(v)
+    if isinstance(apart, int):
+        for _ in range(apart):
+            w[k] = math.nextafter(w[k], math.inf)
+    else:
+        w[k] += apart * max(abs(w[k]), 1.0)
+    P, V = np.array([[0.0, 0.0], y]), np.array([v, w])
+    exact = math.sqrt(exact_line_distance_sq(P, V, 0, 1))
+    engine = _pairscan.scan(P, V, worldline=True)
+    assert engine.line_distance == pytest.approx(
+        exact, rel=1e-12, abs=1e-12 * (1 + math.hypot(*y)))
+
+
+def test_subnormal_relative_velocity_is_measured_exactly():
+    """Row 1 drifts along x1 at 5e-324, 0.75 across from row 0: both its
+    closest approach and its worldline distance are exactly 0.75. Unscaled,
+    0.75 * 5e-324 rounds up to 1e-323, and both would read 1, a pass for
+    verify and cylinders."""
+    P = np.array([[0.0, 0.0], [0.0, 0.75]])
+    V = np.array([[0.0, 0.0], [5e-324, 0.0]])
+    assert exact_closest_sq(P, V, 0, 1) == exact_line_distance_sq(P, V, 0, 1) \
+        == Fraction(9, 16)
+    scan = _pairscan.scan(P, V, worldline=True)
+    assert (scan.min_distance, scan.line_distance) == (0.75, 0.75)
+    assert closest_approach(Vec2(0.0, 0.0), Vec2(0.0, 0.0), Vec2(0.0, 0.75),
+                            Vec2(5e-324, 0.0)).distance == 0.75
 
 
 def test_certificate_matches_the_engine_on_a_shuffled_window():
