@@ -8,14 +8,17 @@ verifies the distance and nonparallelity claims for a configuration and a
 radius of at most half that floor, and exports the cylinders straight from
 the configuration in a plain text format.
 
-For a lattice flow the verification needs no pass over the pairs: the
-structural certificate gives the worldline minimum 1/sqrt(1+S^2), S the
+The floor is the largest double not above 1/sqrt(1+M^2), M the largest
+speed as math.hypot measures it (lemma1_bound). For a lattice flow the
+structural certificate gives the worldline minimum with no pass over the
+pairs, by the same function (geometry._inverse_hypot_down) of S, the
 largest velocity component in absolute value over the kinds of pair that
-occur, rounded down; since S <= M it is at least the floor, up to the
-rounding of both. Other configurations go through the pair engine. Either
-way one decision, the configuration's decide, gives both the
-closest-approach minimum, which must clear 1, and the worldline minimum,
-each judged by evolution.clears, the rule of every distance verdict.
+occur. math.hypot errs by less than an ulp, so M is never below a
+velocity's larger component: S <= M, and a certified scene is never short
+of the floor. Other configurations go through the pair engine. Either way
+one decision, the configuration's decide, gives both the closest-approach
+minimum, which must be >= 1, and the worldline minimum, which must be >=
+the floor: plain comparisons on those doubles, with no slack.
 
 A scene row is a particle's worldline: the axis point (x, 0) and the
 direction (v, 1), written with the particle's own doubles, so the file
@@ -32,8 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .evolution import MovingConfiguration, clears
+from .evolution import MovingConfiguration
 from .formats import UNREPORTED
+from .geometry import _inverse_hypot_down
 
 SCENE_HEADER = "cylinder-scene v2"
 
@@ -47,10 +51,12 @@ class RadiusTooLargeError(ValueError):
 
 
 def lemma1_bound(max_speed: float) -> float:
-    """Worldline separation floor 1/sqrt(1 + M^2) for speeds <= M."""
+    """Worldline separation floor for speeds <= M: the largest double not
+    above 1/sqrt(1 + M^2), by the function that gives the certificate's
+    worldline minimum (geometry._inverse_hypot_down)."""
     if not (math.isfinite(max_speed) and max_speed >= 0):
         raise ValueError("max speed must be finite and >= 0")
-    return 1.0 / math.hypot(1.0, max_speed)
+    return _inverse_hypot_down(max_speed)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class SceneReport:
 
 
 def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneReport:
-    """Check pairwise worldline distances against the floor 1/sqrt(1+M^2).
+    """Check pairwise worldline distances against the floor, lemma1_bound(M).
 
     The configuration must already satisfy the all-time unit-distance
     condition, checked in the same decision over the pairs; the speed
@@ -98,10 +104,10 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
 
     One config.decide(worldline=True) decides every pair: the structural
     certificate (mode "exhaustive-structural", its worldline minimum
-    rounded down) or else the pair engine (mode "exhaustive"), or it
-    raises UndecidedError. Its closest-approach minimum must clear 1
-    (evolution.clears), else HardCoreNotVerifiedError, and its worldline
-    minimum is held to the floor by the same rule.
+    rounded down as the floor is, so never below it) or else the pair
+    engine (mode "exhaustive"), or it raises UndecidedError. Its
+    closest-approach minimum must be >= 1, else HardCoreNotVerifiedError,
+    and passed is its worldline minimum >= the floor, with no slack.
     """
     if len(config) < 1:
         raise ValueError("configuration must contain at least one particle")
@@ -115,11 +121,11 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
         raise RadiusTooLargeError(f"radius {radius} exceeds {floor / 2.0}")
 
     scan = config.decide(worldline=True)
-    if not clears(scan.min_distance, 1.0):
+    if not scan.min_distance >= 1.0:
         raise HardCoreNotVerifiedError(
             f"all-time minimum distance {scan.min_distance} < 1")
 
-    distances_ok = clears(scan.line_distance, floor)
+    distances_ok = scan.line_distance >= floor
     dup_count, dup_pairs = config.duplicate_velocities()
 
     return SceneReport(

@@ -14,8 +14,8 @@ read the same way, through len, row, decide, speed_range,
 duplicate_velocities and particle_rows. Results are exact for the pairs
 present; a finite window says nothing about particles outside it.
 verify_hardcore asks the configuration for its decision over all pairs,
-decide(). Every distance verdict, here and in cylinders, goes through
-clears, the one place DISTANCE_TOL enters a verdict.
+decide(). Every distance verdict, here and in cylinders, is one plain
+distance >= bound on the doubles the decision gives, with no slack.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import formats
 from .formats import _row_slices, fmt_float
-from .geometry import (DISTANCE_TOL, IdenticalParticleError, PairScan, Vec2,
+from .geometry import (IdenticalParticleError, PairScan, Vec2, _dyadic,
                        closest_approach, pair_count, require_exhaustive,
                        worldline_bound)
 
@@ -40,18 +40,14 @@ if TYPE_CHECKING:
 DEFAULT_THRESHOLD = 1.0
 # Index pairs duplicate_velocities lists; it counts every duplicate.
 _DUPLICATE_PAIRS = 16
-# Closest approaches are >= 1 in every configuration that passes at the
-# default threshold; half of that, shrunk, is a safe disk radius to draw.
-DISK_RADIUS = (1.0 - DISTANCE_TOL) / 2.0
+# The radius of the disks that evolve draws and the assign report states:
+# 5e-10 short of 1/2, since disks of radius 1/2 around particles exactly 1
+# apart touch. It decides no verdict.
+DISK_RADIUS = 0.4999999995
 
 
 class BadRangeError(ValueError):
     """Raised for an empty or inverted snapshot time range."""
-
-
-def clears(distance: float, bound: float) -> bool:
-    """The verdict distance >= bound, with the one slack DISTANCE_TOL."""
-    return bool(distance >= bound - DISTANCE_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +339,10 @@ def _axis(keys, values, across):
     for a, b in zip(ordered, ordered[1:]):
         gap = b - a
         if gap == 1.0:
-            # The float difference rounds; decide it exactly on the integer
-            # ratios a = an/ad, b = bn/bd: b - a - 1 has the sign of over.
-            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-            over = bn * ad - an * bd - ad * bd
+            # The float difference rounds; decide it exactly on the integers
+            # a = an/2^s, b = bn/2^s: b - a - 1 has the sign of over.
+            (an, bn), s = _dyadic(a, b)
+            over = bn - an - (1 << s)
             if over < 0:
                 return None
             if over == 0:
@@ -487,7 +483,7 @@ def verify_hardcore(config: MovingConfiguration,
         witness_time=witness_time,
         passed_threshold=threshold,
         margin=scan.min_distance - threshold,
-        passed=clears(scan.min_distance, threshold),
+        passed=scan.min_distance >= threshold,
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,

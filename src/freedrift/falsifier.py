@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 
 from .formats import UNREPORTED
-from .geometry import DEFAULT_SEED, Vec2, norm
+from .geometry import DEFAULT_SEED, Vec2, _dyadic, norm
 
 
 class FieldKind(enum.Enum):
@@ -328,12 +328,6 @@ class _Search:
                                               wx1, wx2, wy1, wy2):
             return (*pair, margin, inner, dw_norm, separation)
         return None
-
-def _dyadic(*values: float) -> tuple[list[int], int]:
-    """Integers m and a shift s with values[i] == m[i] / 2**s exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    s = max(q.bit_length() for _, q in ratios) - 1
-    return [p << (s + 1 - q.bit_length()) for p, q in ratios], s
 
 
 def _exact_violation(c: float, x1: float, x2: float, y1: float, y2: float,

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 # off their digits (0.75 x 5e-324 reads 1e-323). Distances are ratios
 # homogeneous in dv, so the scaling changes only their rounding.
 TINY_SPEED = 2.0 ** -500
-# Absolute tolerance for ">=" verdicts on distances.
-DISTANCE_TOL = 1e-9
 # The falsifier's default seed, and so the CLI's --seed default.
 DEFAULT_SEED = 0x5EED
 # The most pairs the engine visits one by one; a decision that needs more
@@ -165,18 +163,21 @@ def worldline_bound(v0, v1) -> tuple[float, float]:
 def _inverse_hypot_down(s: float) -> float:
     """The largest double not above 1/sqrt(1 + s^2), for finite s.
 
-    Decided exactly on integer ratios: a double is a ratio of integers.
+    With 1 = a / 2^k and s = b / 2^k (_dyadic), that is a / sqrt(a^2 + b^2).
+    Its floor in steps of 2^-1074, the doubles' finest, is the integer
+    square root of the floored quotient a^2 4^1074 // (a^2 + b^2); cut to
+    the 53 bits of a double, it stays a floor.
     """
-    sn, sd = s.as_integer_ratio()
+    (a, b), _ = _dyadic(1.0, s)
+    m = math.isqrt((a * a << 2 * 1074) // (a * a + b * b))
+    cut = max(0, m.bit_length() - 53)
+    return math.ldexp(m >> cut, cut - 1074)
 
-    def above(d: float) -> bool:
-        """Whether d^2 (1 + s^2) > 1."""
-        dn, dd = d.as_integer_ratio()
-        return dn * dn * (sd * sd + sn * sn) > (dd * sd) ** 2
 
-    d = 1.0 / math.hypot(1.0, s)
-    while above(d):
-        d = math.nextafter(d, 0.0)
-    while not above(up := math.nextafter(d, math.inf)):
-        d = up
-    return d
+def _dyadic(*values: float) -> tuple[list[int], int]:
+    """Integers m and a shift s with values[i] == m[i] / 2**s exactly: a
+    double is an integer over a power of two, so inequalities on doubles
+    are decided exactly on these integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    return [p << (s + 1 - q.bit_length()) for p, q in ratios], s

@@ -70,7 +70,7 @@ def test_criterion_1_unit_separation(arctan_flows):
         expected_mode = "exhaustive-structural"
         if report.mode != expected_mode:
             failures.append(f"N={n} mode {report.mode}")
-        if not report.min_distance >= 1.0 - 1e-9:
+        if not report.min_distance >= 1.0:
             failures.append(f"N={n} min {report.min_distance}")
         # axis-adjacent pair must attain the unit bound
         by_site = {tuple(p): (Vec2(*p), Vec2(*v))
@@ -143,7 +143,7 @@ def test_criterion_4_worldline_distance_floor():
     speed_cap = report.speed_measured_max
     floor = cyl.lemma1_bound(speed_cap)
     scene_report = cyl.verify_scene(config, floor / 2.0)
-    if not scene_report.min_line_distance >= floor - 1e-9:
+    if not scene_report.min_line_distance >= floor:
         failures.append(f"line min {scene_report.min_line_distance} "
                         f"< floor {floor}")
 

@@ -71,6 +71,21 @@ def test_verify_head_on_pair_fails_with_witness(tmp_path):
     assert float(report["min_alltime_distance"]) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("args, rows", [
+    (["--window", "2", "--threshold", "1.0000000005"], None),
+    (["--particles", "rows.txt"], "particles v1\n0,0,0,0\n0.9999999995,0,0,0\n"),
+], ids=["flow-below-threshold", "static-pair-below-one"])
+def test_verify_fails_a_minimum_5e_10_short(tmp_path, monkeypatch, args, rows):
+    # Each minimum lies 5e-10 below the threshold: no slack passes it.
+    monkeypatch.chdir(tmp_path)
+    if rows is not None:
+        (tmp_path / "rows.txt").write_text(rows)
+    assert cli.main(["--command", "verify", *args, "--out", "out"]) == 1
+    report = parse_report(read(tmp_path / "out" / "report.txt").decode())
+    assert report["margin"] == "-5.000000413701855e-10"
+    assert report["passed"] == "false"
+
+
 def test_falsify_constant_field_finds_zero_increment(tmp_path):
     out = tmp_path / "out"
     result = run_cli("--command", "falsify", "--field", "constant",
@@ -394,20 +409,21 @@ def test_cylinders_of_a_single_column_is_certified(tmp_path, monkeypatch,
 
 def test_cylinders_radius_above_half_the_floor_is_refused(tmp_path, capsys,
                                                          scan_passes):
-    # One ulp above floor / 2 = 0.14260689159438428, as the report prints it.
+    # One ulp above floor / 2 = 0.14260689159438425, as the report prints it.
     out = tmp_path / "out"
     assert cli.main(["--command", "cylinders", "--window", "2",
-                     "--radius", "0.1426068915943843", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: radius 0.1426068915943843 "
-                                       "exceeds 0.14260689159438428\n")
+                     "--radius", "0.14260689159438428", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: radius 0.14260689159438428 "
+                                       "exceeds 0.14260689159438425\n")
     assert not out.exists()
     assert scan_passes == []
 
 
-def test_certified_scene_short_of_the_floor_is_decided_once(tmp_path, monkeypatch,
-                                                            scan_passes):
-    # The certificate's rounded-down worldline minimum lies one ulp below
-    # the floor, inside DISTANCE_TOL: the certificate decides, no engine pass.
+def test_certified_scene_at_the_floor_is_decided_once(tmp_path, monkeypatch,
+                                                      scan_passes):
+    # The fastest row's speed is its V0, so the certificate's worldline
+    # minimum and the floor are one double: the certificate decides, with
+    # margin 0 and no engine pass.
     (tmp_path / "rows.txt").write_text("particles v1\n0,0,1.0206185567010309,0\n"
                                        "1,0,1.0206185567010309,-1e-300\n")
     monkeypatch.chdir(tmp_path)
@@ -416,8 +432,9 @@ def test_certified_scene_short_of_the_floor_is_decided_once(tmp_path, monkeypatc
     assert scan_passes == []
     report = parse_report(read(tmp_path / "out" / "cylinder_report.txt").decode())
     assert report["mode"] == "exhaustive-structural"
+    assert report["separation_floor"] == "0.69985497121846485"
     assert report["min_line_distance"] == "0.69985497121846485"
-    assert report["distance_margin"] == "-1.1102230246251565e-16"
+    assert report["distance_margin"] == "0"
     assert report["passed"] == "true"
 
 

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import formats, geometry
@@ -139,8 +139,8 @@ def test_verify_scene_3x3_flow():
     report = verify_scene(config, radius)
     assert report.passed
     assert report.speed_max == cap
-    assert report.min_line_distance >= report.separation_floor - 1e-9
-    assert report.distance_margin >= -1e-9
+    assert report.min_line_distance >= report.separation_floor
+    assert report.distance_margin >= 0.0
 
     # Cross-check the scanned minimum against scalar per-pair distances.
     lines = _axes(config)
@@ -337,14 +337,58 @@ def test_scene_rows_are_particle_rows_with_their_worldline(inputs, rng):
         assert exact_scene_overlaps(scene) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the default radius is half of 1/hypot(1, M) rounded to nearest, "
-    "above the exact floor here; the exact radius rule of ROADMAP item 2 "
-    "is what would keep these cylinders apart"))
 def test_cylinders_at_the_default_radius_do_not_overlap_exactly():
     # The worldlines lie 1/sqrt(1 + M^2) apart, up to 1e-300 in V1.
     config = _config([(0.0, 0.0, 1.0206185567010309, 0.0),
                       (1.0, 0.0, 1.0206185567010309, -1e-300)])
     report = verify_scene(config, None)
+    assert report.passed
+    assert exact_scene_overlaps(_export(config, report.radius)) == []
+
+
+# Velocity components, among them ones about 1e-300 and the subnormal
+# 5e-324, which leave a row's speed its other component.
+COMPONENTS = st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, 1.0206185567010309,
+                              -1.0206185567010309]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def certified_flow_rows(draw):
+    """(x1, x2, v1, v2) rows of a subset of a flow-like lattice: 1 to 4
+    keys per axis at gaps 1, 1.5 or 3, V1 strictly decreasing in x1 and V0
+    strictly increasing in x2, each row kept with odds 3 to 1. Only subsets
+    the certificate decides are drawn."""
+    keys = []
+    for _ in range(2):
+        start = float(draw(st.integers(-30, 30)))
+        gaps = draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, 1.5, 3.0]), max_size=3))
+        keys.append([start + sum(gaps[:k]) for k in range(len(gaps) + 1)])
+    x1, x2 = keys
+    v1_of_x1 = sorted(draw(st.lists(COMPONENTS, min_size=len(x1), max_size=len(x1),
+                                    unique=True)), reverse=True)
+    v0_of_x2 = sorted(draw(st.lists(COMPONENTS, min_size=len(x2), max_size=len(x2),
+                                    unique=True)))
+    rows = [(a, b, v0, v1) for a, v1 in zip(x1, v1_of_x1)
+            for b, v0 in zip(x2, v0_of_x2)]
+    kept = draw(st.lists(st.sampled_from([True, True, True, False]),
+                         min_size=len(rows), max_size=len(rows)))
+    rows = [row for row, keep in zip(rows, kept) if keep]
+    assume(len(rows) > 1 and _config(rows).certify(worldline=True) is not None)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(certified_flow_rows())
+@example([(0.0, 0.0, -1.0, 1e-300), (0.0, 1.0, 1.5, 1e-300),
+          (1.0, 0.0, -1.0, -1e-300), (1.0, 1.0, 1.5, -1e-300)])
+def test_certified_scenes_clear_the_floor_exactly(rows):
+    """The certificate's worldline minimum and the floor are rounded down
+    by one function, of S and of M >= S: no certified scene is short of
+    the floor, and its cylinders at the default radius do not overlap,
+    decided exactly."""
+    config = _config(rows)
+    report = verify_scene(config, None)
+    assert report.mode == "exhaustive-structural"
+    assert report.separation_floor <= report.min_line_distance
     assert report.passed
     assert exact_scene_overlaps(_export(config, report.radius)) == []

@@ -449,7 +449,7 @@ def _budget_for(per_stream):
 
 # Each stream's evaluations, even, or odd with the last one unused.
 @pytest.mark.parametrize("per_stream", [4096, 8192, 5650, 5651, 4094])
-def test_stream_budgets_ending_at_and_inside_a_chunk(per_stream):
+def test_stream_budgets_ending_after_a_pair_or_inside_one(per_stream):
     field = FIELDS["radial-wide"]  # no random pair breaks it at c = 1e-4
     budget = _budget_for(per_stream)
     for seed in (1, DEFAULT_SEED):
@@ -519,7 +519,7 @@ def _grid_radial_with_far_spikes():
     return grid_field((o, o), 2500.0, rows)
 
 
-def test_non_finite_increment_inside_a_chunk(monkeypatch):
+def test_non_finite_increment_at_a_probe_raises(monkeypatch):
     field = _grid_radial_with_far_spikes()
     tried = []
     original = oracles._ReferenceSearch.try_pair
@@ -547,7 +547,7 @@ def test_non_finite_increment_inside_a_chunk(monkeypatch):
         assert "y = (-8192.0, -0.0)" in message
 
 
-def test_hit_before_a_non_finite_increment_in_the_chunk_wins():
+def test_hit_at_an_earlier_probe_than_a_non_finite_increment_wins():
     # At c = 1.25 the second probe already breaks the field; the overflow
     # at probe 577 is never reached.
     field = _grid_radial_with_far_spikes()

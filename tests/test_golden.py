@@ -27,7 +27,13 @@ changed once, when the scene format became `cylinder-scene v2`: each row
 is now the particles row with `0` after x2 and `1,<radius>` after v2, the
 exact worldline direction (v, 1) in place of the rounded unit direction
 (v, 1) / |(v, 1)|; its row order is unchanged. `verify-one` was pinned when `verify_flow` came to rest on
-the certificate alone, from the code before that change.
+the certificate alone, from the code before that change. The separation
+floor is now the largest double not above 1/sqrt(1 + M^2), where it was
+1/hypot(1, M) rounded to nearest: in the cylinder report `radius`
+(0.11299669629435875, was 0.11299669629435877), `separation_floor` and
+`required_distance` (0.22599339258871751, was 0.22599339258871753) and
+`distance_margin` (0.013630896664129671, was 0.013630896664129644) changed,
+and in `scene.txt` the radius that ends each row.
 """
 import hashlib
 import random
@@ -45,8 +51,8 @@ GOLDEN = {
         "report.txt": "946f9c18c7eae067133f940eaa11db3cb0756a91465a00749995bd002573639e",
     },
     "cylinders": {
-        "cylinder_report.txt": "7a5465df6acdb8827828fff0387853cb24c895eab40557bc1dd231ce075a0f5f",
-        "scene.txt": "cac877f6549799b01989b0806198364c02ba46969ffec551b872bcae70e89563",
+        "cylinder_report.txt": "40c006d04db53f7bcc129bb9d1c8c8dccbc52d5daa36d9b2d437ad57db1a0903",
+        "scene.txt": "3f6e4ee56c4d1b1bcd15ebdeb1512319cf7392e54ee44491fffb84e969e96ea7",
     },
     "evolve": {
         "frames.csv": "55c47bbf3d68ec0e5e6ae4ddae154b914eaba8091a796d00b1c88b64e7369bb5",
