@@ -12,11 +12,11 @@ falsifier, `evolve --particles` never loads the lattice module, and only
 `cylinders` loads the cylinder module. numpy is loaded by the commands that
 read or write particle arrays: `assign`, `verify` and `cylinders` on a
 window decide, measure and write the flow from its two axes, and on a
-particles file with a lattice flow's structure, in any row order, from its
-four columns, so they hold no P or V and load no numpy. `evolve` loads it,
-and `verify` and `cylinders` on any other particles file, where the pair
-engine runs. `falsify` never loads it: every stage of its search decides
-its pairs on floats, and a grid file is read without it.
+particles file with a lattice flow's structure, in any row order, or of
+one row, from its four columns, so they hold no P or V and load no numpy.
+`evolve` loads it, and `verify` and `cylinders` on any other particles
+file, where the pair engine runs. `falsify` never loads it: every stage of
+its search decides its pairs on floats, and a grid file is read without it.
 """
 from __future__ import annotations
 

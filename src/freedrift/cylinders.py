@@ -27,8 +27,9 @@ answers every question here from its two axes, and a particles file with
 a flow's structure, in any row order, from its four columns (decide,
 speed_range, duplicate_velocities, particle_rows): cylinders on either
 holds no P or V and loads no numpy unless the certificate finds no unit
-axis pair. A configuration without that structure goes through the pair
-engine and is written from its arrays, with numpy.
+axis pair; a one-row file, which has no pair, loads none either. A
+configuration without that structure goes through the pair engine and
+is written from its arrays, with numpy.
 """
 from __future__ import annotations
 

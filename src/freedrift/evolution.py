@@ -8,7 +8,7 @@ them in pure Python as four columns: it checks them, decides every pair by
 the structural certificate (certify), measures its speeds and writes its
 scene rows without numpy. Its (n, 2) float64 arrays P and V are views of
 the same doubles, made with numpy only when read: by the pair engine, for
-a configuration the certificate does not decide, by evolve and by tests,
+two rows or more the certificate does not decide, by evolve and by tests,
 as a lattice.FlowAssignment makes its arrays from its two axes. Both are
 read the same way, through len, row, decide, speed_range,
 duplicate_velocities and particle_rows. Results are exact for the pairs
@@ -123,7 +123,7 @@ class MovingConfiguration:
         span, and any two distinct x1 values, and any two distinct x2
         values, at least 1 apart. Per axis, _axis's map from each key to
         its velocity component, and its keys with a key exactly 1 above."""
-        if len(self) < 2:
+        if not len(self):
             return None
         x1, x2, v1, v2 = self._columns
         # Any subset of rows with the structure has it, so the first rows
@@ -198,18 +198,16 @@ class MovingConfiguration:
                 columns=[a for a, c in v1_of_x1.items() if abs(c) == s])
             if line_witness is None:
                 return None
-        total = pair_count(len(self))
-        return PairScan(pairs_total=total, pairs_checked=total,
-                        mode="exhaustive-structural", min_distance=1.0,
-                        witness=witness, line_distance=line_distance,
-                        line_witness=line_witness)
+        return PairScan.certified(len(self), witness, line_distance, line_witness)
 
     def decide(self, worldline: bool = False) -> PairScan:
         """Every pair's closest approach, and with worldline its worldline
         distance: the structural certificate's exact result (certify), else
         one engine pass over every pair, which past
         geometry.EXHAUSTIVE_LIMIT raises UndecidedError before the engine,
-        or numpy, is loaded."""
+        or numpy, is loaded; fewer than two rows, PairScan.zero_pairs."""
+        if len(self) < 2:
+            return PairScan.zero_pairs(worldline)
         certified = self.certify(worldline)
         if certified is not None:
             return certified
@@ -244,12 +242,11 @@ class MovingConfiguration:
         (format(x, ".17g")), with the worldline's axis point (x, 0) and
         direction (v, 1). Yields at most formats._ROW_BLOCK rows at a time.
 
-        With the structure certify checks, a row's text is its x1's text,
-        its x2's and V0's, and its x1's V1's, and positions are distinct:
-        each x1 column's x2 values are sorted and written with each
-        distinct key formatted once, as a flow writes its rows. A zero is
-        written with its own sign, which one text per key cannot hold when
-        a column's zeros carry both signs. Such a configuration, and one
+        With the structure certify checks, positions are distinct and each
+        x1 column's rows, its x2 values sorted, go out by
+        formats._column_rows, as a flow writes its rows. A zero is written
+        with its own sign, which one text per key cannot hold when a
+        column's zeros carry both signs. Such a configuration, and one
         without the structure, goes through the array emitter
         (formats._rows_text) from P and V, sorted by np.lexsort: its order
         takes 8 bytes a row, where sorting the rows in Python would take
@@ -259,29 +256,15 @@ class MovingConfiguration:
         if not (self._lattice is not None
                 and _zeros_of_one_sign(self.positions)
                 and _zeros_of_one_sign(self.velocities)):
-            yield from self._array_rows(end)
-            return
+            return self._array_rows(end)
         (v1_of_x1, _), (v0_of_x2, _) = self._lattice
-        heads = {a: fmt_float(a) + "," for a in v1_of_x1}
-        tails = {a: f",{fmt_float(c)}{end}" for a, c in v1_of_x1.items()}
         middles = {b: f"{fmt_float(b)},0,{fmt_float(c)}" for b, c in v0_of_x2.items()}
         columns: dict = {a: [] for a in sorted(v1_of_x1)}
         for a, b in zip(*self._columns[:2]):
             columns[a].append(b)
-        pending, count = [], 0
-        for a, column in columns.items():
-            column.sort()
-            head, tail = heads[a], tails[a]
-            for rows in _row_slices(len(column)):
-                size = rows.stop - rows.start
-                if count + size > formats._ROW_BLOCK:
-                    yield "".join(pending)
-                    pending, count = [], 0
-                pending.append(head + (tail + head).join(
-                    map(middles.__getitem__, column[rows])) + tail)
-                count += size
-        if pending:
-            yield "".join(pending)
+        return formats._column_rows(
+            ((a, v1_of_x1[a], [middles[b] for b in sorted(column)])
+             for a, column in columns.items()), end)
 
     def _array_rows(self, end: str):
         """particle_rows from P and V, by the array emitter."""

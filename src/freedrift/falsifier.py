@@ -24,13 +24,7 @@ only.
 Each field kind's formula is written once, in `_KERNELS`, in CPython
 floats, and every stage decides its pairs one at a time through it. The
 random stage draws each pair with `random.Random.uniform`. So `falsify`
-never imports numpy. A search whose random stage runs in full (radial at
-scale 100, c = 1e-4: 750,812 evaluations) takes about 1.2 times as long
-as when that stage batched its pairs in float64 arrays (0.70 s against
-0.57 s), at half the peak RSS (14.6 MiB against 28.6 MiB); a grid field
-that breaks early in the random stage, after about 9,000 evaluations, is
-decided in half the time, numpy's import no longer among its costs
-(medians of 5 to 9 runs, Python 3.11, x86-64).
+never imports numpy.
 """
 from __future__ import annotations
 

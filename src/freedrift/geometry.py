@@ -80,6 +80,24 @@ class PairScan:
     line_distance: float | None = None
     line_witness: tuple[int, int] | None = None
 
+    @classmethod
+    def zero_pairs(cls, worldline: bool) -> "PairScan":
+        """The result over fewer than two particles, as the pair engine
+        gives it: mode "exhaustive", no pair, minima inf."""
+        return cls(pairs_total=0, pairs_checked=0, mode="exhaustive",
+                   min_distance=math.inf, witness=None,
+                   line_distance=math.inf if worldline else None)
+
+    @classmethod
+    def certified(cls, n: int, witness, line_distance, line_witness) -> "PairScan":
+        """The structural certificate's result over n particles: every pair
+        checked, mode "exhaustive-structural", minimum exactly 1 at witness."""
+        total = pair_count(n)
+        return cls(pairs_total=total, pairs_checked=total,
+                   mode="exhaustive-structural", min_distance=1.0,
+                   witness=witness, line_distance=line_distance,
+                   line_witness=line_witness)
+
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2

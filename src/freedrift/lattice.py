@@ -13,9 +13,8 @@ of size N, in pure Python, and load no numpy: a flow decides its pairs
 structural certificate (MovingConfiguration.certify) gives on its rows,
 which also proves the inequality chain behind it. It measures its speeds
 and writes the rows of its particles and cylinder-scene files from the
-axes too, in one row generator that formats each axis value once: a scene
-row is a particles row with the worldline's 0 and 1 and the radius added. The arrays P and V
-are built, with numpy, only when a command reads them: evolve.
+axes too. The arrays P and V are built, with numpy, only when a command
+reads them: evolve.
 
 The profile is evaluated once per integer of each axis. A table profile
 holds its rows as one dict, so a window costs the same whatever the
@@ -31,7 +30,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .evolution import DISK_RADIUS
-from .formats import UNREPORTED, _row_slices, fmt_float
+from .formats import UNREPORTED, _column_rows, fmt_float
 from .geometry import PairScan, Vec2, worldline_bound
 
 if TYPE_CHECKING:
@@ -236,10 +235,9 @@ class FlowAssignment:
         rows, read off the structure the constructor checked: integer
         coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2
         alone, V1 = -phi(x1) strictly decreasing in x1 alone. Every pair is
-        decided exactly, mode "exhaustive-structural", minimum exactly 1 at
-        the smallest unit axis pair, which is (0, 1) in x-major order. One
-        particle has no pair: the engine's zero-pair scan, mode
-        "exhaustive", minima inf.
+        decided exactly (PairScan.certified), minimum exactly 1 at the
+        smallest unit axis pair, which is (0, 1) in x-major order. One
+        particle has no pair: PairScan.zero_pairs.
 
         With worldline, also certify's worldline minimum: S is the largest
         |V0| and |phi(x1)| over the kinds of pair that occur (a single
@@ -250,13 +248,8 @@ class FlowAssignment:
         first x1 column with |phi(x1)| = S, or (j, ny + j) in the first x2
         row with |V0| = S, ny = len(phi_y). Such a pair always exists, so
         no array is read."""
-        n = len(self)
-        total = n * (n - 1) // 2
-        if not total:
-            line = math.inf if worldline else None
-            return PairScan(pairs_total=0, pairs_checked=0, mode="exhaustive",
-                            min_distance=math.inf, witness=None,
-                            line_distance=line)
+        if len(self) < 2:
+            return PairScan.zero_pairs(worldline)
         line_distance = line_witness = None
         if worldline:
             v0, nx, ny = self._v0(), len(self.phi_x), len(self.phi_y)
@@ -266,10 +259,7 @@ class FlowAssignment:
                 [(i * ny, i * ny + 1) for i, w1 in enumerate(self.phi_x)
                  if ny > 1 and abs(w1) == s]
                 + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s])
-        return PairScan(pairs_total=total, pairs_checked=total,
-                        mode="exhaustive-structural", min_distance=1.0,
-                        witness=(0, 1), line_distance=line_distance,
-                        line_witness=line_witness)
+        return PairScan.certified(len(self), (0, 1), line_distance, line_witness)
 
     def speed_range(self) -> tuple[float, float]:
         """The smallest and largest speed, measured by math.hypot on the
@@ -296,19 +286,15 @@ class FlowAssignment:
         the particles format writes (format(x, ".17g")); given a radius,
         the x1,x2,0,v1,v2,1,r rows of cylinders.export_scene instead, the
         same doubles with the worldline's axis point (x, 0) and direction
-        (v, 1). x-major order is already the order by axis point. Yields
-        at most formats._ROW_BLOCK rows of one x1 column at a time. Each
-        axis value is formatted once, and no row takes arithmetic."""
+        (v, 1). x-major order is already the order by axis point. Written
+        from the axes by formats._column_rows."""
         sep, end = ((",", "\n") if radius is None
                     else (",0,", f",1,{fmt_float(radius)}\n"))
-        y_lo = self.window.y_lo
+        y_lo, x_lo = self.window.y_lo, self.window.x_lo
         middles = [f"{fmt_float(float(y_lo + j))}{sep}{fmt_float(a)}"
                    for j, a in enumerate(self._v0())]
-        for i, w1 in enumerate(self.phi_x):
-            head = fmt_float(float(self.window.x_lo + i)) + ","
-            tail = f",{fmt_float(-w1)}{end}"
-            for rows in _row_slices(len(middles)):
-                yield head + (tail + head).join(middles[rows]) + tail
+        return _column_rows(((float(x_lo + i), -w1, middles)
+                             for i, w1 in enumerate(self.phi_x)), end)
 
     def row(self, k: int) -> tuple[float, float, float, float]:
         """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""

@@ -168,6 +168,12 @@ def test_verify_scene_rejects_unverified_hardcore():
         verify_scene(head_on, radius=0.25)
 
 
+def test_verify_scene_requires_a_particle():
+    with pytest.raises(ValueError,
+                       match="^configuration must contain at least one particle$"):
+        verify_scene(MovingConfiguration([], []), None)
+
+
 def test_verify_scene_passes_pair_ten_apart():
     # np.arctan and math.atan differ in the last bit on these speeds.
     config = configuration(np.array([(0.0, 0.0), (0.0, 10.0)]),
@@ -260,6 +266,9 @@ def test_export_in_blocks_is_byte_identical(monkeypatch, block):
     for config in (flow, shuffled):
         header, *chunks = export_scene(config, 0.25)
         assert max(chunk.count("\n") for chunk in chunks) <= block
+        # Each chunk holds rows of one x1 column: columns are not merged.
+        assert all(len({row.split(",")[0] for row in chunk.splitlines()}) == 1
+                   for chunk in chunks)
         assert header + "".join(chunks) == whole
 
 

@@ -172,6 +172,12 @@ def test_verify_hardcore_requires_a_particle():
         verify_hardcore(config)
 
 
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+def test_verify_hardcore_requires_a_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="^threshold must be finite$"):
+        verify_hardcore(_one((0.0, 0.0), (0.0, 0.0)), threshold)
+
+
 def test_snapshot_series_single_frame():
     config = _pair((0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (0.0, 0.0))
     series = list(snapshot_series(config, 2.0, 9.0, 1))

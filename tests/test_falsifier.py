@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -218,6 +219,34 @@ def test_grid_field_validation():
     with pytest.raises(ValueError):
         CandidateField(FieldKind.SAMPLED_GRID, bound=1.0, origin=(0.0, 0.0),
                        spacing=1.0, values=(((0.0, 0.0),), ()))
+
+
+_GRID = {"origin": (0.0, 0.0), "spacing": 1.0, "values": (((0.0, 0.0),),)}
+
+
+@pytest.mark.parametrize("kind, parts, message", [
+    (FieldKind.SATURATED_RADIAL, {"bound": 0.0},
+     "field bound must be finite and positive"),
+    (FieldKind.SATURATED_RADIAL, {"bound": math.inf},
+     "field bound must be finite and positive"),
+    (FieldKind.SATURATED_RADIAL, {"scale": -1.0},
+     "field scale must be finite and positive"),
+    (FieldKind.SATURATED_RADIAL, {"scale": math.nan},
+     "field scale must be finite and positive"),
+    (FieldKind.CONSTANT, {}, "constant fields take a value, others do not"),
+    (FieldKind.ROTATIONAL, {"value": Vec2(1.0, 0.0)},
+     "constant fields take a value, others do not"),
+    (FieldKind.SAMPLED_GRID, {**_GRID, "spacing": None},
+     "grid fields take origin, spacing and values"),
+    (FieldKind.CLAMPED_LINEAR, _GRID, "grid fields take origin, spacing and values"),
+    (FieldKind.SAMPLED_GRID, {**_GRID, "values": ()}, "grid needs at least one node"),
+    (FieldKind.SAMPLED_GRID, {**_GRID, "values": ((),)}, "grid needs at least one node"),
+], ids=["zero-bound", "inf-bound", "negative-scale", "nan-scale", "no-value",
+        "value-for-rotational", "grid-without-spacing", "grid-parts-for-linear",
+        "no-row", "empty-row"])
+def test_candidate_field_refusals(kind, parts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CandidateField(kind, **{"bound": 1.0, **parts})
 
 
 def test_falsify_constant_field_immediate():
@@ -642,6 +671,49 @@ def test_sign_change_stage_bisects_to_a_hit():
         random_end = BEFORE_RANDOM + 4 * _per_stream(budget)
         steps = (result.evaluations_used - random_end) // 2
         assert 0 < steps <= falsifier._BISECTION_STEPS
+
+
+def _sign_change_search(kernel, budget):
+    """A search at c = 0.1 whose kept pairs share x = (0, 0): the positive
+    one with y = (-3, 0), the negative one with y = (0, -3). The bisection
+    path keeps x and |x-y| = 3 and turns x - y from (3, 0) to (0, 3)."""
+    search = falsifier._Search(builtin_field("constant"), 0.1, budget)
+    search.kernel = kernel
+    search.pos_pair, search.neg_pair = (0.0, 0.0, -3.0, 0.0), (0.0, 0.0, 0.0, -3.0)
+    return search
+
+
+def _flip(x1, x2):
+    """w = (x1, x2) above x2 = -2 and -(x1, x2) below: on the path,
+    <x-y, dw> is 9 or -9 and the margin 0.3 - 9, so no pair is a hit and
+    the sign jumps, at x - y = 3 (cos a, sin a) with sin a = 2/3."""
+    return (x1, x2) if x2 > -2.0 else (-x1, -x2)
+
+
+def test_sign_change_stops_when_the_budget_runs_out():
+    search = _sign_change_search(_flip, budget=7)
+    assert falsifier._sign_change(search) is None
+    assert search.evals == 6  # three midpoints; a fourth would need 8
+
+
+def test_sign_change_stops_at_a_midpoint_of_neither_sign():
+    # w = 0.5e308 (x1, -x2): at the first midpoint, x - y at 45 degrees,
+    # the two terms of <x-y, dw> overflow to inf and -inf, so it is NaN.
+    search = _sign_change_search(lambda x1, x2: (0.5e308 * x1, -0.5e308 * x2),
+                                 budget=100)
+    assert falsifier._sign_change(search) is None
+    assert search.evals == 2
+    assert search.pos_pair == (0.0, 0.0, -3.0, 0.0)
+    assert search.neg_pair == (0.0, 0.0, 0.0, -3.0)
+
+
+def test_sign_change_stops_after_its_halvings_without_a_hit():
+    search = _sign_change_search(_flip, budget=10 ** 4)
+    assert falsifier._sign_change(search) is None
+    assert search.evals == 2 * falsifier._BISECTION_STEPS
+    # The bracket closes on the jump, where sin a = 2/3.
+    for pair in (search.pos_pair, search.neg_pair):
+        assert math.atan2(-pair[3], -pair[2]) == pytest.approx(math.asin(2 / 3))
 
 
 def test_float_hit_failing_the_exact_check_is_passed_over():

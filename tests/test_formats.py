@@ -298,6 +298,11 @@ def test_config_text_missing_equals():
     assert info.value.line_no == 1
 
 
+def test_config_text_empty_key():
+    with pytest.raises(ParseError, match="^line 2: empty key$"):
+        parse_config_text("seed = 7\n = verify\n")
+
+
 def test_table_csv_round_trip():
     rows = parse_table_csv("# profile\n-1,-0.5\n0,0\n1,0.5\n")
     assert rows == [(-1, -0.5), (0, 0.0), (1, 0.5)]
@@ -307,6 +312,13 @@ def test_table_csv_bad_index():
     with pytest.raises(ParseError) as info:
         parse_table_csv("0.5,1\n")
     assert info.value.line_no == 1
+
+
+@pytest.mark.parametrize("row, count", [("1", 1), ("1,0.5,2", 3)])
+def test_table_csv_wrong_field_count(row, count):
+    with pytest.raises(ParseError,
+                       match=f"^line 2: expected 2 fields n,value, got {count}$"):
+        parse_table_csv(f"0,0\n{row}\n")
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -113,6 +114,26 @@ def test_table_profile_must_increase():
 def test_table_profile_needs_two_rows(rows):
     with pytest.raises(ValueError, match="table profile needs at least two entries"):
         table_profile(rows)
+
+
+@pytest.mark.parametrize("kind, table, bound, message", [
+    ("arctan", None, 1.0, "unknown profile kind 'arctan'"),
+    (ProfileKind.ARCTAN, ((0, 0.0), (1, 0.5)), 1.0,
+     "table data is required exactly for table profiles"),
+    (ProfileKind.TABLE_DRIVEN, None, 1.0,
+     "table data is required exactly for table profiles"),
+    (ProfileKind.TABLE_DRIVEN, ((0, 0.0), (1, math.nan)), 1.0,
+     "table values must be finite"),
+    (ProfileKind.TABLE_DRIVEN, ((0, -math.inf), (1, 0.0)), 1.0,
+     "table values must be finite"),
+    (ProfileKind.TANH, None, 0.0, "profile bound must be finite and positive"),
+    (ProfileKind.TANH, None, math.inf, "profile bound must be finite and positive"),
+    (ProfileKind.TANH, None, math.nan, "profile bound must be finite and positive"),
+], ids=["kind", "table-for-builtin", "no-table", "nan-value", "inf-value",
+        "zero-bound", "inf-bound", "nan-bound"])
+def test_monotone_profile_refusals(kind, table, bound, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MonotoneProfile(kind, table=table, bound=bound)
 
 
 def test_named_profile_lookup():

@@ -208,6 +208,42 @@ def test_a_particles_file_is_decided_without_numpy(tmp_path, window_40_files,
             assert not out.exists()
 
 
+# What verify and cylinders write for the one-row file "0.5,-2,0.25,-0".
+ONE_ROW_OUTPUT = {
+    "verify": {"report.txt": (
+        "report v1\ncommand = verify\nparticle_count = 1\nthreshold = 1\n"
+        "min_alltime_distance = inf\nwitness_pair = none\nwitness_time = none\n"
+        "margin = inf\npairs_total = 0\npairs_checked = 0\nmode = exhaustive\n"
+        "seed = none\npassed = true\n")},
+    "cylinders": {"cylinder_report.txt": (
+        "report v1\ncommand = cylinders\nparticle_count = 1\n"
+        "radius = 0.48507125007266594\nspeed_min = 0.25\nspeed_max = 0.25\n"
+        "separation_floor = 0.97014250014533188\n"
+        "required_distance = 0.97014250014533188\nmin_line_distance = inf\n"
+        "witness_pair = none\ndistance_margin = inf\ndistances_ok = true\n"
+        "nonparallel_ok = true\nduplicate_direction_pairs = 0\npairs_total = 0\n"
+        "pairs_checked = 0\nmode = exhaustive\nseed = none\npassed = true\n"),
+        "scene.txt": ("cylinder-scene v2\n"
+                      "0.5,-2,0,0.25,-0,1,0.48507125007266594\n")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_ROW_OUTPUT))
+def test_a_one_row_file_is_decided_without_numpy(tmp_path, command):
+    """One row has no pair: the zero-pair result, with neither numpy nor
+    the pair engine loaded, and the scene row written from its columns."""
+    rows = tmp_path / "one.txt"
+    rows.write_text("particles v1\n0.5,-2,0.25,-0\n")
+    out = tmp_path / "out"
+    argv = ["--command", command, "--particles", str(rows), "--out", str(out)]
+    loaded = _loaded_modules("from freedrift import cli\n"
+                             f"assert cli.main({argv!r}) == 0")
+    assert "evolution" in loaded
+    assert loaded & {"numpy", "_pairscan", "lattice", "falsifier"} == set()
+    assert {path.name: path.read_text() for path in out.iterdir()} == \
+        ONE_ROW_OUTPUT[command]
+
+
 @pytest.mark.parametrize(
     "path", [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))],
     ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
