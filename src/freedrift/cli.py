@@ -6,17 +6,18 @@ no timestamps or environment-dependent content. Exit codes: 0 pass (or
 violation found), 1 verification failure (or search exhausted, or a pair
 scan past the exhaustive limit: undecided, no report), 2 bad input.
 
-Each command imports only the modules it runs: `falsify` never loads the
-lattice, evolution or cylinder modules, the other commands never load the
-falsifier, `evolve --particles` never loads the lattice module, and only
-`cylinders` loads the cylinder module. numpy is loaded by the commands that
-read or write particle arrays: `assign`, `verify` and `cylinders` on a
-window decide, measure and write the flow from its two axes, and on a
-particles file with a lattice flow's structure, in any row order, or of
-one row, from its four columns, so they hold no P or V and load no numpy.
-`evolve` loads it, and `verify` and `cylinders` on any other particles
-file, where the pair engine runs. `falsify` never loads it: every stage of
-its search decides its pairs on floats, and a grid file is read without it.
+Each command imports only the modules it runs. `falsify` loads none of
+the lattice, evolution and cylinder modules, and no other command loads
+the falsifier. Only a window loads the lattice module, and only
+`cylinders` the cylinder module. `verify`, `evolve` and every command on
+a particles file load the evolution module; `assign` and `cylinders` on a
+window do not. numpy is loaded by `evolve`, and by `verify` and
+`cylinders` where the pair engine runs. On a window they decide, measure
+and write the flow from its two axes, and on a particles file with a
+lattice flow's structure, in any row order, or of one row, from its four
+columns, with no P or V and no numpy. `falsify` never loads it: every
+stage of its search decides its pairs on floats, and a grid file is read
+without it.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .geometry import DEFAULT_SEED, UndecidedError
+from .geometry import (DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_THRESHOLD,
+                       DISK_RADIUS, UndecidedError)
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -45,13 +47,13 @@ class RunConfig:
     window: str = "2"
     profile: str = "arctan"
     shift_margin: float = 0.5
-    threshold: float = 1.0
+    threshold: float = DEFAULT_THRESHOLD
     t0: float = 0.0
     t1: float = 10.0
     frames: int = 5
     field: str = "constant"
     c: float = 0.1
-    budget: int = 10 ** 6
+    budget: int = DEFAULT_BUDGET
     seed: int = DEFAULT_SEED
     out: str = "out"
     particles: str = ""
@@ -224,30 +226,33 @@ def _load_configuration(config: RunConfig):
                       _parse_window(config.window), config.shift_margin)
 
 
-def _emit(config: RunConfig, name: str, text) -> str:
+def _emit(config: RunConfig, name: str, text) -> None:
     """Write text, a str or the chunks an emitter yields, to name in the
     output directory."""
     from .formats import write_text_atomic
     os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, name)
-    write_text_atomic(path, text)
-    return path
+    write_text_atomic(os.path.join(config.out, name), text)
+
+
+def _report(config: RunConfig, name: str, items) -> None:
+    """Write the report name: the line naming the command, then items."""
+    from .formats import report_document
+    _emit(config, name, report_document({"command": config.command, **items}))
 
 
 def _cmd_assign(config: RunConfig) -> int:
-    from .formats import particles_document, report_document, report_items
+    from .formats import particles_document, report_items
     from .lattice import build_flow
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
     _emit(config, "particles.txt", particles_document(flow.particle_rows()))
-    _emit(config, "assign_report.txt", report_document({
-        "command": "assign",
+    _report(config, "assign_report.txt", {
         "window": config.window,
         "profile": config.profile,
         "shift_margin": config.shift_margin,
         "particle_count": len(flow),
         **report_items(flow),
-    }))
+    })
     print(f"assigned {len(flow)} particles "
           f"-> {os.path.join(config.out, 'particles.txt')}")
     return PASS_EXIT
@@ -255,7 +260,7 @@ def _cmd_assign(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     from .evolution import verify_hardcore
-    from .formats import fmt_float, report_document, report_items
+    from .formats import fmt_float, report_items
     configuration = _load_configuration(config)
     flow_report = None
     if not config.particles:
@@ -265,11 +270,10 @@ def _cmd_verify(config: RunConfig) -> int:
     items = report_items(hardcore)
     if hardcore.witness_pair is not None and hardcore.witness_time is None:
         items["witness_time"] = "all-times"
-    _emit(config, "report.txt", report_document({"command": "verify", **items}))
+    _report(config, "report.txt", items)
     passed = hardcore.passed
     if flow_report is not None:
-        _emit(config, "flow_report.txt", report_document(
-            {"command": "verify", **report_items(flow_report)}))
+        _report(config, "flow_report.txt", report_items(flow_report))
         passed = passed and flow_report.passed
     verdict = "pass" if passed else "fail"
     print(f"verify: min all-time distance {fmt_float(hardcore.min_alltime_distance)} "
@@ -278,7 +282,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_evolve(config: RunConfig) -> int:
-    from .evolution import DISK_RADIUS, snapshot_series
+    from .evolution import snapshot_series
     from .formats import fmt_float, frames_csv, svg_snapshot
     configuration = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
@@ -309,7 +313,7 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 def _cmd_cylinders(config: RunConfig) -> int:
     from . import cylinders as cyl
-    from .formats import fmt_float, report_document, report_items
+    from .formats import fmt_float, report_items
     configuration = _load_configuration(config)
     radius = None if config.radius == "auto" else config.radius
     try:
@@ -318,8 +322,7 @@ def _cmd_cylinders(config: RunConfig) -> int:
         print(f"cylinders: {exc}", file=sys.stderr)
         return FAIL_EXIT
     _emit(config, "scene.txt", cyl.export_scene(configuration, report.radius))
-    _emit(config, "cylinder_report.txt", report_document(
-        {"command": "cylinders", **report_items(report)}))
+    _report(config, "cylinder_report.txt", report_items(report))
     verdict = "pass" if report.passed else "fail"
     print(f"cylinders: min worldline distance "
           f"{fmt_float(report.min_line_distance)} vs required "
@@ -329,19 +332,18 @@ def _cmd_cylinders(config: RunConfig) -> int:
 
 def _cmd_falsify(config: RunConfig) -> int:
     from .falsifier import ViolationReport, falsify
-    from .formats import fmt_float, report_document, report_items
+    from .formats import fmt_float, report_items
     field = _parse_field(config.field)
     result = falsify(field, config.c, config.budget, config.seed)
     found = isinstance(result, ViolationReport)
-    _emit(config, "falsify_report.txt", report_document({
-        "command": "falsify",
+    _report(config, "falsify_report.txt", {
         "field": config.field,
         "c": config.c,
         "budget": config.budget,
         "seed": config.seed,
         "outcome": "violation" if found else "exhausted",
         **report_items(result),
-    }))
+    })
     if found:
         print(f"falsify: violation at separation "
               f"{fmt_float(result.separation)} with margin "

@@ -35,10 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .evolution import MovingConfiguration
 from .formats import UNREPORTED
 from .geometry import _inverse_hypot_down
+
+if TYPE_CHECKING:
+    from .evolution import MovingConfiguration
 
 SCENE_HEADER = "cylinder-scene v2"
 
@@ -89,7 +92,7 @@ class SceneReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: None  # no verdict rests on a sample; kept as the report's seed line
+    seed: None = field(default=None, init=False)  # no verdict rests on a sample
     passed: bool
 
 
@@ -146,7 +149,6 @@ def verify_scene(config: MovingConfiguration, radius: float | None) -> SceneRepo
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=None,
         passed=distances_ok,
     )
 

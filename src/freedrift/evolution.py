@@ -30,20 +30,15 @@ from typing import TYPE_CHECKING
 
 from . import formats
 from .formats import _row_slices, fmt_float
-from .geometry import (IdenticalParticleError, PairScan, Vec2, _dyadic,
-                       closest_approach, pair_count, require_exhaustive,
-                       worldline_bound)
+from .geometry import (DEFAULT_THRESHOLD, IdenticalParticleError, PairScan,
+                       Vec2, _dyadic, closest_approach, pair_count,
+                       require_exhaustive, worldline_bound)
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_THRESHOLD = 1.0
 # Index pairs duplicate_velocities lists; it counts every duplicate.
 _DUPLICATE_PAIRS = 16
-# The radius of the disks that evolve draws and the assign report states:
-# 5e-10 short of 1/2, since disks of radius 1/2 around particles exactly 1
-# apart touch. It decides no verdict.
-DISK_RADIUS = 0.4999999995
 
 
 class BadRangeError(ValueError):
@@ -424,7 +419,7 @@ class HardCoreReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: None  # no verdict rests on a sample; kept as the report's seed line
+    seed: None = field(default=None, init=False)  # no verdict rests on a sample
     passed: bool
 
 
@@ -470,7 +465,6 @@ def verify_hardcore(config: MovingConfiguration,
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=None,
     )
 
 
@@ -478,8 +472,9 @@ def snapshot_series(config: MovingConfiguration, t0: float, t1: float,
                     frames: int):
     """Uniformly spaced slices (t, positions) on [t0, t1], endpoints included.
 
-    The range is checked at once; the slices are computed lazily, one per
-    step of the returned iterator. frames=1 gives the single slice at t0.
+    The range is checked at once; each time and its slice are computed
+    lazily, one per step of the returned iterator, so a large frames holds
+    no list of times. frames=1 gives the single slice at t0.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise BadRangeError("time range must be finite")
@@ -487,10 +482,7 @@ def snapshot_series(config: MovingConfiguration, t0: float, t1: float,
         raise BadRangeError(f"inverted time range [{t0}, {t1}]")
     if frames < 1:
         raise BadRangeError(f"frames must be >= 1, got {frames}")
-    if frames == 1:
-        times = [t0]
-    else:
-        # endpoints land exactly on t0, t1
-        times = [t0 * (1.0 - u) + t1 * u
-                 for u in (k / (frames - 1) for k in range(frames))]
+    # endpoints land exactly on t0, t1
+    times = (t0,) if frames == 1 else (
+        t0 * (1.0 - u) + t1 * u for u in (k / (frames - 1) for k in range(frames)))
     return ((t, slice_at(config, t)) for t in times)

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 
 from .formats import UNREPORTED
-from .geometry import DEFAULT_SEED, Vec2, _dyadic, norm
+from .geometry import DEFAULT_BUDGET, DEFAULT_SEED, Vec2, _dyadic, norm
 
 
 class FieldKind(enum.Enum):
@@ -387,7 +387,7 @@ def _scaled_pairs(bound: float, c: float):
                            (r + gap) * math.sin(theta))
 
 
-def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
+def falsify(field: CandidateField, c: float, budget: int = DEFAULT_BUDGET,
             seed: int = DEFAULT_SEED) -> ViolationReport | Exhausted:
     """Search for a pair with |x-y| > 1 where the strict inequality
     |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| fails.
@@ -403,7 +403,9 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
     w(x), w(y) and c (see the module docstring); otherwise the search
     goes on. Exhausted is an honest result, not an error; it carries the
     best margin, says whether the budget ran out or refinement converged
-    first, and certifies nothing.
+    first, and certifies nothing. Once the budget is spent no stage
+    evaluates a pair, so every search without a hit ends at the one
+    Exhausted exit after the last stage.
 
     Raises:
         ValueError: for c or budget out of range, or when a field increment
@@ -421,8 +423,6 @@ def falsify(field: CandidateField, c: float, budget: int = 10 ** 6,
             hit = search.try_pair(*pair)
             if hit is not None:
                 return _violation(search, hit, stage)
-            if search.out_of_budget():
-                return _exhausted(search)
 
     cos, sin, exp = math.cos, math.sin, math.exp
     log_r_max = math.log(1e4)
@@ -478,8 +478,6 @@ def _sign_change(search: _Search):
         turn += 2.0 * math.pi
     lo, hi = 0.0, 1.0
     for _ in range(_BISECTION_STEPS):
-        if search.out_of_budget():
-            return None
         t = 0.5 * (lo + hi)
         length = length0 + t * (length1 - length0)
         angle = angle0 + t * turn

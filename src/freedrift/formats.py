@@ -233,8 +233,6 @@ def _fmt_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
     if value is None:
         return "none"
     if isinstance(value, (tuple, list)):
@@ -404,10 +402,8 @@ def parse_particles(data: bytes) -> tuple[array, array]:
 
 def report_document(items) -> str:
     """Flat `key = value` document; arrays join with commas."""
-    lines = [REPORT_HEADER]
-    for key, value in dict(items).items():
-        lines.append(f"{key} = {_fmt_value(value)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{key} = {_fmt_value(value)}" for key, value in dict(items).items()]
+    return "\n".join([REPORT_HEADER, *lines]) + "\n"
 
 
 def report_items(report) -> dict:
@@ -511,12 +507,13 @@ def frames_csv(series):
 
 def svg_snapshot(points, radius: float, lo: float, hi: float):
     """One frame as SVG: disks at the (n, 2) positions in the fixed world
-    square [lo, hi]^2, yielded in chunks of text. A bad viewport raises
-    ValueError at the call.
+    square [lo, hi]^2, yielded in chunks of text. A bad viewport, one
+    whose side hi - lo is not a finite positive double, raises ValueError
+    at the call.
 
     The world y axis points up, SVG's points down, so y is flipped.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"bad viewport [{lo}, {hi}]")
     return _svg_chunks(points, radius, lo, hi)
 

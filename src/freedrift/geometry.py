@@ -7,6 +7,10 @@ made, and the worldline bound that a lattice flow's structure proves: S,
 the largest velocity component over the kinds of pair that occur, and
 1/sqrt(1 + S^2) rounded down. All arithmetic is IEEE double precision, and
 nothing here needs numpy.
+
+Constants that several modules read are defined here, once each:
+TINY_SPEED, EXHAUSTIVE_LIMIT, DISK_RADIUS, and DEFAULT_SEED,
+DEFAULT_THRESHOLD and DEFAULT_BUDGET, the CLI's and the library's defaults.
 """
 from __future__ import annotations
 
@@ -21,6 +25,14 @@ from dataclasses import dataclass
 TINY_SPEED = 2.0 ** -500
 # The falsifier's default seed, and so the CLI's --seed default.
 DEFAULT_SEED = 0x5EED
+# verify's default threshold, the unit separation of the paper's flows.
+DEFAULT_THRESHOLD = 1.0
+# The falsifier's default budget of field evaluations.
+DEFAULT_BUDGET = 10 ** 6
+# The radius of the disks that evolve draws and the assign report states:
+# 5e-10 short of 1/2, since disks of radius 1/2 around particles exactly 1
+# apart touch. It decides no verdict.
+DISK_RADIUS = 0.4999999995
 # The most pairs the engine visits one by one; a decision that needs more
 # raises UndecidedError.
 EXHAUSTIVE_LIMIT = 10**7

@@ -29,9 +29,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .evolution import DISK_RADIUS
 from .formats import UNREPORTED, _column_rows, fmt_float
-from .geometry import PairScan, Vec2, worldline_bound
+from .geometry import DISK_RADIUS, PairScan, Vec2, worldline_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,7 +197,7 @@ class FlowAssignment:
     shift: Vec2
     speed_min: float
     speed_max: float
-    disk_radius: float
+    disk_radius: float = field(default=DISK_RADIUS, init=False)  # decides no verdict
 
     def __post_init__(self) -> None:
         win, wx, v0 = self.window, self.phi_x, self._v0()
@@ -397,7 +396,6 @@ def build_flow(phi: MonotoneProfile, window: Window,
         shift=Vec2(a, 0.0),
         speed_min=float(shift_margin),
         speed_max=speed_max,
-        disk_radius=DISK_RADIUS,
     )
 
 
@@ -410,8 +408,9 @@ class FlowReport:
     witness_pair: tuple[int, int] | None
     chain_dot_margin: float
     chain_norm_margin: float
-    chain_failure_count: int
-    injective: bool
+    # What the flow's structure proves (verify_flow).
+    chain_failure_count: int = field(default=0, init=False)
+    injective: bool = field(default=True, init=False)
     speed_measured_min: float
     speed_measured_max: float
     speed_declared_min: float
@@ -420,7 +419,7 @@ class FlowReport:
     pairs_total: int
     pairs_checked: int
     mode: str
-    seed: None  # no verdict rests on a sample; kept as the report's seed line
+    seed: None = field(default=None, init=False)  # no verdict rests on a sample
     passed: bool
 
 
@@ -450,13 +449,10 @@ def verify_flow(flow: FlowAssignment) -> FlowReport:
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,
-        seed=None,
         min_distance=scan.min_distance,
         witness_pair=scan.witness,
         chain_dot_margin=margin,
         chain_norm_margin=margin,
-        chain_failure_count=0,
-        injective=True,
         speed_measured_min=measured_min,
         speed_measured_max=measured_max,
         speed_declared_min=flow.speed_min,

@@ -17,8 +17,10 @@ oracles, and `read_scene` reads an exported scene back into arrays;
 `exact_scene_overlaps` decides, in integers, which cylinders of a scene
 overlap. `configuration` holds the rows of two (n, 2) arrays as a
 MovingConfiguration.
-`recovered_field` undoes a flow's shift and quarter turn, for the tests of
-the inequality chain that the flow verifier proves without computing it.
+`recovered_field` undoes a flow's shift and quarter turn, and
+`exact_chain_failures` decides the inequality chain on it in rationals,
+for the tests of the chain that the flow verifier proves without
+computing it.
 The cone and segment-chaining apparatus of the impossibility argument
 (`Cone`, `chain_check`, `direction_capacity`), which no command runs, is
 kept here for the criteria that check it; `chain_check` and
@@ -214,6 +216,22 @@ def recovered_field(flow) -> np.ndarray:
     back."""
     vu = flow.V - np.array([flow.shift.x1, flow.shift.x2])
     return np.column_stack((-vu[:, 1], vu[:, 0]))
+
+
+def exact_chain_failures(flow) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of a lattice flow's rows at which the chain
+    <d, dW> >= |dW0| + |dW1| fails, d = P[j] - P[i] and dW = W[j] - W[i]
+    with W = recovered_field(flow), decided in rationals on the doubles."""
+    P = [tuple(map(Fraction, p)) for p in flow.P.tolist()]
+    W = [tuple(map(Fraction, w)) for w in recovered_field(flow).tolist()]
+    failures = []
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            d0, d1 = P[j][0] - P[i][0], P[j][1] - P[i][1]
+            w0, w1 = W[j][0] - W[i][0], W[j][1] - W[i][1]
+            if d0 * w0 + d1 * w1 < abs(w0) + abs(w1):
+                failures.append((i, j))
+    return failures
 
 
 def rotate_quarter(u):

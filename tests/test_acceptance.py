@@ -6,7 +6,6 @@ oracle from oracles.py or is a closed-form quantity recomputed in place.
 """
 import decimal
 import math
-from fractions import Fraction
 import os
 import random
 import subprocess
@@ -30,10 +29,11 @@ from oracles import (
     chain_check,
     cone_contains,
     direction_capacity,
+    duplicate_velocities,
+    exact_chain_failures,
     greedy_direction_packing,
     line_distance_3d,
     line_grid_min_distance,
-    recovered_field,
     scalar_grid_min,
     violation_margin,
 )
@@ -88,25 +88,22 @@ def test_criterion_1_unit_separation(arctan_flows):
 def test_criterion_2_chain_inequality(arctan_flows):
     failures = []
     for n in WINDOW_NS:
-        _, report, _ = arctan_flows[n]
+        flow, report, _ = arctan_flows[n]
         if not report.chain_dot_margin >= -1e-12:
             failures.append(f"N={n} dot {report.chain_dot_margin}")
         if not report.chain_norm_margin >= -1e-12:
             failures.append(f"N={n} norm {report.chain_norm_margin}")
         if report.chain_failure_count:
             failures.append(f"N={n} {report.chain_failure_count} failures")
+        # The chain rests on injective velocities: check them on the rows.
+        duplicates, _ = duplicate_velocities(flow.V.tolist())
+        if duplicates:
+            failures.append(f"N={n} {duplicates} equal velocities")
     # The report margins are the proof's constants, so recompute the chain
     # <d, dW> >= |dW0| + |dW1| exactly on every pair of the small windows.
     for n in (1, 5):
-        flow = arctan_flows[n][0]
-        P = [tuple(map(Fraction, p)) for p in flow.P.tolist()]
-        W = [tuple(map(Fraction, w)) for w in recovered_field(flow).tolist()]
-        for i in range(len(P)):
-            for j in range(i + 1, len(P)):
-                d0, d1 = P[j][0] - P[i][0], P[j][1] - P[i][1]
-                w0, w1 = W[j][0] - W[i][0], W[j][1] - W[i][1]
-                if d0 * w0 + d1 * w1 < abs(w0) + abs(w1):
-                    failures.append(f"N={n} exact chain at pair ({i}, {j})")
+        failures += [f"N={n} exact chain at pair {pair}"
+                     for pair in exact_chain_failures(arctan_flows[n][0])]
     conclude(2, "componentwise chain inequality on arctan windows",
              not failures, "; ".join(failures))
 

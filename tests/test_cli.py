@@ -17,7 +17,8 @@ from freedrift.formats import parse_particles
 from freedrift.geometry import _inverse_hypot_down
 from freedrift.lattice import FlowAssignment, Window, arctan_profile, build_flow
 
-from oracles import (parse_report, read_scene, reference_export_scene,
+from oracles import (duplicate_velocities, exact_chain_failures, parse_report,
+                     read_scene, reference_export_scene,
                      reference_particles_document)
 
 HEAD_ON = "particles v1\n-2,0,1,0\n2,0,-1,0\n"
@@ -56,6 +57,18 @@ def test_verify_small_flow_passes(tmp_path):
     flow = parse_report(read(out / "flow_report.txt").decode())
     assert flow["passed"] == "true"
     assert flow["injective"] == "true"
+    # The same flow's rows, as assign writes them: pairwise distinct
+    # velocities, and the chain exactly on every pair.
+    rows = tmp_path / "rows"
+    assert run_cli("--command", "assign", "--window", "2",
+                   "--profile", "arctan", "--out", rows).returncode == 0
+    positions, velocities = parse_particles(read(rows / "particles.txt"))
+    a = float(parse_report(read(rows / "assign_report.txt").decode())["shift"]
+              .split(",")[0])
+    P, V = (np.reshape(values, (-1, 2)) for values in (positions, velocities))
+    assert duplicate_velocities(V.tolist())[0] == 0
+    assert exact_chain_failures(SimpleNamespace(P=P, V=V,
+                                                shift=geometry.Vec2(a, 0.0))) == []
 
 
 def test_verify_head_on_pair_fails_with_witness(tmp_path):
@@ -527,6 +540,15 @@ def test_evolve_refuses_a_radius_that_is_not_positive(tmp_path, capsys, radius):
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: radius must be finite and positive\n"
     assert not out.exists()
+
+
+def test_evolve_refuses_a_viewport_whose_side_overflows(tmp_path, capsys):
+    # The pad of radius 1e308 on both sides makes a side of inf.
+    out = tmp_path / "out"
+    assert cli.main(["--command", "evolve", "--window", "1", "--frames", "1",
+                     "--radius", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad viewport [")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["verify", "evolve", "cylinders"])

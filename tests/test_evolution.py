@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,21 @@ def test_snapshot_series_static_config_identical_frames():
     config = _pair((0.0, 0.0), (0.0, 0.0), (1.5, -2.0), (0.0, 0.0))
     frames = [pts.tolist() for _, pts in snapshot_series(config, -5.0, 5.0, 7)]
     assert all(pts == frames[0] for pts in frames[1:])
+
+
+def test_snapshot_series_makes_its_times_lazily():
+    config = _pair((0.0, 0.0), (1.0, 0.0), (0.0, 3.0), (0.0, 0.0))
+    # numpy is loaded and the arrays made before tracing starts.
+    assert config.P.shape == config.V.shape == (2, 2)
+    tracemalloc.start()
+    try:
+        t, points = next(iter(snapshot_series(config, 0.0, 1.0, 10 ** 6)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t == 0.0 and points.tolist() == config.P.tolist()
+    # A list of the 10**6 times would take about 32 MB.
+    assert peak < 1 << 20
 
 
 def test_snapshot_series_bad_ranges():

@@ -426,6 +426,20 @@ def test_budget_accounting(budget, seed, name):
     assert result == reference_falsify(field, 1e-4, budget, seed)
 
 
+@pytest.mark.parametrize("budget", [1, 3, 1344, 1345, 1346, 1470])
+@pytest.mark.parametrize("name, c", [("radial-wide", 1e-4),
+                                     ("radial-wide", 3e-4),
+                                     ("grid-radial", 0.1)])
+def test_a_budget_spent_in_the_probe_or_scaled_stage_exhausts(budget, name, c):
+    # The probe and scaled stages do not break these fields, so the budget
+    # runs out inside them, and the later stages evaluate nothing.
+    field = FIELDS[name]
+    result = falsify(field, c, budget)
+    assert isinstance(result, Exhausted)
+    assert result.note == BUDGET_SPENT
+    assert repr(result) == repr(reference_falsify(field, c, budget, DEFAULT_SEED))
+
+
 def test_budget_one_evaluates_nothing():
     result = falsify(FIELDS["radial"], 1e-4, budget=1)
     assert isinstance(result, Exhausted)

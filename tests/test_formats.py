@@ -369,8 +369,10 @@ def test_svg_snapshot_geometry():
 
 
 def test_svg_snapshot_rejects_bad_viewport():
-    with pytest.raises(ValueError):
-        svg_snapshot(np.zeros((0, 2)), 0.5, 2.0, 2.0)
+    # An empty side, and sides that are not finite, one by overflow.
+    for lo, hi in ((2.0, 2.0), (-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^bad viewport "):
+            svg_snapshot(np.zeros((0, 2)), 0.5, lo, hi)
 
 
 def _g17(values) -> list[str]:

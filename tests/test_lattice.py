@@ -35,7 +35,8 @@ from freedrift.lattice import (
     tanh_profile,
     verify_flow,
 )
-from oracles import (configuration, recovered_field, reference_export_scene,
+from oracles import (configuration, duplicate_velocities, exact_chain_failures,
+                     recovered_field, reference_export_scene,
                      reference_particles_document)
 
 
@@ -253,8 +254,10 @@ def test_build_flow_rejects_saturated_shifted_profile():
     with pytest.raises(NonMonotoneProfileError,
                        match=r"phi\(19\) \+ a = .* past phi\(18\) \+ a"):
         build_flow(tanh_profile(), Window.square(20), shift_margin=0.5)
-    report = verify_flow(build_flow(tanh_profile(), Window.square(19), 0.5))
+    flow = build_flow(tanh_profile(), Window.square(19), 0.5)
+    report = verify_flow(flow)
     assert report.injective and report.passed
+    assert duplicate_velocities(flow.V.tolist())[0] == 0
 
 
 def test_build_flow_refuses_windows_beyond_the_cap():
@@ -274,7 +277,9 @@ def test_verify_flow_3x3_example():
     assert report.chain_dot_margin >= 0.0
     assert report.chain_norm_margin >= 0.0
     assert report.chain_failure_count == 0
+    assert exact_chain_failures(flow) == []
     assert report.injective
+    assert duplicate_velocities(flow.V.tolist())[0] == 0
     # Witness pair must be axis-adjacent lattice neighbors.
     i, j = report.witness_pair
     pi, pj = flow.P[i], flow.P[j]
@@ -377,12 +382,10 @@ def _report_from_arrays(flow):
     return FlowReport(
         particle_count=len(P), min_distance=scan.min_distance,
         witness_pair=scan.witness, chain_dot_margin=margin,
-        chain_norm_margin=margin, chain_failure_count=0, injective=True,
-        speed_measured_min=lo, speed_measured_max=hi,
+        chain_norm_margin=margin, speed_measured_min=lo, speed_measured_max=hi,
         speed_declared_min=flow.speed_min, speed_declared_max=flow.speed_max,
         speeds_ok=ok, pairs_total=scan.pairs_total,
-        pairs_checked=scan.pairs_checked, mode=scan.mode, seed=None,
-        passed=ok)
+        pairs_checked=scan.pairs_checked, mode=scan.mode, passed=ok)
 
 
 @pytest.mark.parametrize("phi", [

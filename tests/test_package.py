@@ -94,15 +94,16 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 
 @pytest.mark.parametrize("args, absent", [
-    (["assign", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
+    (["assign", "--window", "1"],
+     {"evolution", "falsifier", "cylinders", "numpy"}),
     (["verify", "--window", "1"], {"falsifier", "cylinders", "numpy"}),
     (["verify", "--window", "1", "--profile", "table:TABLE"],
      {"falsifier", "cylinders", "numpy"}),
     (["evolve", "--window", "1", "--frames", "1"], {"falsifier", "cylinders"}),
     (["evolve", "--particles", "PAIR", "--frames", "1"],
      {"lattice", "falsifier", "cylinders"}),
-    (["cylinders", "--window", "1"], {"falsifier", "numpy"}),
-    (["cylinders", "--window=0:0,-3:3"], {"falsifier", "numpy"}),
+    (["cylinders", "--window", "1"], {"evolution", "falsifier", "numpy"}),
+    (["cylinders", "--window=0:0,-3:3"], {"evolution", "falsifier", "numpy"}),
     (["falsify", "--field", "constant"],
      {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
     (["falsify", "--field", "radial", "--c", "1e-4"],
