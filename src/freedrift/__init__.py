@@ -13,6 +13,7 @@ import importlib
 
 # Each submodule and the public names it exports.
 _EXPORTS = {
+    "configuration": ("MovingConfiguration",),
     "cylinders": (
         "HardCoreNotVerifiedError",
         "RadiusTooLargeError",
@@ -24,7 +25,6 @@ _EXPORTS = {
     "evolution": (
         "BadRangeError",
         "HardCoreReport",
-        "MovingConfiguration",
         "slice_at",
         "snapshot_series",
         "verify_hardcore",

@@ -1,8 +1,8 @@
 """The pair engine: one pass over the pairs of a particle configuration.
 
 Shared by the hard-core and cylinder verifiers, for the configurations that
-the structural certificate (evolution.MovingConfiguration.certify) does not
-decide. `scan` evaluates every requested kernel on the same pairs in a
+the structural certificate (configuration.MovingConfiguration.certify) does
+not decide. `scan` evaluates every requested kernel on the same pairs in a
 single pass: closest approach always (every verdict rests on it) and
 worldline distance on request. A command makes at most one pass:
 `cylinders` scans both kernels once, and its hard-core gate reads the

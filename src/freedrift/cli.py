@@ -6,15 +6,16 @@ no timestamps or environment-dependent content. Exit codes: 0 pass (or
 violation found), 1 verification failure (or search exhausted, or a pair
 scan past the exhaustive limit: undecided, no report), 2 bad input.
 
-Each command imports only the modules it runs. `falsify` loads none of
-the lattice, evolution and cylinder modules, and no other command loads
-the falsifier. Only a window loads the lattice module, and only
-`cylinders` the cylinder module. `verify`, `evolve` and every command on
-a particles file load the evolution module; `assign` and `cylinders` on a
-window do not. numpy is loaded by `evolve`, and by `verify` and
-`cylinders` where the pair engine runs. On a window they decide, measure
-and write the flow from its two axes, and on a particles file with a
-lattice flow's structure, in any row order, or of one row, from its four
+Each command imports only the modules it runs. Every command but
+`falsify` reads one type, configuration.MovingConfiguration: a particles
+file's rows or, on a window, the product of the flow's two axes. `falsify`
+loads none of the lattice, configuration, evolution and cylinder modules,
+and no other command loads the falsifier. Only a window loads the lattice
+module, only `cylinders` the cylinder module, and only `verify` and
+`evolve` the evolution module. numpy is loaded by `evolve`, and by
+`verify` and `cylinders` where the pair engine runs. On a window they
+decide, measure and write from the two axes, and on a particles file with
+a lattice flow's structure, in any row order, or of one row, from its four
 columns, with no P or V and no numpy. `falsify` never loads it: every
 stage of its search decides its pairs on floats, and a grid file is read
 without it.
@@ -214,16 +215,17 @@ def _grid_from_samples(positions, velocities):
 
 
 def _load_configuration(config: RunConfig):
-    """The configuration of the particles file, or else the flow built on
-    the window, which every verifier reads as a configuration."""
+    """(None, the configuration of the particles file), or else the flow
+    built on the window and its configuration."""
     if config.particles:
-        from .evolution import MovingConfiguration
+        from .configuration import MovingConfiguration
         from .formats import parse_particles
         with open(config.particles, "rb") as handle:
-            return MovingConfiguration(*parse_particles(handle.read()))
+            return None, MovingConfiguration(*parse_particles(handle.read()))
     from .lattice import build_flow
-    return build_flow(_parse_profile(config.profile),
+    flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
+    return flow, flow.configuration
 
 
 def _emit(config: RunConfig, name: str, text) -> None:
@@ -245,15 +247,15 @@ def _cmd_assign(config: RunConfig) -> int:
     from .lattice import build_flow
     flow = build_flow(_parse_profile(config.profile),
                       _parse_window(config.window), config.shift_margin)
-    _emit(config, "particles.txt", particles_document(flow.particle_rows()))
+    _emit(config, "particles.txt", particles_document(flow.configuration.particle_rows()))
     _report(config, "assign_report.txt", {
         "window": config.window,
         "profile": config.profile,
         "shift_margin": config.shift_margin,
-        "particle_count": len(flow),
+        "particle_count": len(flow.configuration),
         **report_items(flow),
     })
-    print(f"assigned {len(flow)} particles "
+    print(f"assigned {len(flow.configuration)} particles "
           f"-> {os.path.join(config.out, 'particles.txt')}")
     return PASS_EXIT
 
@@ -261,11 +263,11 @@ def _cmd_assign(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     from .evolution import verify_hardcore
     from .formats import fmt_float, report_items
-    configuration = _load_configuration(config)
+    flow, configuration = _load_configuration(config)
     flow_report = None
-    if not config.particles:
+    if flow is not None:
         from .lattice import verify_flow
-        flow_report = verify_flow(configuration)
+        flow_report = verify_flow(flow)
     hardcore = verify_hardcore(configuration, config.threshold)
     items = report_items(hardcore)
     if hardcore.witness_pair is not None and hardcore.witness_time is None:
@@ -284,7 +286,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_evolve(config: RunConfig) -> int:
     from .evolution import snapshot_series
     from .formats import fmt_float, frames_csv, svg_snapshot
-    configuration = _load_configuration(config)
+    _, configuration = _load_configuration(config)
     series = snapshot_series(configuration, config.t0, config.t1,
                              config.frames)
     draw_radius = DISK_RADIUS if config.radius == "auto" else config.radius
@@ -314,7 +316,7 @@ def _cmd_evolve(config: RunConfig) -> int:
 def _cmd_cylinders(config: RunConfig) -> int:
     from . import cylinders as cyl
     from .formats import fmt_float, report_items
-    configuration = _load_configuration(config)
+    _, configuration = _load_configuration(config)
     radius = None if config.radius == "auto" else config.radius
     try:
         report = cyl.verify_scene(configuration, radius)

@@ -22,14 +22,15 @@ the floor: plain comparisons on those doubles, with no slack.
 
 A scene row is a particle's worldline: the axis point (x, 0) and the
 direction (v, 1), written with the particle's own doubles, so the file
-holds what was verified and its rows take no arithmetic. A lattice flow
-answers every question here from its two axes, and a particles file with
-a flow's structure, in any row order, from its four columns (decide,
-speed_range, duplicate_velocities, particle_rows): cylinders on either
-holds no P or V and loads no numpy unless the certificate finds no unit
-axis pair; a one-row file, which has no pair, loads none either. A
-configuration without that structure goes through the pair engine and
-is written from its arrays, with numpy.
+holds what was verified and its rows take no arithmetic. Every question
+here is asked of one type, configuration.MovingConfiguration (decide,
+speed_range, duplicate_velocities, particle_rows): a window's, the
+product of its two axes, answers from the axes, and a particles file with
+a flow's structure, in any row order, from its four columns. Either holds
+no P or V and loads no numpy unless the certificate finds no unit axis
+pair; a one-row file, which has no pair, loads none either. A
+configuration without that structure goes through the pair engine and is
+written from its arrays, with numpy.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .formats import UNREPORTED
 from .geometry import _inverse_hypot_down
 
 if TYPE_CHECKING:
-    from .evolution import MovingConfiguration
+    from .configuration import MovingConfiguration
 
 SCENE_HEADER = "cylinder-scene v2"
 
@@ -84,9 +85,9 @@ class SceneReport:
     distance_margin: float
     distances_ok: bool
     nonparallel_ok: bool
+    # The first configuration._DUPLICATE_PAIRS duplicate directions.
     duplicate_direction_pairs: tuple[tuple[int, int], ...] = field(metadata=UNREPORTED)
-    # All duplicate directions; the pairs above list the first
-    # evolution._DUPLICATE_PAIRS.
+    # All duplicate directions.
     duplicate_direction_count: int = field(
         metadata={"key": "duplicate_direction_pairs"})
     pairs_total: int
@@ -163,9 +164,9 @@ def export_scene(config: MovingConfiguration, radius: float):
     The direction is not normalised, so the file holds exactly the
     worldlines that verify_scene decides. The radius is written as given;
     verify_scene is what checks it. The configuration writes its rows
-    (particle_rows): a lattice flow from its two axes, a
-    MovingConfiguration from its columns or, without a flow's structure,
-    its arrays, the same bytes either way.
+    (particle_rows): from its axes, whether a window's product or a file's
+    rows with a flow's structure, else from its arrays, the same bytes
+    either way.
     """
     yield SCENE_HEADER + "\n"
     yield from config.particle_rows(radius)

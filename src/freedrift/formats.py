@@ -17,10 +17,10 @@ other value, and any row the checks reject, goes through format(x, ".17g").
 Rows go out _ROW_BLOCK at a time: the bulk emitters yield str chunks, so
 the memory they hold is bounded by a block whatever the row count.
 
-A lattice flow's rows (FlowAssignment.particle_rows, from its axes) and
-the scene rows of a particles file with a flow's structure
-(MovingConfiguration.particle_rows, from its columns) go out by one row
-writer, _column_rows, one x1 column at a time: head (x1), the middle text
+The rows of a configuration with a lattice flow's structure, a window's
+product of axes or a particles file's rows
+(MovingConfiguration.particle_rows), go out by one row writer,
+_column_rows, one x1 column at a time: head (x1), the middle text
 of the row's x2 (x2, a separator and V0) and tail (V1 and the row's end),
 each distinct double formatted once by format(x, ".17g"). A chunk holds
 one column's rows: chunks merged across columns raised the peak RSS of
@@ -250,7 +250,7 @@ def _parse_float(line_no: int, field: str) -> float:
 def particles_document(rows):
     """The particles file of x1,x2,v1,v2 rows: yields the header line, then
     the chunks of row text that rows yields, such as
-    lattice.FlowAssignment.particle_rows()."""
+    configuration.MovingConfiguration.particle_rows()."""
     yield PARTICLES_HEADER + "\n"
     yield from rows
 

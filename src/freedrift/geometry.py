@@ -176,7 +176,7 @@ def closest_approach(x: Vec2, vx: Vec2, y: Vec2, vy: Vec2) -> PairApproach:
 def worldline_bound(v0, v1) -> tuple[float, float]:
     """S, and the largest double not above 1/sqrt(1 + S^2): the minimum
     worldline distance that the structure of a lattice flow proves
-    (evolution.MovingConfiguration.certify).
+    (configuration.MovingConfiguration.certify).
 
     v0 holds the V0 of each distinct x2 value and v1 the V1 of each
     distinct x1 value, of either sign. S is the largest of them in

@@ -6,15 +6,15 @@ w(x1, x2) = (phi(x1), phi(x2)) on lattice points. Rotating it a quarter turn
 pairwise distinct velocities whose motions never come closer than unit
 distance.
 
-A flow is the profile's values on the window's two axes plus the shift, so
-build_flow and verify_flow work on 2 (2N + 1) doubles for the square window
-of size N, in pure Python, and load no numpy: a flow decides its pairs
-(FlowAssignment.decide), worldlines included, with the result that the
-structural certificate (MovingConfiguration.certify) gives on its rows,
-which also proves the inequality chain behind it. It measures its speeds
-and writes the rows of its particles and cylinder-scene files from the
-axes too. The arrays P and V are built, with numpy, only when a command
-reads them: evolve.
+A flow is the profile's values on the window's two axes plus the shift.
+Its particles are one configuration.MovingConfiguration, the product of
+those axes, 2 (2N + 1) keys and velocity components for the square window
+of size N: build_flow and verify_flow work on them in pure Python and load
+no numpy. The configuration decides its pairs, worldlines included, by
+the structural certificate (certify), which also proves the inequality
+chain behind it, and measures its speeds and writes its rows from the
+axes too. Its arrays P and V are built, with numpy, only when evolve
+reads them.
 
 The profile is evaluated once per integer of each axis. A table profile
 holds its rows as one dict, so a window costs the same whatever the
@@ -22,18 +22,17 @@ table's length.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING
+from operator import neg
 
-from .formats import UNREPORTED, _column_rows, fmt_float
-from .geometry import DISK_RADIUS, PairScan, Vec2, worldline_bound
-
-if TYPE_CHECKING:
-    import numpy as np
+from .configuration import MovingConfiguration
+from .formats import UNREPORTED
+from .geometry import DISK_RADIUS, Vec2
 
 
 class ProfileKind(enum.Enum):
@@ -182,11 +181,11 @@ class FlowAssignment:
 
     Particle k = i * len(phi_y) + j, x-major (x1 outer, x2 inner), sits at
     (x_lo + i, y_lo + j) and moves with (phi_y[j] + shift.x1, -phi_x[i]).
-    Every verifier reads a flow as a configuration, through len, row,
-    decide, speed_range and duplicate_velocities, and both emitters
-    through particle_rows, all from the axes; P and V, (n, 2)
-    float64 arrays, are built on first read. The axes must have the
-    structure that decide rests on, else ValueError;
+    configuration is that set of particles, the product of the two axes
+    (x1 with V1 = -phi_x, x2 with V0 = phi_y + shift.x1), which every
+    verifier and emitter reads. ValueError unless the axes hold one value
+    per integer of a window within 2**53, the shift lies along x1 and the
+    product has the structure its decision rests on;
     NonMonotoneProfileError when phi_y + shift, in double precision, is
     not strictly increasing.
     """
@@ -198,134 +197,36 @@ class FlowAssignment:
     speed_min: float
     speed_max: float
     disk_radius: float = field(default=DISK_RADIUS, init=False)  # decides no verdict
+    configuration: MovingConfiguration = field(
+        init=False, repr=False, compare=False, metadata=UNREPORTED)
 
     def __post_init__(self) -> None:
-        win, wx, v0 = self.window, self.phi_x, self._v0()
-        # Integer coordinates within 2**53 are distinct doubles 1 apart;
-        # strictly monotone finite velocity components do the rest.
-        if not (len(wx) == win.x_hi - win.x_lo + 1
+        win, a = self.window, self.shift.x1
+        v0 = [w2 + a for w2 in self.phi_y]
+        configuration = None
+        # Integer coordinates within 2**53 are distinct doubles 1 apart; the
+        # configuration checks the rest of its structure.
+        if (len(self.phi_x) == win.x_hi - win.x_lo + 1
                 and len(v0) == win.y_hi - win.y_lo + 1
                 and max(map(abs, (win.x_lo, win.x_hi, win.y_lo, win.y_hi))) <= 2 ** 53
-                and self.shift.x2 == 0.0
-                and all(a < b for a, b in zip(wx, wx[1:]))
-                and math.isfinite(wx[-1] - wx[0])
-                and math.isfinite(v0[-1] - v0[0])):
+                and self.shift.x2 == 0.0):
+            for n, (cur, nxt) in enumerate(zip(v0, v0[1:]), win.y_lo):
+                if not cur < nxt:  # NaN, which compares false, is refused too
+                    raise NonMonotoneProfileError(
+                        f"phi({n + 1}) + a = {nxt} does not increase past "
+                        f"phi({n}) + a with shift a = {a}: the profile saturates "
+                        "in double precision, so two velocities would coincide")
+            with contextlib.suppress(ValueError):
+                configuration = MovingConfiguration(axes=(
+                    array("d", range(win.x_lo, win.x_hi + 1)),
+                    array("d", range(win.y_lo, win.y_hi + 1)),
+                    array("d", v0), array("d", map(neg, self.phi_x))))
+        if configuration is None:
             raise ValueError("flow axes need one value per integer of the "
                              "window, within 2**53, a shift along x1, and "
                              "strictly increasing phi_x and phi_y + shift "
                              "with finite spans")
-        for n, (cur, nxt) in enumerate(zip(v0, v0[1:]), win.y_lo):
-            if not cur < nxt:  # NaN, which compares false, is refused too
-                raise NonMonotoneProfileError(
-                    f"phi({n + 1}) + a = {nxt} does not increase past phi({n}) "
-                    f"+ a with shift a = {self.shift.x1}: the profile saturates "
-                    "in double precision, so two velocities would coincide")
-
-    def _v0(self) -> list[float]:
-        """V0 along the x2 axis: phi_y + shift.x1."""
-        a = self.shift.x1
-        return [w2 + a for w2 in self.phi_y]
-
-    def __len__(self) -> int:
-        return len(self.phi_x) * len(self.phi_y)
-
-    def decide(self, worldline: bool = False) -> PairScan:
-        """The result MovingConfiguration.decide gives on the flow's
-        rows, read off the structure the constructor checked: integer
-        coordinates 1 apart, V0 = phi(x2) + a strictly increasing in x2
-        alone, V1 = -phi(x1) strictly decreasing in x1 alone. Every pair is
-        decided exactly (PairScan.certified), minimum exactly 1 at the
-        smallest unit axis pair, which is (0, 1) in x-major order. One
-        particle has no pair: PairScan.zero_pairs.
-
-        With worldline, also certify's worldline minimum: S is the largest
-        |V0| and |phi(x1)| over the kinds of pair that occur (a single
-        column has only pairs sharing its V1, a single row only pairs
-        sharing V0), line_distance the largest double not above
-        1/sqrt(1 + S^2), and line_witness the smallest unit axis pair whose
-        shared velocity component has magnitude S: (i ny, i ny + 1) in the
-        first x1 column with |phi(x1)| = S, or (j, ny + j) in the first x2
-        row with |V0| = S, ny = len(phi_y). Such a pair always exists, so
-        no array is read."""
-        if len(self) < 2:
-            return PairScan.zero_pairs(worldline)
-        line_distance = line_witness = None
-        if worldline:
-            v0, nx, ny = self._v0(), len(self.phi_x), len(self.phi_y)
-            # V1 = -phi_x: the same magnitudes.
-            s, line_distance = worldline_bound(v0, self.phi_x)
-            line_witness = min(
-                [(i * ny, i * ny + 1) for i, w1 in enumerate(self.phi_x)
-                 if ny > 1 and abs(w1) == s]
-                + [(j, ny + j) for j, a in enumerate(v0) if nx > 1 and abs(a) == s])
-        return PairScan.certified(len(self), (0, 1), line_distance, line_witness)
-
-    def speed_range(self) -> tuple[float, float]:
-        """The smallest and largest speed, measured by math.hypot on the
-        doubles of V, as MovingConfiguration.speed_range measures them, one
-        x1 column at a time, so memory stays O(side)."""
-        v0 = self._v0()
-        low, high = math.inf, -math.inf
-        # math.hypot reads only the magnitudes of its arguments, so the
-        # columns of x1 values with one |phi(x1)| measure the same speeds.
-        for w1 in set(map(abs, self.phi_x)):
-            column = list(map(math.hypot, v0, repeat(w1)))
-            low = min(low, min(column))
-            high = max(high, max(column))
-        return low, high
-
-    def duplicate_velocities(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Equal velocities, as a MovingConfiguration counts them: none,
-        (0, ()), by the structure the constructor checked, since equal
-        velocities would force equal x1 and equal x2."""
-        return 0, ()
-
-    def particle_rows(self, radius: float | None = None):
-        """The x1,x2,v1,v2 rows of every particle, x-major, in the bytes
-        the particles format writes (format(x, ".17g")); given a radius,
-        the x1,x2,0,v1,v2,1,r rows of cylinders.export_scene instead, the
-        same doubles with the worldline's axis point (x, 0) and direction
-        (v, 1). x-major order is already the order by axis point. Written
-        from the axes by formats._column_rows."""
-        sep, end = ((",", "\n") if radius is None
-                    else (",0,", f",1,{fmt_float(radius)}\n"))
-        y_lo, x_lo = self.window.y_lo, self.window.x_lo
-        middles = [f"{fmt_float(float(y_lo + j))}{sep}{fmt_float(a)}"
-                   for j, a in enumerate(self._v0())]
-        return _column_rows(((float(x_lo + i), -w1, middles)
-                             for i, w1 in enumerate(self.phi_x)), end)
-
-    def row(self, k: int) -> tuple[float, float, float, float]:
-        """Particle k as (x1, x2, v1, v2): the doubles of P[k] and V[k]."""
-        i, j = divmod(k, len(self.phi_y))
-        return (float(self.window.x_lo + i), float(self.window.y_lo + j),
-                self.phi_y[j] + self.shift.x1, -self.phi_x[i])
-
-    def _indices(self):
-        """The axis indices (i, j) of every particle, as two int arrays."""
-        import numpy as np
-        nx, ny = len(self.phi_x), len(self.phi_y)
-        return np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        """Positions, an (n, 2) float64 array."""
-        import numpy as np
-        ix, iy = self._indices()
-        P = np.empty((len(ix), 2))
-        P[:, 0] = self.window.x_lo + ix
-        P[:, 1] = self.window.y_lo + iy
-        return P
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        """Velocities, an (n, 2) float64 array."""
-        import numpy as np
-        ix, iy = self._indices()
-        V = np.empty((len(ix), 2))
-        V[:, 0] = np.array(self.phi_y)[iy] + self.shift.x1
-        V[:, 1] = -np.array(self.phi_x)[ix]
-        return V
+        object.__setattr__(self, "configuration", configuration)
 
 
 def _profile_values(phi: MonotoneProfile, lo: int, hi: int) -> tuple[float, ...]:
@@ -360,8 +261,8 @@ def build_flow(phi: MonotoneProfile, window: Window,
     shifted by a in double precision is not, and ValueError for windows of
     more than MAX_PARTICLES points, for coordinates beyond 2**53 (checked
     before the profile is evaluated) and for a speed bound a + sup|w| that
-    overflows float64. So every flow it returns has the structure that
-    FlowAssignment.decide rests on, and finite speeds.
+    overflows float64. So every flow it returns has a configuration, and
+    finite speeds.
     """
     if not (math.isfinite(shift_margin) and shift_margin >= 0):
         raise ValueError("shift_margin must be finite and >= 0")
@@ -426,26 +327,27 @@ class FlowReport:
 def verify_flow(flow: FlowAssignment) -> FlowReport:
     """Check the unit-distance guarantee from the flow's two axes.
 
-    The pairs are decided by flow.decide(): MovingConfiguration.certify's
-    result on the flow's rows, without building them. The structure that
-    result rests on proves the rest of the flow contract but speeds: the
-    inequality chain, with both margins exactly 0 (see certify), and
+    The pairs are decided by the flow's configuration, the product of its
+    axes, without building its rows: certify's exact result. The structure
+    that result rests on proves the rest of the flow contract but speeds:
+    the inequality chain, with both margins exactly 0 (see certify), and
     injective velocities, since equal velocities would force equal x1 and
     equal x2. One particle has no pair: chain margins inf.
 
-    Speeds are measured by flow.speed_range(), as
-    MovingConfiguration.speed_range measures them; passed states that they
-    are finite and lie within the declared range, compared exactly.
+    Speeds are measured by the configuration's speed_range(); passed
+    states that they are finite and lie within the declared range,
+    compared exactly.
     """
-    scan = flow.decide()
+    configuration = flow.configuration
+    scan = configuration.decide()
     margin = 0.0 if scan.pairs_total else math.inf
-    measured_min, measured_max = flow.speed_range()
+    measured_min, measured_max = configuration.speed_range()
     speeds_ok = bool(math.isfinite(measured_max)
                      and flow.speed_min <= measured_min
                      and measured_max <= flow.speed_max)
 
     return FlowReport(
-        particle_count=len(flow),
+        particle_count=len(configuration),
         pairs_total=scan.pairs_total,
         pairs_checked=scan.pairs_checked,
         mode=scan.mode,

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from freedrift.cylinders import SCENE_HEADER
-from freedrift.evolution import MovingConfiguration
+from freedrift.configuration import MovingConfiguration
 from freedrift.falsifier import (
     BUDGET_SPENT,
     REFINE_CONVERGED,
@@ -211,19 +211,20 @@ def read_scene(text: str):
     return A[:, :3], A[:, 3:5] / A[:, 5:6], A[:, 6]
 
 
-def recovered_field(flow) -> np.ndarray:
-    """w = I(v - a) per particle of a lattice flow: undo the shift, rotate
-    back."""
-    vu = flow.V - np.array([flow.shift.x1, flow.shift.x2])
+def recovered_field(V, shift) -> np.ndarray:
+    """w = I(v - a) per velocity row of V of a lattice flow with shift a:
+    undo the shift, rotate back."""
+    vu = V - np.array([shift.x1, shift.x2])
     return np.column_stack((-vu[:, 1], vu[:, 0]))
 
 
-def exact_chain_failures(flow) -> list[tuple[int, int]]:
-    """The pairs (i, j), i < j, of a lattice flow's rows at which the chain
-    <d, dW> >= |dW0| + |dW1| fails, d = P[j] - P[i] and dW = W[j] - W[i]
-    with W = recovered_field(flow), decided in rationals on the doubles."""
-    P = [tuple(map(Fraction, p)) for p in flow.P.tolist()]
-    W = [tuple(map(Fraction, w)) for w in recovered_field(flow).tolist()]
+def exact_chain_failures(P, V, shift) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of the rows P, V of a lattice flow with
+    shift a at which the chain <d, dW> >= |dW0| + |dW1| fails,
+    d = P[j] - P[i] and dW = W[j] - W[i] with W = recovered_field(V, a),
+    decided in rationals on the doubles."""
+    W = [tuple(map(Fraction, w)) for w in recovered_field(V, shift).tolist()]
+    P = [tuple(map(Fraction, p)) for p in P.tolist()]
     failures = []
     for i in range(len(P)):
         for j in range(i + 1, len(P)):

@@ -15,7 +15,8 @@ import time
 import pytest
 
 from freedrift import cylinders as cyl
-from freedrift.evolution import MovingConfiguration, verify_hardcore
+from freedrift.configuration import MovingConfiguration
+from freedrift.evolution import verify_hardcore
 from freedrift.falsifier import ViolationReport, builtin_field, falsify
 from freedrift.geometry import Vec2, closest_approach
 from freedrift.lattice import (
@@ -74,7 +75,8 @@ def test_criterion_1_unit_separation(arctan_flows):
             failures.append(f"N={n} min {report.min_distance}")
         # axis-adjacent pair must attain the unit bound
         by_site = {tuple(p): (Vec2(*p), Vec2(*v))
-                   for p, v in zip(flow.P.tolist(), flow.V.tolist())}
+                   for p, v in zip(flow.configuration.P.tolist(),
+                                   flow.configuration.V.tolist())}
         a, b = by_site[(0.0, 0.0)], by_site[(1.0, 0.0)]
         attained = closest_approach(*a, *b).distance
         if abs(attained - 1.0) > 1e-9:
@@ -96,14 +98,15 @@ def test_criterion_2_chain_inequality(arctan_flows):
         if report.chain_failure_count:
             failures.append(f"N={n} {report.chain_failure_count} failures")
         # The chain rests on injective velocities: check them on the rows.
-        duplicates, _ = duplicate_velocities(flow.V.tolist())
+        duplicates, _ = duplicate_velocities(flow.configuration.V.tolist())
         if duplicates:
             failures.append(f"N={n} {duplicates} equal velocities")
     # The report margins are the proof's constants, so recompute the chain
     # <d, dW> >= |dW0| + |dW1| exactly on every pair of the small windows.
     for n in (1, 5):
-        failures += [f"N={n} exact chain at pair {pair}"
-                     for pair in exact_chain_failures(arctan_flows[n][0])]
+        flow = arctan_flows[n][0]
+        failures += [f"N={n} exact chain at pair {pair}" for pair in exact_chain_failures(
+            flow.configuration.P, flow.configuration.V, flow.shift)]
     conclude(2, "componentwise chain inequality on arctan windows",
              not failures, "; ".join(failures))
 
@@ -135,7 +138,7 @@ def test_criterion_3_shift_invariance_and_speed_bounds():
 def test_criterion_4_worldline_distance_floor():
     failures = []
     flow = build_flow(arctan_profile(), Window.square(2), 0.5)
-    config = flow
+    config = flow.configuration
     report = verify_flow(flow)
     speed_cap = report.speed_measured_max
     floor = cyl.lemma1_bound(speed_cap)
@@ -174,7 +177,7 @@ def test_criterion_4_worldline_distance_floor():
 def test_criterion_5_nonparallel_directions():
     failures = []
     flow = build_flow(arctan_profile(), Window.square(2), 0.5)
-    report = cyl.verify_scene(flow, 0.05)
+    report = cyl.verify_scene(flow.configuration, 0.05)
     if report.duplicate_direction_pairs or not report.nonparallel_ok:
         failures.append(f"flow scene duplicates "
                         f"{report.duplicate_direction_pairs}")

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from freedrift import _pairscan, cli, geometry, lattice
-from freedrift.evolution import MovingConfiguration
+from freedrift.configuration import MovingConfiguration
 from freedrift.formats import parse_particles
 from freedrift.geometry import _inverse_hypot_down
-from freedrift.lattice import FlowAssignment, Window, arctan_profile, build_flow
+from freedrift.lattice import Window, arctan_profile, build_flow
 
 from oracles import (duplicate_velocities, exact_chain_failures, parse_report,
                      read_scene, reference_export_scene,
@@ -67,8 +67,7 @@ def test_verify_small_flow_passes(tmp_path):
               .split(",")[0])
     P, V = (np.reshape(values, (-1, 2)) for values in (positions, velocities))
     assert duplicate_velocities(V.tolist())[0] == 0
-    assert exact_chain_failures(SimpleNamespace(P=P, V=V,
-                                                shift=geometry.Vec2(a, 0.0))) == []
+    assert exact_chain_failures(P, V, geometry.Vec2(a, 0.0)) == []
 
 
 def test_verify_head_on_pair_fails_with_witness(tmp_path):
@@ -268,29 +267,25 @@ def test_verify_pair_whose_speed_squared_underflows(tmp_path):
 
 
 def test_cylinders_measures_speeds_once(tmp_path, monkeypatch):
-    # A particles file's speeds from its columns, a flow's from its axes.
+    # A particles file's speeds from its columns, a window's from its axes.
     calls = []
+    speed_range = MovingConfiguration.speed_range
 
-    def counted(kind):
-        speed_range = kind.speed_range
+    def measured(config):
+        calls.append(("axes" if config.axes else "rows", len(config)))
+        return speed_range(config)
+    monkeypatch.setattr(MovingConfiguration, "speed_range", measured)
 
-        def measured(config):
-            calls.append((kind.__name__, len(config)))
-            return speed_range(config)
-        monkeypatch.setattr(kind, "speed_range", measured)
-
-    counted(MovingConfiguration)
-    counted(FlowAssignment)
     assert cli.main(["--command", "cylinders", "--window", "2",
                      "--out", str(tmp_path / "window")]) == 0
-    assert calls == [("FlowAssignment", 25)]
-    flow = build_flow(arctan_profile(), Window.square(2), 0.5)
+    assert calls == [("axes", 25)]
+    flow = build_flow(arctan_profile(), Window.square(2), 0.5).configuration
     rows = tmp_path / "rows.txt"
     rows.write_text(reference_particles_document(flow.P, flow.V))
     calls.clear()
     assert cli.main(["--command", "cylinders", "--particles", str(rows),
                      "--out", str(tmp_path / "file")]) == 0
-    assert calls == [("MovingConfiguration", 25)]
+    assert calls == [("rows", 25)]
     for name in ("scene.txt", "cylinder_report.txt"):
         assert read(tmp_path / "window" / name) == read(tmp_path / "file" / name)
 
@@ -338,7 +333,7 @@ def test_cylinders_of_a_lattice_flow_makes_no_pass(tmp_path, scan_passes):
 
 
 def _window3():
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5).configuration
     return flow.P.copy(), flow.V.copy()
 
 
@@ -415,7 +410,7 @@ def test_cylinders_of_a_single_column_is_certified(tmp_path, monkeypatch,
         report = parse_report(read(tmp_path / "long" / "cylinder_report.txt").decode())
         assert (report["mode"], report["pairs_checked"], report["witness_pair"]) == \
             ("exhaustive-structural", "18003000", "0,1")
-        c = build_flow(arctan_profile(), window, 0.5).row(0)[k]
+        c = build_flow(arctan_profile(), window, 0.5).configuration.row(0)[k]
         assert float(report["min_line_distance"]) == _inverse_hypot_down(c)
     assert scan_passes == []
 
@@ -455,7 +450,7 @@ def _zero_column_rows(mixed):
     """The window-2 flow's rows in a seeded order, with -0.0 for x1 on its
     x1 = 0 column, where V1 = -phi(0) is -0.0 already; mixed, every other
     row there takes 0.0 for x1 and every third 0.0 for V1."""
-    flow = build_flow(arctan_profile(), Window.square(2), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(2), 0.5).configuration
     P, V = flow.P.copy(), flow.V.copy()
     zero = np.flatnonzero(P[:, 0] == 0.0)
     assert np.signbit(V[zero, 1]).all()
@@ -503,7 +498,7 @@ def test_verify_fails_a_flow_nudged_below_unit_distance(tmp_path, capsys):
     # The window-32 flow with row 1's V0 one ulp higher: rows 1 and 66,
     # (-32, -31) and (-31, -31), share x2, lie 1 apart in x1 and now differ
     # in V0, so their closest approach |dv1| / |dv| is below 1.
-    flow = build_flow(arctan_profile(), Window.square(32), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(32), 0.5).configuration
     V = flow.V.copy()
     V[1, 0] = np.nextafter(V[1, 0], np.inf)
     d = [Fraction(b) - Fraction(a) for a, b in zip(flow.P[1].tolist(), flow.P[66].tolist())]
@@ -826,7 +821,7 @@ def test_particles_file_is_held_once(tmp_path):
                               .replace("\n", newline).encode())
         tracemalloc.start()
         try:
-            configuration = cli._load_configuration(
+            _, configuration = cli._load_configuration(
                 cli.RunConfig(particles=str(particles)))
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -15,7 +15,7 @@ from freedrift.cylinders import (
     lemma1_bound,
     verify_scene,
 )
-from freedrift.evolution import MovingConfiguration
+from freedrift.configuration import MovingConfiguration
 from freedrift.lattice import (Window, arctan_profile, build_flow, rational_profile,
                                table_profile, tanh_profile)
 
@@ -132,8 +132,7 @@ def test_verify_scene_detects_injected_duplicate_velocity():
 
 
 def test_verify_scene_3x3_flow():
-    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow
+    config = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5).configuration
     cap = max(map(math.hypot, *config.V.T.tolist()))
     radius = lemma1_bound(cap) / 2.0
     report = verify_scene(config, radius)
@@ -152,7 +151,7 @@ def test_verify_scene_3x3_flow():
 
 
 def test_verify_scene_line_distances_match_grid_oracle():
-    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5).configuration
     lines = _axes(flow)
     rng = random.Random(11)
     for _ in range(6):
@@ -200,7 +199,7 @@ def test_verify_scene_measures_speeds_as_the_scene_does():
 
 
 def _nudged_window3():
-    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5).configuration
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
     return configuration(flow.P, V)
@@ -221,7 +220,7 @@ def test_verify_scene_rejects_oversized_radius():
     with pytest.raises(RadiusTooLargeError):
         verify_scene(_static_pair(1.0), radius=0.6)
     # No slack: one ulp above half the floor is refused.
-    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5).configuration
     half = verify_scene(flow, None).radius
     with pytest.raises(RadiusTooLargeError, match=f"^radius {math.nextafter(half, 1)} "
                                                   f"exceeds {half}$"):
@@ -257,7 +256,7 @@ def test_export_rows_sorted_by_axis_point():
 
 @pytest.mark.parametrize("block", [1, 4, 8, 9])
 def test_export_in_blocks_is_byte_identical(monkeypatch, block):
-    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5).configuration
     whole = _export(flow)  # nine rows: one block
     # The same rows shuffled, written from the configuration's columns.
     order = random.Random(block).sample(range(len(flow)), len(flow))
@@ -273,8 +272,7 @@ def test_export_in_blocks_is_byte_identical(monkeypatch, block):
 
 
 def test_scene_round_trip_preserves_distances():
-    flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
-    config = flow
+    config = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5).configuration
     radius = verify_scene(config, None).radius
     bases, velocities, radii = read_scene(_export(config, radius))
     parsed = _worldlines(bases, velocities)
@@ -292,7 +290,8 @@ def test_scene_round_trip_preserves_distances():
 
 
 def test_export_does_no_arithmetic_per_row(monkeypatch):
-    flow = build_flow(arctan_profile(), Window(-3, 2, -1, 4), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window(-3, 2, -1, 4),
+                      shift_margin=0.5).configuration
     config = configuration(flow.P, flow.V)
 
     def refuse(*args):
@@ -328,7 +327,7 @@ def test_scene_rows_are_particle_rows_with_their_worldline(inputs, rng):
     x2 and 1,<radius> after v2, and no two of its cylinders overlap,
     decided exactly."""
     try:
-        flow = build_flow(*inputs)
+        flow = build_flow(*inputs).configuration
     except ValueError:
         return  # tanh saturates in double precision
     report = verify_scene(flow, None)

@@ -65,8 +65,7 @@ def test_slice_at_rejects_nonfinite_time():
 
 
 def test_two_particle_flow_separated_at_far_times():
-    flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    config = flow
+    config = build_flow(arctan_profile(), Window(0, 1, 0, 0), 1.0).configuration
     a, b = (Vec2(*row) for row in config.P.tolist())
     va, vb = (Vec2(*row) for row in config.V.tolist())
     closed = closest_approach(a, va, b, vb)
@@ -158,7 +157,7 @@ def test_verify_hardcore_head_on_pair_fails_at_t2():
 
 
 def test_verify_hardcore_5x5_arctan_flow_zero_margin():
-    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5).configuration
     report = verify_hardcore(flow, threshold=1.0)
     assert report.passed
     assert report.min_alltime_distance == pytest.approx(1.0, abs=1e-9)
@@ -245,7 +244,7 @@ def test_slices_never_undercut_alltime_minimum():
 def test_large_window_flow_passes_structural():
     # 101x101 lattice: 52M pairs, beyond the engine's exhaustive limit, all
     # decided by the structural certificate.
-    flow = build_flow(arctan_profile(), Window.square(50), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(50), shift_margin=0.5).configuration
     report = verify_hardcore(flow, threshold=1.0)
     assert report.mode == "exhaustive-structural"
     assert report.pairs_checked == report.pairs_total == 10201 * 10200 // 2
@@ -255,7 +254,7 @@ def test_large_window_flow_passes_structural():
 
 
 def test_flow_without_the_structure_is_undecided_past_the_limit(monkeypatch):
-    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), shift_margin=0.5).configuration
     V = flow.V.copy()
     V[5, 0] = np.nextafter(V[5, 0], np.inf)  # V0 no longer a function of x2
     config = configuration(flow.P, V)
@@ -282,8 +281,7 @@ def test_time_symmetry_exact():
 
 
 def test_translation_invariance():
-    flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
-    base = flow
+    base = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5).configuration
     # Offsets exactly representable, so pair differences are bit-identical.
     moved = configuration(base.P + np.array([10.5, -3.25]), base.V)
     ra = verify_hardcore(base, threshold=1.0)
@@ -300,7 +298,7 @@ def test_configuration_is_frozen():
 
 
 def test_a_flow_is_read_as_its_configuration():
-    flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), 0.5).configuration
     config = configuration(flow.P, flow.V)
     assert verify_hardcore(flow) == verify_hardcore(config)
     assert verify_scene(flow, None) == verify_scene(config, None)

@@ -44,7 +44,7 @@ def test_fmt_float_round_trips_doubles():
 
 
 def test_particles_round_trip():
-    flow = build_flow(arctan_profile(), Window(-3, 1, 0, 4), shift_margin=0.5)
+    flow = build_flow(arctan_profile(), Window(-3, 1, 0, 4), shift_margin=0.5).configuration
     text = "".join(particles_document(flow.particle_rows()))
     assert text.startswith("particles v1\n")
     positions, velocities = parse_particles(text.encode())
@@ -233,7 +233,7 @@ def _peak_above_arrays(n: int, task: str) -> int:
         (positions, velocities), peak = _traced_peak(lambda: parse_particles(data))
         return peak - 8 * (len(positions) + len(velocities))
     # The particles file of a flow of columns of 400 rows, n // 400 of them.
-    flow = build_flow(arctan_profile(), Window(0, n // 400 - 1, 0, 399), 0.5)
+    flow = build_flow(arctan_profile(), Window(0, n // 400 - 1, 0, 399), 0.5).configuration
     config = configuration(P, V)
     chunks = {"particles": lambda: particles_document(flow.particle_rows()),
               "svg": lambda: svg_snapshot(P, 0.5, -200.0, 200.0),

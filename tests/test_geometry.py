@@ -324,7 +324,7 @@ def test_nearly_parallel_worldlines_keep_their_digits():
     # Rows 260 and 299 of the tanh window-19 flow: neighbouring columns whose
     # velocities differ by about 6.5e-11. d1 x d2 taken directly cancels
     # products near 2.9 down to that size and gives 0.3245685681463485.
-    flow = build_flow(tanh_profile(), Window.square(19), 0.5)
+    flow = build_flow(tanh_profile(), Window.square(19), 0.5).configuration
     P, V = flow.P, flow.V
     i, j = 260, 299
     d = line_distance_3d(_v3(*P[i], 0), _v3(*V[i], 1), _v3(*P[j], 0), _v3(*V[j], 1))

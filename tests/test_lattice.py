@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from array import array
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,8 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan, formats
+from freedrift.configuration import MovingConfiguration
 from freedrift.cylinders import SceneReport, export_scene, verify_scene
-from freedrift.evolution import MovingConfiguration, verify_hardcore
+from freedrift.evolution import verify_hardcore
 from freedrift.formats import particles_document, report_document, report_items
 from freedrift.geometry import Vec2, closest_approach, norm, sub
 from freedrift.lattice import (
@@ -47,7 +49,8 @@ def all_profiles():
 
 def particles(flow):
     """(position, velocity) Vec2 pairs of the flow's rows."""
-    return [(Vec2(*p), Vec2(*v)) for p, v in zip(flow.P.tolist(), flow.V.tolist())]
+    config = flow.configuration
+    return [(Vec2(*p), Vec2(*v)) for p, v in zip(config.P.tolist(), config.V.tolist())]
 
 
 def test_profile_eval_arctan_values():
@@ -155,7 +158,7 @@ def test_window_shapes():
 
 def test_build_flow_two_point_window():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
-    assert len(flow.P) == 2
+    assert len(flow.configuration.P) == 2
     a, b = particles(flow)
     dv = Vec2(b[1].x1 - a[1].x1, b[1].x2 - a[1].x2)
     assert dv == Vec2(0.0, -math.atan(1))  # -I(pi/4, 0)
@@ -167,7 +170,7 @@ def test_build_flow_two_point_window():
 
 def test_build_flow_single_point():
     flow = build_flow(tanh_profile(), Window(3, 3, -2, -2), shift_margin=0.25)
-    assert len(flow.P) == 1
+    assert len(flow.configuration.P) == 1
     assert flow.speed_min == 0.25
     report = verify_flow(flow)
     assert report.min_distance == math.inf
@@ -178,7 +181,7 @@ def test_build_flow_3x3_all_pairs_separated():
     flow = build_flow(arctan_profile(), Window.square(1), shift_margin=0.5)
     parts = particles(flow)
     assert len(parts) == 9
-    W = recovered_field(flow)
+    W = recovered_field(flow.configuration.V, flow.shift)
     count = 0
     for i in range(9):
         for j in range(i + 1, 9):
@@ -242,8 +245,8 @@ def test_build_flow_matches_pointwise_definition():
         w = [Vec2(profile_eval(phi, i), profile_eval(phi, j)) for i, j in points]
         sup = max(math.hypot(v.x1, v.x2) for v in w)
         a = sup + 0.5
-        assert flow.P.tolist() == [[float(i), float(j)] for i, j in points]
-        assert flow.V.tolist() == [[v.x2 + a, -v.x1] for v in w]
+        assert flow.configuration.P.tolist() == [[float(i), float(j)] for i, j in points]
+        assert flow.configuration.V.tolist() == [[v.x2 + a, -v.x1] for v in w]
         assert flow.shift == Vec2(a, 0.0)
         assert (flow.speed_min, flow.speed_max) == (0.5, a + sup)
 
@@ -257,7 +260,7 @@ def test_build_flow_rejects_saturated_shifted_profile():
     flow = build_flow(tanh_profile(), Window.square(19), 0.5)
     report = verify_flow(flow)
     assert report.injective and report.passed
-    assert duplicate_velocities(flow.V.tolist())[0] == 0
+    assert duplicate_velocities(flow.configuration.V.tolist())[0] == 0
 
 
 def test_build_flow_refuses_windows_beyond_the_cap():
@@ -266,7 +269,7 @@ def test_build_flow_refuses_windows_beyond_the_cap():
     with pytest.raises(ValueError, match="MAX_PARTICLES"):
         build_flow(arctan_profile(), Window(0, 0, 0, MAX_PARTICLES), 0.5)
     flow = build_flow(arctan_profile(), Window(0, 0, 0, 9), 0.5)
-    assert flow.P.shape == (10, 2)
+    assert flow.configuration.P.shape == (10, 2)
 
 
 def test_verify_flow_3x3_example():
@@ -277,12 +280,13 @@ def test_verify_flow_3x3_example():
     assert report.chain_dot_margin >= 0.0
     assert report.chain_norm_margin >= 0.0
     assert report.chain_failure_count == 0
-    assert exact_chain_failures(flow) == []
+    assert exact_chain_failures(flow.configuration.P, flow.configuration.V,
+                                flow.shift) == []
     assert report.injective
-    assert duplicate_velocities(flow.V.tolist())[0] == 0
+    assert duplicate_velocities(flow.configuration.V.tolist())[0] == 0
     # Witness pair must be axis-adjacent lattice neighbors.
     i, j = report.witness_pair
-    pi, pj = flow.P[i], flow.P[j]
+    pi, pj = flow.configuration.P[i], flow.configuration.P[j]
     step = (abs(pi[0] - pj[0]), abs(pi[1] - pj[1]))
     assert sorted(step) == [0.0, 1.0]
 
@@ -294,9 +298,9 @@ def test_verify_flow_flags_duplicate_velocities():
     flow = build_flow(arctan_profile(), Window(0, 1, 0, 0), shift_margin=1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         dataclasses.replace(flow, phi_x=flow.phi_x[:1] * 2)
-    V = flow.V[[0, 0]]
-    assert configuration(flow.P, V).certify() is None
-    report = verify_hardcore(configuration(flow.P, V))
+    V = flow.configuration.V[[0, 0]]
+    assert configuration(flow.configuration.P, V).certify() is None
+    report = verify_hardcore(configuration(flow.configuration.P, V))
     assert report.mode == "exhaustive"
     assert (report.min_alltime_distance, report.witness_pair) == (1.0, (0, 1))
 
@@ -307,7 +311,7 @@ def test_verify_flow_speed_window():
         report = verify_flow(flow)
         assert report.speeds_ok
         norm_a = math.hypot(flow.shift.x1, flow.shift.x2)
-        for v1, v2 in flow.V.tolist():
+        for v1, v2 in flow.configuration.V.tolist():
             speed = math.hypot(v1, v2)
             assert speed >= flow.speed_min - 1e-12
             assert speed <= norm_a + math.sqrt(2) * phi.bound + 1e-12
@@ -352,7 +356,7 @@ def test_chain_margins_across_profiles_and_windows():
 
 def test_flow_feeds_hardcore_verifier():
     flow = build_flow(rational_profile(), Window.square(2), shift_margin=0.5)
-    report = verify_hardcore(flow, threshold=1.0)
+    report = verify_hardcore(flow.configuration, threshold=1.0)
     assert report.passed
 
 
@@ -361,19 +365,19 @@ def test_flow_speeds_are_measured_as_every_verifier_measures_them():
     # report must agree with math.hypot, as verify_scene does.
     phi = table_profile([(0, -0.132), (1, -0.062), (2, 1.332)])
     flow = build_flow(phi, Window(0, 2, 0, 0), shift_margin=0.5)
-    report = verify_flow(flow)
-    measured = list(map(math.hypot, *flow.V.T.tolist()))
+    report, config = verify_flow(flow), flow.configuration
+    measured = list(map(math.hypot, *config.V.T.tolist()))
     assert report.speed_measured_max == max(measured) == 2.164821026502182
-    assert float(np.hypot(flow.V[:, 0], flow.V[:, 1]).max()) == 2.1648210265021826
+    assert float(np.hypot(config.V[:, 0], config.V[:, 1]).max()) == 2.1648210265021826
     assert report.speed_measured_min == min(measured)
-    assert configuration(flow.P, flow.V).speed_range() == flow.speed_range()
+    assert configuration(config.P, config.V).speed_range() == config.speed_range()
 
 
 def _report_from_arrays(flow):
     """verify_flow's report as the flow's arrays give it: the certificate
     on their rows (the engine's zero-pair scan for one particle) and
     math.hypot."""
-    P, V = flow.P, flow.V
+    P, V = flow.configuration.P, flow.configuration.V
     scan = configuration(P, V).certify() if len(P) > 1 else _pairscan.scan(P, V)
     measured = list(map(math.hypot, *V.T.tolist()))
     lo, hi = min(measured), max(measured)
@@ -405,10 +409,11 @@ def test_axes_decide_as_the_arrays_do(phi):
             flow = build_flow(phi, window, margin)
         except NonMonotoneProfileError:
             continue  # tanh saturates before N = 32
-        scan, line = flow.decide(), flow.decide(worldline=True)
-        report, hardcore = verify_flow(flow), verify_hardcore(flow)
-        assert "P" not in vars(flow) and "V" not in vars(flow)
-        arrays = configuration(flow.P, flow.V)
+        config = flow.configuration
+        scan, line = config.decide(), config.decide(worldline=True)
+        report, hardcore = verify_flow(flow), verify_hardcore(config)
+        assert "P" not in vars(config) and "V" not in vars(config)
+        arrays = configuration(config.P, config.V)
         assert scan == arrays.decide()
         assert line == arrays.decide(worldline=True)
         assert report == _report_from_arrays(flow)
@@ -417,8 +422,9 @@ def test_axes_decide_as_the_arrays_do(phi):
 
 def test_a_flow_holds_only_axes_with_the_certified_structure():
     flow = build_flow(arctan_profile(), Window(-2, 1, -1, 3), shift_margin=0.5)
-    assert [list(flow.row(k)) for k in range(len(flow))] == \
-        np.column_stack((flow.P, flow.V)).tolist()
+    config = flow.configuration
+    assert [list(config.row(k)) for k in range(len(config))] == \
+        np.column_stack((config.P, config.V)).tolist()
     for bad in [dict(phi_x=flow.phi_x[::-1]),
                 dict(phi_y=flow.phi_y[:-1]),
                 dict(phi_x=(-math.inf, *flow.phi_x[1:])),
@@ -441,19 +447,50 @@ def test_a_flow_holds_only_axes_with_the_certified_structure():
         dataclasses.replace(flow, phi_y=phi_y)
 
 
+@pytest.mark.parametrize("config", [
+    build_flow(arctan_profile(), Window.square(1), 0.5).configuration,
+    MovingConfiguration([0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0]),
+], ids=["product", "listed"])
+def test_row_refuses_every_index_outside_the_rows(config):
+    for k in (-len(config) - 1, -1, len(config), len(config) + 1):
+        with pytest.raises(IndexError):
+            config.row(k)
+    assert config.row(len(config) - 1) == tuple(
+        np.concatenate((config.P[-1], config.V[-1])).tolist())
+
+
+def test_a_product_refuses_axes_without_the_structure():
+    def axes(x1=(0.0, 1.0), x2=(0.0, 1.0, 2.0), v1=(0.0, 1.0, 2.0), v2=(1.0, 0.0)):
+        return tuple(array("d", values) for values in (x1, x2, v1, v2))
+    config = MovingConfiguration(axes=axes())
+    assert len(config) == 6 and config.decide().witness == (0, 1)
+    for bad in [dict(x1=(1.0, 0.0), v2=(0.0, 1.0)),  # keys decreasing
+                dict(x1=(0.0, 0.0)),  # a key twice
+                dict(x1=(0.0, 0.5)),  # keys closer than 1
+                dict(x1=(0.0, math.inf)),  # a key not finite
+                dict(x1=()), dict(v2=(1.0,)),  # an empty axis, a value missing
+                dict(v1=(0.0, 2.0, 1.0)),  # V0 not increasing in x2
+                dict(v2=(0.0, 1.0))]:  # V1 not decreasing in x1
+        with pytest.raises(ValueError, match="product axes"):
+            MovingConfiguration(axes=axes(**bad))
+    with pytest.raises(ValueError, match="product axes"):
+        MovingConfiguration([0.0, 0.0], [0.0, 0.0], axes=axes())
+
+
 def test_certified_reports_match_the_engine(monkeypatch):
     """Apart from the mode, certifying gives the engine's report values."""
     for phi in all_profiles():
         flow = build_flow(phi, Window(-3, 2, -1, 4), shift_margin=0.5)
-        report, hardcore = verify_flow(flow), verify_hardcore(flow)
+        config = flow.configuration
+        report, hardcore = verify_flow(flow), verify_hardcore(config)
         assert report.mode == hardcore.mode == "exhaustive-structural"
-        assert flow.decide() == configuration(flow.P, flow.V).certify()
-        engine = _pairscan.scan(flow.P, flow.V)
-        assert dataclasses.replace(flow.decide(), mode="exhaustive") == engine
-        # A flow never reaches certify; its rows do.
+        assert config.decide() == configuration(config.P, config.V).certify()
+        engine = _pairscan.scan(config.P, config.V)
+        assert dataclasses.replace(config.decide(), mode="exhaustive") == engine
+        # Without certify, a configuration runs the engine.
         with monkeypatch.context() as m:
             m.setattr(MovingConfiguration, "certify", lambda *args, **kw: None)
-            engine_hardcore = verify_hardcore(configuration(flow.P, flow.V))
+            engine_hardcore = verify_hardcore(configuration(config.P, config.V))
         assert engine_hardcore.mode == "exhaustive"
         assert dataclasses.replace(hardcore, mode="exhaustive") == engine_hardcore
 
@@ -478,10 +515,10 @@ def test_refused_flow_runs_the_engine(refused):
     # The certificate refuses these velocities, which no flow holds; their
     # configuration goes to the hard-core verifier and its engine.
     flow = build_flow(arctan_profile(), Window.square(2), shift_margin=0.5)
-    V = refused(flow.V)
-    config = configuration(flow.P, V)
+    V = refused(flow.configuration.V)
+    config = configuration(flow.configuration.P, V)
     assert config.certify() is None
-    engine = _pairscan.scan(flow.P, V)
+    engine = _pairscan.scan(flow.configuration.P, V)
     assert config.decide() == engine
     assert _rests_on(verify_hardcore(config), engine)
 
@@ -583,16 +620,16 @@ def test_every_built_flow_is_certified(inputs):
         flow = build_flow(*inputs)
     except ValueError:
         return  # refused: no flow to decide
-    report = verify_flow(flow)
-    assert flow.decide() == configuration(flow.P, flow.V).certify() is not None
+    report, config = verify_flow(flow), flow.configuration
+    assert config.decide() == configuration(config.P, config.V).certify() is not None
     assert math.isfinite(flow.speed_max) and report.speeds_ok
     assert flow.speed_min <= report.speed_measured_min
     assert report.speed_measured_max <= flow.speed_max
-    W = recovered_field(flow)
+    W = recovered_field(config.V, flow.shift)
     for k in (0, 1):
         # W_k is a non-decreasing function of x_k alone.
-        order = np.lexsort((flow.P[:, 1 - k], flow.P[:, k]))
-        x, w = flow.P[order, k], W[order, k]
+        order = np.lexsort((config.P[:, 1 - k], config.P[:, k]))
+        x, w = config.P[order, k], W[order, k]
         assert np.where(x[1:] == x[:-1], w[1:] == w[:-1], w[1:] >= w[:-1]).all()
 
 
@@ -626,16 +663,16 @@ def test_flow_files_match_the_array_path(inputs, radius, block):
     """particles.txt, scene.txt and cylinder_report.txt as a flow writes
     them from its axes are the bytes its arrays give: the reference
     particles document, the reference scene, and verify_scene on
-    MovingConfiguration(flow.P, flow.V). No flow reads its arrays."""
+    MovingConfiguration(P, V). No flow reads its arrays."""
     try:
-        flow = build_flow(*inputs)
+        config = build_flow(*inputs).configuration
     except ValueError:
         return  # refused: no flow to write
     with mock.patch.object(formats, "_ROW_BLOCK", block):
-        particles = "".join(particles_document(flow.particle_rows()))
-        scene = _scene_outcome(flow, radius)
-    assert "P" not in vars(flow) and "V" not in vars(flow)
-    P, V = flow.P, flow.V
+        particles = "".join(particles_document(config.particle_rows()))
+        scene = _scene_outcome(config, radius)
+    assert "P" not in vars(config) and "V" not in vars(config)
+    P, V = config.P, config.V
     assert particles == reference_particles_document(P, V)
     arrays = _scene_outcome(configuration(P, V), radius)
     assert scene[:2] == arrays[:2]

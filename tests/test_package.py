@@ -105,12 +105,12 @@ def test_import_loads_no_submodule_and_no_numpy():
     (["cylinders", "--window", "1"], {"evolution", "falsifier", "numpy"}),
     (["cylinders", "--window=0:0,-3:3"], {"evolution", "falsifier", "numpy"}),
     (["falsify", "--field", "constant"],
-     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
+     {"lattice", "configuration", "evolution", "cylinders", "numpy", "_pairscan"}),
     (["falsify", "--field", "radial", "--c", "1e-4"],
-     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
+     {"lattice", "configuration", "evolution", "cylinders", "numpy", "_pairscan"}),
     # Broken in the probe stage.
     (["falsify", "--field", "grid:GRID", "--c", "0.1"],
-     {"lattice", "evolution", "cylinders", "numpy", "_pairscan"}),
+     {"lattice", "configuration", "evolution", "cylinders", "numpy", "_pairscan"}),
 ], ids=["assign", "verify", "verify-table", "evolve", "evolve-particles",
         "cylinders", "cylinders-column", "falsify", "falsify-radial",
         "falsify-grid"])
@@ -200,7 +200,8 @@ def test_a_particles_file_is_decided_without_numpy(tmp_path, window_40_files,
                 "--out", str(out)]
         loaded = _loaded_modules("from freedrift import cli\n"
                                  f"assert cli.main({argv!r}) == {code}")
-        assert "evolution" in loaded and loaded & absent == set()
+        assert "configuration" in loaded and loaded & absent == set()
+        assert ("evolution" in loaded) == (command == "verify")
         if code == 0:
             text = (out / report).read_text()
             assert "mode = exhaustive-structural\n" in text
@@ -239,7 +240,8 @@ def test_a_one_row_file_is_decided_without_numpy(tmp_path, command):
     argv = ["--command", command, "--particles", str(rows), "--out", str(out)]
     loaded = _loaded_modules("from freedrift import cli\n"
                              f"assert cli.main({argv!r}) == 0")
-    assert "evolution" in loaded
+    assert "configuration" in loaded
+    assert ("evolution" in loaded) == (command == "verify")
     assert loaded & {"numpy", "_pairscan", "lattice", "falsifier"} == set()
     assert {path.name: path.read_text() for path in out.iterdir()} == \
         ONE_ROW_OUTPUT[command]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freedrift import _pairscan, geometry
-from freedrift.evolution import MovingConfiguration
+from freedrift.configuration import MovingConfiguration
 from freedrift.formats import parse_particles
 from freedrift.geometry import (IdenticalParticleError, UndecidedError,
                                 Vec2, _inverse_hypot_down,
@@ -240,7 +240,7 @@ def test_engine_matches_scalar_formulas_and_oracles(config, tile):
 
 @pytest.mark.parametrize("tile", TILES)
 def test_lattice_ties_keep_first_pair(tile):
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5).configuration
     P, V = flow.P, flow.V
     for velocities in (V, np.zeros_like(V)):
         scan = scan_tiled(tile, P, velocities)
@@ -337,7 +337,7 @@ def assert_certified(cert, P, V):
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_certificate_agrees_with_engine_on_windows(name):
     for n in range(13):
-        flow = build_flow(PROFILES[name], Window.square(n), 0.5)
+        flow = build_flow(PROFILES[name], Window.square(n), 0.5).configuration
         cert = certify(flow.P, flow.V)
         if n == 0:
             assert cert is None  # one particle, no pair
@@ -351,7 +351,7 @@ def test_certificate_agrees_with_engine_on_windows(name):
 
 @pytest.mark.parametrize("n", [25, 32])
 def test_certificate_agrees_with_engine_on_large_arctan_windows(n):
-    flow = build_flow(arctan_profile(), Window.square(n), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(n), 0.5).configuration
     cert = certify(flow.P, flow.V)
     scan = _pairscan.scan(flow.P, flow.V)
     assert cert.mode == "exhaustive-structural" and scan.mode == "exhaustive"
@@ -366,7 +366,8 @@ def lattice_rows(draw):
     x_lo, y_lo = draw(st.integers(-5, 3)), draw(st.integers(-5, 3))
     window = Window(x_lo, x_lo + draw(st.integers(0, 4)),
                     y_lo, y_lo + draw(st.integers(0, 4)))
-    flow = build_flow(PROFILES[draw(st.sampled_from(sorted(PROFILES)))], window, 0.5)
+    flow = build_flow(PROFILES[draw(st.sampled_from(sorted(PROFILES)))], window,
+                      0.5).configuration
     n = len(flow.P)
     order = draw(st.permutations(range(n)))
     keep = [k for k in order if draw(st.booleans())] if draw(st.booleans()) else order
@@ -388,7 +389,7 @@ def test_certificate_on_shuffled_and_sparse_rows(rows):
 
 
 def test_checkerboard_has_no_unit_axis_pair():
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5).configuration
     black = (flow.P.sum(axis=1) % 2) == 0
     assert certify(flow.P[black], flow.V[black]) is None
 
@@ -397,7 +398,7 @@ def test_certificate_finds_a_pair_after_rows_without_one():
     """The black squares of a checkerboard, then the white square (2, 3):
     the first row's neighbour positions are all empty, so the first pair
     is looked up among every position, for both witnesses."""
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5).configuration
     black = np.flatnonzero(flow.P.sum(axis=1) % 2 == 0)
     white = np.flatnonzero((flow.P == [2.0, 3.0]).all(axis=1))
     rows = np.concatenate([black, white])
@@ -412,7 +413,7 @@ def test_certificate_finds_a_pair_after_rows_without_one():
 
 
 def _flow_arrays():
-    flow = build_flow(arctan_profile(), Window.square(3), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(3), 0.5).configuration
     return flow.P.copy(), flow.V.copy()
 
 
@@ -557,7 +558,7 @@ def assert_exact_line_minimum(cert, P, V):
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_worldline_certificate_is_the_exact_minimum_on_windows(name):
     for n in range(5):
-        flow = build_flow(PROFILES[name], Window.square(n), 0.5)
+        flow = build_flow(PROFILES[name], Window.square(n), 0.5).configuration
         cert = certify(flow.P, flow.V, worldline=True)
         if n == 0:
             assert cert is None
@@ -601,7 +602,7 @@ def window_subsets(draw):
     # The table covers -12..12; tanh saturates in double precision past 19.
     profile = draw(st.sampled_from(["arctan", "rational"] + ["tanh"] * (n <= 19)
                                    + ["table"] * (n <= 12)))
-    flow = build_flow(PROFILES[profile], Window.square(n), 0.5)
+    flow = build_flow(PROFILES[profile], Window.square(n), 0.5).configuration
     side = 2 * n + 1
     x0, y0 = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
     width = draw(st.integers(1, min(8, side - x0)))
@@ -617,7 +618,7 @@ def _tanh_window_15_rows(n):
     """The first n rows of the tanh flow on window 15: x1 = -15 and x2 from
     -15 up. Neighbouring rows share V1, and their V0 differ by about
     1.2e-12."""
-    flow = build_flow(tanh_profile(), Window.square(15), 0.5)
+    flow = build_flow(tanh_profile(), Window.square(15), 0.5).configuration
     assert flow.P[:n].tolist() == [[-15.0, -15.0 + k] for k in range(n)]
     return flow.P[:n], flow.V[:n]
 
@@ -716,7 +717,7 @@ def test_subnormal_relative_velocity_is_measured_exactly():
 def test_certificate_matches_the_engine_on_a_shuffled_window():
     """Every row of the window-32 flow, shuffled: the certificate's minima
     and witnesses are the engine's on the same rows (8,923,200 pairs)."""
-    flow = build_flow(arctan_profile(), Window.square(32), 0.5)
+    flow = build_flow(arctan_profile(), Window.square(32), 0.5).configuration
     rows = np.random.default_rng(32).permutation(len(flow))
     P, V = flow.P[rows], flow.V[rows]
     line = certify(P, V, worldline=True)
@@ -759,7 +760,7 @@ def test_single_rows_and_columns_get_the_exact_worldline_minimum(line):
     shuffled and read from a file."""
     inputs, order = line
     try:
-        flow = build_flow(*inputs)
+        flow = build_flow(*inputs).configuration
     except ValueError:
         return  # tanh saturates in double precision
     cert = flow.decide(worldline=True)
@@ -791,7 +792,7 @@ def test_inverse_hypot_is_rounded_down(s):
 def test_worldline_kernel_is_within_four_ulps_of_exact():
     # Velocities of neighbouring tanh columns agree to about 1e-10, where
     # computing v_i x v_j directly cancelled to errors of up to 6e-9.
-    flow = build_flow(tanh_profile(), Window.square(10), 0.5)
+    flow = build_flow(tanh_profile(), Window.square(10), 0.5).configuration
     P, V = flow.P, flow.V
     ii, jj = np.triu_indices(len(P), 1)
     dx, dv = P[jj] - P[ii], V[jj] - V[ii]
