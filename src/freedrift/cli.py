@@ -1,10 +1,12 @@
 """Command-line driver: builds flows, verifies them, renders evolutions,
 exports cylinder scenes, and runs the field falsifier.
 
-Every run is deterministic for a fixed config and seed; emitted files carry
-no timestamps or environment-dependent content. Exit codes: 0 pass (or
-violation found), 1 verification failure (or search exhausted, or a pair
-scan past the exhaustive limit: undecided, no report), 2 bad input.
+Every run is deterministic for a fixed config; emitted files carry no
+timestamps or environment-dependent content. Every command accepts
+`--seed` and `falsify` writes it in its report, but nothing is sampled,
+so no command reads it. Exit codes: 0 pass (or violation found), 1
+verification failure (or search exhausted, or a pair scan past the
+exhaustive limit: undecided, no report), 2 bad input.
 
 Each command imports only the modules it runs. Every command but
 `falsify` reads one type, configuration.MovingConfiguration: a particles
@@ -16,9 +18,10 @@ module, only `cylinders` the cylinder module, and only `verify` and
 `verify` and `cylinders` where the pair engine runs. On a window they
 decide, measure and write from the two axes, and on a particles file with
 a lattice flow's structure, in any row order, or of one row, from its four
-columns, with no P or V and no numpy. `falsify` never loads it: every
-stage of its search decides its pairs on floats, and a grid file is read
-without it.
+columns, with no P or V and no numpy. `falsify` never loads it: both
+stages of its search, the probes and the pairs at radii scaled by the
+field's length scale over c, decide their pairs on floats, and a grid
+file is read without it.
 """
 from __future__ import annotations
 
@@ -336,7 +339,7 @@ def _cmd_falsify(config: RunConfig) -> int:
     from .falsifier import ViolationReport, falsify
     from .formats import fmt_float, report_items
     field = _parse_field(config.field)
-    result = falsify(field, config.c, config.budget, config.seed)
+    result = falsify(field, config.c, config.budget)
     found = isinstance(result, ViolationReport)
     _report(config, "falsify_report.txt", {
         "field": config.field,

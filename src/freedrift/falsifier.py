@@ -7,10 +7,14 @@ continuous candidate fields and a deterministic search that exhibits
 violating pairs. Equality (including dw = 0) already defeats the strict
 inequality, so the search accepts margin >= 0.
 
-The search runs five stages in order: far-field probes at fixed radii,
-pairs at radii scaled by bound/c ("scaled"), seeded random pairs, a
-bisection between pairs of opposite sign of <x-y, dw> ("sign-change"),
-and local refinement of the best pair. Every hit the floats find is then
+The search tries two fixed lists of pairs in order: far-field probes at
+fixed radii ("probe"), then pairs at radii k L/c, L the field's length
+scale, with angular offsets h c/r ("scaled"). The inequality is
+homogeneous in w, so the field's bound does not say where it breaks; its
+length scale does. A field that is constant along the x1 axis past L
+(rotational, linear, a grid past its last node) has dw = 0 at the
+scaled pairs on that axis, and one that saturates along rays (radial)
+breaks where r >~ L/c and t <~ c/r. Every hit the floats find is then
 decided again exactly, in integers on the doubles x, y, w(x), w(y) and c
 (`_exact_violation`): |x-y| > 1 and c^2 |dw|^2 >= <x-y, dw>^2. A float hit
 that fails it is not reported, and the search goes on. The check is exact
@@ -22,19 +26,17 @@ from the field's formula is -1.25e-16, so such a hit holds on the doubles
 only.
 
 Each field kind's formula is written once, in `_KERNELS`, in CPython
-floats, and every stage decides its pairs one at a time through it. The
-random stage draws each pair with `random.Random.uniform`. So `falsify`
-never imports numpy.
+floats, and both stages decide their pairs one at a time through it, so
+`falsify` never imports numpy.
 """
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass, field
 
 from .formats import UNREPORTED
-from .geometry import DEFAULT_BUDGET, DEFAULT_SEED, Vec2, _dyadic, norm
+from .geometry import DEFAULT_BUDGET, Vec2, _dyadic, norm
 
 
 class FieldKind(enum.Enum):
@@ -61,10 +63,6 @@ class CandidateField:
     values: tuple[tuple[tuple[float, float], ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bound) and self.bound > 0):
-            raise ValueError("field bound must be finite and positive")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("field scale must be finite and positive")
         if (self.kind is FieldKind.CONSTANT) != (self.value is not None):
             raise ValueError("constant fields take a value, others do not")
         grid_parts = (self.origin is not None, self.spacing is not None,
@@ -72,13 +70,25 @@ class CandidateField:
         if (self.kind is FieldKind.SAMPLED_GRID) != all(grid_parts):
             raise ValueError("grid fields take origin, spacing and values")
         if self.kind is FieldKind.SAMPLED_GRID:
+            # Before the bound, which grid_field takes from these values.
             if self.spacing <= 0 or not math.isfinite(self.spacing):
                 raise ValueError("grid spacing must be finite and positive")
+            if not all(map(math.isfinite, self.origin)):
+                raise ValueError(f"grid origin {self.origin} is not finite")
             rows = self.values
             if len(rows) < 1 or len(rows[0]) < 1:
                 raise ValueError("grid needs at least one node")
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("grid rows must have equal length")
+            for j, row in enumerate(rows):
+                for i, w in enumerate(row):
+                    if not all(map(math.isfinite, w)):
+                        raise ValueError(
+                            f"grid value {w} at node ({i}, {j}) is not finite")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError("field bound must be finite and positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("field scale must be finite and positive")
 
 
 # Each kind's formula, once: a factory field -> kernel, and
@@ -221,15 +231,15 @@ class ViolationReport:
 
 BUDGET_SPENT = ("budget exhausted without finding a violation; "
                 "this does not certify the field satisfies the inequality")
-REFINE_CONVERGED = ("refinement converged with budget left, without finding a "
-                    "violation; this does not certify the field satisfies the "
-                    "inequality")
+PAIRS_TRIED = ("every probe and scaled pair tried with budget left, without "
+               "finding a violation; this does not certify the field "
+               "satisfies the inequality")
 
 
 @dataclass(frozen=True)
 class Exhausted:
-    """Search ended without a violation: its budget ran out, or refinement
-    converged with budget left. note says which. Certifies nothing about
+    """Search ended without a violation: its budget ran out, or every pair
+    was tried with budget left. note says which. Certifies nothing about
     the field."""
 
     best_margin: float
@@ -241,30 +251,17 @@ class Exhausted:
 _PROBE_RADII = (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0)
 _PROBE_ANGLES = 16
 # The scaled stage's pairs x = (r, 0), y = (r + g)(cos t, sin t) with
-# r = k bound/c and t = h c/r, k outermost and h innermost. A field that
+# r = k L/c and t = h c/r, k outermost and h innermost. A field that
 # saturates along rays, such as the radial one, breaks only where
-# r >~ bound/c and t <~ c/r (its margin is about c t - r t^2 - g^2/r^3),
-# which the fixed probe radii (<= 8,192) and random radii (<= 10^4) miss
-# once c is small.
+# r >~ L/c and t <~ c/r (its margin is about c t - r t^2 - g^2/r^3),
+# which the fixed probe radii (<= 8,192) miss once L/c is large.
 _SCALED_RADII = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
 _SCALED_GAPS = (1.001, 1.01, 1.25)
 _SCALED_ANGLES = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
-# Halvings of the sign-change path: its bracket ends at 2^-60 of the
-# path, below the 2^-52 relative spacing of the doubles on it.
-_BISECTION_STEPS = 60
-# The random stage draws from this many fixed seeded streams, one after
-# another; stream k labels its hits "random-slot-k".
-_RANDOM_STREAMS = 4
-# Refinement's eight moves in the order tried (+x1, -x1, +x2, ..., -y2),
-# each the offsets of (x1, x2, y1, y2) in steps.
-_MOVES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
-          (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
-          (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0),
-          (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0))
 
 
 class _Search:
-    """Budgeted, seeded pair search; shared state across stages.
+    """Budgeted pair search; shared state across the two stages.
 
     A pair is four floats (x1, x2, y1, y2), which `try_pair` decides
     through the field's kernel; `Vec2` is built only for the result. The
@@ -278,9 +275,8 @@ class _Search:
         self.evals = 0
         self.best_margin = -math.inf
         self.best_pair: tuple[float, float, float, float] | None = None
-        # The latest pair decided with <x-y, dw> > 0, and with < 0.
-        self.pos_pair: tuple[float, float, float, float] | None = None
-        self.neg_pair: tuple[float, float, float, float] | None = None
+        # Whether some pair had <x-y, dw> > 0, and some < 0.
+        self.positive = self.negative = False
 
     def out_of_budget(self) -> bool:
         return self.evals + 2 > self.budget
@@ -291,9 +287,9 @@ class _Search:
         A hit is a pair whose float margin is >= 0 and that passes
         `_exact_violation`. A pair with |x-y| <= 1 is skipped and costs
         nothing, and none is evaluated past the budget. A non-finite
-        increment raises ValueError. Otherwise the pair is kept as the
-        latest of its sign of <x-y, dw>, and as the best if its margin is
-        strictly larger than the best one (NaN never is).
+        increment raises ValueError. Otherwise the sign of <x-y, dw> is
+        noted, and the pair is kept as the best if its margin is strictly
+        larger than the best one (NaN never is).
         """
         d1, d2 = x1 - y1, x2 - y2
         separation = math.hypot(d1, d2)
@@ -313,9 +309,9 @@ class _Search:
         margin = self.c * dw_norm - abs(inner)
         pair = (x1, x2, y1, y2)
         if inner > 0.0:
-            self.pos_pair = pair
+            self.positive = True
         elif inner < 0.0:
-            self.neg_pair = pair
+            self.negative = True
         if margin > self.best_margin:
             self.best_margin, self.best_pair = margin, pair
         if margin >= 0.0 and _exact_violation(self.c, *pair,
@@ -349,8 +345,7 @@ def _violation(search: _Search, hit, stage: str) -> ViolationReport:
         x=Vec2(x1, x2), y=Vec2(y1, y2), c=search.c, margin=margin,
         inner_product=inner, increment_norm=dw_norm, separation=separation,
         evaluations_used=search.evals, stage=stage,
-        both_signs_observed=(search.pos_pair is not None
-                             and search.neg_pair is not None),
+        both_signs_observed=search.positive and search.negative,
     )
 
 
@@ -373,10 +368,21 @@ def _probe_pairs():
                        (radius + gap) * math.sin(phi))
 
 
-def _scaled_pairs(bound: float, c: float):
+def _length_scale(field: CandidateField) -> float:
+    """The field's length scale L: its scale, or for a grid the largest of
+    its origin's coordinates and its spacing times its nodes per side."""
+    if field.kind is not FieldKind.SAMPLED_GRID:
+        return field.scale
+    rows = field.values
+    return max(abs(field.origin[0]), abs(field.origin[1]),
+               field.spacing * max(len(rows), len(rows[0])))
+
+
+def _scaled_pairs(field: CandidateField, c: float):
     """The scaled stage's pairs, those with finite coordinates."""
+    length = _length_scale(field)
     for k in _SCALED_RADII:
-        r = k * bound / c
+        r = k * length / c
         if not 0.0 < r < math.inf:
             continue
         for gap in _SCALED_GAPS:
@@ -387,25 +393,20 @@ def _scaled_pairs(bound: float, c: float):
                            (r + gap) * math.sin(theta))
 
 
-def falsify(field: CandidateField, c: float, budget: int = DEFAULT_BUDGET,
-            seed: int = DEFAULT_SEED) -> ViolationReport | Exhausted:
+def falsify(field: CandidateField, c: float,
+            budget: int = DEFAULT_BUDGET) -> ViolationReport | Exhausted:
     """Search for a pair with |x-y| > 1 where the strict inequality
     |<x-y, w(x)-w(y)>| > c |w(x)-w(y)| fails.
 
-    Five deterministic stages, in order: structured far-field probes;
-    126 pairs at radii k bound/c and angular offsets h c/r ("scaled");
-    seeded random pairs (three quarters of the budget left, split evenly
-    across fixed seeded streams, run one after another, so the first hit
-    in stream order wins); a bisection between the latest pairs of each
-    sign of <x-y, dw> to a zero of it ("sign-change"), when both signs
-    occurred; and local refinement of the best pair seen. A hit found in
-    floats is reported only if it holds exactly on the doubles x, y,
-    w(x), w(y) and c (see the module docstring); otherwise the search
-    goes on. Exhausted is an honest result, not an error; it carries the
-    best margin, says whether the budget ran out or refinement converged
-    first, and certifies nothing. Once the budget is spent no stage
-    evaluates a pair, so every search without a hit ends at the one
-    Exhausted exit after the last stage.
+    Two deterministic stages, in order: 672 structured far-field probes,
+    then 126 pairs at radii k L/c and angular offsets h c/r ("scaled"), L
+    the field's length scale (its scale, or a grid's extent). Scaling w by
+    a constant scales both sides of the inequality alike, so the bound
+    does not enter. A hit found in floats is reported only if it holds
+    exactly on the doubles x, y, w(x), w(y) and c (see the module
+    docstring); otherwise the search goes on. Exhausted is an honest
+    result, not an error; it carries the best margin, says whether the
+    budget ran out or every pair was tried first, and certifies nothing.
 
     Raises:
         ValueError: for c or budget out of range, or when a field increment
@@ -416,112 +417,15 @@ def falsify(field: CandidateField, c: float, budget: int = DEFAULT_BUDGET,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     search = _Search(field, c, budget)
-
     for stage, pairs in (("probe", _probe_pairs()),
-                         ("scaled", _scaled_pairs(field.bound, c))):
+                         ("scaled", _scaled_pairs(field, c))):
         for pair in pairs:
             hit = search.try_pair(*pair)
             if hit is not None:
                 return _violation(search, hit, stage)
-
-    cos, sin, exp = math.cos, math.sin, math.exp
-    log_r_max = math.log(1e4)
-    log_gap_min, log_gap_max = math.log(1.0001), math.log(1e3)
-    turn = 2.0 * math.pi
-    random_budget = (budget - search.evals) * 3 // 4
-    per_stream = random_budget // _RANDOM_STREAMS
-    for stream in range(_RANDOM_STREAMS):
-        uniform = random.Random(seed * 1000003 + stream).uniform
-        stream_end = min(search.evals + per_stream, budget)
-        while search.evals + 2 <= stream_end:
-            r = exp(uniform(0.0, log_r_max))
-            t = uniform(0.0, turn)
-            x1, x2 = r * cos(t), r * sin(t)
-            gap = exp(uniform(log_gap_min, log_gap_max))
-            phi = uniform(0.0, turn)
-            hit = search.try_pair(x1, x2, x1 + gap * cos(phi),
-                                  x2 + gap * sin(phi))
-            if hit is not None:
-                return _violation(search, hit, f"random-slot-{stream}")
-
-    if search.pos_pair is not None and search.neg_pair is not None:
-        hit = _sign_change(search)
-        if hit is not None:
-            return _violation(search, hit, "sign-change")
-    if search.best_pair is not None:
-        hit = _refine(search)
-        if hit is not None:
-            return _violation(search, hit, "refine")
-    return _exhausted(search)
-
-
-def _sign_change(search: _Search):
-    """Bisect from the kept pairs of each sign of <x-y, dw> to a zero of it,
-    where margin = c |dw| - |<x-y, dw>| >= 0 if dw != 0.
-
-    The path from the positive pair (t = 0) to the negative one (t = 1)
-    stays inside {|x-y| > 1}: x moves linearly, and x - y in polar form,
-    its length interpolated (both ends are > 1) and its angle taken along
-    the shorter arc. Each step decides the midpoint of the bracket and
-    keeps the half whose ends differ in sign. The stage ends at a hit,
-    after _BISECTION_STEPS steps, or at a midpoint of neither sign
-    (<x-y, dw> zero or NaN, a pair not more than 1 apart, or no budget).
-    """
-    (a1, a2, b1, b2), (e1, e2, f1, f2) = search.pos_pair, search.neg_pair
-    length0 = math.hypot(a1 - b1, a2 - b2)
-    length1 = math.hypot(e1 - f1, e2 - f2)
-    angle0 = math.atan2(a2 - b2, a1 - b1)
-    turn = math.atan2(e2 - f2, e1 - f1) - angle0
-    if turn > math.pi:
-        turn -= 2.0 * math.pi
-    elif turn < -math.pi:
-        turn += 2.0 * math.pi
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECTION_STEPS):
-        t = 0.5 * (lo + hi)
-        length = length0 + t * (length1 - length0)
-        angle = angle0 + t * turn
-        x1, x2 = a1 + t * (e1 - a1), a2 + t * (e2 - a2)
-        pair = (x1, x2, x1 - length * math.cos(angle),
-                x2 - length * math.sin(angle))
-        hit = search.try_pair(*pair)
-        if hit is not None:
-            return hit
-        if search.pos_pair == pair:
-            lo = t
-        elif search.neg_pair == pair:
-            hi = t
-        else:
-            return None
-    return None
-
-
-def _refine(search: _Search):
-    """Coordinate-perturbation ascent on the violation margin.
-
-    Each round tries the eight moves of one step in order and takes the
-    first that raises the best margin; a round without one halves the
-    step.
-    """
-    step = 1.0
-    while step > 1e-9 and not search.out_of_budget():
-        before = search.best_margin
-        base = search.best_pair
-        for move in _MOVES:
-            hit = search.try_pair(*(p + step * m for p, m in zip(base, move)))
-            if hit is not None:
-                return hit
-            if search.best_margin > before:
-                break
-        else:
-            step /= 2.0
-    return None
-
-
-def _exhausted(search: _Search) -> Exhausted:
     pair = search.best_pair
     return Exhausted(best_margin=search.best_margin,
                      best_pair=None if pair is None else
                      (Vec2(pair[0], pair[1]), Vec2(pair[2], pair[3])),
                      evaluations_used=search.evals,
-                     note=BUDGET_SPENT if search.out_of_budget() else REFINE_CONVERGED)
+                     note=BUDGET_SPENT if search.out_of_budget() else PAIRS_TRIED)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 # off their digits (0.75 x 5e-324 reads 1e-323). Distances are ratios
 # homogeneous in dv, so the scaling changes only their rounding.
 TINY_SPEED = 2.0 ** -500
-# The falsifier's default seed, and so the CLI's --seed default.
+# The CLI's --seed default. No command reads the seed; falsify_report.txt
+# records it.
 DEFAULT_SEED = 0x5EED
 # verify's default threshold, the unit separation of the paper's flows.
 DEFAULT_THRESHOLD = 1.0

@@ -30,7 +30,6 @@ kept here for the criteria that check it; `chain_check` and
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -41,7 +40,7 @@ from freedrift.cylinders import SCENE_HEADER
 from freedrift.configuration import MovingConfiguration
 from freedrift.falsifier import (
     BUDGET_SPENT,
-    REFINE_CONVERGED,
+    PAIRS_TRIED,
     Exhausted,
     FieldKind,
     ViolationReport,
@@ -427,17 +426,13 @@ class _ReferenceSearch:
         self.evals = 0
         self.best_margin = -math.inf
         self.best_pair = None
-        # The latest pair with <x-y, dw> > 0, and with < 0.
-        self.pos_pair = None
-        self.neg_pair = None
-        # <x-y, dw> of the latest try_pair call; NaN if it evaluated nothing.
-        self.inner = math.nan
+        # The signs of <x-y, dw> seen so far.
+        self.signs = set()
 
     def out_of_budget(self):
         return self.evals + 2 > self.budget
 
     def try_pair(self, x, y):
-        self.inner = math.nan
         if self.out_of_budget():
             return None
         separation = norm(sub(x, y))
@@ -447,11 +442,9 @@ class _ReferenceSearch:
         wy = reference_evaluate(self.field, y)
         self.evals += 2
         dw = sub(wx, wy)
-        inner = self.inner = dot(sub(x, y), dw)
-        if inner > 0.0:
-            self.pos_pair = (x, y)
-        elif inner < 0.0:
-            self.neg_pair = (x, y)
+        inner = dot(sub(x, y), dw)
+        if inner > 0.0 or inner < 0.0:
+            self.signs.add(inner > 0.0)
         margin = self.c * norm(dw) - abs(inner)
         if margin > self.best_margin:
             self.best_margin = margin
@@ -471,24 +464,6 @@ def exact_violation(c, x, y, wx, wy):
             and Fraction(c) ** 2 * (e1 * e1 + e2 * e2) >= (d1 * e1 + d2 * e2) ** 2)
 
 
-def _reference_violation(search, hit, stage):
-    x, y, margin, inner, dw_norm, separation = hit
-    return ViolationReport(
-        x=x, y=y, c=search.c, margin=margin, inner_product=inner,
-        increment_norm=dw_norm, separation=separation,
-        evaluations_used=search.evals, stage=stage,
-        both_signs_observed=(search.pos_pair is not None
-                             and search.neg_pair is not None),
-    )
-
-
-def _reference_exhausted(search):
-    return Exhausted(best_margin=search.best_margin,
-                     best_pair=search.best_pair,
-                     evaluations_used=search.evals,
-                     note=BUDGET_SPENT if search.out_of_budget() else REFINE_CONVERGED)
-
-
 def _reference_probe_pairs():
     for radius in (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0):
         for k in range(16):
@@ -505,9 +480,19 @@ def _reference_probe_pairs():
                               (radius + gap) * math.sin(phi))
 
 
-def _reference_scaled_pairs(bound, c):
+def _reference_length_scale(field):
+    """The field's scale, or for a grid max(|o1|, |o2|, spacing max(nx, ny))."""
+    if field.kind is not FieldKind.SAMPLED_GRID:
+        return field.scale
+    ny, nx = len(field.values), len(field.values[0])
+    return max(abs(field.origin[0]), abs(field.origin[1]),
+               field.spacing * max(nx, ny))
+
+
+def _reference_scaled_pairs(field, c):
+    length = _reference_length_scale(field)
     for k in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
-        r = k * bound / c
+        r = k * length / c
         if not 0.0 < r < math.inf:
             continue
         for gap in (1.001, 1.01, 1.25):
@@ -518,106 +503,26 @@ def _reference_scaled_pairs(bound, c):
                                              (r + gap) * math.sin(theta))
 
 
-def _reference_sign_change(search):
-    """Bisection from the latest positive pair (t = 0) to the latest
-    negative one (t = 1): x linear, x - y polar along the shorter arc."""
-    (a, b), (e, f) = search.pos_pair, search.neg_pair
-    d0, d1 = sub(a, b), sub(e, f)
-    angle0 = math.atan2(d0.x2, d0.x1)
-    turn = math.atan2(d1.x2, d1.x1) - angle0
-    if turn > math.pi:
-        turn -= 2.0 * math.pi
-    elif turn < -math.pi:
-        turn += 2.0 * math.pi
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        t = 0.5 * (lo + hi)
-        length = norm(d0) + t * (norm(d1) - norm(d0))
-        angle = angle0 + t * turn
-        x = Vec2(a.x1 + t * (e.x1 - a.x1), a.x2 + t * (e.x2 - a.x2))
-        y = Vec2(x.x1 - length * math.cos(angle), x.x2 - length * math.sin(angle))
-        hit = search.try_pair(x, y)
-        if hit is not None:
-            return hit
-        if search.inner > 0.0:
-            lo = t
-        elif search.inner < 0.0:
-            hi = t
-        else:
-            return None
-    return None
-
-
-def _reference_refine(search):
-    x, y = search.best_pair
-    step = 1.0
-    while step > 1e-9 and not search.out_of_budget():
-        improved = False
-        for dx1, dx2, dy1, dy2 in (
-            (step, 0, 0, 0), (-step, 0, 0, 0),
-            (0, step, 0, 0), (0, -step, 0, 0),
-            (0, 0, step, 0), (0, 0, -step, 0),
-            (0, 0, 0, step), (0, 0, 0, -step),
-        ):
-            cand_x = Vec2(x.x1 + dx1, x.x2 + dx2)
-            cand_y = Vec2(y.x1 + dy1, y.x2 + dy2)
-            if not norm(sub(cand_x, cand_y)) > 1.0:
-                continue
-            before = search.best_margin
-            hit = search.try_pair(cand_x, cand_y)
-            if hit is not None:
-                return hit
-            if search.best_margin > before:
-                x, y = cand_x, cand_y
-                improved = True
-                break
-            if search.out_of_budget():
-                return None
-        if not improved:
-            step /= 2.0
-    return None
-
-
-def reference_falsify(field, c, budget, seed):
-    """The staged violation search with a `Vec2` for every point and every
-    field value: probes, the c-scaled pairs, four seeded random streams,
-    the sign-change bisection, then refinement of the best pair.
+def reference_falsify(field, c, budget):
+    """The two-stage violation search with a `Vec2` for every point and
+    every field value: the probes, then the pairs at radii k L/c.
     `falsify` must return exactly this result."""
     search = _ReferenceSearch(field, c, budget)
     for stage, pairs in (("probe", _reference_probe_pairs()),
-                         ("scaled", _reference_scaled_pairs(field.bound, c))):
+                         ("scaled", _reference_scaled_pairs(field, c))):
         for x, y in pairs:
             hit = search.try_pair(x, y)
             if hit is not None:
-                return _reference_violation(search, hit, stage)
-            if search.out_of_budget():
-                return _reference_exhausted(search)
-
-    random_budget = (budget - search.evals) * 3 // 4
-    per_stream = random_budget // 4
-    for stream in range(4):
-        rng = random.Random(seed * 1000003 + stream)
-        stream_end = search.evals + per_stream
-        while search.evals + 2 <= min(stream_end, budget):
-            r = math.exp(rng.uniform(0.0, math.log(1e4)))
-            t = rng.uniform(0.0, 2.0 * math.pi)
-            x = Vec2(r * math.cos(t), r * math.sin(t))
-            gap = math.exp(rng.uniform(math.log(1.0001), math.log(1e3)))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            y = Vec2(x.x1 + gap * math.cos(phi), x.x2 + gap * math.sin(phi))
-            hit = search.try_pair(x, y)
-            if hit is not None:
-                return _reference_violation(search, hit, f"random-slot-{stream}")
-
-    if search.pos_pair is not None and search.neg_pair is not None:
-        hit = _reference_sign_change(search)
-        if hit is not None:
-            return _reference_violation(search, hit, "sign-change")
-    if search.best_pair is not None:
-        hit = _reference_refine(search)
-        if hit is not None:
-            return _reference_violation(search, hit, "refine")
-    return _reference_exhausted(search)
+                x, y, margin, inner, dw_norm, separation = hit
+                return ViolationReport(
+                    x=x, y=y, c=c, margin=margin, inner_product=inner,
+                    increment_norm=dw_norm, separation=separation,
+                    evaluations_used=search.evals, stage=stage,
+                    both_signs_observed=len(search.signs) == 2)
+    return Exhausted(best_margin=search.best_margin,
+                     best_pair=search.best_pair,
+                     evaluations_used=search.evals,
+                     note=BUDGET_SPENT if search.out_of_budget() else PAIRS_TRIED)
 
 
 def configuration(P, V) -> MovingConfiguration:

@@ -201,7 +201,7 @@ def test_criterion_6_falsifier_breaks_every_family():
         for c in (1e-4, 3e-4, 0.05, 0.1, 0.5):
             field = builtin_field(name)
             started = time.perf_counter()
-            result = falsify(field, c, budget=10 ** 6, seed=0x5EED)
+            result = falsify(field, c, budget=10 ** 6)
             elapsed = time.perf_counter() - started
             tag = f"{name}/c={c}"
             if not isinstance(result, ViolationReport):
@@ -236,8 +236,7 @@ def test_criterion_6_radial_hits_hold_for_the_field_itself():
             return f * p1, f * p2
 
         for c in (1e-4, 3e-4):
-            result = falsify(builtin_field("radial"), c, budget=10 ** 6,
-                             seed=0x5EED)
+            result = falsify(builtin_field("radial"), c, budget=10 ** 6)
             if not isinstance(result, ViolationReport):
                 failures.append(f"c={c} exhausted")
                 continue

@@ -132,9 +132,10 @@ def test_each_command_loads_only_its_modules(tmp_path, args, absent):
     assert loaded & absent == set()
 
 
-def test_the_random_stage_loads_neither_numpy_nor_the_pair_engine(tmp_path):
+def test_the_scaled_stage_loads_neither_numpy_nor_the_pair_engine(tmp_path):
     # A radial field at scale 1,000 sampled on 9 x 9 nodes 2,500 apart: at
-    # c = 0.1 neither the probes nor the scaled pairs break it.
+    # c = 0.1 the probes do not break it, and the scaled stage breaks it at
+    # its first pair, past the grid's last node.
     nodes = [-10000.0 + 2500.0 * k for k in range(9)]
     grid = tmp_path / "grid.txt"
     grid.write_text("particles v1\n" + "".join(
@@ -145,22 +146,24 @@ def test_the_random_stage_loads_neither_numpy_nor_the_pair_engine(tmp_path):
             "--out", str(out)]
     loaded = _loaded_modules("from freedrift import cli\n"
                              f"assert cli.main({argv!r}) == 0")
-    assert "stage = random-slot-0\n" in (out / "falsify_report.txt").read_text()
+    report = (out / "falsify_report.txt").read_text()
+    assert "stage = scaled\n" in report
+    assert "evaluations_used = 1346\n" in report
     assert "falsifier" in loaded
     assert loaded & {"numpy", "_pairscan", "lattice", "evolution",
                      "cylinders"} == set()
 
 
 def test_an_exhausted_search_loads_no_numpy():
-    # A radial field at scale 100 survives the probes, the scaled pairs and
-    # the random streams at c = 1e-4, and refinement converges after 15,812
-    # evaluations.
+    # A radial field at scale 1e300 is linear at every pair the search can
+    # separate, and at c = 1e-4 no scaled pair is more than 1 apart: the
+    # search ends after the 672 probes with budget left.
     loaded = _loaded_modules(
         "from freedrift.falsifier import Exhausted, falsify, "
         "saturated_radial_field\n"
-        "result = falsify(saturated_radial_field(scale=100.0), 1e-4, 20000)\n"
+        "result = falsify(saturated_radial_field(scale=1e300), 1e-4, 20000)\n"
         "assert isinstance(result, Exhausted), result\n"
-        "assert result.evaluations_used == 15812, result")
+        "assert result.evaluations_used == 1344, result")
     assert loaded == {"falsifier", "formats", "geometry"}
 
 
